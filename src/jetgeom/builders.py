@@ -30,12 +30,13 @@ from .ck import (
     solve_first_order,
     solve_second_order,
 )
-from .errors import RejectionError
+from .errors import DimensionMismatchError, RejectionError
 from .geometry import (
     Bilinear,
     Connection,
     Metric,
     OneForm,
+    _gauss_jordan,
     divergence_form,
     is_codazzi,
     levi_civita,
@@ -365,12 +366,215 @@ class BuildReport:
     checks: list[Check]
 
 
-def _raise_if_failed(report: BuildReport):
+# ---------------------------------------------------------------------------
+# checks: one function per check name, computed from a report alone, so the
+# builders and `verify` run the same code on the in-memory and the reloaded
+# report
+
+
+def _residual_zero(res: Bilinear, r: Bilinear, order: int) -> bool:
+    return all(
+        (res.comp(i, j) - r.comp(i, j)).is_zero_up_to(order)
+        for i in range(1, res.n + 1)
+        for j in range(1, res.n + 1)
+    )
+
+
+def _ricci_residual(report: BuildReport, order: int) -> bool:
+    return _residual_zero(
+        ricci(report.outputs["connection"]), report.prescribed["r"], order
+    )
+
+
+def _metric_ricci_residual(report: BuildReport, order: int) -> bool:
+    return _residual_zero(
+        ricci(levi_civita(report.outputs["metric"])), report.prescribed["r"], order
+    )
+
+
+def _torsion_trace_zero(report: BuildReport, order: int) -> bool:
+    tau = torsion_trace(report.outputs["connection"])
+    return all(tau.comp(j).is_zero_up_to(order) for j in range(1, tau.n + 1))
+
+
+def _connection_symmetric(report: BuildReport, order: int) -> bool:
+    return report.outputs["connection"].is_symmetric_table()
+
+
+def _codazzi(report: BuildReport, order: int) -> bool:
+    out = report.outputs
+    # the 2D statistical builds take the connection as input
+    conn = out["connection"] if "connection" in out else report.prescribed["connection"]
+    return is_codazzi(conn, out["metric"], order)
+
+
+def _metric_normalized_at_zero(report: BuildReport, order: int) -> bool:
+    return report.outputs["metric"].normalized_at_zero
+
+
+def _volume_determinant(report: BuildReport, order: int) -> bool:
+    g, volume = report.outputs["metric"], report.outputs["volume"]
+    gap = g.comp(1, 1) * g.comp(2, 2) - g.comp(1, 2) * g.comp(1, 2) - volume * volume
+    return gap.is_zero_up_to(order)
+
+
+def _slot_output(report: BuildReport, slot: str) -> Jet:
+    """The output component a free-data slot fills."""
+    kind = parse_slot(slot)
+    if kind[0] == "g":
+        return report.outputs["metric"].comp(kind[1], kind[2])
+    return report.outputs["connection"].gamma[kind]
+
+
+def _free_data(report: BuildReport) -> FreeData:
+    """The report's free data, which must fill exactly the census slots: an
+    emptied slot list would make the fidelity checks pass vacuously."""
+    if report.free_data is None:
+        raise ValueError(f"a {report.construction} report needs free data")
+    cen = census(report.construction, report.n)
+    _validate_free_data(cen, report.free_data, report.n, report.max_degree)
+    return report.free_data
+
+
+def _initial_slices(report: BuildReport, order: int) -> bool:
+    if report.construction in ("statistical-2d", "trace-free-statistical-2d"):
+        pre = report.prescribed
+        slices = {metric_slot(1, 2): pre["init12"], metric_slot(2, 2): pre["init22"]}
+    else:
+        slices = _free_data(report).initial_slices
+    return all(
+        _slot_output(report, slot).restrict_x1().same_payload(sl)
+        for slot, sl in slices.items()
+    )
+
+
+def _free_functions(report: BuildReport, order: int) -> bool:
+    return all(
+        _slot_output(report, slot).same_payload(jet)
+        for slot, jet in _free_data(report).free_functions.items()
+    )
+
+
+_CHECKS = {
+    "ricci-residual": _ricci_residual,
+    "metric-ricci-residual": _metric_ricci_residual,
+    "torsion-trace-zero": _torsion_trace_zero,
+    "connection-symmetric": _connection_symmetric,
+    "codazzi": _codazzi,
+    "metric-normalized-at-zero": _metric_normalized_at_zero,
+    "volume-determinant": _volume_determinant,
+    "initial-slices": _initial_slices,
+    "free-functions": _free_functions,
+}
+
+# An order override reaches these; the other checks are structural and keep
+# their recorded meaning.
+_RESIDUAL_CHECKS = frozenset(
+    {
+        "ricci-residual",
+        "metric-ricci-residual",
+        "torsion-trace-zero",
+        "codazzi",
+        "volume-determinant",
+    }
+)
+
+_PRESCRIBED_RICCI_CHECKS = (
+    ("ricci-residual", lambda d: d - 1),
+    ("initial-slices", lambda d: d),
+    ("free-functions", lambda d: d),
+)
+
+# construction -> the checks its reports must pass, in order, with the order
+# of each as a function of the degree cap D
+_CHECK_PLANS = {
+    "general": _PRESCRIBED_RICCI_CHECKS,
+    "trace-free-torsion": _PRESCRIBED_RICCI_CHECKS
+    + (("torsion-trace-zero", lambda d: d),),
+    "torsion-free": (
+        ("ricci-residual", lambda d: d - 1),
+        ("connection-symmetric", lambda d: d),
+        ("initial-slices", lambda d: d),
+        ("free-functions", lambda d: d),
+    ),
+    "metric-2d": (("metric-ricci-residual", lambda d: d - 2),),
+    "statistical-2d": (
+        ("codazzi", lambda d: d - 1),
+        ("metric-normalized-at-zero", lambda d: 0),
+        ("initial-slices", lambda d: d),
+    ),
+    "trace-free-statistical-2d": (
+        ("codazzi", lambda d: d - 1),
+        ("volume-determinant", lambda d: d),
+        ("metric-normalized-at-zero", lambda d: 0),
+        ("initial-slices", lambda d: d),
+    ),
+    "statistical": (
+        ("codazzi", lambda d: d - 1),
+        ("metric-normalized-at-zero", lambda d: 0),
+        ("connection-symmetric", lambda d: d),
+        ("initial-slices", lambda d: d),
+        ("free-functions", lambda d: d),
+    ),
+}
+
+
+def _required_checks(report: BuildReport) -> list[tuple[str, int]]:
+    plan = _CHECK_PLANS.get(report.construction)
+    if plan is None:
+        raise ValueError(f"unknown construction {report.construction!r}")
+    return [(name, order_of(report.max_degree)) for name, order_of in plan]
+
+
+def _run_checks(report: BuildReport, order: int | None = None) -> list[Check]:
+    checks = []
+    for name, recorded in _required_checks(report):
+        at = order if order is not None and name in _RESIDUAL_CHECKS else recorded
+        checks.append(Check(name, recorded, _CHECKS[name](report, at)))
+    return checks
+
+
+def _checked(report: BuildReport) -> BuildReport:
+    """Fill the checks of a finished build from the registry; a failed check
+    is a defect of the builder, not of its input."""
+    report.checks = _run_checks(report)
     failed = [c.name for c in report.checks if not c.passed]
     if failed:
         raise RuntimeError(
             f"internal verification failed for {report.construction}: {failed}"
         )
+    return report
+
+
+def _require_workspace(report: BuildReport):
+    declared = (report.n, report.max_degree)
+    for name, value in report.outputs.items():
+        table = isinstance(value, (Connection, Bilinear))
+        if not (table or isinstance(value, Jet)):
+            raise DimensionMismatchError(f"output {name!r} is neither a jet nor a table")
+        shape = value.shape if table else (value.n, value.max_degree)
+        if shape != declared or value.n != report.n:
+            raise DimensionMismatchError(
+                f"output {name!r} lives in workspace (n, D) = {shape}, the report "
+                f"declares {declared}"
+            )
+
+
+def verify(report: BuildReport, order: int | None = None) -> bool:
+    """Re-run the checks that the report's construction and degree cap D
+    require. The list of checks comes from the registry, not from the report:
+    a report whose recorded (name, order) list differs from the required one
+    does not verify. An order override (0..D) applies to the residual checks;
+    structural checks keep their recorded meaning. Raises DimensionMismatchError
+    when the report's n or D disagree with its output tables, RejectionError
+    when its free data does not fill the census slots, and ValueError for an
+    unknown construction or an order outside 0..D."""
+    _require_workspace(report)
+    if order is not None and not 0 <= order <= report.max_degree:
+        raise ValueError(f"order {order} outside 0..{report.max_degree}")
+    if [(c.name, c.order) for c in report.checks] != _required_checks(report):
+        return False
+    return all(c.passed for c in _run_checks(report, order))
 
 
 # ---------------------------------------------------------------------------
@@ -507,34 +711,10 @@ def _build_full_table_ricci(construction: str, r: Bilinear, fd: FreeData) -> Bui
         {labels[key]: fd.initial_slices[labels[key]] for key in unknown_keys},
     )
     solution = solve_first_order(system)
-    table = assemble(solution.values)
-    conn = Connection(n, table, symmetric=False)
-
-    checks = [
-        _check_ricci_residual(conn, r, cap - 1),
-        _check_initial_slices(solution.values, fd, cap),
-        _check_free_functions_connection(conn, fd, cap),
-    ]
-    if construction == "trace-free-torsion":
-        tau = torsion_trace(conn)
-        checks.append(
-            Check(
-                "torsion-trace-zero",
-                cap,
-                all(tau.comp(j).is_zero_up_to(cap) for j in range(1, n + 1)),
-            )
-        )
-    report = BuildReport(
-        construction,
-        n,
-        cap,
-        {"r": r},
-        fd,
-        {"connection": conn},
-        checks,
+    conn = Connection(n, assemble(solution.values), symmetric=False)
+    return _checked(
+        BuildReport(construction, n, cap, {"r": r}, fd, {"connection": conn}, [])
     )
-    _raise_if_failed(report)
-    return report
 
 
 def build_prescribed_ricci_general(r: Bilinear, fd: FreeData) -> BuildReport:
@@ -687,26 +867,10 @@ def build_prescribed_ricci_torsion_free(r: Bilinear, fd: FreeData) -> BuildRepor
         {labels[key]: fd.initial_slices[labels[key]] for key in unknown_pairs},
     )
     solution = solve_first_order(system)
-    table = assemble(solution.values)
-    conn = Connection.from_symmetric(n, table)
-
-    checks = [
-        _check_ricci_residual(conn, r, cap - 1),
-        Check("connection-symmetric", cap, conn.is_symmetric_table()),
-        _check_initial_slices(solution.values, fd, cap),
-        _check_free_functions_connection(conn, fd, cap),
-    ]
-    report = BuildReport(
-        "torsion-free",
-        n,
-        cap,
-        {"r": r},
-        fd,
-        {"connection": conn},
-        checks,
+    conn = Connection.from_symmetric(n, assemble(solution.values))
+    return _checked(
+        BuildReport("torsion-free", n, cap, {"r": r}, fd, {"connection": conn}, [])
     )
-    _raise_if_failed(report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -766,18 +930,17 @@ def build_metric_2d_prescribed_ricci(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
     )
 
-    checks = [_check_metric_ricci_residual(metric, r, cap - 2)]
-    report = BuildReport(
-        "metric-2d",
-        2,
-        cap,
-        {"r": r, "phi": phi, "psi": psi},
-        None,
-        {"metric": metric, "conformal_factor": h},
-        checks,
+    return _checked(
+        BuildReport(
+            "metric-2d",
+            2,
+            cap,
+            {"r": r, "phi": phi, "psi": psi},
+            None,
+            {"metric": metric, "conformal_factor": h},
+            [],
+        )
     )
-    _raise_if_failed(report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -833,27 +996,17 @@ def build_statistical_2d(
     g22 = solution.values[metric_slot(2, 2)]
     metric = Metric(2, {(1, 1): g11, (1, 2): g12, (2, 2): g22})
 
-    checks = [
-        Check("codazzi", cap - 1, is_codazzi(conn, metric, cap - 1)),
-        Check("metric-normalized-at-zero", 0, metric.normalized_at_zero),
-        Check(
-            "initial-slices",
+    return _checked(
+        BuildReport(
+            "statistical-2d",
+            2,
             cap,
-            g12.restrict_x1().same_payload(init12)
-            and g22.restrict_x1().same_payload(init22),
-        ),
-    ]
-    report = BuildReport(
-        "statistical-2d",
-        2,
-        cap,
-        {"connection": conn, "g11": g11, "init12": init12, "init22": init22},
-        None,
-        {"metric": metric},
-        checks,
+            {"connection": conn, "g11": g11, "init12": init12, "init22": init22},
+            None,
+            {"metric": metric},
+            [],
+        )
     )
-    _raise_if_failed(report)
-    return report
 
 
 def build_trace_free_statistical_2d(
@@ -901,29 +1054,17 @@ def build_trace_free_statistical_2d(
     g11 = g11_from(g12, g22)
     metric = Metric(2, {(1, 1): g11, (1, 2): g12, (2, 2): g22})
 
-    det_gap = g11 * g22 - g12 * g12 - vol_sq
-    checks = [
-        Check("codazzi", cap - 1, is_codazzi(conn, metric, cap - 1)),
-        Check("volume-determinant", cap, det_gap.is_zero_up_to(cap)),
-        Check("metric-normalized-at-zero", 0, metric.normalized_at_zero),
-        Check(
-            "initial-slices",
+    return _checked(
+        BuildReport(
+            "trace-free-statistical-2d",
+            2,
             cap,
-            g12.restrict_x1().same_payload(init12)
-            and g22.restrict_x1().same_payload(init22),
-        ),
-    ]
-    report = BuildReport(
-        "trace-free-statistical-2d",
-        2,
-        cap,
-        {"connection": conn, "init12": init12, "init22": init22},
-        None,
-        {"metric": metric, "volume": volume},
-        checks,
+            {"connection": conn, "init12": init12, "init22": init22},
+            None,
+            {"metric": metric, "volume": volume},
+            [],
+        )
     )
-    _raise_if_failed(report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -989,31 +1130,6 @@ def _statistical_alg_rows(n: int) -> list[_AlgRow]:
     return rows
 
 
-def _jet_linear_solve(
-    rows: list[dict], rhs: list[Jet], keys: list, n: int, cap: int
-) -> dict:
-    """Solve a square jet-linear system by Gaussian elimination with pivoting
-    on constant terms. Singularity at the origin cannot occur under the
-    g(0) = identity normalization, hence the hard assertion."""
-    m = len(keys)
-    zero = Jet.zero(n, cap)
-    a = [[rows[r].get(key, zero) for key in keys] + [rhs[r]] for r in range(m)]
-    for col in range(m):
-        pivot = next(
-            (r for r in range(col, m) if a[r][col].constant_term != 0), None
-        )
-        assert pivot is not None, "determined-symbol system singular at the origin"
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].reciprocal()
-        a[col] = [entry * inv for entry in a[col]]
-        for r in range(m):
-            if r != col:
-                factor = a[r][col]
-                if any(factor.coeffs):
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return {key: a[r][m] for r, key in enumerate(keys)}
-
-
 def solve_determined_christoffels(
     n: int,
     cap: int,
@@ -1045,7 +1161,14 @@ def solve_determined_christoffels(
                 add_rhs((free_gammas[gamma_key] * gtable[g_pair]).scale(-sign))
         matrix_rows.append(coeffs)
         rhs_jets.append(rhs_acc)
-    return _jet_linear_solve(matrix_rows, rhs_jets, determined_keys, n, cap)
+    zero = Jet.zero(n, cap)
+    solved = _gauss_jordan(
+        [
+            [coeffs.get(key, zero) for key in determined_keys] + [rhs]
+            for coeffs, rhs in zip(matrix_rows, rhs_jets)
+        ]
+    )
+    return {key: row[-1] for key, row in zip(determined_keys, solved)}
 
 
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
@@ -1128,148 +1251,11 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
         n, {pair: gtable[pair] for pair in gtable if pair[0] <= pair[1]}
     )
 
-    checks = [
-        Check("codazzi", cap - 1, is_codazzi(conn, metric, cap - 1)),
-        Check("metric-normalized-at-zero", 0, metric.normalized_at_zero),
-        Check("connection-symmetric", cap, conn.is_symmetric_table()),
-        _check_initial_slices(solution.values, fd, cap),
-        Check(
-            "free-functions",
-            cap,
-            metric.comp(1, 1).same_payload(g11)
-            and all(
-                conn.gamma[(k, i, j)].same_payload(free_gammas[(k, (i, j))])
-                for k, (i, j) in free_gammas
-            ),
-        ),
-    ]
-    report = BuildReport(
-        "statistical",
-        n,
-        cap,
-        {},
-        fd,
-        {"connection": conn, "metric": metric},
-        checks,
-    )
-    _raise_if_failed(report)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# shared checks
-
-
-def _check_ricci_residual(conn: Connection, r: Bilinear, order: int) -> Check:
-    res = ricci(conn)
-    ok = all(
-        (res.comp(i, j) - r.comp(i, j)).is_zero_up_to(order)
-        for i in range(1, conn.n + 1)
-        for j in range(1, conn.n + 1)
-    )
-    return Check("ricci-residual", order, ok)
-
-
-def _check_metric_ricci_residual(metric: Metric, r: Bilinear, order: int) -> Check:
-    res = ricci(levi_civita(metric))
-    ok = all(
-        (res.comp(i, j) - r.comp(i, j)).is_zero_up_to(order)
-        for i in range(1, metric.n + 1)
-        for j in range(1, metric.n + 1)
-    )
-    return Check("metric-ricci-residual", order, ok)
-
-
-def _check_initial_slices(values: Mapping[str, Jet], fd: FreeData, cap: int) -> Check:
-    ok = all(
-        values[slot].restrict_x1().same_payload(fd.initial_slices[slot])
-        for slot in fd.initial_slices
-    )
-    return Check("initial-slices", cap, ok)
-
-
-def _check_free_functions_connection(conn: Connection, fd: FreeData, cap: int) -> Check:
-    ok = True
-    for slot, jet in fd.free_functions.items():
-        k, i, j = parse_slot(slot)
-        ok = ok and conn.gamma[(k, i, j)].same_payload(jet)
-    return Check("free-functions", cap, ok)
-
-
-# ---------------------------------------------------------------------------
-# verification of (possibly reloaded) reports
-
-
-def verify(report: BuildReport, order: int | None = None) -> bool:
-    """Re-run every residual recorded in the report; structural checks keep
-    their recorded meaning, residual checks honor an order override."""
-    ok = True
-    for chk in report.checks:
-        o = chk.order if order is None else order
-        ok = _run_check(report, chk.name, o, chk.order) and ok
-    return ok
-
-
-def _run_check(report: BuildReport, name: str, order: int, recorded: int) -> bool:
-    out = report.outputs
-    pre = report.prescribed
-    if name == "ricci-residual":
-        return _check_ricci_residual(out["connection"], pre["r"], order).passed
-    if name == "metric-ricci-residual":
-        return _check_metric_ricci_residual(out["metric"], pre["r"], order).passed
-    if name == "torsion-trace-zero":
-        tau = torsion_trace(out["connection"])
-        return all(
-            tau.comp(j).is_zero_up_to(order) for j in range(1, report.n + 1)
+    return _checked(
+        BuildReport(
+            "statistical", n, cap, {}, fd, {"connection": conn, "metric": metric}, []
         )
-    if name == "connection-symmetric":
-        return out["connection"].is_symmetric_table()
-    if name == "codazzi":
-        conn = out.get("connection") or pre["connection"]
-        return is_codazzi(conn, out["metric"], order)
-    if name == "metric-normalized-at-zero":
-        return out["metric"].normalized_at_zero
-    if name == "volume-determinant":
-        g = out["metric"]
-        gap = (
-            g.comp(1, 1) * g.comp(2, 2)
-            - g.comp(1, 2) * g.comp(1, 2)
-            - out["volume"] * out["volume"]
-        )
-        return gap.is_zero_up_to(order)
-    if name == "initial-slices":
-        if report.free_data is not None:
-            table = out.get("connection")
-            values = {}
-            for slot in report.free_data.initial_slices:
-                parsed = parse_slot(slot)
-                if parsed[0] == "g":
-                    values[slot] = out["metric"].comp(parsed[1], parsed[2])
-                else:
-                    values[slot] = table.gamma[parsed]
-            return _check_initial_slices(
-                values, report.free_data, recorded
-            ).passed
-        g = out["metric"]
-        return g.comp(1, 2).restrict_x1().same_payload(
-            pre["init12"]
-        ) and g.comp(2, 2).restrict_x1().same_payload(pre["init22"])
-    if name == "free-functions":
-        if report.construction == "statistical":
-            g = out["metric"]
-            conn = out["connection"]
-            ok = g.comp(1, 1).same_payload(
-                report.free_data.free_functions[metric_slot(1, 1)]
-            )
-            for slot, jet in report.free_data.free_functions.items():
-                parsed = parse_slot(slot)
-                if parsed[0] != "g":
-                    ok = ok and conn.gamma[parsed].same_payload(jet)
-            return ok
-        return _check_free_functions_connection(
-            out["connection"], report.free_data, recorded
-        ).passed
-    raise ValueError(f"unknown check {name!r}")
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
 from .builders import (
     BuildReport,
     FreeData,
+    _with_constant,
     build_metric_2d_prescribed_ricci,
     build_prescribed_ricci_general,
     build_prescribed_ricci_torsion_free,
@@ -47,24 +47,20 @@ class ScenarioError(ValueError):
     pass
 
 
-RICCI_TAGS = ("general", "trace-free-torsion", "torsion-free")
-ALL_TAGS = RICCI_TAGS + (
-    "metric-2d",
-    "statistical",
-    "statistical-2d",
-    "trace-free-statistical-2d",
-)
+# prescribed-Ricci tag -> (builder, seeded connection of the round_trip mode)
+_RICCI_BUILDERS = {
+    "general": (build_prescribed_ricci_general, random_connection),
+    "trace-free-torsion": (
+        build_prescribed_ricci_trace_free_torsion,
+        random_trace_free_connection,
+    ),
+    "torsion-free": (build_prescribed_ricci_torsion_free, random_symmetric_connection),
+}
 
 
 def _bounds(sc: dict, cap: int) -> tuple[int, int]:
     cfg = sc.get("random", {})
     return cfg.get("degree", min(3, cap - 1)), cfg.get("coeff_bound", 2)
-
-
-def _force_constant(jet: Jet, value) -> Jet:
-    coeffs = list(jet.coeffs)
-    coeffs[0] = Fraction(value)
-    return Jet(jet.n, jet.max_degree, coeffs, jet.valid_order)
 
 
 def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:
@@ -82,7 +78,7 @@ def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:
     else:
         raise ScenarioError(f"bad jet policy {policy!r}")
     if constant is not None:
-        jet = _force_constant(jet, constant)
+        jet = _with_constant(jet, constant)
     return jet
 
 
@@ -93,6 +89,15 @@ def _policy_slice(policy, n, cap, rng, degree, bound, constant=None) -> SliceJet
             raise ScenarioError("inline slice has the wrong workspace")
         return sl
     return SliceJet(_policy_jet(policy, n - 1, cap, rng, degree, bound, constant))
+
+
+def _random_nonvanishing(policy, jet: Jet) -> Jet:
+    """A random draw that vanishes at the origin gets constant term 1, so a
+    random metric-2d scenario is nondegenerate. Explicit data is never
+    rewritten: when it vanishes there, the builder rejects it."""
+    if policy == "random" and jet.constant_term == 0:
+        return _with_constant(jet, 1)
+    return jet
 
 
 def _prescribed_ricci(sc: dict, tag: str, n: int, cap: int, rng, degree, bound) -> Bilinear:
@@ -160,24 +165,20 @@ def _run_direct(sc: dict) -> BuildReport:
     degree, bound = _bounds(sc, cap)
     pres = sc.get("prescribed") or {}
 
-    if tag in RICCI_TAGS:
+    if tag in _RICCI_BUILDERS:
         cen = census(tag, n)
         r = _prescribed_ricci(sc, tag, n, cap, rng, degree, bound)
         fd = _free_data(sc, cen, n, cap, rng, degree, bound)
-        builder = {
-            "general": build_prescribed_ricci_general,
-            "trace-free-torsion": build_prescribed_ricci_trace_free_torsion,
-            "torsion-free": build_prescribed_ricci_torsion_free,
-        }[tag]
-        return builder(r, fd)
+        return _RICCI_BUILDERS[tag][0](r, fd)
 
     if tag == "metric-2d":
-        r11 = _policy_jet(pres.get("r11", "random"), 2, cap, rng, degree, bound)
-        r22 = _policy_jet(pres.get("r22", "random"), 2, cap, rng, degree, bound)
-        if r11.constant_term == 0:
-            r11 = _force_constant(r11, 1)
-        if r22.constant_term == 0:
-            r22 = _force_constant(r22, 1)
+        policy = {key: pres.get(key, "random") for key in ("r11", "r22", "phi")}
+        r11 = _random_nonvanishing(
+            policy["r11"], _policy_jet(policy["r11"], 2, cap, rng, degree, bound)
+        )
+        r22 = _random_nonvanishing(
+            policy["r22"], _policy_jet(policy["r22"], 2, cap, rng, degree, bound)
+        )
         r = Bilinear(
             2,
             {
@@ -187,9 +188,8 @@ def _run_direct(sc: dict) -> BuildReport:
                 (2, 2): r22,
             },
         )
-        phi = _policy_slice(pres.get("phi", "random"), 2, cap, rng, degree, bound)
-        if phi.constant_term == 0:
-            phi = SliceJet(_force_constant(phi.jet, 1))
+        phi = _policy_slice(policy["phi"], 2, cap, rng, degree, bound)
+        phi = SliceJet(_random_nonvanishing(policy["phi"], phi.jet))
         psi = _policy_slice(pres.get("psi", "zero"), 2, cap, rng, degree, bound)
         return build_metric_2d_prescribed_ricci(r, phi, psi)
 
@@ -233,19 +233,10 @@ def _run_round_trip(sc: dict) -> BuildReport:
     degree = cfg.get("degree", min(3, cap - 1))
     bound = cfg.get("coeff_bound", 2)
 
-    if tag in RICCI_TAGS:
-        maker = {
-            "general": random_connection,
-            "trace-free-torsion": random_trace_free_connection,
-            "torsion-free": random_symmetric_connection,
-        }[tag]
-        conn = maker(seed, n, cap, degree, bound)
+    if tag in _RICCI_BUILDERS:
+        builder, seeded_connection = _RICCI_BUILDERS[tag]
+        conn = seeded_connection(seed, n, cap, degree, bound)
         r, fd = connection_round_trip_data(tag, conn)
-        builder = {
-            "general": build_prescribed_ricci_general,
-            "trace-free-torsion": build_prescribed_ricci_trace_free_torsion,
-            "torsion-free": build_prescribed_ricci_torsion_free,
-        }[tag]
         return builder(r, fd)
 
     g0 = random_normalized_metric(seed, n, cap, degree, bound)
@@ -276,20 +267,18 @@ def cmd_run(args) -> int:
         mode = sc.get("mode", "direct")
         if mode not in ("direct", "round_trip"):
             raise ScenarioError(f"bad mode {mode!r}")
-    except (OSError, json.JSONDecodeError, ScenarioError, TypeError, ValueError) as err:
-        print(f"malformed scenario: {err}", file=sys.stderr)
-        return 1
-    try:
         report = _run_round_trip(sc) if mode == "round_trip" else _run_direct(sc)
+        out = Path(sc.get("output", "report.json"))
+        out.write_text(serialize.canonical_dumps(serialize.report_to_json(report)))
     except RejectionError as err:
         print(json.dumps({"status": "rejected", "reason": err.reason}))
         return 2
-    except (ScenarioError, KeyError, TypeError, ValueError) as err:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, JetError) as err:
         print(f"malformed scenario: {err}", file=sys.stderr)
         return 1
-    out = Path(sc.get("output", "report.json"))
-    out.write_text(serialize.canonical_dumps(serialize.report_to_json(report)))
-    ok = verify(report)
+    # verify the written bytes, not the object they were written from
+    del report
+    ok = verify(serialize.report_from_json(json.loads(out.read_text())))
     print(json.dumps({"status": "ok" if ok else "verification-failed", "report": str(out)}))
     return 0 if ok else 2
 
@@ -318,7 +307,7 @@ def cmd_verify(args) -> int:
     try:
         report = serialize.report_from_json(json.loads(Path(args.report).read_text()))
         ok = verify(report, args.order)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, JetError) as err:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, JetError) as err:
         print(f"malformed report: {err}", file=sys.stderr)
         return 1
     print(json.dumps({"verified": ok}))
@@ -341,7 +330,9 @@ def main(argv=None) -> int:
     p_census.add_argument("n", type=int)
     p_census.set_defaults(func=cmd_census)
 
-    p_verify = sub.add_parser("verify", help="re-check the residuals of a report file")
+    p_verify = sub.add_parser(
+        "verify", help="re-run the checks a report's construction requires"
+    )
     p_verify.add_argument("report")
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

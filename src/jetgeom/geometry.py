@@ -470,31 +470,40 @@ def is_codazzi(conn: Connection, g: Metric, order: int) -> bool:
     return True
 
 
-def metric_inverse(g: Metric) -> dict[tuple[int, int], Jet]:
-    """Componentwise inverse matrix of jets, by Gaussian elimination with
-    pivoting on constant terms."""
-    n, cap = g.shape
-    rows = [
-        [g.comp(i, j) for j in range(1, n + 1)]
-        + [Jet.constant(1 if j == i else 0, n, cap) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    for col in range(n):
+def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
+    """Gauss-Jordan elimination, in place, of a square jet matrix augmented by
+    extra columns: the pivot of each column is the first remaining row whose
+    entry has a nonzero constant term. On return the augmented columns hold
+    the solution."""
+    size = len(rows)
+    for col in range(size):
         pivot = next(
-            (r for r in range(col, n) if rows[r][col].constant_term != 0), None
+            (r for r in range(col, size) if rows[r][col].constant_term != 0), None
         )
         if pivot is None:
             raise SingularJetError("jet matrix not invertible at the origin")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         inv = rows[col][col].reciprocal()
         rows[col] = [entry * inv for entry in rows[col]]
-        for r in range(n):
+        for r in range(size):
             if r != col:
                 factor = rows[r][col]
                 if any(factor.coeffs):
-                    rows[r] = [
-                        a - factor * b for a, b in zip(rows[r], rows[col])
-                    ]
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return rows
+
+
+def metric_inverse(g: Metric) -> dict[tuple[int, int], Jet]:
+    """Componentwise inverse matrix of jets, by Gaussian elimination with
+    pivoting on constant terms."""
+    n, cap = g.shape
+    rows = _gauss_jordan(
+        [
+            [g.comp(i, j) for j in range(1, n + 1)]
+            + [Jet.constant(1 if j == i else 0, n, cap) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+    )
     return {
         (i + 1, j + 1): rows[i][n + j] for i in range(n) for j in range(n)
     }

@@ -9,6 +9,7 @@ from jetgeom import (
     FreeData,
     Jet,
     RejectionError,
+    SingularJetError,
     SliceJet,
     build_metric_2d_prescribed_ricci,
     build_prescribed_ricci_general,
@@ -627,6 +628,22 @@ def test_determined_solve_matches_sequential_substitution(n):
     )
     for key in det:
         assert simultaneous[key].eq_up_to(sequential[key], cap - 1)
+
+
+def test_determined_symbol_system_singular_at_origin_raises():
+    # a metric table vanishing at the origin leaves no pivot; the guard must
+    # hold under python -O, so it is an exception and not an assert
+    n = 3
+    zero = Jet.zero(n, CAP)
+    gtable = {(i, j): zero for i in range(1, n + 1) for j in range(1, n + 1)}
+    det = _statistical_determined_pairs(n)
+    free = {
+        key: zero
+        for key in builders_module._all_pair_keys(n)
+        if key not in set(det)
+    }
+    with pytest.raises(SingularJetError):
+        solve_determined_christoffels(n, CAP, gtable, free, det)
 
 
 # ---------------------------------------------------------------------------

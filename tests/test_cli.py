@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from jetgeom.cli import main
 from jetgeom.serialize import connection_to_json, report_from_json
 from jetgeom import random_connection
@@ -201,3 +203,163 @@ def test_run_all_tags_smoke(tmp_path, capsys):
         )
         code, out = run_cli(capsys, "run", str(scenario))
         assert code == 0, (tag, out)
+
+
+def inline_jet(coeffs: dict, n: int = 2, cap: int = 3) -> dict:
+    return {"n": n, "D": cap, "valid_order": cap, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize(
+    "payload, output",
+    [
+        pytest.param(
+            {"prescribed": {"r": {"components": {"1,1": inline_jet({"0 0": "1/0"})}}}},
+            "report.json",
+            id="zero-denominator",
+        ),
+        pytest.param(
+            {"prescribed": {"r": {"components": {"1,1": inline_jet({"4 0": "1/1"})}}}},
+            "report.json",
+            id="monomial-outside-workspace",
+        ),
+        pytest.param(
+            {
+                "construction": "statistical-2d",
+                "prescribed": {
+                    "connection": {
+                        "n": 2,
+                        "symmetric": False,
+                        "gamma": {"1;1,1": inline_jet({})},
+                    }
+                },
+            },
+            "report.json",
+            id="incomplete-christoffel-table",
+        ),
+        pytest.param({}, "missing-directory/report.json", id="output-directory-missing"),
+    ],
+)
+def test_malformed_scenario_data_exits_1(tmp_path, capsys, payload, output):
+    scenario = {"construction": "general", "n": 2, "D": 3, "seed": 1}
+    scenario.update(payload, output=str(tmp_path / output))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("malformed scenario: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, inline, reason",
+    [
+        ("r11", inline_jet({"1 0": "1/1"}, 2, 4), "degenerate-prescribed-tensor"),
+        (
+            "phi",
+            {"ambient_n": 2, "jet": inline_jet({"1": "1/1"}, 1, 4)},
+            "initial-value-vanishes",
+        ),
+    ],
+)
+def test_metric_2d_inline_data_is_not_rewritten(tmp_path, capsys, key, inline, reason):
+    # data vanishing at the origin must reach the builder's rejection
+    scenario = {
+        "construction": "metric-2d",
+        "n": 2,
+        "D": 4,
+        "seed": 1,
+        "prescribed": {key: inline},
+        "output": str(tmp_path / "report.json"),
+    }
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": reason}
+
+
+def tampered_general_report(tmp_path) -> dict:
+    """A general n=2, D=4 report with one x1-dependent coefficient of a CK
+    unknown changed: of the recorded checks only the Ricci residual sees it."""
+    out_path = tmp_path / "rep.json"
+    scenario = {
+        "construction": "general",
+        "n": 2,
+        "D": 4,
+        "seed": 3,
+        "prescribed": {"r": "random"},
+        "free_data": "random",
+        "output": str(out_path),
+    }
+    assert main(["run", str(write_scenario(tmp_path, "sc.json", scenario))]) == 0
+    data = json.loads(out_path.read_text())
+    data["outputs"]["connection"]["value"]["gamma"]["1;2,1"]["coeffs"]["1 0"] = "917/1"
+    return data
+
+
+def empty_checks(data):
+    data["checks"] = []
+
+
+def orders_minus_one(data):
+    for check in data["checks"]:
+        check["zero_to_order"] = -1
+
+
+def drop_ricci_residual(data):
+    data["checks"] = [c for c in data["checks"] if c["name"] != "ricci-residual"]
+
+
+@pytest.mark.parametrize("edit", [None, empty_checks, orders_minus_one, drop_ricci_residual])
+def test_verify_takes_required_checks_from_construction(tmp_path, capsys, edit):
+    data = tampered_general_report(tmp_path)
+    if edit is not None:
+        edit(data)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 2 and json.loads(out) == {"verified": False}
+
+
+def declare_d5(data):
+    data["D"] = 5
+
+
+def declare_n3(data):
+    data["n"] = 3
+
+
+def drop_free_data(data):
+    data["free_data"] = None
+
+
+def empty_free_data_slots(data):
+    data["free_data"]["free_functions"] = {}
+    data["free_data"]["initial_slices"] = {}
+
+
+def zero_denominator(data):
+    data["outputs"]["connection"]["value"]["gamma"]["1;1,1"]["coeffs"]["0 0"] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "edit, order",
+    [
+        (None, "-1"),
+        (None, "5"),
+        (declare_d5, None),
+        (declare_n3, None),
+        (drop_free_data, None),
+        (empty_free_data_slots, None),
+        (zero_denominator, None),
+    ],
+)
+def test_verify_malformed_report_or_order_exits_1(tmp_path, capsys, edit, order):
+    data = tampered_general_report(tmp_path)
+    if edit is not None:
+        edit(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    argv = ["verify", str(path)] + ([] if order is None else ["--order", order])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed report: ") and captured.out == ""

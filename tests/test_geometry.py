@@ -13,6 +13,7 @@ from jetgeom import (
     NotClosedError,
     OneForm,
     RejectionError,
+    SingularJetError,
     TwoForm,
     divergence_form,
     is_codazzi,
@@ -36,6 +37,7 @@ from jetgeom import (
     torsion_trace,
     two_form_closed,
 )
+from jetgeom.geometry import _gauss_jordan
 from oracles import log_one_plus_x1_jet, sqrt_one_plus_x1_jet
 
 CAP = 4
@@ -394,6 +396,14 @@ def test_metric_inverse_multiplies_to_identity():
                 total = term if total is None else total + term
             want = Jet.constant(1 if i == j else 0, 3, CAP)
             assert (total - want).is_zero_up_to(CAP)
+
+
+def test_jet_elimination_rejects_matrix_singular_at_origin():
+    # det = x1 - x2 is a nonzero jet, but the constant-term matrix is singular
+    x1, x2 = Jet.variable(1, 2, CAP), Jet.variable(2, 2, CAP)
+    one = Jet.one(2, CAP)
+    with pytest.raises(SingularJetError):
+        _gauss_jordan([[x1, one, one], [x2, one, Jet.zero(2, CAP)]])
 
 
 def test_levi_civita_ricci_symmetric():

@@ -280,9 +280,7 @@ def _validate_free_data(cen: Census, fd: FreeData, n: int, cap: int):
 
 
 def _with_constant(jet: Jet, value) -> Jet:
-    coeffs = list(jet.coeffs)
-    coeffs[0] = as_fraction(value)
-    return Jet(jet.n, jet.max_degree, coeffs, jet.valid_order)
+    return jet + (as_fraction(value) - jet.constant_term)
 
 
 def _slot_normal_value(slot: str):
@@ -546,6 +544,51 @@ def _checked(report: BuildReport) -> BuildReport:
     return report
 
 
+_RICCI_TYPES = ({"r": Bilinear}, {"connection": Connection})
+
+# construction -> (prescribed, outputs): the name and type of every value its
+# reports carry
+_REPORT_TYPES = {
+    "general": _RICCI_TYPES,
+    "trace-free-torsion": _RICCI_TYPES,
+    "torsion-free": _RICCI_TYPES,
+    "metric-2d": (
+        {"r": Bilinear, "phi": SliceJet, "psi": SliceJet},
+        {"metric": Metric, "conformal_factor": Jet},
+    ),
+    "statistical-2d": (
+        {"connection": Connection, "g11": Jet, "init12": SliceJet, "init22": SliceJet},
+        {"metric": Metric},
+    ),
+    "trace-free-statistical-2d": (
+        {"connection": Connection, "init12": SliceJet, "init22": SliceJet},
+        {"metric": Metric, "volume": Jet},
+    ),
+    "statistical": ({}, {"connection": Connection, "metric": Metric}),
+}
+
+
+def _require_types(report: BuildReport):
+    """The report carries exactly its construction's prescribed and output
+    values, each of its type (a metric stored as a bilinear table is not one)."""
+    types = _REPORT_TYPES.get(report.construction)
+    if types is None:
+        raise ValueError(f"unknown construction {report.construction!r}")
+    parts = (("prescribed", report.prescribed), ("outputs", report.outputs))
+    for (part, values), want in zip(parts, types):
+        if set(values) != set(want):
+            raise ValueError(
+                f"{part} {sorted(values)} of a {report.construction} report, "
+                f"expected {sorted(want)}"
+            )
+        for name, cls in want.items():
+            if not isinstance(values[name], cls):
+                raise ValueError(
+                    f"{part} {name!r} of a {report.construction} report is a "
+                    f"{type(values[name]).__name__}, not a {cls.__name__}"
+                )
+
+
 def _require_workspace(report: BuildReport):
     declared = (report.n, report.max_degree)
     for name, value in report.outputs.items():
@@ -568,7 +611,9 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
     structural checks keep their recorded meaning. Raises DimensionMismatchError
     when the report's n or D disagree with its output tables, RejectionError
     when its free data does not fill the census slots, and ValueError for an
-    unknown construction or an order outside 0..D."""
+    unknown construction, prescribed or output values that are not the
+    construction's (by name and type), or an order outside 0..D."""
+    _require_types(report)
     _require_workspace(report)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
@@ -889,7 +934,7 @@ def build_metric_2d_prescribed_ricci(
     if n != 2:
         raise RejectionError("unsupported-construction", "metric builder needs n = 2")
     r11, r22, r12 = r.comp(1, 1), r.comp(2, 2), r.comp(1, 2)
-    if any(r12.coeffs) or any(r.comp(2, 1).coeffs):
+    if not (r12.is_zero() and r.comp(2, 1).is_zero()):
         raise RejectionError(
             "prescribed-tensor-not-diagonal", "r must be diagonal in these coordinates"
         )
@@ -958,7 +1003,7 @@ def _codazzi_ck_rhs(gamma: Mapping, gtable: Mapping, n: int, j: int, k: int) -> 
     acc = gtable[(1, k)].partial(j)
     for l in range(1, n + 1):
         tors = gamma[(l, 1, j)] - gamma[(l, j, 1)]
-        if any(tors.coeffs):
+        if not tors.is_zero():
             acc = acc + tors * gtable[(l, k)]
         acc = acc + gamma[(l, 1, k)] * gtable[(j, l)]
         acc = acc - gamma[(l, j, k)] * gtable[(1, l)]

@@ -1,8 +1,8 @@
 """Scenario runner: `run <scenario.json>`, `census <tag> <n>`,
 `verify <report.json> [--order k]`.
 
-Exit codes: 0 success, 1 malformed input, 2 precondition rejection (with a
-machine-readable reason on stdout). Reports are canonical JSON, so a fixed
+Exit codes: 0 success, 1 malformed input (usage errors included), 2
+precondition rejection (with a machine-readable reason on stdout). Reports are canonical JSON, so a fixed
 seed yields a byte-identical report file.
 """
 
@@ -337,7 +337,14 @@ def main(argv=None) -> int:
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 after printing a usage error; 2 is the rejection
+        # code here, and a usage error is malformed input
+        if exc.code == 2:
+            return 1
+        raise
     return args.func(args)
 
 

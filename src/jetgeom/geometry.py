@@ -55,7 +55,7 @@ class Connection:
         _common_shape(gamma.values())
         if symmetric:
             for k, i, j in keys:
-                if i < j and gamma[(k, i, j)].coeffs != gamma[(k, j, i)].coeffs:
+                if i < j and not gamma[(k, i, j)].same_coeffs(gamma[(k, j, i)]):
                     raise DimensionMismatchError(
                         f"table marked symmetric but gamma[{k};{i},{j}] != gamma[{k};{j},{i}]"
                     )
@@ -95,7 +95,7 @@ class Connection:
 
     def is_symmetric_table(self) -> bool:
         return all(
-            self.gamma[(k, i, j)].coeffs == self.gamma[(k, j, i)].coeffs
+            self.gamma[(k, i, j)].same_coeffs(self.gamma[(k, j, i)])
             for k in range(1, self.n + 1)
             for i in range(1, self.n + 1)
             for j in range(i + 1, self.n + 1)
@@ -127,7 +127,7 @@ class Bilinear:
 
     def is_symmetric_table(self) -> bool:
         return all(
-            self.comps[(i, j)].coeffs == self.comps[(j, i)].coeffs
+            self.comps[(i, j)].same_coeffs(self.comps[(j, i)])
             for i in range(1, self.n + 1)
             for j in range(i + 1, self.n + 1)
         )
@@ -205,23 +205,6 @@ class CubicForm:
         return self.comps[(i, j, k)]
 
 
-def _constant_matrix_invertible(rows: list[list[Fraction]]) -> bool:
-    m = [row[:] for row in rows]
-    size = len(m)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return False
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [inv * v for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return True
-
-
 class Metric(Bilinear):
     """Symmetric (0,2)-tensor with invertible constant-term matrix."""
 
@@ -236,12 +219,15 @@ class Metric(Bilinear):
         super().__init__(n, full)
         if not self.is_symmetric_table():
             raise DimensionMismatchError("metric table is not symmetric")
+        # the constant terms as degree-0 jets: invertible iff the elimination runs
         const = [
-            [self.comps[(i, j)].constant_term for j in range(1, n + 1)]
+            [Jet.constant(self.comps[(i, j)].constant_term, n, 0) for j in range(1, n + 1)]
             for i in range(1, n + 1)
         ]
-        if not _constant_matrix_invertible(const):
-            raise SingularJetError("metric constant-term matrix is singular")
+        try:
+            _gauss_jordan(const)
+        except SingularJetError:
+            raise SingularJetError("metric constant-term matrix is singular") from None
         self.normalized_at_zero = all(
             self.comps[(i, j)].constant_term == (1 if i == j else 0)
             for i in range(1, n + 1)
@@ -391,13 +377,9 @@ def two_form_closed(a: TwoForm, order: int) -> bool:
 def _radial_homotopy(jet: Jet, axis: int, denom_shift: int, numer: int = 1) -> Jet:
     """Push every degree-m monomial up by x^axis with weight numer/(m+denom_shift)."""
     n, cap = jet.n, jet.max_degree
-    exps = mi.exponents(n, cap)
     ranks = mi.rank_of(n, cap)
-    out = [ZERO] * len(jet.coeffs)
-    for r, c in enumerate(jet.coeffs):
-        if not c:
-            continue
-        e = exps[r]
+    out = [ZERO] * mi.size(n, cap)
+    for e, c in jet.terms():
         m = sum(e)
         if m + 1 > cap:
             continue
@@ -478,7 +460,7 @@ def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
     size = len(rows)
     for col in range(size):
         pivot = next(
-            (r for r in range(col, size) if rows[r][col].constant_term != 0), None
+            (r for r in range(col, size) if rows[r][col].nums[0]), None
         )
         if pivot is None:
             raise SingularJetError("jet matrix not invertible at the origin")
@@ -488,7 +470,7 @@ def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
         for r in range(size):
             if r != col:
                 factor = rows[r][col]
-                if any(factor.coeffs):
+                if not factor.is_zero():
                     rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return rows
 
@@ -553,7 +535,7 @@ def levi_civita_diagonal_2d(g: Metric) -> Connection:
 def _require_diagonal_2d(g: Metric):
     if g.n != 2:
         raise DimensionMismatchError("diagonal 2D routine needs n = 2")
-    if any(g.comp(1, 2).coeffs):
+    if not g.comp(1, 2).is_zero():
         raise RejectionError(
             "prescribed-tensor-not-diagonal", "offdiagonal component is nonzero"
         )

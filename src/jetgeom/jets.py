@@ -8,14 +8,21 @@ truncation garbage and are ignored by value equality. Comparisons that state
 an explicit order (eq_up_to, is_zero_up_to) look at raw storage, so the
 caller always says what is being asserted.
 
-All coefficients are fractions.Fraction; there is no floating point anywhere.
-Jets are immutable values: every operation returns a fresh jet.
+The coefficients are stored as a tuple of integer numerators `nums` over one
+positive denominator `den`, kept in lowest terms (gcd(den, *nums) == 1, and the
+zero jet has den == 1), and every operation runs on these integers. The API
+speaks fractions.Fraction: the constructor, `coeffs`, `terms`, `coefficient`
+and `constant_term` take or return Fractions. There is no floating point
+anywhere. Jets are immutable values: every operation returns a fresh jet.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from . import multiindex as mi
@@ -26,7 +33,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
@@ -39,28 +45,74 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _mul_raw(n: int, cap: int, a: tuple, b: tuple) -> list:
-    table = mi.product_rank(n, cap)
-    out = [ZERO] * len(a)
-    for ra, ca in enumerate(a):
-        if not ca:
-            continue
-        for rb, cb in enumerate(b):
-            if not cb:
-                continue
-            rc = table.get((ra, rb))
-            if rc is not None:
-                out[rc] += ca * cb
+def _reduced(nums: list, den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den in lowest terms with a positive denominator."""
+    if den == 1:
+        return tuple(nums), 1
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g
+
+
+def _mul_nums(rows, a, b) -> list:
+    """Truncated product of two numerator tuples through the pair rows."""
+    out = [0] * len(a)
+    for ca, row in zip(a, rows):
+        if ca:
+            for rb, rc in row:
+                cb = b[rb]
+                if cb:
+                    out[rc] += ca * cb
     return out
 
 
-class Jet:
-    """One truncated power series around the origin."""
+def _solve_by_degree(rows, g: list, f0: int, divisors: list) -> list:
+    """The f with f[0] = f0 and f[r] = (sum of g[s] * f[t] over the pairs
+    (s, t) -> r of the rows) // divisors[r] for r > 0, where g[0] == 0 and every
+    division is exact. One pass over the ranks in graded order: a finished
+    f[r] is pushed through its row, and with g[0] == 0 every push lands on a
+    rank of higher degree, which is not finished yet."""
+    f = [0] * len(g)
+    f[0] = f0
+    for r, row in enumerate(rows):
+        fr = f[r] if not r else f[r] // divisors[r]
+        f[r] = fr
+        if fr:
+            for s, rc in row:
+                gs = g[s]
+                if gs:
+                    f[rc] += gs * fr
+    return f
 
-    __slots__ = ("n", "max_degree", "valid_order", "coeffs")
+
+@lru_cache(maxsize=None)
+def _antiderivative_x1_table(n: int, cap: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(common divisor l, (src, dst, l // divisor) triples) of the x1-primitive."""
+    moves = mi.antiderivative_x1_map(n, cap)
+    l = lcm(*(d for _, _, d in moves))
+    return l, tuple((src, dst, l // d) for src, dst, d in moves)
+
+
+def _init(jet, n, max_degree, valid_order, nums, den):
+    setattr_ = object.__setattr__
+    setattr_(jet, "n", n)
+    setattr_(jet, "max_degree", max_degree)
+    setattr_(jet, "valid_order", valid_order)
+    setattr_(jet, "nums", nums)
+    setattr_(jet, "den", den)
+
+
+class Jet:
+    """One truncated power series around the origin: numerators `nums` over
+    the positive denominator `den`, in lowest terms (read-only)."""
+
+    __slots__ = ("n", "max_degree", "valid_order", "nums", "den")
 
     def __init__(self, n: int, max_degree: int, coeffs: Iterable, valid_order: int):
-        coeffs = tuple(coeffs)
+        coeffs = [as_fraction(c) for c in coeffs]
         if len(coeffs) != mi.size(n, max_degree):
             raise DimensionMismatchError(
                 f"expected {mi.size(n, max_degree)} coefficients for n={n}, "
@@ -68,10 +120,17 @@ class Jet:
             )
         if not 0 <= valid_order <= max_degree:
             raise ValueError(f"valid_order {valid_order} outside 0..{max_degree}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "valid_order", valid_order)
-        object.__setattr__(self, "coeffs", coeffs)
+        # over the lcm of reduced denominators the numerators share no factor
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        _init(self, n, max_degree, valid_order, nums, den)
+
+    @classmethod
+    def _from_nums(cls, n: int, max_degree: int, nums: tuple, den: int, valid_order: int) -> "Jet":
+        """A jet from numerators and denominator already in lowest terms."""
+        jet = object.__new__(cls)
+        _init(jet, n, max_degree, valid_order, nums, den)
+        return jet
 
     def __setattr__(self, name, value):
         raise AttributeError("jets are immutable")
@@ -82,13 +141,16 @@ class Jet:
     @classmethod
     def zero(cls, n: int, max_degree: int, valid_order: int | None = None) -> "Jet":
         v = max_degree if valid_order is None else valid_order
-        return cls(n, max_degree, [ZERO] * mi.size(n, max_degree), v)
+        if not 0 <= v <= max_degree:
+            raise ValueError(f"valid_order {v} outside 0..{max_degree}")
+        return cls._from_nums(n, max_degree, (0,) * mi.size(n, max_degree), 1, v)
 
     @classmethod
     def constant(cls, value, n: int, max_degree: int) -> "Jet":
-        coeffs = [ZERO] * mi.size(n, max_degree)
-        coeffs[0] = as_fraction(value)
-        return cls(n, max_degree, coeffs, max_degree)
+        c = as_fraction(value)
+        nums = [0] * mi.size(n, max_degree)
+        nums[0] = c.numerator
+        return cls._from_nums(n, max_degree, tuple(nums), c.denominator, max_degree)
 
     @classmethod
     def one(cls, n: int, max_degree: int) -> "Jet":
@@ -102,9 +164,9 @@ class Jet:
         if max_degree < 1:
             raise ValueError("max_degree must be >= 1 to store a variable")
         exps = tuple(1 if k == axis - 1 else 0 for k in range(n))
-        coeffs = [ZERO] * mi.size(n, max_degree)
-        coeffs[mi.rank_of(n, max_degree)[exps]] = ONE
-        return cls(n, max_degree, coeffs, max_degree)
+        nums = [0] * mi.size(n, max_degree)
+        nums[mi.rank_of(n, max_degree)[exps]] = 1
+        return cls._from_nums(n, max_degree, tuple(nums), 1, max_degree)
 
     @classmethod
     def from_terms(
@@ -130,46 +192,63 @@ class Jet:
     # inspection
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Every stored coefficient as a Fraction, rank order."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         exps = tuple(exps)
         ranks = mi.rank_of(self.n, self.max_degree)
         if exps not in ranks:
             raise DimensionMismatchError(f"monomial {exps} outside workspace")
-        return self.coeffs[ranks[exps]]
+        return Fraction(self.nums[ranks[exps]], self.den)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Nonzero stored terms, rank order (includes beyond-valid entries)."""
         exps = mi.exponents(self.n, self.max_degree)
-        for r, c in enumerate(self.coeffs):
+        den = self.den
+        for r, c in enumerate(self.nums):
             if c:
-                yield exps[r], c
+                yield exps[r], Fraction(c, den)
+
+    def _prefix(self, order: int) -> int:
+        """Number of stored monomials of total degree <= order (graded order)."""
+        return bisect_right(mi.degree_of(self.n, self.max_degree), order)
+
+    def is_zero(self) -> bool:
+        """Every stored coefficient is zero (beyond-valid entries included)."""
+        return not any(self.nums)
 
     def is_zero_up_to(self, order: int) -> bool:
-        degs = mi.degree_of(self.n, self.max_degree)
-        return all(
-            not c for r, c in enumerate(self.coeffs) if degs[r] <= order
-        )
+        return not any(self.nums[: self._prefix(order)])
+
+    def same_coeffs(self, other: "Jet") -> bool:
+        """Every stored coefficient equal (valid orders may differ)."""
+        return self.nums == other.nums and self.den == other.den
 
     def eq_up_to(self, other: "Jet", order: int) -> bool:
         """Compare stored coefficients of total degree <= order."""
         self._require_same_shape(other)
-        degs = mi.degree_of(self.n, self.max_degree)
-        return all(
-            a == b
-            for r, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
-            if degs[r] <= order
-        )
+        m = self._prefix(order)
+        a, b = self.nums[:m], other.nums[:m]
+        da, db = self.den, other.den
+        if da == db:
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
 
     def eq_on_x1_up_to(self, other: "Jet", x1_order: int) -> bool:
         """Compare stored coefficients of monomials with x1-exponent <= x1_order."""
         self._require_same_shape(other)
         exps = mi.exponents(self.n, self.max_degree)
+        da, db = self.den, other.den
         return all(
-            a == b
-            for r, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
+            x * db == y * da
+            for r, (x, y) in enumerate(zip(self.nums, other.nums))
             if exps[r][0] <= x1_order
         )
 
@@ -179,7 +258,7 @@ class Jet:
             self.n == other.n
             and self.max_degree == other.max_degree
             and self.valid_order == other.valid_order
-            and self.coeffs == other.coeffs
+            and self.same_coeffs(other)
         )
 
     def __eq__(self, other):
@@ -225,44 +304,48 @@ class Jet:
             return other
         return Jet.constant(other, self.n, self.max_degree)
 
-    def __add__(self, other) -> "Jet":
+    def _with_nums(self, nums: list, den: int, valid_order: int) -> "Jet":
+        """A jet of this workspace from numerators over den, not yet reduced."""
+        nums, den = _reduced(nums, den)
+        return Jet._from_nums(self.n, self.max_degree, nums, den, valid_order)
+
+    def _combine(self, other, sign: int) -> "Jet":
+        """self + sign * other over the common denominator."""
         other = self._coerce(other)
         self._require_same_shape(other)
-        return Jet(
-            self.n,
-            self.max_degree,
-            (a + b for a, b in zip(self.coeffs, other.coeffs)),
-            min(self.valid_order, other.valid_order),
-        )
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        out = [x * ma + y * mb for x, y in zip(self.nums, other.nums)]
+        return self._with_nums(out, da * ma, min(self.valid_order, other.valid_order))
+
+    def __add__(self, other) -> "Jet":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        other = self._coerce(other)
-        self._require_same_shape(other)
-        return Jet(
-            self.n,
-            self.max_degree,
-            (a - b for a, b in zip(self.coeffs, other.coeffs)),
-            min(self.valid_order, other.valid_order),
-        )
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Jet":
         return self._coerce(other) - self
 
     def __neg__(self) -> "Jet":
-        return Jet(self.n, self.max_degree, (-a for a in self.coeffs), self.valid_order)
+        return Jet._from_nums(
+            self.n, self.max_degree, tuple([-c for c in self.nums]), self.den, self.valid_order
+        )
 
     def scale(self, value) -> "Jet":
         c = as_fraction(value)
-        return Jet(self.n, self.max_degree, (c * a for a in self.coeffs), self.valid_order)
+        p = c.numerator
+        return self._with_nums([p * x for x in self.nums], self.den * c.denominator, self.valid_order)
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return self.scale(other)
         self._require_same_shape(other)
-        out = _mul_raw(self.n, self.max_degree, self.coeffs, other.coeffs)
-        return Jet(self.n, self.max_degree, out, min(self.valid_order, other.valid_order))
+        out = _mul_nums(mi.product_rows(self.n, self.max_degree), self.nums, other.nums)
+        return self._with_nums(out, self.den * other.den, min(self.valid_order, other.valid_order))
 
     def __rmul__(self, other) -> "Jet":
         return self.scale(other)
@@ -271,51 +354,55 @@ class Jet:
         """Formal d/dx^axis (1-based); valid order drops by one."""
         if not 1 <= axis <= self.n:
             raise DimensionMismatchError(f"axis {axis} outside 1..{self.n}")
-        out = [ZERO] * len(self.coeffs)
+        nums = self.nums
+        out = [0] * len(nums)
         for src, dst, factor in mi.partial_map(self.n, self.max_degree, axis - 1):
-            c = self.coeffs[src]
+            c = nums[src]
             if c:
                 out[dst] = c * factor
-        return Jet(self.n, self.max_degree, out, max(self.valid_order - 1, 0))
+        return self._with_nums(out, self.den, max(self.valid_order - 1, 0))
 
     def antiderivative_x1(self) -> "Jet":
         """The unique x1-primitive with zero x1-free part."""
-        out = [ZERO] * len(self.coeffs)
-        for src, dst, divisor in mi.antiderivative_x1_map(self.n, self.max_degree):
-            c = self.coeffs[src]
+        l, moves = _antiderivative_x1_table(self.n, self.max_degree)
+        nums = self.nums
+        out = [0] * len(nums)
+        for src, dst, factor in moves:
+            c = nums[src]
             if c:
-                out[dst] = c / divisor
-        return Jet(
-            self.n,
-            self.max_degree,
-            out,
-            min(self.valid_order + 1, self.max_degree),
-        )
+                out[dst] = c * factor
+        return self._with_nums(out, self.den * l, min(self.valid_order + 1, self.max_degree))
 
     def reciprocal(self) -> "Jet":
-        """Multiplicative inverse, by Newton iteration on the coefficients."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse, by the degree-by-degree division recurrence
+        g0 f_k = -sum_{j>=1} g_j f_{k-j} on homogeneous parts. With
+        g = G / d and D = max_degree, F = f * G0^(D+1) is integral:
+        F_0 = d * G0^D and G0 F_k = -sum_{j>=1} G_j F_{k-j}."""
+        g = list(self.nums)
+        g0 = g[0]
+        if not g0:
             raise SingularJetError("reciprocal of a jet with zero constant term")
-        inv = [ZERO] * len(self.coeffs)
-        inv[0] = ONE / c0
-        good = 0
-        while good < self.max_degree:
-            prod = _mul_raw(self.n, self.max_degree, self.coeffs, tuple(inv))
-            correction = [-p for p in prod]
-            correction[0] += 2
-            inv = _mul_raw(self.n, self.max_degree, tuple(inv), tuple(correction))
-            good = 2 * good + 1
-        return Jet(self.n, self.max_degree, inv, self.valid_order)
+        cap = self.max_degree
+        g[0] = 0
+        f = _solve_by_degree(
+            mi.product_rows(self.n, cap), g, self.den * g0**cap, [-g0] * len(g)
+        )
+        return self._with_nums(f, g0 ** (cap + 1), self.valid_order)
 
     def exp(self) -> "Jet":
-        """exp composed with self; requires zero constant term (exactness)."""
-        if self.coeffs[0] != 0:
+        """exp composed with self; requires zero constant term (exactness).
+        The Euler operator E = sum_i x_i d/dx_i gives E f = (E g) f, so on
+        homogeneous parts k f_k = sum_{j=1..k} j g_j f_{k-j}. With g = G / d
+        and D = max_degree, F = f * D! * d^D is integral: F_0 = D! d^D and
+        k d F_k = sum_j j G_j F_{k-j}."""
+        if self.nums[0]:
             raise ConstantTermError("exp needs a zero constant term")
-        acc = Jet.one(self.n, self.max_degree)
-        for k in range(self.max_degree, 0, -1):
-            acc = Jet.one(self.n, self.max_degree) + (self * acc).scale(Fraction(1, k))
-        return Jet(self.n, self.max_degree, acc.coeffs, self.valid_order)
+        n, cap, d = self.n, self.max_degree, self.den
+        degs = mi.degree_of(n, cap)
+        g = [k * c for k, c in zip(degs, self.nums)]
+        top = factorial(cap) * d**cap
+        f = _solve_by_degree(mi.product_rows(n, cap), g, top, [k * d for k in degs])
+        return self._with_nums(f, top, self.valid_order)
 
     # ------------------------------------------------------------------
     # slicing
@@ -324,13 +411,17 @@ class Jet:
         """Set x1 = 0; the result lives in the variables (x2, ..., xn)."""
         if self.n < 1:
             raise DimensionMismatchError("cannot restrict a 0-variable jet")
-        out = [ZERO] * mi.size(self.n - 1, self.max_degree)
+        nums = self.nums
+        out = [0] * mi.size(self.n - 1, self.max_degree)
         for full_rank, slice_rank in mi.restrict_pairs(self.n, self.max_degree):
-            out[slice_rank] = self.coeffs[full_rank]
-        return SliceJet(Jet(self.n - 1, self.max_degree, out, self.valid_order))
+            out[slice_rank] = nums[full_rank]
+        out, den = _reduced(out, self.den)
+        return SliceJet(Jet._from_nums(self.n - 1, self.max_degree, out, den, self.valid_order))
 
     def with_valid_order(self, valid_order: int) -> "Jet":
-        return Jet(self.n, self.max_degree, self.coeffs, valid_order)
+        if not 0 <= valid_order <= self.max_degree:
+            raise ValueError(f"valid_order {valid_order} outside 0..{self.max_degree}")
+        return Jet._from_nums(self.n, self.max_degree, self.nums, self.den, valid_order)
 
 
 class SliceJet:
@@ -365,10 +456,12 @@ class SliceJet:
         """Embed as an x1-independent function of all n variables."""
         n = self.ambient_n
         cap = self.max_degree
-        out = [ZERO] * mi.size(n, cap)
-        for slice_rank, full_rank in enumerate(mi.promote_map(n, cap)):
-            out[full_rank] = self.jet.coeffs[slice_rank]
-        return Jet(n, cap, out, self.jet.valid_order)
+        jet = self.jet
+        out = [0] * mi.size(n, cap)
+        for c, full_rank in zip(jet.nums, mi.promote_map(n, cap)):
+            out[full_rank] = c
+        # the same numerators over the same denominator: still in lowest terms
+        return Jet._from_nums(n, cap, tuple(out), jet.den, jet.valid_order)
 
     def same_payload(self, other: "SliceJet") -> bool:
         return self.jet.same_payload(other.jet)
@@ -393,11 +486,11 @@ def random_poly(
         raise ValueError("degree_bound exceeds the workspace cap")
     rng = random.Random(seed)
     degs = mi.degree_of(n, max_degree)
-    coeffs = [ZERO] * mi.size(n, max_degree)
-    for r in range(len(coeffs)):
+    nums = [0] * mi.size(n, max_degree)
+    for r in range(len(nums)):
         if degs[r] <= degree_bound:
-            coeffs[r] = Fraction(rng.randint(-coeff_bound, coeff_bound))
-    return Jet(n, max_degree, coeffs, max_degree)
+            nums[r] = rng.randint(-coeff_bound, coeff_bound)
+    return Jet._from_nums(n, max_degree, tuple(nums), 1, max_degree)
 
 
 def random_slice(

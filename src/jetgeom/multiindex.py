@@ -50,18 +50,26 @@ def size(n: int, cap: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def product_rank(n: int, cap: int) -> dict[tuple[int, int], int]:
-    """(rank_a, rank_b) -> rank of the monomial product; overflow pairs absent."""
+def product_rows(n: int, cap: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row ra lists the (rb, rc) pairs, rb ascending, for which the monomial
+    of rank ra times the one of rank rb has rank rc <= cap; overflow pairs
+    are absent. In graded order the rbs of row ra are 0..size(n, cap - deg ra) - 1,
+    and the table holds C(2n + cap, cap) pairs."""
     exps = exponents(n, cap)
     ranks = rank_of(n, cap)
     degs = degree_of(n, cap)
-    table: dict[tuple[int, int], int] = {}
-    for ra, ea in enumerate(exps):
-        limit = bisect_right(degs, cap - degs[ra])
-        for rb in range(limit):
-            eb = exps[rb]
-            table[(ra, rb)] = ranks[tuple(x + y for x, y in zip(ea, eb))]
-    return table
+    return tuple(
+        tuple(
+            (rb, ranks[tuple(x + y for x, y in zip(ea, exps[rb]))])
+            for rb in range(bisect_right(degs, cap - degs[ra]))
+        )
+        for ra, ea in enumerate(exps)
+    )
+
+
+def product_rank(n: int, cap: int) -> dict[tuple[int, int], int]:
+    """(rank_a, rank_b) -> rank of the monomial product; overflow pairs absent."""
+    return {(ra, rb): rc for ra, row in enumerate(product_rows(n, cap)) for rb, rc in row}
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,9 @@ Everything here deliberately avoids the production code paths it checks:
 convolution is a naive double loop over term dictionaries, the CK oracles run
 the classical coefficient-extraction recursion instead of the Picard fixpoint,
 and the sequential elimination follows the ordered-substitution procedure.
+The Fraction jet kernel (one Fraction per stored coefficient, the product
+through the product_rank dictionary, Newton reciprocal, Horner exp) is the
+reference for the integer kernel of jetgeom.jets.
 """
 
 from __future__ import annotations
@@ -136,3 +139,84 @@ def full_codazzi_check(nabla_g_form, order: int) -> bool:
                     if not (nabla_g_form.comp(*p) - base).is_zero_up_to(order):
                         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Fraction jet kernel
+
+
+def _mul_raw(n: int, cap: int, a: tuple, b: tuple) -> list:
+    table = mi.product_rank(n, cap)
+    out = [Fraction(0)] * len(a)
+    for ra, ca in enumerate(a):
+        if not ca:
+            continue
+        for rb, cb in enumerate(b):
+            if not cb:
+                continue
+            rc = table.get((ra, rb))
+            if rc is not None:
+                out[rc] += ca * cb
+    return out
+
+
+def _like(jet: Jet, coeffs, valid_order: int) -> Jet:
+    return Jet(jet.n, jet.max_degree, coeffs, valid_order)
+
+
+def ref_add(a: Jet, b: Jet) -> Jet:
+    return _like(a, [x + y for x, y in zip(a.coeffs, b.coeffs)], min(a.valid_order, b.valid_order))
+
+
+def ref_sub(a: Jet, b: Jet) -> Jet:
+    return _like(a, [x - y for x, y in zip(a.coeffs, b.coeffs)], min(a.valid_order, b.valid_order))
+
+
+def ref_scale(a: Jet, value: Fraction) -> Jet:
+    return _like(a, [value * x for x in a.coeffs], a.valid_order)
+
+
+def ref_mul(a: Jet, b: Jet) -> Jet:
+    out = _mul_raw(a.n, a.max_degree, a.coeffs, b.coeffs)
+    return _like(a, out, min(a.valid_order, b.valid_order))
+
+
+def ref_partial(a: Jet, axis: int) -> Jet:
+    coeffs = a.coeffs
+    out = [Fraction(0)] * len(coeffs)
+    for src, dst, factor in mi.partial_map(a.n, a.max_degree, axis - 1):
+        out[dst] = coeffs[src] * factor
+    return _like(a, out, max(a.valid_order - 1, 0))
+
+
+def ref_antiderivative_x1(a: Jet) -> Jet:
+    coeffs = a.coeffs
+    out = [Fraction(0)] * len(coeffs)
+    for src, dst, divisor in mi.antiderivative_x1_map(a.n, a.max_degree):
+        out[dst] = coeffs[src] / divisor
+    return _like(a, out, min(a.valid_order + 1, a.max_degree))
+
+
+def ref_reciprocal(a: Jet) -> Jet:
+    """Newton iteration inv <- inv (2 - a inv), doubling the correct degrees."""
+    n, cap, coeffs = a.n, a.max_degree, a.coeffs
+    inv = [Fraction(0)] * len(coeffs)
+    inv[0] = 1 / coeffs[0]
+    good = 0
+    while good < cap:
+        prod = _mul_raw(n, cap, coeffs, tuple(inv))
+        correction = [-p for p in prod]
+        correction[0] += 2
+        inv = _mul_raw(n, cap, tuple(inv), tuple(correction))
+        good = 2 * good + 1
+    return _like(a, inv, a.valid_order)
+
+
+def ref_exp(a: Jet) -> Jet:
+    """Horner: acc <- 1 + a acc / k for k = D, ..., 1."""
+    n, cap, coeffs = a.n, a.max_degree, a.coeffs
+    acc = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
+    for k in range(cap, 0, -1):
+        acc = [c / k for c in _mul_raw(n, cap, coeffs, tuple(acc))]
+        acc[0] += 1
+    return _like(a, acc, a.valid_order)

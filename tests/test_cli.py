@@ -363,3 +363,77 @@ def test_verify_malformed_report_or_order_exits_1(tmp_path, capsys, edit, order)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("malformed report: ") and captured.out == ""
+
+
+def built_report(tmp_path, scenario: dict) -> dict:
+    out_path = tmp_path / "built.json"
+    path = write_scenario(tmp_path, "built_sc.json", dict(scenario, output=str(out_path)))
+    assert main(["run", str(path)]) == 0
+    return json.loads(out_path.read_text())
+
+
+STATISTICAL_N4 = {"construction": "statistical", "n": 4, "D": 3, "seed": 1, "free_data": "random"}
+METRIC_2D = {
+    "construction": "metric-2d",
+    "n": 2,
+    "D": 5,
+    "seed": 1,
+    "prescribed": {key: "random" for key in ("r11", "r22", "phi", "psi")},
+}
+
+
+@pytest.mark.parametrize("scenario", [STATISTICAL_N4, METRIC_2D], ids=["statistical", "metric-2d"])
+def test_verify_metric_tagged_bilinear_exits_1(tmp_path, capsys, scenario):
+    data = built_report(tmp_path, scenario)
+    data["outputs"]["metric"]["type"] = "bilinear"
+    path = tmp_path / "retagged.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed report: outputs 'metric' ")
+    assert "Bilinear, not a Metric" in captured.err
+
+
+def retag_prescribed_slice(data):
+    data["prescribed"]["phi"] = {"type": "jet", "value": data["prescribed"]["phi"]["value"]["jet"]}
+
+
+def drop_conformal_factor(data):
+    del data["outputs"]["conformal_factor"]
+
+
+@pytest.mark.parametrize("edit", [retag_prescribed_slice, drop_conformal_factor])
+def test_verify_prescribed_or_output_set_mismatch_exits_1(tmp_path, capsys, edit):
+    data = built_report(tmp_path, METRIC_2D)
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("malformed report: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "r.json", "--order", "x"], "invalid int value: 'x'"),
+        (["census", "general", "three"], "invalid int value: 'three'"),
+        (["bogus"], "invalid choice"),
+        ([], "required"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: jetgeom") and message in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--order" in capsys.readouterr().out

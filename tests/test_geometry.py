@@ -406,6 +406,30 @@ def test_jet_elimination_rejects_matrix_singular_at_origin():
         _gauss_jordan([[x1, one, one], [x2, one, Jet.zero(2, CAP)]])
 
 
+@pytest.mark.parametrize(
+    "constants, invertible",
+    [
+        ({(1, 1): 1, (2, 2): 1, (3, 3): 1}, True),
+        # a zero first pivot: the elimination swaps rows
+        ({(1, 2): 1, (3, 3): Fraction(-2, 3)}, True),
+        ({(1, 1): 1, (1, 2): 2, (2, 2): 4, (3, 3): 1}, False),
+        ({(1, 1): 2, (2, 2): 3}, False),
+    ],
+)
+def test_metric_rejects_singular_constant_term_matrix(constants, invertible):
+    n = 3
+    x1 = Jet.variable(1, n, CAP)
+    # x1 on every entry: the jets are nonzero, only the constant terms decide
+    comps = {
+        (i, j): x1 + constants.get((i, j), 0) for i in range(1, n + 1) for j in range(i, n + 1)
+    }
+    if invertible:
+        assert Metric(n, comps).n == n
+    else:
+        with pytest.raises(SingularJetError, match="^metric constant-term matrix is singular$"):
+            Metric(n, comps)
+
+
 def test_levi_civita_ricci_symmetric():
     for seed in range(3):
         g = random_normalized_metric(seed + 50, 3, CAP, 3, 2)

@@ -8,6 +8,7 @@ from .builders import (
     Check,
     FreeData,
     build_metric_2d_prescribed_ricci,
+    build_prescribed_ricci,
     build_prescribed_ricci_general,
     build_prescribed_ricci_torsion_free,
     build_prescribed_ricci_trace_free_torsion,

@@ -7,14 +7,20 @@ Free-data slots are named after the component they fill: a Christoffel slot
 slot "g;i,j" is the metric component. The gauge-function slot of the
 torsion-free construction is called "phi".
 
-The prescribed-Ricci right-hand sides are not hard-coded from any display:
-each equation is generated mechanically from the Ricci formula by listing its
-derivative terms as (coefficient, symbol, axis) atoms, substituting the
-algebraically determined symbols, cancelling, and isolating the single
-remaining x1-derivative of an unknown. Assembly asserts that exactly one such
-atom survives per equation and that no other x1-derivative of an unknown or
-determined symbol is consumed, which is the structural form required by the
-solver's degree-by-degree stabilization.
+The three prescribed-Ricci constructions (unconstrained torsion, vanishing
+torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
+per construction, whether the Christoffel table is symmetric, which Ricci
+component isolates the x1-derivative of which unknown, and how each
+algebraically determined symbol is a signed sum of other symbols and of the
+prescribed divergence functions. `_ricci_rows` generates every equation
+mechanically from the Ricci formula: it lists the derivative terms as
+(coefficient, symbol, axis) atoms, substitutes the determined symbols,
+cancels, and pops the single x1-derivative of the equation's unknown. It
+asserts that this atom has the expected coefficient and that no other
+x1-derivative of an unknown is consumed, which is the structural form the
+solver's degree-by-degree stabilization requires. `build_prescribed_ricci`
+holds the one assembly and right-hand side (`geometry.lambda_term` plus r
+minus the derivative atoms) and solves; the three named builders call it.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from .geometry import (
     Metric,
     OneForm,
     _gauss_jordan,
+    _sum_jets,
     divergence_form,
     is_codazzi,
+    lambda_term,
     levi_civita,
     parallel_volume_2d,
     potential_of_one_form,
@@ -95,29 +103,6 @@ class Census:
     initial_slice_slots: tuple[str, ...]
     ck_unknowns: tuple[str, ...]
     determined: tuple[str, ...]
-
-
-def _general_unknown_keys(n: int) -> list[tuple[int, int, int]]:
-    keys = [(n, n, j) for j in range(1, n + 1)]
-    keys += [(1, i, j) for i in range(2, n + 1) for j in range(1, n + 1)]
-    return keys
-
-
-def _trace_free_determined_keys(n: int) -> list[tuple[int, int, int]]:
-    keys = [(k + 1, k, k + 1) for k in range(1, n)]
-    keys.append((n - 1, n, n - 1))
-    return keys
-
-
-def _torsion_free_unknown_pairs(n: int) -> list[tuple[int, tuple[int, int]]]:
-    keys = [(2, (1, 2))]
-    keys += [(1, (1, i)) for i in range(2, n + 1)]
-    keys += [(1, (i, j)) for i in range(2, n + 1) for j in range(i, n + 1)]
-    return keys
-
-
-def _torsion_free_determined_pairs(n: int) -> list[tuple[int, tuple[int, int]]]:
-    return [(1, (1, 1))] + [(k, (k, k)) for k in range(2, n + 1)]
 
 
 def _statistical_determined_pairs(n: int) -> list[tuple[int, tuple[int, int]]]:
@@ -178,46 +163,18 @@ def census(construction: str, n: int) -> Census:
             f"{construction} needs n >= {minimum}, got {n}",
         )
 
-    if construction == "general":
-        unknowns = _general_unknown_keys(n)
-        free = [k for k in _all_gamma_keys(n) if k not in set(unknowns)]
-        return Census(
-            construction,
-            n,
-            tuple(gamma_slot(*k) for k in free),
-            tuple(gamma_slot(*k) for k in unknowns),
-            tuple(gamma_slot(*k) for k in unknowns),
-            (),
-        )
-
-    if construction == "trace-free-torsion":
-        unknowns = _general_unknown_keys(n)
-        determined = _trace_free_determined_keys(n)
+    if construction != "statistical":
+        spec = _ricci_spec(construction, n)
+        unknowns = tuple(gamma_slot(*unknown) for _, unknown, _ in spec.equations)
+        determined = tuple(gamma_slot(*key) for key in spec.substitutions)
+        if spec.symmetric:
+            keys = [(k, i, j) for k, (i, j) in _all_pair_keys(n)]
+        else:
+            keys = _all_gamma_keys(n)
         blocked = set(unknowns) | set(determined)
-        free = [k for k in _all_gamma_keys(n) if k not in blocked]
-        return Census(
-            construction,
-            n,
-            tuple(gamma_slot(*k) for k in free),
-            tuple(gamma_slot(*k) for k in unknowns),
-            tuple(gamma_slot(*k) for k in unknowns),
-            tuple(gamma_slot(*k) for k in determined),
-        )
-
-    if construction == "torsion-free":
-        unknowns = _torsion_free_unknown_pairs(n)
-        determined = _torsion_free_determined_pairs(n)
-        blocked = set(unknowns) | set(determined)
-        free = [k for k in _all_pair_keys(n) if k not in blocked]
-        slots = tuple(gamma_slot(k, i, j) for k, (i, j) in free) + ("phi",)
-        return Census(
-            construction,
-            n,
-            slots,
-            tuple(gamma_slot(k, i, j) for k, (i, j) in unknowns),
-            tuple(gamma_slot(k, i, j) for k, (i, j) in unknowns),
-            tuple(gamma_slot(k, i, j) for k, (i, j) in determined),
-        )
+        free = tuple(gamma_slot(*key) for key in keys if gamma_slot(*key) not in blocked)
+        gauge = ("phi",) if spec.symmetric else ()
+        return Census(construction, n, free + gauge, unknowns, unknowns, determined)
 
     unknowns = _statistical_unknown_pairs(n)
     determined = _statistical_determined_pairs(n)
@@ -623,13 +580,68 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# prescribed Ricci, full (possibly torsional) Christoffel table
+# prescribed Ricci: one spec per torsion regime, one row generator, one builder
+
+
+@dataclass(frozen=True)
+class _RicciSpec:
+    """How Ric(conn) = r becomes a CK system. Table keys are (k, i, j), with
+    i <= j when the table is symmetric. An equation is (the Ricci component
+    (a, b) it uses, the unknown whose x1-derivative it isolates, the expected
+    coefficient of that derivative); a substitution expresses a determined
+    symbol as (sign, atom) terms over other keys and the prescribed
+    divergence jets ("d", k)."""
+
+    symmetric: bool
+    equations: tuple[tuple[tuple[int, int], tuple[int, int, int], int], ...]
+    substitutions: dict[tuple[int, int, int], tuple[tuple[int, object], ...]]
+
+    def canon(self, k: int, i: int, j: int) -> tuple[int, int, int]:
+        return (k, *_pair(i, j)) if self.symmetric else (k, i, j)
+
+
+def _ricci_spec(construction: str, n: int) -> _RicciSpec:
+    rng = range(1, n + 1)
+    if construction == "torsion-free":
+        # rows (1,1), (1,j) and (i,j) with 1 < i <= j; the (1,j) rows use Ric_j1
+        equations = [((1, 1), (2, 1, 2), -1)]
+        equations += [((j, 1), (1, 1, j), 1) for j in range(2, n + 1)]
+        equations += [
+            ((i, j), (1, i, j), 1) for i in range(2, n + 1) for j in range(i, n + 1)
+        ]
+        # divergence form D_k = sum_l G^l_lk solved for G^1_11 and G^k_kk
+        subs = {
+            (k, k, k): ((1, ("d", k)),)
+            + tuple((-1, (l, *_pair(l, k))) for l in rng if l != k)
+            for k in rng
+        }
+        return _RicciSpec(True, tuple(equations), subs)
+    if construction not in ("general", "trace-free-torsion"):
+        raise RejectionError(
+            "unsupported-construction", f"{construction} is not a prescribed-Ricci construction"
+        )
+    equations = [((1, j), (n, n, j), -1) for j in rng]
+    equations += [((i, j), (1, i, j), 1) for i in range(2, n + 1) for j in rng]
+    subs = {}
+    if construction == "trace-free-torsion":
+        # tau_k = sum_i (G^i_ik - G^i_ki) = 0 solved for G^{i0}_{k,i0}
+        for k in rng:
+            i0 = k + 1 if k < n else n - 1
+            subs[(i0, k, i0)] = tuple((1, (i, i, k)) for i in rng) + tuple(
+                (-1, (i, k, i)) for i in rng if i != i0
+            )
+    return _RicciSpec(False, tuple(equations), subs)
+
+
+def _combination(terms, table: Mapping) -> Jet:
+    """The signed sum of table[atom] over the (sign, atom) terms."""
+    return _sum_jets(table[atom] if sign == 1 else -table[atom] for sign, atom in terms)
 
 
 @dataclass(frozen=True)
 class _Row:
     pair: tuple[int, int]
-    unknown: object
+    unknown: tuple[int, int, int]
     kept_sign: int
     atoms: tuple[tuple[int, object, int], ...]
 
@@ -638,125 +650,96 @@ def _bump(counter: dict, key, delta: int):
     counter[key] = counter.get(key, 0) + delta
 
 
-def _full_rows(n: int, unknown_keys, determined_keys) -> list[_Row]:
-    """Equations of the full-table prescribed-Ricci system: one per (i, j),
-    derivative atoms generated from the Ricci formula, the x1-derivative of
-    the designated unknown isolated on the left."""
-    unknown_set = set(unknown_keys)
-    det_set = set(determined_keys)
+def _ricci_rows(spec: _RicciSpec, n: int) -> list[_Row]:
+    """One row per equation: the derivative terms of Ric_ab as (coefficient,
+    atom, axis), the determined symbols substituted, the x1-derivative of the
+    equation's unknown popped."""
+    unknowns = {unknown for _, unknown, _ in spec.equations}
     rows = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            counter: dict = {}
-            for k in range(1, n + 1):
-                _bump(counter, ((k, i, j), k), 1)
-                _bump(counter, ((k, k, j), i), -1)
-            kept_key = (n, n, j) if i == 1 else (1, i, j)
-            expected = -1 if i == 1 else 1
-            kept = counter.pop((kept_key, 1), 0)
-            if kept != expected:
-                raise AssertionError(
-                    f"equation ({i},{j}): expected coefficient {expected} on the "
-                    f"x1-derivative of {kept_key}, found {kept}"
-                )
-            atoms = tuple(
-                sorted((c, sym, ax) for (sym, ax), c in counter.items() if c)
+    for (a, b), unknown, expected in spec.equations:
+        counter: dict = {}
+        for k in range(1, n + 1):
+            _bump(counter, (spec.canon(k, a, b), k), 1)
+            _bump(counter, (spec.canon(k, k, b), a), -1)
+        expanded: dict = {}
+        for (sym, ax), c in counter.items():
+            for sign, atom in spec.substitutions.get(sym, ((1, sym),)):
+                _bump(expanded, (atom, ax), c * sign)
+        kept = expanded.pop((unknown, 1), 0)
+        if kept != expected:
+            raise AssertionError(
+                f"equation ({a},{b}): expected coefficient {expected} on the "
+                f"x1-derivative of {unknown}, found {kept}"
             )
-            for c, sym, ax in atoms:
-                if ax == 1 and (sym in unknown_set or sym in det_set):
-                    raise AssertionError(
-                        f"equation ({i},{j}) consumes the x1-derivative of {sym}"
-                    )
-            rows.append(_Row((i, j), kept_key, expected, atoms))
+        atoms = tuple((c, atom, ax) for (atom, ax), c in expanded.items() if c)
+        for c, atom, ax in atoms:
+            if ax == 1 and atom in unknowns:
+                raise AssertionError(
+                    f"equation ({a},{b}) consumes the x1-derivative of {atom}"
+                )
+        rows.append(_Row((a, b), unknown, expected, atoms))
     return rows
 
 
-def _lambda_full_table(table: Mapping, n: int) -> dict[tuple[int, int], Jet]:
-    """L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl] over a raw table."""
-    rng = range(1, n + 1)
-    div = {}
-    for l in rng:
-        total = table[(1, 1, l)]
-        for k in rng:
-            if k > 1:
-                total = total + table[(k, k, l)]
-        div[l] = total
-    out = {}
-    for i in rng:
-        for j in rng:
-            acc = None
-            for k in rng:
-                for l in rng:
-                    term = table[(l, k, j)] * table[(k, i, l)]
-                    acc = term if acc is None else acc + term
-            for l in rng:
-                acc = acc - table[(l, i, j)] * div[l]
-            out[(i, j)] = acc
-    return out
-
-
-def _trace_free_determined_exprs(n: int):
-    """Solve each vanishing-torsion-trace equation tau_k = 0 for one symbol:
-    target = sum_i G^i_ik - sum_{i != i0} G^i_ki with target = G^{i0}_{k,i0}."""
-    out = []
-    for k in range(1, n + 1):
-        i0 = k + 1 if k < n else n - 1
-        target = (i0, k, i0)
-        terms = [(1, (i, i, k)) for i in range(1, n + 1)]
-        terms += [(-1, (i, k, i)) for i in range(1, n + 1) if i != i0]
-        out.append((target, tuple(terms)))
-    return out
-
-
-def _build_full_table_ricci(construction: str, r: Bilinear, fd: FreeData) -> BuildReport:
+def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> BuildReport:
+    """Connection with prescribed Ricci tensor r in one torsion regime:
+    "general", "trace-free-torsion" (n >= 3) or "torsion-free". The
+    torsion-free regime accepts r iff its antisymmetric part is closed, and a
+    primitive plus the gauge gradient fixes the divergence functions. The
+    determined symbols are substituted, and the CK system isolating one
+    x1-derivative per Ricci equation is solved."""
     n = r.n
     _, cap = r.shape
     cen = census(construction, n)
     _validate_free_data(cen, fd, n, cap)
-
-    unknown_keys = _general_unknown_keys(n)
-    labels = {key: gamma_slot(*key) for key in unknown_keys}
-    free_jets = {
-        parse_slot(slot): jet for slot, jet in fd.free_functions.items()
-    }
-    determined_exprs = (
-        _trace_free_determined_exprs(n) if construction == "trace-free-torsion" else []
-    )
-    rows = _full_rows(n, unknown_keys, [t for t, _ in determined_exprs])
+    spec = _ricci_spec(construction, n)
+    known = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
+    if spec.symmetric:
+        anti = split(r)[1]
+        closed_order = max(anti.min_valid() - 1, 0)
+        if not two_form_closed(anti, closed_order):
+            raise RejectionError(
+                "antisymmetric-part-not-closed",
+                f"antisymmetric part of the prescribed tensor is not closed up to "
+                f"degree {closed_order}",
+            )
+        alpha0 = primitive_of_two_form(anti)
+        phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
+        for k in range(1, n + 1):
+            known[("d", k)] = alpha0.comp(k) + phi.partial(k)
+    rows = _ricci_rows(spec, n)
+    labels = {unknown: gamma_slot(*unknown) for _, unknown, _ in spec.equations}
 
     def assemble(unknown_values: Mapping[str, Jet]) -> dict:
-        table = dict(free_jets)
+        table = dict(known)
         for key, lab in labels.items():
             table[key] = unknown_values[lab]
-        for target, terms in determined_exprs:
-            total = None
-            for sign, key in terms:
-                term = table[key] if sign == 1 else -table[key]
-                total = term if total is None else total + term
-            table[target] = total
+        for target, terms in spec.substitutions.items():
+            table[target] = _combination(terms, table)
         return table
+
+    def connection(table: Mapping) -> Connection:
+        gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
+        return Connection(n, gamma, symmetric=spec.symmetric)
 
     def rhs(unknown_values: dict[str, Jet]) -> dict[str, Jet]:
         table = assemble(unknown_values)
-        lam = _lambda_full_table(table, n)
+        lam = lambda_term(connection(table))
         out = {}
         for row in rows:
-            i, j = row.pair
-            acc = lam[(i, j)] + r.comp(i, j)
-            for c, sym, ax in row.atoms:
-                acc = acc - table[sym].partial(ax).scale(c)
-            if row.kept_sign == -1:
-                acc = -acc
-            out[labels[row.unknown]] = acc
+            acc = lam.comp(*row.pair) + r.comp(*row.pair)
+            for c, atom, ax in row.atoms:
+                acc = acc - table[atom].partial(ax).scale(c)
+            out[labels[row.unknown]] = acc if row.kept_sign == 1 else -acc
         return out
 
     system = FirstOrderSystem(
-        tuple(labels[key] for key in unknown_keys),
+        tuple(labels.values()),
         rhs,
-        {labels[key]: fd.initial_slices[labels[key]] for key in unknown_keys},
+        {lab: fd.initial_slices[lab] for lab in labels.values()},
     )
     solution = solve_first_order(system)
-    conn = Connection(n, assemble(solution.values), symmetric=False)
+    conn = connection(assemble(solution.values))
     return _checked(
         BuildReport(construction, n, cap, {"r": r}, fd, {"connection": conn}, [])
     )
@@ -764,158 +747,18 @@ def _build_full_table_ricci(construction: str, r: Bilinear, fd: FreeData) -> Bui
 
 def build_prescribed_ricci_general(r: Bilinear, fd: FreeData) -> BuildReport:
     """Connection with prescribed Ricci tensor and unconstrained torsion."""
-    return _build_full_table_ricci("general", r, fd)
+    return build_prescribed_ricci("general", r, fd)
 
 
 def build_prescribed_ricci_trace_free_torsion(r: Bilinear, fd: FreeData) -> BuildReport:
     """Connection with prescribed Ricci tensor and vanishing torsion trace
-    (needs n >= 3): one Christoffel symbol per coordinate is solved from the
-    trace equations and substituted before the CK solve."""
-    return _build_full_table_ricci("trace-free-torsion", r, fd)
-
-
-# ---------------------------------------------------------------------------
-# prescribed Ricci, torsion-free (symmetric table)
-
-
-def _torsion_free_det_exprs(n: int):
-    """Divergence-form substitutions: the (1,1) symbol from the first
-    equation, the (k,k) diagonal symbol from equation k for k >= 2. Atoms
-    reference ("d", k), the prescribed divergence component, or ("g", pair)."""
-    exprs = {}
-    exprs[(1, (1, 1))] = ((1, ("d", 1)),) + tuple(
-        (-1, ("g", (k, _pair(1, k)))) for k in range(2, n + 1)
-    )
-    for k in range(2, n + 1):
-        exprs[(k, (k, k))] = ((1, ("d", k)),) + tuple(
-            (-1, ("g", (l, _pair(l, k)))) for l in range(1, n + 1) if l != k
-        )
-    return exprs
-
-
-def _torsion_free_rows(n: int) -> list[_Row]:
-    unknown_set = set(_torsion_free_unknown_pairs(n))
-    det_exprs = _torsion_free_det_exprs(n)
-    det_set = set(det_exprs)
-    rows = []
-    pairs = [(1, 1)] + [(1, i) for i in range(2, n + 1)] + [
-        (i, j) for i in range(2, n + 1) for j in range(i, n + 1)
-    ]
-    for i, j in pairs:
-        # choose the Ricci component whose equation isolates this row's unknown
-        inst = (1, 1) if (i, j) == (1, 1) else ((j, 1) if i == 1 else (i, j))
-        a, b = inst
-        counter: dict = {}
-        for k in range(1, n + 1):
-            _bump(counter, (("g", (k, _pair(a, b))), k), 1)
-            _bump(counter, (("g", (k, _pair(k, b))), a), -1)
-        expanded: dict = {}
-        for (sym, ax), c in counter.items():
-            if not c:
-                continue
-            if sym[0] == "g" and sym[1] in det_exprs:
-                for sign, sub in det_exprs[sym[1]]:
-                    _bump(expanded, (sub, ax), c * sign)
-            else:
-                _bump(expanded, (sym, ax), c)
-        if (i, j) == (1, 1):
-            kept_pair, expected = (2, (1, 2)), -1
-        elif i == 1:
-            kept_pair, expected = (1, (1, j)), 1
-        else:
-            kept_pair, expected = (1, (i, j)), 1
-        kept = expanded.pop((("g", kept_pair), 1), 0)
-        if kept != expected:
-            raise AssertionError(
-                f"row ({i},{j}): expected coefficient {expected} on {kept_pair}"
-            )
-        atoms = tuple(sorted((c, sym, ax) for (sym, ax), c in expanded.items() if c))
-        for c, sym, ax in atoms:
-            if sym[0] == "g" and ax == 1 and (sym[1] in unknown_set or sym[1] in det_set):
-                raise AssertionError(f"row ({i},{j}) consumes d/dx1 of {sym[1]}")
-        rows.append(_Row(inst, kept_pair, expected, atoms))
-    return rows
-
-
-def _lambda_pair_table(table: Mapping, n: int) -> dict[tuple[int, int], Jet]:
-    full = {
-        (k, i, j): table[(k, _pair(i, j))]
-        for k in range(1, n + 1)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
-    return _lambda_full_table(full, n)
+    (needs n >= 3)."""
+    return build_prescribed_ricci("trace-free-torsion", r, fd)
 
 
 def build_prescribed_ricci_torsion_free(r: Bilinear, fd: FreeData) -> BuildReport:
-    """Torsion-free connection with prescribed Ricci tensor. The prescribed
-    tensor is accepted iff its antisymmetric part is closed; a primitive plus
-    the gauge gradient fixes the divergence functions, the diagonal-type
-    symbols are substituted away, and the symmetric CK system is solved."""
-    n = r.n
-    _, cap = r.shape
-    cen = census("torsion-free", n)
-    _validate_free_data(cen, fd, n, cap)
-
-    sym_part, anti = split(r)
-    closed_order = max(anti.min_valid() - 1, 0)
-    if not two_form_closed(anti, closed_order):
-        raise RejectionError(
-            "antisymmetric-part-not-closed",
-            f"antisymmetric part of the prescribed tensor is not closed up to "
-            f"degree {closed_order}",
-        )
-    alpha0 = primitive_of_two_form(anti)
-    phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
-    alpha = {k: alpha0.comp(k) + phi.partial(k) for k in range(1, n + 1)}
-
-    unknown_pairs = _torsion_free_unknown_pairs(n)
-    labels = {key: gamma_slot(key[0], key[1][0], key[1][1]) for key in unknown_pairs}
-    free_jets = {}
-    for slot, jet in fd.free_functions.items():
-        k, i, j = parse_slot(slot)
-        free_jets[(k, (i, j))] = jet
-    det_exprs = _torsion_free_det_exprs(n)
-    rows = _torsion_free_rows(n)
-
-    def assemble(unknown_values: Mapping[str, Jet]) -> dict:
-        table = dict(free_jets)
-        for key, lab in labels.items():
-            table[key] = unknown_values[lab]
-        for target, terms in det_exprs.items():
-            total = None
-            for sign, sub in terms:
-                jet = alpha[sub[1]] if sub[0] == "d" else table[sub[1]]
-                term = jet if sign == 1 else -jet
-                total = term if total is None else total + term
-            table[target] = total
-        return table
-
-    def rhs(unknown_values: dict[str, Jet]) -> dict[str, Jet]:
-        table = assemble(unknown_values)
-        lam = _lambda_pair_table(table, n)
-        out = {}
-        for row in rows:
-            a, b = row.pair
-            acc = lam[(a, b)] + r.comp(a, b)
-            for c, sym, ax in row.atoms:
-                jet = alpha[sym[1]] if sym[0] == "d" else table[sym[1]]
-                acc = acc - jet.partial(ax).scale(c)
-            if row.kept_sign == -1:
-                acc = -acc
-            out[labels[row.unknown]] = acc
-        return out
-
-    system = FirstOrderSystem(
-        tuple(labels[key] for key in unknown_pairs),
-        rhs,
-        {labels[key]: fd.initial_slices[labels[key]] for key in unknown_pairs},
-    )
-    solution = solve_first_order(system)
-    conn = Connection.from_symmetric(n, assemble(solution.values))
-    return _checked(
-        BuildReport("torsion-free", n, cap, {"r": r}, fd, {"connection": conn}, [])
-    )
+    """Torsion-free connection with prescribed Ricci tensor."""
+    return build_prescribed_ricci("torsion-free", r, fd)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,22 +853,15 @@ def _codazzi_ck_rhs(gamma: Mapping, gtable: Mapping, n: int, j: int, k: int) -> 
     return acc
 
 
-def build_statistical_2d(
-    conn: Connection, g11: Jet, init12: SliceJet, init22: SliceJet
-) -> BuildReport:
-    """2D metric making the cubic form of an arbitrary analytic connection
-    symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
-    if conn.n != 2:
-        raise RejectionError("unsupported-construction", "needs n = 2")
-    _, cap = conn.shape
-    if g11.constant_term != 1 or init12.constant_term != 0 or init22.constant_term != 1:
-        raise RejectionError(
-            "normalization-violated", "need g11(0) = 1, g12(0) = 0, g22(0) = 1"
-        )
+def _codazzi_metric_2d(
+    conn: Connection, init12: SliceJet, init22: SliceJet, g11_from
+) -> Metric:
+    """The 2D metric whose g12 and g22 solve the first-order Codazzi CK system
+    from the given slices, with g11 = g11_from(g12, g22)."""
 
     def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
         g12, g22 = values[metric_slot(1, 2)], values[metric_slot(2, 2)]
-        gtable = {(1, 1): g11, (1, 2): g12, (2, 1): g12, (2, 2): g22}
+        gtable = {(1, 1): g11_from(g12, g22), (1, 2): g12, (2, 1): g12, (2, 2): g22}
         return {
             metric_slot(1, 2): _codazzi_ck_rhs(conn.gamma, gtable, 2, 2, 1),
             metric_slot(2, 2): _codazzi_ck_rhs(conn.gamma, gtable, 2, 2, 2),
@@ -1039,7 +875,22 @@ def build_statistical_2d(
     solution = solve_first_order(system)
     g12 = solution.values[metric_slot(1, 2)]
     g22 = solution.values[metric_slot(2, 2)]
-    metric = Metric(2, {(1, 1): g11, (1, 2): g12, (2, 2): g22})
+    return Metric(2, {(1, 1): g11_from(g12, g22), (1, 2): g12, (2, 2): g22})
+
+
+def build_statistical_2d(
+    conn: Connection, g11: Jet, init12: SliceJet, init22: SliceJet
+) -> BuildReport:
+    """2D metric making the cubic form of an arbitrary analytic connection
+    symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
+    if conn.n != 2:
+        raise RejectionError("unsupported-construction", "needs n = 2")
+    _, cap = conn.shape
+    if g11.constant_term != 1 or init12.constant_term != 0 or init22.constant_term != 1:
+        raise RejectionError(
+            "normalization-violated", "need g11(0) = 1, g12(0) = 0, g22(0) = 1"
+        )
+    metric = _codazzi_metric_2d(conn, init12, init22, lambda g12, g22: g11)
 
     return _checked(
         BuildReport(
@@ -1075,29 +926,7 @@ def build_trace_free_statistical_2d(
     def g11_from(g12: Jet, g22: Jet) -> Jet:
         return (vol_sq + g12 * g12) * g22.reciprocal()
 
-    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
-        g12, g22 = values[metric_slot(1, 2)], values[metric_slot(2, 2)]
-        gtable = {
-            (1, 1): g11_from(g12, g22),
-            (1, 2): g12,
-            (2, 1): g12,
-            (2, 2): g22,
-        }
-        return {
-            metric_slot(1, 2): _codazzi_ck_rhs(conn.gamma, gtable, 2, 2, 1),
-            metric_slot(2, 2): _codazzi_ck_rhs(conn.gamma, gtable, 2, 2, 2),
-        }
-
-    system = FirstOrderSystem(
-        (metric_slot(1, 2), metric_slot(2, 2)),
-        rhs,
-        {metric_slot(1, 2): init12, metric_slot(2, 2): init22},
-    )
-    solution = solve_first_order(system)
-    g12 = solution.values[metric_slot(1, 2)]
-    g22 = solution.values[metric_slot(2, 2)]
-    g11 = g11_from(g12, g22)
-    metric = Metric(2, {(1, 1): g11, (1, 2): g12, (2, 2): g22})
+    metric = _codazzi_metric_2d(conn, init12, init22, g11_from)
 
     return _checked(
         BuildReport(
@@ -1332,14 +1161,9 @@ def random_trace_free_connection(
 ) -> Connection:
     """Random table whose torsion trace vanishes identically: free and
     CK-unknown slots are random, the trace-equation slots are solved."""
-    conn = random_connection(seed, n, cap, degree, bound)
-    gamma = dict(conn.gamma)
-    for target, terms in _trace_free_determined_exprs(n):
-        total = None
-        for sign, key in terms:
-            term = gamma[key] if sign == 1 else -gamma[key]
-            total = term if total is None else total + term
-        gamma[target] = total
+    gamma = dict(random_connection(seed, n, cap, degree, bound).gamma)
+    for target, terms in _ricci_spec("trace-free-torsion", n).substitutions.items():
+        gamma[target] = _combination(terms, gamma)
     return Connection(n, gamma)
 
 

@@ -18,11 +18,10 @@ from . import serialize
 from .builders import (
     BuildReport,
     FreeData,
+    _slot_normal_value,
     _with_constant,
     build_metric_2d_prescribed_ricci,
-    build_prescribed_ricci_general,
-    build_prescribed_ricci_torsion_free,
-    build_prescribed_ricci_trace_free_torsion,
+    build_prescribed_ricci,
     build_statistical_2d,
     build_statistical_nd,
     build_trace_free_statistical_2d,
@@ -47,14 +46,11 @@ class ScenarioError(ValueError):
     pass
 
 
-# prescribed-Ricci tag -> (builder, seeded connection of the round_trip mode)
-_RICCI_BUILDERS = {
-    "general": (build_prescribed_ricci_general, random_connection),
-    "trace-free-torsion": (
-        build_prescribed_ricci_trace_free_torsion,
-        random_trace_free_connection,
-    ),
-    "torsion-free": (build_prescribed_ricci_torsion_free, random_symmetric_connection),
+# prescribed-Ricci tag -> seeded connection of the round_trip mode
+_RICCI_CONNECTIONS = {
+    "general": random_connection,
+    "trace-free-torsion": random_trace_free_connection,
+    "torsion-free": random_symmetric_connection,
 }
 
 
@@ -107,10 +103,19 @@ def _prescribed_ricci(sc: dict, tag: str, n: int, cap: int, rng, degree, bound) 
     if policy == "random":
         return random_prescribed_tensor(tag, rng.randrange(2**32), n, cap, degree, bound)
     if isinstance(policy, dict) and "components" in policy:
+        given = policy["components"]
+        if not isinstance(given, dict):
+            raise ScenarioError("prescribed components must be an object keyed 'i,j'")
+        keys = {f"{i},{j}" for i in range(1, n + 1) for j in range(1, n + 1)}
+        outside = sorted(set(given) - keys)
+        if outside:
+            raise ScenarioError(
+                f"prescribed components {outside} are not 'i,j' with 1 <= i, j <= {n}"
+            )
         comps = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                payload = policy["components"].get(f"{i},{j}")
+                payload = given.get(f"{i},{j}")
                 comps[(i, j)] = (
                     Jet.zero(n, cap)
                     if payload is None
@@ -138,18 +143,11 @@ def _free_data(sc: dict, cen, n: int, cap: int, rng, degree, bound) -> FreeData:
         if slot == "phi":
             gauge = _policy_jet(policy, n, cap, rng, degree, bound)
         elif slot in free:
-            kind = slot.split(";")[0]
-            constant = None
-            if kind == "g":
-                i, j = (int(v) for v in slot.split(";")[1].split(","))
-                constant = 1 if i == j else 0
-            free[slot] = _policy_jet(policy, n, cap, rng, degree, bound, constant)
+            normal = _slot_normal_value(slot)
+            free[slot] = _policy_jet(policy, n, cap, rng, degree, bound, normal)
         elif slot in slices:
-            constant = None
-            if slot.startswith("g;"):
-                i, j = (int(v) for v in slot.split(";")[1].split(","))
-                constant = 1 if i == j else 0
-            slices[slot] = _policy_slice(policy, n, cap, rng, degree, bound, constant)
+            normal = _slot_normal_value(slot)
+            slices[slot] = _policy_slice(policy, n, cap, rng, degree, bound, normal)
         else:
             raise ScenarioError(f"slot {slot!r} is not in the census")
     return FreeData(free, slices, gauge)
@@ -165,11 +163,11 @@ def _run_direct(sc: dict) -> BuildReport:
     degree, bound = _bounds(sc, cap)
     pres = sc.get("prescribed") or {}
 
-    if tag in _RICCI_BUILDERS:
+    if tag in _RICCI_CONNECTIONS:
         cen = census(tag, n)
         r = _prescribed_ricci(sc, tag, n, cap, rng, degree, bound)
         fd = _free_data(sc, cen, n, cap, rng, degree, bound)
-        return _RICCI_BUILDERS[tag][0](r, fd)
+        return build_prescribed_ricci(tag, r, fd)
 
     if tag == "metric-2d":
         policy = {key: pres.get(key, "random") for key in ("r11", "r22", "phi")}
@@ -233,11 +231,10 @@ def _run_round_trip(sc: dict) -> BuildReport:
     degree = cfg.get("degree", min(3, cap - 1))
     bound = cfg.get("coeff_bound", 2)
 
-    if tag in _RICCI_BUILDERS:
-        builder, seeded_connection = _RICCI_BUILDERS[tag]
-        conn = seeded_connection(seed, n, cap, degree, bound)
+    if tag in _RICCI_CONNECTIONS:
+        conn = _RICCI_CONNECTIONS[tag](seed, n, cap, degree, bound)
         r, fd = connection_round_trip_data(tag, conn)
-        return builder(r, fd)
+        return build_prescribed_ricci(tag, r, fd)
 
     g0 = random_normalized_metric(seed, n, cap, degree, bound)
     if tag == "statistical":

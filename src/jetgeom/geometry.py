@@ -261,23 +261,14 @@ def divergence_form(conn: Connection) -> OneForm:
 
 
 def ricci(conn: Connection) -> Bilinear:
-    """Ricci tensor of a connection from its Christoffel symbols:
+    """Ricci tensor of a connection from its Christoffel symbols, as
+    ricci_derivative_part - lambda_term:
 
         Ric_ij = sum_k [(G^k_ij)_k - (G^k_kj)_i]
                  + sum_{k,l} [G^l_ij G^k_kl - G^l_kj G^k_il]
     """
-    n = conn.n
-    rng = range(1, n + 1)
-    g = conn.gamma
-    div = divergence_form(conn)
-    out = {}
-    for i in rng:
-        for j in rng:
-            deriv = _sum_jets(g[(k, i, j)].partial(k) for k in rng) - div.comp(j).partial(i)
-            quad1 = _sum_jets(g[(l, i, j)] * div.comp(l) for l in rng)
-            quad2 = _sum_jets(g[(l, k, j)] * g[(k, i, l)] for k in rng for l in rng)
-            out[(i, j)] = deriv + quad1 - quad2
-    return Bilinear(n, out)
+    deriv, lam = ricci_derivative_part(conn), lambda_term(conn)
+    return Bilinear(conn.n, {key: deriv.comps[key] - lam.comps[key] for key in deriv.comps})
 
 
 def ricci_derivative_part(conn: Connection) -> Bilinear:
@@ -298,9 +289,9 @@ def ricci_derivative_part(conn: Connection) -> Bilinear:
 
 
 def lambda_term(conn: Connection) -> Bilinear:
-    """Quadratic Christoffel contraction entering the prescribed-Ricci
-    right-hand sides: L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl].
-    Note ricci = ricci_derivative_part - lambda_term."""
+    """Quadratic Christoffel contraction, the term the prescribed-Ricci
+    right-hand sides start from: L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl],
+    so ricci = ricci_derivative_part - lambda_term."""
     n = conn.n
     rng = range(1, n + 1)
     g = conn.gamma

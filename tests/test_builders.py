@@ -12,6 +12,7 @@ from jetgeom import (
     SingularJetError,
     SliceJet,
     build_metric_2d_prescribed_ricci,
+    build_prescribed_ricci,
     build_prescribed_ricci_general,
     build_prescribed_ricci_torsion_free,
     build_prescribed_ricci_trace_free_torsion,
@@ -105,6 +106,14 @@ def test_census_slot_partition():
         assert not free & set(cen.ck_unknowns)
         assert not free & set(cen.determined)
         assert len(free) + len(cen.ck_unknowns) + len(cen.determined) == total
+
+
+def test_prescribed_ricci_rejects_other_constructions():
+    for tag, n in (("statistical", 3), ("metric-2d", 2)):
+        fd = FreeData({}, {}) if tag == "metric-2d" else zero_free_data(census(tag, n), CAP)
+        with pytest.raises(RejectionError) as err:
+            build_prescribed_ricci(tag, Bilinear.zero(n, CAP), fd)
+        assert err.value.reason == "unsupported-construction"
 
 
 # ---------------------------------------------------------------------------

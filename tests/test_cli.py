@@ -237,6 +237,16 @@ def inline_jet(coeffs: dict, n: int = 2, cap: int = 3) -> dict:
             id="incomplete-christoffel-table",
         ),
         pytest.param({}, "missing-directory/report.json", id="output-directory-missing"),
+        pytest.param(
+            {"prescribed": {"r": {"components": {"1,1": "random", "3,3": "random", "x": "one"}}}},
+            "report.json",
+            id="component-outside-workspace",
+        ),
+        pytest.param(
+            {"prescribed": {"r": {"components": ["1,1"]}}},
+            "report.json",
+            id="components-not-an-object",
+        ),
     ],
 )
 def test_malformed_scenario_data_exits_1(tmp_path, capsys, payload, output):

@@ -15,6 +15,7 @@ from jetgeom import (
     Jet,
     build_prescribed_ricci_general,
     build_prescribed_ricci_torsion_free,
+    build_prescribed_ricci_trace_free_torsion,
     census,
     potential_of_one_form,
     primitive_of_two_form,
@@ -52,27 +53,18 @@ def quad_part(table, i, j, rng):
     return acc
 
 
-def test_general_rows_match_display(monkeypatch):
-    r = random_prescribed_tensor("general", 7, N, CAP, 3, 2)
-    fd = random_free_data(census("general", N), 8, 3, 2, CAP)
-    system = _capture_system(monkeypatch, build_prescribed_ricci_general, r, fd)
-
-    rng = range(1, N + 1)
-    u = {
-        lab: random_poly(900 + idx, N, 3, 2, CAP)
-        for idx, lab in enumerate(system.labels)
-    }
-    got = system.rhs(dict(u))
-
-    # resolved table: free slots plus the probed unknown values
+def resolved_table(fd, u):
+    """Full Christoffel table from the free slots and the probed unknowns."""
     table = {}
-    for slot, jet in fd.free_functions.items():
+    for slot, jet in [*fd.free_functions.items(), *u.items()]:
         k, i, j = (int(v) for v in slot.replace(";", ",").split(","))
         table[(k, i, j)] = jet
-    for lab, jet in u.items():
-        k, i, j = (int(v) for v in lab.replace(";", ",").split(","))
-        table[(k, i, j)] = jet
+    return table
 
+
+def assert_full_table_rows(got, table, r):
+    """The rhs of the full-table systems, resolved on a complete table."""
+    rng = range(1, N + 1)
     lam = {(i, j): -quad_part(table, i, j, rng) for i in rng for j in rng}
 
     # display, first family: (G^n_nj)_1 = -L_1j - r_1j + L'_1j with
@@ -97,6 +89,41 @@ def test_general_rows_match_display(monkeypatch):
                 moved = moved - table[(k, k, j)].partial(i)
             want = lam[(i, j)] + r.comp(i, j) - moved
             assert got[f"1;{i},{j}"].eq_up_to(want, CAP - 1)
+
+
+def test_general_rows_match_display(monkeypatch):
+    r = random_prescribed_tensor("general", 7, N, CAP, 3, 2)
+    fd = random_free_data(census("general", N), 8, 3, 2, CAP)
+    system = _capture_system(monkeypatch, build_prescribed_ricci_general, r, fd)
+
+    u = {
+        lab: random_poly(900 + idx, N, 3, 2, CAP)
+        for idx, lab in enumerate(system.labels)
+    }
+    got = system.rhs(dict(u))
+    assert_full_table_rows(got, resolved_table(fd, u), r)
+
+
+def test_trace_free_torsion_rows_match_display(monkeypatch):
+    r = random_prescribed_tensor("trace-free-torsion", 27, N, CAP, 3, 2)
+    fd = random_free_data(census("trace-free-torsion", N), 28, 3, 2, CAP)
+    system = _capture_system(
+        monkeypatch, build_prescribed_ricci_trace_free_torsion, r, fd
+    )
+
+    u = {
+        lab: random_poly(800 + idx, N, 3, 2, CAP)
+        for idx, lab in enumerate(system.labels)
+    }
+    got = system.rhs(dict(u))
+
+    # tau_k = sum_i (G^i_ik - G^i_ki) = 0 solved for one symbol per k (n = 3),
+    # with the cancelling G^k_kk terms dropped by hand
+    g = resolved_table(fd, u)
+    g[(2, 1, 2)] = g[(2, 2, 1)] + g[(3, 3, 1)] - g[(3, 1, 3)]
+    g[(3, 2, 3)] = g[(1, 1, 2)] + g[(3, 3, 2)] - g[(1, 2, 1)]
+    g[(2, 3, 2)] = g[(1, 1, 3)] + g[(2, 2, 3)] - g[(1, 3, 1)]
+    assert_full_table_rows(got, g, r)
 
 
 def test_torsion_free_rows_match_display(monkeypatch):

@@ -59,7 +59,6 @@ from .geometry import (
     is_codazzi,
     lambda_term,
     levi_civita,
-    levi_civita_diagonal_2d,
     metric_inverse,
     nabla_g,
     parallel_volume_2d,

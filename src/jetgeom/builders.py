@@ -21,6 +21,18 @@ x1-derivative of an unknown is consumed, which is the structural form the
 solver's degree-by-degree stabilization requires. `build_prescribed_ricci`
 holds the one assembly and right-hand side (`geometry.lambda_term` plus r
 minus the derivative atoms) and solves; the three named builders call it.
+
+The statistical constructions (statistical-2d, trace-free-statistical-2d and
+statistical) share one Codazzi path. `_codazzi_gap` lists the gap
+(nabla g)_ijk - (nabla g)_jik as derivative atoms (sign, g-pair, axis) and
+product atoms (coefficient, gamma-key, g-pair); on a symmetric table the keys
+fold, so the torsion terms cancel when the row is built. Each metric unknown
+g_ab takes its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
+`_codazzi_spec` lists form the jet-linear system that
+`solve_determined_christoffels` solves for the determined symbols.
+`_codazzi_metric` holds the one assembly, right-hand side and solve; the
+builders differ only in where g11 comes from, where the Christoffel table
+comes from, and the initial slices.
 """
 
 from __future__ import annotations
@@ -105,32 +117,6 @@ class Census:
     determined: tuple[str, ...]
 
 
-def _statistical_determined_pairs(n: int) -> list[tuple[int, tuple[int, int]]]:
-    keys = []
-    for k in range(2, n + 1):  # lower (1, k), upper t > k
-        for t in range(k + 1, n + 1):
-            keys.append((t, (1, k)))
-    for i in range(2, n + 1):  # lower (i, i), upper t >= 2, t != i
-        for t in range(2, n + 1):
-            if t != i:
-                keys.append((t, (i, i)))
-    for i in range(2, n + 1):  # lower (i, k) with i < k, upper t > i, t != k
-        for k in range(i + 1, n + 1):
-            for t in range(i + 1, n + 1):
-                if t != k:
-                    keys.append((t, (i, k)))
-    return keys
-
-
-def _statistical_unknown_pairs(n: int) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-        if (i, j) != (1, 1)
-    ]
-
-
 def _all_gamma_keys(n: int) -> list[tuple[int, int, int]]:
     return [
         (k, i, j)
@@ -176,17 +162,17 @@ def census(construction: str, n: int) -> Census:
         gauge = ("phi",) if spec.symmetric else ()
         return Census(construction, n, free + gauge, unknowns, unknowns, determined)
 
-    unknowns = _statistical_unknown_pairs(n)
-    determined = _statistical_determined_pairs(n)
-    free = [k for k in _all_pair_keys(n) if k not in set(determined)]
+    spec = _codazzi_spec(n)
+    free = [k for k in _all_pair_keys(n) if k not in set(spec.determined)]
     slots = tuple(gamma_slot(k, i, j) for k, (i, j) in free) + (metric_slot(1, 1),)
+    unknowns = tuple(metric_slot(i, j) for i, j in spec.unknowns)
     return Census(
         construction,
         n,
         slots,
-        tuple(metric_slot(i, j) for i, j in unknowns),
-        tuple(metric_slot(i, j) for i, j in unknowns),
-        tuple(gamma_slot(k, i, j) for k, (i, j) in determined),
+        unknowns,
+        unknowns,
+        tuple(gamma_slot(k, i, j) for k, (i, j) in spec.determined),
     )
 
 
@@ -832,50 +818,152 @@ def build_metric_2d_prescribed_ricci(
 
 
 # ---------------------------------------------------------------------------
-# statistical structures
+# statistical structures: one Codazzi gap, one CK assembly and solve
 
 
-def _codazzi_ck_rhs(gamma: Mapping, gtable: Mapping, n: int, j: int, k: int) -> Jet:
-    """(g_jk)_1 from the symmetry of the cubic form in its first two slots:
+@dataclass(frozen=True)
+class _CodazziSpec:
+    """The Codazzi system of a statistical structure in dimension n. Each
+    metric unknown g_ab (a <= b, (a, b) != (1, 1)) takes its x1-derivative
+    from gap (1, b, a). The determined symbols (t, (i, j)) are the columns and
+    the gaps the rows of the jet-linear algebraic system, empty for n = 2."""
 
-        (g_jk)_1 = (g_1k)_j + sum_l (G^l_1j - G^l_j1) g_lk
-                   + sum_l G^l_1k g_jl - sum_l G^l_jk g_1l
+    unknowns: tuple[tuple[int, int], ...]
+    determined: tuple[tuple[int, tuple[int, int]], ...]
+    gaps: tuple[tuple[int, int, int], ...]
 
-    The middle sum vanishes for a symmetric connection; keeping it makes the
-    same equations serve connections with torsion."""
-    acc = gtable[(1, k)].partial(j)
+
+def _codazzi_spec(n: int) -> _CodazziSpec:
+    top = range(2, n + 1)
+    unknowns = [
+        (i, j) for i in range(1, n + 1) for j in range(i, n + 1) if (i, j) != (1, 1)
+    ]
+    # lower (1, k), upper t > k; gap (t, k, 1)
+    determined = [(t, (1, k)) for k in top for t in range(k + 1, n + 1)]
+    gaps = [(j, k, 1) for k in top for j in range(k + 1, n + 1)]
+    # lower (i, i), upper t >= 2, t != i; gap (i, t, i)
+    determined += [(t, (i, i)) for i in top for t in top if t != i]
+    gaps += [(i, j, i) for i in top for j in top if j != i]
+    # lower (i, k) with i < k, upper t > i, t != k; gap (i, t, k), but the
+    # rows run over t before k
+    determined += [
+        (t, (i, k))
+        for i in top
+        for k in range(i + 1, n + 1)
+        for t in range(i + 1, n + 1)
+        if t != k
+    ]
+    gaps += [
+        (i, j, k)
+        for i in top
+        for j in range(i + 1, n + 1)
+        for k in range(i + 1, n + 1)
+        if k != j
+    ]
+    return _CodazziSpec(tuple(unknowns), tuple(determined), tuple(gaps))
+
+
+def _gamma_key(symmetric: bool, l: int, a: int, b: int) -> tuple:
+    """Key (l, (a, b)) of the symbol G^l_ab; a symmetric table folds a <= b."""
+    return (l, _pair(a, b) if symmetric else (a, b))
+
+
+def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool):
+    """The Codazzi gap (nabla g)_ijk - (nabla g)_jik,
+
+        (g_jk)_i - (g_ik)_j - sum_l (G^l_ij - G^l_ji) g_lk
+                 - sum_l G^l_ik g_jl + sum_l G^l_jk g_il,
+
+    as derivative atoms (sign, g-pair, axis), the first being +(g_jk)_i, and
+    product atoms (coefficient, gamma-key, g-pair). On a symmetric table the
+    torsion terms cancel here."""
+    products: dict = {}
     for l in range(1, n + 1):
-        tors = gamma[(l, 1, j)] - gamma[(l, j, 1)]
-        if not tors.is_zero():
-            acc = acc + tors * gtable[(l, k)]
-        acc = acc + gamma[(l, 1, k)] * gtable[(j, l)]
-        acc = acc - gamma[(l, j, k)] * gtable[(1, l)]
-    return acc
+        _bump(products, (_gamma_key(symmetric, l, i, j), _pair(l, k)), -1)
+        _bump(products, (_gamma_key(symmetric, l, j, i), _pair(l, k)), 1)
+        _bump(products, (_gamma_key(symmetric, l, i, k), _pair(j, l)), -1)
+        _bump(products, (_gamma_key(symmetric, l, j, k), _pair(i, l)), 1)
+    derivatives = ((1, _pair(j, k), i), (-1, _pair(i, k), j))
+    return derivatives, tuple((c, key, gp) for (key, gp), c in products.items() if c)
+
+
+def _signed(c: int, jet: Jet) -> Jet:
+    return jet if c == 1 else -jet if c == -1 else jet.scale(c)
+
+
+def _gap_sum(derivatives, products, g: Mapping, gamma: Mapping, pulled=frozenset()):
+    """The sum of the atoms on the metric table g and the Christoffel table
+    gamma, leaving out the products whose gamma-key is in pulled; and for
+    each pulled key, its coefficient jet."""
+    terms = [_signed(s, g[p].partial(ax)) for s, p, ax in derivatives]
+    coeffs: dict = {}
+    for c, key, gp in products:
+        if key in pulled:
+            coeffs.setdefault(key, []).append(_signed(c, g[gp]))
+        else:
+            terms.append(_signed(c, gamma[key] * g[gp]))
+    return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
+
+
+def solve_determined_christoffels(
+    n: int,
+    cap: int,
+    gtable: Mapping[tuple[int, int], Jet],
+    free_gammas: Mapping[tuple, Jet],
+    determined_keys: list,
+) -> dict:
+    """Evaluate the algebraic Codazzi gaps on the current metric table and
+    solve them simultaneously for the determined Christoffel symbols."""
+    pulled = set(determined_keys)
+    zero = Jet.zero(n, cap)
+    matrix = []
+    for gap in _codazzi_spec(n).gaps:
+        derivatives, products = _codazzi_gap(*gap, n, True)
+        rest, coeffs = _gap_sum(derivatives, products, gtable, free_gammas, pulled)
+        matrix.append([coeffs.get(key, zero) for key in determined_keys] + [-rest])
+    solved = _gauss_jordan(matrix)
+    return {key: row[-1] for key, row in zip(determined_keys, solved)}
+
+
+def _codazzi_metric(
+    n: int, symmetric: bool, initial: Mapping[str, SliceJet], g11_from, gamma_from
+) -> tuple[Metric, Mapping]:
+    """The metric whose unknowns solve the CK rows of the Codazzi gap from the
+    initial slices, and its Christoffel table. Every evaluation assembles
+    g11 = g11_from(table of the unknowns) and gamma = gamma_from(metric
+    table)."""
+    labels = {pair: metric_slot(*pair) for pair in _codazzi_spec(n).unknowns}
+    rows = {pair: _codazzi_gap(1, pair[1], pair[0], n, symmetric) for pair in labels}
+
+    def assemble(values: Mapping[str, Jet]) -> tuple[dict, Mapping]:
+        g = {pair: values[lab] for pair, lab in labels.items()}
+        g = {(1, 1): g11_from(g), **g}
+        return g, gamma_from(g)
+
+    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
+        g, gamma = assemble(values)
+        out = {}
+        for pair, (derivatives, products) in rows.items():
+            # the first derivative atom is the kept +(g_ab)_1
+            rest, _ = _gap_sum(derivatives[1:], products, g, gamma)
+            out[labels[pair]] = -rest
+        return out
+
+    system = FirstOrderSystem(
+        tuple(labels.values()), rhs, {lab: initial[lab] for lab in labels.values()}
+    )
+    g, gamma = assemble(solve_first_order(system).values)
+    return Metric(n, g), gamma
 
 
 def _codazzi_metric_2d(
     conn: Connection, init12: SliceJet, init22: SliceJet, g11_from
 ) -> Metric:
-    """The 2D metric whose g12 and g22 solve the first-order Codazzi CK system
-    from the given slices, with g11 = g11_from(g12, g22)."""
-
-    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
-        g12, g22 = values[metric_slot(1, 2)], values[metric_slot(2, 2)]
-        gtable = {(1, 1): g11_from(g12, g22), (1, 2): g12, (2, 1): g12, (2, 2): g22}
-        return {
-            metric_slot(1, 2): _codazzi_ck_rhs(conn.gamma, gtable, 2, 2, 1),
-            metric_slot(2, 2): _codazzi_ck_rhs(conn.gamma, gtable, 2, 2, 2),
-        }
-
-    system = FirstOrderSystem(
-        (metric_slot(1, 2), metric_slot(2, 2)),
-        rhs,
-        {metric_slot(1, 2): init12, metric_slot(2, 2): init22},
-    )
-    solution = solve_first_order(system)
-    g12 = solution.values[metric_slot(1, 2)]
-    g22 = solution.values[metric_slot(2, 2)]
-    return Metric(2, {(1, 1): g11_from(g12, g22), (1, 2): g12, (2, 2): g22})
+    """The 2D Codazzi metric of a given connection."""
+    symmetric = conn.is_symmetric_table()
+    gamma = {_gamma_key(symmetric, *key): jet for key, jet in conn.gamma.items()}
+    initial = {metric_slot(1, 2): init12, metric_slot(2, 2): init22}
+    return _codazzi_metric(2, symmetric, initial, g11_from, lambda g: gamma)[0]
 
 
 def build_statistical_2d(
@@ -890,7 +978,7 @@ def build_statistical_2d(
         raise RejectionError(
             "normalization-violated", "need g11(0) = 1, g12(0) = 0, g22(0) = 1"
         )
-    metric = _codazzi_metric_2d(conn, init12, init22, lambda g12, g22: g11)
+    metric = _codazzi_metric_2d(conn, init12, init22, lambda g: g11)
 
     return _checked(
         BuildReport(
@@ -923,8 +1011,8 @@ def build_trace_free_statistical_2d(
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     vol_sq = volume * volume
 
-    def g11_from(g12: Jet, g22: Jet) -> Jet:
-        return (vol_sq + g12 * g12) * g22.reciprocal()
+    def g11_from(g: Mapping) -> Jet:
+        return (vol_sq + g[(1, 2)] * g[(1, 2)]) * g[(2, 2)].reciprocal()
 
     metric = _codazzi_metric_2d(conn, init12, init22, g11_from)
 
@@ -941,115 +1029,11 @@ def build_trace_free_statistical_2d(
     )
 
 
-# ---------------------------------------------------------------------------
-# statistical structures, n >= 3
-
-
-@dataclass(frozen=True)
-class _AlgRow:
-    """One algebraic cubic-form symmetry condition, jet-linear in the
-    determined Christoffel symbols: products are (sign, gamma_pair, g_pair),
-    derivatives are (sign, g_pair, axis)."""
-
-    products: tuple[tuple[int, tuple, tuple[int, int]], ...]
-    derivatives: tuple[tuple[int, tuple[int, int], int], ...]
-
-
-def _statistical_alg_rows(n: int) -> list[_AlgRow]:
-    rows = []
-    # (1, k, j) family, 1 < k < j: determines the symbols with lower (1, k)
-    for k in range(2, n + 1):
-        for j in range(k + 1, n + 1):
-            rows.append(
-                _AlgRow(
-                    tuple(
-                        [(1, (l, _pair(1, k)), _pair(j, l)) for l in range(1, n + 1)]
-                        + [(-1, (l, _pair(1, j)), _pair(k, l)) for l in range(1, n + 1)]
-                    ),
-                    ((1, _pair(1, k), j), (-1, _pair(1, j), k)),
-                )
-            )
-    # (i, j, i) family, i >= 2, j != i: determines diagonal-lower symbols
-    for i in range(2, n + 1):
-        for j in range(2, n + 1):
-            if j == i:
-                continue
-            rows.append(
-                _AlgRow(
-                    tuple(
-                        [(-1, (l, (i, i)), _pair(j, l)) for l in range(1, n + 1)]
-                        + [(1, (l, _pair(j, i)), _pair(i, l)) for l in range(1, n + 1)]
-                    ),
-                    ((1, _pair(j, i), i), (-1, (i, i), j)),
-                )
-            )
-    # (i, j, k) family, 2 <= i < j, k not in {i, j}, i < k
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(i + 1, n + 1):
-                if k == j:
-                    continue
-                rows.append(
-                    _AlgRow(
-                        tuple(
-                            [(-1, (l, _pair(i, k)), _pair(j, l)) for l in range(1, n + 1)]
-                            + [
-                                (1, (l, _pair(j, k)), _pair(i, l))
-                                for l in range(1, n + 1)
-                            ]
-                        ),
-                        ((1, _pair(j, k), i), (-1, _pair(i, k), j)),
-                    )
-                )
-    return rows
-
-
-def solve_determined_christoffels(
-    n: int,
-    cap: int,
-    gtable: Mapping[tuple[int, int], Jet],
-    free_gammas: Mapping[tuple, Jet],
-    determined_keys: list,
-) -> dict:
-    """Evaluate the algebraic symmetry conditions on the current metric table
-    and solve them simultaneously for the determined Christoffel symbols."""
-    det_set = set(determined_keys)
-    matrix_rows: list[dict] = []
-    rhs_jets: list[Jet] = []
-    for row in _statistical_alg_rows(n):
-        coeffs: dict = {}
-        rhs_acc = None
-
-        def add_rhs(jet):
-            nonlocal rhs_acc
-            rhs_acc = jet if rhs_acc is None else rhs_acc + jet
-
-        for sign, g_pair, axis in row.derivatives:
-            add_rhs(gtable[g_pair].partial(axis).scale(-sign))
-        for sign, gamma_key, g_pair in row.products:
-            if gamma_key in det_set:
-                prev = coeffs.get(gamma_key)
-                term = gtable[g_pair] if sign == 1 else -gtable[g_pair]
-                coeffs[gamma_key] = term if prev is None else prev + term
-            else:
-                add_rhs((free_gammas[gamma_key] * gtable[g_pair]).scale(-sign))
-        matrix_rows.append(coeffs)
-        rhs_jets.append(rhs_acc)
-    zero = Jet.zero(n, cap)
-    solved = _gauss_jordan(
-        [
-            [coeffs.get(key, zero) for key in determined_keys] + [rhs]
-            for coeffs, rhs in zip(matrix_rows, rhs_jets)
-        ]
-    )
-    return {key: row[-1] for key, row in zip(determined_keys, solved)}
-
-
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     """Statistical structure in dimension n >= 3: the metric components solve
-    the CK system coming from the (1, j, k) symmetry conditions while the
-    remaining symmetry conditions are solved, at every evaluation, as a
-    jet-linear system for the determined Christoffel symbols."""
+    the CK rows of the Codazzi gap while the algebraic gaps are solved, at
+    every evaluation, as a jet-linear system for the determined Christoffel
+    symbols."""
     cen = census("statistical", n)
     g11_slot = metric_slot(1, 1)
     if g11_slot not in fd.free_functions:
@@ -1066,9 +1050,7 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
                 "normalization-violated", f"slice {slot} must start at delta"
             )
 
-    unknown_pairs = _statistical_unknown_pairs(n)
-    labels = {pair: metric_slot(*pair) for pair in unknown_pairs}
-    determined_keys = _statistical_determined_pairs(n)
+    determined = _codazzi_spec(n).determined
     free_gammas = {}
     for slot, jet in fd.free_functions.items():
         parsed = parse_slot(slot)
@@ -1076,54 +1058,14 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
             k, i, j = parsed
             free_gammas[(k, (i, j))] = jet
 
-    def metric_table(unknown_values: Mapping[str, Jet]) -> dict:
-        gtable = {(1, 1): g11}
-        for pair in unknown_pairs:
-            jet = unknown_values[labels[pair]]
-            gtable[pair] = jet
-            gtable[(pair[1], pair[0])] = jet
-        return gtable
+    def gamma_from(g: Mapping) -> dict:
+        det = solve_determined_christoffels(n, cap, g, free_gammas, determined)
+        return {**free_gammas, **det}
 
-    def full_gamma(det_values: Mapping) -> dict:
-        gamma = {}
-        for key, jet in free_gammas.items():
-            k, (i, j) = key
-            gamma[(k, i, j)] = jet
-            gamma[(k, j, i)] = jet
-        for key, jet in det_values.items():
-            k, (i, j) = key
-            gamma[(k, i, j)] = jet
-            gamma[(k, j, i)] = jet
-        return gamma
-
-    def rhs(unknown_values: dict[str, Jet]) -> dict[str, Jet]:
-        gtable = metric_table(unknown_values)
-        det_values = solve_determined_christoffels(
-            n, cap, gtable, free_gammas, determined_keys
-        )
-        gamma = full_gamma(det_values)
-        out = {}
-        for j, k in ((p[1], p[0]) for p in unknown_pairs):
-            # unknown pair is stored (min, max); the equation reads (g_jk)_1
-            out[labels[(k, j)]] = _codazzi_ck_rhs(gamma, gtable, n, j, k)
-        return out
-
-    system = FirstOrderSystem(
-        tuple(labels[p] for p in unknown_pairs),
-        rhs,
-        {labels[p]: fd.initial_slices[labels[p]] for p in unknown_pairs},
+    metric, gamma = _codazzi_metric(
+        n, True, fd.initial_slices, lambda g: g11, gamma_from
     )
-    solution = solve_first_order(system)
-    gtable = metric_table(solution.values)
-    det_values = solve_determined_christoffels(
-        n, cap, gtable, free_gammas, determined_keys
-    )
-    conn = Connection.from_symmetric(
-        n, {**free_gammas, **det_values}
-    )
-    metric = Metric(
-        n, {pair: gtable[pair] for pair in gtable if pair[0] <= pair[1]}
-    )
+    conn = Connection.from_symmetric(n, gamma)
 
     return _checked(
         BuildReport(

@@ -85,27 +85,24 @@ def _call_rhs(system, current: dict[str, Jet], step: int) -> dict[str, Jet]:
     return values
 
 
-def solve_first_order(system: FirstOrderSystem) -> CKSolution:
-    """Iterate U <- initial + integral_x1 rhs(U).
+def _picard(system, base: dict[str, Jet], integrate, forbidden: str) -> CKSolution:
+    """Iterate U <- base + integrate(rhs(U)).
 
     Iteration t freezes every coefficient with x1-exponent <= t, so after
     cap + 1 rounds the full workspace is stationary and equals the truncation
     of the unique analytic solution.
     """
-    base = {lab: system.initial[lab].promote() for lab in system.labels}
     cap = next(iter(base.values())).max_degree
     current = dict(base)
     for step in range(1, cap + 2):
         values = _call_rhs(system, current, step)
-        nxt = {
-            lab: base[lab] + values[lab].antiderivative_x1() for lab in system.labels
-        }
+        nxt = {lab: base[lab] + integrate(values[lab]) for lab in system.labels}
         for lab in system.labels:
             if not nxt[lab].eq_on_x1_up_to(current[lab], step - 1):
                 raise StabilizationError(
                     f"unknown {lab!r} changed on x1-degrees <= {step - 1} at "
                     f"iteration {step}; the evaluator consumes a forbidden "
-                    "x1-derivative"
+                    f"{forbidden}"
                 )
         current = nxt
     # the recursion determines degree-t coefficients from degree-(t-1) data,
@@ -113,6 +110,12 @@ def solve_first_order(system: FirstOrderSystem) -> CKSolution:
     # minimum that mechanical propagation through the evaluator would report
     final = {lab: jet.with_valid_order(cap) for lab, jet in current.items()}
     return CKSolution(final, cap)
+
+
+def solve_first_order(system: FirstOrderSystem) -> CKSolution:
+    """Iterate U <- initial + integral_x1 rhs(U)."""
+    base = {lab: system.initial[lab].promote() for lab in system.labels}
+    return _picard(system, base, lambda jet: jet.antiderivative_x1(), "x1-derivative")
 
 
 def solve_second_order(system: SecondOrderSystem) -> CKSolution:
@@ -125,36 +128,22 @@ def solve_second_order(system: SecondOrderSystem) -> CKSolution:
         lab: phi[lab] + x1 * system.initial_deriv[lab].promote()
         for lab in system.labels
     }
-    current = dict(base)
-    for step in range(1, cap + 2):
-        values = _call_rhs(system, current, step)
-        nxt = {
-            lab: base[lab] + values[lab].antiderivative_x1().antiderivative_x1()
-            for lab in system.labels
-        }
-        for lab in system.labels:
-            if not nxt[lab].eq_on_x1_up_to(current[lab], step - 1):
-                raise StabilizationError(
-                    f"unknown {lab!r} changed on x1-degrees <= {step - 1} at "
-                    f"iteration {step}; the evaluator consumes a forbidden "
-                    "derivative"
-                )
-        current = nxt
-    final = {lab: jet.with_valid_order(cap) for lab, jet in current.items()}
-    return CKSolution(final, cap)
+    return _picard(
+        system, base, lambda jet: jet.antiderivative_x1().antiderivative_x1(), "derivative"
+    )
+
+
+def _residual(system, solution: CKSolution, differentiate) -> dict[str, Jet]:
+    values = _call_rhs(system, dict(solution.values), -1)
+    return {
+        lab: differentiate(solution.values[lab]) - values[lab] for lab in system.labels
+    }
 
 
 def residual_first_order(system: FirstOrderSystem, solution: CKSolution) -> dict[str, Jet]:
     """d/dx1 of each solution jet minus the evaluator on the solution."""
-    values = _call_rhs(system, dict(solution.values), -1)
-    return {
-        lab: solution.values[lab].partial(1) - values[lab] for lab in system.labels
-    }
+    return _residual(system, solution, lambda jet: jet.partial(1))
 
 
 def residual_second_order(system: SecondOrderSystem, solution: CKSolution) -> dict[str, Jet]:
-    values = _call_rhs(system, dict(solution.values), -1)
-    return {
-        lab: solution.values[lab].partial(1).partial(1) - values[lab]
-        for lab in system.labels
-    }
+    return _residual(system, solution, lambda jet: jet.partial(1).partial(1))

@@ -54,8 +54,19 @@ _RICCI_CONNECTIONS = {
 }
 
 
-def _bounds(sc: dict, cap: int) -> tuple[int, int]:
-    cfg = sc.get("random", {})
+def _object(value, section: str) -> dict:
+    """A scenario section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ScenarioError(
+            f"section {section!r} must be an object, not {type(value).__name__}"
+        )
+    return value
+
+
+def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
+    """Degree and coefficient bound of the random draws, from the "random"
+    (direct mode) or "round_trip" section."""
+    cfg = _object(sc.get(section, {}), section)
     return cfg.get("degree", min(3, cap - 1)), cfg.get("coeff_bound", 2)
 
 
@@ -96,8 +107,8 @@ def _random_nonvanishing(policy, jet: Jet) -> Jet:
     return jet
 
 
-def _prescribed_ricci(sc: dict, tag: str, n: int, cap: int, rng, degree, bound) -> Bilinear:
-    policy = (sc.get("prescribed") or {}).get("r", "zero")
+def _prescribed_ricci(pres: dict, tag: str, n: int, cap: int, rng, degree, bound) -> Bilinear:
+    policy = pres.get("r", "zero")
     if policy == "zero":
         return Bilinear.zero(n, cap)
     if policy == "random":
@@ -129,7 +140,7 @@ def _free_data(sc: dict, cen, n: int, cap: int, rng, degree, bound) -> FreeData:
     spec = sc.get("free_data", "zero")
     if isinstance(spec, str):
         spec = {"default": spec}
-    default = spec.get("default", "zero")
+    default = _object(spec, "free_data").get("default", "zero")
     if default == "random":
         base = random_free_data(cen, rng.randrange(2**32), degree, bound, cap)
     elif default == "zero":
@@ -139,7 +150,7 @@ def _free_data(sc: dict, cen, n: int, cap: int, rng, degree, bound) -> FreeData:
     free = dict(base.free_functions)
     slices = dict(base.initial_slices)
     gauge = base.gauge_function
-    for slot, policy in (spec.get("slots") or {}).items():
+    for slot, policy in _object(spec.get("slots") or {}, "free_data.slots").items():
         if slot == "phi":
             gauge = _policy_jet(policy, n, cap, rng, degree, bound)
         elif slot in free:
@@ -160,12 +171,12 @@ def _run_direct(sc: dict) -> BuildReport:
     if cap < 2:
         raise ScenarioError("need D >= 2")
     rng = random.Random(sc.get("seed", 0))
-    degree, bound = _bounds(sc, cap)
-    pres = sc.get("prescribed") or {}
+    degree, bound = _bounds(sc, "random", cap)
+    pres = _object(sc.get("prescribed") or {}, "prescribed")
 
     if tag in _RICCI_CONNECTIONS:
         cen = census(tag, n)
-        r = _prescribed_ricci(sc, tag, n, cap, rng, degree, bound)
+        r = _prescribed_ricci(pres, tag, n, cap, rng, degree, bound)
         fd = _free_data(sc, cen, n, cap, rng, degree, bound)
         return build_prescribed_ricci(tag, r, fd)
 
@@ -227,9 +238,7 @@ def _run_round_trip(sc: dict) -> BuildReport:
     n = int(sc["n"])
     cap = int(sc["D"])
     seed = sc.get("seed", 0)
-    cfg = sc.get("round_trip", {})
-    degree = cfg.get("degree", min(3, cap - 1))
-    bound = cfg.get("coeff_bound", 2)
+    degree, bound = _bounds(sc, "round_trip", cap)
 
     if tag in _RICCI_CONNECTIONS:
         conn = _RICCI_CONNECTIONS[tag](seed, n, cap, degree, bound)

@@ -506,23 +506,6 @@ def levi_civita(g: Metric) -> Connection:
     return Connection.from_symmetric(n, lower)
 
 
-def levi_civita_diagonal_2d(g: Metric) -> Connection:
-    """Closed-form 2D diagonal-metric Christoffel symbols (fast path used to
-    cross-check the general elimination route)."""
-    _require_diagonal_2d(g)
-    g11, g22 = g.comp(1, 1), g.comp(2, 2)
-    inv11, inv22 = g11.reciprocal(), g22.reciprocal()
-    lower = {
-        (1, (1, 1)): (inv11 * g11.partial(1)).scale(HALF),
-        (2, (1, 1)): (inv22 * g11.partial(2)).scale(-HALF),
-        (1, (1, 2)): (inv11 * g11.partial(2)).scale(HALF),
-        (2, (1, 2)): (inv22 * g22.partial(1)).scale(HALF),
-        (1, (2, 2)): (inv11 * g22.partial(1)).scale(-HALF),
-        (2, (2, 2)): (inv22 * g22.partial(2)).scale(HALF),
-    }
-    return Connection.from_symmetric(2, lower)
-
-
 def _require_diagonal_2d(g: Metric):
     if g.n != 2:
         raise DimensionMismatchError("diagonal 2D routine needs n = 2")

@@ -4,9 +4,11 @@ Everything here deliberately avoids the production code paths it checks:
 convolution is a naive double loop over term dictionaries, the CK oracles run
 the classical coefficient-extraction recursion instead of the Picard fixpoint,
 and the sequential elimination follows the ordered-substitution procedure.
-The Fraction jet kernel (one Fraction per stored coefficient, the product
-through the product_rank dictionary, Newton reciprocal, Horner exp) is the
-reference for the integer kernel of jetgeom.jets.
+The closed-form Christoffel symbols of a diagonal 2D metric check the general
+Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
+coefficient, the product through the product_rank dictionary, Newton
+reciprocal, Horner exp) is the reference for the integer kernel of
+jetgeom.jets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from jetgeom import Jet
+from jetgeom import Connection, Jet, Metric
 from jetgeom import multiindex as mi
 
 
@@ -139,6 +141,23 @@ def full_codazzi_check(nabla_g_form, order: int) -> bool:
                     if not (nabla_g_form.comp(*p) - base).is_zero_up_to(order):
                         return False
     return True
+
+
+def levi_civita_diagonal_2d(g: Metric) -> Connection:
+    """Closed-form Christoffel symbols of a diagonal 2D metric."""
+    assert g.n == 2 and g.comp(1, 2).is_zero()
+    half = Fraction(1, 2)
+    g11, g22 = g.comp(1, 1), g.comp(2, 2)
+    inv11, inv22 = g11.reciprocal(), g22.reciprocal()
+    lower = {
+        (1, (1, 1)): (inv11 * g11.partial(1)).scale(half),
+        (2, (1, 1)): (inv22 * g11.partial(2)).scale(-half),
+        (1, (1, 2)): (inv11 * g11.partial(2)).scale(half),
+        (2, (1, 2)): (inv22 * g22.partial(1)).scale(half),
+        (1, (2, 2)): (inv11 * g22.partial(1)).scale(-half),
+        (2, (2, 2)): (inv22 * g22.partial(2)).scale(half),
+    }
+    return Connection.from_symmetric(2, lower)
 
 
 # ---------------------------------------------------------------------------

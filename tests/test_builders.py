@@ -39,7 +39,7 @@ from jetgeom import (
     zero_free_data,
 )
 from jetgeom.builders import (
-    _statistical_determined_pairs,
+    _codazzi_spec,
     solve_determined_christoffels,
 )
 from oracles import exp_series_jet
@@ -613,7 +613,7 @@ def _sequential_solve(rows, n, cap):
 def test_determined_solve_matches_sequential_substitution(n):
     cap = 3
     det = _determined_membership(n)
-    assert det == set(_statistical_determined_pairs(n))
+    assert det == set(_codazzi_spec(n).determined)
     g0 = random_normalized_metric(61 + n, n, cap, 2, 2)
     gtable = {
         (i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
@@ -630,7 +630,7 @@ def test_determined_solve_matches_sequential_substitution(n):
                         rng.randrange(2**32), n, 2, 2, cap
                     )
     simultaneous = solve_determined_christoffels(
-        n, cap, gtable, gammas_known, _statistical_determined_pairs(n)
+        n, cap, gtable, gammas_known, _codazzi_spec(n).determined
     )
     sequential = _sequential_solve(
         _oracle_rows(n, cap, gtable, gammas_known, det), n, cap
@@ -645,7 +645,7 @@ def test_determined_symbol_system_singular_at_origin_raises():
     n = 3
     zero = Jet.zero(n, CAP)
     gtable = {(i, j): zero for i in range(1, n + 1) for j in range(1, n + 1)}
-    det = _statistical_determined_pairs(n)
+    det = _codazzi_spec(n).determined
     free = {
         key: zero
         for key in builders_module._all_pair_keys(n)

@@ -183,8 +183,19 @@ def test_forbidden_x1_derivative_detected():
     # Picard iterates drifting and the stabilization guard fires
     rhs = lambda u: {"u": u["u"].partial(1) + Jet.one(2, cap)}
     system = FirstOrderSystem(("u",), rhs, {"u": SliceJet(Jet.variable(1, 1, cap))})
-    with pytest.raises(StabilizationError):
+    with pytest.raises(StabilizationError, match="forbidden x1-derivative$"):
         solve_first_order(system)
+
+
+def test_forbidden_second_x1_derivative_detected():
+    cap = 4
+    # (u)_11 = (u)_11 + 1 has no solution either; the second-order message
+    # names a forbidden derivative, since first x1-derivatives are allowed
+    rhs = lambda u: {"u": u["u"].partial(1).partial(1) + Jet.one(2, cap)}
+    start = SliceJet(Jet.variable(1, 1, cap))
+    system = SecondOrderSystem(("u",), rhs, {"u": start}, {"u": start})
+    with pytest.raises(StabilizationError, match="forbidden derivative$"):
+        solve_second_order(system)
 
 
 def test_evaluator_exception_carries_context():

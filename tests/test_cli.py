@@ -260,6 +260,34 @@ def test_malformed_scenario_data_exits_1(tmp_path, capsys, payload, output):
 
 
 @pytest.mark.parametrize(
+    "payload, section",
+    [
+        pytest.param({"random": [1]}, "random", id="random"),
+        pytest.param({"prescribed": [1]}, "prescribed", id="prescribed-ricci"),
+        pytest.param(
+            {"construction": "metric-2d", "prescribed": [1]}, "prescribed", id="prescribed"
+        ),
+        pytest.param({"free_data": [1]}, "free_data", id="free-data"),
+        pytest.param(
+            {"free_data": {"default": "zero", "slots": [1]}},
+            "free_data.slots",
+            id="free-data-slots",
+        ),
+        pytest.param({"mode": "round_trip", "round_trip": [1]}, "round_trip", id="round-trip"),
+    ],
+)
+def test_scenario_section_not_an_object_exits_1(tmp_path, capsys, payload, section):
+    scenario = {"construction": "general", "n": 2, "D": 3, "seed": 1}
+    scenario.update(payload, output=str(tmp_path / "report.json"))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"malformed scenario: section {section!r} must be an object, not list\n"
+    )
+
+
+@pytest.mark.parametrize(
     "key, inline, reason",
     [
         ("r11", inline_jet({"1 0": "1/1"}, 2, 4), "degenerate-prescribed-tensor"),

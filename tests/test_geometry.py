@@ -19,7 +19,6 @@ from jetgeom import (
     is_codazzi,
     lambda_term,
     levi_civita,
-    levi_civita_diagonal_2d,
     metric_inverse,
     nabla_g,
     parallel_volume_2d,
@@ -38,7 +37,7 @@ from jetgeom import (
     two_form_closed,
 )
 from jetgeom.geometry import _gauss_jordan
-from oracles import log_one_plus_x1_jet, sqrt_one_plus_x1_jet
+from oracles import levi_civita_diagonal_2d, log_one_plus_x1_jet, sqrt_one_plus_x1_jet
 
 CAP = 4
 

@@ -1,7 +1,10 @@
 """Pinned SHA-256 of canonical reports: one direct and one round_trip
 scenario per construction (metric-2d has no round_trip mode), at small n
-and D. A refactor of the equation generators or builders must leave every
-report byte unchanged; an intended byte change updates these hashes."""
+and D, plus statistical at n = 4, the smallest n with (i, j, k) algebraic
+Codazzi rows; and of the `jetgeom census` output of every tag, which fixes
+the order of the slot lists. A refactor of the equation generators or
+builders must leave every report byte unchanged; an intended byte change
+updates these hashes."""
 
 import hashlib
 import json
@@ -30,6 +33,10 @@ GOLDEN = {
         "41ff752db6a5856a22e5f27f8579c943f390c075ac0d0745b1fb97f455fa20ec",
     ("statistical", 3, 3, "round_trip"):
         "b80509bf0d317574e747decda01f6146357a0e61c551aa6c91e8c0f33a3e7bcd",
+    ("statistical", 4, 3, "direct"):
+        "9020e3122ae06711a754e91414d398cb44960cbd0bfb5fd5e10ae711bcbf538a",
+    ("statistical", 4, 3, "round_trip"):
+        "86d4e60210a5729a27ec41fe8e99f9ec3004a9a3630ed4e19b2769a686641b7e",
     ("statistical-2d", 2, 4, "direct"):
         "b04d023664ca4213dbb1900e097a66a57b3158f9c81b03173458f2303edd482e",
     ("statistical-2d", 2, 4, "round_trip"):
@@ -40,6 +47,19 @@ GOLDEN = {
         "23d31a7162eef789c1e902f9133f0c867cbf0a495fcd9d5c8ab22703faabd63a",
     ("metric-2d", 2, 5, "direct"):
         "067cae383a756611857ec641aedc3390ca71c6b6ae1d961607fe2d23dbaaa917",
+}
+
+# tag -> SHA-256 of the stdout of `jetgeom census <tag> <n>` for n = 2..6,
+# concatenated; the last three tags have no census and print a rejection
+CENSUS_GOLDEN = {
+    "general": "3e181eabd774b852e06ccef5d18491d79bce866e66b83f3030389e17f00c8246",
+    "trace-free-torsion": "30d4555445ef36440d7f56d1e536f17651f2a7c6b4d8b0b5cc42c858785ae775",
+    "torsion-free": "68e260a35925a67539810586cab05e3cae902f6a1f5b8d95406840f22aedcf0a",
+    "statistical": "3cfbef571f039b20198a73096e2eadd714aeedc0a41b3407199a0f58bb35dcf8",
+    "statistical-2d": "69f57a93d8298d431905193a53bf94812d300a543dda8e4cc452b470b9b1eb18",
+    "trace-free-statistical-2d":
+        "69f57a93d8298d431905193a53bf94812d300a543dda8e4cc452b470b9b1eb18",
+    "metric-2d": "69f57a93d8298d431905193a53bf94812d300a543dda8e4cc452b470b9b1eb18",
 }
 
 
@@ -63,3 +83,12 @@ def test_report_bytes_are_pinned(tmp_path, capsys, tag, n, cap, mode):
     path.write_text(json.dumps({**scenario(tag, n, cap, mode), "output": str(out)}))
     assert main(["run", str(path)]) == 0, capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(tag, n, cap, mode)]
+
+
+@pytest.mark.parametrize("tag", list(CENSUS_GOLDEN))
+def test_census_output_is_pinned(capsys, tag):
+    out = ""
+    for n in range(2, 7):
+        main(["census", tag, str(n)])
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_GOLDEN[tag]

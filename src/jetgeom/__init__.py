@@ -51,7 +51,6 @@ from .errors import (
 from .geometry import (
     Bilinear,
     Connection,
-    CubicForm,
     Metric,
     OneForm,
     TwoForm,

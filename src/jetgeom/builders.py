@@ -7,32 +7,36 @@ Free-data slots are named after the component they fill: a Christoffel slot
 slot "g;i,j" is the metric component. The gauge-function slot of the
 torsion-free construction is called "phi".
 
+Every first-order construction writes its equations in one row form, `_Row`:
+linear, derivative and product atoms over one table of jets, evaluated by
+`_row_sum`. `_ck_solve` takes one row per CK unknown, pops the unknown's
+x1-derivative (coefficient +-1), asserts that no other unknown's
+x1-derivative is left, which is the structural form the solver's
+degree-by-degree stabilization requires, and solves.
+
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
 per construction, whether the Christoffel table is symmetric, which Ricci
 component isolates the x1-derivative of which unknown, and how each
 algebraically determined symbol is a signed sum of other symbols and of the
-prescribed divergence functions. `_ricci_rows` generates every equation
-mechanically from the Ricci formula: it lists the derivative terms as
-(coefficient, symbol, axis) atoms, substitutes the determined symbols,
-cancels, and pops the single x1-derivative of the equation's unknown. It
-asserts that this atom has the expected coefficient and that no other
-x1-derivative of an unknown is consumed, which is the structural form the
-solver's degree-by-degree stabilization requires. `build_prescribed_ricci`
-holds the one assembly and right-hand side (`geometry.lambda_term` plus r
-minus the derivative atoms) and solves; the three named builders call it.
+prescribed divergence functions. `_ricci_rows` generates the row
+Ric_ab - r_ab = 0 of every equation mechanically from the Ricci formula: the
+derivative terms with the determined symbols substituted and cancelled, and
+the quadratic terms as products over the canonical keys and the divergence
+entries ("div", l). `build_prescribed_ricci` assembles the table and solves;
+the three named builders call it.
 
 The statistical constructions (statistical-2d, trace-free-statistical-2d and
-statistical) share one Codazzi path. `_codazzi_gap` lists the gap
-(nabla g)_ijk - (nabla g)_jik as derivative atoms (sign, g-pair, axis) and
-product atoms (coefficient, gamma-key, g-pair); on a symmetric table the keys
-fold, so the torsion terms cancel when the row is built. Each metric unknown
-g_ab takes its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
+statistical) share one Codazzi path. `_codazzi_gap` gives the row of the gap
+(nabla g)_ijk - (nabla g)_jik: derivative atoms of metric pairs and product
+atoms (gamma-key, metric pair); on a symmetric table the keys fold, so the
+torsion terms cancel when the row is built. Each metric unknown g_ab takes
+its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_codazzi_spec` lists form the jet-linear system that
 `solve_determined_christoffels` solves for the determined symbols.
-`_codazzi_metric` holds the one assembly, right-hand side and solve; the
-builders differ only in where g11 comes from, where the Christoffel table
-comes from, and the initial slices.
+`_codazzi_metric` holds the one assembly; the builders differ only in where
+g11 comes from, where the Christoffel table comes from, and the initial
+slices.
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ from .geometry import (
     Metric,
     OneForm,
     _gauss_jordan,
+    _ricci_11_diagonal_2d,
     _sum_jets,
     divergence_form,
     is_codazzi,
-    lambda_term,
     levi_civita,
     parallel_volume_2d,
     potential_of_one_form,
@@ -151,7 +155,7 @@ def census(construction: str, n: int) -> Census:
 
     if construction != "statistical":
         spec = _ricci_spec(construction, n)
-        unknowns = tuple(gamma_slot(*unknown) for _, unknown, _ in spec.equations)
+        unknowns = tuple(gamma_slot(*unknown) for _, unknown in spec.equations)
         determined = tuple(gamma_slot(*key) for key in spec.substitutions)
         if spec.symmetric:
             keys = [(k, i, j) for k, (i, j) in _all_pair_keys(n)]
@@ -233,26 +237,24 @@ def _slot_normal_value(slot: str):
     return None
 
 
+def _normalized(slot: str, jet: Jet) -> Jet:
+    normal = _slot_normal_value(slot)
+    return jet if normal is None else _with_constant(jet, normal)
+
+
 def zero_free_data(cen: Census, max_degree: int) -> FreeData:
     """All-zero data, except metric slots which keep their required values
     at the origin (g11(0) = 1, delta-normalized slices)."""
     n = cen.n
-    free = {}
-    for slot in cen.free_function_slots:
-        if slot == "phi":
-            continue
-        jet = Jet.zero(n, max_degree)
-        normal = _slot_normal_value(slot)
-        if normal is not None:
-            jet = _with_constant(jet, normal)
-        free[slot] = jet
-    slices = {}
-    for slot in cen.initial_slice_slots:
-        jet = Jet.zero(n - 1, max_degree)
-        normal = _slot_normal_value(slot)
-        if normal is not None:
-            jet = _with_constant(jet, normal)
-        slices[slot] = SliceJet(jet)
+    free = {
+        slot: _normalized(slot, Jet.zero(n, max_degree))
+        for slot in cen.free_function_slots
+        if slot != "phi"
+    }
+    slices = {
+        slot: SliceJet(_normalized(slot, Jet.zero(n - 1, max_degree)))
+        for slot in cen.initial_slice_slots
+    }
     return FreeData(free, slices, None)
 
 
@@ -270,18 +272,12 @@ def random_free_data(
         jet = random_poly(rng.randrange(2**32), n, degree, coeff_bound, max_degree)
         if slot == "phi":
             gauge = jet
-            continue
-        normal = _slot_normal_value(slot)
-        if normal is not None:
-            jet = _with_constant(jet, normal)
-        free[slot] = jet
+        else:
+            free[slot] = _normalized(slot, jet)
     slices = {}
     for slot in cen.initial_slice_slots:
         jet = random_poly(rng.randrange(2**32), n - 1, degree, coeff_bound, max_degree)
-        normal = _slot_normal_value(slot)
-        if normal is not None:
-            jet = _with_constant(jet, normal)
-        slices[slot] = SliceJet(jet)
+        slices[slot] = SliceJet(_normalized(slot, jet))
     return FreeData(free, slices, gauge)
 
 
@@ -566,6 +562,78 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# equation rows and the one first-order CK solve
+
+
+@dataclass(frozen=True)
+class _Row:
+    """The sum of linear atoms c * table[key], derivative atoms
+    c * (table[key])_axis and product atoms c * table[x] * table[y] over one
+    table of jets; an equation row states that the sum vanishes."""
+
+    linear: tuple[tuple[int, object], ...] = ()
+    derivatives: tuple[tuple[int, object, int], ...] = ()
+    products: tuple[tuple[int, object, object], ...] = ()
+
+
+def _bump(counter: dict, key, delta: int):
+    counter[key] = counter.get(key, 0) + delta
+
+
+def _atoms(counter: dict) -> tuple:
+    """The (coefficient, *key) atoms of a counter, cancelled terms dropped."""
+    return tuple((c, *key) for key, c in counter.items() if c)
+
+
+def _signed(c: int, jet: Jet) -> Jet:
+    return jet if c == 1 else -jet if c == -1 else jet.scale(c)
+
+
+def _row_sum(row: _Row, table: Mapping, pulled=frozenset()):
+    """The sum of the row's atoms on the table, leaving out the products whose
+    first key is in pulled; and for each pulled key, its coefficient jet."""
+    terms = [_signed(c, table[key]) for c, key in row.linear]
+    terms += [_signed(c, table[key].partial(ax)) for c, key, ax in row.derivatives]
+    coeffs: dict = {}
+    for c, x, y in row.products:
+        if x in pulled:
+            coeffs.setdefault(x, []).append(_signed(c, table[y]))
+        else:
+            terms.append(_signed(c, table[x] * table[y]))
+    return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
+
+
+def _ck_solve(
+    equations: Mapping, labels: Mapping, assemble, initial: Mapping[str, SliceJet]
+) -> dict:
+    """Solve the first-order CK system with one equation row per unknown key,
+    holding the unknown's x1-derivative with coefficient s = +-1 and no other
+    unknown's, as (u)_1 = -s * (rest of the row) on the table assemble(values)
+    of the labelled unknowns' values; return assemble(solution)."""
+    rests = {}
+    for key, row in equations.items():
+        kept = [c for c, atom, ax in row.derivatives if (atom, ax) == (key, 1)]
+        rest = tuple(d for d in row.derivatives if (d[1], d[2]) != (key, 1))
+        consumed = [labels[atom] for _, atom, ax in rest if ax == 1 and atom in labels]
+        if kept not in ([1], [-1]) or consumed:
+            raise AssertionError(
+                f"the row of {labels[key]} holds its x1-derivative with coefficients "
+                f"{kept} and consumes the x1-derivatives of {consumed}"
+            )
+        rests[key] = (-kept[0], _Row(row.linear, rest, row.products))
+
+    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
+        table = assemble(values)
+        return {
+            labels[key]: _signed(sign, _row_sum(row, table)[0])
+            for key, (sign, row) in rests.items()
+        }
+
+    system = FirstOrderSystem(tuple(labels.values()), rhs, initial)
+    return assemble(solve_first_order(system).values)
+
+
+# ---------------------------------------------------------------------------
 # prescribed Ricci: one spec per torsion regime, one row generator, one builder
 
 
@@ -573,13 +641,12 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
 class _RicciSpec:
     """How Ric(conn) = r becomes a CK system. Table keys are (k, i, j), with
     i <= j when the table is symmetric. An equation is (the Ricci component
-    (a, b) it uses, the unknown whose x1-derivative it isolates, the expected
-    coefficient of that derivative); a substitution expresses a determined
-    symbol as (sign, atom) terms over other keys and the prescribed
-    divergence jets ("d", k)."""
+    (a, b) it uses, the unknown whose x1-derivative it isolates); a
+    substitution expresses a determined symbol as (sign, atom) terms over
+    other keys and the prescribed divergence jets ("d", k)."""
 
     symmetric: bool
-    equations: tuple[tuple[tuple[int, int], tuple[int, int, int], int], ...]
+    equations: tuple[tuple[tuple[int, int], tuple[int, int, int]], ...]
     substitutions: dict[tuple[int, int, int], tuple[tuple[int, object], ...]]
 
     def canon(self, k: int, i: int, j: int) -> tuple[int, int, int]:
@@ -590,11 +657,9 @@ def _ricci_spec(construction: str, n: int) -> _RicciSpec:
     rng = range(1, n + 1)
     if construction == "torsion-free":
         # rows (1,1), (1,j) and (i,j) with 1 < i <= j; the (1,j) rows use Ric_j1
-        equations = [((1, 1), (2, 1, 2), -1)]
-        equations += [((j, 1), (1, 1, j), 1) for j in range(2, n + 1)]
-        equations += [
-            ((i, j), (1, i, j), 1) for i in range(2, n + 1) for j in range(i, n + 1)
-        ]
+        equations = [((1, 1), (2, 1, 2))]
+        equations += [((j, 1), (1, 1, j)) for j in range(2, n + 1)]
+        equations += [((i, j), (1, i, j)) for i in range(2, n + 1) for j in range(i, n + 1)]
         # divergence form D_k = sum_l G^l_lk solved for G^1_11 and G^k_kk
         subs = {
             (k, k, k): ((1, ("d", k)),)
@@ -606,8 +671,8 @@ def _ricci_spec(construction: str, n: int) -> _RicciSpec:
         raise RejectionError(
             "unsupported-construction", f"{construction} is not a prescribed-Ricci construction"
         )
-    equations = [((1, j), (n, n, j), -1) for j in rng]
-    equations += [((i, j), (1, i, j), 1) for i in range(2, n + 1) for j in rng]
+    equations = [((1, j), (n, n, j)) for j in rng]
+    equations += [((i, j), (1, i, j)) for i in range(2, n + 1) for j in rng]
     subs = {}
     if construction == "trace-free-torsion":
         # tau_k = sum_i (G^i_ik - G^i_ki) = 0 solved for G^{i0}_{k,i0}
@@ -619,51 +684,30 @@ def _ricci_spec(construction: str, n: int) -> _RicciSpec:
     return _RicciSpec(False, tuple(equations), subs)
 
 
-def _combination(terms, table: Mapping) -> Jet:
-    """The signed sum of table[atom] over the (sign, atom) terms."""
-    return _sum_jets(table[atom] if sign == 1 else -table[atom] for sign, atom in terms)
-
-
-@dataclass(frozen=True)
-class _Row:
-    pair: tuple[int, int]
-    unknown: tuple[int, int, int]
-    kept_sign: int
-    atoms: tuple[tuple[int, object, int], ...]
-
-
-def _bump(counter: dict, key, delta: int):
-    counter[key] = counter.get(key, 0) + delta
-
-
-def _ricci_rows(spec: _RicciSpec, n: int) -> list[_Row]:
-    """One row per equation: the derivative terms of Ric_ab as (coefficient,
-    atom, axis), the determined symbols substituted, the x1-derivative of the
-    equation's unknown popped."""
-    unknowns = {unknown for _, unknown, _ in spec.equations}
-    rows = []
-    for (a, b), unknown, expected in spec.equations:
+def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
+    """The row Ric_ab - r_ab = 0 of each equation, keyed by its unknown: the
+    derivative terms of `geometry.ricci` with the determined symbols
+    substituted and cancelled, and its quadratic terms as products over the
+    canonical keys and the divergence entries ("div", l) = sum_k G^k_kl,
+    (x, y) and (y, x) folded into one atom."""
+    rng = range(1, n + 1)
+    rows = {}
+    for (a, b), unknown in spec.equations:
         counter: dict = {}
-        for k in range(1, n + 1):
+        for k in rng:
             _bump(counter, (spec.canon(k, a, b), k), 1)
             _bump(counter, (spec.canon(k, k, b), a), -1)
         expanded: dict = {}
         for (sym, ax), c in counter.items():
             for sign, atom in spec.substitutions.get(sym, ((1, sym),)):
                 _bump(expanded, (atom, ax), c * sign)
-        kept = expanded.pop((unknown, 1), 0)
-        if kept != expected:
-            raise AssertionError(
-                f"equation ({a},{b}): expected coefficient {expected} on the "
-                f"x1-derivative of {unknown}, found {kept}"
-            )
-        atoms = tuple((c, atom, ax) for (atom, ax), c in expanded.items() if c)
-        for c, atom, ax in atoms:
-            if ax == 1 and atom in unknowns:
-                raise AssertionError(
-                    f"equation ({a},{b}) consumes the x1-derivative of {atom}"
-                )
-        rows.append(_Row((a, b), unknown, expected, atoms))
+        products: dict = {}
+        for l in rng:
+            _bump(products, (spec.canon(l, a, b), ("div", l)), 1)
+            for k in rng:
+                x, y = spec.canon(l, k, b), spec.canon(k, a, l)
+                _bump(products, (min(x, y), max(x, y)), -1)
+        rows[unknown] = _Row(((-1, ("r", a, b)),), _atoms(expanded), _atoms(products))
     return rows
 
 
@@ -680,6 +724,7 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     _validate_free_data(cen, fd, n, cap)
     spec = _ricci_spec(construction, n)
     known = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
+    known.update({("r", *pair): jet for pair, jet in r.comps.items()})
     if spec.symmetric:
         anti = split(r)[1]
         closed_order = max(anti.min_valid() - 1, 0)
@@ -693,39 +738,23 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
-    rows = _ricci_rows(spec, n)
-    labels = {unknown: gamma_slot(*unknown) for _, unknown, _ in spec.equations}
+    labels = {unknown: gamma_slot(*unknown) for _, unknown in spec.equations}
+    # the determined symbols, then the divergence entries of the products
+    derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
+    for l in range(1, n + 1):
+        derived[("div", l)] = _Row(tuple((1, spec.canon(k, k, l)) for k in range(1, n + 1)))
 
     def assemble(unknown_values: Mapping[str, Jet]) -> dict:
         table = dict(known)
         for key, lab in labels.items():
             table[key] = unknown_values[lab]
-        for target, terms in spec.substitutions.items():
-            table[target] = _combination(terms, table)
+        for target, row in derived.items():
+            table[target] = _row_sum(row, table)[0]
         return table
 
-    def connection(table: Mapping) -> Connection:
-        gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
-        return Connection(n, gamma, symmetric=spec.symmetric)
-
-    def rhs(unknown_values: dict[str, Jet]) -> dict[str, Jet]:
-        table = assemble(unknown_values)
-        lam = lambda_term(connection(table))
-        out = {}
-        for row in rows:
-            acc = lam.comp(*row.pair) + r.comp(*row.pair)
-            for c, atom, ax in row.atoms:
-                acc = acc - table[atom].partial(ax).scale(c)
-            out[labels[row.unknown]] = acc if row.kept_sign == 1 else -acc
-        return out
-
-    system = FirstOrderSystem(
-        tuple(labels.values()),
-        rhs,
-        {lab: fd.initial_slices[lab] for lab in labels.values()},
-    )
-    solution = solve_first_order(system)
-    conn = connection(assemble(solution.values))
+    table = _ck_solve(_ricci_rows(spec, n), labels, assemble, fd.initial_slices)
+    gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
+    conn = Connection(n, gamma, symmetric=spec.symmetric)
     return _checked(
         BuildReport(construction, n, cap, {"r": r}, fd, {"connection": conn}, [])
     )
@@ -776,24 +805,14 @@ def build_metric_2d_prescribed_ricci(
             "initial-value-vanishes", "the initial slice for h must not vanish at 0"
         )
 
-    quarter = Fraction(1, 4)
-
     def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
         h = values["h"]
         w = h * r11
         v = h * r22
         iv = v.reciprocal()
-        iw = w.reciprocal()
-        # (v)_11 with the h_11 term removed; the rest of the identity is E
+        # Ric_11 of diag(w, v) with the h_11 term of (v)_11 removed
         v11_rest = (h.partial(1) * r22.partial(1)).scale(2) + h * r22.partial(1).partial(1)
-        t1 = (iv * (w.partial(2).partial(2) + v11_rest)).scale(-HALF)
-        t2 = (iv * iv * (v.partial(2) * w.partial(2) + v.partial(1) * v.partial(1))).scale(
-            quarter
-        )
-        t3 = (iw * iv * (w.partial(1) * v.partial(1) + w.partial(2) * w.partial(2))).scale(
-            quarter
-        )
-        remaining = t1 + t2 + t3
+        remaining = _ricci_11_diagonal_2d(w, v, w.reciprocal(), iv, v11_rest)
         lead = (iv * r22).scale(-HALF)  # equals -1/(2h) up to the valid order
         return {"h": (r11 - remaining) * lead.reciprocal()}
 
@@ -868,15 +887,15 @@ def _gamma_key(symmetric: bool, l: int, a: int, b: int) -> tuple:
     return (l, _pair(a, b) if symmetric else (a, b))
 
 
-def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool):
+def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool) -> _Row:
     """The Codazzi gap (nabla g)_ijk - (nabla g)_jik,
 
         (g_jk)_i - (g_ik)_j - sum_l (G^l_ij - G^l_ji) g_lk
                  - sum_l G^l_ik g_jl + sum_l G^l_jk g_il,
 
-    as derivative atoms (sign, g-pair, axis), the first being +(g_jk)_i, and
-    product atoms (coefficient, gamma-key, g-pair). On a symmetric table the
-    torsion terms cancel here."""
+    as a row over metric pairs and gamma-keys: derivative atoms
+    (sign, pair, axis) and product atoms (coefficient, gamma-key, pair). On a
+    symmetric table the torsion terms cancel here."""
     products: dict = {}
     for l in range(1, n + 1):
         _bump(products, (_gamma_key(symmetric, l, i, j), _pair(l, k)), -1)
@@ -884,25 +903,7 @@ def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool):
         _bump(products, (_gamma_key(symmetric, l, i, k), _pair(j, l)), -1)
         _bump(products, (_gamma_key(symmetric, l, j, k), _pair(i, l)), 1)
     derivatives = ((1, _pair(j, k), i), (-1, _pair(i, k), j))
-    return derivatives, tuple((c, key, gp) for (key, gp), c in products.items() if c)
-
-
-def _signed(c: int, jet: Jet) -> Jet:
-    return jet if c == 1 else -jet if c == -1 else jet.scale(c)
-
-
-def _gap_sum(derivatives, products, g: Mapping, gamma: Mapping, pulled=frozenset()):
-    """The sum of the atoms on the metric table g and the Christoffel table
-    gamma, leaving out the products whose gamma-key is in pulled; and for
-    each pulled key, its coefficient jet."""
-    terms = [_signed(s, g[p].partial(ax)) for s, p, ax in derivatives]
-    coeffs: dict = {}
-    for c, key, gp in products:
-        if key in pulled:
-            coeffs.setdefault(key, []).append(_signed(c, g[gp]))
-        else:
-            terms.append(_signed(c, gamma[key] * g[gp]))
-    return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
+    return _Row(derivatives=derivatives, products=_atoms(products))
 
 
 def solve_determined_christoffels(
@@ -916,10 +917,10 @@ def solve_determined_christoffels(
     solve them simultaneously for the determined Christoffel symbols."""
     pulled = set(determined_keys)
     zero = Jet.zero(n, cap)
+    table = {**gtable, **free_gammas}
     matrix = []
     for gap in _codazzi_spec(n).gaps:
-        derivatives, products = _codazzi_gap(*gap, n, True)
-        rest, coeffs = _gap_sum(derivatives, products, gtable, free_gammas, pulled)
+        rest, coeffs = _row_sum(_codazzi_gap(*gap, n, True), table, pulled)
         matrix.append([coeffs.get(key, zero) for key in determined_keys] + [-rest])
     solved = _gauss_jordan(matrix)
     return {key: row[-1] for key, row in zip(determined_keys, solved)}
@@ -927,33 +928,21 @@ def solve_determined_christoffels(
 
 def _codazzi_metric(
     n: int, symmetric: bool, initial: Mapping[str, SliceJet], g11_from, gamma_from
-) -> tuple[Metric, Mapping]:
+) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
-    initial slices, and its Christoffel table. Every evaluation assembles
-    g11 = g11_from(table of the unknowns) and gamma = gamma_from(metric
-    table)."""
+    initial slices, and its table with the Christoffel symbols. Every
+    evaluation assembles g11 = g11_from(table of the unknowns) and the
+    symbols gamma_from(metric table)."""
     labels = {pair: metric_slot(*pair) for pair in _codazzi_spec(n).unknowns}
     rows = {pair: _codazzi_gap(1, pair[1], pair[0], n, symmetric) for pair in labels}
 
-    def assemble(values: Mapping[str, Jet]) -> tuple[dict, Mapping]:
+    def assemble(values: Mapping[str, Jet]) -> dict:
         g = {pair: values[lab] for pair, lab in labels.items()}
         g = {(1, 1): g11_from(g), **g}
-        return g, gamma_from(g)
+        return {**gamma_from(g), **g}
 
-    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
-        g, gamma = assemble(values)
-        out = {}
-        for pair, (derivatives, products) in rows.items():
-            # the first derivative atom is the kept +(g_ab)_1
-            rest, _ = _gap_sum(derivatives[1:], products, g, gamma)
-            out[labels[pair]] = -rest
-        return out
-
-    system = FirstOrderSystem(
-        tuple(labels.values()), rhs, {lab: initial[lab] for lab in labels.values()}
-    )
-    g, gamma = assemble(solve_first_order(system).values)
-    return Metric(n, g), gamma
+    table = _ck_solve(rows, labels, assemble, initial)
+    return Metric(n, {pair: table[pair] for pair in [(1, 1), *labels]}), table
 
 
 def _codazzi_metric_2d(
@@ -1051,21 +1040,15 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
             )
 
     determined = _codazzi_spec(n).determined
-    free_gammas = {}
-    for slot, jet in fd.free_functions.items():
-        parsed = parse_slot(slot)
-        if parsed[0] != "g":
-            k, i, j = parsed
-            free_gammas[(k, (i, j))] = jet
+    parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
+    free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
 
     def gamma_from(g: Mapping) -> dict:
         det = solve_determined_christoffels(n, cap, g, free_gammas, determined)
         return {**free_gammas, **det}
 
-    metric, gamma = _codazzi_metric(
-        n, True, fd.initial_slices, lambda g: g11, gamma_from
-    )
-    conn = Connection.from_symmetric(n, gamma)
+    metric, table = _codazzi_metric(n, True, fd.initial_slices, lambda g: g11, gamma_from)
+    conn = Connection.from_symmetric(n, table)
 
     return _checked(
         BuildReport(
@@ -1105,7 +1088,7 @@ def random_trace_free_connection(
     CK-unknown slots are random, the trace-equation slots are solved."""
     gamma = dict(random_connection(seed, n, cap, degree, bound).gamma)
     for target, terms in _ricci_spec("trace-free-torsion", n).substitutions.items():
-        gamma[target] = _combination(terms, gamma)
+        gamma[target] = _row_sum(_Row(terms), gamma)[0]
     return Connection(n, gamma)
 
 

@@ -3,7 +3,8 @@
 
 Exit codes: 0 success, 1 malformed input (usage errors included), 2
 precondition rejection (with a machine-readable reason on stdout). Reports are canonical JSON, so a fixed
-seed yields a byte-identical report file.
+seed yields a byte-identical report file. A closed stdout (`jetgeom census
+general 3 | head -2`) ends the command quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -63,11 +64,27 @@ def _object(value, section: str) -> dict:
     return value
 
 
+def _integer(value, name: str) -> int:
+    """A scenario field that must be a JSON integer (a boolean is not one)."""
+    if type(value) is not int:
+        raise ScenarioError(f"{name} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
     """Degree and coefficient bound of the random draws, from the "random"
     (direct mode) or "round_trip" section."""
     cfg = _object(sc.get(section, {}), section)
-    return cfg.get("degree", min(3, cap - 1)), cfg.get("coeff_bound", 2)
+    defaults = {"degree": min(3, cap - 1), "coeff_bound": 2}
+    return tuple(_integer(cfg.get(k, v), f"{section}.{k}") for k, v in defaults.items())
+
+
+def _shape(sc: dict) -> tuple[int, int, int]:
+    """The scenario's n, D >= 2 and seed, in either mode."""
+    n, cap = _integer(sc["n"], "n"), _integer(sc["D"], "D")
+    if cap < 2:
+        raise ScenarioError("need D >= 2")
+    return n, cap, _integer(sc.get("seed", 0), "seed")
 
 
 def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:
@@ -166,11 +183,8 @@ def _free_data(sc: dict, cen, n: int, cap: int, rng, degree, bound) -> FreeData:
 
 def _run_direct(sc: dict) -> BuildReport:
     tag = sc["construction"]
-    n = int(sc["n"])
-    cap = int(sc["D"])
-    if cap < 2:
-        raise ScenarioError("need D >= 2")
-    rng = random.Random(sc.get("seed", 0))
+    n, cap, seed = _shape(sc)
+    rng = random.Random(seed)
     degree, bound = _bounds(sc, "random", cap)
     pres = _object(sc.get("prescribed") or {}, "prescribed")
 
@@ -235,9 +249,7 @@ def _run_direct(sc: dict) -> BuildReport:
 
 def _run_round_trip(sc: dict) -> BuildReport:
     tag = sc["construction"]
-    n = int(sc["n"])
-    cap = int(sc["D"])
-    seed = sc.get("seed", 0)
+    n, cap, seed = _shape(sc)
     degree, bound = _bounds(sc, "round_trip", cap)
 
     if tag in _RICCI_CONNECTIONS:
@@ -351,7 +363,12 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return 1
         raise
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return 1
+    return code
 
 
 def entry():

@@ -90,9 +90,6 @@ class Connection:
     def shape(self) -> tuple[int, int]:
         return _common_shape(self.gamma.values())
 
-    def entry(self, k: int, i: int, j: int) -> Jet:
-        return self.gamma[(k, i, j)]
-
     def is_symmetric_table(self) -> bool:
         return all(
             self.gamma[(k, i, j)].same_coeffs(self.gamma[(k, j, i)])
@@ -289,9 +286,9 @@ def ricci_derivative_part(conn: Connection) -> Bilinear:
 
 
 def lambda_term(conn: Connection) -> Bilinear:
-    """Quadratic Christoffel contraction, the term the prescribed-Ricci
-    right-hand sides start from: L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl],
-    so ricci = ricci_derivative_part - lambda_term."""
+    """Quadratic Christoffel contraction
+    L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl], so
+    ricci = ricci_derivative_part - lambda_term."""
     n = conn.n
     rng = range(1, n + 1)
     g = conn.gamma
@@ -517,32 +514,31 @@ def _require_diagonal_2d(g: Metric):
         raise SingularJetError("diagonal entry vanishes at the origin")
 
 
-def sectional_curvature_2d(g: Metric) -> Jet:
-    """Scalar f with Ric(levi_civita(g)) = f g for a diagonal 2D metric:
+def _ricci_11_diagonal_2d(g11: Jet, g22: Jet, i11: Jet, i22: Jet, g22_11: Jet) -> Jet:
+    """Ric_11 of the Levi-Civita connection of diag(g11, g22), given
+    i11 = 1/g11, i22 = 1/g22 and g22_11 = (g22)_11:
 
-        f = -1/2 g11^-1 g22^-1 [(g11)_22 + (g22)_11]
-            + 1/4 g11^-1 (g22^-1)^2 [(g22)_2 (g11)_2 + ((g22)_1)^2]
-            + 1/4 (g11^-1)^2 g22^-1 [(g11)_1 (g22)_1 + ((g11)_2)^2]
+        -1/2 i22 [(g11)_22 + (g22)_11] + 1/4 i22^2 [(g22)_2 (g11)_2 + ((g22)_1)^2]
+            + 1/4 i11 i22 [(g11)_1 (g22)_1 + ((g11)_2)^2]
     """
-    _require_diagonal_2d(g)
-    g11, g22 = g.comp(1, 1), g.comp(2, 2)
-    i11, i22 = g11.reciprocal(), g22.reciprocal()
-    t1 = (i11 * i22 * (g11.partial(2).partial(2) + g22.partial(1).partial(1))).scale(
-        -HALF
-    )
+    t1 = (i22 * (g11.partial(2).partial(2) + g22_11)).scale(-HALF)
     t2 = (
-        i11
-        * i22
-        * i22
-        * (g22.partial(2) * g11.partial(2) + g22.partial(1) * g22.partial(1))
+        i22 * i22 * (g22.partial(2) * g11.partial(2) + g22.partial(1) * g22.partial(1))
     ).scale(Fraction(1, 4))
     t3 = (
-        i11
-        * i11
-        * i22
-        * (g11.partial(1) * g22.partial(1) + g11.partial(2) * g11.partial(2))
+        i11 * i22 * (g11.partial(1) * g22.partial(1) + g11.partial(2) * g11.partial(2))
     ).scale(Fraction(1, 4))
     return t1 + t2 + t3
+
+
+def sectional_curvature_2d(g: Metric) -> Jet:
+    """Scalar f with Ric(levi_civita(g)) = f g for a diagonal 2D metric,
+    f = Ric_11 / g11."""
+    _require_diagonal_2d(g)
+    g11, g22 = g.comp(1, 1), g.comp(2, 2)
+    i11 = g11.reciprocal()
+    ric11 = _ricci_11_diagonal_2d(g11, g22, i11, g22.reciprocal(), g22.partial(1).partial(1))
+    return i11 * ric11
 
 
 def parallel_volume_2d(conn: Connection) -> Jet:

@@ -1,8 +1,11 @@
 """Theorem-level builders: fixtures, resolutions, round-trips, rejections."""
 
+import dataclasses
+
 import pytest
 
 import jetgeom.builders as builders_module
+import jetgeom.geometry as geometry_module
 from jetgeom import (
     Bilinear,
     Connection,
@@ -731,6 +734,56 @@ def test_rhs_respects_x1_filtration(tag, monkeypatch):
     for lab in system.labels:
         # outputs agree on x1-degrees <= 1 because inputs agree there
         assert out_base[lab].eq_on_x1_up_to(out_shifted[lab], 1)
+
+
+@pytest.mark.parametrize(
+    "leak, kept, consumed",
+    [((1, (2, 2), 1), [1], ["g;2,2"]), ((1, (1, 2), 1), [1, 1], [])],
+    ids=["other-unknown", "kept-twice"],
+)
+def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
+    monkeypatch, leak, kept, consumed
+):
+    # the CK row of g_12 is gap (1, 2, 1); a leaked atom must stop the build
+    # before any solve starts
+    real = builders_module._codazzi_gap
+
+    def leaky(i, j, k, n, symmetric):
+        row = real(i, j, k, n, symmetric)
+        if (i, j, k) == (1, 2, 1):
+            row = dataclasses.replace(row, derivatives=row.derivatives + (leak,))
+        return row
+
+    def unreachable(system):
+        raise AssertionError("solve_first_order reached")
+
+    monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
+    monkeypatch.setattr(builders_module, "solve_first_order", unreachable)
+    g11, init12, init22 = identity_2d_inputs(CAP)
+    with pytest.raises(AssertionError) as err:
+        build_statistical_2d(random_connection(43, 2, CAP, 3, 2), g11, init12, init22)
+    assert str(err.value) == (
+        f"the row of g;1,2 holds its x1-derivative with coefficients {kept} and "
+        f"consumes the x1-derivatives of {consumed}"
+    )
+
+
+@pytest.mark.parametrize("tag", ["general", "torsion-free"])
+def test_ricci_residual_check_is_independent_of_the_equations(monkeypatch, tag):
+    # a wrong quadratic Ricci term in the check must fail the build: the
+    # equations do not share the check's formula
+    real = geometry_module.lambda_term
+
+    def doubled(conn):
+        lam = real(conn)
+        return Bilinear(lam.n, {key: jet.scale(2) for key, jet in lam.comps.items()})
+
+    monkeypatch.setattr(geometry_module, "lambda_term", doubled)
+    monkeypatch.setattr(builders_module, "lambda_term", doubled, raising=False)
+    r = random_prescribed_tensor(tag, 95, 2, CAP, 3, 2)
+    fd = random_free_data(census(tag, 2), 96, 3, 2, CAP)
+    with pytest.raises(RuntimeError, match="internal verification failed"):
+        build_prescribed_ricci(tag, r, fd)
 
 
 def test_free_data_workspace_validated():

@@ -1,6 +1,8 @@
 """CLI: scenario runs, exit-code contract, census printing, report verify."""
 
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,6 +262,38 @@ def test_malformed_scenario_data_exits_1(tmp_path, capsys, payload, output):
 
 
 @pytest.mark.parametrize(
+    "payload, field, shown",
+    [
+        pytest.param({"n": True}, "n", "true", id="n"),
+        pytest.param({"D": 3.9}, "D", "3.9", id="D"),
+        pytest.param({"seed": 1.5}, "seed", "1.5", id="seed"),
+        pytest.param({"random": {"degree": 2.5}}, "random.degree", "2.5", id="degree"),
+        pytest.param(
+            {"random": {"coeff_bound": False}}, "random.coeff_bound", "false", id="coeff_bound"
+        ),
+    ],
+)
+def test_scenario_integer_fields_exit_1(tmp_path, capsys, payload, field, shown):
+    scenario = {"construction": "general", "n": 2, "D": 3, "seed": 1}
+    scenario.update(payload, output=str(tmp_path / "report.json"))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"malformed scenario: {field} must be an integer, not {shown}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["direct", "round_trip"])
+def test_scenario_degree_cap_below_2_exits_1(tmp_path, capsys, mode):
+    scenario = {"construction": "general", "n": 2, "D": 1, "seed": 1, "mode": mode}
+    scenario.update(output=str(tmp_path / "report.json"))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "malformed scenario: need D >= 2\n"
+
+
+@pytest.mark.parametrize(
     "payload, section",
     [
         pytest.param({"random": [1]}, "random", id="random"),
@@ -475,3 +509,18 @@ def test_help_exits_0(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "--order" in capsys.readouterr().out
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["census", "general", "3"]) == 1
+    assert err.getvalue() == ""

@@ -52,7 +52,7 @@ from .ck import (
     solve_first_order,
     solve_second_order,
 )
-from .errors import DimensionMismatchError, RejectionError
+from .errors import DimensionMismatchError, NotClosedError, RejectionError
 from .geometry import (
     Bilinear,
     Connection,
@@ -70,7 +70,6 @@ from .geometry import (
     ricci,
     split,
     torsion_trace,
-    two_form_closed,
 )
 from .jets import Jet, SliceJet, as_fraction, random_poly
 
@@ -178,6 +177,13 @@ def census(construction: str, n: int) -> Census:
         unknowns,
         tuple(gamma_slot(k, i, j) for k, (i, j) in spec.determined),
     )
+
+
+def _require_n2(construction: str, n: int):
+    """The dimension rule of the constructions `census` does not cover:
+    metric-2d, statistical-2d and trace-free-statistical-2d need n = 2."""
+    if construction in ("metric-2d", "statistical-2d", "trace-free-statistical-2d") and n != 2:
+        raise RejectionError("unsupported-construction", f"{construction} needs n = 2, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +410,6 @@ _CHECKS = {
     "free-functions": _free_functions,
 }
 
-# An order override reaches these; the other checks are structural and keep
-# their recorded meaning.
-_RESIDUAL_CHECKS = frozenset(
-    {
-        "ricci-residual",
-        "metric-ricci-residual",
-        "torsion-trace-zero",
-        "codazzi",
-        "volume-determinant",
-    }
-)
-
 _PRESCRIBED_RICCI_CHECKS = (
     ("ricci-residual", lambda d: d - 1),
     ("initial-slices", lambda d: d),
@@ -457,18 +451,17 @@ _CHECK_PLANS = {
 
 
 def _required_checks(report: BuildReport) -> list[tuple[str, int]]:
-    plan = _CHECK_PLANS.get(report.construction)
-    if plan is None:
-        raise ValueError(f"unknown construction {report.construction!r}")
+    plan = _CHECK_PLANS[report.construction]
     return [(name, order_of(report.max_degree)) for name, order_of in plan]
 
 
 def _run_checks(report: BuildReport, order: int | None = None) -> list[Check]:
-    checks = []
-    for name, recorded in _required_checks(report):
-        at = order if order is not None and name in _RESIDUAL_CHECKS else recorded
-        checks.append(Check(name, recorded, _CHECKS[name](report, at)))
-    return checks
+    """Run the required checks at their recorded orders, or all at an order
+    override; the structural checks do not read the order."""
+    return [
+        Check(name, recorded, _CHECKS[name](report, recorded if order is None else order))
+        for name, recorded in _required_checks(report)
+    ]
 
 
 def _checked(report: BuildReport) -> BuildReport:
@@ -531,9 +524,8 @@ def _require_types(report: BuildReport):
 def _require_workspace(report: BuildReport):
     declared = (report.n, report.max_degree)
     for name, value in report.outputs.items():
+        # `_require_types` admits only tables and jets as outputs
         table = isinstance(value, (Connection, Bilinear))
-        if not (table or isinstance(value, Jet)):
-            raise DimensionMismatchError(f"output {name!r} is neither a jet nor a table")
         shape = value.shape if table else (value.n, value.max_degree)
         if shape != declared or value.n != report.n:
             raise DimensionMismatchError(
@@ -549,11 +541,13 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
     does not verify. An order override (0..D) applies to the residual checks;
     structural checks keep their recorded meaning. Raises DimensionMismatchError
     when the report's n or D disagree with its output tables, RejectionError
-    when its free data does not fill the census slots, and ValueError for an
+    when its construction does not exist at its n (a 2D construction at n != 2)
+    or its free data does not fill the census slots, and ValueError for an
     unknown construction, prescribed or output values that are not the
     construction's (by name and type), or an order outside 0..D."""
     _require_types(report)
     _require_workspace(report)
+    _require_n2(report.construction, report.n)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
     if [(c.name, c.order) for c in report.checks] != _required_checks(report):
@@ -726,15 +720,13 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     known = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
     known.update({("r", *pair): jet for pair, jet in r.comps.items()})
     if spec.symmetric:
-        anti = split(r)[1]
-        closed_order = max(anti.min_valid() - 1, 0)
-        if not two_form_closed(anti, closed_order):
+        try:
+            alpha0 = primitive_of_two_form(split(r)[1])
+        except NotClosedError as err:
             raise RejectionError(
                 "antisymmetric-part-not-closed",
-                f"antisymmetric part of the prescribed tensor is not closed up to "
-                f"degree {closed_order}",
-            )
-        alpha0 = primitive_of_two_form(anti)
+                f"antisymmetric part of the prescribed tensor: {err}",
+            ) from None
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
@@ -787,10 +779,8 @@ def build_metric_2d_prescribed_ricci(
     nondegenerate r. The conformal factor solves a second-order CK equation:
     in the curvature identity the coefficient of (h)_11 is -1/(2h), so the
     right-hand side evaluates the remaining terms and divides."""
-    n = r.n
+    _require_n2("metric-2d", r.n)
     _, cap = r.shape
-    if n != 2:
-        raise RejectionError("unsupported-construction", "metric builder needs n = 2")
     r11, r22, r12 = r.comp(1, 1), r.comp(2, 2), r.comp(1, 2)
     if not (r12.is_zero() and r.comp(2, 1).is_zero()):
         raise RejectionError(
@@ -809,12 +799,11 @@ def build_metric_2d_prescribed_ricci(
         h = values["h"]
         w = h * r11
         v = h * r22
-        iv = v.reciprocal()
         # Ric_11 of diag(w, v) with the h_11 term of (v)_11 removed
         v11_rest = (h.partial(1) * r22.partial(1)).scale(2) + h * r22.partial(1).partial(1)
-        remaining = _ricci_11_diagonal_2d(w, v, w.reciprocal(), iv, v11_rest)
-        lead = (iv * r22).scale(-HALF)  # equals -1/(2h) up to the valid order
-        return {"h": (r11 - remaining) * lead.reciprocal()}
+        remaining = _ricci_11_diagonal_2d(w, v, w.reciprocal(), v.reciprocal(), v11_rest)
+        # divide by the coefficient -1/(2h) of (h)_11
+        return {"h": (remaining - r11) * h.scale(2)}
 
     system = SecondOrderSystem(("h",), rhs, {"h": phi}, {"h": psi})
     solution = solve_second_order(system)
@@ -960,8 +949,7 @@ def build_statistical_2d(
 ) -> BuildReport:
     """2D metric making the cubic form of an arbitrary analytic connection
     symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
-    if conn.n != 2:
-        raise RejectionError("unsupported-construction", "needs n = 2")
+    _require_n2("statistical-2d", conn.n)
     _, cap = conn.shape
     if g11.constant_term != 1 or init12.constant_term != 0 or init22.constant_term != 1:
         raise RejectionError(
@@ -988,9 +976,8 @@ def build_trace_free_statistical_2d(
     """Trace-free variant: the parallel volume form of the connection pins
     det g = nu^2, so g11 is determined by (nu^2 + g12^2) / g22 and only two
     one-variable slices remain free. Requires symmetric Ricci."""
-    if conn.n != 2:
-        raise RejectionError("unsupported-construction", "needs n = 2")
-    if not conn.symmetric and not conn.is_symmetric_table():
+    _require_n2("trace-free-statistical-2d", conn.n)
+    if not conn.is_symmetric_table():
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
     _, cap = conn.shape
     if init12.constant_term != 0 or init22.constant_term != 1:

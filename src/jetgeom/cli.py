@@ -19,6 +19,7 @@ from . import serialize
 from .builders import (
     BuildReport,
     FreeData,
+    _require_n2,
     _slot_normal_value,
     _with_constant,
     build_metric_2d_prescribed_ricci,
@@ -80,11 +81,14 @@ def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
 
 
 def _shape(sc: dict) -> tuple[int, int, int]:
-    """The scenario's n, D >= 2 and seed, in either mode."""
+    """The scenario's n, D >= 2 and seed, in either mode; a 2D construction
+    at another n is rejected before any data is drawn."""
     n, cap = _integer(sc["n"], "n"), _integer(sc["D"], "D")
     if cap < 2:
         raise ScenarioError("need D >= 2")
-    return n, cap, _integer(sc.get("seed", 0), "seed")
+    seed = _integer(sc.get("seed", 0), "seed")
+    _require_n2(sc["construction"], n)
+    return n, cap, seed
 
 
 def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:

@@ -53,15 +53,11 @@ class Connection:
         if set(gamma) != keys:
             raise DimensionMismatchError("incomplete Christoffel table")
         _common_shape(gamma.values())
-        if symmetric:
-            for k, i, j in keys:
-                if i < j and not gamma[(k, i, j)].same_coeffs(gamma[(k, j, i)]):
-                    raise DimensionMismatchError(
-                        f"table marked symmetric but gamma[{k};{i},{j}] != gamma[{k};{j},{i}]"
-                    )
         self.n = n
         self.gamma = dict(gamma)
         self.symmetric = symmetric
+        if symmetric and not self.is_symmetric_table():
+            raise DimensionMismatchError("table marked symmetric but gamma[k;i,j] != gamma[k;j,i]")
 
     @classmethod
     def from_symmetric(cls, n: int, lower_triangle: Mapping[tuple[int, tuple[int, int]], Jet]) -> "Connection":
@@ -554,11 +550,11 @@ def parallel_volume_2d(conn: Connection) -> Jet:
             for k in (1, 2)
         },
     )
-    working = max(t.min_valid() - 1, 0)
-    gap = t.comp(1).partial(2) - t.comp(2).partial(1)
-    if not gap.is_zero_up_to(working):
+    try:
+        log_nu = potential_of_one_form(t)
+    except NotClosedError:
         raise RejectionError(
             "ricci-not-symmetric",
             "trace form is not closed, so no parallel volume form exists",
-        )
-    return potential_of_one_form(t).exp()
+        ) from None
+    return log_nu.exp()

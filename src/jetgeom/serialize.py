@@ -125,33 +125,26 @@ def free_data_from_json(data: dict) -> FreeData:
     )
 
 
-_TYPED_TO_JSON = {
-    Jet: ("jet", jet_to_json),
-    SliceJet: ("slice", slice_to_json),
-    Connection: ("connection", connection_to_json),
-    Metric: ("metric", metric_to_json),
-    Bilinear: ("bilinear", bilinear_to_json),
-}
-
-_TYPED_FROM_JSON = {
-    "jet": jet_from_json,
-    "slice": slice_from_json,
-    "connection": connection_from_json,
-    "metric": metric_from_json,
-    "bilinear": bilinear_from_json,
+# type tag -> (class, encoder, decoder); a value takes the tag of the first
+# class it is an instance of, so a subclass (Metric) precedes its base
+_TYPED = {
+    "jet": (Jet, jet_to_json, jet_from_json),
+    "slice": (SliceJet, slice_to_json, slice_from_json),
+    "connection": (Connection, connection_to_json, connection_from_json),
+    "metric": (Metric, metric_to_json, metric_from_json),
+    "bilinear": (Bilinear, bilinear_to_json, bilinear_from_json),
 }
 
 
 def typed_to_json(value) -> dict:
-    for cls in type(value).__mro__:
-        if cls in _TYPED_TO_JSON:
-            kind, encode = _TYPED_TO_JSON[cls]
-            return {"type": kind, "value": encode(value)}
+    for tag, (cls, encode, _) in _TYPED.items():
+        if isinstance(value, cls):
+            return {"type": tag, "value": encode(value)}
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def typed_from_json(data: dict):
-    return _TYPED_FROM_JSON[data["type"]](data["value"])
+    return _TYPED[data["type"]][2](data["value"])
 
 
 def report_to_json(report: BuildReport) -> dict:

@@ -7,9 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from jetgeom import cli
+from jetgeom.builders import BuildReport, Check
 from jetgeom.cli import main
-from jetgeom.serialize import connection_to_json, report_from_json
-from jetgeom import random_connection
+from jetgeom.serialize import (
+    canonical_dumps,
+    connection_to_json,
+    report_from_json,
+    report_to_json,
+)
+from jetgeom import levi_civita, random_connection, random_normalized_metric
 
 
 def write_scenario(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -524,3 +531,199 @@ def test_closed_stdout_exits_quietly(monkeypatch):
     monkeypatch.setattr(sys, "stderr", err)
     assert main(["census", "general", "3"]) == 1
     assert err.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the 2D constructions exist only at n = 2
+
+
+def no_draws(*args, **kwargs):
+    raise AssertionError("data was drawn for a scenario that must be rejected")
+
+
+@pytest.mark.parametrize("mode", ["direct", "round_trip"])
+@pytest.mark.parametrize(
+    "tag, n",
+    [("metric-2d", 7), ("statistical-2d", 5), ("trace-free-statistical-2d", 3)],
+)
+def test_2d_construction_at_other_n_is_rejected_before_any_draw(
+    tmp_path, capsys, monkeypatch, tag, n, mode
+):
+    for name in ("random_poly", "random_connection", "random_normalized_metric"):
+        monkeypatch.setattr(cli, name, no_draws)
+    out_path = tmp_path / "report.json"
+    scenario = {"construction": tag, "n": n, "D": 3, "seed": 1, "mode": mode}
+    scenario.update(output=str(out_path))
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": "unsupported-construction"}
+    assert not out_path.exists()
+
+
+def test_verify_rejects_2d_report_at_other_n(tmp_path, capsys):
+    # a statistical-2d report made from a 3D Levi-Civita pair passes every
+    # check of the construction, but the construction does not exist at n = 3
+    g0 = random_normalized_metric(1, 3, 3, 2, 2)
+    prescribed = {
+        "connection": levi_civita(g0),
+        "g11": g0.comp(1, 1),
+        "init12": g0.comp(1, 2).restrict_x1(),
+        "init22": g0.comp(2, 2).restrict_x1(),
+    }
+    checks = [
+        Check("codazzi", 2, True),
+        Check("metric-normalized-at-zero", 0, True),
+        Check("initial-slices", 3, True),
+    ]
+    report = BuildReport("statistical-2d", 3, 3, prescribed, None, {"metric": g0}, checks)
+    path = tmp_path / "statistical-2d-n3.json"
+    path.write_text(canonical_dumps(report_to_json(report)))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "malformed report: statistical-2d needs n = 2, got 3\n"
+
+
+# ---------------------------------------------------------------------------
+# free_data.slots overrides
+
+
+def run_report(tmp_path, capsys, scenario: dict) -> dict:
+    out_path = tmp_path / "report.json"
+    path = write_scenario(tmp_path, "sc.json", dict(scenario, output=str(out_path)))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    return json.loads(out_path.read_text())
+
+
+def test_slot_override_of_the_readme_example(tmp_path, capsys):
+    scenario = {
+        "construction": "torsion-free",
+        "n": 3,
+        "D": 4,
+        "seed": 7,
+        "prescribed": {"r": "zero"},
+        "free_data": {"default": "random", "slots": {"2;1,1": "zero"}},
+    }
+    data = run_report(tmp_path, capsys, scenario)
+    assert data["free_data"]["free_functions"]["2;1,1"]["coeffs"] == {}
+    assert data["outputs"]["connection"]["value"]["gamma"]["2;1,1"]["coeffs"] == {}
+    # the other slots keep their random draws
+    assert data["free_data"]["free_functions"]["3;1,1"]["coeffs"] != {}
+
+
+def test_metric_slot_override_is_normalized(tmp_path, capsys):
+    scenario = {
+        "construction": "statistical",
+        "n": 3,
+        "D": 3,
+        "seed": 1,
+        "free_data": {"default": "zero", "slots": {"g;1,1": "zero", "g;2,2": "random"}},
+    }
+    data = run_report(tmp_path, capsys, scenario)
+    assert data["free_data"]["free_functions"]["g;1,1"]["coeffs"] == {"0 0 0": "1/1"}
+    g22 = data["free_data"]["initial_slices"]["g;2,2"]["jet"]["coeffs"]
+    assert g22["0 0"] == "1/1" and len(g22) > 1
+
+
+@pytest.mark.parametrize(
+    "construction, n, slots, reason",
+    [
+        pytest.param(
+            "statistical",
+            3,
+            {"g;2,2": {"ambient_n": 3, "jet": inline_jet({"1 0": "1/1"}, 2, 3)}},
+            "normalization-violated",
+            id="inline-slice-off-normalization",
+        ),
+        pytest.param("general", 2, {"phi": "random"}, "slot-mismatch", id="phi-without-gauge"),
+    ],
+)
+def test_slot_override_rejections(tmp_path, capsys, construction, n, slots, reason):
+    out_path = tmp_path / "report.json"
+    scenario = {
+        "construction": construction,
+        "n": n,
+        "D": 3,
+        "seed": 1,
+        "free_data": {"default": "zero", "slots": slots},
+        "output": str(out_path),
+    }
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": reason}
+    assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed scenarios and tampered reports
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(
+            {"free_data": {"default": "zero", "slots": {"3;1,1": "zero"}}},
+            "slot '3;1,1' is not in the census",
+            id="slot-outside-census",
+        ),
+        pytest.param({"mode": "sideways"}, "bad mode 'sideways'", id="mode"),
+        pytest.param(
+            {"prescribed": {"r": {"components": {"1,1": "purple"}}}},
+            "bad jet policy 'purple'",
+            id="jet-policy",
+        ),
+        pytest.param({"free_data": "purple"}, "bad free-data default 'purple'", id="default"),
+        pytest.param(
+            {"construction": "kaehler"}, "unknown construction 'kaehler'", id="direct-construction"
+        ),
+        pytest.param(
+            {"construction": "kaehler", "mode": "round_trip"},
+            "round_trip mode does not support 'kaehler'",
+            id="round-trip-construction",
+        ),
+    ],
+)
+def test_malformed_scenario_choices_exit_1(tmp_path, capsys, payload, message):
+    out_path = tmp_path / "report.json"
+    scenario = {"construction": "general", "n": 2, "D": 3, "seed": 1}
+    scenario.update(payload, output=str(out_path))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"malformed scenario: {message}\n"
+    assert not out_path.exists()
+
+
+def unknown_construction(data):
+    data["construction"] = "kaehler"
+
+
+def asymmetric_symmetric_table(data):
+    gamma = data["outputs"]["connection"]["value"]["gamma"]
+    gamma["1;1,2"]["coeffs"]["1 0"] = "917/1"
+
+
+def unknown_type_tag(data):
+    data["outputs"]["connection"]["type"] = "tensor"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (unknown_construction, "unknown construction 'kaehler'"),
+        (asymmetric_symmetric_table, "table marked symmetric"),
+        (unknown_type_tag, "'tensor'"),
+    ],
+)
+def test_verify_tampered_report_exits_1(tmp_path, capsys, edit, message):
+    scenario = {"construction": "torsion-free", "n": 2, "D": 3, "seed": 1, "free_data": "random"}
+    data = built_report(tmp_path, scenario)
+    edit(data)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed report: ") and message in captured.err

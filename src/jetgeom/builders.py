@@ -8,11 +8,15 @@ slot "g;i,j" is the metric component. The gauge-function slot of the
 torsion-free construction is called "phi".
 
 Every first-order construction writes its equations in one row form, `_Row`:
-linear, derivative and product atoms over one table of jets, evaluated by
-`_row_sum`. `_ck_solve` takes one row per CK unknown, pops the unknown's
-x1-derivative (coefficient +-1), asserts that no other unknown's
-x1-derivative is left, which is the structural form the solver's
-degree-by-degree stabilization requires, and solves.
+linear, derivative and product atoms over one table of jets, evaluated in
+full by `_row_sum` and one x1-layer at a time by `_row_layer`. `_ck_solve`
+takes one row per CK unknown, pops the unknown's x1-derivative (coefficient
++-1) and asserts that the rest takes x1-derivatives only of keys fixed
+before the solve. It then builds the solution one x1-layer at a time, as the
+proof of the Cauchy-Kowalevski theorem does: layer t of a row needs only
+layers <= t of the unknowns, so layers 1..D cost about one pass over the
+product pairs where the D + 1 Picard rounds of `ck.solve_first_order` (the
+public solver, and the reference) cost D + 1 full passes.
 
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
@@ -44,15 +48,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
-from .ck import (
-    FirstOrderSystem,
-    SecondOrderSystem,
-    solve_first_order,
-    solve_second_order,
+from . import multiindex as mi
+from .ck import SecondOrderSystem, solve_second_order
+from .errors import (
+    DimensionMismatchError,
+    EvaluationError,
+    NotClosedError,
+    RejectionError,
 )
-from .errors import DimensionMismatchError, NotClosedError, RejectionError
 from .geometry import (
     Bilinear,
     Connection,
@@ -71,7 +77,7 @@ from .geometry import (
     split,
     torsion_trace,
 )
-from .jets import Jet, SliceJet, as_fraction, random_poly
+from .jets import Jet, SliceJet, _mul_layer, as_fraction, random_poly
 
 HALF = Fraction(1, 2)
 
@@ -145,12 +151,7 @@ def census(construction: str, n: int) -> Census:
         raise RejectionError(
             "unsupported-construction", f"unknown construction {construction!r}"
         )
-    minimum = 3 if construction in ("trace-free-torsion", "statistical") else 2
-    if n < minimum:
-        raise RejectionError(
-            "unsupported-construction",
-            f"{construction} needs n >= {minimum}, got {n}",
-        )
+    _require_dimension(construction, n)
 
     if construction != "statistical":
         spec = _ricci_spec(construction, n)
@@ -179,11 +180,22 @@ def census(construction: str, n: int) -> Census:
     )
 
 
-def _require_n2(construction: str, n: int):
-    """The dimension rule of the constructions `census` does not cover:
-    metric-2d, statistical-2d and trace-free-statistical-2d need n = 2."""
-    if construction in ("metric-2d", "statistical-2d", "trace-free-statistical-2d") and n != 2:
-        raise RejectionError("unsupported-construction", f"{construction} needs n = 2, got {n}")
+def _require_dimension(construction: str, n: int):
+    """The dimension rule of every construction: metric-2d, statistical-2d
+    and trace-free-statistical-2d need n = 2, trace-free-torsion and
+    statistical n >= 3, general and torsion-free n >= 2. An unknown
+    construction passes."""
+    if construction in ("metric-2d", "statistical-2d", "trace-free-statistical-2d"):
+        if n != 2:
+            raise RejectionError(
+                "unsupported-construction", f"{construction} needs n = 2, got {n}"
+            )
+    elif construction in CONSTRUCTIONS:
+        minimum = 3 if construction in ("trace-free-torsion", "statistical") else 2
+        if n < minimum:
+            raise RejectionError(
+                "unsupported-construction", f"{construction} needs n >= {minimum}, got {n}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +553,13 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
     does not verify. An order override (0..D) applies to the residual checks;
     structural checks keep their recorded meaning. Raises DimensionMismatchError
     when the report's n or D disagree with its output tables, RejectionError
-    when its construction does not exist at its n (a 2D construction at n != 2)
-    or its free data does not fill the census slots, and ValueError for an
-    unknown construction, prescribed or output values that are not the
-    construction's (by name and type), or an order outside 0..D."""
+    when its n breaks its construction's dimension rule or its free data does
+    not fill the census slots, and ValueError for an unknown construction,
+    prescribed or output values that are not the construction's (by name and
+    type), or an order outside 0..D."""
     _require_types(report)
     _require_workspace(report)
-    _require_n2(report.construction, report.n)
+    _require_dimension(report.construction, report.n)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
     if [(c.name, c.order) for c in report.checks] != _required_checks(report):
@@ -597,34 +609,114 @@ def _row_sum(row: _Row, table: Mapping, pulled=frozenset()):
     return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
 
 
-def _ck_solve(
-    equations: Mapping, labels: Mapping, assemble, initial: Mapping[str, SliceJet]
-) -> dict:
-    """Solve the first-order CK system with one equation row per unknown key,
-    holding the unknown's x1-derivative with coefficient s = +-1 and no other
-    unknown's, as (u)_1 = -s * (rest of the row) on the table assemble(values)
-    of the labelled unknowns' values; return assemble(solution)."""
+def _ck_rows(equations: Mapping, labels: Mapping, fixed: Mapping) -> dict:
+    """Each unknown key's row as (sign, rest) with (u)_1 = sign * rest: the row
+    must hold the unknown's x1-derivative with coefficient -sign = +-1, and
+    the rest may take x1-derivatives only of keys fixed before the solve."""
     rests = {}
     for key, row in equations.items():
         kept = [c for c, atom, ax in row.derivatives if (atom, ax) == (key, 1)]
         rest = tuple(d for d in row.derivatives if (d[1], d[2]) != (key, 1))
-        consumed = [labels[atom] for _, atom, ax in rest if ax == 1 and atom in labels]
+        consumed = [
+            labels.get(atom, atom) for _, atom, ax in rest if ax == 1 and atom not in fixed
+        ]
         if kept not in ([1], [-1]) or consumed:
             raise AssertionError(
                 f"the row of {labels[key]} holds its x1-derivative with coefficients "
                 f"{kept} and consumes the x1-derivatives of {consumed}"
             )
         rests[key] = (-kept[0], _Row(row.linear, rest, row.products))
+    return rests
 
-    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
-        table = assemble(values)
-        return {
-            labels[key]: _signed(sign, _row_sum(row, table)[0])
-            for key, (sign, row) in rests.items()
-        }
 
-    system = FirstOrderSystem(tuple(labels.values()), rhs, initial)
-    return assemble(solve_first_order(system).values)
+def _row_layer(row: _Row, table: Mapping, d1: Mapping, n: int, cap: int, t: int):
+    """x1-layer t of the row's sum on the table, as full-size numerators (zero
+    off the layer) over one denominator. Linear atoms and derivatives along
+    axes >= 2 read layer t, an x1-derivative atom reads the jet d1[key], and
+    a product reads layers <= t of its factors."""
+    linear = [(c, table[key]) for c, key in row.linear]
+    linear += [(c, d1[key]) for c, key, ax in row.derivatives if ax == 1]
+    derivatives = [(c, table[key], ax) for c, key, ax in row.derivatives if ax != 1]
+    products = [(c, table[x], table[y]) for c, x, y in row.products]
+    den = lcm(
+        *(jet.den for _, jet in linear),
+        *(jet.den for _, jet, _ in derivatives),
+        *(x.den * y.den for _, x, y in products),
+    )
+    ranks = mi.x1_layers(n, cap)[t]
+    out = [0] * mi.size(n, cap)
+    for c, jet in linear:
+        m, nums = c * (den // jet.den), jet.nums
+        for r in ranks:
+            if nums[r]:
+                out[r] += m * nums[r]
+    for c, jet, ax in derivatives:
+        # d/dx_ax keeps the layer: its (x2, ..., xn) part moves as a slice
+        m, nums = c * (den // jet.den), jet.nums
+        for src, dst, factor in mi.partial_map(n - 1, cap, ax - 2):
+            if src >= len(ranks):
+                break
+            if nums[ranks[src]]:
+                out[ranks[dst]] += m * factor * nums[ranks[src]]
+    rows, spans = mi.product_rows(n, cap), mi.product_layers(n, cap)[t]
+    for c, x, y in products:
+        _mul_layer(rows, spans, x.nums, y.nums, c * (den // (x.den * y.den)), out)
+    return out, den
+
+
+def _ck_solve(
+    equations: Mapping,
+    labels: Mapping,
+    fixed: Mapping,
+    assemble,
+    initial: Mapping[str, SliceJet],
+) -> dict:
+    """Solve the first-order CK system with one equation row per unknown key,
+    holding the unknown's x1-derivative with coefficient s = +-1 and no other
+    x1-derivative but of the fixed keys, as (u)_1 = -s * (rest of the row) on
+    the table assemble(values) of the labelled unknowns' values; return
+    assemble(solution).
+
+    The solution is built one x1-layer at a time: with the unknowns known
+    through layer t, layer t of each rest needs only layers <= t of the
+    table, and layer t + 1 of the unknown is -s * (that layer) / (t + 1).
+    After layers 1..D this is the unique truncated solution, the one that
+    D + 1 Picard rounds of `ck.solve_first_order` reach."""
+    rests = _ck_rows(equations, labels, fixed)
+    some = next(iter(initial.values()))
+    n, cap = some.ambient_n, some.max_degree
+    d1 = {
+        key: fixed[key].partial(1)
+        for _, row in rests.values()
+        for _, key, ax in row.derivatives
+        if ax == 1
+    }
+    layers = mi.x1_layers(n, cap)
+    values = {lab: initial[lab].promote() for lab in labels.values()}
+    for t in range(cap):
+        try:
+            table = assemble(values)
+            shapes = {(jet.n, jet.max_degree) for jet in table.values()}
+            if shapes != {(n, cap)}:
+                raise DimensionMismatchError(
+                    f"table entries in workspaces {sorted(shapes)}, unknowns in {(n, cap)}"
+                )
+            sums = {
+                key: _row_layer(row, table, d1, n, cap, t) for key, (_, row) in rests.items()
+            }
+        except Exception as err:
+            raise EvaluationError(f"right-hand side failed at x1-layer {t}: {err}") from err
+        for key, (sign, _) in rests.items():
+            (out, den), jet = sums[key], values[labels[key]]
+            # layer t + 1 = sign * out / (den * (t + 1)), over a common denominator
+            step = den * (t + 1)
+            common = lcm(jet.den, step)
+            nums = [v * (common // jet.den) for v in jet.nums]
+            k = sign * (common // step)
+            for r_next, r in zip(layers[t + 1], layers[t]):
+                nums[r_next] = k * out[r]
+            values[labels[key]] = jet._with_nums(nums, common, cap)
+    return assemble(values)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +836,7 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
             table[target] = _row_sum(row, table)[0]
         return table
 
-    table = _ck_solve(_ricci_rows(spec, n), labels, assemble, fd.initial_slices)
+    table = _ck_solve(_ricci_rows(spec, n), labels, known, assemble, fd.initial_slices)
     gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
     conn = Connection(n, gamma, symmetric=spec.symmetric)
     return _checked(
@@ -779,7 +871,7 @@ def build_metric_2d_prescribed_ricci(
     nondegenerate r. The conformal factor solves a second-order CK equation:
     in the curvature identity the coefficient of (h)_11 is -1/(2h), so the
     right-hand side evaluates the remaining terms and divides."""
-    _require_n2("metric-2d", r.n)
+    _require_dimension("metric-2d", r.n)
     _, cap = r.shape
     r11, r22, r12 = r.comp(1, 1), r.comp(2, 2), r.comp(1, 2)
     if not (r12.is_zero() and r.comp(2, 1).is_zero()):
@@ -916,21 +1008,26 @@ def solve_determined_christoffels(
 
 
 def _codazzi_metric(
-    n: int, symmetric: bool, initial: Mapping[str, SliceJet], g11_from, gamma_from
+    n: int,
+    symmetric: bool,
+    initial: Mapping[str, SliceJet],
+    g11_from,
+    fixed: Mapping,
+    determine=lambda g: {},
 ) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
     initial slices, and its table with the Christoffel symbols. Every
-    evaluation assembles g11 = g11_from(table of the unknowns) and the
-    symbols gamma_from(metric table)."""
+    x1-layer assembles g11 = g11_from(table of the unknowns) and the
+    determined symbols determine(metric table) next to the fixed ones."""
     labels = {pair: metric_slot(*pair) for pair in _codazzi_spec(n).unknowns}
     rows = {pair: _codazzi_gap(1, pair[1], pair[0], n, symmetric) for pair in labels}
 
     def assemble(values: Mapping[str, Jet]) -> dict:
         g = {pair: values[lab] for pair, lab in labels.items()}
         g = {(1, 1): g11_from(g), **g}
-        return {**gamma_from(g), **g}
+        return {**fixed, **determine(g), **g}
 
-    table = _ck_solve(rows, labels, assemble, initial)
+    table = _ck_solve(rows, labels, fixed, assemble, initial)
     return Metric(n, {pair: table[pair] for pair in [(1, 1), *labels]}), table
 
 
@@ -941,7 +1038,7 @@ def _codazzi_metric_2d(
     symmetric = conn.is_symmetric_table()
     gamma = {_gamma_key(symmetric, *key): jet for key, jet in conn.gamma.items()}
     initial = {metric_slot(1, 2): init12, metric_slot(2, 2): init22}
-    return _codazzi_metric(2, symmetric, initial, g11_from, lambda g: gamma)[0]
+    return _codazzi_metric(2, symmetric, initial, g11_from, gamma)[0]
 
 
 def build_statistical_2d(
@@ -949,7 +1046,7 @@ def build_statistical_2d(
 ) -> BuildReport:
     """2D metric making the cubic form of an arbitrary analytic connection
     symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
-    _require_n2("statistical-2d", conn.n)
+    _require_dimension("statistical-2d", conn.n)
     _, cap = conn.shape
     if g11.constant_term != 1 or init12.constant_term != 0 or init22.constant_term != 1:
         raise RejectionError(
@@ -976,7 +1073,7 @@ def build_trace_free_statistical_2d(
     """Trace-free variant: the parallel volume form of the connection pins
     det g = nu^2, so g11 is determined by (nu^2 + g12^2) / g22 and only two
     one-variable slices remain free. Requires symmetric Ricci."""
-    _require_n2("trace-free-statistical-2d", conn.n)
+    _require_dimension("trace-free-statistical-2d", conn.n)
     if not conn.is_symmetric_table():
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
     _, cap = conn.shape
@@ -1008,7 +1105,7 @@ def build_trace_free_statistical_2d(
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     """Statistical structure in dimension n >= 3: the metric components solve
     the CK rows of the Codazzi gap while the algebraic gaps are solved, at
-    every evaluation, as a jet-linear system for the determined Christoffel
+    every x1-layer, as a jet-linear system for the determined Christoffel
     symbols."""
     cen = census("statistical", n)
     g11_slot = metric_slot(1, 1)
@@ -1030,11 +1127,12 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
     free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
 
-    def gamma_from(g: Mapping) -> dict:
-        det = solve_determined_christoffels(n, cap, g, free_gammas, determined)
-        return {**free_gammas, **det}
+    def determine(g: Mapping) -> dict:
+        return solve_determined_christoffels(n, cap, g, free_gammas, determined)
 
-    metric, table = _codazzi_metric(n, True, fd.initial_slices, lambda g: g11, gamma_from)
+    metric, table = _codazzi_metric(
+        n, True, fd.initial_slices, lambda g: g11, free_gammas, determine
+    )
     conn = Connection.from_symmetric(n, table)
 
     return _checked(

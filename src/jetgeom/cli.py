@@ -19,7 +19,7 @@ from . import serialize
 from .builders import (
     BuildReport,
     FreeData,
-    _require_n2,
+    _require_dimension,
     _slot_normal_value,
     _with_constant,
     build_metric_2d_prescribed_ricci,
@@ -42,6 +42,12 @@ from .builders import (
 from .errors import JetError, RejectionError
 from .geometry import Bilinear, levi_civita
 from .jets import Jet, SliceJet, random_poly
+
+
+# the largest product-pair table (`multiindex.product_rows`: C(2n + D, D)
+# pairs of under 100 bytes each) a scenario may need; the tests, demos and
+# benchmark use at most 12870 pairs (n = 4, D = 8)
+MAX_PRODUCT_PAIRS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -80,14 +86,30 @@ def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
     return tuple(_integer(cfg.get(k, v), f"{section}.{k}") for k, v in defaults.items())
 
 
+def _require_workspace_bound(n: int, cap: int):
+    """Reject a workspace whose pair table C(2n + D, D) holds more than
+    MAX_PRODUCT_PAIRS pairs. C(2n + D, i) grows with i up to min(2n, D), so
+    the count stops as soon as it passes the bound."""
+    pairs = 1
+    for i in range(1, min(2 * n, cap) + 1):
+        pairs = pairs * (2 * n + cap + 1 - i) // i
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise RejectionError(
+                "workspace-too-large",
+                f"n = {n}, D = {cap} needs more than {MAX_PRODUCT_PAIRS} product pairs",
+            )
+
+
 def _shape(sc: dict) -> tuple[int, int, int]:
-    """The scenario's n, D >= 2 and seed, in either mode; a 2D construction
-    at another n is rejected before any data is drawn."""
+    """The scenario's n, D >= 2 and seed, in either mode; an n outside the
+    construction's dimension rule and a workspace over the bound are
+    rejected before any data is drawn."""
     n, cap = _integer(sc["n"], "n"), _integer(sc["D"], "D")
     if cap < 2:
         raise ScenarioError("need D >= 2")
     seed = _integer(sc.get("seed", 0), "seed")
-    _require_n2(sc["construction"], n)
+    _require_dimension(sc["construction"], n)
+    _require_workspace_bound(n, cap)
     return n, cap, seed
 
 

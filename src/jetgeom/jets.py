@@ -69,6 +69,20 @@ def _mul_nums(rows, a, b) -> list:
     return out
 
 
+def _mul_layer(rows, spans, a, b, scale: int, out: list):
+    """Add scale times one x1-layer of the truncated product of two numerator
+    tuples into out, through the (ra, lo, hi) spans of the pair rows that
+    land on the layer (`multiindex.product_layers`)."""
+    for ra, lo, hi in spans:
+        ca = a[ra]
+        if ca:
+            ca *= scale
+            for rb, rc in rows[ra][lo:hi]:
+                cb = b[rb]
+                if cb:
+                    out[rc] += ca * cb
+
+
 def _solve_by_degree(rows, g: list, f0: int, divisors: list) -> list:
     """The f with f[0] = f0 and f[r] = (sum of g[s] * f[t] over the pairs
     (s, t) -> r of the rows) // divisors[r] for r > 0, where g[0] == 0 and every

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import groupby
 
 
 def _compositions(total: int, parts: int):
@@ -51,19 +52,52 @@ def size(n: int, cap: int) -> int:
 
 @lru_cache(maxsize=None)
 def product_rows(n: int, cap: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row ra lists the (rb, rc) pairs, rb ascending, for which the monomial
-    of rank ra times the one of rank rb has rank rc <= cap; overflow pairs
-    are absent. In graded order the rbs of row ra are 0..size(n, cap - deg ra) - 1,
-    and the table holds C(2n + cap, cap) pairs."""
+    """Row ra lists the (rb, rc) pairs for which the monomial of rank ra
+    times the one of rank rb has rank rc <= cap; overflow pairs are absent.
+    In graded order the rbs of row ra are 0..size(n, cap - deg ra) - 1; a row
+    lists them by x1-exponent and then ascending, so the pairs of one row that
+    land on one x1-layer are contiguous (`product_layers`). The table holds
+    C(2n + cap, cap) pairs."""
     exps = exponents(n, cap)
     ranks = rank_of(n, cap)
     degs = degree_of(n, cap)
     return tuple(
         tuple(
             (rb, ranks[tuple(x + y for x, y in zip(ea, exps[rb]))])
-            for rb in range(bisect_right(degs, cap - degs[ra]))
+            for rb in sorted(
+                range(bisect_right(degs, cap - degs[ra])), key=lambda rb: exps[rb][0]
+            )
         )
         for ra, ea in enumerate(exps)
+    )
+
+
+@lru_cache(maxsize=None)
+def product_layers(n: int, cap: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Layer t lists the (ra, lo, hi) spans of `product_rows`: the pairs
+    lo..hi - 1 of row ra, whose product ranks rc have x1-exponent t. Every
+    pair lies in exactly one span, so the layers partition the one table of
+    pairs without copying it."""
+    exps = exponents(n, cap)
+    layers: list[list] = [[] for _ in range(cap + 1)]
+    for ra, row in enumerate(product_rows(n, cap)):
+        lo = 0
+        for s, block in groupby(row, key=lambda pair: exps[pair[0]][0]):
+            hi = lo + sum(1 for _ in block)
+            layers[exps[ra][0] + s].append((ra, lo, hi))
+            lo = hi
+    return tuple(tuple(spans) for spans in layers)
+
+
+@lru_cache(maxsize=None)
+def x1_layers(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Layer t lists the ranks of x1-exponent t in rank order, which is the
+    graded-colex order of their (x2, ..., xn) parts: position i of layer t
+    is slice rank i in n - 1 variables, and layer t + 1 has the first
+    size(n - 1, cap - t - 1) positions of layer t."""
+    exps = exponents(n, cap)
+    return tuple(
+        tuple(r for r, e in enumerate(exps) if e[0] == t) for t in range(cap + 1)
     )
 
 

@@ -1,0 +1,41 @@
+"""The seam between the first-order builders and their CK solve.
+
+`builders._ck_solve(equations, labels, fixed, assemble, initial)` solves one
+x1-layer at a time. `picard_system` rebuilds the same rows as the system of
+`ck.solve_first_order`: a full-size right-hand side evaluated with `_row_sum`
+on assemble(values), which is the reference the layered solve must match.
+"""
+
+from __future__ import annotations
+
+import jetgeom.builders as builders_module
+from jetgeom.builders import _ck_rows, _row_sum, _signed
+from jetgeom.ck import FirstOrderSystem
+
+
+def picard_system(equations, labels, fixed, assemble, initial) -> FirstOrderSystem:
+    rests = _ck_rows(equations, labels, fixed)
+
+    def rhs(values):
+        table = assemble(values)
+        return {
+            labels[key]: _signed(sign, _row_sum(row, table)[0])
+            for key, (sign, row) in rests.items()
+        }
+
+    return FirstOrderSystem(tuple(labels.values()), rhs, initial)
+
+
+def capture_ck_solves(monkeypatch) -> list:
+    """Record (Picard system, arguments, solved table) of every `_ck_solve`
+    call the builders make."""
+    calls = []
+    real = builders_module._ck_solve
+
+    def spy(*args):
+        table = real(*args)
+        calls.append((picard_system(*args), args, table))
+        return table
+
+    monkeypatch.setattr(builders_module, "_ck_solve", spy)
+    return calls

@@ -45,6 +45,7 @@ from jetgeom.builders import (
     _codazzi_spec,
     solve_determined_christoffels,
 )
+from ck_seam import capture_ck_solves
 from oracles import exp_series_jet
 
 CAP = 4
@@ -696,16 +697,9 @@ def test_verify_at_full_order_on_polynomial_round_trip():
 
 
 def _capture_system(monkeypatch, build, *args):
-    captured = {}
-    real = builders_module.solve_first_order
-
-    def spy(system):
-        captured["system"] = system
-        return real(system)
-
-    monkeypatch.setattr(builders_module, "solve_first_order", spy)
+    calls = capture_ck_solves(monkeypatch)
     build(*args)
-    return captured["system"]
+    return calls[-1][0]
 
 
 @pytest.mark.parametrize(
@@ -754,11 +748,11 @@ def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
             row = dataclasses.replace(row, derivatives=row.derivatives + (leak,))
         return row
 
-    def unreachable(system):
-        raise AssertionError("solve_first_order reached")
+    def unreachable(*args):
+        raise AssertionError("layer evaluation reached")
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
-    monkeypatch.setattr(builders_module, "solve_first_order", unreachable)
+    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
     g11, init12, init22 = identity_2d_inputs(CAP)
     with pytest.raises(AssertionError) as err:
         build_statistical_2d(random_connection(43, 2, CAP, 3, 2), g11, init12, init22)

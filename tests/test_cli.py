@@ -16,7 +16,7 @@ from jetgeom.serialize import (
     report_from_json,
     report_to_json,
 )
-from jetgeom import levi_civita, random_connection, random_normalized_metric
+from jetgeom import RejectionError, levi_civita, random_connection, random_normalized_metric
 
 
 def write_scenario(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -558,6 +558,71 @@ def test_2d_construction_at_other_n_is_rejected_before_any_draw(
     assert code == 2
     assert json.loads(out) == {"status": "rejected", "reason": "unsupported-construction"}
     assert not out_path.exists()
+
+
+def forbid_draws(monkeypatch):
+    """Every data draw of `run`, in either mode, raises."""
+    draws = ("random_poly", "random_connection", "random_normalized_metric")
+    for name in draws + ("random_free_data", "zero_free_data", "random_prescribed_tensor"):
+        monkeypatch.setattr(cli, name, no_draws)
+    monkeypatch.setattr(cli, "_RICCI_CONNECTIONS", dict.fromkeys(cli._RICCI_CONNECTIONS, no_draws))
+
+
+@pytest.mark.parametrize("mode", ["direct", "round_trip"])
+@pytest.mark.parametrize(
+    "tag, n",
+    [
+        ("general", 1),
+        ("torsion-free", 1),
+        ("trace-free-torsion", 1),
+        ("trace-free-torsion", 2),
+        ("statistical", 0),
+        ("statistical", 2),
+    ],
+)
+def test_census_construction_below_its_minimum_n_is_rejected_before_any_draw(
+    tmp_path, capsys, monkeypatch, tag, n, mode
+):
+    forbid_draws(monkeypatch)
+    out_path = tmp_path / "report.json"
+    scenario = {"construction": tag, "n": n, "D": 3, "seed": 1, "mode": mode}
+    scenario.update(output=str(out_path), free_data="random", prescribed={"r": "random"})
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": "unsupported-construction"}
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mode", ["direct", "round_trip"])
+@pytest.mark.parametrize(
+    "tag, n, cap",
+    [
+        ("general", 3, 40),
+        ("statistical", 1000, 2),
+        ("metric-2d", 2, 10**9),
+        ("torsion-free", 10**6, 10**6),
+    ],
+)
+def test_workspace_over_the_bound_is_rejected_before_any_draw(
+    tmp_path, capsys, monkeypatch, tag, n, cap, mode
+):
+    forbid_draws(monkeypatch)
+    out_path = tmp_path / "report.json"
+    scenario = {"construction": tag, "n": n, "D": cap, "seed": 1, "mode": mode}
+    scenario.update(output=str(out_path), free_data="random")
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": "workspace-too-large"}
+    assert not out_path.exists()
+
+
+def test_workspace_bound_sits_between_c_22_16_and_c_23_17():
+    # C(2n + D, D) at n = 3: 74613 pairs at D = 16, 100947 at D = 17
+    cli._require_workspace_bound(3, 16)
+    cli._require_workspace_bound(4, 8)  # the largest workspace the tests use
+    with pytest.raises(RejectionError) as err:
+        cli._require_workspace_bound(3, 17)
+    assert err.value.reason == "workspace-too-large"
 
 
 def test_verify_rejects_2d_report_at_other_n(tmp_path, capsys):

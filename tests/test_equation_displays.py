@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-import jetgeom.builders as builders_module
+from ck_seam import capture_ck_solves
 from jetgeom import (
     Jet,
     build_prescribed_ricci_general,
@@ -30,16 +30,9 @@ N = 3
 
 
 def _capture_system(monkeypatch, build, *args):
-    captured = {}
-    real = builders_module.solve_first_order
-
-    def spy(system):
-        captured["system"] = system
-        return real(system)
-
-    monkeypatch.setattr(builders_module, "solve_first_order", spy)
+    calls = capture_ck_solves(monkeypatch)
     build(*args)
-    return captured["system"]
+    return calls[-1][0]
 
 
 def quad_part(table, i, j, rng):

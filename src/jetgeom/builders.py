@@ -36,11 +36,15 @@ statistical) share one Codazzi path. `_codazzi_gap` gives the row of the gap
 atoms (gamma-key, metric pair); on a symmetric table the keys fold, so the
 torsion terms cancel when the row is built. Each metric unknown g_ab takes
 its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
-`_codazzi_spec` lists form the jet-linear system that
-`solve_determined_christoffels` solves for the determined symbols.
-`_codazzi_metric` holds the one assembly; the builders differ only in where
-g11 comes from, where the Christoffel table comes from, and the initial
-slices.
+`_codazzi_spec` lists form the jet-linear system for the determined symbols.
+`_ck_solve` solves it with one linear-solve node, `_LinearNode`: the
+layer-0 coefficient matrix, of (n - 1)-variable jets, is inverted once, and
+layer t of the symbols is minus the inverse times layer t of the gaps
+evaluated while that layer is still zero. No build runs a full-size jet
+elimination; `solve_determined_christoffels` runs the node over given
+tables. `_codazzi_metric` holds the one assembly; the builders differ only
+in where g11 comes from, where the Christoffel table comes from, and the
+initial slices.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from .geometry import (
     split,
     torsion_trace,
 )
-from .jets import Jet, SliceJet, _mul_layer, as_fraction, random_poly
+from .jets import Jet, SliceJet, _mul_layer, as_fraction, partial_valid_order, random_poly
 
 HALF = Fraction(1, 2)
 
@@ -664,24 +668,123 @@ def _row_layer(row: _Row, table: Mapping, d1: Mapping, n: int, cap: int, t: int)
     return out, den
 
 
+def _write_layer(jet: Jet, ranks, nums: list, den: int, valid_order: int) -> Jet:
+    """jet with the numerators nums over den written at the ranks."""
+    common = lcm(jet.den, den)
+    out = [v * (common // jet.den) for v in jet.nums]
+    k = common // den
+    for r, v in zip(ranks, nums):
+        out[r] = k * v
+    return jet._with_nums(out, common, valid_order)
+
+
+class _LinearNode:
+    """Keys solved one x1-layer at a time from as many algebraic rows, which
+    take no x1-derivative and hold each key only as the first factor of
+    product atoms: row i reads sum_j M_ij key_j + rest_i = 0 on a table.
+
+    Layer t of M key_j is M0 (key_j layer t) plus products of layers < t of
+    key_j, where M0 is layer 0 of M, a matrix of (n - 1)-variable jets. So
+    M0 is inverted once, by `geometry._gauss_jordan` augmented by the
+    identity, and layer t of the keys is -M0^-1 times layer t of the rows,
+    evaluated by `_row_layer` while the keys' layer t is still zero. Every
+    key gets the least valid order of the entries the rows read (one less
+    for a derivative), as an elimination of the full-size system gives it.
+    Layer 0 starts a solve: it zeroes the keys and inverts M0 of its table."""
+
+    def __init__(self, keys, rows, n: int, cap: int):
+        self.keys, self.rows, self.n, self.cap = tuple(keys), tuple(rows), n, cap
+        self.key_set = frozenset(self.keys)
+        for row in self.rows:
+            reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
+            reads |= {key for _, key, _ in row.derivatives}
+            if reads & self.key_set or any(ax == 1 for *_, ax in row.derivatives):
+                raise AssertionError(
+                    f"{row} is not linear in {self.keys} or takes an x1-derivative"
+                )
+        self.values, self.inverse = {}, []
+
+    def _invert(self, table: Mapping) -> list:
+        """M0^-1, from layer 0 of the table."""
+        n, cap, size = self.n, self.cap, len(self.keys)
+        zero = Jet.zero(n - 1, cap)
+        matrix = []
+        for i, row in enumerate(self.rows):
+            coeffs: dict = {}
+            for c, x, y in row.products:
+                if x in self.key_set:
+                    entry = _signed(c, table[y].restrict_x1().jet)
+                    coeffs[x] = coeffs[x] + entry if x in coeffs else entry
+            matrix.append(
+                [coeffs.get(key, zero) for key in self.keys]
+                + [Jet.constant(int(i == j), n - 1, cap) for j in range(size)]
+            )
+        return [row[size:] for row in _gauss_jordan(matrix)]
+
+    def _valid_order(self, table: Mapping) -> int:
+        """The keys' valid order: the least valid order of the row atoms, by
+        the rules of `Jet` (a sum or product takes the least valid order of
+        its terms, a derivative `jets.partial_valid_order`), the keys
+        counting as exact."""
+        cap, orders = self.cap, []
+        for row in self.rows:
+            orders += [table[key].valid_order for _, key in row.linear]
+            orders += [
+                partial_valid_order(table[key].valid_order) for _, key, _ in row.derivatives
+            ]
+            orders += [
+                min(table[y].valid_order, cap if x in self.key_set else table[x].valid_order)
+                for _, x, y in row.products
+            ]
+        return min(orders)
+
+    def layer(self, table: Mapping, t: int) -> dict:
+        """The keys with layer t written, from a table holding layers <= t
+        of every other entry the rows read."""
+        n, cap = self.n, self.cap
+        if t == 0:
+            self.values = {key: Jet.zero(n, cap) for key in self.keys}
+            self.inverse = self._invert(table)
+        table = {**table, **self.values}
+        ranks, width = mi.x1_layers(n, cap)[t], mi.size(n - 1, cap - t)
+        zero = Jet.zero(n - 1, cap - t)
+        gaps = []
+        for row in self.rows:
+            out, den = _row_layer(row, table, {}, n, cap, t)
+            gaps.append(zero._with_nums([out[r] for r in ranks], den, cap - t))
+        valid = cap if t < cap else self._valid_order(table)
+        for key, inverse_row in zip(self.keys, self.inverse):
+            terms = [
+                zero._with_nums(list(entry.nums[:width]), entry.den, cap - t) * gap
+                for entry, gap in zip(inverse_row, gaps)
+            ]
+            step = _sum_jets(terms)
+            self.values[key] = _write_layer(
+                self.values[key], ranks, [-v for v in step.nums], step.den, valid
+            )
+        return dict(self.values)
+
+
 def _ck_solve(
     equations: Mapping,
     labels: Mapping,
     fixed: Mapping,
     assemble,
     initial: Mapping[str, SliceJet],
+    node: _LinearNode | None = None,
 ) -> dict:
     """Solve the first-order CK system with one equation row per unknown key,
     holding the unknown's x1-derivative with coefficient s = +-1 and no other
     x1-derivative but of the fixed keys, as (u)_1 = -s * (rest of the row) on
-    the table assemble(values) of the labelled unknowns' values; return
-    assemble(solution).
+    the table assemble(values) of the labelled unknowns' values, with the
+    node's keys next to it; return that table of the solution.
 
     The solution is built one x1-layer at a time: with the unknowns known
-    through layer t, layer t of each rest needs only layers <= t of the
-    table, and layer t + 1 of the unknown is -s * (that layer) / (t + 1).
-    After layers 1..D this is the unique truncated solution, the one that
-    D + 1 Picard rounds of `ck.solve_first_order` reach."""
+    through layer t, the node writes layer t of its keys, layer t of each
+    rest needs only layers <= t of the table, and layer t + 1 of the unknown
+    is -s * (that layer) / (t + 1). After layers 1..D this is the unique
+    truncated solution, the one that D + 1 Picard rounds of
+    `ck.solve_first_order` reach."""
     rests = _ck_rows(equations, labels, fixed)
     some = next(iter(initial.values()))
     n, cap = some.ambient_n, some.max_degree
@@ -693,7 +796,7 @@ def _ck_solve(
     }
     layers = mi.x1_layers(n, cap)
     values = {lab: initial[lab].promote() for lab in labels.values()}
-    for t in range(cap):
+    for t in range(cap + 1):
         try:
             table = assemble(values)
             shapes = {(jet.n, jet.max_degree) for jet in table.values()}
@@ -701,22 +804,25 @@ def _ck_solve(
                 raise DimensionMismatchError(
                     f"table entries in workspaces {sorted(shapes)}, unknowns in {(n, cap)}"
                 )
+            if node is not None:
+                table.update(node.layer(table, t))
+            if t == cap:
+                return table
             sums = {
                 key: _row_layer(row, table, d1, n, cap, t) for key, (_, row) in rests.items()
             }
         except Exception as err:
             raise EvaluationError(f"right-hand side failed at x1-layer {t}: {err}") from err
         for key, (sign, _) in rests.items():
-            (out, den), jet = sums[key], values[labels[key]]
-            # layer t + 1 = sign * out / (den * (t + 1)), over a common denominator
-            step = den * (t + 1)
-            common = lcm(jet.den, step)
-            nums = [v * (common // jet.den) for v in jet.nums]
-            k = sign * (common // step)
-            for r_next, r in zip(layers[t + 1], layers[t]):
-                nums[r_next] = k * out[r]
-            values[labels[key]] = jet._with_nums(nums, common, cap)
-    return assemble(values)
+            # layer t + 1 = sign * out / (den * (t + 1))
+            out, den = sums[key]
+            values[labels[key]] = _write_layer(
+                values[labels[key]],
+                layers[t + 1],
+                [sign * out[r] for r in layers[t]],
+                den * (t + 1),
+                cap,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +1093,13 @@ def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool) -> _Row:
     return _Row(derivatives=derivatives, products=_atoms(products))
 
 
+def _determined_node(n: int, cap: int, determined_keys) -> _LinearNode:
+    """The node of the determined symbols: the algebraic Codazzi gaps of
+    `_codazzi_spec`, linear in the determined symbols."""
+    rows = [_codazzi_gap(*gap, n, True) for gap in _codazzi_spec(n).gaps]
+    return _LinearNode(determined_keys, rows, n, cap)
+
+
 def solve_determined_christoffels(
     n: int,
     cap: int,
@@ -994,17 +1107,14 @@ def solve_determined_christoffels(
     free_gammas: Mapping[tuple, Jet],
     determined_keys: list,
 ) -> dict:
-    """Evaluate the algebraic Codazzi gaps on the current metric table and
-    solve them simultaneously for the determined Christoffel symbols."""
-    pulled = set(determined_keys)
-    zero = Jet.zero(n, cap)
+    """Solve the algebraic Codazzi gaps on the metric table for the
+    determined Christoffel symbols: the node of `build_statistical_nd`, run
+    over the given tables."""
+    node = _determined_node(n, cap, determined_keys)
     table = {**gtable, **free_gammas}
-    matrix = []
-    for gap in _codazzi_spec(n).gaps:
-        rest, coeffs = _row_sum(_codazzi_gap(*gap, n, True), table, pulled)
-        matrix.append([coeffs.get(key, zero) for key in determined_keys] + [-rest])
-    solved = _gauss_jordan(matrix)
-    return {key: row[-1] for key, row in zip(determined_keys, solved)}
+    for t in range(cap + 1):
+        solved = node.layer(table, t)
+    return solved
 
 
 def _codazzi_metric(
@@ -1013,21 +1123,21 @@ def _codazzi_metric(
     initial: Mapping[str, SliceJet],
     g11_from,
     fixed: Mapping,
-    determine=lambda g: {},
+    node: _LinearNode | None = None,
 ) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
     initial slices, and its table with the Christoffel symbols. Every
-    x1-layer assembles g11 = g11_from(table of the unknowns) and the
-    determined symbols determine(metric table) next to the fixed ones."""
+    x1-layer assembles g11 = g11_from(table of the unknowns) next to the
+    fixed symbols, and the node, if any, writes that layer of the determined
+    symbols."""
     labels = {pair: metric_slot(*pair) for pair in _codazzi_spec(n).unknowns}
     rows = {pair: _codazzi_gap(1, pair[1], pair[0], n, symmetric) for pair in labels}
 
     def assemble(values: Mapping[str, Jet]) -> dict:
         g = {pair: values[lab] for pair, lab in labels.items()}
-        g = {(1, 1): g11_from(g), **g}
-        return {**fixed, **determine(g), **g}
+        return {**fixed, (1, 1): g11_from(g), **g}
 
-    table = _ck_solve(rows, labels, fixed, assemble, initial)
+    table = _ck_solve(rows, labels, fixed, assemble, initial, node)
     return Metric(n, {pair: table[pair] for pair in [(1, 1), *labels]}), table
 
 
@@ -1104,8 +1214,8 @@ def build_trace_free_statistical_2d(
 
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     """Statistical structure in dimension n >= 3: the metric components solve
-    the CK rows of the Codazzi gap while the algebraic gaps are solved, at
-    every x1-layer, as a jet-linear system for the determined Christoffel
+    the CK rows of the Codazzi gap while the node of the algebraic gaps
+    writes, at every x1-layer, that layer of the determined Christoffel
     symbols."""
     cen = census("statistical", n)
     g11_slot = metric_slot(1, 1)
@@ -1123,15 +1233,11 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
                 "normalization-violated", f"slice {slot} must start at delta"
             )
 
-    determined = _codazzi_spec(n).determined
     parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
     free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
-
-    def determine(g: Mapping) -> dict:
-        return solve_determined_christoffels(n, cap, g, free_gammas, determined)
-
+    node = _determined_node(n, cap, _codazzi_spec(n).determined)
     metric, table = _codazzi_metric(
-        n, True, fd.initial_slices, lambda g: g11, free_gammas, determine
+        n, True, fd.initial_slices, lambda g: g11, free_gammas, node
     )
     conn = Connection.from_symmetric(n, table)
 

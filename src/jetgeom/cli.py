@@ -15,6 +15,7 @@ import random
 import sys
 from pathlib import Path
 
+from . import multiindex as mi
 from . import serialize
 from .builders import (
     BuildReport,
@@ -42,12 +43,6 @@ from .builders import (
 from .errors import JetError, RejectionError
 from .geometry import Bilinear, levi_civita
 from .jets import Jet, SliceJet, random_poly
-
-
-# the largest product-pair table (`multiindex.product_rows`: C(2n + D, D)
-# pairs of under 100 bytes each) a scenario may need; the tests, demos and
-# benchmark use at most 12870 pairs (n = 4, D = 8)
-MAX_PRODUCT_PAIRS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -87,17 +82,12 @@ def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
 
 
 def _require_workspace_bound(n: int, cap: int):
-    """Reject a workspace whose pair table C(2n + D, D) holds more than
-    MAX_PRODUCT_PAIRS pairs. C(2n + D, i) grows with i up to min(2n, D), so
-    the count stops as soon as it passes the bound."""
-    pairs = 1
-    for i in range(1, min(2 * n, cap) + 1):
-        pairs = pairs * (2 * n + cap + 1 - i) // i
-        if pairs > MAX_PRODUCT_PAIRS:
-            raise RejectionError(
-                "workspace-too-large",
-                f"n = {n}, D = {cap} needs more than {MAX_PRODUCT_PAIRS} product pairs",
-            )
+    """Reject a workspace over `multiindex.MAX_PRODUCT_PAIRS`."""
+    if mi.exceeds_pair_bound(n, cap):
+        raise RejectionError(
+            "workspace-too-large",
+            f"n = {n}, D = {cap} needs more than {mi.MAX_PRODUCT_PAIRS} product pairs",
+        )
 
 
 def _shape(sc: dict) -> tuple[int, int, int]:

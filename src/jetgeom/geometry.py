@@ -49,8 +49,9 @@ class Connection:
     where k is the upper index; optionally symmetric in (i, j)."""
 
     def __init__(self, n: int, gamma: Mapping[tuple[int, int, int], Jet], symmetric: bool = False):
-        keys = {(k, i, j) for k in range(1, n + 1) for i in range(1, n + 1) for j in range(1, n + 1)}
-        if set(gamma) != keys:
+        # the count first: a huge declared n fails before any key set is built
+        rng = range(1, n + 1)
+        if len(gamma) != n**3 or set(gamma) != {(k, i, j) for k in rng for i in rng for j in rng}:
             raise DimensionMismatchError("incomplete Christoffel table")
         _common_shape(gamma.values())
         self.n = n
@@ -99,8 +100,8 @@ class Bilinear:
     """A (0,2)-tensor component table comps[(i, j)]."""
 
     def __init__(self, n: int, comps: Mapping[tuple[int, int], Jet]):
-        keys = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-        if set(comps) != keys:
+        rng = range(1, n + 1)
+        if len(comps) != n * n or set(comps) != {(i, j) for i in rng for j in rng}:
             raise DimensionMismatchError("incomplete bilinear table")
         _common_shape(comps.values())
         self.n = n
@@ -203,6 +204,8 @@ class Metric(Bilinear):
 
     def __init__(self, n: int, comps: Mapping[tuple[int, int], Jet]):
         full = dict(comps)
+        if len(full) < n * (n + 1) // 2:
+            raise DimensionMismatchError("incomplete bilinear table")
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 if (i, j) in full and (j, i) not in full:
@@ -407,17 +410,28 @@ def potential_of_one_form(d: OneForm) -> Jet:
 
 
 def nabla_g(conn: Connection, g: Metric) -> CubicForm:
-    """(nabla g)_ijk = (g_jk)_i - sum_l G^l_ij g_lk - sum_l G^l_ik g_jl."""
+    """(nabla g)_ijk = (g_jk)_i - A_ijk - A_ikj with A_ijk = sum_l G^l_ij g_lk.
+
+    nabla g is symmetric in (j, k), so only j <= k is formed; on a symmetric
+    table A_ijk = A_jik is formed only for i <= j. At n = 4 that is 160 jet
+    products on a symmetric table and 256 on a general one."""
     n = conn.n
     rng = range(1, n + 1)
-    out = {}
+    gamma = conn.gamma
+    a = {}
     for i in rng:
         for j in rng:
             for k in rng:
-                out[(i, j, k)] = (
-                    g.comp(j, k).partial(i)
-                    - _sum_jets(conn.gamma[(l, i, j)] * g.comp(l, k) for l in rng)
-                    - _sum_jets(conn.gamma[(l, i, k)] * g.comp(j, l) for l in rng)
+                if conn.symmetric and j < i:
+                    a[(i, j, k)] = a[(j, i, k)]
+                else:
+                    a[(i, j, k)] = _sum_jets(gamma[(l, i, j)] * g.comp(l, k) for l in rng)
+    out = {}
+    for i in rng:
+        for j in rng:
+            for k in range(j, n + 1):
+                out[(i, j, k)] = out[(i, k, j)] = (
+                    g.comp(j, k).partial(i) - a[(i, j, k)] - a[(i, k, j)]
                 )
     return CubicForm(n, out)
 

@@ -45,6 +45,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def partial_valid_order(valid_order: int) -> int:
+    """The valid order of a derivative of a jet valid to valid_order."""
+    return max(valid_order - 1, 0)
+
+
 def _reduced(nums: list, den: int) -> tuple[tuple[int, ...], int]:
     """nums / den in lowest terms with a positive denominator."""
     if den == 1:
@@ -374,7 +379,7 @@ class Jet:
             c = nums[src]
             if c:
                 out[dst] = c * factor
-        return self._with_nums(out, self.den, max(self.valid_order - 1, 0))
+        return self._with_nums(out, self.den, partial_valid_order(self.valid_order))
 
     def antiderivative_x1(self) -> "Jet":
         """The unique x1-primitive with zero x1-free part."""

@@ -12,6 +12,27 @@ from functools import lru_cache
 from itertools import groupby
 
 
+# the largest product-pair table (`product_rows`: C(2n + D, D) pairs of under
+# 100 bytes each) a scenario or a report may need; the tests, demos and
+# benchmark use at most 12870 pairs (n = 4, D = 8)
+MAX_PRODUCT_PAIRS = 100_000
+
+
+def exceeds_pair_bound(n: int, cap: int) -> bool:
+    """Whether workspace (n, cap) needs more than MAX_PRODUCT_PAIRS product
+    pairs, C(2n + cap, cap), with n counted as at least 1 and cap as at
+    least 2: the exponent tables grow with n, and the loops over degrees
+    with cap, where the pair table does not. C(2n + cap, i) grows with i up
+    to min(2n, cap), so the count stops as soon as it passes the bound."""
+    n, cap = max(n, 1), max(cap, 2)
+    pairs = 1
+    for i in range(1, min(2 * n, cap) + 1):
+        pairs = pairs * (2 * n + cap + 1 - i) // i
+        if pairs > MAX_PRODUCT_PAIRS:
+            return True
+    return False
+
+
 def _compositions(total: int, parts: int):
     if parts == 0:
         if total == 0:

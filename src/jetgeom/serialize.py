@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
+from . import multiindex as mi
 from .builders import BuildReport, Check, FreeData
+from .errors import DimensionMismatchError
 from .geometry import Bilinear, Connection, Metric
 from .jets import Jet, SliceJet
 
@@ -32,13 +35,52 @@ def jet_to_json(jet: Jet) -> dict:
     }
 
 
+def _object(value, what: str) -> dict:
+    """A section of the JSON that must be an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _coefficient(value) -> Fraction:
+    """A stored coefficient, which must be a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"coefficient {value!r} is not a string")
+    return Fraction(value)
+
+
 def jet_from_json(data: dict) -> Jet:
+    """The jet of a JSON object: integers n and D within
+    `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
+    built, and every coefficient a string, parsed once. A null valid_order
+    means D."""
     n, cap = data["n"], data["D"]
+    if type(n) is not int or type(cap) is not int:
+        raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
+    if mi.exceeds_pair_bound(n, cap):
+        raise ValueError(
+            f"jet workspace n = {n}, D = {cap} needs more than "
+            f"{mi.MAX_PRODUCT_PAIRS} product pairs"
+        )
     terms = {}
-    for key, value in data["coeffs"].items():
+    for key, value in _object(data["coeffs"], "jet coeffs").items():
         exps = tuple(int(v) for v in key.split()) if key.strip() else ()
-        terms[exps] = Fraction(value)
-    return Jet.from_terms(n, cap, terms, valid_order=data["valid_order"])
+        terms[exps] = _coefficient(value)
+    valid_order = data["valid_order"]
+    ranks = mi.rank_of(n, cap)
+    nums = [0] * len(ranks)
+    den = lcm(*(c.denominator for c in terms.values()))
+    for exps, c in terms.items():
+        if exps not in ranks:
+            raise DimensionMismatchError(
+                f"monomial {exps} does not fit workspace n={n}, cap={cap}"
+            )
+        nums[ranks[exps]] = c.numerator * (den // c.denominator)
+    v = cap if valid_order is None else valid_order
+    if not 0 <= v <= cap:
+        raise ValueError(f"valid_order {v} outside 0..{cap}")
+    # over the lcm of reduced denominators the numerators share no factor
+    return Jet._from_nums(n, cap, tuple(nums), den, v)
 
 
 def slice_to_json(sl: SliceJet) -> dict:
@@ -65,7 +107,7 @@ def connection_to_json(conn: Connection) -> dict:
 
 def connection_from_json(data: dict) -> Connection:
     gamma = {}
-    for key, payload in data["gamma"].items():
+    for key, payload in _object(data["gamma"], "connection gamma").items():
         head, lower = key.split(";")
         i, j = (int(v) for v in lower.split(","))
         gamma[(int(head), i, j)] = jet_from_json(payload)
@@ -83,7 +125,7 @@ def bilinear_to_json(b: Bilinear) -> dict:
 
 def _comps_from_json(data: dict) -> tuple[int, dict]:
     comps = {}
-    for key, payload in data["comps"].items():
+    for key, payload in _object(data["comps"], "tensor comps").items():
         i, j = (int(v) for v in key.split(","))
         comps[(i, j)] = jet_from_json(payload)
     return data["n"], comps
@@ -116,9 +158,12 @@ def free_data_to_json(fd: FreeData) -> dict:
 
 
 def free_data_from_json(data: dict) -> FreeData:
+    data = _object(data, "free_data")
+    free = _object(data["free_functions"], "free_functions")
+    slices = _object(data["initial_slices"], "initial_slices")
     return FreeData(
-        {slot: jet_from_json(p) for slot, p in data["free_functions"].items()},
-        {slot: slice_from_json(p) for slot, p in data["initial_slices"].items()},
+        {slot: jet_from_json(p) for slot, p in free.items()},
+        {slot: slice_from_json(p) for slot, p in slices.items()},
         None
         if data.get("gauge_function") is None
         else jet_from_json(data["gauge_function"]),
@@ -169,11 +214,13 @@ def report_from_json(data: dict) -> BuildReport:
         construction=data["construction"],
         n=data["n"],
         max_degree=data["D"],
-        prescribed={k: typed_from_json(v) for k, v in data["prescribed"].items()},
+        prescribed={
+            k: typed_from_json(v) for k, v in _object(data["prescribed"], "prescribed").items()
+        },
         free_data=None
         if data.get("free_data") is None
         else free_data_from_json(data["free_data"]),
-        outputs={k: typed_from_json(v) for k, v in data["outputs"].items()},
+        outputs={k: typed_from_json(v) for k, v in _object(data["outputs"], "outputs").items()},
         checks=[
             Check(c["name"], c["zero_to_order"], c["passed"]) for c in data["checks"]
         ],

@@ -1,9 +1,11 @@
 """The seam between the first-order builders and their CK solve.
 
-`builders._ck_solve(equations, labels, fixed, assemble, initial)` solves one
-x1-layer at a time. `picard_system` rebuilds the same rows as the system of
-`ck.solve_first_order`: a full-size right-hand side evaluated with `_row_sum`
-on assemble(values), which is the reference the layered solve must match.
+`builders._ck_solve(equations, labels, fixed, assemble, initial, node)` solves
+one x1-layer at a time. `picard_system` rebuilds the same rows as the system
+of `ck.solve_first_order`: a full-size right-hand side evaluated with
+`_row_sum` on assemble(values), with the node's keys solved on that table by
+the full-size elimination `oracles.ref_linear_solve`, which is the reference
+the layered solve must match.
 """
 
 from __future__ import annotations
@@ -11,13 +13,16 @@ from __future__ import annotations
 import jetgeom.builders as builders_module
 from jetgeom.builders import _ck_rows, _row_sum, _signed
 from jetgeom.ck import FirstOrderSystem
+from oracles import ref_linear_solve
 
 
-def picard_system(equations, labels, fixed, assemble, initial) -> FirstOrderSystem:
+def picard_system(equations, labels, fixed, assemble, initial, node=None) -> FirstOrderSystem:
     rests = _ck_rows(equations, labels, fixed)
 
     def rhs(values):
         table = assemble(values)
+        if node is not None:
+            table.update(ref_linear_solve(node.keys, node.rows, table))
         return {
             labels[key]: _signed(sign, _row_sum(row, table)[0])
             for key, (sign, row) in rests.items()

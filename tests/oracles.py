@@ -4,6 +4,10 @@ Everything here deliberately avoids the production code paths it checks:
 convolution is a naive double loop over term dictionaries, the CK oracles run
 the classical coefficient-extraction recursion instead of the Picard fixpoint,
 and the sequential elimination follows the ordered-substitution procedure.
+`ref_linear_solve` solves the determined symbols by one full-size jet
+elimination per evaluation, on the builders' own gap rows: it checks the
+layered solve of those rows, not the rows. `ref_nabla_g` forms all n^3
+components of nabla g with 2 n^4 products.
 The closed-form Christoffel symbols of a diagonal 2D metric check the general
 Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
 coefficient, the product through the product_rank dictionary, Newton
@@ -18,6 +22,8 @@ from math import factorial
 
 from jetgeom import Connection, Jet, Metric
 from jetgeom import multiindex as mi
+from jetgeom.builders import _codazzi_gap, _codazzi_spec, _row_sum
+from jetgeom.geometry import CubicForm, _gauss_jordan, _sum_jets
 
 
 def term_dict(jet: Jet) -> dict[tuple[int, ...], Fraction]:
@@ -141,6 +147,45 @@ def full_codazzi_check(nabla_g_form, order: int) -> bool:
                     if not (nabla_g_form.comp(*p) - base).is_zero_up_to(order):
                         return False
     return True
+
+
+def ref_nabla_g(conn: Connection, g: Metric) -> CubicForm:
+    """(nabla g)_ijk = (g_jk)_i - sum_l G^l_ij g_lk - sum_l G^l_ik g_jl on every
+    (i, j, k): 2 n^4 jet products."""
+    n = conn.n
+    rng = range(1, n + 1)
+    out = {}
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                out[(i, j, k)] = (
+                    g.comp(j, k).partial(i)
+                    - _sum_jets(conn.gamma[(l, i, j)] * g.comp(l, k) for l in rng)
+                    - _sum_jets(conn.gamma[(l, i, k)] * g.comp(j, l) for l in rng)
+                )
+    return CubicForm(n, out)
+
+
+def ref_linear_solve(keys, rows, table) -> dict:
+    """The keys solving rows that are linear in them, on a table holding every
+    other entry in full: the rows evaluated by `_row_sum` with the keys
+    pulled out, and one Gauss-Jordan elimination of the full-size jet
+    matrix, per evaluation."""
+    pulled = set(keys)
+    some = next(iter(table.values()))
+    zero = Jet.zero(some.n, some.max_degree)
+    matrix = []
+    for row in rows:
+        rest, coeffs = _row_sum(row, table, pulled)
+        matrix.append([coeffs.get(key, zero) for key in keys] + [-rest])
+    return {key: row[-1] for key, row in zip(keys, _gauss_jordan(matrix))}
+
+
+def ref_determined_christoffels(n, cap, gtable, free_gammas, determined_keys) -> dict:
+    """The determined Christoffel symbols from the algebraic Codazzi gaps on
+    the full tables, by `ref_linear_solve`."""
+    rows = [_codazzi_gap(*gap, n, True) for gap in _codazzi_spec(n).gaps]
+    return ref_linear_solve(determined_keys, rows, {**gtable, **free_gammas})
 
 
 def levi_civita_diagonal_2d(g: Metric) -> Connection:

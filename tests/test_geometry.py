@@ -37,7 +37,12 @@ from jetgeom import (
     two_form_closed,
 )
 from jetgeom.geometry import _gauss_jordan
-from oracles import levi_civita_diagonal_2d, log_one_plus_x1_jet, sqrt_one_plus_x1_jet
+from oracles import (
+    levi_civita_diagonal_2d,
+    log_one_plus_x1_jet,
+    ref_nabla_g,
+    sqrt_one_plus_x1_jet,
+)
 
 CAP = 4
 
@@ -326,6 +331,38 @@ def test_nabla_g_hand_example():
     ng = nabla_g(conn, g)
     assert ng.comp(1, 2, 1).eq_up_to(Jet.constant(-1, 2, CAP), CAP - 1)
     assert ng.comp(2, 1, 1).is_zero_up_to(CAP - 1)
+
+
+def nabla_g_inputs(symmetric: bool, n: int, seed: int):
+    g = random_normalized_metric(seed, n, 3, 2, 2)
+    if symmetric:
+        return random_symmetric_connection(seed + 1, n, 3, 2, 2), g
+    return random_connection(seed + 1, n, 3, 2, 2), g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_nabla_g_matches_the_full_form(n, symmetric):
+    for seed in (1, 2):
+        conn, g = nabla_g_inputs(symmetric, n, seed)
+        fast, full = nabla_g(conn, g), ref_nabla_g(conn, g)
+        for key, jet in full.comps.items():
+            assert fast.comps[key].same_payload(jet), key
+
+
+@pytest.mark.parametrize("symmetric, products", [(True, 160), (False, 256)])
+def test_nabla_g_products_at_n4(monkeypatch, symmetric, products):
+    # the full form needs 2 n^4 = 512
+    conn, g = nabla_g_inputs(symmetric, 4, 3)
+    real, calls = Jet.__mul__, []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    nabla_g(conn, g)
+    assert len(calls) == products
 
 
 def test_is_codazzi_identity_pair():

@@ -2,6 +2,7 @@
 the Picard reference, its derivative contract, and its errors."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -17,11 +18,19 @@ from jetgeom import (
     levi_civita,
     random_free_data,
     random_normalized_metric,
+    random_poly,
     random_prescribed_tensor,
     zero_free_data,
 )
+from jetgeom.builders import (
+    _all_pair_keys,
+    _codazzi_spec,
+    _determined_node,
+    solve_determined_christoffels,
+)
 from jetgeom.ck import solve_first_order
 from jetgeom.cli import _run_direct, _run_round_trip
+from oracles import ref_determined_christoffels
 
 ROW_BUILDS = [
     (tag, n)
@@ -62,6 +71,64 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
     picard = solve_first_order(system).values
     for key, lab in labels.items():
         assert table[key].same_payload(picard[lab]), lab
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_determined_symbol_node_matches_the_full_elimination(n, cap):
+    # the free symbols' valid orders vary, as in round_trip mode (D - 1)
+    rng = random.Random(10 * n + cap)
+    g0 = random_normalized_metric(rng.randrange(2**32), n, cap, 2, 2)
+    gtable = {(i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    determined = _codazzi_spec(n).determined
+    free = {
+        key: random_poly(rng.randrange(2**32), n, 2, 2, cap).with_valid_order(
+            rng.choice([cap, cap, cap - 1])
+        )
+        for key in _all_pair_keys(n)
+        if key not in set(determined)
+    }
+    node = solve_determined_christoffels(n, cap, gtable, free, determined)
+    full = ref_determined_christoffels(n, cap, gtable, free, determined)
+    assert set(node) == set(determined)
+    for key in determined:
+        assert node[key].same_payload(full[key]), key
+
+
+def test_a_node_run_again_solves_afresh():
+    # a second solve on one node must not read the first solve's layers
+    n, cap = 3, 4
+    determined = _codazzi_spec(n).determined
+    node = _determined_node(n, cap, determined)
+    tables = []
+    for seed in (1, 2):
+        g0 = random_normalized_metric(seed, n, cap, 2, 2)
+        table = {(i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+        for key in _all_pair_keys(n):
+            if key not in set(determined):
+                table[key] = random_poly(seed + 10, n, 2, 2, cap)
+        tables.append(table)
+    runs = []
+    for table in (*tables, tables[0]):
+        for t in range(cap + 1):
+            solved = node.layer(table, t)
+        runs.append(solved)
+    assert runs[0] != runs[1]
+    for key in determined:
+        assert runs[2][key].same_payload(runs[0][key]), key
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n):
+    real, shapes = builders_module._gauss_jordan, []
+
+    def spy(rows):
+        shapes.append({(jet.n, jet.max_degree) for row in rows for jet in row})
+        return real(rows)
+
+    monkeypatch.setattr(builders_module, "_gauss_jordan", spy)
+    build_statistical_nd(n, random_free_data(census("statistical", n), 5, 2, 2, 4))
+    assert shapes == [{(n - 1, 4)}]
 
 
 def unreachable(*args):
@@ -113,18 +180,35 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
     )
 
 
+def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):
+    # an algebraic gap that took an x1-derivative would read a layer the
+    # node has not computed
+    real = builders_module._codazzi_gap
+
+    def leaky(i, j, k, n, symmetric):
+        row = real(i, j, k, n, symmetric)
+        if (i, j, k) == (3, 2, 1):
+            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, (1, 2), 1),))
+        return row
+
+    monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
+    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    with pytest.raises(AssertionError, match="takes an x1-derivative"):
+        build_statistical_nd(3, random_free_data(census("statistical", 3), 5, 2, 2, 3))
+
+
 def test_failure_inside_a_layer_names_the_layer(monkeypatch):
-    # one determined-symbol elimination per layer: the third is layer 2
-    real = builders_module._gauss_jordan
+    # the determined-symbol node runs once per layer: the third is layer 2
+    real = builders_module._LinearNode.layer
     calls = []
 
-    def third_fails(rows):
-        calls.append(rows)
+    def third_fails(node, table, t):
+        calls.append(t)
         if len(calls) == 3:
             raise SingularJetError("jet matrix not invertible at the origin")
-        return real(rows)
+        return real(node, table, t)
 
-    monkeypatch.setattr(builders_module, "_gauss_jordan", third_fails)
+    monkeypatch.setattr(builders_module._LinearNode, "layer", third_fails)
     fd = random_free_data(census("statistical", 3), 5, 2, 2, 4)
     with pytest.raises(EvaluationError) as err:
         build_statistical_nd(3, fd)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from jetgeom import (
     Jet,
     SliceJet,
@@ -60,6 +62,31 @@ def test_constant_jet_zero_variables():
     data = jet_to_json(jet)
     assert data["coeffs"] == {"": "5/2"}
     assert jet_from_json(data).same_payload(jet)
+
+
+@pytest.mark.parametrize(
+    "text", ["-1/3", "6/4", "-0/5", "007/3", "3", " 3/6 ", "+3/4", "1.5", "-2e3", "\u0663/4"]
+)
+def test_every_coefficient_string_fraction_reads_is_read_as_fraction_reads_it(text):
+    data = {"n": 2, "D": 2, "valid_order": 2, "coeffs": {"1 0": text, "0 1": "1/7"}}
+    jet = jet_from_json(data)
+    assert jet.coefficient((1, 0)) == Fraction(text)
+    assert jet.same_payload(Jet.from_terms(2, 2, {(1, 0): Fraction(text), (0, 1): Fraction(1, 7)}))
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("1/0", ZeroDivisionError),
+        ("3 /4", ValueError),
+        ("abc", ValueError),
+        (0.5, ValueError),
+        (1, ValueError),
+    ],
+)
+def test_coefficient_that_fraction_rejects_or_not_a_string_is_rejected(value, error):
+    with pytest.raises(error):
+        jet_from_json({"n": 2, "D": 2, "valid_order": 2, "coeffs": {"1 0": value}})
 
 
 def test_slice_round_trip():

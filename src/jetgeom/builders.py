@@ -10,13 +10,15 @@ torsion-free construction is called "phi".
 Every first-order construction writes its equations in one row form, `_Row`:
 linear, derivative and product atoms over one table of jets, evaluated in
 full by `_row_sum` and one x1-layer at a time by `_row_layer`. `_ck_solve`
-takes one row per CK unknown, pops the unknown's x1-derivative (coefficient
-+-1) and asserts that the rest takes x1-derivatives only of keys fixed
-before the solve. It then builds the solution one x1-layer at a time, as the
-proof of the Cauchy-Kowalevski theorem does: layer t of a row needs only
-layers <= t of the unknowns, so layers 1..D cost about one pass over the
-product pairs where the D + 1 Picard rounds of `ck.solve_first_order` (the
-public solver, and the reference) cost D + 1 full passes.
+takes data only: one row per CK unknown, fixed entries, derived entries
+(rows evaluated in full) and at most one linear-solve node. It pops each
+unknown's x1-derivative (coefficient +-1) and asserts that the rest takes
+x1-derivatives only of the fixed keys. It then builds the solution one
+x1-layer at a time, as the proof of the Cauchy-Kowalevski theorem does:
+layer t of a row needs only layers <= t of the unknowns, so layers 1..D
+cost about one pass over the product pairs where the D + 1 Picard rounds
+of `ck.solve_first_order` (the public solver, and the reference) cost
+D + 1 full passes.
 
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
@@ -27,8 +29,9 @@ prescribed divergence functions. `_ricci_rows` generates the row
 Ric_ab - r_ab = 0 of every equation mechanically from the Ricci formula: the
 derivative terms with the determined symbols substituted and cancelled, and
 the quadratic terms as products over the canonical keys and the divergence
-entries ("div", l). `build_prescribed_ricci` assembles the table and solves;
-the three named builders call it.
+entries ("div", l). `build_prescribed_ricci` passes the determined symbols
+and the divergence entries as derived rows and solves; the three named
+builders call it.
 
 The statistical constructions (statistical-2d, trace-free-statistical-2d and
 statistical) share one Codazzi path. `_codazzi_gap` gives the row of the gap
@@ -43,8 +46,10 @@ layer t of the symbols is minus the inverse times layer t of the gaps
 evaluated while that layer is still zero. No build runs a full-size jet
 elimination; `solve_determined_christoffels` runs the node over given
 tables. `_codazzi_metric` holds the one assembly; the builders differ only
-in where g11 comes from, where the Christoffel table comes from, and the
-initial slices.
+in the fixed entries (the Christoffel table, and g11 where it is given),
+the node and the initial slices. trace-free-statistical-2d fixes nu^2 in
+place of g11 and solves g11 g22 - g12^2 - nu^2 = 0, which is linear in g11,
+with a one-key node, so no first-order build takes a full-size reciprocal.
 """
 
 from __future__ import annotations
@@ -769,15 +774,17 @@ def _ck_solve(
     equations: Mapping,
     labels: Mapping,
     fixed: Mapping,
-    assemble,
+    derived: Mapping,
     initial: Mapping[str, SliceJet],
     node: _LinearNode | None = None,
 ) -> dict:
     """Solve the first-order CK system with one equation row per unknown key,
     holding the unknown's x1-derivative with coefficient s = +-1 and no other
     x1-derivative but of the fixed keys, as (u)_1 = -s * (rest of the row) on
-    the table assemble(values) of the labelled unknowns' values, with the
-    node's keys next to it; return that table of the solution.
+    one table: the fixed entries, the unknowns, each derived entry as the sum
+    `_row_sum` of its row on the entries before it, and the node's keys.
+    Return that table of the solution; an initial slice below valid order D
+    is rejected, since the solution is written to order D.
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, the node writes layer t of its keys, layer t of each
@@ -785,9 +792,14 @@ def _ck_solve(
     is -s * (that layer) / (t + 1). After layers 1..D this is the unique
     truncated solution, the one that D + 1 Picard rounds of
     `ck.solve_first_order` reach."""
-    rests = _ck_rows(equations, labels, fixed)
     some = next(iter(initial.values()))
     n, cap = some.ambient_n, some.max_degree
+    short = sorted(lab for lab in labels.values() if initial[lab].valid_order < cap)
+    if short:
+        raise RejectionError(
+            "initial-slice-not-exact", f"initial slices {short} are valid below D = {cap}"
+        )
+    rests = _ck_rows(equations, labels, fixed)
     d1 = {
         key: fixed[key].partial(1)
         for _, row in rests.values()
@@ -795,10 +807,12 @@ def _ck_solve(
         if ax == 1
     }
     layers = mi.x1_layers(n, cap)
-    values = {lab: initial[lab].promote() for lab in labels.values()}
+    values = {key: initial[lab].promote() for key, lab in labels.items()}
     for t in range(cap + 1):
         try:
-            table = assemble(values)
+            table = {**fixed, **values}
+            for target, row in derived.items():
+                table[target] = _row_sum(row, table)[0]
             shapes = {(jet.n, jet.max_degree) for jet in table.values()}
             if shapes != {(n, cap)}:
                 raise DimensionMismatchError(
@@ -816,8 +830,8 @@ def _ck_solve(
         for key, (sign, _) in rests.items():
             # layer t + 1 = sign * out / (den * (t + 1))
             out, den = sums[key]
-            values[labels[key]] = _write_layer(
-                values[labels[key]],
+            values[key] = _write_layer(
+                values[key],
                 layers[t + 1],
                 [sign * out[r] for r in layers[t]],
                 den * (t + 1),
@@ -933,16 +947,7 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
     for l in range(1, n + 1):
         derived[("div", l)] = _Row(tuple((1, spec.canon(k, k, l)) for k in range(1, n + 1)))
-
-    def assemble(unknown_values: Mapping[str, Jet]) -> dict:
-        table = dict(known)
-        for key, lab in labels.items():
-            table[key] = unknown_values[lab]
-        for target, row in derived.items():
-            table[target] = _row_sum(row, table)[0]
-        return table
-
-    table = _ck_solve(_ricci_rows(spec, n), labels, known, assemble, fd.initial_slices)
+    table = _ck_solve(_ricci_rows(spec, n), labels, known, derived, fd.initial_slices)
     gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
     conn = Connection(n, gamma, symmetric=spec.symmetric)
     return _checked(
@@ -1121,34 +1126,27 @@ def _codazzi_metric(
     n: int,
     symmetric: bool,
     initial: Mapping[str, SliceJet],
-    g11_from,
     fixed: Mapping,
     node: _LinearNode | None = None,
 ) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
-    initial slices, and its table with the Christoffel symbols. Every
-    x1-layer assembles g11 = g11_from(table of the unknowns) next to the
-    fixed symbols, and the node, if any, writes that layer of the determined
-    symbols."""
+    initial slices, and its table with the Christoffel symbols. g11 is fixed
+    or a key of the node, which writes every x1-layer of its keys."""
     labels = {pair: metric_slot(*pair) for pair in _codazzi_spec(n).unknowns}
     rows = {pair: _codazzi_gap(1, pair[1], pair[0], n, symmetric) for pair in labels}
-
-    def assemble(values: Mapping[str, Jet]) -> dict:
-        g = {pair: values[lab] for pair, lab in labels.items()}
-        return {**fixed, (1, 1): g11_from(g), **g}
-
-    table = _ck_solve(rows, labels, fixed, assemble, initial, node)
+    table = _ck_solve(rows, labels, fixed, {}, initial, node)
     return Metric(n, {pair: table[pair] for pair in [(1, 1), *labels]}), table
 
 
 def _codazzi_metric_2d(
-    conn: Connection, init12: SliceJet, init22: SliceJet, g11_from
+    conn: Connection, init12: SliceJet, init22: SliceJet, given: Mapping, node=None
 ) -> Metric:
-    """The 2D Codazzi metric of a given connection."""
+    """The 2D Codazzi metric of a given connection, with the given entries
+    (g11, or nu^2 for the node) fixed next to its symbols."""
     symmetric = conn.is_symmetric_table()
-    gamma = {_gamma_key(symmetric, *key): jet for key, jet in conn.gamma.items()}
+    fixed = {_gamma_key(symmetric, *key): jet for key, jet in conn.gamma.items()}
     initial = {metric_slot(1, 2): init12, metric_slot(2, 2): init22}
-    return _codazzi_metric(2, symmetric, initial, g11_from, gamma)[0]
+    return _codazzi_metric(2, symmetric, initial, {**fixed, **given}, node)[0]
 
 
 def build_statistical_2d(
@@ -1162,7 +1160,7 @@ def build_statistical_2d(
         raise RejectionError(
             "normalization-violated", "need g11(0) = 1, g12(0) = 0, g22(0) = 1"
         )
-    metric = _codazzi_metric_2d(conn, init12, init22, lambda g: g11)
+    metric = _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})
 
     return _checked(
         BuildReport(
@@ -1181,8 +1179,9 @@ def build_trace_free_statistical_2d(
     conn: Connection, init12: SliceJet, init22: SliceJet
 ) -> BuildReport:
     """Trace-free variant: the parallel volume form of the connection pins
-    det g = nu^2, so g11 is determined by (nu^2 + g12^2) / g22 and only two
-    one-variable slices remain free. Requires symmetric Ricci."""
+    det g = nu^2, so only two one-variable slices remain free. The row
+    g11 g22 - g12^2 - nu^2 = 0 is linear in g11, and a one-key node solves
+    it at every x1-layer. Requires symmetric Ricci."""
     _require_dimension("trace-free-statistical-2d", conn.n)
     if not conn.is_symmetric_table():
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
@@ -1192,12 +1191,9 @@ def build_trace_free_statistical_2d(
             "normalization-violated", "need g12(0) = 0, g22(0) = 1"
         )
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
-    vol_sq = volume * volume
-
-    def g11_from(g: Mapping) -> Jet:
-        return (vol_sq + g[(1, 2)] * g[(1, 2)]) * g[(2, 2)].reciprocal()
-
-    metric = _codazzi_metric_2d(conn, init12, init22, g11_from)
+    det = _Row(((-1, "nu^2"),), (), ((1, (1, 1), (2, 2)), (-1, (1, 2), (1, 2))))
+    node = _LinearNode([(1, 1)], [det], 2, cap)
+    metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, node)
 
     return _checked(
         BuildReport(
@@ -1237,7 +1233,7 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
     node = _determined_node(n, cap, _codazzi_spec(n).determined)
     metric, table = _codazzi_metric(
-        n, True, fd.initial_slices, lambda g: g11, free_gammas, node
+        n, True, fd.initial_slices, {**free_gammas, (1, 1): g11}, node
     )
     conn = Connection.from_symmetric(n, table)
 

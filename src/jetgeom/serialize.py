@@ -52,11 +52,13 @@ def _coefficient(value) -> Fraction:
 def jet_from_json(data: dict) -> Jet:
     """The jet of a JSON object: integers n and D within
     `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
-    built, and every coefficient a string, parsed once. A null valid_order
-    means D."""
-    n, cap = data["n"], data["D"]
+    built, and every coefficient a string, parsed once. valid_order is an
+    integer in 0..D or null, which means D."""
+    n, cap, valid_order = data["n"], data["D"], data["valid_order"]
     if type(n) is not int or type(cap) is not int:
         raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
+    if valid_order is not None and type(valid_order) is not int:
+        raise ValueError(f"jet valid_order must be an integer or null, not {valid_order!r}")
     if mi.exceeds_pair_bound(n, cap):
         raise ValueError(
             f"jet workspace n = {n}, D = {cap} needs more than "
@@ -66,7 +68,6 @@ def jet_from_json(data: dict) -> Jet:
     for key, value in _object(data["coeffs"], "jet coeffs").items():
         exps = tuple(int(v) for v in key.split()) if key.strip() else ()
         terms[exps] = _coefficient(value)
-    valid_order = data["valid_order"]
     ranks = mi.rank_of(n, cap)
     nums = [0] * len(ranks)
     den = lcm(*(c.denominator for c in terms.values()))

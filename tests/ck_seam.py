@@ -1,11 +1,13 @@
 """The seam between the first-order builders and their CK solve.
 
-`builders._ck_solve(equations, labels, fixed, assemble, initial, node)` solves
+`builders._ck_solve(equations, labels, fixed, derived, initial, node)` solves
 one x1-layer at a time. `picard_system` rebuilds the same rows as the system
 of `ck.solve_first_order`: a full-size right-hand side evaluated with
-`_row_sum` on assemble(values), with the node's keys solved on that table by
-the full-size elimination `oracles.ref_linear_solve`, which is the reference
-the layered solve must match.
+`_row_sum` on the table of the fixed entries, the unknowns' values and the
+derived entries (each the `_row_sum` of its row on the entries before it),
+with the node's keys solved on that table by the full-size elimination
+`oracles.ref_linear_solve`, which is the reference the layered solve must
+match.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from jetgeom.ck import FirstOrderSystem
 from oracles import ref_linear_solve
 
 
-def picard_system(equations, labels, fixed, assemble, initial, node=None) -> FirstOrderSystem:
+def picard_system(equations, labels, fixed, derived, initial, node=None) -> FirstOrderSystem:
     rests = _ck_rows(equations, labels, fixed)
 
     def rhs(values):
-        table = assemble(values)
+        table = {**fixed, **{key: values[lab] for key, lab in labels.items()}}
+        for target, row in derived.items():
+            table[target] = _row_sum(row, table)[0]
         if node is not None:
             table.update(ref_linear_solve(node.keys, node.rows, table))
         return {

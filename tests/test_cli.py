@@ -256,6 +256,11 @@ def inline_jet(coeffs: dict, n: int = 2, cap: int = 3) -> dict:
             "report.json",
             id="components-not-an-object",
         ),
+        pytest.param(
+            {"prescribed": {"r": {"components": {"1,1": dict(inline_jet({}), valid_order=2.0)}}}},
+            "report.json",
+            id="float-valid-order",
+        ),
     ],
 )
 def test_malformed_scenario_data_exits_1(tmp_path, capsys, payload, output):
@@ -720,6 +725,36 @@ def test_slot_override_rejections(tmp_path, capsys, construction, n, slots, reas
     assert not out_path.exists()
 
 
+FIRST_ORDER = [
+    ("general", 2),
+    ("trace-free-torsion", 3),
+    ("torsion-free", 2),
+    ("statistical", 3),
+    ("statistical-2d", 2),
+    ("trace-free-statistical-2d", 2),
+]
+
+
+@pytest.mark.parametrize("valid_order", [0, 2])
+@pytest.mark.parametrize("construction, n", FIRST_ORDER)
+def test_inline_slice_below_d_is_rejected(tmp_path, capsys, construction, n, valid_order):
+    # the solve writes its unknowns to order D, so their initial slices
+    # cannot be reproduced from a slice valid to a lower order
+    out_path = tmp_path / "report.json"
+    x2 = " ".join(["1"] + ["0"] * (n - 2))
+    jet = dict(inline_jet({x2: "1/2"}, n - 1, 3), valid_order=valid_order)
+    scenario = {"construction": construction, "n": n, "D": 3, "seed": 1, "output": str(out_path)}
+    if construction.endswith("-2d"):
+        scenario["prescribed"] = {"init12": {"ambient_n": n, "jet": jet}}
+    else:
+        slot = cli.census(construction, n).initial_slice_slots[0]
+        scenario["free_data"] = {"default": "random", "slots": {slot: {"ambient_n": n, "jet": jet}}}
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": "initial-slice-not-exact"}
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed scenarios and tampered reports
 
@@ -773,12 +808,17 @@ def unknown_type_tag(data):
     data["outputs"]["connection"]["type"] = "tensor"
 
 
+def float_valid_order(data):
+    data["outputs"]["connection"]["value"]["gamma"]["1;1,1"]["valid_order"] = 3.0
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (unknown_construction, "unknown construction 'kaehler'"),
         (asymmetric_symmetric_table, "table marked symmetric"),
         (unknown_type_tag, "'tensor'"),
+        (float_valid_order, "valid_order must be an integer or null, not 3.0"),
     ],
 )
 def test_verify_tampered_report_exits_1(tmp_path, capsys, edit, message):

@@ -121,8 +121,19 @@ SCENARIOS = st.fixed_dictionaries(
 )
 
 
+BELOW_D_SLICE = {"n": 1, "D": 2, "valid_order": 1, "coeffs": {"1": "1/2"}}
+
+
 @SETTINGS
-@given(or_junk(SCENARIOS))
+@example(
+    scenario={
+        "construction": "statistical-2d",
+        "n": 2,
+        "D": 2,
+        "prescribed": {"init12": BELOW_D_SLICE},
+    }
+)
+@given(scenario=or_junk(SCENARIOS))
 def test_run_on_generated_scenarios_keeps_the_exit_contract(tmp_path_factory, scenario):
     folder = tmp_path_factory.mktemp("run")
     output = folder / "report.json"

@@ -10,6 +10,7 @@ import jetgeom.builders as builders_module
 from ck_seam import capture_ck_solves
 from jetgeom import (
     EvaluationError,
+    Jet,
     SingularJetError,
     build_prescribed_ricci_general,
     build_statistical_nd,
@@ -131,12 +132,37 @@ def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n):
     assert shapes == [{(n - 1, 4)}]
 
 
+@pytest.mark.parametrize("cap", [4, 6])
+def test_trace_free_statistical_2d_builds_without_full_size_reciprocals(monkeypatch, cap):
+    # g11 g22 - g12^2 = nu^2 is solved for g11 by a one-key node: one
+    # inverse of a 1-variable jet per build, not D + 1 reciprocals of g22
+    g0 = random_normalized_metric(5, 2, cap, 3, 2)
+    conn = levi_civita(g0)
+    eliminated, inverted = [], []
+    real_gauss_jordan, real_reciprocal = builders_module._gauss_jordan, Jet.reciprocal
+
+    def gauss_jordan(rows):
+        eliminated.append({(jet.n, jet.max_degree) for row in rows for jet in row})
+        return real_gauss_jordan(rows)
+
+    def reciprocal(jet):
+        inverted.append((jet.n, jet.max_degree))
+        return real_reciprocal(jet)
+
+    monkeypatch.setattr(builders_module, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(Jet, "reciprocal", reciprocal)
+    init12, init22 = g0.comp(1, 2).restrict_x1(), g0.comp(2, 2).restrict_x1()
+    build_trace_free_statistical_2d(conn, init12, init22)
+    assert eliminated == [{(1, cap)}]
+    assert (2, cap) not in inverted
+
+
 def unreachable(*args):
     raise AssertionError("layer evaluation reached")
 
 
 def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
-    # ("div", 1) = sum_k G^k_k1 is assembled from the unknowns at every layer
+    # ("div", 1) = sum_k G^k_k1 is derived from the unknowns at every layer
     real = builders_module._ricci_rows
 
     def leaky(spec, n):
@@ -158,7 +184,8 @@ def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
 
 
 def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
-    # trace-free-statistical-2d assembles g11 = (nu^2 + g12^2) / g22
+    # trace-free-statistical-2d solves g11 from g11 g22 - g12^2 = nu^2 with a
+    # node at every layer, so g11 is not fixed before the solve
     real = builders_module._codazzi_gap
 
     def leaky(i, j, k, n, symmetric):

@@ -89,6 +89,17 @@ def test_coefficient_that_fraction_rejects_or_not_a_string_is_rejected(value, er
         jet_from_json({"n": 2, "D": 2, "valid_order": 2, "coeffs": {"1 0": value}})
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2", [2]])
+def test_valid_order_that_is_not_an_integer_is_rejected(value):
+    with pytest.raises(ValueError, match="valid_order must be an integer or null"):
+        jet_from_json({"n": 2, "D": 2, "valid_order": value, "coeffs": {"1 0": "1/1"}})
+
+
+def test_null_valid_order_means_d():
+    jet = jet_from_json({"n": 2, "D": 2, "valid_order": None, "coeffs": {"1 0": "1/1"}})
+    assert type(jet.valid_order) is int and jet.valid_order == 2
+
+
 def test_slice_round_trip():
     sl = SliceJet(random_poly(3, 2, 3, 4, 4))
     back = slice_from_json(slice_to_json(sl))

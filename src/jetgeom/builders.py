@@ -7,18 +7,20 @@ Free-data slots are named after the component they fill: a Christoffel slot
 slot "g;i,j" is the metric component. The gauge-function slot of the
 torsion-free construction is called "phi".
 
-Every first-order construction writes its equations in one row form, `_Row`:
-linear, derivative and product atoms over one table of jets, evaluated in
-full by `_row_sum` and one x1-layer at a time by `_row_layer`. `_ck_solve`
-takes data only: one row per CK unknown, fixed entries, derived entries
-(rows evaluated in full) and at most one linear-solve node. It pops each
-unknown's x1-derivative (coefficient +-1) and asserts that the rest takes
-x1-derivatives only of the fixed keys. It then builds the solution one
-x1-layer at a time, as the proof of the Cauchy-Kowalevski theorem does:
-layer t of a row needs only layers <= t of the unknowns, so layers 1..D
-cost about one pass over the product pairs where the D + 1 Picard rounds
-of `ck.solve_first_order` (the public solver, and the reference) cost
-D + 1 full passes.
+Every construction writes its equations in one row form, `_Row`: linear,
+derivative and product atoms over one table of jets, evaluated in full by
+`_row_sum` and one x1-layer at a time by `_row_layer`. `_ck_solve` takes
+data only: one row per first-order CK unknown, fixed entries, derived
+entries (rows over the entries before them) and at most one linear-solve
+node. It pops each unknown's x1-derivative (coefficient +-1) and asserts
+that the rests and the derived rows take x1-derivatives only of the fixed
+keys. It then builds the solution one x1-layer at a time, as the proof of
+the Cauchy-Kowalevski theorem does: layer t of a derived entry or a row
+needs only layers <= t of the unknowns, so layers 1..D cost about one pass
+over the product pairs where the D + 1 Picard rounds of
+`ck.solve_first_order` (the public solver, and the reference) cost D + 1
+full passes. No build uses `ck`: the second-order metric-2d equation is
+solved as the first-order system of h and p = (h)_1.
 
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
@@ -61,7 +63,6 @@ from math import lcm
 from typing import Mapping
 
 from . import multiindex as mi
-from .ck import SecondOrderSystem, solve_second_order
 from .errors import (
     DimensionMismatchError,
     EvaluationError,
@@ -74,7 +75,6 @@ from .geometry import (
     Metric,
     OneForm,
     _gauss_jordan,
-    _ricci_11_diagonal_2d,
     _sum_jets,
     divergence_form,
     is_codazzi,
@@ -618,6 +618,12 @@ def _row_sum(row: _Row, table: Mapping, pulled=frozenset()):
     return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
 
 
+def _x1_consumed(derivatives, labels: Mapping, fixed: Mapping) -> list:
+    """The entries, by label where they have one, whose x1-derivatives the
+    derivative atoms take though they are not fixed before the solve."""
+    return [labels.get(atom, atom) for _, atom, ax in derivatives if ax == 1 and atom not in fixed]
+
+
 def _ck_rows(equations: Mapping, labels: Mapping, fixed: Mapping) -> dict:
     """Each unknown key's row as (sign, rest) with (u)_1 = sign * rest: the row
     must hold the unknown's x1-derivative with coefficient -sign = +-1, and
@@ -626,9 +632,7 @@ def _ck_rows(equations: Mapping, labels: Mapping, fixed: Mapping) -> dict:
     for key, row in equations.items():
         kept = [c for c, atom, ax in row.derivatives if (atom, ax) == (key, 1)]
         rest = tuple(d for d in row.derivatives if (d[1], d[2]) != (key, 1))
-        consumed = [
-            labels.get(atom, atom) for _, atom, ax in rest if ax == 1 and atom not in fixed
-        ]
+        consumed = _x1_consumed(rest, labels, fixed)
         if kept not in ([1], [-1]) or consumed:
             raise AssertionError(
                 f"the row of {labels[key]} holds its x1-derivative with coefficients "
@@ -683,6 +687,24 @@ def _write_layer(jet: Jet, ranks, nums: list, den: int, valid_order: int) -> Jet
     return jet._with_nums(out, common, valid_order)
 
 
+def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
+    """The least valid order of the rows' atoms on the table, by the rules of
+    `Jet` (a sum or product takes the least valid order of its terms, a
+    derivative `jets.partial_valid_order`), the keys in exact counting as
+    exact: for one row and no exact keys, the valid order of its `_row_sum`."""
+    orders = []
+    for row in rows:
+        orders += [table[key].valid_order for _, key in row.linear]
+        orders += [
+            partial_valid_order(table[key].valid_order) for _, key, _ in row.derivatives
+        ]
+        orders += [
+            min(table[y].valid_order, cap if x in exact else table[x].valid_order)
+            for _, x, y in row.products
+        ]
+    return min(orders)
+
+
 class _LinearNode:
     """Keys solved one x1-layer at a time from as many algebraic rows, which
     take no x1-derivative and hold each key only as the first factor of
@@ -693,8 +715,8 @@ class _LinearNode:
     M0 is inverted once, by `geometry._gauss_jordan` augmented by the
     identity, and layer t of the keys is -M0^-1 times layer t of the rows,
     evaluated by `_row_layer` while the keys' layer t is still zero. Every
-    key gets the least valid order of the entries the rows read (one less
-    for a derivative), as an elimination of the full-size system gives it.
+    key gets the `_valid_order` of the rows, the keys counting as exact, as
+    an elimination of the full-size system gives it.
     Layer 0 starts a solve: it zeroes the keys and inverts M0 of its table."""
 
     def __init__(self, keys, rows, n: int, cap: int):
@@ -726,23 +748,6 @@ class _LinearNode:
             )
         return [row[size:] for row in _gauss_jordan(matrix)]
 
-    def _valid_order(self, table: Mapping) -> int:
-        """The keys' valid order: the least valid order of the row atoms, by
-        the rules of `Jet` (a sum or product takes the least valid order of
-        its terms, a derivative `jets.partial_valid_order`), the keys
-        counting as exact."""
-        cap, orders = self.cap, []
-        for row in self.rows:
-            orders += [table[key].valid_order for _, key in row.linear]
-            orders += [
-                partial_valid_order(table[key].valid_order) for _, key, _ in row.derivatives
-            ]
-            orders += [
-                min(table[y].valid_order, cap if x in self.key_set else table[x].valid_order)
-                for _, x, y in row.products
-            ]
-        return min(orders)
-
     def layer(self, table: Mapping, t: int) -> dict:
         """The keys with layer t written, from a table holding layers <= t
         of every other entry the rows read."""
@@ -757,7 +762,7 @@ class _LinearNode:
         for row in self.rows:
             out, den = _row_layer(row, table, {}, n, cap, t)
             gaps.append(zero._with_nums([out[r] for r in ranks], den, cap - t))
-        valid = cap if t < cap else self._valid_order(table)
+        valid = cap if t < cap else _valid_order(self.rows, table, cap, self.key_set)
         for key, inverse_row in zip(self.keys, self.inverse):
             terms = [
                 zero._with_nums(list(entry.nums[:width]), entry.den, cap - t) * gap
@@ -782,16 +787,20 @@ def _ck_solve(
     holding the unknown's x1-derivative with coefficient s = +-1 and no other
     x1-derivative but of the fixed keys, as (u)_1 = -s * (rest of the row) on
     one table: the fixed entries, the unknowns, each derived entry as the sum
-    `_row_sum` of its row on the entries before it, and the node's keys.
-    Return that table of the solution; an initial slice below valid order D
-    is rejected, since the solution is written to order D.
+    of its row on the entries before it, and the node's keys. A derived row
+    too takes x1-derivatives only of the fixed keys. Return that table of the
+    solution; an initial slice below valid order D is rejected, since the
+    solution is written to order D.
 
     The solution is built one x1-layer at a time: with the unknowns known
-    through layer t, the node writes layer t of its keys, layer t of each
-    rest needs only layers <= t of the table, and layer t + 1 of the unknown
-    is -s * (that layer) / (t + 1). After layers 1..D this is the unique
+    through layer t, layer t of each derived entry is written with
+    `_row_layer` at the valid order of its `_row_sum` (`_valid_order`), the
+    node writes layer t of its keys, layer t of each rest needs only layers
+    <= t of the table, and layer t + 1 of the unknown is
+    -s * (that layer) / (t + 1). After layers 1..D this is the unique
     truncated solution, the one that D + 1 Picard rounds of
-    `ck.solve_first_order` reach."""
+    `ck.solve_first_order` reach, and every derived entry is its `_row_sum`
+    on it."""
     some = next(iter(initial.values()))
     n, cap = some.ambient_n, some.max_degree
     short = sorted(lab for lab in labels.values() if initial[lab].valid_order < cap)
@@ -800,23 +809,30 @@ def _ck_solve(
             "initial-slice-not-exact", f"initial slices {short} are valid below D = {cap}"
         )
     rests = _ck_rows(equations, labels, fixed)
-    d1 = {
-        key: fixed[key].partial(1)
-        for _, row in rests.values()
-        for _, key, ax in row.derivatives
-        if ax == 1
-    }
+    for target, row in derived.items():
+        consumed = _x1_consumed(row.derivatives, labels, fixed)
+        if consumed:
+            raise AssertionError(
+                f"the derived row of {target} consumes the x1-derivatives of {consumed}"
+            )
+    rows = [row for _, row in rests.values()] + list(derived.values())
+    d1 = {key: fixed[key].partial(1) for row in rows for _, key, ax in row.derivatives if ax == 1}
     layers = mi.x1_layers(n, cap)
     values = {key: initial[lab].promote() for key, lab in labels.items()}
+    values.update((target, Jet.zero(n, cap)) for target in derived)
     for t in range(cap + 1):
         try:
             table = {**fixed, **values}
-            for target, row in derived.items():
-                table[target] = _row_sum(row, table)[0]
             shapes = {(jet.n, jet.max_degree) for jet in table.values()}
             if shapes != {(n, cap)}:
                 raise DimensionMismatchError(
                     f"table entries in workspaces {sorted(shapes)}, unknowns in {(n, cap)}"
+                )
+            for target, row in derived.items():
+                out, den = _row_layer(row, table, d1, n, cap, t)
+                valid = _valid_order([row], table, cap)
+                table[target] = values[target] = _write_layer(
+                    values[target], layers[t], [out[r] for r in layers[t]], den, valid
                 )
             if node is not None:
                 table.update(node.layer(table, t))
@@ -972,16 +988,32 @@ def build_prescribed_ricci_torsion_free(r: Bilinear, fd: FreeData) -> BuildRepor
 
 
 # ---------------------------------------------------------------------------
-# 2D metric with prescribed Ricci tensor (second-order solve)
+# 2D metric with prescribed Ricci tensor (a second-order equation, solved as
+# a first-order system)
 
 
 def build_metric_2d_prescribed_ricci(
     r: Bilinear, phi: SliceJet, psi: SliceJet
 ) -> BuildReport:
     """2D metric g = h r with Ricci tensor equal to the prescribed diagonal
-    nondegenerate r. The conformal factor solves a second-order CK equation:
-    in the curvature identity the coefficient of (h)_11 is -1/(2h), so the
-    right-hand side evaluates the remaining terms and divides."""
+    nondegenerate r. With w = h r11 and v = h r22, Ric_11 of diag(w, v) is
+
+        -1/(2v) [(w)_22 + (v)_11] + 1/(4v^2) [(v)_2 (w)_2 + ((v)_1)^2]
+            + 1/(4wv) [(w)_1 (v)_1 + ((w)_2)^2],
+
+    and the h_11 r22 term of (v)_11 gives (h)_11 the coefficient -1/(2h).
+    Multiplied through by 2h, Ric_11 = r11 becomes (h)_11 = F with
+
+        F = -1/r22 [(w)_22 + 2 p (r22)_1 + h (r22)_11]
+            + (1/h) [1/(2 r22^2) B1 + 1/(2 r11 r22) B2] - 2 r11 h,
+        B1 = (v)_2 (w)_2 + ((v)_1)^2,   B2 = (w)_1 (v)_1 + ((w)_2)^2,
+
+    where p = (h)_1, (w)_1 = p r11 + h (r11)_1 and (v)_1 = p r22 + h (r22)_1.
+    `_ck_solve` solves the first-order system (h)_1 = p, (p)_1 = F from the
+    slices phi and psi. The reciprocals of r are fixed before the solve, and
+    1/h is the key of a one-key node on h (1/h) - 1 = 0, so the solve takes
+    no full-size reciprocal. h is the unique truncated solution, the one that
+    `ck.solve_second_order` gives."""
     _require_dimension("metric-2d", r.n)
     _, cap = r.shape
     r11, r22, r12 = r.comp(1, 1), r.comp(2, 2), r.comp(1, 2)
@@ -998,19 +1030,46 @@ def build_metric_2d_prescribed_ricci(
             "initial-value-vanishes", "the initial slice for h must not vanish at 0"
         )
 
-    def rhs(values: dict[str, Jet]) -> dict[str, Jet]:
-        h = values["h"]
-        w = h * r11
-        v = h * r22
-        # Ric_11 of diag(w, v) with the h_11 term of (v)_11 removed
-        v11_rest = (h.partial(1) * r22.partial(1)).scale(2) + h * r22.partial(1).partial(1)
-        remaining = _ricci_11_diagonal_2d(w, v, w.reciprocal(), v.reciprocal(), v11_rest)
-        # divide by the coefficient -1/(2h) of (h)_11
-        return {"h": (remaining - r11) * h.scale(2)}
-
-    system = SecondOrderSystem(("h",), rhs, {"h": phi}, {"h": psi})
-    solution = solve_second_order(system)
-    h = solution.values["h"]
+    i22 = r22.reciprocal()
+    fixed = {
+        "1": Jet.one(2, cap),
+        "r11": r11,
+        "r22": r22,
+        "(r11)_1": r11.partial(1),
+        "(r22)_1": r22.partial(1),
+        "(r22)_11": r22.partial(1).partial(1),
+        "1/r22": i22,
+        "1/(2 r22^2)": (i22 * i22).scale(HALF),
+        "1/(2 r11 r22)": (r11.reciprocal() * i22).scale(HALF),
+    }
+    derived = {
+        "w": _Row(products=((1, "h", "r11"),)),
+        "v": _Row(products=((1, "h", "r22"),)),
+        "(w)_2": _Row(derivatives=((1, "w", 2),)),
+        "(v)_2": _Row(derivatives=((1, "v", 2),)),
+        "(w)_1": _Row(products=((1, "p", "r11"), (1, "h", "(r11)_1"))),
+        "(v)_1": _Row(products=((1, "p", "r22"), (1, "h", "(r22)_1"))),
+        # (w)_22 + (v)_11 - (h)_11 r22
+        "s": _Row(
+            derivatives=((1, "(w)_2", 2),),
+            products=((2, "p", "(r22)_1"), (1, "h", "(r22)_11")),
+        ),
+        "B1": _Row(products=((1, "(v)_2", "(w)_2"), (1, "(v)_1", "(v)_1"))),
+        "B2": _Row(products=((1, "(w)_1", "(v)_1"), (1, "(w)_2", "(w)_2"))),
+        # the quadratic terms of F but for the factor 1/h
+        "E": _Row(products=((1, "1/(2 r22^2)", "B1"), (1, "1/(2 r11 r22)", "B2"))),
+    }
+    equations = {
+        "h": _Row(linear=((1, "p"),), derivatives=((-1, "h", 1),)),
+        "p": _Row(
+            derivatives=((-1, "p", 1),),
+            products=((-1, "1/r22", "s"), (1, "1/h", "E"), (-2, "r11", "h")),
+        ),
+    }
+    node = _LinearNode(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))], 2, cap)
+    labels = {"h": "phi", "p": "psi"}
+    table = _ck_solve(equations, labels, fixed, derived, {"phi": phi, "psi": psi}, node)
+    h = table["h"]
     metric = Metric(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
     )

@@ -7,7 +7,10 @@ and the sequential elimination follows the ordered-substitution procedure.
 `ref_linear_solve` solves the determined symbols by one full-size jet
 elimination per evaluation, on the builders' own gap rows: it checks the
 layered solve of those rows, not the rows. `ref_nabla_g` forms all n^3
-components of nabla g with 2 n^4 products.
+components of nabla g with 2 n^4 products. `ref_metric_2d_h` solves the
+metric-2d equation as one second-order system by Picard rounds, with the
+curvature formula of `geometry.sectional_curvature_2d` and full-size
+reciprocals at every evaluation.
 The closed-form Christoffel symbols of a diagonal 2D metric check the general
 Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
 coefficient, the product through the product_rank dictionary, Newton
@@ -23,7 +26,8 @@ from math import factorial
 from jetgeom import Connection, Jet, Metric
 from jetgeom import multiindex as mi
 from jetgeom.builders import _codazzi_gap, _codazzi_spec, _row_sum
-from jetgeom.geometry import CubicForm, _gauss_jordan, _sum_jets
+from jetgeom.ck import SecondOrderSystem, solve_second_order
+from jetgeom.geometry import CubicForm, _gauss_jordan, _ricci_11_diagonal_2d, _sum_jets
 
 
 def term_dict(jet: Jet) -> dict[tuple[int, ...], Fraction]:
@@ -186,6 +190,26 @@ def ref_determined_christoffels(n, cap, gtable, free_gammas, determined_keys) ->
     the full tables, by `ref_linear_solve`."""
     rows = [_codazzi_gap(*gap, n, True) for gap in _codazzi_spec(n).gaps]
     return ref_linear_solve(determined_keys, rows, {**gtable, **free_gammas})
+
+
+def ref_metric_2d_h(r, phi, psi) -> Jet:
+    """The conformal factor h of g = h r with Ric(g) = r for a diagonal 2D r:
+    in Ric_11 of diag(w, v) = diag(h r11, h r22) the coefficient of (h)_11 is
+    -1/(2h), so (h)_11 is the remaining terms minus r11, times 2h, solved
+    from h = phi, (h)_1 = psi on {x1 = 0} by `ck.solve_second_order`."""
+    r11, r22 = r.comp(1, 1), r.comp(2, 2)
+
+    def rhs(values):
+        h = values["h"]
+        w = h * r11
+        v = h * r22
+        # Ric_11 of diag(w, v) with the h_11 term of (v)_11 removed
+        v11_rest = (h.partial(1) * r22.partial(1)).scale(2) + h * r22.partial(1).partial(1)
+        remaining = _ricci_11_diagonal_2d(w, v, w.reciprocal(), v.reciprocal(), v11_rest)
+        return {"h": (remaining - r11) * h.scale(2)}
+
+    system = SecondOrderSystem(("h",), rhs, {"h": phi}, {"h": psi})
+    return solve_second_order(system).values["h"]
 
 
 def levi_civita_diagonal_2d(g: Metric) -> Connection:

@@ -755,6 +755,27 @@ def test_inline_slice_below_d_is_rejected(tmp_path, capsys, construction, n, val
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("valid_order", [0, 3])
+@pytest.mark.parametrize("key", ["phi", "psi"])
+def test_metric_2d_slice_below_d_is_rejected(tmp_path, capsys, key, valid_order):
+    # h and p = (h)_1 are written to order D from phi and psi: a slice valid
+    # to a lower order cannot give h to order D
+    out_path = tmp_path / "report.json"
+    jet = dict(inline_jet({"0": "1/1", "1": "1/2"}, 1, 6), valid_order=valid_order)
+    scenario = {
+        "construction": "metric-2d",
+        "n": 2,
+        "D": 6,
+        "seed": 1,
+        "prescribed": {key: {"ambient_n": 2, "jet": jet}},
+        "output": str(out_path),
+    }
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 2
+    assert json.loads(out) == {"status": "rejected", "reason": "initial-slice-not-exact"}
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed scenarios and tampered reports
 

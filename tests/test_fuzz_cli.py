@@ -133,6 +133,14 @@ BELOW_D_SLICE = {"n": 1, "D": 2, "valid_order": 1, "coeffs": {"1": "1/2"}}
         "prescribed": {"init12": BELOW_D_SLICE},
     }
 )
+@example(
+    scenario={
+        "construction": "metric-2d",
+        "n": 2,
+        "D": 2,
+        "prescribed": {"psi": BELOW_D_SLICE},
+    }
+)
 @given(scenario=or_junk(SCENARIOS))
 def test_run_on_generated_scenarios_keeps_the_exit_contract(tmp_path_factory, scenario):
     folder = tmp_path_factory.mktemp("run")

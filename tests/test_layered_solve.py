@@ -1,8 +1,9 @@
-"""The x1-layered CK solve of the first-order builders: bit for bit against
-the Picard reference, its derivative contract, and its errors."""
+"""The x1-layered CK solve of the builders: bit for bit against the Picard
+reference, its derivative contract, and its errors."""
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,9 @@ from ck_seam import capture_ck_solves
 from jetgeom import (
     EvaluationError,
     Jet,
+    Metric,
     SingularJetError,
+    SliceJet,
     build_prescribed_ricci_general,
     build_statistical_nd,
     build_trace_free_statistical_2d,
@@ -23,15 +26,21 @@ from jetgeom import (
     random_prescribed_tensor,
     zero_free_data,
 )
+from jetgeom import multiindex as mi
 from jetgeom.builders import (
+    BuildReport,
+    _Row,
     _all_pair_keys,
+    _checked,
     _codazzi_spec,
     _determined_node,
+    _row_sum,
     solve_determined_christoffels,
 )
 from jetgeom.ck import solve_first_order
 from jetgeom.cli import _run_direct, _run_round_trip
-from oracles import ref_determined_christoffels
+from jetgeom.serialize import canonical_dumps, jet_to_json, report_to_json
+from oracles import ref_determined_christoffels, ref_metric_2d_h
 
 ROW_BUILDS = [
     (tag, n)
@@ -42,8 +51,16 @@ ROW_BUILDS = [
         ("statistical", (3, 4)),
         ("statistical-2d", (2,)),
         ("trace-free-statistical-2d", (2,)),
+        ("metric-2d", (2,)),
     )
     for n in ns
+]
+# metric-2d has no round_trip mode
+SEAM_CASES = [
+    (tag, n, cap, mode)
+    for tag, n in ROW_BUILDS
+    for cap in (3, 5)
+    for mode in ("direct",) + (() if tag == "metric-2d" else ("round_trip",))
 ]
 
 # direct mode: random data in every slot the scenario offers
@@ -54,12 +71,11 @@ RANDOM_PRESCRIBED = {
     "statistical": {},
     "statistical-2d": {"g11": "random", "init12": "random", "init22": "random"},
     "trace-free-statistical-2d": {"init12": "random", "init22": "random"},
+    "metric-2d": {"r11": "random", "r22": "random", "phi": "random", "psi": "random"},
 }
 
 
-@pytest.mark.parametrize("mode", ["direct", "round_trip"])
-@pytest.mark.parametrize("cap", [3, 5])
-@pytest.mark.parametrize("tag, n", ROW_BUILDS)
+@pytest.mark.parametrize("tag, n, cap, mode", SEAM_CASES)
 def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
     calls = capture_ck_solves(monkeypatch)
     sc = {"construction": tag, "n": n, "D": cap, "seed": 7}
@@ -68,10 +84,64 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
         _run_direct(sc)
     else:
         _run_round_trip(sc)
-    [(system, (_, labels, *_), table)] = calls
+    [(system, (_, labels, fixed, derived, *_), table)] = calls
     picard = solve_first_order(system).values
     for key, lab in labels.items():
         assert table[key].same_payload(picard[lab]), lab
+    # each derived entry, valid order included, is its row's sum on the
+    # Picard solution (the torsion-free G^k_kk are valid to D - 1)
+    full = {**fixed, **{key: picard[lab] for key, lab in labels.items()}}
+    for target, row in derived.items():
+        full[target] = _row_sum(row, full)[0]
+        assert table[target].same_payload(full[target]), target
+
+
+def inline_metric_2d_data(cap: int, seed: int) -> dict:
+    """Inline r11, r22, phi and psi with rational coefficients up to degree
+    min(D, 4), nonzero at the origin but psi."""
+    rng = random.Random(100 * cap + seed)
+
+    def jet(n, constant):
+        terms = {
+            exps: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for exps in mi.exponents(n, cap)
+            if sum(exps) <= 4
+        }
+        terms[(0,) * n] = constant
+        return jet_to_json(Jet.from_terms(n, cap, terms))
+
+    def nonzero():
+        return Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    return {
+        "r11": jet(2, nonzero()),
+        "r22": jet(2, nonzero()),
+        "phi": {"ambient_n": 2, "jet": jet(1, nonzero())},
+        "psi": {"ambient_n": 2, "jet": jet(1, Fraction(rng.randint(-2, 2)))},
+    }
+
+
+@pytest.mark.parametrize("data", ["random", "inline"])
+@pytest.mark.parametrize("cap", range(2, 13))
+def test_metric_2d_matches_the_second_order_picard_solve(cap, data):
+    # the first-order (h, p) system gives the h of the second-order solve,
+    # and the report the bytes of a report made from that h
+    for seed in range(1, 7):
+        sc = {"construction": "metric-2d", "n": 2, "D": cap, "seed": seed}
+        if data == "random":
+            sc["prescribed"] = RANDOM_PRESCRIBED["metric-2d"]
+        else:
+            sc["prescribed"] = inline_metric_2d_data(cap, seed)
+        report = _run_direct(sc)
+        r, phi, psi = (report.prescribed[key] for key in ("r", "phi", "psi"))
+        h = ref_metric_2d_h(r, phi, psi)
+        assert report.outputs["conformal_factor"].same_payload(h), seed
+        metric = Metric(
+            2, {(1, 1): h * r.comp(1, 1), (1, 2): Jet.zero(2, cap), (2, 2): h * r.comp(2, 2)}
+        )
+        outputs = {"metric": metric, "conformal_factor": h}
+        ref = _checked(BuildReport("metric-2d", 2, cap, report.prescribed, None, outputs, []))
+        assert canonical_dumps(report_to_json(report)) == canonical_dumps(report_to_json(ref))
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
@@ -205,6 +275,17 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
         "the row of g;1,2 holds its x1-derivative with coefficients [1] and "
         "consumes the x1-derivatives of [(1, 1)]"
     )
+
+
+def test_x1_derivative_in_a_derived_row_is_rejected(monkeypatch):
+    # layer t of a derived entry that read (u)_1 would need layer t + 1 of u
+    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    equations = {"u": _Row(linear=((1, "du"),), derivatives=((-1, "u", 1),))}
+    derived = {"du": _Row(derivatives=((1, "u", 1),))}
+    initial = {"u0": SliceJet(Jet.one(1, 3))}
+    with pytest.raises(AssertionError) as err:
+        builders_module._ck_solve(equations, {"u": "u0"}, {}, derived, initial)
+    assert str(err.value) == "the derived row of du consumes the x1-derivatives of ['u0']"
 
 
 def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):

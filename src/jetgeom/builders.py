@@ -60,7 +60,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import multiindex as mi
 from .errors import (
@@ -336,24 +336,31 @@ class BuildReport:
 # report
 
 
-def _residual_zero(res: Bilinear, r: Bilinear, order: int) -> bool:
-    return all(
-        (res.comp(i, j) - r.comp(i, j)).is_zero_up_to(order)
-        for i in range(1, res.n + 1)
-        for j in range(1, res.n + 1)
-    )
+def _residuals(report: BuildReport, res: Bilinear, order: int) -> Iterator[Jet]:
+    """The jets res_ij - r_ij of the report's prescribed r, res having been
+    formed at cap order from outputs in the report's workspace. An r in
+    another workspace fails as the untruncated subtraction would."""
+    r, n, cap = report.prescribed["r"], report.n, report.max_degree
+    for i in range(1, res.n + 1):
+        for j in range(1, res.n + 1):
+            rij = r.comp(i, j)
+            if (rij.n, rij.max_degree) != (n, cap):
+                raise DimensionMismatchError(
+                    f"workspace mismatch: ({n},{cap}) vs ({rij.n},{rij.max_degree})"
+                )
+            yield res.comp(i, j) - rij.truncate(order)
 
 
 def _ricci_residual(report: BuildReport, order: int) -> bool:
-    return _residual_zero(
-        ricci(report.outputs["connection"]), report.prescribed["r"], order
-    )
+    res = ricci(report.outputs["connection"], order)
+    return all(gap.is_zero_up_to(order) for gap in _residuals(report, res, order))
 
 
 def _metric_ricci_residual(report: BuildReport, order: int) -> bool:
-    return _residual_zero(
-        ricci(levi_civita(report.outputs["metric"])), report.prescribed["r"], order
-    )
+    # the derivative part of Ric to degree k needs the symbols to degree k + 1
+    conn = levi_civita(report.outputs["metric"], min(order + 1, report.max_degree))
+    res = ricci(conn, order)
+    return all(gap.is_zero_up_to(order) for gap in _residuals(report, res, order))
 
 
 def _torsion_trace_zero(report: BuildReport, order: int) -> bool:
@@ -933,6 +940,16 @@ def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
     return rows
 
 
+def _require_exact(name: str, jets: Iterable[Jet], order: int):
+    """Reject a prescribed tensor valid below the order the solve reads it to."""
+    valid = min(jet.valid_order for jet in jets)
+    if valid < order:
+        raise RejectionError(
+            "prescribed-tensor-not-exact",
+            f"prescribed {name} is valid to order {valid}, the solve needs {order}",
+        )
+
+
 def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> BuildReport:
     """Connection with prescribed Ricci tensor r in one torsion regime:
     "general", "trace-free-torsion" (n >= 3) or "torsion-free". The
@@ -958,6 +975,8 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
+    # Gamma at degree d takes r at degree d - 1
+    _require_exact("r", r.comps.values(), cap - 1)
     labels = {unknown: gamma_slot(*unknown) for _, unknown in spec.equations}
     # the determined symbols, then the divergence entries of the products
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
@@ -1030,6 +1049,8 @@ def build_metric_2d_prescribed_ricci(
             "initial-value-vanishes", "the initial slice for h must not vanish at 0"
         )
 
+    # h at degree d takes r11 and r22 at degree d
+    _require_exact("r11, r22", (r11, r22), cap)
     i22 = r22.reciprocal()
     fixed = {
         "1": Jet.one(2, cap),

@@ -256,15 +256,29 @@ def divergence_form(conn: Connection) -> OneForm:
     )
 
 
-def ricci(conn: Connection) -> Bilinear:
+def _truncated(table: Mapping, order: int | None) -> Mapping:
+    """The table with every jet truncated to order (`Jet.truncate`); None
+    gives the table itself."""
+    if order is None:
+        return table
+    return {key: jet.truncate(order) for key, jet in table.items()}
+
+
+def ricci(conn: Connection, order: int | None = None) -> Bilinear:
     """Ricci tensor of a connection from its Christoffel symbols, as
     ricci_derivative_part - lambda_term:
 
         Ric_ij = sum_k [(G^k_ij)_k - (G^k_kj)_i]
                  + sum_{k,l} [G^l_ij G^k_kl - G^l_kj G^k_il]
-    """
-    deriv, lam = ricci_derivative_part(conn), lambda_term(conn)
-    return Bilinear(conn.n, {key: deriv.comps[key] - lam.comps[key] for key in deriv.comps})
+
+    With an order k (0..D), the partials are taken at the cap D and truncated
+    to k, and every product is formed at cap k: the result lives in workspace
+    (n, k) and is the full one truncated to k."""
+    deriv = _truncated(ricci_derivative_part(conn).comps, order)
+    if order is not None:
+        conn = Connection(conn.n, _truncated(conn.gamma, order), conn.symmetric)
+    lam = lambda_term(conn).comps
+    return Bilinear(conn.n, {key: deriv[key] - lam[key] for key in deriv})
 
 
 def ricci_derivative_part(conn: Connection) -> Bilinear:
@@ -409,15 +423,23 @@ def potential_of_one_form(d: OneForm) -> Jet:
     return total
 
 
-def nabla_g(conn: Connection, g: Metric) -> CubicForm:
+def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
     """(nabla g)_ijk = (g_jk)_i - A_ijk - A_ikj with A_ijk = sum_l G^l_ij g_lk.
 
     nabla g is symmetric in (j, k), so only j <= k is formed; on a symmetric
     table A_ijk = A_jik is formed only for i <= j. At n = 4 that is 160 jet
-    products on a symmetric table and 256 on a general one."""
+    products on a symmetric table and 256 on a general one.
+
+    With an order k (0..D), the partials are taken at the cap D and truncated
+    to k, and every product is formed at cap k: the result lives in workspace
+    (n, k) and is the full one truncated to k. Christoffel symbols and metric
+    in different workspaces fail as the first untruncated product would."""
     n = conn.n
     rng = range(1, n + 1)
-    gamma = conn.gamma
+    gamma, comps = conn.gamma, g.comps
+    if order is not None and n:
+        gamma[(1, 1, 1)]._require_same_shape(comps[(1, 1)])
+    gamma, comps = _truncated(gamma, order), _truncated(comps, order)
     a = {}
     for i in rng:
         for j in rng:
@@ -425,21 +447,24 @@ def nabla_g(conn: Connection, g: Metric) -> CubicForm:
                 if conn.symmetric and j < i:
                     a[(i, j, k)] = a[(j, i, k)]
                 else:
-                    a[(i, j, k)] = _sum_jets(gamma[(l, i, j)] * g.comp(l, k) for l in rng)
+                    a[(i, j, k)] = _sum_jets(gamma[(l, i, j)] * comps[(l, k)] for l in rng)
+    dg = _truncated(
+        {(i, j, k): g.comp(j, k).partial(i) for i in rng for j in rng for k in range(j, n + 1)},
+        order,
+    )
     out = {}
     for i in rng:
         for j in rng:
             for k in range(j, n + 1):
-                out[(i, j, k)] = out[(i, k, j)] = (
-                    g.comp(j, k).partial(i) - a[(i, j, k)] - a[(i, k, j)]
-                )
+                out[(i, j, k)] = out[(i, k, j)] = dg[(i, j, k)] - a[(i, j, k)] - a[(i, k, j)]
     return CubicForm(n, out)
 
 
 def is_codazzi(conn: Connection, g: Metric, order: int) -> bool:
     """Total symmetry of nabla g, tested on the reduced index set
-    {(i, j, k): i < j, i <= k} which is equivalent to all permutations."""
-    ng = nabla_g(conn, g)
+    {(i, j, k): i < j, i <= k} which is equivalent to all permutations.
+    nabla g is formed in the workspace of order (`nabla_g`)."""
+    ng = nabla_g(conn, g, order)
     n = conn.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -473,13 +498,18 @@ def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
     return rows
 
 
-def metric_inverse(g: Metric) -> dict[tuple[int, int], Jet]:
+def metric_inverse(g: Metric, order: int | None = None) -> dict[tuple[int, int], Jet]:
     """Componentwise inverse matrix of jets, by Gaussian elimination with
-    pivoting on constant terms."""
+    pivoting on constant terms. With an order k (0..D), the elimination runs
+    on the components truncated to k, at cap k: the result is the full
+    inverse truncated to k."""
     n, cap = g.shape
+    comps = _truncated(g.comps, order)
+    if order is not None:
+        cap = order
     rows = _gauss_jordan(
         [
-            [g.comp(i, j) for j in range(1, n + 1)]
+            [comps[(i, j)] for j in range(1, n + 1)]
             + [Jet.constant(1 if j == i else 0, n, cap) for j in range(1, n + 1)]
             for i in range(1, n + 1)
         ]
@@ -489,17 +519,20 @@ def metric_inverse(g: Metric) -> dict[tuple[int, int], Jet]:
     }
 
 
-def levi_civita(g: Metric) -> Connection:
+def levi_civita(g: Metric, order: int | None = None) -> Connection:
     """Christoffel symbols of the Levi-Civita connection:
 
         G^s_ij = 1/2 sum_k g^{sk} ((g_ki)_j + (g_jk)_i - (g_ji)_k)
-    """
+
+    With an order k (0..D), the partials are taken at the cap D and truncated
+    to k, and the inverse and every product are formed at cap k: the result
+    lives in workspace (n, k) and is the full one truncated to k."""
     n = g.n
     rng = range(1, n + 1)
-    inv = metric_inverse(g)
-    dg = {
-        (a, b, c): g.comp(a, b).partial(c) for a in rng for b in rng for c in rng
-    }
+    inv = metric_inverse(g, order)
+    dg = _truncated(
+        {(a, b, c): g.comp(a, b).partial(c) for a in rng for b in rng for c in rng}, order
+    )
     lower = {}
     for i in rng:
         for j in rng:

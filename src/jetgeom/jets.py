@@ -437,6 +437,19 @@ class Jet:
         out, den = _reduced(out, self.den)
         return SliceJet(Jet._from_nums(self.n - 1, self.max_degree, out, den, self.valid_order))
 
+    def truncate(self, k: int) -> "Jet":
+        """The graded prefix of total degree <= k as a jet of cap k (0..cap),
+        in lowest terms, valid to min(valid_order, k). A coefficient of
+        degree <= k of a product needs only its factors' coefficients of
+        degree <= k, so products of truncated jets are the truncated product."""
+        cap = self.max_degree
+        if not 0 <= k <= cap:
+            raise ValueError(f"truncation order {k} outside 0..{cap}")
+        if k == cap:
+            return self
+        nums, den = _reduced(self.nums[: self._prefix(k)], self.den)
+        return Jet._from_nums(self.n, k, nums, den, min(self.valid_order, k))
+
     def with_valid_order(self, valid_order: int) -> "Jet":
         if not 0 <= valid_order <= self.max_degree:
             raise ValueError(f"valid_order {valid_order} outside 0..{self.max_degree}")

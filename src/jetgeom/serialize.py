@@ -4,13 +4,25 @@ Coefficients are reduced rational strings "num/den"; exponent keys are
 space-separated integers; zero coefficients are omitted. Dumps are canonical
 (sorted keys, fixed separators), so identical objects serialize to identical
 bytes and reports round-trip bit-exactly.
+
+Both directions work on a jet's integers: the writer reduces each numerator
+over the jet's denominator with one gcd, which gives the text
+`fractions.Fraction` gives, and takes its keys from one cached tuple per
+workspace (`_keys`). The reader looks each key up in the table of that tuple
+and reads a coefficient of the form `-?[0-9]+(/[0-9]+)?` with a nonzero
+denominator as two integers. Any other key or coefficient sends the whole
+jet through the general parse (`int` on each key part, `Fraction` on each
+coefficient), so the accepted inputs, their values and the errors are those
+of that parse.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 from . import multiindex as mi
 from .builders import BuildReport, Check, FreeData
@@ -18,21 +30,29 @@ from .errors import DimensionMismatchError
 from .geometry import Bilinear, Connection, Metric
 from .jets import Jet, SliceJet
 
+# a coefficient the reader takes as two integers without Fraction
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+
+@lru_cache(maxsize=None)
+def _keys(n: int, cap: int) -> tuple[str, ...]:
+    """The key of every monomial of workspace (n, cap), rank order."""
+    return tuple(" ".join(str(e) for e in exps) for exps in mi.exponents(n, cap))
+
+
+@lru_cache(maxsize=None)
+def _key_ranks(n: int, cap: int) -> dict[str, int]:
+    return {key: r for r, key in enumerate(_keys(n, cap))}
 
 
 def jet_to_json(jet: Jet) -> dict:
-    return {
-        "n": jet.n,
-        "D": jet.max_degree,
-        "valid_order": jet.valid_order,
-        "coeffs": {
-            " ".join(str(e) for e in exps): _fraction_str(c)
-            for exps, c in jet.terms()
-        },
-    }
+    den = jet.den
+    coeffs = {}
+    for key, c in zip(_keys(jet.n, jet.max_degree), jet.nums):
+        if c:
+            g = gcd(c, den)
+            coeffs[key] = f"{c // g}/{den // g}"
+    return {"n": jet.n, "D": jet.max_degree, "valid_order": jet.valid_order, "coeffs": coeffs}
 
 
 def _object(value, what: str) -> dict:
@@ -52,8 +72,10 @@ def _coefficient(value) -> Fraction:
 def jet_from_json(data: dict) -> Jet:
     """The jet of a JSON object: integers n and D within
     `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
-    built, and every coefficient a string, parsed once. valid_order is an
-    integer in 0..D or null, which means D."""
+    built, and every coefficient a string. The coefficients are read as
+    integers (`_read_integers`) unless one entry needs the general parse
+    (`_read_general`). valid_order is an integer in 0..D or null, which
+    means D."""
     n, cap, valid_order = data["n"], data["D"], data["valid_order"]
     if type(n) is not int or type(cap) is not int:
         raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
@@ -64,24 +86,68 @@ def jet_from_json(data: dict) -> Jet:
             f"jet workspace n = {n}, D = {cap} needs more than "
             f"{mi.MAX_PRODUCT_PAIRS} product pairs"
         )
+    coeffs = _object(data["coeffs"], "jet coeffs")
+    nums, den = _read_integers(n, cap, coeffs) or _read_general(n, cap, coeffs)
+    v = cap if valid_order is None else valid_order
+    if not 0 <= v <= cap:
+        raise ValueError(f"valid_order {v} outside 0..{cap}")
+    return Jet._from_nums(n, cap, nums, den, v)
+
+
+def _lowest_terms(size: int, fractions: dict) -> tuple[tuple[int, ...], int]:
+    """The numerators over one denominator of the reduced (num, den) pairs at
+    their ranks: over the lcm of reduced denominators the numerators share
+    no factor."""
+    den = lcm(*(q for _, q in fractions.values()))
+    nums = [0] * size
+    for r, (p, q) in fractions.items():
+        nums[r] = p * (den // q)
+    return tuple(nums), den
+
+
+def _read_integers(n: int, cap: int, coeffs: dict):
+    """The (nums, den) of coefficients that all have a key of the workspace
+    table and the form `-?[0-9]+(/[0-9]+)?` with a nonzero denominator, or
+    None if one does not (or n or cap is negative)."""
+    if n < 0 or cap < 0:
+        return None
+    ranks = _key_ranks(n, cap)
+    fractions = {}
+    for key, value in coeffs.items():
+        r = ranks.get(key)
+        m = _RATIONAL.fullmatch(value) if r is not None and isinstance(value, str) else None
+        if m is None:
+            return None
+        num, den = m.groups()
+        try:
+            p, q = int(num), 1 if den is None else int(den)
+        except ValueError:  # a numeral over the interpreter's digit limit
+            return None
+        if not q:
+            return None
+        g = gcd(p, q)
+        fractions[r] = (p // g, q // g)
+    return _lowest_terms(len(ranks), fractions)
+
+
+def _read_general(n: int, cap: int, coeffs: dict) -> tuple[tuple[int, ...], int]:
+    """The (nums, den) of any keys `int` reads part by part and any
+    coefficients `Fraction` reads; a monomial written twice takes its last
+    value. Raises the parse's own error on the first bad entry, and
+    DimensionMismatchError for a monomial outside the workspace."""
     terms = {}
-    for key, value in _object(data["coeffs"], "jet coeffs").items():
+    for key, value in coeffs.items():
         exps = tuple(int(v) for v in key.split()) if key.strip() else ()
         terms[exps] = _coefficient(value)
     ranks = mi.rank_of(n, cap)
-    nums = [0] * len(ranks)
-    den = lcm(*(c.denominator for c in terms.values()))
-    for exps, c in terms.items():
+    for exps in terms:
         if exps not in ranks:
             raise DimensionMismatchError(
                 f"monomial {exps} does not fit workspace n={n}, cap={cap}"
             )
-        nums[ranks[exps]] = c.numerator * (den // c.denominator)
-    v = cap if valid_order is None else valid_order
-    if not 0 <= v <= cap:
-        raise ValueError(f"valid_order {v} outside 0..{cap}")
-    # over the lcm of reduced denominators the numerators share no factor
-    return Jet._from_nums(n, cap, tuple(nums), den, v)
+    return _lowest_terms(
+        len(ranks), {ranks[exps]: (c.numerator, c.denominator) for exps, c in terms.items()}
+    )
 
 
 def slice_to_json(sl: SliceJet) -> dict:

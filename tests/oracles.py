@@ -15,7 +15,9 @@ The closed-form Christoffel symbols of a diagonal 2D metric check the general
 Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
 coefficient, the product through the product_rank dictionary, Newton
 reciprocal, Horner exp) is the reference for the integer kernel of
-jetgeom.jets.
+jetgeom.jets, and the Fraction jet serialization (`int` on each key part,
+`Fraction` on each coefficient) for the integer writer and reader of
+jetgeom.serialize.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from jetgeom import Connection, Jet, Metric
 from jetgeom import multiindex as mi
 from jetgeom.builders import _codazzi_gap, _codazzi_spec, _row_sum
 from jetgeom.ck import SecondOrderSystem, solve_second_order
+from jetgeom.errors import DimensionMismatchError
 from jetgeom.geometry import CubicForm, _gauss_jordan, _ricci_11_diagonal_2d, _sum_jets
 
 
@@ -308,3 +311,56 @@ def ref_exp(a: Jet) -> Jet:
         acc = [c / k for c in _mul_raw(n, cap, coeffs, tuple(acc))]
         acc[0] += 1
     return _like(a, acc, a.valid_order)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction jet serialization
+
+
+def ref_jet_to_json(jet: Jet) -> dict:
+    """Every nonzero coefficient as the text of its Fraction."""
+    return {
+        "n": jet.n,
+        "D": jet.max_degree,
+        "valid_order": jet.valid_order,
+        "coeffs": {
+            " ".join(str(e) for e in exps): f"{c.numerator}/{c.denominator}"
+            for exps, c in jet.terms()
+        },
+    }
+
+
+def ref_jet_from_json(data: dict) -> Jet:
+    """`int` on every key part and `Fraction` on every coefficient, with the
+    checks, their order and their messages of `serialize.jet_from_json`."""
+    n, cap, valid_order = data["n"], data["D"], data["valid_order"]
+    if type(n) is not int or type(cap) is not int:
+        raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
+    if valid_order is not None and type(valid_order) is not int:
+        raise ValueError(f"jet valid_order must be an integer or null, not {valid_order!r}")
+    if mi.exceeds_pair_bound(n, cap):
+        raise ValueError(
+            f"jet workspace n = {n}, D = {cap} needs more than "
+            f"{mi.MAX_PRODUCT_PAIRS} product pairs"
+        )
+    coeffs = data["coeffs"]
+    if not isinstance(coeffs, dict):
+        raise ValueError(f"jet coeffs must be an object, not {type(coeffs).__name__}")
+    terms = {}
+    for key, value in coeffs.items():
+        exps = tuple(int(v) for v in key.split()) if key.strip() else ()
+        if not isinstance(value, str):
+            raise ValueError(f"coefficient {value!r} is not a string")
+        terms[exps] = Fraction(value)
+    ranks = mi.rank_of(n, cap)
+    coeffs = [Fraction(0)] * len(ranks)
+    for exps, c in terms.items():
+        if exps not in ranks:
+            raise DimensionMismatchError(
+                f"monomial {exps} does not fit workspace n={n}, cap={cap}"
+            )
+        coeffs[ranks[exps]] = c
+    v = cap if valid_order is None else valid_order
+    if not 0 <= v <= cap:
+        raise ValueError(f"valid_order {v} outside 0..{cap}")
+    return Jet(n, cap, coeffs, v)

@@ -45,6 +45,8 @@ from jetgeom.builders import (
     _codazzi_spec,
     solve_determined_christoffels,
 )
+from jetgeom.cli import _run_direct
+from jetgeom.serialize import report_from_json, report_to_json
 from ck_seam import capture_ck_solves
 from oracles import exp_series_jet
 
@@ -690,6 +692,57 @@ def test_verify_at_full_order_on_polynomial_round_trip():
     report = build_prescribed_ricci_general(r, fd)
     # polynomial-exact reconstruction verifies even above the advertised order
     assert verify(report, order=CAP)
+
+
+GAMMA_122 = ("connection", "gamma", "1;2,2")
+# construction -> (small scenario, output jet (path under "outputs") whose
+# coefficient the tampered copy changes, monomial key): a monomial with an
+# x1-factor outside the free functions, so the structural checks still pass
+# and the residual checks fail from some order on
+VERIFY_CASES = {
+    "general": ({"n": 2, "D": 4, "prescribed": {"r": "random"}}, GAMMA_122, "2 1"),
+    "trace-free-torsion": ({"n": 3, "D": 3, "prescribed": {"r": "random"}}, GAMMA_122, "1 1 0"),
+    "torsion-free": ({"n": 2, "D": 4}, GAMMA_122, "1 2"),
+    "metric-2d": ({"n": 2, "D": 4}, ("metric", "comps", "1,1"), "2 2"),
+    "statistical": ({"n": 3, "D": 3}, ("metric", "comps", "2,2"), "1 1 0"),
+    "statistical-2d": ({"n": 2, "D": 4}, ("metric", "comps", "2,2"), "1 2"),
+    "trace-free-statistical-2d": ({"n": 2, "D": 4}, ("metric", "comps", "2,2"), "1 2"),
+}
+
+# construction -> verify(report, k) for k = 0..D, untampered and tampered, as
+# the checks gave them when they formed every product at cap D
+VERIFY_OUTCOMES = {
+    "general": ((True, True, True, True, False), (True, True, False, False, False)),
+    "metric-2d": ((True, True, True, False, False), (True, True, False, False, False)),
+    "statistical": ((True, True, True, False), (True, False, False, False)),
+    "statistical-2d": ((True, True, True, True, False), (True, True, False, False, False)),
+    "torsion-free": ((True, True, True, True, False), (True, True, False, False, False)),
+    "trace-free-statistical-2d": (
+        (True, True, True, True, False),
+        (True, True, False, False, False),
+    ),
+    "trace-free-torsion": ((True, True, True, False), (True, False, False, False)),
+}
+
+
+def verify_outcomes(construction):
+    scenario, path, key = VERIFY_CASES[construction]
+    report = _run_direct(dict(scenario, construction=construction, seed=3, free_data="random"))
+    data = report_to_json(report)
+    jet = data["outputs"][path[0]]["value"][path[1]][path[2]]
+    jet["coeffs"][key] = "7/3"
+    tampered = report_from_json(data)
+    cap = report.max_degree
+    return tuple(
+        tuple(verify(r, k) for k in range(cap + 1)) for r in (report, tampered)
+    )
+
+
+@pytest.mark.parametrize("construction", sorted(VERIFY_CASES))
+def test_verify_at_every_order_keeps_its_outcomes(construction):
+    # the checks run in the workspace of their order; each outcome is the one
+    # the full-workspace checks give
+    assert verify_outcomes(construction) == VERIFY_OUTCOMES[construction]
 
 
 # ---------------------------------------------------------------------------

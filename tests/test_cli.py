@@ -776,6 +776,77 @@ def test_metric_2d_slice_below_d_is_rejected(tmp_path, capsys, key, valid_order)
     assert not out_path.exists()
 
 
+RICCI_CONNECTIONS = [("general", 2), ("trace-free-torsion", 3), ("torsion-free", 2)]
+
+
+@pytest.mark.parametrize("valid_order, built", [(0, False), (2, False), (3, True), (4, True)])
+@pytest.mark.parametrize("construction, n", RICCI_CONNECTIONS)
+def test_prescribed_ricci_below_d_minus_one_is_rejected(
+    tmp_path, capsys, construction, n, valid_order, built
+):
+    # Gamma at degree d takes r at degree d - 1: an r valid to D - 1 gives
+    # Gamma to D, and one valid below cannot
+    out_path = tmp_path / "report.json"
+    x1 = " ".join(["1"] + ["0"] * (n - 1))
+    jet = dict(inline_jet({x1: "1/2"}, n, 4), valid_order=valid_order)
+    scenario = {
+        "construction": construction,
+        "n": n,
+        "D": 4,
+        "seed": 1,
+        "prescribed": {"r": {"components": {"2,1": jet}}},
+        "free_data": "random",
+        "output": str(out_path),
+    }
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    if built:
+        assert code == 0 and json.loads(out) == {"status": "ok", "report": str(out_path)}
+    else:
+        assert code == 2
+        assert json.loads(out) == {"status": "rejected", "reason": "prescribed-tensor-not-exact"}
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("construction, n", RICCI_CONNECTIONS)
+def test_round_trip_ricci_valid_to_d_minus_one_builds(tmp_path, capsys, construction, n):
+    out_path = tmp_path / "report.json"
+    scenario = {
+        "construction": construction,
+        "n": n,
+        "D": 3,
+        "seed": 2,
+        "mode": "round_trip",
+        "output": str(out_path),
+    }
+    code, _ = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    assert code == 0
+    r = report_from_json(json.loads(out_path.read_text())).prescribed["r"]
+    assert {jet.valid_order for jet in r.comps.values()} == {2}
+
+
+@pytest.mark.parametrize("valid_order, built", [(0, False), (5, False), (6, True)])
+@pytest.mark.parametrize("key", ["r11", "r22"])
+def test_metric_2d_prescribed_below_d_is_rejected(tmp_path, capsys, key, valid_order, built):
+    # h at degree d takes r11 and r22 at degree d
+    out_path = tmp_path / "report.json"
+    jet = dict(inline_jet({"0 0": "1/1", "1 0": "1/2"}, 2, 6), valid_order=valid_order)
+    scenario = {
+        "construction": "metric-2d",
+        "n": 2,
+        "D": 6,
+        "seed": 1,
+        "prescribed": {key: jet},
+        "output": str(out_path),
+    }
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    if built:
+        assert code == 0 and json.loads(out) == {"status": "ok", "report": str(out_path)}
+    else:
+        assert code == 2
+        assert json.loads(out) == {"status": "rejected", "reason": "prescribed-tensor-not-exact"}
+        assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed scenarios and tampered reports
 

@@ -17,6 +17,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,7 @@ SCENARIOS = st.fixed_dictionaries(
 
 
 BELOW_D_SLICE = {"n": 1, "D": 2, "valid_order": 1, "coeffs": {"1": "1/2"}}
+BELOW_D_MINUS_ONE_R = {"n": 2, "D": 3, "valid_order": 1, "coeffs": {"1 0": "1/2"}}
 
 
 @SETTINGS
@@ -139,6 +141,14 @@ BELOW_D_SLICE = {"n": 1, "D": 2, "valid_order": 1, "coeffs": {"1": "1/2"}}
         "n": 2,
         "D": 2,
         "prescribed": {"psi": BELOW_D_SLICE},
+    }
+)
+@example(
+    scenario={
+        "construction": "general",
+        "n": 2,
+        "D": 3,
+        "prescribed": {"r": {"components": {"1,2": BELOW_D_MINUS_ONE_R}}},
     }
 )
 @given(scenario=or_junk(SCENARIOS))
@@ -238,6 +248,8 @@ def mutations(draw, name: str):
 
 
 OUTPUT_GAMMA = ("outputs", "connection", "value", "gamma", "1;1,1")
+# its stored coefficients are "0 0": "2/1", "0 1": "-1/1", "1 0": "-2/1"
+GAMMA_COEFFS = OUTPUT_GAMMA + ("coeffs",)
 MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
     lambda name: st.tuples(st.just(name), mutations(name))
 )
@@ -251,6 +263,10 @@ MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
 @example(case=("general", ("replace", ("outputs", "connection", "value", "n"), 10**6)))
 @example(case=("general", ("replace", ("prescribed", "r", "value", "n"), 10**6)))
 @example(case=("statistical", ("replace", ("outputs", "metric", "value", "n"), 10**6)))
+@example(case=("general", ("insert", GAMMA_COEFFS, "0 0", "2/4")))
+@example(case=("general", ("insert", GAMMA_COEFFS, "0 0", " 1/2")))
+@example(case=("general", ("insert", GAMMA_COEFFS, "0 0", "1/0")))
+@example(case=("general", ("insert", GAMMA_COEFFS, "+1 0", "1/1")))
 @given(case=MUTATED_REPORTS)
 def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, case):
     name, mutation = case
@@ -264,3 +280,30 @@ def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, cas
     else:
         assert not non_string_coefficient
         assert err == "" and out == json.dumps({"verified": code == 0}) + "\n"
+
+
+VERIFIED = json.dumps({"verified": True}) + "\n"
+REJECTED = json.dumps({"verified": False}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        # a coefficient the integer reader leaves to the Fraction parse
+        ("0 0", "2/4", (2, REJECTED, "")),
+        ("0 0", " 1/2", (2, REJECTED, "")),
+        ("0 0", "4/2", (0, VERIFIED, "")),
+        ("0 0", " 2/1", (0, VERIFIED, "")),
+        ("0 0", "02/01", (0, VERIFIED, "")),
+        ("0 0", "1/0", (1, "", "malformed report: Fraction(1, 0)\n")),
+        # a key outside the key table: int reads "+1" and the last value wins
+        ("+1 0", "1/1", (2, REJECTED, "")),
+        ("+1 0", "-2/1", (0, VERIFIED, "")),
+        ("1  0", "-2/1", (0, VERIFIED, "")),
+    ],
+)
+def test_verify_reads_unusual_coefficient_text_as_fraction_does(tmp_path, key, value, expected):
+    tree, _ = mutate(json.loads(report("general")), ("insert", GAMMA_COEFFS, key, value))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(tree))
+    assert call("verify", str(path)) == expected

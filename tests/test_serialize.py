@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from jetgeom import (
     Jet,
@@ -32,6 +34,7 @@ from jetgeom.serialize import (
     slice_from_json,
     slice_to_json,
 )
+from oracles import ref_jet_from_json, ref_jet_to_json
 
 
 def test_jet_round_trip_bit_exact():
@@ -156,3 +159,108 @@ def test_canonical_dumps_deterministic():
     assert canonical_dumps(connection_to_json(conn)) == canonical_dumps(
         connection_to_json(reloaded)
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer writer and reader against the Fraction serialization
+
+
+@pytest.mark.parametrize("n, cap", [(0, 0), (0, 3), (1, 0), (1, 5), (2, 4), (3, 3)])
+def test_writer_gives_the_fraction_text(n, cap):
+    jets = [Jet.zero(n, cap), Jet.constant(Fraction(-6, 4), n, cap)]
+    for seed in range(6):
+        jet = random_poly(seed, n, cap, 9, cap).scale(Fraction(seed - 3, 2 * seed + 3))
+        jets.append(jet.with_valid_order(seed % (cap + 1)))
+    for jet in jets:
+        assert jet_to_json(jet) == ref_jet_to_json(jet)
+    assert any("-" in c for jet in jets for c in jet_to_json(jet)["coeffs"].values())
+
+
+def outcome(read, data):
+    """The jet read, or the type and message of the error raised."""
+    try:
+        return read(data)
+    except Exception as err:  # the comparison is of any error the parse raises
+        return type(err), str(err)
+
+
+DIGITS = st.sampled_from(["0", "1", "2", "7", "10", "007", "12345678901234567890"])
+# underscores, non-ASCII digits, decimals, exponents, empty and non-digit text
+ODD_DIGITS = st.sampled_from(["1_0", "\u0663", "\uff11", "1.5", ".5", "2e3", "1E-2", "", "x"])
+NUMERALS = st.one_of(DIGITS, DIGITS, ODD_DIGITS)
+SPACES = st.sampled_from(["", "", "", " ", "\t", "\u00a0", "\n"])
+SIGNS = st.sampled_from(["", "", "-", "+", "--"])
+
+
+@st.composite
+def rationals(draw):
+    """A signed numeral over an optional signed denominator, with optional
+    spaces around it and around the slash."""
+    text = draw(SPACES) + draw(SIGNS) + draw(NUMERALS)
+    slash = draw(st.sampled_from(["", "", "/", " /", "/ "]))
+    if slash:
+        text += slash + draw(SIGNS) + draw(NUMERALS)
+    return text + draw(SPACES)
+
+
+# the rationals Fraction reads but for a zero denominator
+READABLE = st.builds(
+    lambda space, sign, num, den, end: space + sign + num + den + end,
+    SPACES,
+    st.sampled_from(["", "", "-", "+"]),
+    DIGITS,
+    st.one_of(st.just(""), DIGITS.map(lambda d: "/" + d)),
+    SPACES,
+)
+COEFFICIENTS = st.one_of(
+    rationals(),
+    st.sampled_from(["1/0", "0/0", "-0/0", "1/-0", "1/00", "2/4", "-0", "0", "-12/-3"]),
+    st.text(max_size=5),
+    st.sampled_from([0, 1.5, None, True, [1]]),
+)
+WORKSPACE_KEYS = st.sampled_from(["0 0", "1 0", "0 1", "2 1", "0 3", "3 0"])
+KEYS = st.one_of(
+    WORKSPACE_KEYS,
+    WORKSPACE_KEYS,
+    st.sampled_from(["+1 0", " 1 0", "1  0", "01 0", "1_0 0", "\u0663 0", "-1 0", "1 0 ", "\t0 1"]),
+    st.sampled_from(["", " ", "1", "1 0 0", "4 0", "x 0", "1,0"]),
+)
+JETS = st.fixed_dictionaries(
+    {
+        "n": st.sampled_from([2] * 6 + [1, 0, -1]),
+        "D": st.sampled_from([3] * 6 + [2, 0, -1]),
+        "valid_order": st.sampled_from([None, 3, 3, 3, 2, 0, 4, -1]),
+        "coeffs": st.one_of(
+            st.dictionaries(WORKSPACE_KEYS, READABLE, max_size=4),
+            st.dictionaries(KEYS, COEFFICIENTS, max_size=4),
+        ),
+    }
+)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@example(data={"n": 2, "D": 3, "valid_order": 3, "coeffs": {"1 0": "2/4", "0 1": " 1/2"}})
+@example(data={"n": 2, "D": 3, "valid_order": 3, "coeffs": {"1 0": "1/2", "+1 0": "1/3"}})
+@example(data={"n": 2, "D": 3, "valid_order": 3, "coeffs": {"+1 0": "1/3", "1 0": "1/2"}})
+@example(data={"n": 2, "D": 3, "valid_order": 9, "coeffs": {"1 0": "1/0", "x": "1"}})
+@example(data={"n": 2, "D": 3, "valid_order": 9, "coeffs": {"4 0": "1", "0 1": "1/0"}})
+@example(data={"n": -1, "D": 3, "valid_order": 0, "coeffs": {"1": "1/0"}})
+@example(data={"n": 2, "D": 3, "valid_order": 3, "coeffs": {"0 1": "-" + "7" * 5000}})
+@given(data=JETS)
+def test_reader_reads_as_the_fraction_parse(data):
+    got, want = outcome(jet_from_json, data), outcome(ref_jet_from_json, data)
+    if isinstance(want, Jet):
+        assert isinstance(got, Jet) and got.same_payload(want)
+    else:
+        assert got == want
+
+
+def test_reader_takes_the_integer_path_on_written_jets(monkeypatch):
+    import jetgeom.serialize as serialize
+
+    monkeypatch.setattr(serialize, "_read_general", None)
+    for seed in range(6):
+        jet = random_poly(seed, 3, 4, 9, 4).scale(Fraction(seed - 3, 7))
+        assert jet_from_json(jet_to_json(jet)).same_payload(jet)

@@ -8,8 +8,9 @@ slot "g;i,j" is the metric component. The gauge-function slot of the
 torsion-free construction is called "phi".
 
 Every construction writes its equations in one row form, `_Row`: linear,
-derivative and product atoms over one table of jets, evaluated in full by
-`_row_sum` and one x1-layer at a time by `_row_layer`. `_ck_solve` takes
+derivative and product atoms over one table of jets, evaluated one x1-layer
+at a time by `_row_layer` (the tests hold the full-size evaluator, the
+reference of every layer it writes). `_ck_solve` takes
 data only: one row per first-order CK unknown, fixed entries, derived
 entries (rows over the entries before them) and at most one linear-solve
 node. It pops each unknown's x1-derivative (coefficient +-1) and asserts
@@ -20,7 +21,9 @@ needs only layers <= t of the unknowns, so layers 1..D cost about one pass
 over the product pairs where the D + 1 Picard rounds of
 `ck.solve_first_order` (the public solver, and the reference) cost D + 1
 full passes. No build uses `ck`: the second-order metric-2d equation is
-solved as the first-order system of h and p = (h)_1.
+solved as the first-order system of h and p = (h)_1. Since every unknown is
+written to order D, each builder first rejects (`_require_exact`) an input
+valid below the order the solve reads it to.
 
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
@@ -611,20 +614,6 @@ def _signed(c: int, jet: Jet) -> Jet:
     return jet if c == 1 else -jet if c == -1 else jet.scale(c)
 
 
-def _row_sum(row: _Row, table: Mapping, pulled=frozenset()):
-    """The sum of the row's atoms on the table, leaving out the products whose
-    first key is in pulled; and for each pulled key, its coefficient jet."""
-    terms = [_signed(c, table[key]) for c, key in row.linear]
-    terms += [_signed(c, table[key].partial(ax)) for c, key, ax in row.derivatives]
-    coeffs: dict = {}
-    for c, x, y in row.products:
-        if x in pulled:
-            coeffs.setdefault(x, []).append(_signed(c, table[y]))
-        else:
-            terms.append(_signed(c, table[x] * table[y]))
-    return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
-
-
 def _x1_consumed(derivatives, labels: Mapping, fixed: Mapping) -> list:
     """The entries, by label where they have one, whose x1-derivatives the
     derivative atoms take though they are not fixed before the solve."""
@@ -698,7 +687,8 @@ def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
     """The least valid order of the rows' atoms on the table, by the rules of
     `Jet` (a sum or product takes the least valid order of its terms, a
     derivative `jets.partial_valid_order`), the keys in exact counting as
-    exact: for one row and no exact keys, the valid order of its `_row_sum`."""
+    exact: for one row and no exact keys, the valid order of the full-size sum
+    of its atoms."""
     orders = []
     for row in rows:
         orders += [table[key].valid_order for _, key in row.linear]
@@ -801,13 +791,13 @@ def _ck_solve(
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written with
-    `_row_layer` at the valid order of its `_row_sum` (`_valid_order`), the
-    node writes layer t of its keys, layer t of each rest needs only layers
-    <= t of the table, and layer t + 1 of the unknown is
-    -s * (that layer) / (t + 1). After layers 1..D this is the unique
+    `_row_layer` at the valid order of the full-size sum of its row
+    (`_valid_order`), the node writes layer t of its keys, layer t of each
+    rest needs only layers <= t of the table, and layer t + 1 of the unknown
+    is -s * (that layer) / (t + 1). After layers 1..D this is the unique
     truncated solution, the one that D + 1 Picard rounds of
-    `ck.solve_first_order` reach, and every derived entry is its `_row_sum`
-    on it."""
+    `ck.solve_first_order` reach, and every derived entry is the full-size
+    sum of its row on it."""
     some = next(iter(initial.values()))
     n, cap = some.ambient_n, some.max_degree
     short = sorted(lab for lab in labels.values() if initial[lab].valid_order < cap)
@@ -940,13 +930,15 @@ def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
     return rows
 
 
-def _require_exact(name: str, jets: Iterable[Jet], order: int):
-    """Reject a prescribed tensor valid below the order the solve reads it to."""
+def _require_exact(
+    name: str, jets: Iterable[Jet], order: int, reason: str = "prescribed-tensor-not-exact"
+):
+    """Reject an input valid below the order the solve reads it to: a
+    prescribed tensor, or with reason free-function-not-exact, free data."""
     valid = min(jet.valid_order for jet in jets)
     if valid < order:
         raise RejectionError(
-            "prescribed-tensor-not-exact",
-            f"prescribed {name} is valid to order {valid}, the solve needs {order}",
+            reason, f"{name} is valid to order {valid}, the solve needs {order}"
         )
 
 
@@ -975,8 +967,12 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
-    # Gamma at degree d takes r at degree d - 1
-    _require_exact("r", r.comps.values(), cap - 1)
+    # Gamma at degree d takes r at degree d - 1, and the free functions and
+    # the gauge function at degree d
+    _require_exact("prescribed r", r.comps.values(), cap - 1)
+    gauge = () if fd.gauge_function is None else (fd.gauge_function,)
+    free = (*fd.free_functions.values(), *gauge)
+    _require_exact("free data", free, cap, "free-function-not-exact")
     labels = {unknown: gamma_slot(*unknown) for _, unknown in spec.equations}
     # the determined symbols, then the divergence entries of the products
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
@@ -1050,7 +1046,7 @@ def build_metric_2d_prescribed_ricci(
         )
 
     # h at degree d takes r11 and r22 at degree d
-    _require_exact("r11, r22", (r11, r22), cap)
+    _require_exact("prescribed r11, r22", (r11, r22), cap)
     i22 = r22.reciprocal()
     fixed = {
         "1": Jet.one(2, cap),
@@ -1240,6 +1236,9 @@ def build_statistical_2d(
         raise RejectionError(
             "normalization-violated", "need g11(0) = 1, g12(0) = 0, g22(0) = 1"
         )
+    # g12, g22 at degree d take the connection at degree d - 1 and g11 at d
+    _require_exact("prescribed connection", conn.gamma.values(), cap - 1)
+    _require_exact("prescribed g11", (g11,), cap)
     metric = _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})
 
     return _checked(
@@ -1270,6 +1269,8 @@ def build_trace_free_statistical_2d(
         raise RejectionError(
             "normalization-violated", "need g12(0) = 0, g22(0) = 1"
         )
+    # the metric at degree d takes the connection at degree d - 1
+    _require_exact("prescribed connection", conn.gamma.values(), cap - 1)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     det = _Row(((-1, "nu^2"),), (), ((1, (1, 1), (2, 2)), (-1, (1, 2), (1, 2))))
     node = _LinearNode([(1, 1)], [det], 2, cap)
@@ -1311,6 +1312,9 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
 
     parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
     free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
+    # g at degree d takes g11 at degree d and the free symbols at degree d - 1
+    _require_exact(g11_slot, (g11,), cap, "free-function-not-exact")
+    _require_exact("free symbols", free_gammas.values(), cap - 1, "free-function-not-exact")
     node = _determined_node(n, cap, _codazzi_spec(n).determined)
     metric, table = _codazzi_metric(
         n, True, fd.initial_slices, {**free_gammas, (1, 1): g11}, node
@@ -1355,7 +1359,7 @@ def random_trace_free_connection(
     CK-unknown slots are random, the trace-equation slots are solved."""
     gamma = dict(random_connection(seed, n, cap, degree, bound).gamma)
     for target, terms in _ricci_spec("trace-free-torsion", n).substitutions.items():
-        gamma[target] = _row_sum(_Row(terms), gamma)[0]
+        gamma[target] = _sum_jets(_signed(c, gamma[key]) for c, key in terms)
     return Connection(n, gamma)
 
 

@@ -557,31 +557,11 @@ def _require_diagonal_2d(g: Metric):
         raise SingularJetError("diagonal entry vanishes at the origin")
 
 
-def _ricci_11_diagonal_2d(g11: Jet, g22: Jet, i11: Jet, i22: Jet, g22_11: Jet) -> Jet:
-    """Ric_11 of the Levi-Civita connection of diag(g11, g22), given
-    i11 = 1/g11, i22 = 1/g22 and g22_11 = (g22)_11:
-
-        -1/2 i22 [(g11)_22 + (g22)_11] + 1/4 i22^2 [(g22)_2 (g11)_2 + ((g22)_1)^2]
-            + 1/4 i11 i22 [(g11)_1 (g22)_1 + ((g11)_2)^2]
-    """
-    t1 = (i22 * (g11.partial(2).partial(2) + g22_11)).scale(-HALF)
-    t2 = (
-        i22 * i22 * (g22.partial(2) * g11.partial(2) + g22.partial(1) * g22.partial(1))
-    ).scale(Fraction(1, 4))
-    t3 = (
-        i11 * i22 * (g11.partial(1) * g22.partial(1) + g11.partial(2) * g11.partial(2))
-    ).scale(Fraction(1, 4))
-    return t1 + t2 + t3
-
-
 def sectional_curvature_2d(g: Metric) -> Jet:
     """Scalar f with Ric(levi_civita(g)) = f g for a diagonal 2D metric,
     f = Ric_11 / g11."""
     _require_diagonal_2d(g)
-    g11, g22 = g.comp(1, 1), g.comp(2, 2)
-    i11 = g11.reciprocal()
-    ric11 = _ricci_11_diagonal_2d(g11, g22, i11, g22.reciprocal(), g22.partial(1).partial(1))
-    return i11 * ric11
+    return g.comp(1, 1).reciprocal() * ricci(levi_civita(g)).comp(1, 1)
 
 
 def parallel_volume_2d(conn: Connection) -> Jet:

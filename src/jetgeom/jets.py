@@ -383,6 +383,8 @@ class Jet:
 
     def antiderivative_x1(self) -> "Jet":
         """The unique x1-primitive with zero x1-free part."""
+        if self.n < 1:
+            raise DimensionMismatchError("cannot integrate a 0-variable jet along x1")
         l, moves = _antiderivative_x1_table(self.n, self.max_degree)
         nums = self.nums
         out = [0] * len(nums)

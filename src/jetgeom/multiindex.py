@@ -86,7 +86,7 @@ def product_rows(n: int, cap: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         tuple(
             (rb, ranks[tuple(x + y for x, y in zip(ea, exps[rb]))])
             for rb in sorted(
-                range(bisect_right(degs, cap - degs[ra])), key=lambda rb: exps[rb][0]
+                range(bisect_right(degs, cap - degs[ra])), key=lambda rb: exps[rb][:1]
             )
         )
         for ra, ea in enumerate(exps)

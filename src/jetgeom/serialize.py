@@ -8,12 +8,13 @@ bytes and reports round-trip bit-exactly.
 Both directions work on a jet's integers: the writer reduces each numerator
 over the jet's denominator with one gcd, which gives the text
 `fractions.Fraction` gives, and takes its keys from one cached tuple per
-workspace (`_keys`). The reader looks each key up in the table of that tuple
-and reads a coefficient of the form `-?[0-9]+(/[0-9]+)?` with a nonzero
-denominator as two integers. Any other key or coefficient sends the whole
-jet through the general parse (`int` on each key part, `Fraction` on each
-coefficient), so the accepted inputs, their values and the errors are those
-of that parse.
+workspace (`_keys`). The reader makes one pass over the entries: it looks
+each key up in the table of that tuple and reads a coefficient of the form
+`-?[0-9]+(/[0-9]+)?` with a nonzero denominator as two integers, and reads
+any other key with `int` on each part and any other coefficient with
+`Fraction`. So the accepted inputs, their values and the errors are those of
+the `int` and `Fraction` parse, and a written jet is read without
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -62,20 +63,17 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _coefficient(value) -> Fraction:
-    """A stored coefficient, which must be a string."""
-    if not isinstance(value, str):
-        raise ValueError(f"coefficient {value!r} is not a string")
-    return Fraction(value)
-
-
 def jet_from_json(data: dict) -> Jet:
     """The jet of a JSON object: integers n and D within
     `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
-    built, and every coefficient a string. The coefficients are read as
-    integers (`_read_integers`) unless one entry needs the general parse
-    (`_read_general`). valid_order is an integer in 0..D or null, which
-    means D."""
+    built, and every coefficient a string. Each entry is read in order: its
+    key from the table of the workspace's keys, or else with `int` on each
+    part; its coefficient as two integers when it has the form
+    `-?[0-9]+(/[0-9]+)?` with a nonzero denominator, or else with
+    `Fraction`. A monomial written twice takes its last value. After the
+    entries, a negative n or D raises the index table's error, then a
+    monomial outside the workspace DimensionMismatchError. valid_order is an
+    integer in 0..D or null, which means D."""
     n, cap, valid_order = data["n"], data["D"], data["valid_order"]
     if type(n) is not int or type(cap) is not int:
         raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
@@ -87,67 +85,45 @@ def jet_from_json(data: dict) -> Jet:
             f"{mi.MAX_PRODUCT_PAIRS} product pairs"
         )
     coeffs = _object(data["coeffs"], "jet coeffs")
-    nums, den = _read_integers(n, cap, coeffs) or _read_general(n, cap, coeffs)
+    workspace = n >= 0 and cap >= 0
+    keys = _key_ranks(n, cap) if workspace else {}
+    fractions, outside = {}, []
+    for key, value in coeffs.items():
+        r = keys.get(key)
+        if r is None:
+            exps = tuple(int(v) for v in key.split())
+            r = mi.rank_of(n, cap).get(exps) if workspace else None
+            if r is None:
+                outside.append(exps)
+        if not isinstance(value, str):
+            raise ValueError(f"coefficient {value!r} is not a string")
+        m = _RATIONAL.fullmatch(value)
+        q = 0
+        if m:
+            num, den = m.groups()
+            try:
+                p, q = int(num), 1 if den is None else int(den)
+            except ValueError:  # a numeral over the interpreter's digit limit
+                pass
+        if q:
+            g = gcd(p, q)
+            fractions[r] = (p // g, q // g)
+        else:
+            c = Fraction(value)
+            fractions[r] = (c.numerator, c.denominator)
+    ranks = mi.rank_of(n, cap)
+    if outside:
+        raise DimensionMismatchError(
+            f"monomial {outside[0]} does not fit workspace n={n}, cap={cap}"
+        )
+    den = lcm(*(q for _, q in fractions.values()))
+    nums = [0] * len(ranks)
+    for r, (p, q) in fractions.items():
+        nums[r] = p * (den // q)
     v = cap if valid_order is None else valid_order
     if not 0 <= v <= cap:
         raise ValueError(f"valid_order {v} outside 0..{cap}")
-    return Jet._from_nums(n, cap, nums, den, v)
-
-
-def _lowest_terms(size: int, fractions: dict) -> tuple[tuple[int, ...], int]:
-    """The numerators over one denominator of the reduced (num, den) pairs at
-    their ranks: over the lcm of reduced denominators the numerators share
-    no factor."""
-    den = lcm(*(q for _, q in fractions.values()))
-    nums = [0] * size
-    for r, (p, q) in fractions.items():
-        nums[r] = p * (den // q)
-    return tuple(nums), den
-
-
-def _read_integers(n: int, cap: int, coeffs: dict):
-    """The (nums, den) of coefficients that all have a key of the workspace
-    table and the form `-?[0-9]+(/[0-9]+)?` with a nonzero denominator, or
-    None if one does not (or n or cap is negative)."""
-    if n < 0 or cap < 0:
-        return None
-    ranks = _key_ranks(n, cap)
-    fractions = {}
-    for key, value in coeffs.items():
-        r = ranks.get(key)
-        m = _RATIONAL.fullmatch(value) if r is not None and isinstance(value, str) else None
-        if m is None:
-            return None
-        num, den = m.groups()
-        try:
-            p, q = int(num), 1 if den is None else int(den)
-        except ValueError:  # a numeral over the interpreter's digit limit
-            return None
-        if not q:
-            return None
-        g = gcd(p, q)
-        fractions[r] = (p // g, q // g)
-    return _lowest_terms(len(ranks), fractions)
-
-
-def _read_general(n: int, cap: int, coeffs: dict) -> tuple[tuple[int, ...], int]:
-    """The (nums, den) of any keys `int` reads part by part and any
-    coefficients `Fraction` reads; a monomial written twice takes its last
-    value. Raises the parse's own error on the first bad entry, and
-    DimensionMismatchError for a monomial outside the workspace."""
-    terms = {}
-    for key, value in coeffs.items():
-        exps = tuple(int(v) for v in key.split()) if key.strip() else ()
-        terms[exps] = _coefficient(value)
-    ranks = mi.rank_of(n, cap)
-    for exps in terms:
-        if exps not in ranks:
-            raise DimensionMismatchError(
-                f"monomial {exps} does not fit workspace n={n}, cap={cap}"
-            )
-    return _lowest_terms(
-        len(ranks), {ranks[exps]: (c.numerator, c.denominator) for exps, c in terms.items()}
-    )
+    return Jet._from_nums(n, cap, tuple(nums), den, v)
 
 
 def slice_to_json(sl: SliceJet) -> dict:

@@ -3,19 +3,19 @@
 `builders._ck_solve(equations, labels, fixed, derived, initial, node)` solves
 one x1-layer at a time. `picard_system` rebuilds the same rows as the system
 of `ck.solve_first_order`: a full-size right-hand side evaluated with
-`_row_sum` on the table of the fixed entries, the unknowns' values and the
-derived entries (each the `_row_sum` of its row on the entries before it),
-with the node's keys solved on that table by the full-size elimination
-`oracles.ref_linear_solve`, which is the reference the layered solve must
-match.
+`oracles._row_sum` on the table of the fixed entries, the unknowns' values
+and the derived entries (each the `_row_sum` of its row on the entries
+before it), with the node's keys solved on that table by the full-size
+elimination `oracles.ref_linear_solve`, which is the reference the layered
+solve must match.
 """
 
 from __future__ import annotations
 
 import jetgeom.builders as builders_module
-from jetgeom.builders import _ck_rows, _row_sum, _signed
+from jetgeom.builders import _ck_rows, _signed
 from jetgeom.ck import FirstOrderSystem
-from oracles import ref_linear_solve
+from oracles import _row_sum, ref_linear_solve
 
 
 def picard_system(equations, labels, fixed, derived, initial, node=None) -> FirstOrderSystem:

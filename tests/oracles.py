@@ -6,11 +6,14 @@ the classical coefficient-extraction recursion instead of the Picard fixpoint,
 and the sequential elimination follows the ordered-substitution procedure.
 `ref_linear_solve` solves the determined symbols by one full-size jet
 elimination per evaluation, on the builders' own gap rows: it checks the
-layered solve of those rows, not the rows. `ref_nabla_g` forms all n^3
-components of nabla g with 2 n^4 products. `ref_metric_2d_h` solves the
-metric-2d equation as one second-order system by Picard rounds, with the
-curvature formula of `geometry.sectional_curvature_2d` and full-size
-reciprocals at every evaluation.
+layered solve of those rows, not the rows. `_row_sum` evaluates a
+`builders._Row` in full, where the builders evaluate it one x1-layer at a
+time. `ref_nabla_g` forms all n^3 components of nabla g with 2 n^4
+products. `ref_metric_2d_h` solves the metric-2d equation as one
+second-order system by Picard rounds, with the closed-form Ric_11 of a
+diagonal 2D metric (`_ricci_11_diagonal_2d`, also the reference of
+`geometry.sectional_curvature_2d`) and full-size reciprocals at every
+evaluation.
 The closed-form Christoffel symbols of a diagonal 2D metric check the general
 Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
 coefficient, the product through the product_rank dictionary, Newton
@@ -27,10 +30,12 @@ from math import factorial
 
 from jetgeom import Connection, Jet, Metric
 from jetgeom import multiindex as mi
-from jetgeom.builders import _codazzi_gap, _codazzi_spec, _row_sum
+from jetgeom.builders import _codazzi_gap, _codazzi_spec, _signed
 from jetgeom.ck import SecondOrderSystem, solve_second_order
 from jetgeom.errors import DimensionMismatchError
-from jetgeom.geometry import CubicForm, _gauss_jordan, _ricci_11_diagonal_2d, _sum_jets
+from jetgeom.geometry import CubicForm, _gauss_jordan, _sum_jets
+
+HALF = Fraction(1, 2)
 
 
 def term_dict(jet: Jet) -> dict[tuple[int, ...], Fraction]:
@@ -173,6 +178,21 @@ def ref_nabla_g(conn: Connection, g: Metric) -> CubicForm:
     return CubicForm(n, out)
 
 
+def _row_sum(row, table, pulled=frozenset()):
+    """The full-size sum of a `builders._Row`'s atoms on the table, leaving
+    out the products whose first key is in pulled; and for each pulled key,
+    its coefficient jet."""
+    terms = [_signed(c, table[key]) for c, key in row.linear]
+    terms += [_signed(c, table[key].partial(ax)) for c, key, ax in row.derivatives]
+    coeffs: dict = {}
+    for c, x, y in row.products:
+        if x in pulled:
+            coeffs.setdefault(x, []).append(_signed(c, table[y]))
+        else:
+            terms.append(_signed(c, table[x] * table[y]))
+    return _sum_jets(terms), {key: _sum_jets(jets) for key, jets in coeffs.items()}
+
+
 def ref_linear_solve(keys, rows, table) -> dict:
     """The keys solving rows that are linear in them, on a table holding every
     other entry in full: the rows evaluated by `_row_sum` with the keys
@@ -193,6 +213,23 @@ def ref_determined_christoffels(n, cap, gtable, free_gammas, determined_keys) ->
     the full tables, by `ref_linear_solve`."""
     rows = [_codazzi_gap(*gap, n, True) for gap in _codazzi_spec(n).gaps]
     return ref_linear_solve(determined_keys, rows, {**gtable, **free_gammas})
+
+
+def _ricci_11_diagonal_2d(g11: Jet, g22: Jet, i11: Jet, i22: Jet, g22_11: Jet) -> Jet:
+    """Ric_11 of the Levi-Civita connection of diag(g11, g22), given
+    i11 = 1/g11, i22 = 1/g22 and g22_11 = (g22)_11:
+
+        -1/2 i22 [(g11)_22 + (g22)_11] + 1/4 i22^2 [(g22)_2 (g11)_2 + ((g22)_1)^2]
+            + 1/4 i11 i22 [(g11)_1 (g22)_1 + ((g11)_2)^2]
+    """
+    t1 = (i22 * (g11.partial(2).partial(2) + g22_11)).scale(-HALF)
+    t2 = (
+        i22 * i22 * (g22.partial(2) * g11.partial(2) + g22.partial(1) * g22.partial(1))
+    ).scale(Fraction(1, 4))
+    t3 = (
+        i11 * i22 * (g11.partial(1) * g22.partial(1) + g11.partial(2) * g11.partial(2))
+    ).scale(Fraction(1, 4))
+    return t1 + t2 + t3
 
 
 def ref_metric_2d_h(r, phi, psi) -> Jet:

@@ -847,6 +847,97 @@ def test_metric_2d_prescribed_below_d_is_rejected(tmp_path, capsys, key, valid_o
         assert not out_path.exists()
 
 
+def assert_built_or_rejected(tmp_path, capsys, scenario: dict, built: bool, reason: str):
+    out_path = tmp_path / "report.json"
+    scenario = dict(scenario, seed=1, output=str(out_path))
+    code, out = run_cli(capsys, "run", str(write_scenario(tmp_path, "sc.json", scenario)))
+    if built:
+        assert code == 0 and json.loads(out) == {"status": "ok", "report": str(out_path)}
+    else:
+        assert code == 2
+        assert json.loads(out) == {"status": "rejected", "reason": reason}
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("valid_order, built", [(3, False), (4, True)])
+@pytest.mark.parametrize("construction, n", RICCI_CONNECTIONS)
+def test_prescribed_ricci_free_function_below_d_is_rejected(
+    tmp_path, capsys, construction, n, valid_order, built
+):
+    # Gamma at degree d takes the free functions at degree d
+    x1 = " ".join(["1"] + ["0"] * (n - 1))
+    slot = cli.census(construction, n).free_function_slots[0]
+    jet = dict(inline_jet({x1: "1/2"}, n, 4), valid_order=valid_order)
+    scenario = {
+        "construction": construction,
+        "n": n,
+        "D": 4,
+        "prescribed": {"r": "random"},
+        "free_data": {"default": "random", "slots": {slot: jet}},
+    }
+    assert_built_or_rejected(tmp_path, capsys, scenario, built, "free-function-not-exact")
+
+
+@pytest.mark.parametrize("valid_order, built", [(3, False), (4, True)])
+def test_torsion_free_gauge_below_d_is_rejected(tmp_path, capsys, valid_order, built):
+    jet = dict(inline_jet({"1 1": "1/2"}, 2, 4), valid_order=valid_order)
+    scenario = {
+        "construction": "torsion-free",
+        "n": 2,
+        "D": 4,
+        "free_data": {"default": "random", "slots": {"phi": jet}},
+    }
+    assert_built_or_rejected(tmp_path, capsys, scenario, built, "free-function-not-exact")
+
+
+@pytest.mark.parametrize(
+    "slot, valid_order, built",
+    [("g;1,1", 3, False), ("g;1,1", 4, True), ("1;1,1", 2, False), ("1;1,1", 3, True)],
+)
+def test_statistical_free_data_below_its_order_is_rejected(
+    tmp_path, capsys, slot, valid_order, built
+):
+    # g at degree d takes g11 at degree d and the free symbols at degree d - 1
+    jet = dict(inline_jet({"0 0 0": "1/1", "1 0 0": "1/2"}, 3, 4), valid_order=valid_order)
+    scenario = {
+        "construction": "statistical",
+        "n": 3,
+        "D": 4,
+        "free_data": {"default": "random", "slots": {slot: jet}},
+    }
+    assert_built_or_rejected(tmp_path, capsys, scenario, built, "free-function-not-exact")
+
+
+def inline_connection(conn, valid_order: int) -> dict:
+    data = connection_to_json(conn)
+    for jet in data["gamma"].values():
+        jet["valid_order"] = valid_order
+    return data
+
+
+@pytest.mark.parametrize("valid_order, built", [(2, False), (3, True)])
+@pytest.mark.parametrize("construction", ["statistical-2d", "trace-free-statistical-2d"])
+def test_2d_statistical_connection_below_d_minus_one_is_rejected(
+    tmp_path, capsys, construction, valid_order, built
+):
+    # the metric at degree d takes the connection at degree d - 1
+    conn = levi_civita(random_normalized_metric(5, 2, 4, 3, 2))
+    scenario = {
+        "construction": construction,
+        "n": 2,
+        "D": 4,
+        "prescribed": {"connection": inline_connection(conn, valid_order)},
+    }
+    assert_built_or_rejected(tmp_path, capsys, scenario, built, "prescribed-tensor-not-exact")
+
+
+@pytest.mark.parametrize("valid_order, built", [(3, False), (4, True)])
+def test_statistical_2d_g11_below_d_is_rejected(tmp_path, capsys, valid_order, built):
+    jet = dict(inline_jet({"0 0": "1/1", "0 1": "1/2"}, 2, 4), valid_order=valid_order)
+    scenario = {"construction": "statistical-2d", "n": 2, "D": 4, "prescribed": {"g11": jet}}
+    assert_built_or_rejected(tmp_path, capsys, scenario, built, "prescribed-tensor-not-exact")
+
+
 # ---------------------------------------------------------------------------
 # malformed scenarios and tampered reports
 

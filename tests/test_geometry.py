@@ -38,6 +38,7 @@ from jetgeom import (
 )
 from jetgeom.geometry import _gauss_jordan
 from oracles import (
+    _ricci_11_diagonal_2d,
     levi_civita_diagonal_2d,
     log_one_plus_x1_jet,
     ref_nabla_g,
@@ -497,6 +498,22 @@ def test_sectional_curvature_hyperbolic():
     g = diag_metric([Jet.one(2, 6), exp_series_jet(2, 6, 2)], 6)
     f = sectional_curvature_2d(g)
     assert f.eq_up_to(Jet.constant(-1, 2, 6), 4)
+
+
+@pytest.mark.parametrize("cap", [2, 4, 6])
+def test_sectional_curvature_matches_the_closed_form(cap):
+    # f = Ric_11 / g11 with Ric_11 from `ricci` and from the closed form of a
+    # diagonal metric: the same valid order and coefficients to that order
+    for seed in range(4):
+        d1 = random_poly(seed * 3 + 1, 2, min(cap, 3), 2, cap)
+        d2 = random_poly(seed * 3 + 2, 2, min(cap, 3), 2, cap)
+        g11 = d1 - Jet.constant(d1.constant_term - 1, 2, cap)
+        g22 = d2 - Jet.constant(d2.constant_term - 2, 2, cap)
+        f = sectional_curvature_2d(diag_metric([g11, g22], cap))
+        i11, i22 = g11.reciprocal(), g22.reciprocal()
+        want = i11 * _ricci_11_diagonal_2d(g11, g22, i11, i22, g22.partial(1).partial(1))
+        assert f.valid_order == want.valid_order
+        assert f.eq_up_to(want, f.valid_order)
 
 
 def test_sectional_curvature_ricci_consistency():

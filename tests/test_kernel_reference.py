@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jetgeom import Jet
+from jetgeom import DimensionMismatchError, Jet
 from jetgeom import multiindex as mi
 from jetgeom.jets import _mul_layer, _mul_nums
 from oracles import (
@@ -38,9 +38,9 @@ fractions = st.builds(
 
 
 @st.composite
-def workspaces(draw, max_size: int = 210):
-    """(n, D) with n = 1..4 and D = 0..8, at most max_size monomials."""
-    n = draw(st.integers(1, 4))
+def workspaces(draw, max_size: int = 210, least_n: int = 1):
+    """(n, D) with n = least_n..4 and D = 0..8, at most max_size monomials."""
+    n = draw(st.integers(least_n, 4))
     cap = draw(st.integers(0, 8))
     while mi.size(n, cap) > max_size:
         cap -= 1
@@ -69,8 +69,8 @@ def jets_in(draw, n: int, cap: int, constant=None):
 
 
 @st.composite
-def jet_pairs(draw):
-    n, cap = draw(workspaces())
+def jet_pairs(draw, least_n: int = 1):
+    n, cap = draw(workspaces(least_n=least_n))
     return draw(jets_in(n, cap)), draw(jets_in(n, cap))
 
 
@@ -89,7 +89,7 @@ def assert_lowest_terms(jet: Jet):
 
 
 @SETTINGS
-@given(jet_pairs())
+@given(jet_pairs(least_n=0))
 def test_add_sub_mul_match_fraction_kernel(pair):
     a, b = pair
     assert_same(a + b, ref_add(a, b))
@@ -115,10 +115,16 @@ def test_partial_and_antiderivative_match_fraction_kernel(pair, data):
     assert_same(a.antiderivative_x1(), ref_antiderivative_x1(a))
 
 
+def test_antiderivative_of_a_0_variable_jet_is_rejected():
+    # as restrict_x1 is: a jet in 0 variables has no x1
+    with pytest.raises(DimensionMismatchError):
+        Jet.constant(2, 0, 3).antiderivative_x1()
+
+
 @SETTINGS
 @given(st.data())
 def test_reciprocal_matches_newton(data):
-    n, cap = data.draw(workspaces(max_size=126))
+    n, cap = data.draw(workspaces(max_size=126, least_n=0))
     a = data.draw(jets_in(n, cap, constant="nonzero"))
     assert_same(a.reciprocal(), ref_reciprocal(a))
 
@@ -126,7 +132,7 @@ def test_reciprocal_matches_newton(data):
 @SETTINGS
 @given(st.data())
 def test_exp_matches_horner(data):
-    n, cap = data.draw(workspaces(max_size=126))
+    n, cap = data.draw(workspaces(max_size=126, least_n=0))
     a = data.draw(jets_in(n, cap, constant=0))
     assert_same(a.exp(), ref_exp(a))
 
@@ -144,7 +150,7 @@ def test_largest_workspaces_match_fraction_kernel(n):
     assert_same((a - a.constant_term).exp(), ref_exp(a - a.constant_term))
 
 
-@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(1, 5) for cap in range(9)])
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])
 def test_pair_rows_hold_every_product_pair(n, cap):
     rows = mi.product_rows(n, cap)
     assert len(rows) == mi.size(n, cap)

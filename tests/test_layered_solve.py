@@ -34,13 +34,12 @@ from jetgeom.builders import (
     _checked,
     _codazzi_spec,
     _determined_node,
-    _row_sum,
     solve_determined_christoffels,
 )
 from jetgeom.ck import solve_first_order
 from jetgeom.cli import _run_direct, _run_round_trip
 from jetgeom.serialize import canonical_dumps, jet_to_json, report_to_json
-from oracles import ref_determined_christoffels, ref_metric_2d_h
+from oracles import _row_sum, ref_determined_christoffels, ref_metric_2d_h
 
 ROW_BUILDS = [
     (tag, n)

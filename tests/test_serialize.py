@@ -260,7 +260,10 @@ def test_reader_reads_as_the_fraction_parse(data):
 def test_reader_takes_the_integer_path_on_written_jets(monkeypatch):
     import jetgeom.serialize as serialize
 
-    monkeypatch.setattr(serialize, "_read_general", None)
+    def no_fraction(*args):
+        raise AssertionError("a written jet is read without Fraction")
+
+    monkeypatch.setattr(serialize, "Fraction", no_fraction)
     for seed in range(6):
         jet = random_poly(seed, 3, 4, 9, 4).scale(Fraction(seed - 3, 7))
         assert jet_from_json(jet_to_json(jet)).same_payload(jet)

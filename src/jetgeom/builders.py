@@ -21,9 +21,17 @@ needs only layers <= t of the unknowns, so layers 1..D cost about one pass
 over the product pairs where the D + 1 Picard rounds of
 `ck.solve_first_order` (the public solver, and the reference) cost D + 1
 full passes. No build uses `ck`: the second-order metric-2d equation is
-solved as the first-order system of h and p = (h)_1. Since every unknown is
-written to order D, each builder first rejects (`_require_exact`) an input
-valid below the order the solve reads it to.
+solved as the first-order system of h and p = (h)_1.
+
+Each construction is stated once, in its record (`_Construction`, in
+`_CONSTRUCTIONS`): its dimension rule, the name and type of every prescribed
+and output value of its reports, the checks they must pass, and its input
+rules. Since every unknown is written to order D, an input must be valid to
+the order the solve reads it to, and the metric entries it gives must hold
+delta_ij at the origin. `census`, the CLI, the builders and `verify` read the
+record; each builder applies the input rules (`_require_inputs`) to the
+report it starts, and `verify` to the report it reads, so a report that
+`verify` accepts holds inputs that a build accepts.
 
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
@@ -63,7 +71,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import multiindex as mi
 from .errors import (
@@ -93,8 +101,6 @@ from .jets import Jet, SliceJet, _mul_layer, as_fraction, partial_valid_order, r
 
 HALF = Fraction(1, 2)
 
-CONSTRUCTIONS = ("general", "trace-free-torsion", "torsion-free", "statistical")
-
 
 # ---------------------------------------------------------------------------
 # slot naming
@@ -118,6 +124,134 @@ def parse_slot(slot: str) -> tuple:
 
 def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
+
+
+# ---------------------------------------------------------------------------
+# constructions: one record each
+
+
+@dataclass(frozen=True)
+class _Construction:
+    """Everything about one construction but its equations:
+    - the dimension rule n_min <= n <= n_max (None: no bound);
+    - the name and type of every prescribed and output value of its
+      reports, and whether they carry free data (the census constructions);
+    - the checks its reports must pass, in order, each as (check, orders
+      below D it runs to; None for order 0);
+    - the input rules of `_require_inputs`: the inputs, named as `_input`
+      names them, that must be valid to some order below D, each as (input,
+      orders below D, rejection reason), and the inputs whose metric entries
+      must hold delta_ij at the origin."""
+
+    n_min: int
+    n_max: int | None
+    prescribed: Mapping[str, type]
+    outputs: Mapping[str, type]
+    checks: tuple[tuple[str, int | None], ...]
+    exact: tuple[tuple[str, int, str], ...]
+    normal: tuple[str, ...] = ()
+    free_data: bool = False
+
+
+_TENSOR, _FREE = "prescribed-tensor-not-exact", "free-function-not-exact"
+_SLICE = "initial-slice-not-exact"
+_RICCI_TYPES = ({"r": Bilinear}, {"connection": Connection})
+# Gamma at degree d takes r at degree d - 1, and the free functions (the
+# gauge function too) and the initial slices at degree d
+_RICCI_INPUTS = (("r", 1, _TENSOR), ("free symbols", 0, _FREE), ("initial slices", 0, _SLICE))
+
+_CONSTRUCTIONS = {
+    "general": _Construction(
+        2, None, *_RICCI_TYPES,
+        checks=(("ricci-residual", 1), ("initial-slices", 0), ("free-functions", 0)),
+        exact=_RICCI_INPUTS,
+        free_data=True,
+    ),
+    "trace-free-torsion": _Construction(
+        3, None, *_RICCI_TYPES,
+        checks=(
+            ("ricci-residual", 1), ("initial-slices", 0), ("free-functions", 0),
+            ("torsion-trace-zero", 0),
+        ),
+        exact=_RICCI_INPUTS,
+        free_data=True,
+    ),
+    "torsion-free": _Construction(
+        2, None, *_RICCI_TYPES,
+        checks=(
+            ("ricci-residual", 1), ("connection-symmetric", 0), ("initial-slices", 0),
+            ("free-functions", 0),
+        ),
+        exact=(
+            ("r", 1, _TENSOR), ("free symbols", 0, _FREE), ("phi", 0, _FREE),
+            ("initial slices", 0, _SLICE),
+        ),
+        free_data=True,
+    ),
+    # h at degree d takes r, and the slices phi of h and psi of (h)_1, at degree d
+    "metric-2d": _Construction(
+        2, 2, {"r": Bilinear, "phi": SliceJet, "psi": SliceJet},
+        {"metric": Metric, "conformal_factor": Jet},
+        checks=(("metric-ricci-residual", 2),),
+        exact=(("r", 0, _TENSOR), ("phi", 0, _SLICE), ("psi", 0, _SLICE)),
+    ),
+    # the metric at degree d takes the connection at degree d - 1, and g11
+    # and the slices at degree d
+    "statistical-2d": _Construction(
+        2, 2, {"connection": Connection, "g11": Jet, "init12": SliceJet, "init22": SliceJet},
+        {"metric": Metric},
+        checks=(("codazzi", 1), ("metric-normalized-at-zero", None), ("initial-slices", 0)),
+        exact=(
+            ("connection", 1, _TENSOR), ("g11", 0, _TENSOR),
+            ("init12", 0, _SLICE), ("init22", 0, _SLICE),
+        ),
+        normal=("g11", "init12", "init22"),
+    ),
+    "trace-free-statistical-2d": _Construction(
+        2, 2, {"connection": Connection, "init12": SliceJet, "init22": SliceJet},
+        {"metric": Metric, "volume": Jet},
+        checks=(
+            ("codazzi", 1), ("volume-determinant", 0), ("metric-normalized-at-zero", None),
+            ("initial-slices", 0),
+        ),
+        exact=(("connection", 1, _TENSOR), ("init12", 0, _SLICE), ("init22", 0, _SLICE)),
+        normal=("init12", "init22"),
+    ),
+    # the metric at degree d takes g11 and the slices at degree d, and the
+    # free symbols at degree d - 1
+    "statistical": _Construction(
+        3, None, {}, {"connection": Connection, "metric": Metric},
+        checks=(
+            ("codazzi", 1), ("metric-normalized-at-zero", None), ("connection-symmetric", 0),
+            ("initial-slices", 0), ("free-functions", 0),
+        ),
+        exact=(("g;1,1", 0, _FREE), ("free symbols", 1, _FREE), ("initial slices", 0, _SLICE)),
+        normal=("g;1,1", "initial slices"),
+        free_data=True,
+    ),
+}
+
+# the constructions with a census of free data
+CONSTRUCTIONS = tuple(name for name, rec in _CONSTRUCTIONS.items() if rec.free_data)
+
+
+def _record(construction: str, n: int) -> _Construction | None:
+    """The record of a construction whose dimension rule n meets; None for
+    an unknown construction."""
+    rec = _CONSTRUCTIONS.get(construction)
+    if rec is None or rec.n_min <= n and (rec.n_max is None or n <= rec.n_max):
+        return rec
+    rule = f"n = {rec.n_min}" if rec.n_min == rec.n_max else f"n >= {rec.n_min}"
+    raise RejectionError("unsupported-construction", f"{construction} needs {rule}, got {n}")
+
+
+def _require_workspace_bound(n: int, cap: int):
+    """Reject a workspace over `multiindex.MAX_PRODUCT_PAIRS`."""
+    if mi.exceeds_pair_bound(n, cap):
+        raise RejectionError(
+            "workspace-too-large",
+            f"n = {n}, D = {cap} needs more than {mi.MAX_PRODUCT_PAIRS} product pairs",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +292,14 @@ def _all_pair_keys(n: int) -> list[tuple[int, tuple[int, int]]]:
 
 def census(construction: str, n: int) -> Census:
     """Slot lists for (construction, n); raises RejectionError when the
-    combination is unsupported."""
+    combination is unsupported, or when n is over the workspace bound at
+    every D >= 2, before any list is built."""
     if construction not in CONSTRUCTIONS:
         raise RejectionError(
             "unsupported-construction", f"unknown construction {construction!r}"
         )
-    _require_dimension(construction, n)
+    _record(construction, n)
+    _require_workspace_bound(n, 2)
 
     if construction != "statistical":
         spec = _ricci_spec(construction, n)
@@ -179,7 +315,8 @@ def census(construction: str, n: int) -> Census:
         return Census(construction, n, free + gauge, unknowns, unknowns, determined)
 
     spec = _codazzi_spec(n)
-    free = [k for k in _all_pair_keys(n) if k not in set(spec.determined)]
+    determined = set(spec.determined)
+    free = [k for k in _all_pair_keys(n) if k not in determined]
     slots = tuple(gamma_slot(k, i, j) for k, (i, j) in free) + (metric_slot(1, 1),)
     unknowns = tuple(metric_slot(i, j) for i, j in spec.unknowns)
     return Census(
@@ -190,24 +327,6 @@ def census(construction: str, n: int) -> Census:
         unknowns,
         tuple(gamma_slot(k, i, j) for k, (i, j) in spec.determined),
     )
-
-
-def _require_dimension(construction: str, n: int):
-    """The dimension rule of every construction: metric-2d, statistical-2d
-    and trace-free-statistical-2d need n = 2, trace-free-torsion and
-    statistical n >= 3, general and torsion-free n >= 2. An unknown
-    construction passes."""
-    if construction in ("metric-2d", "statistical-2d", "trace-free-statistical-2d"):
-        if n != 2:
-            raise RejectionError(
-                "unsupported-construction", f"{construction} needs n = 2, got {n}"
-            )
-    elif construction in CONSTRUCTIONS:
-        minimum = 3 if construction in ("trace-free-torsion", "statistical") else 2
-        if n < minimum:
-            raise RejectionError(
-                "unsupported-construction", f"{construction} needs n >= {minimum}, got {n}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +529,60 @@ def _free_data(report: BuildReport) -> FreeData:
     return report.free_data
 
 
+# the metric slot each 2D statistical input gives
+_METRIC_INPUTS = {"g11": "g;1,1", "init12": "g;1,2", "init22": "g;2,2"}
+
+
+def _input(report: BuildReport, name: str) -> list[tuple[str, Jet | SliceJet]]:
+    """The jets or slices of the report's input `name`, each with the metric
+    slot it gives where it gives one: a prescribed value (a table's every
+    entry), "free symbols" (the free functions of Christoffel slots),
+    "initial slices", a free-function slot ("g;1,1") or "phi", the gauge
+    function (none when it is not given)."""
+    if name in report.prescribed:
+        value = report.prescribed[name]
+        if isinstance(value, Connection):
+            return [(name, jet) for jet in value.gamma.values()]
+        if isinstance(value, Bilinear):
+            return [(name, jet) for jet in value.comps.values()]
+        return [(_METRIC_INPUTS.get(name, name), value)]
+    fd = _free_data(report)
+    if name == "free symbols":
+        free = fd.free_functions.items()
+        return [(slot, jet) for slot, jet in free if parse_slot(slot)[0] != "g"]
+    if name == "initial slices":
+        return list(fd.initial_slices.items())
+    if name == "phi":
+        return [] if fd.gauge_function is None else [(name, fd.gauge_function)]
+    return [(name, fd.free_functions[name])]
+
+
+def _require_inputs(report: BuildReport):
+    """The input rules of the report's construction, after its dimension
+    rule: the metric entries its inputs give hold delta_ij at the origin
+    (normalization-violated), and each input is valid to the order the solve
+    reads it to (the rule's reason), rules in record order."""
+    rec = _record(report.construction, report.n)
+    for name in rec.normal:
+        for slot, value in _input(report, name):
+            normal = _slot_normal_value(slot)
+            if value.constant_term != normal:
+                message = f"{slot} must be {normal} at the origin"
+                raise RejectionError("normalization-violated", message)
+    for name, below, reason in rec.exact:
+        order = report.max_degree - below
+        valid = min((value.valid_order for _, value in _input(report, name)), default=order)
+        if valid < order:
+            raise RejectionError(
+                reason, f"{name} is valid to order {valid}, the solve reads it to {order}"
+            )
+
+
 def _initial_slices(report: BuildReport, order: int) -> bool:
-    if report.construction in ("statistical-2d", "trace-free-statistical-2d"):
-        pre = report.prescribed
-        slices = {metric_slot(1, 2): pre["init12"], metric_slot(2, 2): pre["init22"]}
-    else:
-        slices = _free_data(report).initial_slices
-    return all(
-        _slot_output(report, slot).restrict_x1().same_payload(sl)
-        for slot, sl in slices.items()
-    )
+    # the 2D statistical builds take their slices as prescribed inputs
+    names = ("init12", "init22") if "init12" in report.prescribed else ("initial slices",)
+    slices = [entry for name in names for entry in _input(report, name)]
+    return all(_slot_output(report, slot).restrict_x1().same_payload(sl) for slot, sl in slices)
 
 
 def _free_functions(report: BuildReport, order: int) -> bool:
@@ -441,49 +604,9 @@ _CHECKS = {
     "free-functions": _free_functions,
 }
 
-_PRESCRIBED_RICCI_CHECKS = (
-    ("ricci-residual", lambda d: d - 1),
-    ("initial-slices", lambda d: d),
-    ("free-functions", lambda d: d),
-)
-
-# construction -> the checks its reports must pass, in order, with the order
-# of each as a function of the degree cap D
-_CHECK_PLANS = {
-    "general": _PRESCRIBED_RICCI_CHECKS,
-    "trace-free-torsion": _PRESCRIBED_RICCI_CHECKS
-    + (("torsion-trace-zero", lambda d: d),),
-    "torsion-free": (
-        ("ricci-residual", lambda d: d - 1),
-        ("connection-symmetric", lambda d: d),
-        ("initial-slices", lambda d: d),
-        ("free-functions", lambda d: d),
-    ),
-    "metric-2d": (("metric-ricci-residual", lambda d: d - 2),),
-    "statistical-2d": (
-        ("codazzi", lambda d: d - 1),
-        ("metric-normalized-at-zero", lambda d: 0),
-        ("initial-slices", lambda d: d),
-    ),
-    "trace-free-statistical-2d": (
-        ("codazzi", lambda d: d - 1),
-        ("volume-determinant", lambda d: d),
-        ("metric-normalized-at-zero", lambda d: 0),
-        ("initial-slices", lambda d: d),
-    ),
-    "statistical": (
-        ("codazzi", lambda d: d - 1),
-        ("metric-normalized-at-zero", lambda d: 0),
-        ("connection-symmetric", lambda d: d),
-        ("initial-slices", lambda d: d),
-        ("free-functions", lambda d: d),
-    ),
-}
-
-
 def _required_checks(report: BuildReport) -> list[tuple[str, int]]:
-    plan = _CHECK_PLANS[report.construction]
-    return [(name, order_of(report.max_degree)) for name, order_of in plan]
+    plan, cap = _CONSTRUCTIONS[report.construction].checks, report.max_degree
+    return [(name, 0 if below is None else cap - below) for name, below in plan]
 
 
 def _run_checks(report: BuildReport, order: int | None = None) -> list[Check]:
@@ -507,38 +630,14 @@ def _checked(report: BuildReport) -> BuildReport:
     return report
 
 
-_RICCI_TYPES = ({"r": Bilinear}, {"connection": Connection})
-
-# construction -> (prescribed, outputs): the name and type of every value its
-# reports carry
-_REPORT_TYPES = {
-    "general": _RICCI_TYPES,
-    "trace-free-torsion": _RICCI_TYPES,
-    "torsion-free": _RICCI_TYPES,
-    "metric-2d": (
-        {"r": Bilinear, "phi": SliceJet, "psi": SliceJet},
-        {"metric": Metric, "conformal_factor": Jet},
-    ),
-    "statistical-2d": (
-        {"connection": Connection, "g11": Jet, "init12": SliceJet, "init22": SliceJet},
-        {"metric": Metric},
-    ),
-    "trace-free-statistical-2d": (
-        {"connection": Connection, "init12": SliceJet, "init22": SliceJet},
-        {"metric": Metric, "volume": Jet},
-    ),
-    "statistical": ({}, {"connection": Connection, "metric": Metric}),
-}
-
-
 def _require_types(report: BuildReport):
     """The report carries exactly its construction's prescribed and output
     values, each of its type (a metric stored as a bilinear table is not one)."""
-    types = _REPORT_TYPES.get(report.construction)
-    if types is None:
+    rec = _CONSTRUCTIONS.get(report.construction)
+    if rec is None:
         raise ValueError(f"unknown construction {report.construction!r}")
     parts = (("prescribed", report.prescribed), ("outputs", report.outputs))
-    for (part, values), want in zip(parts, types):
+    for (part, values), want in zip(parts, (rec.prescribed, rec.outputs)):
         if set(values) != set(want):
             raise ValueError(
                 f"{part} {sorted(values)} of a {report.construction} report, "
@@ -572,13 +671,14 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
     does not verify. An order override (0..D) applies to the residual checks;
     structural checks keep their recorded meaning. Raises DimensionMismatchError
     when the report's n or D disagree with its output tables, RejectionError
-    when its n breaks its construction's dimension rule or its free data does
-    not fill the census slots, and ValueError for an unknown construction,
-    prescribed or output values that are not the construction's (by name and
-    type), or an order outside 0..D."""
+    when its n breaks its construction's dimension rule, its free data does
+    not fill the census slots or an input breaks the construction's input
+    rules (`_require_inputs`, as a build would reject it), and ValueError for
+    an unknown construction, prescribed or output values that are not the
+    construction's (by name and type), or an order outside 0..D."""
     _require_types(report)
     _require_workspace(report)
-    _require_dimension(report.construction, report.n)
+    _require_inputs(report)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
     if [(c.name, c.order) for c in report.checks] != _required_checks(report):
@@ -786,8 +886,8 @@ def _ck_solve(
     one table: the fixed entries, the unknowns, each derived entry as the sum
     of its row on the entries before it, and the node's keys. A derived row
     too takes x1-derivatives only of the fixed keys. Return that table of the
-    solution; an initial slice below valid order D is rejected, since the
-    solution is written to order D.
+    solution, written to order D (the builders have required the initial
+    slices valid to D).
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written with
@@ -800,11 +900,6 @@ def _ck_solve(
     sum of its row on it."""
     some = next(iter(initial.values()))
     n, cap = some.ambient_n, some.max_degree
-    short = sorted(lab for lab in labels.values() if initial[lab].valid_order < cap)
-    if short:
-        raise RejectionError(
-            "initial-slice-not-exact", f"initial slices {short} are valid below D = {cap}"
-        )
     rests = _ck_rows(equations, labels, fixed)
     for target, row in derived.items():
         consumed = _x1_consumed(row.derivatives, labels, fixed)
@@ -930,18 +1025,6 @@ def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
     return rows
 
 
-def _require_exact(
-    name: str, jets: Iterable[Jet], order: int, reason: str = "prescribed-tensor-not-exact"
-):
-    """Reject an input valid below the order the solve reads it to: a
-    prescribed tensor, or with reason free-function-not-exact, free data."""
-    valid = min(jet.valid_order for jet in jets)
-    if valid < order:
-        raise RejectionError(
-            reason, f"{name} is valid to order {valid}, the solve needs {order}"
-        )
-
-
 def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> BuildReport:
     """Connection with prescribed Ricci tensor r in one torsion regime:
     "general", "trace-free-torsion" (n >= 3) or "torsion-free". The
@@ -967,12 +1050,8 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
-    # Gamma at degree d takes r at degree d - 1, and the free functions and
-    # the gauge function at degree d
-    _require_exact("prescribed r", r.comps.values(), cap - 1)
-    gauge = () if fd.gauge_function is None else (fd.gauge_function,)
-    free = (*fd.free_functions.values(), *gauge)
-    _require_exact("free data", free, cap, "free-function-not-exact")
+    report = BuildReport(construction, n, cap, {"r": r}, fd, {}, [])
+    _require_inputs(report)
     labels = {unknown: gamma_slot(*unknown) for _, unknown in spec.equations}
     # the determined symbols, then the divergence entries of the products
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
@@ -980,10 +1059,8 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         derived[("div", l)] = _Row(tuple((1, spec.canon(k, k, l)) for k in range(1, n + 1)))
     table = _ck_solve(_ricci_rows(spec, n), labels, known, derived, fd.initial_slices)
     gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
-    conn = Connection(n, gamma, symmetric=spec.symmetric)
-    return _checked(
-        BuildReport(construction, n, cap, {"r": r}, fd, {"connection": conn}, [])
-    )
+    report.outputs["connection"] = Connection(n, gamma, symmetric=spec.symmetric)
+    return _checked(report)
 
 
 def build_prescribed_ricci_general(r: Bilinear, fd: FreeData) -> BuildReport:
@@ -1029,7 +1106,7 @@ def build_metric_2d_prescribed_ricci(
     1/h is the key of a one-key node on h (1/h) - 1 = 0, so the solve takes
     no full-size reciprocal. h is the unique truncated solution, the one that
     `ck.solve_second_order` gives."""
-    _require_dimension("metric-2d", r.n)
+    _record("metric-2d", r.n)
     _, cap = r.shape
     r11, r22, r12 = r.comp(1, 1), r.comp(2, 2), r.comp(1, 2)
     if not (r12.is_zero() and r.comp(2, 1).is_zero()):
@@ -1044,9 +1121,8 @@ def build_metric_2d_prescribed_ricci(
         raise RejectionError(
             "initial-value-vanishes", "the initial slice for h must not vanish at 0"
         )
-
-    # h at degree d takes r11 and r22 at degree d
-    _require_exact("prescribed r11, r22", (r11, r22), cap)
+    report = BuildReport("metric-2d", 2, cap, {"r": r, "phi": phi, "psi": psi}, None, {}, [])
+    _require_inputs(report)
     i22 = r22.reciprocal()
     fixed = {
         "1": Jet.one(2, cap),
@@ -1090,18 +1166,8 @@ def build_metric_2d_prescribed_ricci(
     metric = Metric(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
     )
-
-    return _checked(
-        BuildReport(
-            "metric-2d",
-            2,
-            cap,
-            {"r": r, "phi": phi, "psi": psi},
-            None,
-            {"metric": metric, "conformal_factor": h},
-            [],
-        )
-    )
+    report.outputs.update(metric=metric, conformal_factor=h)
+    return _checked(report)
 
 
 # ---------------------------------------------------------------------------
@@ -1230,28 +1296,12 @@ def build_statistical_2d(
 ) -> BuildReport:
     """2D metric making the cubic form of an arbitrary analytic connection
     symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
-    _require_dimension("statistical-2d", conn.n)
     _, cap = conn.shape
-    if g11.constant_term != 1 or init12.constant_term != 0 or init22.constant_term != 1:
-        raise RejectionError(
-            "normalization-violated", "need g11(0) = 1, g12(0) = 0, g22(0) = 1"
-        )
-    # g12, g22 at degree d take the connection at degree d - 1 and g11 at d
-    _require_exact("prescribed connection", conn.gamma.values(), cap - 1)
-    _require_exact("prescribed g11", (g11,), cap)
-    metric = _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})
-
-    return _checked(
-        BuildReport(
-            "statistical-2d",
-            2,
-            cap,
-            {"connection": conn, "g11": g11, "init12": init12, "init22": init22},
-            None,
-            {"metric": metric},
-            [],
-        )
-    )
+    prescribed = {"connection": conn, "g11": g11, "init12": init12, "init22": init22}
+    report = BuildReport("statistical-2d", conn.n, cap, prescribed, None, {}, [])
+    _require_inputs(report)
+    report.outputs["metric"] = _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})
+    return _checked(report)
 
 
 def build_trace_free_statistical_2d(
@@ -1261,32 +1311,19 @@ def build_trace_free_statistical_2d(
     det g = nu^2, so only two one-variable slices remain free. The row
     g11 g22 - g12^2 - nu^2 = 0 is linear in g11, and a one-key node solves
     it at every x1-layer. Requires symmetric Ricci."""
-    _require_dimension("trace-free-statistical-2d", conn.n)
+    _record("trace-free-statistical-2d", conn.n)
     if not conn.is_symmetric_table():
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
     _, cap = conn.shape
-    if init12.constant_term != 0 or init22.constant_term != 1:
-        raise RejectionError(
-            "normalization-violated", "need g12(0) = 0, g22(0) = 1"
-        )
-    # the metric at degree d takes the connection at degree d - 1
-    _require_exact("prescribed connection", conn.gamma.values(), cap - 1)
+    prescribed = {"connection": conn, "init12": init12, "init22": init22}
+    report = BuildReport("trace-free-statistical-2d", 2, cap, prescribed, None, {}, [])
+    _require_inputs(report)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     det = _Row(((-1, "nu^2"),), (), ((1, (1, 1), (2, 2)), (-1, (1, 2), (1, 2))))
     node = _LinearNode([(1, 1)], [det], 2, cap)
     metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, node)
-
-    return _checked(
-        BuildReport(
-            "trace-free-statistical-2d",
-            2,
-            cap,
-            {"connection": conn, "init12": init12, "init22": init22},
-            None,
-            {"metric": metric, "volume": volume},
-            [],
-        )
-    )
+    report.outputs.update(metric=metric, volume=volume)
+    return _checked(report)
 
 
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
@@ -1300,32 +1337,17 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
         raise RejectionError("slot-mismatch", f"missing the {g11_slot} slot")
     cap = fd.free_functions[g11_slot].max_degree
     _validate_free_data(cen, fd, n, cap)
+    report = BuildReport("statistical", n, cap, {}, fd, {}, [])
+    _require_inputs(report)
     g11 = fd.free_functions[g11_slot]
-    if g11.constant_term != 1:
-        raise RejectionError("normalization-violated", "need g11(0) = 1")
-    for slot, sl in fd.initial_slices.items():
-        _, i, j = parse_slot(slot)
-        if sl.constant_term != (1 if i == j else 0):
-            raise RejectionError(
-                "normalization-violated", f"slice {slot} must start at delta"
-            )
-
     parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
     free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
-    # g at degree d takes g11 at degree d and the free symbols at degree d - 1
-    _require_exact(g11_slot, (g11,), cap, "free-function-not-exact")
-    _require_exact("free symbols", free_gammas.values(), cap - 1, "free-function-not-exact")
     node = _determined_node(n, cap, _codazzi_spec(n).determined)
     metric, table = _codazzi_metric(
         n, True, fd.initial_slices, {**free_gammas, (1, 1): g11}, node
     )
-    conn = Connection.from_symmetric(n, table)
-
-    return _checked(
-        BuildReport(
-            "statistical", n, cap, {}, fd, {"connection": conn, "metric": metric}, []
-        )
-    )
+    report.outputs.update(connection=Connection.from_symmetric(n, table), metric=metric)
+    return _checked(report)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ import random
 import sys
 from pathlib import Path
 
-from . import multiindex as mi
 from . import serialize
 from .builders import (
     BuildReport,
     FreeData,
-    _require_dimension,
+    _record,
+    _require_workspace_bound,
     _slot_normal_value,
     _with_constant,
     build_metric_2d_prescribed_ricci,
@@ -81,15 +81,6 @@ def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
     return tuple(_integer(cfg.get(k, v), f"{section}.{k}") for k, v in defaults.items())
 
 
-def _require_workspace_bound(n: int, cap: int):
-    """Reject a workspace over `multiindex.MAX_PRODUCT_PAIRS`."""
-    if mi.exceeds_pair_bound(n, cap):
-        raise RejectionError(
-            "workspace-too-large",
-            f"n = {n}, D = {cap} needs more than {mi.MAX_PRODUCT_PAIRS} product pairs",
-        )
-
-
 def _shape(sc: dict) -> tuple[int, int, int]:
     """The scenario's n, D >= 2 and seed, in either mode; an n outside the
     construction's dimension rule and a workspace over the bound are
@@ -98,7 +89,7 @@ def _shape(sc: dict) -> tuple[int, int, int]:
     if cap < 2:
         raise ScenarioError("need D >= 2")
     seed = _integer(sc.get("seed", 0), "seed")
-    _require_dimension(sc["construction"], n)
+    _record(sc["construction"], n)
     _require_workspace_bound(n, cap)
     return n, cap, seed
 

@@ -432,10 +432,9 @@ class Jet:
         """Set x1 = 0; the result lives in the variables (x2, ..., xn)."""
         if self.n < 1:
             raise DimensionMismatchError("cannot restrict a 0-variable jet")
+        # position i of x1-layer 0 is slice rank i
         nums = self.nums
-        out = [0] * mi.size(self.n - 1, self.max_degree)
-        for full_rank, slice_rank in mi.restrict_pairs(self.n, self.max_degree):
-            out[slice_rank] = nums[full_rank]
+        out = [nums[r] for r in mi.x1_layers(self.n, self.max_degree)[0]]
         out, den = _reduced(out, self.den)
         return SliceJet(Jet._from_nums(self.n - 1, self.max_degree, out, den, self.valid_order))
 
@@ -492,7 +491,7 @@ class SliceJet:
         cap = self.max_degree
         jet = self.jet
         out = [0] * mi.size(n, cap)
-        for c, full_rank in zip(jet.nums, mi.promote_map(n, cap)):
+        for c, full_rank in zip(jet.nums, mi.x1_layers(n, cap)[0]):
             out[full_rank] = c
         # the same numerators over the same denominator: still in lowest terms
         return Jet._from_nums(n, cap, tuple(out), jet.den, jet.valid_order)

@@ -67,6 +67,11 @@ def degree_of(n: int, cap: int) -> tuple[int, ...]:
     return tuple(sum(e) for e in exponents(n, cap))
 
 
+def _x1_exponents(n: int, cap: int) -> tuple[int, ...]:
+    """The x1-exponent of every rank; 0 for the one monomial of n = 0."""
+    return tuple(sum(e[:1]) for e in exponents(n, cap))
+
+
 def size(n: int, cap: int) -> int:
     return len(exponents(n, cap))
 
@@ -99,13 +104,13 @@ def product_layers(n: int, cap: int) -> tuple[tuple[tuple[int, int, int], ...], 
     lo..hi - 1 of row ra, whose product ranks rc have x1-exponent t. Every
     pair lies in exactly one span, so the layers partition the one table of
     pairs without copying it."""
-    exps = exponents(n, cap)
+    x1 = _x1_exponents(n, cap)
     layers: list[list] = [[] for _ in range(cap + 1)]
     for ra, row in enumerate(product_rows(n, cap)):
         lo = 0
-        for s, block in groupby(row, key=lambda pair: exps[pair[0]][0]):
+        for s, block in groupby(row, key=lambda pair: x1[pair[0]]):
             hi = lo + sum(1 for _ in block)
-            layers[exps[ra][0] + s].append((ra, lo, hi))
+            layers[x1[ra] + s].append((ra, lo, hi))
             lo = hi
     return tuple(tuple(spans) for spans in layers)
 
@@ -115,11 +120,10 @@ def x1_layers(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
     """Layer t lists the ranks of x1-exponent t in rank order, which is the
     graded-colex order of their (x2, ..., xn) parts: position i of layer t
     is slice rank i in n - 1 variables, and layer t + 1 has the first
-    size(n - 1, cap - t - 1) positions of layer t."""
-    exps = exponents(n, cap)
-    return tuple(
-        tuple(r for r, e in enumerate(exps) if e[0] == t) for t in range(cap + 1)
-    )
+    size(n - 1, cap - t - 1) positions of layer t. Layer 0 embeds the
+    slice ranks (`jets.SliceJet.promote`, `Jet.restrict_x1`)."""
+    x1 = _x1_exponents(n, cap)
+    return tuple(tuple(r for r, e in enumerate(x1) if e == t) for t in range(cap + 1))
 
 
 def product_rank(n: int, cap: int) -> dict[tuple[int, int], int]:
@@ -153,21 +157,3 @@ def antiderivative_x1_map(n: int, cap: int) -> tuple[tuple[int, int, int], ...]:
         raised = (e[0] + 1,) + e[1:]
         moves.append((r, ranks[raised], e[0] + 1))
     return tuple(moves)
-
-
-@lru_cache(maxsize=None)
-def promote_map(n: int, cap: int) -> tuple[int, ...]:
-    """Rank map embedding (n-1)-variable monomials as x1-free n-variable ones."""
-    ranks = rank_of(n, cap)
-    return tuple(ranks[(0,) + e] for e in exponents(n - 1, cap))
-
-
-@lru_cache(maxsize=None)
-def restrict_pairs(n: int, cap: int) -> tuple[tuple[int, int], ...]:
-    """(full_rank, slice_rank) for every monomial with zero x1 exponent."""
-    slice_ranks = rank_of(n - 1, cap)
-    out = []
-    for r, e in enumerate(exponents(n, cap)):
-        if e[0] == 0:
-            out.append((r, slice_ranks[e[1:]]))
-    return tuple(out)

@@ -12,9 +12,10 @@ workspace (`_keys`). The reader makes one pass over the entries: it looks
 each key up in the table of that tuple and reads a coefficient of the form
 `-?[0-9]+(/[0-9]+)?` with a nonzero denominator as two integers, and reads
 any other key with `int` on each part and any other coefficient with
-`Fraction`. So the accepted inputs, their values and the errors are those of
-the `int` and `Fraction` parse, and a written jet is read without
-`Fraction`.
+`Fraction`, but for whitespace next to `/`, which `Fraction` accepts from
+Python 3.12 on only and the reader rejects on every version. So the accepted
+inputs, their values and the errors are those of the `int` and `Fraction`
+parse of Python 3.10 and 3.11, and a written jet is read without `Fraction`.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ def jet_from_json(data: dict) -> Jet:
     key from the table of the workspace's keys, or else with `int` on each
     part; its coefficient as two integers when it has the form
     `-?[0-9]+(/[0-9]+)?` with a nonzero denominator, or else with
-    `Fraction`. A monomial written twice takes its last value. After the
-    entries, a negative n or D raises the index table's error, then a
-    monomial outside the workspace DimensionMismatchError. valid_order is an
-    integer in 0..D or null, which means D."""
+    `Fraction`, whitespace next to `/` being rejected first. A monomial
+    written twice takes its last value. After the entries, a negative n or D
+    raises the index table's error, then a monomial outside the workspace
+    DimensionMismatchError. valid_order is an integer in 0..D or null, which
+    means D."""
     n, cap, valid_order = data["n"], data["D"], data["valid_order"]
     if type(n) is not int or type(cap) is not int:
         raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
@@ -109,6 +111,9 @@ def jet_from_json(data: dict) -> Jet:
             g = gcd(p, q)
             fractions[r] = (p // g, q // g)
         else:
+            # Fraction reads "1 / 2" from Python 3.12 on only
+            if re.search(r"\s/|/\s", value):
+                raise ValueError(f"coefficient {value!r} has whitespace next to '/'")
             c = Fraction(value)
             fractions[r] = (c.numerator, c.denominator)
     ranks = mi.rank_of(n, cap)

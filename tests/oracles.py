@@ -25,6 +25,7 @@ jetgeom.serialize.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -368,8 +369,9 @@ def ref_jet_to_json(jet: Jet) -> dict:
 
 
 def ref_jet_from_json(data: dict) -> Jet:
-    """`int` on every key part and `Fraction` on every coefficient, with the
-    checks, their order and their messages of `serialize.jet_from_json`."""
+    """`int` on every key part and `Fraction` on every coefficient without
+    whitespace next to `/`, with the checks, their order and their messages
+    of `serialize.jet_from_json`."""
     n, cap, valid_order = data["n"], data["D"], data["valid_order"]
     if type(n) is not int or type(cap) is not int:
         raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
@@ -388,6 +390,8 @@ def ref_jet_from_json(data: dict) -> Jet:
         exps = tuple(int(v) for v in key.split()) if key.strip() else ()
         if not isinstance(value, str):
             raise ValueError(f"coefficient {value!r} is not a string")
+        if re.search(r"\s/|/\s", value):  # Fraction reads these from Python 3.12 on
+            raise ValueError(f"coefficient {value!r} has whitespace next to '/'")
         terms[exps] = Fraction(value)
     ranks = mi.rank_of(n, cap)
     coeffs = [Fraction(0)] * len(ranks)

@@ -4,10 +4,12 @@ import io
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from jetgeom import cli
+from jetgeom import multiindex as mi
 from jetgeom.builders import BuildReport, Check
 from jetgeom.cli import main
 from jetgeom.serialize import (
@@ -619,6 +621,25 @@ def test_workspace_over_the_bound_is_rejected_before_any_draw(
     assert code == 2
     assert json.loads(out) == {"status": "rejected", "reason": "workspace-too-large"}
     assert not out_path.exists()
+
+
+def test_census_of_a_large_statistical_n_builds_its_lists_once():
+    # the free-slot filter once rebuilt the set of determined symbols for
+    # every key, so n = 30 took about 9 s
+    start = perf_counter()
+    cen = cli.census("statistical", 30)
+    assert perf_counter() - start < 3.0
+    assert len(cen.free_function_slots) + len(cen.determined) == 30 * 30 * 31 // 2 + 1
+
+
+@pytest.mark.parametrize("tag", ["general", "trace-free-torsion", "torsion-free", "statistical"])
+def test_census_over_the_workspace_bound_at_every_d_is_rejected(capsys, tag):
+    # C(2n + 2, 2) product pairs: every D >= 2 is over the bound from n = 223 on
+    assert not mi.exceeds_pair_bound(222, 2) and mi.exceeds_pair_bound(223, 2)
+    start = perf_counter()
+    code, out = run_cli(capsys, "census", tag, "223")
+    assert perf_counter() - start < 2.0
+    assert code == 2 and json.loads(out) == {"status": "rejected", "reason": "workspace-too-large"}
 
 
 def test_workspace_bound_sits_between_c_22_16_and_c_23_17():

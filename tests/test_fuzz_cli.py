@@ -308,6 +308,8 @@ REJECTED = json.dumps({"verified": False}) + "\n"
         ("+1 0", "1/1", (2, REJECTED, "")),
         ("+1 0", "-2/1", (0, VERIFIED, "")),
         ("1  0", "-2/1", (0, VERIFIED, "")),
+        # Fraction reads it from Python 3.12 on; the reader on no version
+        ("0 0", "1 / 2", (1, "", "malformed report: coefficient '1 / 2' has whitespace next to '/'\n")),
     ],
 )
 def test_verify_reads_unusual_coefficient_text_as_fraction_does(tmp_path, key, value, expected):

@@ -159,29 +159,32 @@ def test_pair_rows_hold_every_product_pair(n, cap):
     assert {(ra, rb): rc for ra, row in enumerate(rows) for rb, rc in row} == mi.product_rank(n, cap)
 
 
-@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(1, 5) for cap in range(9)])
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])
 def test_product_layers_partition_the_pair_rows(n, cap):
     rows, exps = mi.product_rows(n, cap), mi.exponents(n, cap)
     spanned = []
     for t, spans in enumerate(mi.product_layers(n, cap)):
         for ra, lo, hi in spans:
             for rb, rc in rows[ra][lo:hi]:
-                assert exps[rc][0] == t
+                assert sum(exps[rc][:1]) == t  # x1-exponent 0 at n = 0
                 spanned.append((ra, rb))
     assert len(spanned) == comb(2 * n + cap, cap)
     assert sorted(spanned) == sorted((ra, rb) for ra, row in enumerate(rows) for rb, _ in row)
 
 
-@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(2, 5) for cap in range(7)])
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(7)])
 def test_x1_layers_list_each_layer_as_a_slice(n, cap):
     exps = mi.exponents(n, cap)
     layers = mi.x1_layers(n, cap)
     assert sorted(r for layer in layers for r in layer) == list(range(mi.size(n, cap)))
+    if n == 0:  # the one monomial has x1-exponent 0
+        assert layers == ((0,),) + ((),) * cap
+        return
     for t, layer in enumerate(layers):
         assert [exps[r] for r in layer] == [(t, *e) for e in mi.exponents(n - 1, cap - t)]
 
 
-@pytest.mark.parametrize("n, cap", [(1, 5), (2, 6), (3, 4), (4, 3)])
+@pytest.mark.parametrize("n, cap", [(0, 3), (1, 5), (2, 6), (3, 4), (4, 3)])
 def test_layer_products_add_up_to_the_product(n, cap):
     size, exps, rows = mi.size(n, cap), mi.exponents(n, cap), mi.product_rows(n, cap)
     a = [(7 * r) % 5 - 2 for r in range(size)]
@@ -190,7 +193,7 @@ def test_layer_products_add_up_to_the_product(n, cap):
     for t, spans in enumerate(mi.product_layers(n, cap)):
         out = [0] * size
         _mul_layer(rows, spans, a, b, -3, out)
-        assert out == [-3 * c if exps[r][0] == t else 0 for r, c in enumerate(whole)]
+        assert out == [-3 * c if sum(exps[r][:1]) == t else 0 for r, c in enumerate(whole)]
 
 
 def test_fraction_api_and_lowest_terms():

@@ -29,9 +29,16 @@ and output value of its reports, the checks they must pass, and its input
 rules. Since every unknown is written to order D, an input must be valid to
 the order the solve reads it to, and the metric entries it gives must hold
 delta_ij at the origin. `census`, the CLI, the builders and `verify` read the
-record; each builder applies the input rules (`_require_inputs`) to the
-report it starts, and `verify` to the report it reads, so a report that
-`verify` accepts holds inputs that a build accepts.
+record.
+
+Each report is admitted once, by `_admit`, which holds every rule a report's
+header, values and free data must meet: the dimension rule, the record's
+values by name and type, free data filling exactly the census slots, every
+jet, slice and table in workspace (n, D), and the input rules. Each builder
+admits the report it starts, after its own rejections and before its solve,
+and `verify` the report it reads, before any check; the checks then read the
+report's values unchecked. So a report that `verify` accepts holds inputs
+that a build accepts.
 
 The three prescribed-Ricci constructions (unconstrained torsion, vanishing
 torsion trace, torsion-free) share one equation path. `_ricci_spec` gives,
@@ -138,7 +145,7 @@ class _Construction:
       reports, and whether they carry free data (the census constructions);
     - the checks its reports must pass, in order, each as (check, orders
       below D it runs to; None for order 0);
-    - the input rules of `_require_inputs`: the inputs, named as `_input`
+    - the input rules of `_admit`: the inputs, named as `_input`
       names them, that must be valid to some order below D, each as (input,
       orders below D, rejection reason), and the inputs whose metric entries
       must hold delta_ij at the origin."""
@@ -344,37 +351,6 @@ class FreeData:
     gauge_function: Jet | None = None
 
 
-def _validate_free_data(cen: Census, fd: FreeData, n: int, cap: int):
-    wanted = set(cen.free_function_slots) - {"phi"}
-    if set(fd.free_functions) != wanted:
-        raise RejectionError(
-            "slot-mismatch",
-            f"free-function slots {sorted(fd.free_functions)} do not match the "
-            f"census {sorted(wanted)}",
-        )
-    if set(fd.initial_slices) != set(cen.initial_slice_slots):
-        raise RejectionError(
-            "slot-mismatch",
-            f"initial-slice slots {sorted(fd.initial_slices)} do not match the "
-            f"census {sorted(cen.initial_slice_slots)}",
-        )
-    if fd.gauge_function is not None and "phi" not in cen.free_function_slots:
-        raise RejectionError(
-            "slot-mismatch", f"{cen.construction} takes no gauge function"
-        )
-    for jet in fd.free_functions.values():
-        if (jet.n, jet.max_degree) != (n, cap):
-            raise RejectionError("slot-mismatch", "free function has wrong workspace")
-    for sl in fd.initial_slices.values():
-        if (sl.ambient_n, sl.max_degree) != (n, cap):
-            raise RejectionError("slot-mismatch", "initial slice has wrong workspace")
-    if fd.gauge_function is not None and (
-        fd.gauge_function.n,
-        fd.gauge_function.max_degree,
-    ) != (n, cap):
-        raise RejectionError("slot-mismatch", "gauge function has wrong workspace")
-
-
 def _with_constant(jet: Jet, value) -> Jet:
     return jet + (as_fraction(value) - jet.constant_term)
 
@@ -448,7 +424,7 @@ class BuildReport:
     max_degree: int
     prescribed: dict[str, object]
     free_data: FreeData | None
-    outputs: dict[str, object]
+    outputs: dict[str, object] | None  # None: a build before its solve
     checks: list[Check]
 
 
@@ -460,17 +436,12 @@ class BuildReport:
 
 def _residuals(report: BuildReport, res: Bilinear, order: int) -> Iterator[Jet]:
     """The jets res_ij - r_ij of the report's prescribed r, res having been
-    formed at cap order from outputs in the report's workspace. An r in
-    another workspace fails as the untruncated subtraction would."""
-    r, n, cap = report.prescribed["r"], report.n, report.max_degree
+    formed at cap order from outputs in the report's workspace, where an
+    admitted r lives too (`_admit`)."""
+    r = report.prescribed["r"]
     for i in range(1, res.n + 1):
         for j in range(1, res.n + 1):
-            rij = r.comp(i, j)
-            if (rij.n, rij.max_degree) != (n, cap):
-                raise DimensionMismatchError(
-                    f"workspace mismatch: ({n},{cap}) vs ({rij.n},{rij.max_degree})"
-                )
-            yield res.comp(i, j) - rij.truncate(order)
+            yield res.comp(i, j) - r.comp(i, j).truncate(order)
 
 
 def _ricci_residual(report: BuildReport, order: int) -> bool:
@@ -519,16 +490,6 @@ def _slot_output(report: BuildReport, slot: str) -> Jet:
     return report.outputs["connection"].gamma[kind]
 
 
-def _free_data(report: BuildReport) -> FreeData:
-    """The report's free data, which must fill exactly the census slots: an
-    emptied slot list would make the fidelity checks pass vacuously."""
-    if report.free_data is None:
-        raise ValueError(f"a {report.construction} report needs free data")
-    cen = census(report.construction, report.n)
-    _validate_free_data(cen, report.free_data, report.n, report.max_degree)
-    return report.free_data
-
-
 # the metric slot each 2D statistical input gives
 _METRIC_INPUTS = {"g11": "g;1,1", "init12": "g;1,2", "init22": "g;2,2"}
 
@@ -539,6 +500,7 @@ def _input(report: BuildReport, name: str) -> list[tuple[str, Jet | SliceJet]]:
     entry), "free symbols" (the free functions of Christoffel slots),
     "initial slices", a free-function slot ("g;1,1") or "phi", the gauge
     function (none when it is not given)."""
+    fd = report.free_data
     if name in report.prescribed:
         value = report.prescribed[name]
         if isinstance(value, Connection):
@@ -546,7 +508,6 @@ def _input(report: BuildReport, name: str) -> list[tuple[str, Jet | SliceJet]]:
         if isinstance(value, Bilinear):
             return [(name, jet) for jet in value.comps.values()]
         return [(_METRIC_INPUTS.get(name, name), value)]
-    fd = _free_data(report)
     if name == "free symbols":
         free = fd.free_functions.items()
         return [(slot, jet) for slot, jet in free if parse_slot(slot)[0] != "g"]
@@ -557,12 +518,92 @@ def _input(report: BuildReport, name: str) -> list[tuple[str, Jet | SliceJet]]:
     return [(name, fd.free_functions[name])]
 
 
-def _require_inputs(report: BuildReport):
-    """The input rules of the report's construction, after its dimension
-    rule: the metric entries its inputs give hold delta_ij at the origin
-    (normalization-violated), and each input is valid to the order the solve
-    reads it to (the rule's reason), rules in record order."""
+def _workspaces(value) -> set[tuple[int, int]]:
+    """The (n, D) of a jet, of a slice (its ambient n) or of a table, whose
+    own n counts next to that of its jets."""
+    if isinstance(value, SliceJet):
+        return {(value.ambient_n, value.max_degree)}
+    if isinstance(value, Jet):
+        return {(value.n, value.max_degree)}
+    return {value.shape, (value.n, value.shape[1])}
+
+
+def _admit(report: BuildReport):
+    """Admit a report, raising at the first of these rules it breaks:
+    1. its n meets its construction's dimension rule (RejectionError
+       unsupported-construction; ValueError for an unknown construction);
+    2. its prescribed values, and its outputs unless it is a build before
+       its solve, are exactly its construction's, by name and type (a metric
+       stored as a bilinear table is not one; ValueError);
+    3. it carries free data exactly when its construction has a census, and
+       the free data fills exactly the census slots (RejectionError
+       slot-mismatch);
+    4. every jet, slice and table of it lives in workspace (n, D)
+       (RejectionError slot-mismatch for the free data,
+       DimensionMismatchError for the rest);
+    5. the metric entries its inputs give hold delta_ij at the origin
+       (normalization-violated), and each input is valid to the order the
+       solve reads it to (the rule's reason), rules in record order.
+    Each builder admits the report it starts and `verify` the report it
+    reads; what runs after reads the report's values unchecked."""
     rec = _record(report.construction, report.n)
+    if rec is None:
+        raise ValueError(f"unknown construction {report.construction!r}")
+    parts = [("prescribed", report.prescribed, rec.prescribed)]
+    if report.outputs is not None:
+        parts.append(("outputs", report.outputs, rec.outputs))
+    for part, values, want in parts:
+        if set(values) != set(want):
+            raise ValueError(
+                f"{part} {sorted(values)} of a {report.construction} report, "
+                f"expected {sorted(want)}"
+            )
+        for name, cls in want.items():
+            if not isinstance(values[name], cls):
+                raise ValueError(
+                    f"{part} {name!r} of a {report.construction} report is a "
+                    f"{type(values[name]).__name__}, not a {cls.__name__}"
+                )
+
+    fd, free = report.free_data, []
+    if (fd is not None) != rec.free_data:
+        need = "needs" if rec.free_data else "takes no"
+        raise RejectionError("slot-mismatch", f"a {report.construction} report {need} free data")
+    if fd is not None:
+        cen = census(report.construction, report.n)
+        wanted = set(cen.free_function_slots) - {"phi"}
+        if set(fd.free_functions) != wanted:
+            raise RejectionError(
+                "slot-mismatch",
+                f"free-function slots {sorted(fd.free_functions)} do not match the "
+                f"census {sorted(wanted)}",
+            )
+        if set(fd.initial_slices) != set(cen.initial_slice_slots):
+            raise RejectionError(
+                "slot-mismatch",
+                f"initial-slice slots {sorted(fd.initial_slices)} do not match the "
+                f"census {sorted(cen.initial_slice_slots)}",
+            )
+        if fd.gauge_function is not None and "phi" not in cen.free_function_slots:
+            raise RejectionError("slot-mismatch", f"{cen.construction} takes no gauge function")
+        free = [*fd.free_functions.items(), *fd.initial_slices.items()]
+        free += [] if fd.gauge_function is None else [("phi", fd.gauge_function)]
+
+    declared = (report.n, report.max_degree)
+    values = [("prescribed", *item) for item in report.prescribed.items()]
+    values += [("free data", *item) for item in free]
+    values += [("output", *item) for item in (report.outputs or {}).items()]
+    for part, name, value in values:
+        shapes = _workspaces(value) - {declared}
+        if shapes:
+            message = (
+                f"{part} {name!r} lives in workspace (n, D) = {min(shapes)}, the report "
+                f"declares {declared}"
+            )
+            if part == "free data":
+                raise RejectionError("slot-mismatch", message)
+            raise DimensionMismatchError(message)
+
     for name in rec.normal:
         for slot, value in _input(report, name):
             normal = _slot_normal_value(slot)
@@ -588,7 +629,7 @@ def _initial_slices(report: BuildReport, order: int) -> bool:
 def _free_functions(report: BuildReport, order: int) -> bool:
     return all(
         _slot_output(report, slot).same_payload(jet)
-        for slot, jet in _free_data(report).free_functions.items()
+        for slot, jet in report.free_data.free_functions.items()
     )
 
 
@@ -630,55 +671,15 @@ def _checked(report: BuildReport) -> BuildReport:
     return report
 
 
-def _require_types(report: BuildReport):
-    """The report carries exactly its construction's prescribed and output
-    values, each of its type (a metric stored as a bilinear table is not one)."""
-    rec = _CONSTRUCTIONS.get(report.construction)
-    if rec is None:
-        raise ValueError(f"unknown construction {report.construction!r}")
-    parts = (("prescribed", report.prescribed), ("outputs", report.outputs))
-    for (part, values), want in zip(parts, (rec.prescribed, rec.outputs)):
-        if set(values) != set(want):
-            raise ValueError(
-                f"{part} {sorted(values)} of a {report.construction} report, "
-                f"expected {sorted(want)}"
-            )
-        for name, cls in want.items():
-            if not isinstance(values[name], cls):
-                raise ValueError(
-                    f"{part} {name!r} of a {report.construction} report is a "
-                    f"{type(values[name]).__name__}, not a {cls.__name__}"
-                )
-
-
-def _require_workspace(report: BuildReport):
-    declared = (report.n, report.max_degree)
-    for name, value in report.outputs.items():
-        # `_require_types` admits only tables and jets as outputs
-        table = isinstance(value, (Connection, Bilinear))
-        shape = value.shape if table else (value.n, value.max_degree)
-        if shape != declared or value.n != report.n:
-            raise DimensionMismatchError(
-                f"output {name!r} lives in workspace (n, D) = {shape}, the report "
-                f"declares {declared}"
-            )
-
-
 def verify(report: BuildReport, order: int | None = None) -> bool:
     """Re-run the checks that the report's construction and degree cap D
     require. The list of checks comes from the registry, not from the report:
     a report whose recorded (name, order) list differs from the required one
     does not verify. An order override (0..D) applies to the residual checks;
-    structural checks keep their recorded meaning. Raises DimensionMismatchError
-    when the report's n or D disagree with its output tables, RejectionError
-    when its n breaks its construction's dimension rule, its free data does
-    not fill the census slots or an input breaks the construction's input
-    rules (`_require_inputs`, as a build would reject it), and ValueError for
-    an unknown construction, prescribed or output values that are not the
-    construction's (by name and type), or an order outside 0..D."""
-    _require_types(report)
-    _require_workspace(report)
-    _require_inputs(report)
+    structural checks keep their recorded meaning. Raises what `_admit`
+    raises for a report that no build could have started or produced, and
+    ValueError for an order outside 0..D."""
+    _admit(report)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
     if [(c.name, c.order) for c in report.checks] != _required_checks(report):
@@ -1034,11 +1035,8 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     x1-derivative per Ricci equation is solved."""
     n = r.n
     _, cap = r.shape
-    cen = census(construction, n)
-    _validate_free_data(cen, fd, n, cap)
+    _record(construction, n)
     spec = _ricci_spec(construction, n)
-    known = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
-    known.update({("r", *pair): jet for pair, jet in r.comps.items()})
     if spec.symmetric:
         try:
             alpha0 = primitive_of_two_form(split(r)[1])
@@ -1047,11 +1045,14 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
                 "antisymmetric-part-not-closed",
                 f"antisymmetric part of the prescribed tensor: {err}",
             ) from None
+    report = BuildReport(construction, n, cap, {"r": r}, fd, None, [])
+    _admit(report)
+    known = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
+    known.update({("r", *pair): jet for pair, jet in r.comps.items()})
+    if spec.symmetric:
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
-    report = BuildReport(construction, n, cap, {"r": r}, fd, {}, [])
-    _require_inputs(report)
     labels = {unknown: gamma_slot(*unknown) for _, unknown in spec.equations}
     # the determined symbols, then the divergence entries of the products
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
@@ -1059,7 +1060,7 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         derived[("div", l)] = _Row(tuple((1, spec.canon(k, k, l)) for k in range(1, n + 1)))
     table = _ck_solve(_ricci_rows(spec, n), labels, known, derived, fd.initial_slices)
     gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
-    report.outputs["connection"] = Connection(n, gamma, symmetric=spec.symmetric)
+    report.outputs = {"connection": Connection(n, gamma, symmetric=spec.symmetric)}
     return _checked(report)
 
 
@@ -1121,8 +1122,8 @@ def build_metric_2d_prescribed_ricci(
         raise RejectionError(
             "initial-value-vanishes", "the initial slice for h must not vanish at 0"
         )
-    report = BuildReport("metric-2d", 2, cap, {"r": r, "phi": phi, "psi": psi}, None, {}, [])
-    _require_inputs(report)
+    report = BuildReport("metric-2d", 2, cap, {"r": r, "phi": phi, "psi": psi}, None, None, [])
+    _admit(report)
     i22 = r22.reciprocal()
     fixed = {
         "1": Jet.one(2, cap),
@@ -1166,7 +1167,7 @@ def build_metric_2d_prescribed_ricci(
     metric = Metric(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
     )
-    report.outputs.update(metric=metric, conformal_factor=h)
+    report.outputs = {"metric": metric, "conformal_factor": h}
     return _checked(report)
 
 
@@ -1298,9 +1299,9 @@ def build_statistical_2d(
     symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
     _, cap = conn.shape
     prescribed = {"connection": conn, "g11": g11, "init12": init12, "init22": init22}
-    report = BuildReport("statistical-2d", conn.n, cap, prescribed, None, {}, [])
-    _require_inputs(report)
-    report.outputs["metric"] = _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})
+    report = BuildReport("statistical-2d", conn.n, cap, prescribed, None, None, [])
+    _admit(report)
+    report.outputs = {"metric": _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})}
     return _checked(report)
 
 
@@ -1316,13 +1317,13 @@ def build_trace_free_statistical_2d(
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
     _, cap = conn.shape
     prescribed = {"connection": conn, "init12": init12, "init22": init22}
-    report = BuildReport("trace-free-statistical-2d", 2, cap, prescribed, None, {}, [])
-    _require_inputs(report)
+    report = BuildReport("trace-free-statistical-2d", 2, cap, prescribed, None, None, [])
+    _admit(report)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     det = _Row(((-1, "nu^2"),), (), ((1, (1, 1), (2, 2)), (-1, (1, 2), (1, 2))))
     node = _LinearNode([(1, 1)], [det], 2, cap)
     metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, node)
-    report.outputs.update(metric=metric, volume=volume)
+    report.outputs = {"metric": metric, "volume": volume}
     return _checked(report)
 
 
@@ -1331,22 +1332,20 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     the CK rows of the Codazzi gap while the node of the algebraic gaps
     writes, at every x1-layer, that layer of the determined Christoffel
     symbols."""
-    cen = census("statistical", n)
-    g11_slot = metric_slot(1, 1)
-    if g11_slot not in fd.free_functions:
-        raise RejectionError("slot-mismatch", f"missing the {g11_slot} slot")
-    cap = fd.free_functions[g11_slot].max_degree
-    _validate_free_data(cen, fd, n, cap)
-    report = BuildReport("statistical", n, cap, {}, fd, {}, [])
-    _require_inputs(report)
-    g11 = fd.free_functions[g11_slot]
+    _record("statistical", n)
+    g11 = fd.free_functions.get(metric_slot(1, 1))
+    if g11 is None:
+        raise RejectionError("slot-mismatch", "missing the g;1,1 slot")
+    cap = g11.max_degree
+    report = BuildReport("statistical", n, cap, {}, fd, None, [])
+    _admit(report)
     parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
     free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
     node = _determined_node(n, cap, _codazzi_spec(n).determined)
     metric, table = _codazzi_metric(
         n, True, fd.initial_slices, {**free_gammas, (1, 1): g11}, node
     )
-    report.outputs.update(connection=Connection.from_symmetric(n, table), metric=metric)
+    report.outputs = {"connection": Connection.from_symmetric(n, table), "metric": metric}
     return _checked(report)
 
 

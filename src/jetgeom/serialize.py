@@ -16,6 +16,11 @@ any other key with `int` on each part and any other coefficient with
 Python 3.12 on only and the reader rejects on every version. So the accepted
 inputs, their values and the errors are those of the `int` and `Fraction`
 parse of Python 3.10 and 3.11, and a written jet is read without `Fraction`.
+
+The header fields are read as the JSON types they are written as, by one
+helper (`_header`): the `n` and `D` of a report or a jet, a slice's
+`ambient_n` and a table's `n` must be JSON integers, and a connection's
+`symmetric` a JSON boolean, so `2.0` or `true` in place of `2` is malformed.
 """
 
 from __future__ import annotations
@@ -64,6 +69,15 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _header(value, cls: type, what: str):
+    """A header field that must be a JSON integer (cls int; a boolean is not
+    one) or a JSON boolean (cls bool)."""
+    if type(value) is not cls:
+        kind = "an integer" if cls is int else "a boolean"
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
 def jet_from_json(data: dict) -> Jet:
     """The jet of a JSON object: integers n and D within
     `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
@@ -76,9 +90,8 @@ def jet_from_json(data: dict) -> Jet:
     raises the index table's error, then a monomial outside the workspace
     DimensionMismatchError. valid_order is an integer in 0..D or null, which
     means D."""
-    n, cap, valid_order = data["n"], data["D"], data["valid_order"]
-    if type(n) is not int or type(cap) is not int:
-        raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
+    n, cap = _header(data["n"], int, "jet n"), _header(data["D"], int, "jet D")
+    valid_order = data["valid_order"]
     if valid_order is not None and type(valid_order) is not int:
         raise ValueError(f"jet valid_order must be an integer or null, not {valid_order!r}")
     if mi.exceeds_pair_bound(n, cap):
@@ -136,8 +149,9 @@ def slice_to_json(sl: SliceJet) -> dict:
 
 
 def slice_from_json(data: dict) -> SliceJet:
+    ambient_n = _header(data["ambient_n"], int, "slice ambient_n")
     sl = SliceJet(jet_from_json(data["jet"]))
-    if sl.ambient_n != data["ambient_n"]:
+    if sl.ambient_n != ambient_n:
         raise ValueError("slice ambient dimension mismatch")
     return sl
 
@@ -154,12 +168,14 @@ def connection_to_json(conn: Connection) -> dict:
 
 
 def connection_from_json(data: dict) -> Connection:
+    n = _header(data["n"], int, "table n")
+    symmetric = _header(data["symmetric"], bool, "symmetric")
     gamma = {}
     for key, payload in _object(data["gamma"], "connection gamma").items():
         head, lower = key.split(";")
         i, j = (int(v) for v in lower.split(","))
         gamma[(int(head), i, j)] = jet_from_json(payload)
-    return Connection(data["n"], gamma, symmetric=data["symmetric"])
+    return Connection(n, gamma, symmetric=symmetric)
 
 
 def bilinear_to_json(b: Bilinear) -> dict:
@@ -172,11 +188,11 @@ def bilinear_to_json(b: Bilinear) -> dict:
 
 
 def _comps_from_json(data: dict) -> tuple[int, dict]:
-    comps = {}
+    n, comps = _header(data["n"], int, "table n"), {}
     for key, payload in _object(data["comps"], "tensor comps").items():
         i, j = (int(v) for v in key.split(","))
         comps[(i, j)] = jet_from_json(payload)
-    return data["n"], comps
+    return n, comps
 
 
 def bilinear_from_json(data: dict) -> Bilinear:
@@ -260,8 +276,8 @@ def report_to_json(report: BuildReport) -> dict:
 def report_from_json(data: dict) -> BuildReport:
     return BuildReport(
         construction=data["construction"],
-        n=data["n"],
-        max_degree=data["D"],
+        n=_header(data["n"], int, "report n"),
+        max_degree=_header(data["D"], int, "report D"),
         prescribed={
             k: typed_from_json(v) for k, v in _object(data["prescribed"], "prescribed").items()
         },

@@ -373,8 +373,9 @@ def ref_jet_from_json(data: dict) -> Jet:
     whitespace next to `/`, with the checks, their order and their messages
     of `serialize.jet_from_json`."""
     n, cap, valid_order = data["n"], data["D"], data["valid_order"]
-    if type(n) is not int or type(cap) is not int:
-        raise ValueError(f"jet n and D must be integers, not {n!r} and {cap!r}")
+    for name, value in (("n", n), ("D", cap)):
+        if type(value) is not int:
+            raise ValueError(f"jet {name} must be an integer, not {value!r}")
     if valid_order is not None and type(valid_order) is not int:
         raise ValueError(f"jet valid_order must be an integer or null, not {valid_order!r}")
     if mi.exceeds_pair_bound(n, cap):

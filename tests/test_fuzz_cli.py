@@ -6,7 +6,8 @@ The reports are built in-process from small scenarios. A mutation drops a
 node of the report tree, replaces it, or inserts a key into an object; the
 values are lists, objects, floats, integers (huge ones at the "n" and "D"
 keys), strings, booleans and null. A coefficient that is not a string is
-malformed, so such a mutation must exit 1.
+malformed, and so is an "n", "D" or "ambient_n" that is not a JSON integer
+or a "symmetric" that is not a JSON boolean; such a mutation must exit 1.
 """
 
 from __future__ import annotations
@@ -222,8 +223,13 @@ def node_at(tree, path):
     return tree
 
 
+# header field -> the one JSON type its value may have
+HEADERS = {"n": int, "D": int, "ambient_n": int, "symmetric": bool}
+
+
 def mutate(tree, mutation):
-    """(the mutated tree, whether a coefficient became a non-string)."""
+    """(the mutated tree, whether a coefficient became a non-string or a
+    header field a value of another JSON type)."""
     action, path, *rest = mutation
     tree = copy.deepcopy(tree)
     if action == "insert":
@@ -237,6 +243,9 @@ def mutate(tree, mutation):
         del parent[path[-1]]
         return tree, False
     parent[path[-1]] = rest[0]
+    header = HEADERS.get(path[-1]) if isinstance(path[-1], str) else None
+    if header is not None:
+        return tree, type(rest[0]) is not header
     return tree, path[-2:-1] == ("coeffs",) and not isinstance(rest[0], str)
 
 
@@ -275,10 +284,16 @@ MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
 @example(case=("general", ("insert", GAMMA_COEFFS, "0 0", " 1/2")))
 @example(case=("general", ("insert", GAMMA_COEFFS, "0 0", "1/0")))
 @example(case=("general", ("insert", GAMMA_COEFFS, "+1 0", "1/1")))
+@example(case=("general", ("replace", ("n",), 2.0)))
+@example(case=("metric-2d", ("replace", ("n",), 2.0)))
+@example(case=("metric-2d", ("replace", ("D",), True)))
+@example(case=("metric-2d", ("replace", ("prescribed", "phi", "value", "ambient_n"), 2.0)))
+@example(case=("metric-2d", ("replace", ("prescribed", "r", "value", "n"), 2.0)))
+@example(case=("general", ("replace", ("outputs", "connection", "value", "symmetric"), 0)))
 @given(case=MUTATED_REPORTS)
 def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, case):
     name, mutation = case
-    tree, non_string_coefficient = mutate(json.loads(report(name)), mutation)
+    tree, malformed = mutate(json.loads(report(name)), mutation)
     path = tmp_path_factory.mktemp("verify") / "mutated.json"
     path.write_text(json.dumps(tree))
     code, out, err = call("verify", str(path))
@@ -286,7 +301,7 @@ def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, cas
     if code == 1:
         assert_malformed(out, err, "malformed report: ")
     else:
-        assert not non_string_coefficient
+        assert not malformed
         assert err == "" and out == json.dumps({"verified": code == 0}) + "\n"
 
 
@@ -317,3 +332,37 @@ def test_verify_reads_unusual_coefficient_text_as_fraction_does(tmp_path, key, v
     path = tmp_path / "report.json"
     path.write_text(json.dumps(tree))
     assert call("verify", str(path)) == expected
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("general", ("n",), 2.0, "report n must be an integer, not 2.0"),
+        ("metric-2d", ("n",), 2.0, "report n must be an integer, not 2.0"),
+        ("metric-2d", ("D",), True, "report D must be an integer, not True"),
+        (
+            "metric-2d",
+            ("prescribed", "phi", "value", "ambient_n"),
+            2.0,
+            "slice ambient_n must be an integer, not 2.0",
+        ),
+        ("metric-2d", ("prescribed", "r", "value", "n"), 2.0, "table n must be an integer, not 2.0"),
+        (
+            "general",
+            ("outputs", "connection", "value", "symmetric"),
+            0,
+            "symmetric must be a boolean, not 0",
+        ),
+        (
+            "general",
+            ("outputs", "connection", "value", "gamma", "1;1,1", "D"),
+            2.0,
+            "jet D must be an integer, not 2.0",
+        ),
+    ],
+)
+def test_verify_reads_headers_as_json_integers_and_booleans(tmp_path, name, path, value, message):
+    tree, _ = mutate(json.loads(report(name)), ("replace", path, value))
+    file = tmp_path / "report.json"
+    file.write_text(json.dumps(tree))
+    assert call("verify", str(file)) == (1, "", f"malformed report: {message}\n")

@@ -2,12 +2,16 @@
 scenario per construction (metric-2d has no round_trip mode), at small n
 and D, plus statistical at n = 4, the smallest n with (i, j, k) algebraic
 Codazzi rows; and of the `jetgeom census` output of every tag, which fixes
-the order of the slot lists. A refactor of the equation generators or
-builders must leave every report byte unchanged; an intended byte change
-updates these hashes."""
+the order of the slot lists; and, per construction, of the outcomes of a
+`run` sweep over both modes, D = 2..6 and two seeds, with inputs that break
+two rules. A refactor of the equation generators, builders or admission
+rules must leave every report byte, reason and verify outcome unchanged; an
+intended change updates these hashes."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -92,3 +96,116 @@ def test_census_output_is_pinned(capsys, tag):
         main(["census", tag, str(n)])
         out += capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_GOLDEN[tag]
+
+
+# ---------------------------------------------------------------------------
+# a `run` sweep per construction: both modes (metric-2d has direct only),
+# D = 2..6 (statistical to 5), seeds 1-2, random data, and the two-fault
+# inputs below; for each scenario the hash takes `run`'s exit code and its
+# status or reason, the report bytes, and `verify`'s exit codes at the
+# written orders and at --order 0
+
+SWEEP_N = {
+    "general": 2,
+    "trace-free-torsion": 3,
+    "torsion-free": 2,
+    "statistical": 3,
+    "statistical-2d": 2,
+    "trace-free-statistical-2d": 2,
+    "metric-2d": 2,
+}
+SWEEP_RANDOM = {
+    "metric-2d": ("r11", "r22", "phi", "psi"),
+    "statistical-2d": ("g11", "init12", "init22"),
+    "trace-free-statistical-2d": ("init12", "init22"),
+}
+
+
+def short_jet(n: int, coeffs: dict, valid_order: int = 3) -> dict:
+    return {"n": n, "D": 4, "valid_order": valid_order, "coeffs": coeffs}
+
+
+def asymmetric_connection() -> dict:
+    gamma = {
+        f"{k};{i},{j}": short_jet(2, {"0 0": "1/1"} if (k, i, j) == (1, 1, 2) else {}, 2)
+        for k in (1, 2)
+        for i in (1, 2)
+        for j in (1, 2)
+    }
+    return {"n": 2, "symmetric": False, "gamma": gamma}
+
+
+# each breaks two rules; the reason is that of the rule checked first
+TWO_FAULTS = {
+    "metric-2d": [
+        # r11 degenerate and valid below D
+        {"prescribed": {"r11": short_jet(2, {}), "r22": "random", "phi": "random"}},
+        # phi vanishing at the origin and valid below D
+        {"prescribed": {"phi": {"ambient_n": 2, "jet": short_jet(1, {})}}},
+    ],
+    # g11 off 1 at the origin and valid below D
+    "statistical-2d": [{"prescribed": {"g11": short_jet(2, {"0 0": "2/1"})}}],
+    # a connection neither symmetric nor valid to D - 1
+    "trace-free-statistical-2d": [{"prescribed": {"connection": asymmetric_connection()}}],
+    # r's antisymmetric part not closed, and r valid below D - 1
+    "torsion-free": [
+        {"n": 3, "prescribed": {"r": {"components": {"1,2": short_jet(3, {"0 0 1": "1/1"}, 2)}}}}
+    ],
+}
+
+SWEEP_GOLDEN = {
+    "general": "2a2ceb23842fd75fe9065f90264a67a5f155068855762f5b2d6b5bb6cd8e6b38",
+    "trace-free-torsion": "741ffe2f0cff8319369c54d749b2ee5529afd603f1ca70e40a739597f78c2581",
+    "torsion-free": "76f1a5aea78608d7f4b5e5547cfc3472eb056398d863496007e9e0a0b58fc2bd",
+    "statistical": "8974ee63707afc9a9e234f830d2c5b563060431619a38d2f23cae58bf6b56109",
+    "statistical-2d": "4ce3d80c740ad05678a7e301a464d812e3a3bdcf986bad234b760d4636abe6c1",
+    "trace-free-statistical-2d":
+        "9187b1c006b1f1a93682e0a4094af6a06ac2435f6ca67525883b5905d913e75b",
+    "metric-2d": "f0c935eb6dbd1de6d317d94156d82403ece9a631f790bc1e9c5e0b7870d6562c",
+}
+
+
+def sweep(tag: str):
+    top = 5 if tag == "statistical" else 6
+    modes = ("direct",) if tag == "metric-2d" else ("direct", "round_trip")
+    for mode in modes:
+        for cap in range(2, top + 1):
+            for seed in (1, 2):
+                sc = {"construction": tag, "n": SWEEP_N[tag], "D": cap, "seed": seed}
+                sc.update(mode=mode, free_data="random")
+                if tag in RICCI_TAGS:
+                    sc["prescribed"] = {"r": "random"}
+                else:
+                    sc["prescribed"] = {key: "random" for key in SWEEP_RANDOM.get(tag, ())}
+                yield sc
+    for fault in TWO_FAULTS.get(tag, ()):
+        yield {"construction": tag, "n": SWEEP_N[tag], "D": 4, "seed": 1, **fault}
+
+
+def call(*argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def outcome(folder, scenario: dict) -> bytes:
+    output = folder / "report.json"
+    output.unlink(missing_ok=True)
+    path = folder / "scenario.json"
+    path.write_text(json.dumps({**scenario, "output": str(output)}))
+    code, out = call("run", str(path))
+    status = json.loads(out) if out else {}
+    line = f"{code} {status.get('reason', status.get('status'))}\n".encode()
+    if not output.exists():
+        return line
+    verified = (call("verify", str(output))[0], call("verify", str(output), "--order", "0")[0])
+    return line + output.read_bytes() + f"{verified}\n".encode()
+
+
+@pytest.mark.parametrize("tag", list(SWEEP_N))
+def test_run_sweep_is_pinned(tmp_path, tag):
+    digest = hashlib.sha256()
+    for scenario in sweep(tag):
+        digest.update(outcome(tmp_path, scenario))
+    assert digest.hexdigest() == SWEEP_GOLDEN[tag]

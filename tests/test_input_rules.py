@@ -224,3 +224,69 @@ def r11_to(order):
 def test_verify_rejects_a_report_whose_input_a_build_rejects(tmp_path, scenario, edit, message):
     report = short_input_report(tmp_path, scenario, edit)
     assert verify_report(tmp_path, report) == (1, "", f"malformed report: {message}\n")
+
+
+def move(jet: dict, cap: int):
+    """The jet's JSON moved to cap `cap`: its coefficients above it dropped
+    and its valid order at most cap."""
+    jet["coeffs"] = {key: c for key, c in jet["coeffs"].items() if sum(map(int, key.split())) <= cap}
+    jet["D"], jet["valid_order"] = cap, min(jet["valid_order"], cap)
+
+
+KINDS = [
+    ("general", "r"),
+    ("general", "free symbols"),
+    ("torsion-free", "phi"),
+    ("general", "initial slices"),
+    ("metric-2d", "phi"),
+    ("metric-2d", "psi"),
+    ("statistical-2d", "g11"),
+    ("statistical-2d", "init12"),
+]
+ADMISSION = [
+    pytest.param(tag, name, cap, id=f"{tag}-{name.replace(' ', '-')}-D{cap - CAP:+d}")
+    for tag, name in KINDS
+    for cap in (CAP + 1, CAP - 1)
+]
+ADMISSION.append(pytest.param("metric-2d", "free data", None, id="metric-2d-free-data"))
+
+
+@pytest.mark.parametrize("tag, name, cap", ADMISSION)
+def test_verify_admits_every_input_only_in_its_report_workspace(tmp_path, fresh, tag, name, cap):
+    """Each input kind moved to another cap (every component of r, since a
+    table has one workspace), and a general report's free data carried by a
+    construction without a census."""
+    report = copy.deepcopy(fresh(tag))
+    if name == "free data":
+        report["free_data"] = fresh("general")["free_data"]
+        message = "a metric-2d report takes no free data"
+    else:
+        if name == "r":
+            jets = report["prescribed"]["r"]["value"]["comps"].values()
+        else:
+            jets = [first_jet(report, name)]
+        for jet in jets:
+            move(jet, cap)
+        message = f"lives in workspace (n, D) = ({N[tag]}, {cap})"
+    code, out, err = verify_report(tmp_path, report)
+    assert code == 1 and out == ""
+    assert err.startswith("malformed report: ") and message in err, err
+
+
+@pytest.mark.parametrize("cap", [CAP + 1, CAP - 1], ids=["D+1", "D-1"])
+@pytest.mark.parametrize(
+    "tag, name", [("statistical-2d", "g11"), ("trace-free-statistical-2d", "init12")]
+)
+def test_run_rejects_an_inline_connection_in_another_workspace(tmp_path, fresh, tag, name, cap):
+    """The 2D statistical builds take D from the connection, so the
+    scenario's other inputs are in another workspace: malformed, before any
+    input rule."""
+    report = copy.deepcopy(fresh(tag))
+    for jet in report["prescribed"]["connection"]["value"]["gamma"].values():
+        move(jet, cap)
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(scenario_of(report, str(tmp_path / "rebuilt.json"))))
+    code, out, err = call("run", str(path))
+    assert code == 1 and out == "" and not (tmp_path / "rebuilt.json").exists()
+    message = f"prescribed {name!r} lives in workspace (n, D) = (2, {CAP}), the report declares"
+    assert err == f"malformed scenario: {message} (2, {cap})\n"

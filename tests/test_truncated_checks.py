@@ -189,9 +189,3 @@ def test_metric_ricci_residual_jets_need_the_symbols_one_order_up(cap):
         part = list(_residuals(report, ricci(levi_civita(g, min(k + 1, cap)), k), k))
         assert all(same_truncated(a, b, k) for a, b in zip(part, full))
 
-
-def test_residual_of_r_in_another_workspace_fails_as_the_subtraction_would():
-    conn = connection("general", 2, 3)
-    report = residual_report(2, 3, random_r(2, 4), {"connection": conn})
-    with pytest.raises(DimensionMismatchError, match=r"workspace mismatch: \(2,3\) vs \(2,4\)"):
-        list(_residuals(report, ricci(conn, 2), 2))

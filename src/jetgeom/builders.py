@@ -31,6 +31,14 @@ the order the solve reads it to, and the metric entries it gives must hold
 delta_ij at the origin. `census`, the CLI, the builders and `verify` read the
 record.
 
+Every seeded table (a random connection, metric or prescribed tensor, and
+random free data) is drawn by `_draws`: one seeded polynomial per key, in
+key order, which fixes every byte of a seeded report. One slot map,
+`_slot_output`, gives the output component a free-data slot fills: the
+free-functions and initial-slices checks compare the free data there, and
+the round-trip data (`_free_data_of`) are read off a seeded structure
+there.
+
 Each report is admitted once, by `_admit`, which holds every rule a report's
 header, values and free data must meet: the dimension rule, the record's
 values by name and type, free data filling exactly the census slots, every
@@ -288,13 +296,13 @@ def _all_gamma_keys(n: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i <= j, row by row."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
 def _all_pair_keys(n: int) -> list[tuple[int, tuple[int, int]]]:
-    return [
-        (k, (i, j))
-        for k in range(1, n + 1)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-    ]
+    return [(k, pair) for k in range(1, n + 1) for pair in _pairs(n)]
 
 
 def census(construction: str, n: int) -> Census:
@@ -389,21 +397,15 @@ def random_free_data(
     """Deterministic random data; metric-slot constants are forced to their
     normalization values. The gauge slot, when present, becomes a random
     gauge function."""
-    n = cen.n
-    rng = random.Random(seed)
-    free = {}
-    gauge = None
-    for slot in cen.free_function_slots:
-        jet = random_poly(rng.randrange(2**32), n, degree, coeff_bound, max_degree)
-        if slot == "phi":
-            gauge = jet
-        else:
-            free[slot] = _normalized(slot, jet)
-    slices = {}
-    for slot in cen.initial_slice_slots:
-        jet = random_poly(rng.randrange(2**32), n - 1, degree, coeff_bound, max_degree)
-        slices[slot] = SliceJet(_normalized(slot, jet))
-    return FreeData(free, slices, gauge)
+    rng, args = random.Random(seed), (max_degree, degree, coeff_bound)
+    free = _draws(rng, cen.free_function_slots, cen.n, *args)
+    slices = _draws(rng, cen.initial_slice_slots, cen.n - 1, *args)
+    gauge = free.pop("phi", None)
+    return FreeData(
+        {slot: _normalized(slot, jet) for slot, jet in free.items()},
+        {slot: SliceJet(_normalized(slot, jet)) for slot, jet in slices.items()},
+        gauge,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +484,12 @@ def _volume_determinant(report: BuildReport, order: int) -> bool:
     return gap.is_zero_up_to(order)
 
 
-def _slot_output(report: BuildReport, slot: str) -> Jet:
+def _slot_output(outputs: Mapping, slot: str) -> Jet:
     """The output component a free-data slot fills."""
     kind = parse_slot(slot)
     if kind[0] == "g":
-        return report.outputs["metric"].comp(kind[1], kind[2])
-    return report.outputs["connection"].gamma[kind]
+        return outputs["metric"].comp(kind[1], kind[2])
+    return outputs["connection"].gamma[kind]
 
 
 # the metric slot each 2D statistical input gives
@@ -623,12 +625,13 @@ def _initial_slices(report: BuildReport, order: int) -> bool:
     # the 2D statistical builds take their slices as prescribed inputs
     names = ("init12", "init22") if "init12" in report.prescribed else ("initial slices",)
     slices = [entry for name in names for entry in _input(report, name)]
-    return all(_slot_output(report, slot).restrict_x1().same_payload(sl) for slot, sl in slices)
+    out = report.outputs
+    return all(_slot_output(out, slot).restrict_x1().same_payload(sl) for slot, sl in slices)
 
 
 def _free_functions(report: BuildReport, order: int) -> bool:
     return all(
-        _slot_output(report, slot).same_payload(jet)
+        _slot_output(report.outputs, slot).same_payload(jet)
         for slot, jet in report.free_data.free_functions.items()
     )
 
@@ -674,15 +677,17 @@ def _checked(report: BuildReport) -> BuildReport:
 def verify(report: BuildReport, order: int | None = None) -> bool:
     """Re-run the checks that the report's construction and degree cap D
     require. The list of checks comes from the registry, not from the report:
-    a report whose recorded (name, order) list differs from the required one
-    does not verify. An order override (0..D) applies to the residual checks;
-    structural checks keep their recorded meaning. Raises what `_admit`
-    raises for a report that no build could have started or produced, and
-    ValueError for an order outside 0..D."""
+    a report whose recorded (name, order, passed) list differs from the
+    required one, each check passed, does not verify. An order override
+    (0..D) applies to the residual checks; structural checks keep their
+    recorded meaning. Raises what `_admit` raises for a report that no build
+    could have started or produced, and ValueError for an order outside
+    0..D."""
     _admit(report)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
-    if [(c.name, c.order) for c in report.checks] != _required_checks(report):
+    required = [(name, recorded, True) for name, recorded in _required_checks(report)]
+    if [(c.name, c.order, c.passed) for c in report.checks] != required:
         return False
     return all(c.passed for c in _run_checks(report, order))
 
@@ -1189,9 +1194,7 @@ class _CodazziSpec:
 
 def _codazzi_spec(n: int) -> _CodazziSpec:
     top = range(2, n + 1)
-    unknowns = [
-        (i, j) for i in range(1, n + 1) for j in range(i, n + 1) if (i, j) != (1, 1)
-    ]
+    unknowns = _pairs(n)[1:]  # all but (1, 1)
     # lower (1, k), upper t > k; gap (t, k, 1)
     determined = [(t, (1, k)) for k in top for t in range(k + 1, n + 1)]
     gaps = [(j, k, 1) for k in top for j in range(k + 1, n + 1)]
@@ -1296,8 +1299,9 @@ def build_statistical_2d(
     conn: Connection, g11: Jet, init12: SliceJet, init22: SliceJet
 ) -> BuildReport:
     """2D metric making the cubic form of an arbitrary analytic connection
-    symmetric: g11 is free, g12 and g22 solve a first-order CK system."""
-    _, cap = conn.shape
+    symmetric: g11 is free, g12 and g22 solve a first-order CK system. D is
+    init12's, so admission names a connection in another workspace."""
+    cap = init12.max_degree
     prescribed = {"connection": conn, "g11": g11, "init12": init12, "init22": init22}
     report = BuildReport("statistical-2d", conn.n, cap, prescribed, None, None, [])
     _admit(report)
@@ -1315,7 +1319,7 @@ def build_trace_free_statistical_2d(
     _record("trace-free-statistical-2d", conn.n)
     if not conn.is_symmetric_table():
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
-    _, cap = conn.shape
+    cap = init12.max_degree  # D is init12's, as in build_statistical_2d
     prescribed = {"connection": conn, "init12": init12, "init22": init22}
     report = BuildReport("trace-free-statistical-2d", 2, cap, prescribed, None, None, [])
     _admit(report)
@@ -1350,26 +1354,23 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
 
 
 # ---------------------------------------------------------------------------
-# round-trip data extraction (also used by the CLI's round-trip mode)
+# seeded tables and round-trip data (also used by the CLI's round-trip mode)
+
+
+def _draws(rng: random.Random, keys, n: int, cap: int, degree: int, bound: int) -> dict:
+    """One seeded polynomial per key, in key order: the rule every seeded
+    table and free datum is drawn by."""
+    return {key: random_poly(rng.randrange(2**32), n, degree, bound, cap) for key in keys}
 
 
 def random_connection(seed: int, n: int, cap: int, degree: int, bound: int) -> Connection:
-    rng = random.Random(seed)
-    gamma = {
-        key: random_poly(rng.randrange(2**32), n, degree, bound, cap)
-        for key in _all_gamma_keys(n)
-    }
-    return Connection(n, gamma)
+    return Connection(n, _draws(random.Random(seed), _all_gamma_keys(n), n, cap, degree, bound))
 
 
 def random_symmetric_connection(
     seed: int, n: int, cap: int, degree: int, bound: int
 ) -> Connection:
-    rng = random.Random(seed)
-    lower = {
-        key: random_poly(rng.randrange(2**32), n, degree, bound, cap)
-        for key in _all_pair_keys(n)
-    }
+    lower = _draws(random.Random(seed), _all_pair_keys(n), n, cap, degree, bound)
     return Connection.from_symmetric(n, lower)
 
 
@@ -1387,13 +1388,8 @@ def random_trace_free_connection(
 def random_normalized_metric(
     seed: int, n: int, cap: int, degree: int, bound: int
 ) -> Metric:
-    rng = random.Random(seed)
-    comps = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            jet = random_poly(rng.randrange(2**32), n, degree, bound, cap)
-            comps[(i, j)] = _with_constant(jet, 1 if i == j else 0)
-    return Metric(n, comps)
+    drawn = _draws(random.Random(seed), _pairs(n), n, cap, degree, bound)
+    return Metric(n, {pair: _normalized(metric_slot(*pair), jet) for pair, jet in drawn.items()})
 
 
 def random_prescribed_tensor(
@@ -1402,30 +1398,26 @@ def random_prescribed_tensor(
     """A random prescribed tensor admissible for the given construction: the
     torsion-free builder needs a closed antisymmetric part, so that part is
     produced as the antisymmetrized gradient of a random 1-form."""
-    rng = random.Random(seed)
+    rng, args = random.Random(seed), (n, cap, degree, bound)
     if construction != "torsion-free":
-        comps = {
-            (i, j): random_poly(rng.randrange(2**32), n, degree, bound, cap)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        }
-        return Bilinear(n, comps)
-    sym = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            jet = random_poly(rng.randrange(2**32), n, degree, bound, cap)
-            sym[(i, j)] = jet
-            sym[(j, i)] = jet
-    omega = {
-        k: random_poly(rng.randrange(2**32), n, degree, bound, cap)
-        for k in range(1, n + 1)
-    }
+        square = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        return Bilinear(n, _draws(rng, square, *args))
+    sym = _draws(rng, _pairs(n), *args)
+    omega = _draws(rng, range(1, n + 1), *args)
     comps = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             anti = (omega[i].partial(j) - omega[j].partial(i)).scale(HALF)
-            comps[(i, j)] = sym[(i, j)] + anti
+            comps[(i, j)] = sym[_pair(i, j)] + anti
     return Bilinear(n, comps)
+
+
+def _free_data_of(cen: Census, outputs: Mapping, gauge: Jet | None) -> FreeData:
+    """The free data of a census read off outputs by `_slot_output`, where
+    the free-functions and initial-slices checks compare them."""
+    free = {slot: _slot_output(outputs, slot) for slot in cen.free_function_slots if slot != "phi"}
+    slices = {slot: _slot_output(outputs, slot).restrict_x1() for slot in cen.initial_slice_slots}
+    return FreeData(free, slices, gauge)
 
 
 def connection_round_trip_data(
@@ -1438,15 +1430,6 @@ def connection_round_trip_data(
     n = conn.n
     cen = census(construction, n)
     r = ricci(conn)
-    free = {
-        slot: conn.gamma[parse_slot(slot)]
-        for slot in cen.free_function_slots
-        if slot != "phi"
-    }
-    slices = {
-        slot: conn.gamma[parse_slot(slot)].restrict_x1()
-        for slot in cen.initial_slice_slots
-    }
     gauge = None
     if construction == "torsion-free":
         anti = split(r)[1]
@@ -1456,24 +1439,12 @@ def connection_round_trip_data(
             n, {k: dform.comp(k) - alpha0.comp(k) for k in range(1, n + 1)}
         )
         gauge = potential_of_one_form(diff)
-    return r, FreeData(free, slices, gauge)
+    return r, _free_data_of(cen, {"connection": conn}, gauge)
 
 
 def statistical_nd_round_trip_data(g0: Metric) -> tuple[Connection, FreeData]:
     """Free data extracted from (g0, levi_civita(g0)); rebuilding returns the
     pair itself because the metric is parallel for its own connection."""
-    n = g0.n
     c0 = levi_civita(g0)
-    cen = census("statistical", n)
-    free = {}
-    for slot in cen.free_function_slots:
-        parsed = parse_slot(slot)
-        if parsed[0] == "g":
-            free[slot] = g0.comp(1, 1)
-        else:
-            free[slot] = c0.gamma[parsed]
-    slices = {
-        slot: g0.comp(parse_slot(slot)[1], parse_slot(slot)[2]).restrict_x1()
-        for slot in cen.initial_slice_slots
-    }
-    return c0, FreeData(free, slices, None)
+    cen = census("statistical", g0.n)
+    return c0, _free_data_of(cen, {"connection": c0, "metric": g0}, None)

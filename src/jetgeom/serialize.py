@@ -19,8 +19,9 @@ parse of Python 3.10 and 3.11, and a written jet is read without `Fraction`.
 
 The header fields are read as the JSON types they are written as, by one
 helper (`_header`): the `n` and `D` of a report or a jet, a slice's
-`ambient_n` and a table's `n` must be JSON integers, and a connection's
-`symmetric` a JSON boolean, so `2.0` or `true` in place of `2` is malformed.
+`ambient_n`, a table's `n` and a check's `zero_to_order` must be JSON
+integers, and a connection's `symmetric` and a check's `passed` JSON
+booleans, so `2.0` or `true` in place of `2` is malformed.
 """
 
 from __future__ import annotations
@@ -286,7 +287,12 @@ def report_from_json(data: dict) -> BuildReport:
         else free_data_from_json(data["free_data"]),
         outputs={k: typed_from_json(v) for k, v in _object(data["outputs"], "outputs").items()},
         checks=[
-            Check(c["name"], c["zero_to_order"], c["passed"]) for c in data["checks"]
+            Check(
+                c["name"],
+                _header(c["zero_to_order"], int, "check zero_to_order"),
+                _header(c["passed"], bool, "check passed"),
+            )
+            for c in data["checks"]
         ],
     )
 

@@ -6,8 +6,10 @@ The reports are built in-process from small scenarios. A mutation drops a
 node of the report tree, replaces it, or inserts a key into an object; the
 values are lists, objects, floats, integers (huge ones at the "n" and "D"
 keys), strings, booleans and null. A coefficient that is not a string is
-malformed, and so is an "n", "D" or "ambient_n" that is not a JSON integer
-or a "symmetric" that is not a JSON boolean; such a mutation must exit 1.
+malformed, and so is an "n", "D", "ambient_n" or check "zero_to_order" that
+is not a JSON integer or a "symmetric" or check "passed" that is not a JSON
+boolean; such a mutation must exit 1. A report that stores a failed check
+never verifies.
 """
 
 from __future__ import annotations
@@ -224,7 +226,10 @@ def node_at(tree, path):
 
 
 # header field -> the one JSON type its value may have
-HEADERS = {"n": int, "D": int, "ambient_n": int, "symmetric": bool}
+HEADERS = {
+    "n": int, "D": int, "ambient_n": int, "zero_to_order": int,
+    "symmetric": bool, "passed": bool,
+}
 
 
 def mutate(tree, mutation):
@@ -264,6 +269,13 @@ def mutations(draw, name: str):
     return (action, path, value)
 
 
+def stores_a_failed_check(tree) -> bool:
+    checks = tree.get("checks") if isinstance(tree, dict) else None
+    return isinstance(checks, list) and any(
+        isinstance(c, dict) and c.get("passed") is False for c in checks
+    )
+
+
 OUTPUT_GAMMA = ("outputs", "connection", "value", "gamma", "1;1,1")
 # its stored coefficients are "0 0": "2/1", "0 1": "-1/1", "1 0": "-2/1"
 GAMMA_COEFFS = OUTPUT_GAMMA + ("coeffs",)
@@ -290,6 +302,10 @@ MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
 @example(case=("metric-2d", ("replace", ("prescribed", "phi", "value", "ambient_n"), 2.0)))
 @example(case=("metric-2d", ("replace", ("prescribed", "r", "value", "n"), 2.0)))
 @example(case=("general", ("replace", ("outputs", "connection", "value", "symmetric"), 0)))
+# the first check's recorded order is 1
+@example(case=("torsion-free", ("replace", ("checks", 0, "zero_to_order"), 1.0)))
+@example(case=("torsion-free", ("replace", ("checks", 1, "passed"), "no")))
+@example(case=("torsion-free", ("replace", ("checks", 1, "passed"), False)))
 @given(case=MUTATED_REPORTS)
 def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, case):
     name, mutation = case
@@ -301,7 +317,7 @@ def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, cas
     if code == 1:
         assert_malformed(out, err, "malformed report: ")
     else:
-        assert not malformed
+        assert not malformed and not (code == 0 and stores_a_failed_check(tree))
         assert err == "" and out == json.dumps({"verified": code == 0}) + "\n"
 
 
@@ -366,3 +382,27 @@ def test_verify_reads_headers_as_json_integers_and_booleans(tmp_path, name, path
     file = tmp_path / "report.json"
     file.write_text(json.dumps(tree))
     assert call("verify", str(file)) == (1, "", f"malformed report: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "path, value, expected",
+    [
+        # the recorded order of the first check, ricci-residual, is 1
+        (("checks", 0, "zero_to_order"), 1.0, "check zero_to_order must be an integer, not 1.0"),
+        (("checks", 0, "zero_to_order"), True, "check zero_to_order must be an integer, not True"),
+        (("checks", 1, "passed"), "no", "check passed must be a boolean, not 'no'"),
+        (("checks", 1, "passed"), 1, "check passed must be a boolean, not 1"),
+        (("checks", 1, "passed"), False, None),
+    ],
+    ids=["order-float", "order-boolean", "passed-string", "passed-integer", "passed-false"],
+)
+def test_verify_reads_check_entries_typed_and_fails_a_stored_failure(
+    tmp_path, path, value, expected
+):
+    tree, _ = mutate(json.loads(report("torsion-free")), ("replace", path, value))
+    file = tmp_path / "report.json"
+    file.write_text(json.dumps(tree))
+    if expected is None:
+        assert call("verify", str(file)) == (2, REJECTED, "")
+    else:
+        assert call("verify", str(file)) == (1, "", f"malformed report: {expected}\n")

@@ -278,9 +278,9 @@ def test_verify_admits_every_input_only_in_its_report_workspace(tmp_path, fresh,
     "tag, name", [("statistical-2d", "g11"), ("trace-free-statistical-2d", "init12")]
 )
 def test_run_rejects_an_inline_connection_in_another_workspace(tmp_path, fresh, tag, name, cap):
-    """The 2D statistical builds take D from the connection, so the
-    scenario's other inputs are in another workspace: malformed, before any
-    input rule."""
+    """The 2D statistical builds take D from init12, which the scenario
+    fixes, so admission names the connection, not the scenario's own input
+    (name): malformed, before any input rule."""
     report = copy.deepcopy(fresh(tag))
     for jet in report["prescribed"]["connection"]["value"]["gamma"].values():
         move(jet, cap)
@@ -288,5 +288,6 @@ def test_run_rejects_an_inline_connection_in_another_workspace(tmp_path, fresh, 
     path.write_text(json.dumps(scenario_of(report, str(tmp_path / "rebuilt.json"))))
     code, out, err = call("run", str(path))
     assert code == 1 and out == "" and not (tmp_path / "rebuilt.json").exists()
-    message = f"prescribed {name!r} lives in workspace (n, D) = (2, {CAP}), the report declares"
-    assert err == f"malformed scenario: {message} (2, {cap})\n"
+    message = f"prescribed 'connection' lives in workspace (n, D) = (2, {cap})"
+    assert err == f"malformed scenario: {message}, the report declares (2, {CAP})\n"
+    assert repr(name) not in err

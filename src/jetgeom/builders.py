@@ -5,18 +5,22 @@ and return reports whose residual checks all passed.
 Free-data slots are named after the component they fill: a Christoffel slot
 "k;i,j" is the symbol with upper index k and lower indices (i, j); a metric
 slot "g;i,j" is the metric component. The gauge-function slot of the
-torsion-free construction is called "phi".
+torsion-free construction is called "phi". Every table the equations run on
+keys an entry the way `parse_slot` parses its slot: G^k_ij is (k, i, j) and
+g_ij is ("g", i, j), with i <= j on a symmetric table (`_canon`, the one
+fold), and `gamma_slot(*key)` gives the slot back.
 
 Every construction writes its equations in one row form, `_Row`: linear,
 derivative and product atoms over one table of jets, evaluated one x1-layer
 at a time by `_row_layer` (the tests hold the full-size evaluator, the
 reference of every layer it writes). `_ck_solve` takes
 data only: one row per first-order CK unknown, fixed entries, derived
-entries (rows over the entries before them) and at most one linear-solve
-node. It pops each unknown's x1-derivative (coefficient +-1) and asserts
-that the rests and the derived rows take x1-derivatives only of the fixed
-keys. It then builds the solution one x1-layer at a time, as the proof of
-the Cauchy-Kowalevski theorem does: layer t of a derived entry or a row
+entries (rows over the entries before them), the initial slices under the
+unknowns' own keys and at most one linear-solve node. It pops each
+unknown's x1-derivative (coefficient +-1) and asserts that the rests and
+the derived rows take x1-derivatives only of the fixed keys. It then
+builds the solution one x1-layer at a time, as the proof of the
+Cauchy-Kowalevski theorem does: layer t of a derived entry or a row
 needs only layers <= t of the unknowns, so layers 1..D cost about one pass
 over the product pairs where the D + 1 Picard rounds of
 `ck.solve_first_order` (the public solver, and the reference) cost D + 1
@@ -63,8 +67,8 @@ builders call it.
 
 The statistical constructions (statistical-2d, trace-free-statistical-2d and
 statistical) share one Codazzi path. `_codazzi_gap` gives the row of the gap
-(nabla g)_ijk - (nabla g)_jik: derivative atoms of metric pairs and product
-atoms (gamma-key, metric pair); on a symmetric table the keys fold, so the
+(nabla g)_ijk - (nabla g)_jik: derivative atoms of metric keys and product
+atoms (symbol key, metric key); on a symmetric table the keys fold, so the
 torsion terms cancel when the row is built. Each metric unknown g_ab takes
 its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_codazzi_spec` lists form the jet-linear system for the determined symbols.
@@ -85,6 +89,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Iterator, Mapping
 
@@ -137,8 +142,15 @@ def parse_slot(slot: str) -> tuple:
     return (int(head), i, j)
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
+def _canon(symmetric: bool, k, i: int, j: int) -> tuple:
+    """The table key of G^k_ij, or of g_ij for k = "g": the key its slot
+    parses to, (k, i, j) with i <= j on a symmetric table."""
+    return (k, min(i, j), max(i, j)) if symmetric else (k, i, j)
+
+
+def _keyed(slots: Mapping) -> dict:
+    """Values by slot, re-keyed by the table key each slot parses to."""
+    return {parse_slot(slot): value for slot, value in slots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +313,8 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
-def _all_pair_keys(n: int) -> list[tuple[int, tuple[int, int]]]:
-    return [(k, pair) for k in range(1, n + 1) for pair in _pairs(n)]
+def _all_pair_keys(n: int) -> list[tuple[int, int, int]]:
+    return [(k, i, j) for k in range(1, n + 1) for i, j in _pairs(n)]
 
 
 def census(construction: str, n: int) -> Census:
@@ -316,32 +328,21 @@ def census(construction: str, n: int) -> Census:
     _record(construction, n)
     _require_workspace_bound(n, 2)
 
-    if construction != "statistical":
+    if construction == "statistical":
+        spec = _codazzi_spec(n)
+        keys = _all_pair_keys(n) + [("g", 1, 1)]
+        unknowns, determined = spec.unknowns, spec.determined
+    else:
         spec = _ricci_spec(construction, n)
-        unknowns = tuple(gamma_slot(*unknown) for _, unknown in spec.equations)
-        determined = tuple(gamma_slot(*key) for key in spec.substitutions)
-        if spec.symmetric:
-            keys = [(k, i, j) for k, (i, j) in _all_pair_keys(n)]
-        else:
-            keys = _all_gamma_keys(n)
-        blocked = set(unknowns) | set(determined)
-        free = tuple(gamma_slot(*key) for key in keys if gamma_slot(*key) not in blocked)
-        gauge = ("phi",) if spec.symmetric else ()
-        return Census(construction, n, free + gauge, unknowns, unknowns, determined)
-
-    spec = _codazzi_spec(n)
-    determined = set(spec.determined)
-    free = [k for k in _all_pair_keys(n) if k not in determined]
-    slots = tuple(gamma_slot(k, i, j) for k, (i, j) in free) + (metric_slot(1, 1),)
-    unknowns = tuple(metric_slot(i, j) for i, j in spec.unknowns)
-    return Census(
-        construction,
-        n,
-        slots,
-        unknowns,
-        unknowns,
-        tuple(gamma_slot(k, i, j) for k, (i, j) in spec.determined),
-    )
+        keys = _all_pair_keys(n) if spec.symmetric else _all_gamma_keys(n)
+        unknowns = [unknown for _, unknown in spec.equations]
+        determined = list(spec.substitutions)
+    blocked = set(unknowns) | set(determined)
+    free = [gamma_slot(*key) for key in keys if key not in blocked]
+    free += ["phi"] if construction == "torsion-free" else []
+    unknowns = tuple(gamma_slot(*key) for key in unknowns)
+    determined = tuple(gamma_slot(*key) for key in determined)
+    return Census(construction, n, tuple(free), unknowns, unknowns, determined)
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +721,13 @@ def _signed(c: int, jet: Jet) -> Jet:
     return jet if c == 1 else -jet if c == -1 else jet.scale(c)
 
 
-def _x1_consumed(derivatives, labels: Mapping, fixed: Mapping) -> list:
-    """The entries, by label where they have one, whose x1-derivatives the
-    derivative atoms take though they are not fixed before the solve."""
-    return [labels.get(atom, atom) for _, atom, ax in derivatives if ax == 1 and atom not in fixed]
+def _x1_consumed(derivatives, fixed: Mapping) -> list:
+    """The entries whose x1-derivatives the derivative atoms take though
+    they are not fixed before the solve."""
+    return [atom for _, atom, ax in derivatives if ax == 1 and atom not in fixed]
 
 
-def _ck_rows(equations: Mapping, labels: Mapping, fixed: Mapping) -> dict:
+def _ck_rows(equations: Mapping, fixed: Mapping) -> dict:
     """Each unknown key's row as (sign, rest) with (u)_1 = sign * rest: the row
     must hold the unknown's x1-derivative with coefficient -sign = +-1, and
     the rest may take x1-derivatives only of keys fixed before the solve."""
@@ -734,10 +735,10 @@ def _ck_rows(equations: Mapping, labels: Mapping, fixed: Mapping) -> dict:
     for key, row in equations.items():
         kept = [c for c, atom, ax in row.derivatives if (atom, ax) == (key, 1)]
         rest = tuple(d for d in row.derivatives if (d[1], d[2]) != (key, 1))
-        consumed = _x1_consumed(rest, labels, fixed)
+        consumed = _x1_consumed(rest, fixed)
         if kept not in ([1], [-1]) or consumed:
             raise AssertionError(
-                f"the row of {labels[key]} holds its x1-derivative with coefficients "
+                f"the row of {key} holds its x1-derivative with coefficients "
                 f"{kept} and consumes the x1-derivatives of {consumed}"
             )
         rests[key] = (-kept[0], _Row(row.linear, rest, row.products))
@@ -880,20 +881,20 @@ class _LinearNode:
 
 def _ck_solve(
     equations: Mapping,
-    labels: Mapping,
     fixed: Mapping,
     derived: Mapping,
-    initial: Mapping[str, SliceJet],
+    initial: Mapping,
     node: _LinearNode | None = None,
 ) -> dict:
     """Solve the first-order CK system with one equation row per unknown key,
-    holding the unknown's x1-derivative with coefficient s = +-1 and no other
-    x1-derivative but of the fixed keys, as (u)_1 = -s * (rest of the row) on
-    one table: the fixed entries, the unknowns, each derived entry as the sum
-    of its row on the entries before it, and the node's keys. A derived row
-    too takes x1-derivatives only of the fixed keys. Return that table of the
-    solution, written to order D (the builders have required the initial
-    slices valid to D).
+    from the initial slice under the same key, the row holding the unknown's
+    x1-derivative with coefficient s = +-1 and no other x1-derivative but of
+    the fixed keys, as (u)_1 = -s * (rest of the row) on one table: the fixed
+    entries, the unknowns, each derived entry as the sum of its row on the
+    entries before it, and the node's keys. A derived row too takes
+    x1-derivatives only of the fixed keys. Return that table of the solution,
+    written to order D (the builders have required the initial slices valid
+    to D).
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written with
@@ -906,9 +907,9 @@ def _ck_solve(
     sum of its row on it."""
     some = next(iter(initial.values()))
     n, cap = some.ambient_n, some.max_degree
-    rests = _ck_rows(equations, labels, fixed)
+    rests = _ck_rows(equations, fixed)
     for target, row in derived.items():
-        consumed = _x1_consumed(row.derivatives, labels, fixed)
+        consumed = _x1_consumed(row.derivatives, fixed)
         if consumed:
             raise AssertionError(
                 f"the derived row of {target} consumes the x1-derivatives of {consumed}"
@@ -916,7 +917,7 @@ def _ck_solve(
     rows = [row for _, row in rests.values()] + list(derived.values())
     d1 = {key: fixed[key].partial(1) for row in rows for _, key, ax in row.derivatives if ax == 1}
     layers = mi.x1_layers(n, cap)
-    values = {key: initial[lab].promote() for key, lab in labels.items()}
+    values = {key: initial[key].promote() for key in equations}
     values.update((target, Jet.zero(n, cap)) for target in derived)
     for t in range(cap + 1):
         try:
@@ -959,18 +960,15 @@ def _ck_solve(
 
 @dataclass(frozen=True)
 class _RicciSpec:
-    """How Ric(conn) = r becomes a CK system. Table keys are (k, i, j), with
-    i <= j when the table is symmetric. An equation is (the Ricci component
-    (a, b) it uses, the unknown whose x1-derivative it isolates); a
-    substitution expresses a determined symbol as (sign, atom) terms over
-    other keys and the prescribed divergence jets ("d", k)."""
+    """How Ric(conn) = r becomes a CK system. Table keys are `_canon`'s. An
+    equation is (the Ricci component (a, b) it uses, the unknown whose
+    x1-derivative it isolates); a substitution expresses a determined symbol
+    as (sign, atom) terms over other keys and the prescribed divergence jets
+    ("d", k)."""
 
     symmetric: bool
     equations: tuple[tuple[tuple[int, int], tuple[int, int, int]], ...]
     substitutions: dict[tuple[int, int, int], tuple[tuple[int, object], ...]]
-
-    def canon(self, k: int, i: int, j: int) -> tuple[int, int, int]:
-        return (k, *_pair(i, j)) if self.symmetric else (k, i, j)
 
 
 def _ricci_spec(construction: str, n: int) -> _RicciSpec:
@@ -983,7 +981,7 @@ def _ricci_spec(construction: str, n: int) -> _RicciSpec:
         # divergence form D_k = sum_l G^l_lk solved for G^1_11 and G^k_kk
         subs = {
             (k, k, k): ((1, ("d", k)),)
-            + tuple((-1, (l, *_pair(l, k))) for l in rng if l != k)
+            + tuple((-1, _canon(True, l, l, k)) for l in rng if l != k)
             for k in rng
         }
         return _RicciSpec(True, tuple(equations), subs)
@@ -1010,22 +1008,22 @@ def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
     substituted and cancelled, and its quadratic terms as products over the
     canonical keys and the divergence entries ("div", l) = sum_k G^k_kl,
     (x, y) and (y, x) folded into one atom."""
-    rng = range(1, n + 1)
+    rng, canon = range(1, n + 1), partial(_canon, spec.symmetric)
     rows = {}
     for (a, b), unknown in spec.equations:
         counter: dict = {}
         for k in rng:
-            _bump(counter, (spec.canon(k, a, b), k), 1)
-            _bump(counter, (spec.canon(k, k, b), a), -1)
+            _bump(counter, (canon(k, a, b), k), 1)
+            _bump(counter, (canon(k, k, b), a), -1)
         expanded: dict = {}
         for (sym, ax), c in counter.items():
             for sign, atom in spec.substitutions.get(sym, ((1, sym),)):
                 _bump(expanded, (atom, ax), c * sign)
         products: dict = {}
         for l in rng:
-            _bump(products, (spec.canon(l, a, b), ("div", l)), 1)
+            _bump(products, (canon(l, a, b), ("div", l)), 1)
             for k in rng:
-                x, y = spec.canon(l, k, b), spec.canon(k, a, l)
+                x, y = canon(l, k, b), canon(k, a, l)
                 _bump(products, (min(x, y), max(x, y)), -1)
         rows[unknown] = _Row(((-1, ("r", a, b)),), _atoms(expanded), _atoms(products))
     return rows
@@ -1052,19 +1050,19 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
             ) from None
     report = BuildReport(construction, n, cap, {"r": r}, fd, None, [])
     _admit(report)
-    known = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
+    known = _keyed(fd.free_functions)
     known.update({("r", *pair): jet for pair, jet in r.comps.items()})
     if spec.symmetric:
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
-    labels = {unknown: gamma_slot(*unknown) for _, unknown in spec.equations}
     # the determined symbols, then the divergence entries of the products
+    canon = partial(_canon, spec.symmetric)
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
     for l in range(1, n + 1):
-        derived[("div", l)] = _Row(tuple((1, spec.canon(k, k, l)) for k in range(1, n + 1)))
-    table = _ck_solve(_ricci_rows(spec, n), labels, known, derived, fd.initial_slices)
-    gamma = {key: table[spec.canon(*key)] for key in _all_gamma_keys(n)}
+        derived[("div", l)] = _Row(tuple((1, canon(k, k, l)) for k in range(1, n + 1)))
+    table = _ck_solve(_ricci_rows(spec, n), known, derived, _keyed(fd.initial_slices))
+    gamma = {key: table[canon(*key)] for key in _all_gamma_keys(n)}
     report.outputs = {"connection": Connection(n, gamma, symmetric=spec.symmetric)}
     return _checked(report)
 
@@ -1166,8 +1164,7 @@ def build_metric_2d_prescribed_ricci(
         ),
     }
     node = _LinearNode(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))], 2, cap)
-    labels = {"h": "phi", "p": "psi"}
-    table = _ck_solve(equations, labels, fixed, derived, {"phi": phi, "psi": psi}, node)
+    table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, node)
     h = table["h"]
     metric = Metric(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
@@ -1183,28 +1180,29 @@ def build_metric_2d_prescribed_ricci(
 @dataclass(frozen=True)
 class _CodazziSpec:
     """The Codazzi system of a statistical structure in dimension n. Each
-    metric unknown g_ab (a <= b, (a, b) != (1, 1)) takes its x1-derivative
-    from gap (1, b, a). The determined symbols (t, (i, j)) are the columns and
-    the gaps the rows of the jet-linear algebraic system, empty for n = 2."""
+    metric unknown ("g", a, b) (a <= b, (a, b) != (1, 1)) takes its
+    x1-derivative from gap (1, b, a). The determined symbols (t, i, j) are the
+    columns and the gaps the rows of the jet-linear algebraic system, empty
+    for n = 2."""
 
-    unknowns: tuple[tuple[int, int], ...]
-    determined: tuple[tuple[int, tuple[int, int]], ...]
+    unknowns: tuple[tuple[str, int, int], ...]
+    determined: tuple[tuple[int, int, int], ...]
     gaps: tuple[tuple[int, int, int], ...]
 
 
 def _codazzi_spec(n: int) -> _CodazziSpec:
     top = range(2, n + 1)
-    unknowns = _pairs(n)[1:]  # all but (1, 1)
+    unknowns = [("g", i, j) for i, j in _pairs(n)[1:]]  # all but g_11
     # lower (1, k), upper t > k; gap (t, k, 1)
-    determined = [(t, (1, k)) for k in top for t in range(k + 1, n + 1)]
+    determined = [(t, 1, k) for k in top for t in range(k + 1, n + 1)]
     gaps = [(j, k, 1) for k in top for j in range(k + 1, n + 1)]
     # lower (i, i), upper t >= 2, t != i; gap (i, t, i)
-    determined += [(t, (i, i)) for i in top for t in top if t != i]
+    determined += [(t, i, i) for i in top for t in top if t != i]
     gaps += [(i, j, i) for i in top for j in top if j != i]
     # lower (i, k) with i < k, upper t > i, t != k; gap (i, t, k), but the
     # rows run over t before k
     determined += [
-        (t, (i, k))
+        (t, i, k)
         for i in top
         for k in range(i + 1, n + 1)
         for t in range(i + 1, n + 1)
@@ -1220,27 +1218,23 @@ def _codazzi_spec(n: int) -> _CodazziSpec:
     return _CodazziSpec(tuple(unknowns), tuple(determined), tuple(gaps))
 
 
-def _gamma_key(symmetric: bool, l: int, a: int, b: int) -> tuple:
-    """Key (l, (a, b)) of the symbol G^l_ab; a symmetric table folds a <= b."""
-    return (l, _pair(a, b) if symmetric else (a, b))
-
-
 def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool) -> _Row:
     """The Codazzi gap (nabla g)_ijk - (nabla g)_jik,
 
         (g_jk)_i - (g_ik)_j - sum_l (G^l_ij - G^l_ji) g_lk
                  - sum_l G^l_ik g_jl + sum_l G^l_jk g_il,
 
-    as a row over metric pairs and gamma-keys: derivative atoms
-    (sign, pair, axis) and product atoms (coefficient, gamma-key, pair). On a
-    symmetric table the torsion terms cancel here."""
+    as a row over `_canon`'s keys: derivative atoms (sign, g-key, axis) and
+    product atoms (coefficient, symbol key, g-key). On a symmetric table the
+    torsion terms cancel here."""
+    g = partial(_canon, True, "g")
     products: dict = {}
     for l in range(1, n + 1):
-        _bump(products, (_gamma_key(symmetric, l, i, j), _pair(l, k)), -1)
-        _bump(products, (_gamma_key(symmetric, l, j, i), _pair(l, k)), 1)
-        _bump(products, (_gamma_key(symmetric, l, i, k), _pair(j, l)), -1)
-        _bump(products, (_gamma_key(symmetric, l, j, k), _pair(i, l)), 1)
-    derivatives = ((1, _pair(j, k), i), (-1, _pair(i, k), j))
+        _bump(products, (_canon(symmetric, l, i, j), g(l, k)), -1)
+        _bump(products, (_canon(symmetric, l, j, i), g(l, k)), 1)
+        _bump(products, (_canon(symmetric, l, i, k), g(j, l)), -1)
+        _bump(products, (_canon(symmetric, l, j, k), g(i, l)), 1)
+    derivatives = ((1, g(j, k), i), (-1, g(i, k), j))
     return _Row(derivatives=derivatives, products=_atoms(products))
 
 
@@ -1254,13 +1248,15 @@ def _determined_node(n: int, cap: int, determined_keys) -> _LinearNode:
 def solve_determined_christoffels(
     n: int,
     cap: int,
-    gtable: Mapping[tuple[int, int], Jet],
+    gtable: Mapping[tuple, Jet],
     free_gammas: Mapping[tuple, Jet],
     determined_keys: list,
 ) -> dict:
-    """Solve the algebraic Codazzi gaps on the metric table for the
-    determined Christoffel symbols: the node of `build_statistical_nd`, run
-    over the given tables."""
+    """Solve the algebraic Codazzi gaps on the metric table (keys ("g", i, j))
+    for the determined Christoffel symbols (keys (t, i, j)): the node of
+    `build_statistical_nd`, run over the given tables. No build calls it;
+    it stays only because the benchmark's tracing looks it up by name for
+    its `builders.det_solve` span."""
     node = _determined_node(n, cap, determined_keys)
     table = {**gtable, **free_gammas}
     for t in range(cap + 1):
@@ -1271,17 +1267,17 @@ def solve_determined_christoffels(
 def _codazzi_metric(
     n: int,
     symmetric: bool,
-    initial: Mapping[str, SliceJet],
+    initial: Mapping,
     fixed: Mapping,
     node: _LinearNode | None = None,
 ) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
     initial slices, and its table with the Christoffel symbols. g11 is fixed
     or a key of the node, which writes every x1-layer of its keys."""
-    labels = {pair: metric_slot(*pair) for pair in _codazzi_spec(n).unknowns}
-    rows = {pair: _codazzi_gap(1, pair[1], pair[0], n, symmetric) for pair in labels}
-    table = _ck_solve(rows, labels, fixed, {}, initial, node)
-    return Metric(n, {pair: table[pair] for pair in [(1, 1), *labels]}), table
+    unknowns = _codazzi_spec(n).unknowns
+    rows = {key: _codazzi_gap(1, key[2], key[1], n, symmetric) for key in unknowns}
+    table = _ck_solve(rows, fixed, {}, initial, node)
+    return Metric(n, {pair: table[("g", *pair)] for pair in _pairs(n)}), table
 
 
 def _codazzi_metric_2d(
@@ -1290,8 +1286,8 @@ def _codazzi_metric_2d(
     """The 2D Codazzi metric of a given connection, with the given entries
     (g11, or nu^2 for the node) fixed next to its symbols."""
     symmetric = conn.is_symmetric_table()
-    fixed = {_gamma_key(symmetric, *key): jet for key, jet in conn.gamma.items()}
-    initial = {metric_slot(1, 2): init12, metric_slot(2, 2): init22}
+    fixed = {_canon(symmetric, *key): jet for key, jet in conn.gamma.items()}
+    initial = {("g", 1, 2): init12, ("g", 2, 2): init22}
     return _codazzi_metric(2, symmetric, initial, {**fixed, **given}, node)[0]
 
 
@@ -1305,7 +1301,7 @@ def build_statistical_2d(
     prescribed = {"connection": conn, "g11": g11, "init12": init12, "init22": init22}
     report = BuildReport("statistical-2d", conn.n, cap, prescribed, None, None, [])
     _admit(report)
-    report.outputs = {"metric": _codazzi_metric_2d(conn, init12, init22, {(1, 1): g11})}
+    report.outputs = {"metric": _codazzi_metric_2d(conn, init12, init22, {("g", 1, 1): g11})}
     return _checked(report)
 
 
@@ -1324,8 +1320,8 @@ def build_trace_free_statistical_2d(
     report = BuildReport("trace-free-statistical-2d", 2, cap, prescribed, None, None, [])
     _admit(report)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
-    det = _Row(((-1, "nu^2"),), (), ((1, (1, 1), (2, 2)), (-1, (1, 2), (1, 2))))
-    node = _LinearNode([(1, 1)], [det], 2, cap)
+    det = _Row(((-1, "nu^2"),), (), ((1, ("g", 1, 1), ("g", 2, 2)), (-1, ("g", 1, 2), ("g", 1, 2))))
+    node = _LinearNode([("g", 1, 1)], [det], 2, cap)
     metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, node)
     report.outputs = {"metric": metric, "volume": volume}
     return _checked(report)
@@ -1343,12 +1339,9 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     cap = g11.max_degree
     report = BuildReport("statistical", n, cap, {}, fd, None, [])
     _admit(report)
-    parsed = {parse_slot(slot): jet for slot, jet in fd.free_functions.items()}
-    free_gammas = {(k, (i, j)): jet for (k, i, j), jet in parsed.items() if k != "g"}
     node = _determined_node(n, cap, _codazzi_spec(n).determined)
-    metric, table = _codazzi_metric(
-        n, True, fd.initial_slices, {**free_gammas, (1, 1): g11}, node
-    )
+    fixed, initial = _keyed(fd.free_functions), _keyed(fd.initial_slices)
+    metric, table = _codazzi_metric(n, True, initial, fixed, node)
     report.outputs = {"connection": Connection.from_symmetric(n, table), "metric": metric}
     return _checked(report)
 
@@ -1357,10 +1350,15 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
 # seeded tables and round-trip data (also used by the CLI's round-trip mode)
 
 
+def _draw(rng: random.Random, n: int, cap: int, degree: int, bound: int) -> Jet:
+    """One seeded polynomial: the rule every seeded table, free datum and
+    random scenario jet is drawn by."""
+    return random_poly(rng.randrange(2**32), n, degree, bound, cap)
+
+
 def _draws(rng: random.Random, keys, n: int, cap: int, degree: int, bound: int) -> dict:
-    """One seeded polynomial per key, in key order: the rule every seeded
-    table and free datum is drawn by."""
-    return {key: random_poly(rng.randrange(2**32), n, degree, bound, cap) for key in keys}
+    """One `_draw` per key, in key order."""
+    return {key: _draw(rng, n, cap, degree, bound) for key in keys}
 
 
 def random_connection(seed: int, n: int, cap: int, degree: int, bound: int) -> Connection:
@@ -1408,7 +1406,7 @@ def random_prescribed_tensor(
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             anti = (omega[i].partial(j) - omega[j].partial(i)).scale(HALF)
-            comps[(i, j)] = sym[_pair(i, j)] + anti
+            comps[(i, j)] = sym[min(i, j), max(i, j)] + anti
     return Bilinear(n, comps)
 
 

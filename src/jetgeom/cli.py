@@ -19,6 +19,7 @@ from . import serialize
 from .builders import (
     BuildReport,
     FreeData,
+    _draw,
     _record,
     _require_workspace_bound,
     _slot_normal_value,
@@ -42,7 +43,7 @@ from .builders import (
 )
 from .errors import JetError, RejectionError
 from .geometry import Bilinear, levi_civita
-from .jets import Jet, SliceJet, random_poly
+from .jets import Jet, SliceJet
 
 
 class ScenarioError(ValueError):
@@ -100,7 +101,7 @@ def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:
     elif policy == "one":
         jet = Jet.one(n, cap)
     elif policy == "random":
-        jet = random_poly(rng.randrange(2**32), n, degree, bound, cap)
+        jet = _draw(rng, n, cap, degree, bound)
     elif isinstance(policy, dict):
         jet = serialize.jet_from_json(policy)
         if (jet.n, jet.max_degree) != (n, cap):
@@ -301,9 +302,13 @@ def cmd_run(args) -> int:
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, JetError) as err:
         print(f"malformed scenario: {err}", file=sys.stderr)
         return 1
-    # verify the written bytes, not the object they were written from
+    # verify the written bytes, not the object they were written from; bytes
+    # that do not read back as an admissible report fail verification too
     del report
-    ok = verify(serialize.report_from_json(json.loads(out.read_text())))
+    try:
+        ok = verify(serialize.report_from_json(json.loads(out.read_text())))
+    except Exception:
+        ok = False
     print(json.dumps({"status": "ok" if ok else "verification-failed", "report": str(out)}))
     return 0 if ok else 2
 

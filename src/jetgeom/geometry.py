@@ -61,13 +61,14 @@ class Connection:
             raise DimensionMismatchError("table marked symmetric but gamma[k;i,j] != gamma[k;j,i]")
 
     @classmethod
-    def from_symmetric(cls, n: int, lower_triangle: Mapping[tuple[int, tuple[int, int]], Jet]) -> "Connection":
-        """Build a symmetric connection from entries keyed (k, (i, j)) with i <= j."""
+    def from_symmetric(cls, n: int, lower_triangle: Mapping[tuple, Jet]) -> "Connection":
+        """Build a symmetric connection from entries keyed (k, i, j) with
+        i <= j; other keys are ignored."""
         gamma = {}
         for k in range(1, n + 1):
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
-                    jet = lower_triangle[(k, (i, j))]
+                    jet = lower_triangle[(k, i, j)]
                     gamma[(k, i, j)] = jet
                     gamma[(k, j, i)] = jet
         return cls(n, gamma, symmetric=True)
@@ -539,7 +540,7 @@ def levi_civita(g: Metric, order: int | None = None) -> Connection:
             if i > j:
                 continue
             for s in rng:
-                lower[(s, (i, j))] = _sum_jets(
+                lower[(s, i, j)] = _sum_jets(
                     inv[(s, k)] * (dg[(k, i, j)] + dg[(j, k, i)] - dg[(j, i, k)])
                     for k in rng
                 ).scale(HALF)

@@ -260,12 +260,12 @@ def levi_civita_diagonal_2d(g: Metric) -> Connection:
     g11, g22 = g.comp(1, 1), g.comp(2, 2)
     inv11, inv22 = g11.reciprocal(), g22.reciprocal()
     lower = {
-        (1, (1, 1)): (inv11 * g11.partial(1)).scale(half),
-        (2, (1, 1)): (inv22 * g11.partial(2)).scale(-half),
-        (1, (1, 2)): (inv11 * g11.partial(2)).scale(half),
-        (2, (1, 2)): (inv22 * g22.partial(1)).scale(half),
-        (1, (2, 2)): (inv11 * g22.partial(1)).scale(-half),
-        (2, (2, 2)): (inv22 * g22.partial(2)).scale(half),
+        (1, 1, 1): (inv11 * g11.partial(1)).scale(half),
+        (2, 1, 1): (inv22 * g11.partial(2)).scale(-half),
+        (1, 1, 2): (inv11 * g11.partial(2)).scale(half),
+        (2, 1, 2): (inv22 * g22.partial(1)).scale(half),
+        (1, 2, 2): (inv11 * g22.partial(1)).scale(-half),
+        (2, 2, 2): (inv22 * g22.partial(2)).scale(half),
     }
     return Connection.from_symmetric(2, lower)
 

@@ -43,7 +43,7 @@ from jetgeom import (
 )
 from jetgeom.builders import (
     _codazzi_spec,
-    solve_determined_christoffels,
+    _determined_node,
 )
 from jetgeom.cli import _run_direct
 from jetgeom.serialize import report_from_json, report_to_json
@@ -517,11 +517,11 @@ def _determined_membership(n):
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 if a == 1 and b >= 2 and t > b:
-                    out.add((t, (a, b)))
+                    out.add((t, a, b))
                 elif a == b and a >= 2 and t >= 2 and t != a:
-                    out.add((t, (a, b)))
+                    out.add((t, a, b))
                 elif 2 <= a < b and t > a and t != b:
-                    out.add((t, (a, b)))
+                    out.add((t, a, b))
     return out
 
 
@@ -533,7 +533,7 @@ def _oracle_rows(n, cap, gtable, gammas_known, det):
         return (i, j) if i <= j else (j, i)
 
     def gamma_term(l, lower, gfactor):
-        key = (l, pair(*lower))
+        key = (l, *pair(*lower))
         return key, gtable[gfactor]
 
     rows = []
@@ -548,7 +548,7 @@ def _oracle_rows(n, cap, gtable, gammas_known, det):
                         coeffs[key] = coeffs.get(key, Jet.zero(n, cap)) + gjet.scale(sign)
                     else:
                         rhs = rhs - (gammas_known[key] * gjet).scale(sign)
-            rows.append(((j, (1, k)), coeffs, rhs))
+            rows.append(((j, 1, k), coeffs, rhs))
     # (g_ji)_i - sum_l g_jl G^l_ii = (g_ii)_j - sum_l g_il G^l_ji
     for i in range(2, n + 1):
         for j in range(2, n + 1):
@@ -563,7 +563,7 @@ def _oracle_rows(n, cap, gtable, gammas_known, det):
                         coeffs[key] = coeffs.get(key, Jet.zero(n, cap)) + gjet.scale(sign)
                     else:
                         rhs = rhs - (gammas_known[key] * gjet).scale(sign)
-            rows.append(((j, (i, i)), coeffs, rhs))
+            rows.append(((j, i, i), coeffs, rhs))
     # (g_jk)_i - sum_l g_jl G^l_ik = (g_ik)_j - sum_l g_il G^l_jk
     for i in range(2, n + 1):
         for j in range(i + 1, n + 1):
@@ -581,7 +581,7 @@ def _oracle_rows(n, cap, gtable, gammas_known, det):
                             )
                         else:
                             rhs = rhs - (gammas_known[key] * gjet).scale(sign)
-                rows.append(((j, pair(i, k)), coeffs, rhs))
+                rows.append(((j, *pair(i, k)), coeffs, rhs))
     return rows
 
 
@@ -631,13 +631,14 @@ def test_determined_solve_matches_sequential_substitution(n):
     for t in range(1, n + 1):
         for a in range(1, n + 1):
             for b in range(a, n + 1):
-                if (t, (a, b)) not in det:
-                    gammas_known[(t, (a, b))] = random_poly(
+                if (t, a, b) not in det:
+                    gammas_known[(t, a, b)] = random_poly(
                         rng.randrange(2**32), n, 2, 2, cap
                     )
-    simultaneous = solve_determined_christoffels(
-        n, cap, gtable, gammas_known, _codazzi_spec(n).determined
-    )
+    node = _determined_node(n, cap, _codazzi_spec(n).determined)
+    table = {("g", *pair): jet for pair, jet in gtable.items()}
+    for t in range(cap + 1):
+        simultaneous = node.layer({**table, **gammas_known}, t)
     sequential = _sequential_solve(
         _oracle_rows(n, cap, gtable, gammas_known, det), n, cap
     )
@@ -650,7 +651,7 @@ def test_determined_symbol_system_singular_at_origin_raises():
     # hold under python -O, so it is an exception and not an assert
     n = 3
     zero = Jet.zero(n, CAP)
-    gtable = {(i, j): zero for i in range(1, n + 1) for j in range(1, n + 1)}
+    gtable = {("g", i, j): zero for i in range(1, n + 1) for j in range(1, n + 1)}
     det = _codazzi_spec(n).determined
     free = {
         key: zero
@@ -658,7 +659,7 @@ def test_determined_symbol_system_singular_at_origin_raises():
         if key not in set(det)
     }
     with pytest.raises(SingularJetError):
-        solve_determined_christoffels(n, CAP, gtable, free, det)
+        _determined_node(n, CAP, det).layer({**gtable, **free}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +786,7 @@ def test_rhs_respects_x1_filtration(tag, monkeypatch):
 
 @pytest.mark.parametrize(
     "leak, kept, consumed",
-    [((1, (2, 2), 1), [1], ["g;2,2"]), ((1, (1, 2), 1), [1, 1], [])],
+    [((1, ("g", 2, 2), 1), [1], [("g", 2, 2)]), ((1, ("g", 1, 2), 1), [1, 1], [])],
     ids=["other-unknown", "kept-twice"],
 )
 def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
@@ -810,7 +811,7 @@ def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
     with pytest.raises(AssertionError) as err:
         build_statistical_2d(random_connection(43, 2, CAP, 3, 2), g11, init12, init22)
     assert str(err.value) == (
-        f"the row of g;1,2 holds its x1-derivative with coefficients {kept} and "
+        f"the row of ('g', 1, 2) holds its x1-derivative with coefficients {kept} and "
         f"consumes the x1-derivatives of {consumed}"
     )
 

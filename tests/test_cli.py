@@ -3,12 +3,13 @@
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from jetgeom import cli
+from jetgeom import cli, serialize
 from jetgeom import multiindex as mi
 from jetgeom.builders import BuildReport, Check
 from jetgeom.cli import main
@@ -127,6 +128,77 @@ def test_run_malformed_scenario(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
     missing_tag = write_scenario(tmp_path, "missing.json", {"n": 3})
     assert main(["run", str(missing_tag)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# run verifies the bytes it wrote, not the report it wrote them from
+
+
+def general_scenario(output) -> dict:
+    return {
+        "construction": "general", "n": 2, "D": 2, "seed": 1, "free_data": "random",
+        "prescribed": {"r": "random"}, "output": str(output),
+    }
+
+
+def assert_verification_failed(tmp_path, capsys, output):
+    scenario = write_scenario(tmp_path, "sc.json", general_scenario(output))
+    code, out = run_cli(capsys, "run", str(scenario))
+    assert code == 2
+    assert json.loads(out) == {"status": "verification-failed", "report": str(output)}
+
+
+def test_run_written_bytes_that_are_no_json_fail_verification(tmp_path, capsys):
+    # the write succeeds, the read-back finds no report
+    assert_verification_failed(tmp_path, capsys, Path("/dev/null"))
+
+
+def test_run_written_report_missing_a_free_data_slot_fails_verification(
+    tmp_path, capsys, monkeypatch
+):
+    # the read-back report breaks an admission rule (slot-mismatch)
+    real = serialize.free_data_to_json
+
+    def drop_slot(fd):
+        data = real(fd)
+        del data["free_functions"][min(data["free_functions"])]
+        return data
+
+    monkeypatch.setattr(serialize, "free_data_to_json", drop_slot)
+    assert_verification_failed(tmp_path, capsys, tmp_path / "report.json")
+
+
+def stored_jets(node):
+    """Every stored jet under a report section that holds a coefficient, in
+    key order."""
+    if isinstance(node, dict):
+        if node.get("coeffs"):
+            yield node
+        for key in sorted(node):
+            yield from stored_jets(node[key])
+
+
+def drop_coefficient(jet):
+    del jet["coeffs"][min(jet["coeffs"])]
+
+
+def negate_coefficient(jet):
+    key = min(jet["coeffs"])
+    jet["coeffs"][key] = str(-Fraction(jet["coeffs"][key]))
+
+
+@pytest.mark.parametrize("edit", [drop_coefficient, negate_coefficient])
+@pytest.mark.parametrize("section", ["outputs", "free_data", "prescribed"])
+def test_run_verifies_the_bytes_it_wrote(tmp_path, capsys, monkeypatch, section, edit):
+    real = serialize.report_to_json
+
+    def tampered(report):
+        data = real(report)
+        edit(next(stored_jets(data[section])))
+        return data
+
+    monkeypatch.setattr(serialize, "report_to_json", tampered)
+    assert_verification_failed(tmp_path, capsys, tmp_path / "report.json")
 
 
 def test_census_counts(capsys):
@@ -556,7 +628,7 @@ def no_draws(*args, **kwargs):
 def test_2d_construction_at_other_n_is_rejected_before_any_draw(
     tmp_path, capsys, monkeypatch, tag, n, mode
 ):
-    for name in ("random_poly", "random_connection", "random_normalized_metric"):
+    for name in ("_draw", "random_connection", "random_normalized_metric"):
         monkeypatch.setattr(cli, name, no_draws)
     out_path = tmp_path / "report.json"
     scenario = {"construction": tag, "n": n, "D": 3, "seed": 1, "mode": mode}
@@ -569,7 +641,7 @@ def test_2d_construction_at_other_n_is_rejected_before_any_draw(
 
 def forbid_draws(monkeypatch):
     """Every data draw of `run`, in either mode, raises."""
-    draws = ("random_poly", "random_connection", "random_normalized_metric")
+    draws = ("_draw", "random_connection", "random_normalized_metric")
     for name in draws + ("random_free_data", "zero_free_data", "random_prescribed_tensor"):
         monkeypatch.setattr(cli, name, no_draws)
     monkeypatch.setattr(cli, "_RICCI_CONNECTIONS", dict.fromkeys(cli._RICCI_CONNECTIONS, no_draws))

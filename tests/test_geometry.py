@@ -557,12 +557,12 @@ def test_parallel_volume_rejects_nonsymmetric_ricci():
     conn = Connection.from_symmetric(
         2,
         {
-            (1, (1, 1)): Jet.variable(2, 2, CAP),
-            (2, (1, 1)): Jet.zero(2, CAP),
-            (1, (1, 2)): Jet.zero(2, CAP),
-            (2, (1, 2)): Jet.zero(2, CAP),
-            (1, (2, 2)): Jet.zero(2, CAP),
-            (2, (2, 2)): Jet.zero(2, CAP),
+            (1, 1, 1): Jet.variable(2, 2, CAP),
+            (2, 1, 1): Jet.zero(2, CAP),
+            (1, 1, 2): Jet.zero(2, CAP),
+            (2, 1, 2): Jet.zero(2, CAP),
+            (1, 2, 2): Jet.zero(2, CAP),
+            (2, 2, 2): Jet.zero(2, CAP),
         },
     )
     with pytest.raises(RejectionError) as err:

@@ -34,7 +34,7 @@ from jetgeom.builders import (
     _checked,
     _codazzi_spec,
     _determined_node,
-    solve_determined_christoffels,
+    parse_slot,
 )
 from jetgeom.ck import solve_first_order
 from jetgeom.cli import _run_direct, _run_round_trip
@@ -83,16 +83,46 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
         _run_direct(sc)
     else:
         _run_round_trip(sc)
-    [(system, (_, labels, fixed, derived, *_), table)] = calls
+    [(system, (equations, fixed, derived, *_), table)] = calls
     picard = solve_first_order(system).values
-    for key, lab in labels.items():
-        assert table[key].same_payload(picard[lab]), lab
+    for key in equations:
+        assert table[key].same_payload(picard[key]), key
     # each derived entry, valid order included, is its row's sum on the
     # Picard solution (the torsion-free G^k_kk are valid to D - 1)
-    full = {**fixed, **{key: picard[lab] for key, lab in labels.items()}}
+    full = {**fixed, **picard}
     for target, row in derived.items():
         full[target] = _row_sum(row, full)[0]
         assert table[target].same_payload(full[target]), target
+
+
+@pytest.mark.parametrize("mode", ["direct", "round_trip"])
+@pytest.mark.parametrize(
+    "tag, n",
+    [
+        ("general", 2), ("general", 3), ("trace-free-torsion", 3), ("trace-free-torsion", 4),
+        ("torsion-free", 2), ("torsion-free", 3), ("statistical", 3), ("statistical", 4),
+    ],
+)
+def test_ck_solve_keys_every_entry_by_its_slot(monkeypatch, tag, n, mode):
+    # the unknowns, their initial slices, the free data and the determined
+    # symbols of the solve carry the keys their census slots parse to
+    calls = capture_ck_solves(monkeypatch)
+    sc = {"construction": tag, "n": n, "D": 3, "seed": 7}
+    if mode == "direct":
+        sc.update(prescribed=RANDOM_PRESCRIBED[tag], free_data="random")
+        _run_direct(sc)
+    else:
+        _run_round_trip(sc)
+    [(_, args, _)] = calls
+    equations, fixed, derived, initial, node = (*args, None)[:5]
+    cen = census(tag, n)
+    assert set(initial) == set(equations) == {parse_slot(s) for s in cen.initial_slice_slots}
+    assert all(parse_slot(s) in fixed for s in cen.free_function_slots if s != "phi")
+    determined = {parse_slot(s) for s in cen.determined}
+    if tag == "statistical":
+        assert set(node.keys) == determined
+    else:
+        assert determined == set(derived) - {("div", l) for l in range(1, n + 1)}
 
 
 def inline_metric_2d_data(cap: int, seed: int) -> dict:
@@ -149,7 +179,7 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
     # the free symbols' valid orders vary, as in round_trip mode (D - 1)
     rng = random.Random(10 * n + cap)
     g0 = random_normalized_metric(rng.randrange(2**32), n, cap, 2, 2)
-    gtable = {(i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    gtable = {("g", i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
     determined = _codazzi_spec(n).determined
     free = {
         key: random_poly(rng.randrange(2**32), n, 2, 2, cap).with_valid_order(
@@ -158,7 +188,9 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
         for key in _all_pair_keys(n)
         if key not in set(determined)
     }
-    node = solve_determined_christoffels(n, cap, gtable, free, determined)
+    layers = _determined_node(n, cap, determined)
+    for t in range(cap + 1):
+        node = layers.layer({**gtable, **free}, t)
     full = ref_determined_christoffels(n, cap, gtable, free, determined)
     assert set(node) == set(determined)
     for key in determined:
@@ -173,7 +205,7 @@ def test_a_node_run_again_solves_afresh():
     tables = []
     for seed in (1, 2):
         g0 = random_normalized_metric(seed, n, cap, 2, 2)
-        table = {(i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+        table = {("g", i, j): g0.comp(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
         for key in _all_pair_keys(n):
             if key not in set(determined):
                 table[key] = random_poly(seed + 10, n, 2, 2, cap)
@@ -247,7 +279,7 @@ def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
     with pytest.raises(AssertionError) as err:
         build_prescribed_ricci_general(r, zero_free_data(census("general", 2), 3))
     assert str(err.value) == (
-        "the row of 2;2,1 holds its x1-derivative with coefficients [-1] and "
+        "the row of (2, 2, 1) holds its x1-derivative with coefficients [-1] and "
         "consumes the x1-derivatives of [('div', 1)]"
     )
 
@@ -260,7 +292,7 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
     def leaky(i, j, k, n, symmetric):
         row = real(i, j, k, n, symmetric)
         if (i, j, k) == (1, 2, 1):
-            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, (1, 1), 1),))
+            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, ("g", 1, 1), 1),))
         return row
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
@@ -271,8 +303,8 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
             levi_civita(g0), g0.comp(1, 2).restrict_x1(), g0.comp(2, 2).restrict_x1()
         )
     assert str(err.value) == (
-        "the row of g;1,2 holds its x1-derivative with coefficients [1] and "
-        "consumes the x1-derivatives of [(1, 1)]"
+        "the row of ('g', 1, 2) holds its x1-derivative with coefficients [1] and "
+        "consumes the x1-derivatives of [('g', 1, 1)]"
     )
 
 
@@ -281,10 +313,10 @@ def test_x1_derivative_in_a_derived_row_is_rejected(monkeypatch):
     monkeypatch.setattr(builders_module, "_row_layer", unreachable)
     equations = {"u": _Row(linear=((1, "du"),), derivatives=((-1, "u", 1),))}
     derived = {"du": _Row(derivatives=((1, "u", 1),))}
-    initial = {"u0": SliceJet(Jet.one(1, 3))}
+    initial = {"u": SliceJet(Jet.one(1, 3))}
     with pytest.raises(AssertionError) as err:
-        builders_module._ck_solve(equations, {"u": "u0"}, {}, derived, initial)
-    assert str(err.value) == "the derived row of du consumes the x1-derivatives of ['u0']"
+        builders_module._ck_solve(equations, {}, derived, initial)
+    assert str(err.value) == "the derived row of du consumes the x1-derivatives of ['u']"
 
 
 def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):
@@ -295,7 +327,7 @@ def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):
     def leaky(i, j, k, n, symmetric):
         row = real(i, j, k, n, symmetric)
         if (i, j, k) == (3, 2, 1):
-            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, (1, 2), 1),))
+            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, ("g", 1, 2), 1),))
         return row
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)

@@ -72,14 +72,19 @@ atoms (symbol key, metric key); on a symmetric table the keys fold, so the
 torsion terms cancel when the row is built. Each metric unknown g_ab takes
 its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_codazzi_spec` lists form the jet-linear system for the determined symbols.
-`_ck_solve` solves it with one linear-solve node, `_LinearNode`: the
-layer-0 coefficient matrix, of (n - 1)-variable jets, is inverted once, and
-layer t of the symbols is minus the inverse times layer t of the gaps
-evaluated while that layer is still zero. No build runs a full-size jet
-elimination; `solve_determined_christoffels` runs the node over given
-tables. `_codazzi_metric` holds the one assembly; the builders differ only
-in the fixed entries (the Christoffel table, and g11 where it is given),
-the node and the initial slices. trace-free-statistical-2d fixes nu^2 in
+`_ck_solve` solves it with one linear-solve node, `_LinearNode`, which
+takes the symbols and gaps in blocks, one per lower index pair, in an order
+that makes the layer-0 coefficient matrix, of (n - 1)-variable jets, block
+lower triangular (the rule is in `_codazzi_spec`'s docstring). Each diagonal
+block, of at most n - 2 rows, is inverted once, and layer t of the symbols
+is written block by block by forward substitution: minus the block's
+inverse times the sum of layer t of its gaps, evaluated while that layer is
+still zero, and its off-diagonal entries times layer t of the symbols of
+earlier blocks. No build runs a full-size jet elimination;
+`solve_determined_christoffels` runs the node over given tables.
+`_codazzi_metric` holds the one assembly; the builders differ only in the
+fixed entries (the Christoffel table, and g11 where it is given), the node
+and the initial slices. trace-free-statistical-2d fixes nu^2 in
 place of g11 and solves g11 g22 - g12^2 - nu^2 = 0, which is linear in g11,
 with a one-key node, so no first-order build takes a full-size reciprocal.
 """
@@ -814,43 +819,64 @@ class _LinearNode:
     take no x1-derivative and hold each key only as the first factor of
     product atoms: row i reads sum_j M_ij key_j + rest_i = 0 on a table.
 
-    Layer t of M key_j is M0 (key_j layer t) plus products of layers < t of
-    key_j, where M0 is layer 0 of M, a matrix of (n - 1)-variable jets. So
-    M0 is inverted once, by `geometry._gauss_jordan` augmented by the
-    identity, and layer t of the keys is -M0^-1 times layer t of the rows,
-    evaluated by `_row_layer` while the keys' layer t is still zero. Every
-    key gets the `_valid_order` of the rows, the keys counting as exact, as
-    an elimination of the full-size system gives it.
-    Layer 0 starts a solve: it zeroes the keys and inverts M0 of its table."""
+    The keys and rows come as an ordered sequence of blocks, each as many
+    rows as keys, such that a row reads keys of its own block and of earlier
+    blocks only: layer 0 of M, M0, a matrix of (n - 1)-variable jets, is
+    block lower triangular in that order. Layer t of M key_j is
+    M0 (key_j layer t) plus products of layers < t of key_j. So each diagonal
+    block B of M0 is inverted once, by `geometry._gauss_jordan` augmented by
+    the identity, and layer t of the rows is evaluated by `_row_layer` while
+    the keys' layer t is still zero; then block by block, in order, layer t
+    of the block's keys is -B^-1 (its rows' layer t + the off-diagonal M0
+    entries times layer t of the earlier blocks' keys), a forward
+    substitution. Every key gets the `_valid_order` of the rows, the keys
+    counting as exact, as an elimination of the full-size system gives it.
+    Layer 0 starts a solve: it zeroes the keys and inverts the blocks of M0
+    of its table."""
 
-    def __init__(self, keys, rows, n: int, cap: int):
-        self.keys, self.rows, self.n, self.cap = tuple(keys), tuple(rows), n, cap
+    def __init__(self, blocks, n: int, cap: int):
+        self.blocks = tuple((tuple(keys), tuple(rows)) for keys, rows in blocks)
+        self.n, self.cap = n, cap
+        self.keys = tuple(key for keys, _ in self.blocks for key in keys)
+        self.rows = tuple(row for _, rows in self.blocks for row in rows)
         self.key_set = frozenset(self.keys)
-        for row in self.rows:
-            reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
-            reads |= {key for _, key, _ in row.derivatives}
-            if reads & self.key_set or any(ax == 1 for *_, ax in row.derivatives):
-                raise AssertionError(
-                    f"{row} is not linear in {self.keys} or takes an x1-derivative"
-                )
-        self.values, self.inverse = {}, []
+        later = set(self.keys)
+        for keys, rows in self.blocks:
+            later.difference_update(keys)
+            for row in rows:
+                reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
+                reads |= {key for _, key, _ in row.derivatives}
+                if reads & self.key_set or any(ax == 1 for *_, ax in row.derivatives):
+                    raise AssertionError(
+                        f"{row} is not linear in {self.keys} or takes an x1-derivative"
+                    )
+                ahead = [x for _, x, _ in row.products if x in later]
+                if ahead:
+                    raise AssertionError(f"{row} holds {ahead[0]} of a later block")
+        self.values, self.solvers = {}, []
 
     def _invert(self, table: Mapping) -> list:
-        """M0^-1, from layer 0 of the table."""
-        n, cap, size = self.n, self.cap, len(self.keys)
+        """Per block, from layer 0 of the table: B^-1, and for each row the
+        M0 entries of the keys of earlier blocks."""
+        n, cap = self.n, self.cap
         zero = Jet.zero(n - 1, cap)
-        matrix = []
-        for i, row in enumerate(self.rows):
-            coeffs: dict = {}
-            for c, x, y in row.products:
-                if x in self.key_set:
-                    entry = _signed(c, table[y].restrict_x1().jet)
-                    coeffs[x] = coeffs[x] + entry if x in coeffs else entry
-            matrix.append(
-                [coeffs.get(key, zero) for key in self.keys]
-                + [Jet.constant(int(i == j), n - 1, cap) for j in range(size)]
-            )
-        return [row[size:] for row in _gauss_jordan(matrix)]
+        solvers = []
+        for keys, rows in self.blocks:
+            matrix, offs = [], []
+            for i, row in enumerate(rows):
+                coeffs: dict = {}
+                for c, x, y in row.products:
+                    if x in self.key_set:
+                        entry = _signed(c, table[y].restrict_x1().jet)
+                        coeffs[x] = coeffs[x] + entry if x in coeffs else entry
+                matrix.append(
+                    [coeffs.pop(key, zero) for key in keys]
+                    + [Jet.constant(int(i == j), n - 1, cap) for j in range(len(keys))]
+                )
+                offs.append([(key, entry) for key, entry in coeffs.items() if not entry.is_zero()])
+            inverse = [row[len(keys):] for row in _gauss_jordan(matrix)]
+            solvers.append((inverse, offs))
+        return solvers
 
     def layer(self, table: Mapping, t: int) -> dict:
         """The keys with layer t written, from a table holding layers <= t
@@ -858,24 +884,24 @@ class _LinearNode:
         n, cap = self.n, self.cap
         if t == 0:
             self.values = {key: Jet.zero(n, cap) for key in self.keys}
-            self.inverse = self._invert(table)
+            self.solvers = self._invert(table)
         table = {**table, **self.values}
-        ranks, width = mi.x1_layers(n, cap)[t], mi.size(n - 1, cap - t)
-        zero = Jet.zero(n - 1, cap - t)
-        gaps = []
-        for row in self.rows:
-            out, den = _row_layer(row, table, {}, n, cap, t)
-            gaps.append(zero._with_nums([out[r] for r in ranks], den, cap - t))
+        ranks, order = mi.x1_layers(n, cap)[t], cap - t
+        zero = Jet.zero(n - 1, order)
         valid = cap if t < cap else _valid_order(self.rows, table, cap, self.key_set)
-        for key, inverse_row in zip(self.keys, self.inverse):
-            terms = [
-                zero._with_nums(list(entry.nums[:width]), entry.den, cap - t) * gap
-                for entry, gap in zip(inverse_row, gaps)
-            ]
-            step = _sum_jets(terms)
-            self.values[key] = _write_layer(
-                self.values[key], ranks, [-v for v in step.nums], step.den, valid
-            )
+        written = {}  # layer t of the keys solved so far, (n - 1)-variable jets
+        for (keys, rows), (inverse, offs) in zip(self.blocks, self.solvers):
+            rhs = []
+            for row, off in zip(rows, offs):
+                out, den = _row_layer(row, table, {}, n, cap, t)
+                gap = zero._with_nums([out[r] for r in ranks], den, order)
+                rhs.append(_sum_jets([gap] + [e.truncate(order) * written[x] for x, e in off]))
+            for key, inverse_row in zip(keys, inverse):
+                step = _sum_jets(e.truncate(order) * v for e, v in zip(inverse_row, rhs))
+                written[key] = value = -step
+                self.values[key] = _write_layer(
+                    self.values[key], ranks, value.nums, value.den, valid
+                )
         return dict(self.values)
 
 
@@ -1163,7 +1189,7 @@ def build_metric_2d_prescribed_ricci(
             products=((-1, "1/r22", "s"), (1, "1/h", "E"), (-2, "r11", "h")),
         ),
     }
-    node = _LinearNode(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))], 2, cap)
+    node = _LinearNode([(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))])], 2, cap)
     table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, node)
     h = table["h"]
     metric = Metric(
@@ -1191,6 +1217,23 @@ class _CodazziSpec:
 
 
 def _codazzi_spec(n: int) -> _CodazziSpec:
+    """The Codazzi system in dimension n, `determined` in the order `census`
+    lists the slots.
+
+    Block rule: the determined symbols of one lower index pair form one
+    block, with the gaps that solve them (`_solved_pair`):
+    - gap (j, k, 1) solves lower (1, k): the n - k symbols with upper t > k;
+    - gap (i, j, i) solves lower (i, i): the n - 2 symbols with upper
+      t >= 2, t != i;
+    - gap (i, j, k) with 2 <= i < k solves lower (i, k): the n - i - 1
+      symbols with upper t > i, t != k.
+    No block holds more than n - 2 symbols. Block order (`_block_order`):
+    the lower pairs (i, k) sorted by (i == k, i != 1, -i, -k), that is
+    (1, n), ..., (1, 2), then (i, k) with 2 <= i < k by i and then k
+    descending, then (n, n), ..., (2, 2). A gap reads symbols of its own
+    block and of earlier blocks only, so layer 0 of the system's matrix is
+    block lower triangular in that order and the node solves it by forward
+    substitution."""
     top = range(2, n + 1)
     unknowns = [("g", i, j) for i, j in _pairs(n)[1:]]  # all but g_11
     # lower (1, k), upper t > k; gap (t, k, 1)
@@ -1238,11 +1281,33 @@ def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool) -> _Row:
     return _Row(derivatives=derivatives, products=_atoms(products))
 
 
+def _solved_pair(gap: tuple[int, int, int]) -> tuple[int, int]:
+    """The lower index pair whose determined symbols the gap solves."""
+    i, j, k = gap
+    return (1, j) if k == 1 else (i, k)
+
+
+def _block_order(pair: tuple[int, int]) -> tuple:
+    """The sort key of a lower pair's block (see `_codazzi_spec`)."""
+    i, k = pair
+    return (i == k, i != 1, -i, -k)
+
+
 def _determined_node(n: int, cap: int, determined_keys) -> _LinearNode:
     """The node of the determined symbols: the algebraic Codazzi gaps of
-    `_codazzi_spec`, linear in the determined symbols."""
-    rows = [_codazzi_gap(*gap, n, True) for gap in _codazzi_spec(n).gaps]
-    return _LinearNode(determined_keys, rows, n, cap)
+    `_codazzi_spec`, linear in the determined symbols, one block per lower
+    index pair (symbol (t, i, k) in the block of (i, k)), in the spec's block
+    order."""
+    gaps = _codazzi_spec(n).gaps
+    pairs = sorted({key[1:] for key in determined_keys}, key=_block_order)
+    blocks = [
+        (
+            [key for key in determined_keys if key[1:] == pair],
+            [_codazzi_gap(*gap, n, True) for gap in gaps if _solved_pair(gap) == pair],
+        )
+        for pair in pairs
+    ]
+    return _LinearNode(blocks, n, cap)
 
 
 def solve_determined_christoffels(
@@ -1321,7 +1386,7 @@ def build_trace_free_statistical_2d(
     _admit(report)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     det = _Row(((-1, "nu^2"),), (), ((1, ("g", 1, 1), ("g", 2, 2)), (-1, ("g", 1, 2), ("g", 1, 2))))
-    node = _LinearNode([("g", 1, 1)], [det], 2, cap)
+    node = _LinearNode([([("g", 1, 1)], [det])], 2, cap)
     metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, node)
     report.outputs = {"metric": metric, "volume": volume}
     return _checked(report)

@@ -173,8 +173,9 @@ def test_metric_2d_matches_the_second_order_picard_solve(cap, data):
         assert canonical_dumps(report_to_json(report)) == canonical_dumps(report_to_json(ref))
 
 
-@pytest.mark.parametrize("cap", [2, 3, 4, 5])
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "n, cap", [(n, cap) for n in (3, 4, 5) for cap in (2, 3, 4, 5)] + [(6, 2), (6, 3)]
+)
 def test_determined_symbol_node_matches_the_full_elimination(n, cap):
     # the free symbols' valid orders vary, as in round_trip mode (D - 1)
     rng = random.Random(10 * n + cap)
@@ -220,17 +221,37 @@ def test_a_node_run_again_solves_afresh():
         assert runs[2][key].same_payload(runs[0][key]), key
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n):
-    real, shapes = builders_module._gauss_jordan, []
+@pytest.mark.parametrize("n, blocks", [(3, 3), (4, 7)])
+def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n, blocks):
+    # one elimination per diagonal block of the layer-0 matrix, none of them
+    # over n - 2 rows
+    real, calls = builders_module._gauss_jordan, []
 
     def spy(rows):
-        shapes.append({(jet.n, jet.max_degree) for row in rows for jet in row})
+        calls.append(({(jet.n, jet.max_degree) for row in rows for jet in row}, len(rows)))
         return real(rows)
 
     monkeypatch.setattr(builders_module, "_gauss_jordan", spy)
     build_statistical_nd(n, random_free_data(census("statistical", n), 5, 2, 2, 4))
-    assert shapes == [{(n - 1, 4)}]
+    assert len(calls) == blocks
+    for shapes, size in calls:
+        assert shapes == {(n - 1, 4)} and size <= n - 2
+
+
+def test_determined_symbol_blocks_out_of_order_are_rejected(monkeypatch):
+    # a gap of the first block that reads a symbol of the second: the
+    # layer-0 matrix is not block lower triangular in the swapped order
+    real = builders_module._LinearNode
+
+    def swapped(blocks, n, cap):
+        blocks = list(blocks)
+        blocks[0], blocks[1] = blocks[1], blocks[0]
+        return real(blocks, n, cap)
+
+    monkeypatch.setattr(builders_module, "_LinearNode", swapped)
+    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    with pytest.raises(AssertionError, match=r"holds \(4, 1, 3\) of a later block$"):
+        build_statistical_nd(4, random_free_data(census("statistical", 4), 5, 2, 2, 3))
 
 
 @pytest.mark.parametrize("cap", [4, 6])

@@ -437,9 +437,10 @@ class BuildReport:
 
 
 # ---------------------------------------------------------------------------
-# checks: one function per check name, computed from a report alone, so the
-# builders and `verify` run the same code on the in-memory and the reloaded
-# report
+# checks: one function per check name, computed from a report's values alone.
+# The builders and `verify` run the same code; `run` does not run it again on
+# the report it reads back, since values that compare equal to the checked
+# build's pass the same checks (`verify_read_back`)
 
 
 def _residuals(report: BuildReport, res: Bilinear, order: int) -> Iterator[Jet]:
@@ -536,6 +537,20 @@ def _workspaces(value) -> set[tuple[int, int]]:
     return {value.shape, (value.n, value.shape[1])}
 
 
+def _values(report: BuildReport) -> list[tuple[str, str, object]]:
+    """(part, name, value) of every value of a report: its prescribed
+    values, its free data (free functions, initial slices and the gauge
+    function "phi", by slot) and its outputs."""
+    fd, free = report.free_data, []
+    if fd is not None:
+        free = [*fd.free_functions.items(), *fd.initial_slices.items()]
+        free += [] if fd.gauge_function is None else [("phi", fd.gauge_function)]
+    values = [("prescribed", *item) for item in report.prescribed.items()]
+    values += [("free data", *item) for item in free]
+    values += [("output", *item) for item in (report.outputs or {}).items()]
+    return values
+
+
 def _admit(report: BuildReport):
     """Admit a report, raising at the first of these rules it breaks:
     1. its n meets its construction's dimension rule (RejectionError
@@ -573,7 +588,7 @@ def _admit(report: BuildReport):
                     f"{type(values[name]).__name__}, not a {cls.__name__}"
                 )
 
-    fd, free = report.free_data, []
+    fd = report.free_data
     if (fd is not None) != rec.free_data:
         need = "needs" if rec.free_data else "takes no"
         raise RejectionError("slot-mismatch", f"a {report.construction} report {need} free data")
@@ -594,14 +609,9 @@ def _admit(report: BuildReport):
             )
         if fd.gauge_function is not None and "phi" not in cen.free_function_slots:
             raise RejectionError("slot-mismatch", f"{cen.construction} takes no gauge function")
-        free = [*fd.free_functions.items(), *fd.initial_slices.items()]
-        free += [] if fd.gauge_function is None else [("phi", fd.gauge_function)]
 
     declared = (report.n, report.max_degree)
-    values = [("prescribed", *item) for item in report.prescribed.items()]
-    values += [("free data", *item) for item in free]
-    values += [("output", *item) for item in (report.outputs or {}).items()]
-    for part, name, value in values:
+    for part, name, value in _values(report):
         shapes = _workspaces(value) - {declared}
         if shapes:
             message = (
@@ -696,6 +706,43 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
     if [(c.name, c.order, c.passed) for c in report.checks] != required:
         return False
     return all(c.passed for c in _run_checks(report, order))
+
+
+def _same_value(a, b) -> bool:
+    """Whether two report values are the same: the same type (a Metric is
+    not a Bilinear), and a jet or slice of the same payload (shape, valid
+    order and coefficients), or a table of the same key set (which fixes
+    its n) and entries, a connection with the same symmetric flag too."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (Jet, SliceJet)):
+        return a.same_payload(b)
+    if isinstance(a, Connection):
+        if a.symmetric != b.symmetric:
+            return False
+        a, b = a.gamma, b.gamma
+    else:
+        a, b = a.comps, b.comps
+    return a.keys() == b.keys() and all(a[key].same_payload(b[key]) for key in a)
+
+
+def verify_read_back(built: BuildReport, read: BuildReport) -> bool:
+    """Whether `read`, the report read back from the bytes written for
+    `built`, a build whose checks passed, holds that build: `read` is
+    admitted (raising what `_admit` raises) and must match `built` in its
+    construction, n, D and check list, in which prescribed values, free data
+    and outputs it carries, and in every value (`_same_value`). Every check
+    is a function of a report's values alone, so a read-back that matches
+    passes the checks `built` passed, and none is run again."""
+    _admit(read)
+    a, b = ({(part, name): v for part, name, v in _values(r)} for r in (built, read))
+    return (
+        built.construction == read.construction
+        and (built.n, built.max_degree, built.checks) == (read.n, read.max_degree, read.checks)
+        and (built.free_data is None) == (read.free_data is None)
+        and a.keys() == b.keys()
+        and all(_same_value(a[key], b[key]) for key in a)
+    )
 
 
 # ---------------------------------------------------------------------------

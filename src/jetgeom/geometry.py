@@ -302,17 +302,21 @@ def ricci_derivative_part(conn: Connection) -> Bilinear:
 def lambda_term(conn: Connection) -> Bilinear:
     """Quadratic Christoffel contraction
     L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl], so
-    ricci = ricci_derivative_part - lambda_term."""
+    ricci = ricci_derivative_part - lambda_term. On a symmetric table both
+    sums are symmetric in (i, j), so L_ij is formed for i <= j only; a
+    general table is not, and gets every (i, j)."""
     n = conn.n
     rng = range(1, n + 1)
     g = conn.gamma
     div = divergence_form(conn)
     out = {}
     for i in rng:
-        for j in rng:
+        for j in range(i, n + 1) if conn.symmetric else rng:
             quad2 = _sum_jets(g[(l, k, j)] * g[(k, i, l)] for k in rng for l in rng)
             quad1 = _sum_jets(g[(l, i, j)] * div.comp(l) for l in rng)
             out[(i, j)] = quad2 - quad1
+    if conn.symmetric:
+        out.update({(j, i): out[(i, j)] for i, j in list(out)})
     return Bilinear(n, out)
 
 

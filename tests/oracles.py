@@ -9,7 +9,8 @@ elimination per evaluation, on the builders' own gap rows: it checks the
 layered solve of those rows, not the rows. `_row_sum` evaluates a
 `builders._Row` in full, where the builders evaluate it one x1-layer at a
 time. `ref_nabla_g` forms all n^3 components of nabla g with 2 n^4
-products. `ref_metric_2d_h` solves the metric-2d equation as one
+products, and `ref_ricci` every (i, j) of the Ricci tensor, term by term.
+`ref_metric_2d_h` solves the metric-2d equation as one
 second-order system by Picard rounds, with the closed-form Ric_11 of a
 diagonal 2D metric (`_ricci_11_diagonal_2d`, also the reference of
 `geometry.sectional_curvature_2d`) and full-size reciprocals at every
@@ -177,6 +178,26 @@ def ref_nabla_g(conn: Connection, g: Metric) -> CubicForm:
                     - _sum_jets(conn.gamma[(l, i, k)] * g.comp(j, l) for l in rng)
                 )
     return CubicForm(n, out)
+
+
+def ref_ricci(conn: Connection) -> dict:
+    """Ric_ij = sum_k [(G^k_ij)_k - (G^k_kj)_i]
+               - sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl]
+    on every (i, j), each sum written out term by term (no divergence form,
+    no symmetry shortcut)."""
+    rng = range(1, conn.n + 1)
+    g = conn.gamma
+    out = {}
+    for i in rng:
+        for j in rng:
+            deriv = _sum_jets(g[(k, i, j)].partial(k) - g[(k, k, j)].partial(i) for k in rng)
+            quad = _sum_jets(
+                g[(l, k, j)] * g[(k, i, l)] - g[(l, i, j)] * g[(k, k, l)]
+                for k in rng
+                for l in rng
+            )
+            out[(i, j)] = deriv - quad
+    return out
 
 
 def _row_sum(row, table, pulled=frozenset()):

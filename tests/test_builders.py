@@ -44,6 +44,8 @@ from jetgeom import (
 from jetgeom.builders import (
     _codazzi_spec,
     _determined_node,
+    _same_value,
+    verify_read_back,
 )
 from jetgeom.cli import _run_direct
 from jetgeom.serialize import report_from_json, report_to_json
@@ -693,6 +695,19 @@ def test_verify_at_full_order_on_polynomial_round_trip():
     report = build_prescribed_ricci_general(r, fd)
     # polynomial-exact reconstruction verifies even above the advertised order
     assert verify(report, order=CAP)
+
+
+def test_a_read_back_matches_its_build_in_type_flag_and_valid_order():
+    report = _run_direct({"construction": "trace-free-statistical-2d", "n": 2, "D": 3, "seed": 1})
+    assert verify_read_back(report, report_from_json(report_to_json(report)))
+    # a symmetric Levi-Civita connection is prescribed here
+    conn, metric = report.prescribed["connection"], report.outputs["metric"]
+    assert not _same_value(metric, Bilinear(2, metric.comps))
+    assert not _same_value(conn, Connection(2, conn.gamma, symmetric=False))
+    volume = report.outputs["volume"]
+    assert not _same_value(volume, volume.with_valid_order(volume.valid_order - 1))
+    unmarked = {**report.prescribed, "connection": Connection(2, conn.gamma)}
+    assert not verify_read_back(report, dataclasses.replace(report, prescribed=unmarked))
 
 
 GAMMA_122 = ("connection", "gamma", "1;2,2")

@@ -11,7 +11,7 @@ import pytest
 
 from jetgeom import cli, serialize
 from jetgeom import multiindex as mi
-from jetgeom.builders import BuildReport, Check
+from jetgeom.builders import BuildReport, Check, verify
 from jetgeom.cli import main
 from jetgeom.serialize import (
     canonical_dumps,
@@ -131,21 +131,80 @@ def test_run_malformed_scenario(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# run verifies the bytes it wrote, not the report it wrote them from
+# run verifies the bytes it wrote, not the report it wrote them from: they must
+# read back as the checked build, value for value
+
+# one D <= 4 scenario per construction, every value of which holds a coefficient
+READ_BACK_SCENARIOS = {
+    "general": {"n": 2, "D": 2, "prescribed": {"r": "random"}, "free_data": "random"},
+    "trace-free-torsion": {"n": 3, "D": 2, "prescribed": {"r": "random"}, "free_data": "random"},
+    "torsion-free": {"n": 2, "D": 3, "prescribed": {"r": "random"}, "free_data": "random"},
+    "metric-2d": {"n": 2, "D": 3, "prescribed": {"psi": "random"}},
+    "statistical": {"n": 3, "D": 2, "free_data": "random"},
+    "statistical-2d": {
+        "n": 2, "D": 3,
+        "prescribed": {key: "random" for key in ("g11", "init12", "init22")},
+    },
+    "trace-free-statistical-2d": {
+        "n": 2, "D": 3, "prescribed": {key: "random" for key in ("init12", "init22")},
+    },
+}
+# construction -> the (section, name) of every value its reports hold
+READ_BACK_VALUES = {
+    "general": [
+        ("prescribed", "r"), ("free_data", "free_functions"),
+        ("free_data", "initial_slices"), ("outputs", "connection"),
+    ],
+    "trace-free-torsion": [
+        ("prescribed", "r"), ("free_data", "free_functions"),
+        ("free_data", "initial_slices"), ("outputs", "connection"),
+    ],
+    "torsion-free": [
+        ("prescribed", "r"), ("free_data", "free_functions"), ("free_data", "initial_slices"),
+        ("free_data", "gauge_function"), ("outputs", "connection"),
+    ],
+    "metric-2d": [
+        ("prescribed", "phi"), ("prescribed", "psi"), ("prescribed", "r"),
+        ("outputs", "conformal_factor"), ("outputs", "metric"),
+    ],
+    "statistical": [
+        ("free_data", "free_functions"), ("free_data", "initial_slices"),
+        ("outputs", "connection"), ("outputs", "metric"),
+    ],
+    "statistical-2d": [
+        ("prescribed", "connection"), ("prescribed", "g11"), ("prescribed", "init12"),
+        ("prescribed", "init22"), ("outputs", "metric"),
+    ],
+    "trace-free-statistical-2d": [
+        ("prescribed", "connection"), ("prescribed", "init12"), ("prescribed", "init22"),
+        ("outputs", "metric"), ("outputs", "volume"),
+    ],
+}
+READ_BACK_SITES = [(tag, *site) for tag, sites in READ_BACK_VALUES.items() for site in sites]
 
 
-def general_scenario(output) -> dict:
-    return {
-        "construction": "general", "n": 2, "D": 2, "seed": 1, "free_data": "random",
-        "prescribed": {"r": "random"}, "output": str(output),
-    }
+def read_back_scenario(output, construction="general") -> dict:
+    scenario = {"construction": construction, "seed": 1, "output": str(output)}
+    return {**scenario, **READ_BACK_SCENARIOS[construction]}
 
 
-def assert_verification_failed(tmp_path, capsys, output):
-    scenario = write_scenario(tmp_path, "sc.json", general_scenario(output))
+def assert_verification_failed(tmp_path, capsys, output, construction="general"):
+    scenario = write_scenario(tmp_path, "sc.json", read_back_scenario(output, construction))
     code, out = run_cli(capsys, "run", str(scenario))
     assert code == 2
     assert json.loads(out) == {"status": "verification-failed", "report": str(output)}
+
+
+def tamper_with(monkeypatch, edit):
+    """Make `run` write the report JSON as `edit` changes it."""
+    real = serialize.report_to_json
+
+    def tampered(report):
+        data = real(report)
+        edit(data)
+        return data
+
+    monkeypatch.setattr(serialize, "report_to_json", tampered)
 
 
 def test_run_written_bytes_that_are_no_json_fail_verification(tmp_path, capsys):
@@ -187,18 +246,70 @@ def negate_coefficient(jet):
     jet["coeffs"][key] = str(-Fraction(jet["coeffs"][key]))
 
 
-@pytest.mark.parametrize("edit", [drop_coefficient, negate_coefficient])
-@pytest.mark.parametrize("section", ["outputs", "free_data", "prescribed"])
-def test_run_verifies_the_bytes_it_wrote(tmp_path, capsys, monkeypatch, section, edit):
-    real = serialize.report_to_json
+def lower_valid_order(jet):
+    jet["valid_order"] -= 1
 
-    def tampered(report):
-        data = real(report)
-        edit(next(stored_jets(data[section])))
-        return data
 
-    monkeypatch.setattr(serialize, "report_to_json", tampered)
-    assert_verification_failed(tmp_path, capsys, tmp_path / "report.json")
+@pytest.mark.parametrize("edit", [drop_coefficient, negate_coefficient, lower_valid_order])
+@pytest.mark.parametrize("construction, section, name", READ_BACK_SITES)
+def test_run_verifies_the_bytes_it_wrote(
+    tmp_path, capsys, monkeypatch, construction, section, name, edit
+):
+    tamper_with(monkeypatch, lambda data: edit(next(stored_jets(data[section][name]))))
+    assert_verification_failed(tmp_path, capsys, tmp_path / "report.json", construction)
+
+
+def change_a_check_order(data):
+    data["checks"][0]["zero_to_order"] -= 1
+
+
+def drop_a_check(data):
+    del data["checks"][-1]
+
+
+def retag_the_metric_bilinear(data):
+    data["outputs"]["metric"]["type"] = "bilinear"
+
+
+def unmark_the_symmetric_connection(data):
+    value = data["outputs" if "connection" in data["outputs"] else "prescribed"]["connection"]
+    assert value["value"]["symmetric"] is True
+    value["value"]["symmetric"] = False
+
+
+# serializer faults that change no coefficient, each on every construction
+# whose reports hold what it changes
+FAULTS = [
+    *((change_a_check_order, tag) for tag in READ_BACK_SCENARIOS),
+    *((drop_a_check, tag) for tag in READ_BACK_SCENARIOS),
+    *(
+        (retag_the_metric_bilinear, tag)
+        for tag in ("metric-2d", "statistical", "statistical-2d", "trace-free-statistical-2d")
+    ),
+    *(
+        (unmark_the_symmetric_connection, tag)
+        for tag in ("torsion-free", "statistical", "trace-free-statistical-2d")
+    ),
+]
+
+
+@pytest.mark.parametrize("fault, construction", FAULTS)
+def test_run_fails_a_written_report_that_keeps_every_coefficient(
+    tmp_path, capsys, monkeypatch, fault, construction
+):
+    tamper_with(monkeypatch, fault)
+    assert_verification_failed(tmp_path, capsys, tmp_path / "report.json", construction)
+
+
+@pytest.mark.parametrize("construction", READ_BACK_SCENARIOS)
+def test_run_ok_and_verify_agree_on_untampered_reports(tmp_path, capsys, construction):
+    # the read-back comparison and the checks `verify` re-runs accept the
+    # same written report
+    output = tmp_path / "report.json"
+    scenario = write_scenario(tmp_path, "sc.json", read_back_scenario(output, construction))
+    code, out = run_cli(capsys, "run", str(scenario))
+    assert code == 0 and json.loads(out) == {"status": "ok", "report": str(output)}
+    assert verify(report_from_json(json.loads(output.read_text())))
 
 
 def test_census_counts(capsys):

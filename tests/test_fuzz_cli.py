@@ -1,6 +1,7 @@
 """Property test of the CLI boundary: on generated scenario JSON and on
 mutated report JSON, `main` returns 0, 1 or 2 with the documented output and
-never lets an exception escape.
+never lets an exception escape. A `run` whose writer mutates the report
+exits 2, or exits 0 and leaves a report that `verify` accepts.
 
 The reports are built in-process from small scenarios. A mutation drops a
 node of the report tree, replaces it, or inserts a key into an object; the
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from jetgeom import serialize
 from jetgeom.cli import _run_direct, main
 from jetgeom.serialize import canonical_dumps, report_to_json
 
@@ -323,6 +325,34 @@ def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, cas
 
 VERIFIED = json.dumps({"verified": True}) + "\n"
 REJECTED = json.dumps({"verified": False}) + "\n"
+
+
+@SETTINGS
+# the same value in other text, and a key no reader reads: both read back as built
+@example(case=("general", ("insert", GAMMA_COEFFS, "0 0", "4/2")))
+@example(case=("general", ("insert", ("outputs", "connection"), "extra", 0)))
+@example(case=("torsion-free", ("replace", ("outputs", "connection", "value", "symmetric"), False)))
+@example(case=("metric-2d", ("replace", ("outputs", "metric", "type"), "bilinear")))
+@example(case=("torsion-free", ("drop", ("checks", 3), None)))
+@given(case=MUTATED_REPORTS)
+def test_run_on_mutated_written_reports_fails_or_leaves_a_verified_one(tmp_path_factory, case):
+    # whatever the writer writes, `run` exits 2 with verification-failed, or
+    # it prints ok and `verify` accepts the report it wrote
+    name, mutation = case
+    folder = tmp_path_factory.mktemp("run")
+    output, scenario = folder / "report.json", folder / "scenario.json"
+    scenario.write_text(
+        json.dumps(dict(SMALL_SCENARIOS[name], seed=1, free_data="random", output=str(output)))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        written = lambda built: mutate(report_to_json(built), mutation)[0]
+        patch.setattr(serialize, "report_to_json", written)
+        code, out, err = call("run", str(scenario))
+    status = "ok" if code == 0 else "verification-failed"
+    assert code in (0, 2) and err == ""
+    assert out == json.dumps({"status": status, "report": str(output)}) + "\n"
+    if code == 0:
+        assert call("verify", str(output)) == (0, VERIFIED, "")
 
 
 @pytest.mark.parametrize(

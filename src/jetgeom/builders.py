@@ -95,7 +95,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import comb, lcm
 from typing import Iterator, Mapping
 
 from . import multiindex as mi
@@ -283,6 +283,29 @@ def _require_workspace_bound(n: int, cap: int):
         raise RejectionError(
             "workspace-too-large",
             f"n = {n}, D = {cap} needs more than {mi.MAX_PRODUCT_PAIRS} product pairs",
+        )
+
+
+# the largest determined-symbol node a statistical `run` may solve, as its
+# key count times the C(2n + D, D) product pairs of its workspace; the work of
+# the node's layers grows with both, and the pair bound alone admits
+# n = 12, D = 4 (10.1M) and n = 20, D = 3 (30.2M). The tests, demos and
+# benchmark solve at most 5445 (n = 4, D = 4); n = 10, D = 3 is 488796.
+MAX_NODE_PAIRS = 500_000
+
+
+def _require_node_bound(construction: str, n: int, cap: int):
+    """Reject a statistical workspace whose node is over MAX_NODE_PAIRS. By
+    the block rule of `_codazzi_spec` the node holds 3 C(n - 1, 2) +
+    2 C(n - 1, 3) keys; counted in closed form, so nothing is built first."""
+    if construction != "statistical":
+        return
+    keys = 3 * comb(n - 1, 2) + 2 * comb(n - 1, 3)
+    if keys * comb(2 * n + cap, cap) > MAX_NODE_PAIRS:
+        raise RejectionError(
+            "workspace-too-large",
+            f"statistical n = {n}, D = {cap} needs a node of {keys} keys over "
+            f"{comb(2 * n + cap, cap)} product pairs, more than {MAX_NODE_PAIRS} in all",
         )
 
 
@@ -797,11 +820,16 @@ def _ck_rows(equations: Mapping, fixed: Mapping) -> dict:
     return rests
 
 
-def _row_layer(row: _Row, table: Mapping, d1: Mapping, n: int, cap: int, t: int):
-    """x1-layer t of the row's sum on the table, as full-size numerators (zero
-    off the layer) over one denominator. Linear atoms and derivatives along
-    axes >= 2 read layer t, an x1-derivative atom reads the jet d1[key], and
-    a product reads layers <= t of its factors."""
+def _row_layer(
+    row: _Row, table: Mapping, d1: Mapping, n: int, cap: int, t: int, order: int | None = None
+):
+    """x1-layer t of the row's sum on the table, formed to total degree order
+    (default cap), as full-size numerators (zero off the layer and above that
+    degree) over one denominator. Linear atoms and derivatives along axes >= 2
+    read layer t, an x1-derivative atom reads the jet d1[key], and a product
+    reads layers <= t of its factors. The denominator comes from the atoms'
+    jets alone, so it does not depend on order."""
+    order = cap if order is None else order
     linear = [(c, table[key]) for c, key in row.linear]
     linear += [(c, d1[key]) for c, key, ax in row.derivatives if ax == 1]
     derivatives = [(c, table[key], ax) for c, key, ax in row.derivatives if ax != 1]
@@ -811,24 +839,26 @@ def _row_layer(row: _Row, table: Mapping, d1: Mapping, n: int, cap: int, t: int)
         *(jet.den for _, jet, _ in derivatives),
         *(x.den * y.den for _, x, y in products),
     )
-    ranks = mi.x1_layers(n, cap)[t]
+    ranks = mi.x1_layers(n, order)[t]
     out = [0] * mi.size(n, cap)
     for c, jet in linear:
         m, nums = c * (den // jet.den), jet.nums
         for r in ranks:
             if nums[r]:
                 out[r] += m * nums[r]
+    # d/dx_ax keeps the layer: its (x2, ..., xn) part moves as a slice, one
+    # degree down, so it reads the layer to degree order + 1
+    sources = mi.x1_layers(n, min(order + 1, cap))[t]
     for c, jet, ax in derivatives:
-        # d/dx_ax keeps the layer: its (x2, ..., xn) part moves as a slice
         m, nums = c * (den // jet.den), jet.nums
         for src, dst, factor in mi.partial_map(n - 1, cap, ax - 2):
-            if src >= len(ranks):
+            if src >= len(sources):
                 break
-            if nums[ranks[src]]:
-                out[ranks[dst]] += m * factor * nums[ranks[src]]
-    rows, spans = mi.product_rows(n, cap), mi.product_layers(n, cap)[t]
+            if nums[sources[src]]:
+                out[sources[dst]] += m * factor * nums[sources[src]]
+    spans = mi.product_layers(n, order)[t]
     for c, x, y in products:
-        _mul_layer(rows, spans, x.nums, y.nums, c * (den // (x.den * y.den)), out)
+        _mul_layer(spans, x.nums, y.nums, c * (den // (x.den * y.den)), out)
     return out, den
 
 
@@ -974,7 +1004,10 @@ def _ck_solve(
     `_row_layer` at the valid order of the full-size sum of its row
     (`_valid_order`), the node writes layer t of its keys, layer t of each
     rest needs only layers <= t of the table, and layer t + 1 of the unknown
-    is -s * (that layer) / (t + 1). After layers 1..D this is the unique
+    is -s * (that layer) / (t + 1). Layer t + 1 has one degree less room
+    than layer t, so each rest is formed only to degree D - 1; the derived
+    entries and the node's keys are outputs or are read by derivative atoms,
+    so they are formed to D. After layers 1..D this is the unique
     truncated solution, the one that D + 1 Picard rounds of
     `ck.solve_first_order` reach, and every derived entry is the full-size
     sum of its row on it."""
@@ -1011,7 +1044,8 @@ def _ck_solve(
             if t == cap:
                 return table
             sums = {
-                key: _row_layer(row, table, d1, n, cap, t) for key, (_, row) in rests.items()
+                key: _row_layer(row, table, d1, n, cap, t, cap - 1)
+                for key, (_, row) in rests.items()
             }
         except Exception as err:
             raise EvaluationError(f"right-hand side failed at x1-layer {t}: {err}") from err
@@ -1021,7 +1055,7 @@ def _ck_solve(
             values[key] = _write_layer(
                 values[key],
                 layers[t + 1],
-                [sign * out[r] for r in layers[t]],
+                [sign * out[r] for r in mi.x1_layers(n, cap - 1)[t]],
                 den * (t + 1),
                 cap,
             )

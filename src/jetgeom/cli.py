@@ -21,6 +21,7 @@ from .builders import (
     FreeData,
     _draw,
     _record,
+    _require_node_bound,
     _require_workspace_bound,
     _slot_normal_value,
     _with_constant,
@@ -85,14 +86,16 @@ def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
 
 def _shape(sc: dict) -> tuple[int, int, int]:
     """The scenario's n, D >= 2 and seed, in either mode; an n outside the
-    construction's dimension rule and a workspace over the bound are
-    rejected before any data is drawn."""
+    construction's dimension rule, a workspace over the pair bound and a
+    statistical node over the node bound are rejected before any data is
+    drawn."""
     n, cap = _integer(sc["n"], "n"), _integer(sc["D"], "D")
     if cap < 2:
         raise ScenarioError("need D >= 2")
     seed = _integer(sc.get("seed", 0), "seed")
     _record(sc["construction"], n)
     _require_workspace_bound(n, cap)
+    _require_node_bound(sc["construction"], n, cap)
     return n, cap, seed
 
 

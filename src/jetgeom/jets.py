@@ -74,15 +74,16 @@ def _mul_nums(rows, a, b) -> list:
     return out
 
 
-def _mul_layer(rows, spans, a, b, scale: int, out: list):
+def _mul_layer(spans, a, b, scale: int, out: list):
     """Add scale times one x1-layer of the truncated product of two numerator
-    tuples into out, through the (ra, lo, hi) spans of the pair rows that
-    land on the layer (`multiindex.product_layers`)."""
-    for ra, lo, hi in spans:
+    tuples into out, through the (ra, pairs) spans of the pairs that land on
+    the layer (`multiindex.product_layers`); the spans of a lower cap form the
+    layer only to that degree."""
+    for ra, pairs in spans:
         ca = a[ra]
         if ca:
             ca *= scale
-            for rb, rc in rows[ra][lo:hi]:
+            for rb, rc in pairs:
                 cb = b[rb]
                 if cb:
                     out[rc] += ca * cb

@@ -13,8 +13,10 @@ from itertools import groupby
 
 
 # the largest product-pair table (`product_rows`: C(2n + D, D) pairs of under
-# 100 bytes each) a scenario or a report may need; the tests, demos and
-# benchmark use at most 12870 pairs (n = 4, D = 8)
+# 100 bytes each, which the spans of `product_layers` share) a scenario or a
+# report may need; a layered solve also builds the smaller tables of (n, D - 1)
+# for its rests. The tests, demos and benchmark use at most 12870 pairs
+# (n = 4, D = 8)
 MAX_PRODUCT_PAIRS = 100_000
 
 
@@ -99,19 +101,21 @@ def product_rows(n: int, cap: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def product_layers(n: int, cap: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Layer t lists the (ra, lo, hi) spans of `product_rows`: the pairs
-    lo..hi - 1 of row ra, whose product ranks rc have x1-exponent t. Every
-    pair lies in exactly one span, so the layers partition the one table of
-    pairs without copying it."""
+def product_layers(n: int, cap: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """Layer t lists the (ra, pairs) spans of `product_rows`: pairs is the run
+    of (rb, rc) pairs of row ra whose product ranks rc have x1-exponent t.
+    Every pair lies in exactly one span, so the layers partition the one table
+    of pairs; a span holds the table's own pair tuples in a tuple of its own.
+
+    Ranks of degree <= cap - 1 are the same in workspaces (n, cap) and
+    (n, cap - 1), so layer t of (n, cap - 1) holds exactly the pairs of layer
+    t of (n, cap) whose product has degree < cap, under the same ranks: the
+    layer of a product formed only to degree cap - 1."""
     x1 = _x1_exponents(n, cap)
     layers: list[list] = [[] for _ in range(cap + 1)]
     for ra, row in enumerate(product_rows(n, cap)):
-        lo = 0
         for s, block in groupby(row, key=lambda pair: x1[pair[0]]):
-            hi = lo + sum(1 for _ in block)
-            layers[x1[ra] + s].append((ra, lo, hi))
-            lo = hi
+            layers[x1[ra] + s].append((ra, tuple(block)))
     return tuple(tuple(spans) for spans in layers)
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -11,7 +12,7 @@ import pytest
 
 from jetgeom import cli, serialize
 from jetgeom import multiindex as mi
-from jetgeom.builders import BuildReport, Check, verify
+from jetgeom.builders import MAX_NODE_PAIRS, BuildReport, Check, _codazzi_spec, verify
 from jetgeom.cli import main
 from jetgeom.serialize import (
     canonical_dumps,
@@ -789,6 +790,8 @@ def test_census_construction_below_its_minimum_n_is_rejected_before_any_draw(
     [
         ("general", 3, 40),
         ("statistical", 1000, 2),
+        ("statistical", 12, 4),  # under the pair bound, over the node bound
+        ("statistical", 20, 3),
         ("metric-2d", 2, 10**9),
         ("torsion-free", 10**6, 10**6),
     ],
@@ -831,6 +834,33 @@ def test_workspace_bound_sits_between_c_22_16_and_c_23_17():
     cli._require_workspace_bound(4, 8)  # the largest workspace the tests use
     with pytest.raises(RejectionError) as err:
         cli._require_workspace_bound(3, 17)
+    assert err.value.reason == "workspace-too-large"
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_node_bound_counts_the_keys_of_the_codazzi_spec(n):
+    # statistical runs are admitted exactly while the node's key count times
+    # C(2n + D, D) is within the bound; other constructions have no node
+    keys = len(_codazzi_spec(n).determined)
+    for cap in range(2, 8):
+        if mi.exceeds_pair_bound(n, cap):
+            continue
+        cli._require_node_bound("general", n, cap)
+        if keys * comb(2 * n + cap, cap) <= MAX_NODE_PAIRS:
+            cli._require_node_bound("statistical", n, cap)
+        else:
+            with pytest.raises(RejectionError) as err:
+                cli._require_node_bound("statistical", n, cap)
+            assert err.value.reason == "workspace-too-large"
+
+
+def test_node_bound_sits_between_n_10_d_3_and_n_11_d_3():
+    # 276 keys over C(23, 3) pairs is 488796, 375 over C(25, 3) is 862500;
+    # the benchmark's n = 4, D = 4 is 5445
+    cli._require_node_bound("statistical", 10, 3)
+    cli._require_node_bound("statistical", 4, 4)
+    with pytest.raises(RejectionError) as err:
+        cli._require_node_bound("statistical", 11, 3)
     assert err.value.reason == "workspace-too-large"
 
 

@@ -164,6 +164,7 @@ BELOW_D_MINUS_ONE_R = {"n": 2, "D": 3, "valid_order": 1, "coeffs": {"1 0": "1/2"
         "free_data": {"default": "random", "slots": {"1;1,1": BELOW_D_MINUS_ONE_R}},
     }
 )
+@example(scenario={"construction": "statistical", "n": 12, "D": 4, "mode": "round_trip"})
 @given(scenario=or_junk(SCENARIOS))
 def test_run_on_generated_scenarios_keeps_the_exit_contract(tmp_path_factory, scenario):
     folder = tmp_path_factory.mktemp("run")

@@ -5,6 +5,7 @@ and the same stored coefficients, truncation garbage above the valid order
 included, since reports serialize it.
 """
 
+import random
 from fractions import Fraction
 from math import comb, gcd
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from jetgeom import DimensionMismatchError, Jet
 from jetgeom import multiindex as mi
+from jetgeom.builders import _Row, _row_layer
 from jetgeom.jets import _mul_layer, _mul_nums
 from oracles import (
     ref_add,
@@ -162,14 +164,33 @@ def test_pair_rows_hold_every_product_pair(n, cap):
 @pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])
 def test_product_layers_partition_the_pair_rows(n, cap):
     rows, exps = mi.product_rows(n, cap), mi.exponents(n, cap)
-    spanned = []
+    spanned, runs = [], [[] for _ in rows]
     for t, spans in enumerate(mi.product_layers(n, cap)):
-        for ra, lo, hi in spans:
-            for rb, rc in rows[ra][lo:hi]:
+        for ra, pairs in spans:
+            runs[ra].extend(pairs)
+            for rb, rc in pairs:
                 assert sum(exps[rc][:1]) == t  # x1-exponent 0 at n = 0
                 spanned.append((ra, rb))
     assert len(spanned) == comb(2 * n + cap, cap)
     assert sorted(spanned) == sorted((ra, rb) for ra, row in enumerate(rows) for rb, _ in row)
+    # each span is a contiguous run of its row, the runs in layer order
+    assert [tuple(run) for run in runs] == list(rows)
+
+
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(1, 9)])
+def test_layers_of_the_lower_cap_hold_the_pairs_below_the_cap(n, cap):
+    # the identity the layered solve's rests rest on: a product formed only
+    # to degree cap - 1 takes the spans of workspace (n, cap - 1) unchanged
+    degs = mi.degree_of(n, cap)
+    full, lower = mi.product_layers(n, cap), mi.product_layers(n, cap - 1)
+    assert len(lower) == len(full) - 1
+
+    def triples(spans):
+        return sorted((ra, rb, rc) for ra, pairs in spans for rb, rc in pairs)
+
+    for t, spans in enumerate(lower):
+        assert triples(spans) == [x for x in triples(full[t]) if degs[x[2]] < cap]
+    assert all(degs[rc] == cap for _, pairs in full[cap] for _, rc in pairs)
 
 
 @pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(7)])
@@ -192,8 +213,46 @@ def test_layer_products_add_up_to_the_product(n, cap):
     whole = _mul_nums(rows, a, b)
     for t, spans in enumerate(mi.product_layers(n, cap)):
         out = [0] * size
-        _mul_layer(rows, spans, a, b, -3, out)
+        _mul_layer(spans, a, b, -3, out)
         assert out == [-3 * c if sum(exps[r][:1]) == t else 0 for r, c in enumerate(whole)]
+
+
+@pytest.mark.parametrize(
+    "n, cap", [(1, 1), (2, 1), (1, 4), (2, 3), (2, 6), (3, 1), (3, 4), (4, 2)]
+)
+def test_row_layer_to_degree_d_minus_1_is_the_full_layer_below_d(n, cap):
+    # a rest's layer formed to cap - 1: every coefficient of degree < cap as
+    # the full layer's, zero at degree cap, the same denominator
+    rng = random.Random(100 * n + cap)
+    keys = "abcde"
+
+    def jet():
+        coeffs = [
+            Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5])) for _ in range(mi.size(n, cap))
+        ]
+        return Jet(n, cap, coeffs, rng.randint(0, cap))
+
+    degs, tops = mi.degree_of(n, cap), 0
+    for _ in range(6):
+        table = {key: jet() for key in keys}
+        row = _Row(
+            tuple((rng.randint(-3, 3), rng.choice(keys)) for _ in range(2)),
+            tuple((rng.randint(-3, 3), rng.choice(keys), rng.randint(1, n)) for _ in range(3)),
+            tuple((rng.randint(-3, 3), rng.choice(keys), rng.choice(keys)) for _ in range(3)),
+        )
+        d1 = {key: table[key].partial(1) for _, key, ax in row.derivatives if ax == 1}
+        for t in range(cap):
+            full, den = _row_layer(row, table, d1, n, cap, t)
+            assert _row_layer(row, table, d1, n, cap, t, cap) == (full, den)
+            lower, lower_den = _row_layer(row, table, d1, n, cap, t, cap - 1)
+            assert lower_den == den
+            below = [r for r, d in enumerate(degs) if d < cap]
+            assert [lower[r] for r in below] == [full[r] for r in below]
+            assert not any(v for v, d in zip(lower, degs) if d == cap)
+            tops += sum(1 for v, d in zip(full, degs) if d == cap and v)
+    # the full layers do hold coefficients at degree cap, but at n = 1,
+    # where layer t < cap is the one monomial x1^t
+    assert bool(tops) == (n > 1)
 
 
 def test_fraction_api_and_lowest_terms():

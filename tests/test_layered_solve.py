@@ -376,3 +376,98 @@ def test_failure_inside_a_layer_names_the_layer(monkeypatch):
         "right-hand side failed at x1-layer 2: jet matrix not invertible at the origin"
     )
     assert isinstance(err.value.__cause__, SingularJetError)
+
+
+# one small pinned scenario per construction for the tests of the solve's
+# kernel work: (n, D)
+SMALL = {
+    "general": (3, 3),
+    "trace-free-torsion": (3, 3),
+    "torsion-free": (3, 4),
+    "statistical": (3, 4),
+    "statistical-2d": (2, 4),
+    "trace-free-statistical-2d": (2, 4),
+    "metric-2d": (2, 4),
+}
+
+
+def solved_table(monkeypatch, tag, mode) -> dict:
+    """The table the one `_ck_solve` of the construction's small scenario
+    returns, seed 3."""
+    tables = []
+    real = builders_module._ck_solve
+
+    def spy(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(builders_module, "_ck_solve", spy)
+    n, cap = SMALL[tag]
+    sc = {"construction": tag, "n": n, "D": cap, "seed": 3}
+    if mode == "direct":
+        sc.update(prescribed=RANDOM_PRESCRIBED[tag], free_data="random")
+        _run_direct(sc)
+    else:
+        _run_round_trip(sc)
+    [table] = tables
+    return table
+
+
+@pytest.mark.parametrize(
+    "tag, mode",
+    [
+        (tag, mode)
+        for tag in SMALL
+        for mode in ("direct",) + (() if tag == "metric-2d" else ("round_trip",))
+    ],
+)
+def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
+    # the rests are formed to degree D - 1 because layer t + 1 of an unknown
+    # takes only their coefficients below D: junk written at the degree-D
+    # ranks of every rest layer must leave the solved table as it is
+    want = solved_table(monkeypatch, tag, mode)
+    real, junk = builders_module._row_layer, []
+
+    def rest_with_junk(row, table, d1, n, cap, t, order=None):
+        out, den = real(row, table, d1, n, cap, t, order)
+        if order == cap - 1:
+            top = mi.x1_layers(n, cap)[t][len(mi.x1_layers(n, order)[t]):]
+            for r in top:
+                out[r] = 7**r + 1
+            junk.extend(top)
+        return out, den
+
+    monkeypatch.setattr(builders_module, "_row_layer", rest_with_junk)
+    got = solved_table(monkeypatch, tag, mode)
+    assert junk
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key].same_payload(want[key]), key
+
+
+# the (rb, rc) pairs `_mul_layer` visits on spans with a nonzero first
+# factor, in the solve of each small scenario (direct mode, seed 3). A
+# ceiling may only move down. Rests formed to degree D took 6057, 6402,
+# 10626, 7473, 599, 524 and 1124.
+SOLVE_PAIR_CEILINGS = {
+    "general": 2265,
+    "trace-free-torsion": 2408,
+    "torsion-free": 4481,
+    "statistical": 4724,
+    "statistical-2d": 343,
+    "trace-free-statistical-2d": 310,
+    "metric-2d": 1043,
+}
+
+
+@pytest.mark.parametrize("tag", SMALL)
+def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, tag):
+    real, visits = builders_module._mul_layer, []
+
+    def counted(spans, a, b, scale, out):
+        visits.append(sum(len(pairs) for ra, pairs in spans if a[ra]))
+        return real(spans, a, b, scale, out)
+
+    monkeypatch.setattr(builders_module, "_mul_layer", counted)
+    solved_table(monkeypatch, tag, "direct")
+    assert 0 < sum(visits) <= SOLVE_PAIR_CEILINGS[tag]

@@ -16,12 +16,13 @@ at a time by `_row_layer` (the tests hold the full-size evaluator, the
 reference of every layer it writes). `_ck_solve` takes
 data only: one row per first-order CK unknown, fixed entries, derived
 entries (rows over the entries before them), the initial slices under the
-unknowns' own keys and at most one linear-solve node. It pops each
+unknowns' own keys and ordered blocks of keys solved from algebraic rows
+linear in them. It pops each
 unknown's x1-derivative (coefficient +-1) and asserts that the rests and
 the derived rows take x1-derivatives only of the fixed keys. It then
 builds the solution one x1-layer at a time, as the proof of the
-Cauchy-Kowalevski theorem does: layer t of a derived entry or a row
-needs only layers <= t of the unknowns, so layers 1..D cost about one pass
+Cauchy-Kowalevski theorem does: layer t of a derived entry, a block key or
+a row needs only layers <= t of the unknowns, so layers 1..D cost about one pass
 over the product pairs where the D + 1 Picard rounds of
 `ck.solve_first_order` (the public solver, and the reference) cost D + 1
 full passes. No build uses `ck`: the second-order metric-2d equation is
@@ -72,21 +73,21 @@ atoms (symbol key, metric key); on a symmetric table the keys fold, so the
 torsion terms cancel when the row is built. Each metric unknown g_ab takes
 its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_codazzi_spec` lists form the jet-linear system for the determined symbols.
-`_ck_solve` solves it with one linear-solve node, `_LinearNode`, which
-takes the symbols and gaps in blocks, one per lower index pair, in an order
-that makes the layer-0 coefficient matrix, of (n - 1)-variable jets, block
-lower triangular (the rule is in `_codazzi_spec`'s docstring). Each diagonal
+`_ck_solve` solves it in its own x1-layer loop from the blocks of
+`_determined_blocks`, one per lower index pair, in an order that makes the
+layer-0 coefficient matrix, of (n - 1)-variable jets, block lower
+triangular (the rule is in `_codazzi_spec`'s docstring). Each diagonal
 block, of at most n - 2 rows, is inverted once, and layer t of the symbols
 is written block by block by forward substitution: minus the block's
-inverse times the sum of layer t of its gaps, evaluated while that layer is
-still zero, and its off-diagonal entries times layer t of the symbols of
-earlier blocks. No build runs a full-size jet elimination;
-`solve_determined_christoffels` runs the node over given tables.
-`_codazzi_metric` holds the one assembly; the builders differ only in the
-fixed entries (the Christoffel table, and g11 where it is given), the node
-and the initial slices. trace-free-statistical-2d fixes nu^2 in
-place of g11 and solves g11 g22 - g12^2 - nu^2 = 0, which is linear in g11,
-with a one-key node, so no first-order build takes a full-size reciprocal.
+inverse times layer t of its gaps, evaluated on a table that holds layer t
+of the symbols of earlier blocks and not yet that of its own. No build runs
+a full-size jet elimination; `solve_determined_christoffels` runs the same
+solve over given tables. `_codazzi_metric` holds the one assembly; the
+builders differ only in the fixed entries (the Christoffel table, and g11
+where it is given), the blocks and the initial slices.
+trace-free-statistical-2d fixes nu^2 in place of g11 and solves
+g11 g22 - g12^2 - nu^2 = 0, which is linear in g11, as a one-key block, so
+no first-order build takes a full-size reciprocal.
 """
 
 from __future__ import annotations
@@ -877,7 +878,7 @@ def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
     `Jet` (a sum or product takes the least valid order of its terms, a
     derivative `jets.partial_valid_order`), the keys in exact counting as
     exact: for one row and no exact keys, the valid order of the full-size sum
-    of its atoms."""
+    of its atoms (D for no atoms)."""
     orders = []
     for row in rows:
         orders += [table[key].valid_order for _, key in row.linear]
@@ -888,98 +889,29 @@ def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
             min(table[y].valid_order, cap if x in exact else table[x].valid_order)
             for _, x, y in row.products
         ]
-    return min(orders)
+    return min(orders, default=cap)
 
 
-class _LinearNode:
-    """Keys solved one x1-layer at a time from as many algebraic rows, which
-    take no x1-derivative and hold each key only as the first factor of
-    product atoms: row i reads sum_j M_ij key_j + rest_i = 0 on a table.
-
-    The keys and rows come as an ordered sequence of blocks, each as many
-    rows as keys, such that a row reads keys of its own block and of earlier
-    blocks only: layer 0 of M, M0, a matrix of (n - 1)-variable jets, is
-    block lower triangular in that order. Layer t of M key_j is
-    M0 (key_j layer t) plus products of layers < t of key_j. So each diagonal
-    block B of M0 is inverted once, by `geometry._gauss_jordan` augmented by
-    the identity, and layer t of the rows is evaluated by `_row_layer` while
-    the keys' layer t is still zero; then block by block, in order, layer t
-    of the block's keys is -B^-1 (its rows' layer t + the off-diagonal M0
-    entries times layer t of the earlier blocks' keys), a forward
-    substitution. Every key gets the `_valid_order` of the rows, the keys
-    counting as exact, as an elimination of the full-size system gives it.
-    Layer 0 starts a solve: it zeroes the keys and inverts the blocks of M0
-    of its table."""
-
-    def __init__(self, blocks, n: int, cap: int):
-        self.blocks = tuple((tuple(keys), tuple(rows)) for keys, rows in blocks)
-        self.n, self.cap = n, cap
-        self.keys = tuple(key for keys, _ in self.blocks for key in keys)
-        self.rows = tuple(row for _, rows in self.blocks for row in rows)
-        self.key_set = frozenset(self.keys)
-        later = set(self.keys)
-        for keys, rows in self.blocks:
-            later.difference_update(keys)
-            for row in rows:
-                reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
-                reads |= {key for _, key, _ in row.derivatives}
-                if reads & self.key_set or any(ax == 1 for *_, ax in row.derivatives):
-                    raise AssertionError(
-                        f"{row} is not linear in {self.keys} or takes an x1-derivative"
-                    )
-                ahead = [x for _, x, _ in row.products if x in later]
-                if ahead:
-                    raise AssertionError(f"{row} holds {ahead[0]} of a later block")
-        self.values, self.solvers = {}, []
-
-    def _invert(self, table: Mapping) -> list:
-        """Per block, from layer 0 of the table: B^-1, and for each row the
-        M0 entries of the keys of earlier blocks."""
-        n, cap = self.n, self.cap
-        zero = Jet.zero(n - 1, cap)
-        solvers = []
-        for keys, rows in self.blocks:
-            matrix, offs = [], []
-            for i, row in enumerate(rows):
-                coeffs: dict = {}
-                for c, x, y in row.products:
-                    if x in self.key_set:
-                        entry = _signed(c, table[y].restrict_x1().jet)
-                        coeffs[x] = coeffs[x] + entry if x in coeffs else entry
-                matrix.append(
-                    [coeffs.pop(key, zero) for key in keys]
-                    + [Jet.constant(int(i == j), n - 1, cap) for j in range(len(keys))]
-                )
-                offs.append([(key, entry) for key, entry in coeffs.items() if not entry.is_zero()])
-            inverse = [row[len(keys):] for row in _gauss_jordan(matrix)]
-            solvers.append((inverse, offs))
-        return solvers
-
-    def layer(self, table: Mapping, t: int) -> dict:
-        """The keys with layer t written, from a table holding layers <= t
-        of every other entry the rows read."""
-        n, cap = self.n, self.cap
-        if t == 0:
-            self.values = {key: Jet.zero(n, cap) for key in self.keys}
-            self.solvers = self._invert(table)
-        table = {**table, **self.values}
-        ranks, order = mi.x1_layers(n, cap)[t], cap - t
-        zero = Jet.zero(n - 1, order)
-        valid = cap if t < cap else _valid_order(self.rows, table, cap, self.key_set)
-        written = {}  # layer t of the keys solved so far, (n - 1)-variable jets
-        for (keys, rows), (inverse, offs) in zip(self.blocks, self.solvers):
-            rhs = []
-            for row, off in zip(rows, offs):
-                out, den = _row_layer(row, table, {}, n, cap, t)
-                gap = zero._with_nums([out[r] for r in ranks], den, order)
-                rhs.append(_sum_jets([gap] + [e.truncate(order) * written[x] for x, e in off]))
-            for key, inverse_row in zip(keys, inverse):
-                step = _sum_jets(e.truncate(order) * v for e, v in zip(inverse_row, rhs))
-                written[key] = value = -step
-                self.values[key] = _write_layer(
-                    self.values[key], ranks, value.nums, value.den, valid
-                )
-        return dict(self.values)
+def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> list:
+    """B^-1 of each diagonal block B of M0, layer 0 of the blocks' matrix on
+    the table (see `_ck_solve`), by `geometry._gauss_jordan` augmented by the
+    identity."""
+    zero = Jet.zero(n - 1, cap)
+    inverses = []
+    for keys, rows in blocks:
+        matrix = []
+        for i, row in enumerate(rows):
+            coeffs: dict = {}
+            for c, x, y in row.products:
+                if x in keys:
+                    entry = _signed(c, table[y].restrict_x1().jet)
+                    coeffs[x] = coeffs[x] + entry if x in coeffs else entry
+            matrix.append(
+                [coeffs.get(key, zero) for key in keys]
+                + [Jet.constant(int(i == j), n - 1, cap) for j in range(len(keys))]
+            )
+        inverses.append([row[len(keys):] for row in _gauss_jordan(matrix)])
+    return inverses
 
 
 def _ck_solve(
@@ -987,32 +919,44 @@ def _ck_solve(
     fixed: Mapping,
     derived: Mapping,
     initial: Mapping,
-    node: _LinearNode | None = None,
+    blocks=(),
 ) -> dict:
     """Solve the first-order CK system with one equation row per unknown key,
     from the initial slice under the same key, the row holding the unknown's
     x1-derivative with coefficient s = +-1 and no other x1-derivative but of
     the fixed keys, as (u)_1 = -s * (rest of the row) on one table: the fixed
     entries, the unknowns, each derived entry as the sum of its row on the
-    entries before it, and the node's keys. A derived row too takes
+    entries before it, and the block keys. A derived row too takes
     x1-derivatives only of the fixed keys. Return that table of the solution,
     written to order D (the builders have required the initial slices valid
-    to D).
+    to D); (n, D) is the workspace of the fixed entries and the unknowns.
+
+    The blocks are (keys, rows) pairs, as many rows as keys, of algebraic
+    rows that take no x1-derivative and hold the block keys only as the
+    first factor of product atoms: row i reads sum_j M_ij key_j + rest_i = 0.
+    A row reads keys of its own block and of earlier blocks only, so layer 0
+    of M, M0, a matrix of (n - 1)-variable jets, is block lower triangular in
+    block order. Layer t of M key_j is M0 (key_j layer t) plus products of
+    layers < t of key_j.
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written with
     `_row_layer` at the valid order of the full-size sum of its row
-    (`_valid_order`), the node writes layer t of its keys, layer t of each
-    rest needs only layers <= t of the table, and layer t + 1 of the unknown
-    is -s * (that layer) / (t + 1). Layer t + 1 has one degree less room
-    than layer t, so each rest is formed only to degree D - 1; the derived
-    entries and the node's keys are outputs or are read by derivative atoms,
-    so they are formed to D. After layers 1..D this is the unique
-    truncated solution, the one that D + 1 Picard rounds of
-    `ck.solve_first_order` reach, and every derived entry is the full-size
-    sum of its row on it."""
-    some = next(iter(initial.values()))
-    n, cap = some.ambient_n, some.max_degree
+    (`_valid_order`). Then, block by block in order, layer t of the block's
+    rows is evaluated by `_row_layer` on the table holding layer t of the
+    earlier blocks' keys and not yet that of its own, and layer t of its keys
+    is -B^-1 times it, a forward substitution; each diagonal block B of M0 is
+    inverted once, at layer 0 (`_block_inverses`), and every block key gets
+    the `_valid_order` of the rows, the keys counting as exact, as an
+    elimination of the full-size system gives it. Layer t of each rest then
+    needs only layers <= t of the table, and layer t + 1 of the unknown is
+    -s * (that layer) / (t + 1). Layer t + 1 has one degree less room than
+    layer t, so each rest is formed only to degree D - 1; the derived entries
+    and the block keys are outputs or are read by derivative atoms, so they
+    are formed to D. After layers 1..D this is the unique truncated
+    solution, the one that D + 1 Picard rounds of `ck.solve_first_order`
+    reach, every derived entry is the full-size sum of its row on it, and
+    the block keys are the full-size elimination of their rows on it."""
     rests = _ck_rows(equations, fixed)
     for target, row in derived.items():
         consumed = _x1_consumed(row.derivatives, fixed)
@@ -1020,27 +964,54 @@ def _ck_solve(
             raise AssertionError(
                 f"the derived row of {target} consumes the x1-derivatives of {consumed}"
             )
-    rows = [row for _, row in rests.values()] + list(derived.values())
-    d1 = {key: fixed[key].partial(1) for row in rows for _, key, ax in row.derivatives if ax == 1}
-    layers = mi.x1_layers(n, cap)
+    solved = tuple(key for keys, _ in blocks for key in keys)
+    later = set(solved)
+    for keys, rows in blocks:
+        later.difference_update(keys)
+        for row in rows:
+            reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
+            reads |= {key for _, key, _ in row.derivatives}
+            if reads.intersection(solved) or any(ax == 1 for *_, ax in row.derivatives):
+                raise AssertionError(
+                    f"{row} is not linear in {solved} or takes an x1-derivative"
+                )
+            ahead = [x for _, x, _ in row.products if x in later]
+            if ahead:
+                raise AssertionError(f"{row} holds {ahead[0]} of a later block")
     values = {key: initial[key].promote() for key in equations}
-    values.update((target, Jet.zero(n, cap)) for target in derived)
+    shapes = {(jet.n, jet.max_degree) for jet in (*fixed.values(), *values.values())}
+    if len(shapes) != 1:
+        raise DimensionMismatchError(f"table entries in workspaces {sorted(shapes)}")
+    [(n, cap)] = shapes
+    values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
+    x1_rows = [row for _, row in rests.values()] + list(derived.values())
+    d1 = {key: fixed[key].partial(1) for row in x1_rows for _, key, ax in row.derivatives if ax == 1}
+    layers = mi.x1_layers(n, cap)
     for t in range(cap + 1):
         try:
             table = {**fixed, **values}
-            shapes = {(jet.n, jet.max_degree) for jet in table.values()}
-            if shapes != {(n, cap)}:
-                raise DimensionMismatchError(
-                    f"table entries in workspaces {sorted(shapes)}, unknowns in {(n, cap)}"
-                )
             for target, row in derived.items():
                 out, den = _row_layer(row, table, d1, n, cap, t)
                 valid = _valid_order([row], table, cap)
                 table[target] = values[target] = _write_layer(
                     values[target], layers[t], [out[r] for r in layers[t]], den, valid
                 )
-            if node is not None:
-                table.update(node.layer(table, t))
+            if t == 0:
+                inverses = _block_inverses(blocks, table, n, cap)
+                linear = [row for _, rows in blocks for row in rows]
+                solved_order = _valid_order(linear, table, cap, frozenset(solved))
+            order = cap - t
+            zero = Jet.zero(n - 1, order)
+            for (keys, rows), inverse in zip(blocks, inverses):
+                gaps = []
+                for row in rows:
+                    out, den = _row_layer(row, table, d1, n, cap, t)
+                    gaps.append(zero._with_nums([out[r] for r in layers[t]], den, order))
+                for key, inverse_row in zip(keys, inverse):
+                    step = -_sum_jets(e.truncate(order) * gap for e, gap in zip(inverse_row, gaps))
+                    table[key] = values[key] = _write_layer(
+                        values[key], layers[t], step.nums, step.den, solved_order
+                    )
             if t == cap:
                 return table
             sums = {
@@ -1214,7 +1185,7 @@ def build_metric_2d_prescribed_ricci(
     where p = (h)_1, (w)_1 = p r11 + h (r11)_1 and (v)_1 = p r22 + h (r22)_1.
     `_ck_solve` solves the first-order system (h)_1 = p, (p)_1 = F from the
     slices phi and psi. The reciprocals of r are fixed before the solve, and
-    1/h is the key of a one-key node on h (1/h) - 1 = 0, so the solve takes
+    1/h is the key of a one-key block on h (1/h) - 1 = 0, so the solve takes
     no full-size reciprocal. h is the unique truncated solution, the one that
     `ck.solve_second_order` gives."""
     _record("metric-2d", r.n)
@@ -1270,8 +1241,8 @@ def build_metric_2d_prescribed_ricci(
             products=((-1, "1/r22", "s"), (1, "1/h", "E"), (-2, "r11", "h")),
         ),
     }
-    node = _LinearNode([(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))])], 2, cap)
-    table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, node)
+    blocks = [(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))])]
+    table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, blocks)
     h = table["h"]
     metric = Metric(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
@@ -1313,7 +1284,7 @@ def _codazzi_spec(n: int) -> _CodazziSpec:
     (1, n), ..., (1, 2), then (i, k) with 2 <= i < k by i and then k
     descending, then (n, n), ..., (2, 2). A gap reads symbols of its own
     block and of earlier blocks only, so layer 0 of the system's matrix is
-    block lower triangular in that order and the node solves it by forward
+    block lower triangular in that order and `_ck_solve` solves it by forward
     substitution."""
     top = range(2, n + 1)
     unknowns = [("g", i, j) for i, j in _pairs(n)[1:]]  # all but g_11
@@ -1374,40 +1345,37 @@ def _block_order(pair: tuple[int, int]) -> tuple:
     return (i == k, i != 1, -i, -k)
 
 
-def _determined_node(n: int, cap: int, determined_keys) -> _LinearNode:
-    """The node of the determined symbols: the algebraic Codazzi gaps of
-    `_codazzi_spec`, linear in the determined symbols, one block per lower
-    index pair (symbol (t, i, k) in the block of (i, k)), in the spec's block
-    order."""
+def _determined_blocks(n: int, determined_keys) -> list:
+    """The `_ck_solve` blocks of the determined symbols: the algebraic
+    Codazzi gaps of `_codazzi_spec`, linear in the determined symbols, one
+    block per lower index pair (symbol (t, i, k) in the block of (i, k)), in
+    the spec's block order."""
     gaps = _codazzi_spec(n).gaps
     pairs = sorted({key[1:] for key in determined_keys}, key=_block_order)
-    blocks = [
+    return [
         (
             [key for key in determined_keys if key[1:] == pair],
             [_codazzi_gap(*gap, n, True) for gap in gaps if _solved_pair(gap) == pair],
         )
         for pair in pairs
     ]
-    return _LinearNode(blocks, n, cap)
 
 
 def solve_determined_christoffels(
     n: int,
-    cap: int,
     gtable: Mapping[tuple, Jet],
     free_gammas: Mapping[tuple, Jet],
     determined_keys: list,
 ) -> dict:
     """Solve the algebraic Codazzi gaps on the metric table (keys ("g", i, j))
-    for the determined Christoffel symbols (keys (t, i, j)): the node of
-    `build_statistical_nd`, run over the given tables. No build calls it;
-    it stays only because the benchmark's tracing looks it up by name for
-    its `builders.det_solve` span."""
-    node = _determined_node(n, cap, determined_keys)
-    table = {**gtable, **free_gammas}
-    for t in range(cap + 1):
-        solved = node.layer(table, t)
-    return solved
+    for the determined Christoffel symbols (keys (t, i, j)): the blocks of
+    `build_statistical_nd`, solved by one `_ck_solve` with no equations over
+    the given tables. No build calls it; it stays only because the
+    benchmark's tracing looks it up by name for its `builders.det_solve`
+    span."""
+    blocks = _determined_blocks(n, determined_keys)
+    table = _ck_solve({}, {**gtable, **free_gammas}, {}, {}, blocks)
+    return {key: table[key] for key in determined_keys}
 
 
 def _codazzi_metric(
@@ -1415,26 +1383,26 @@ def _codazzi_metric(
     symmetric: bool,
     initial: Mapping,
     fixed: Mapping,
-    node: _LinearNode | None = None,
+    blocks=(),
 ) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
     initial slices, and its table with the Christoffel symbols. g11 is fixed
-    or a key of the node, which writes every x1-layer of its keys."""
+    or a block key, which the solve writes at every x1-layer."""
     unknowns = _codazzi_spec(n).unknowns
     rows = {key: _codazzi_gap(1, key[2], key[1], n, symmetric) for key in unknowns}
-    table = _ck_solve(rows, fixed, {}, initial, node)
+    table = _ck_solve(rows, fixed, {}, initial, blocks)
     return Metric(n, {pair: table[("g", *pair)] for pair in _pairs(n)}), table
 
 
 def _codazzi_metric_2d(
-    conn: Connection, init12: SliceJet, init22: SliceJet, given: Mapping, node=None
+    conn: Connection, init12: SliceJet, init22: SliceJet, given: Mapping, blocks=()
 ) -> Metric:
     """The 2D Codazzi metric of a given connection, with the given entries
-    (g11, or nu^2 for the node) fixed next to its symbols."""
+    (g11, or nu^2 for the block of g11) fixed next to its symbols."""
     symmetric = conn.is_symmetric_table()
     fixed = {_canon(symmetric, *key): jet for key, jet in conn.gamma.items()}
     initial = {("g", 1, 2): init12, ("g", 2, 2): init22}
-    return _codazzi_metric(2, symmetric, initial, {**fixed, **given}, node)[0]
+    return _codazzi_metric(2, symmetric, initial, {**fixed, **given}, blocks)[0]
 
 
 def build_statistical_2d(
@@ -1456,8 +1424,8 @@ def build_trace_free_statistical_2d(
 ) -> BuildReport:
     """Trace-free variant: the parallel volume form of the connection pins
     det g = nu^2, so only two one-variable slices remain free. The row
-    g11 g22 - g12^2 - nu^2 = 0 is linear in g11, and a one-key node solves
-    it at every x1-layer. Requires symmetric Ricci."""
+    g11 g22 - g12^2 - nu^2 = 0 is linear in g11, and the solve writes it as a
+    one-key block at every x1-layer. Requires symmetric Ricci."""
     _record("trace-free-statistical-2d", conn.n)
     if not conn.is_symmetric_table():
         raise RejectionError("connection-not-symmetric", "needs a torsion-free input")
@@ -1467,17 +1435,17 @@ def build_trace_free_statistical_2d(
     _admit(report)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     det = _Row(((-1, "nu^2"),), (), ((1, ("g", 1, 1), ("g", 2, 2)), (-1, ("g", 1, 2), ("g", 1, 2))))
-    node = _LinearNode([([("g", 1, 1)], [det])], 2, cap)
-    metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, node)
+    blocks = [([("g", 1, 1)], [det])]
+    metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, blocks)
     report.outputs = {"metric": metric, "volume": volume}
     return _checked(report)
 
 
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     """Statistical structure in dimension n >= 3: the metric components solve
-    the CK rows of the Codazzi gap while the node of the algebraic gaps
-    writes, at every x1-layer, that layer of the determined Christoffel
-    symbols."""
+    the CK rows of the Codazzi gap while the solve writes, at every x1-layer,
+    that layer of the determined Christoffel symbols from the blocks of the
+    algebraic gaps."""
     _record("statistical", n)
     g11 = fd.free_functions.get(metric_slot(1, 1))
     if g11 is None:
@@ -1485,9 +1453,9 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     cap = g11.max_degree
     report = BuildReport("statistical", n, cap, {}, fd, None, [])
     _admit(report)
-    node = _determined_node(n, cap, _codazzi_spec(n).determined)
+    blocks = _determined_blocks(n, _codazzi_spec(n).determined)
     fixed, initial = _keyed(fd.free_functions), _keyed(fd.initial_slices)
-    metric, table = _codazzi_metric(n, True, initial, fixed, node)
+    metric, table = _codazzi_metric(n, True, initial, fixed, blocks)
     report.outputs = {"connection": Connection.from_symmetric(n, table), "metric": metric}
     return _checked(report)
 

@@ -289,9 +289,18 @@ def _run_round_trip(sc: dict) -> BuildReport:
     raise ScenarioError(f"round_trip mode does not support {tag!r}")
 
 
+def _read_json(path: str):
+    """The JSON document of a file; one nested too deep for the parser is
+    malformed input (ValueError), where `json.loads` raises RecursionError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
 def cmd_run(args) -> int:
     try:
-        sc = json.loads(Path(args.scenario).read_text())
+        sc = _read_json(args.scenario)
         if not isinstance(sc, dict) or "construction" not in sc:
             raise ScenarioError("scenario must be an object with a construction tag")
         mode = sc.get("mode", "direct")
@@ -339,7 +348,7 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        report = serialize.report_from_json(json.loads(Path(args.report).read_text()))
+        report = serialize.report_from_json(_read_json(args.report))
         ok = verify(report, args.order)
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, JetError) as err:
         print(f"malformed report: {err}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """The seam between the first-order builders and their CK solve.
 
-`builders._ck_solve(equations, fixed, derived, initial, node)` solves one
+`builders._ck_solve(equations, fixed, derived, initial, blocks)` solves one
 x1-layer at a time. `picard_system` rebuilds the same rows as the system of
 `ck.solve_first_order`, each unknown labelled by its table key: a full-size
 right-hand side evaluated with `oracles._row_sum` on the table of the fixed
 entries, the unknowns' values and the derived entries (each the `_row_sum` of
-its row on the entries before it), with the node's keys solved on that table
-by the full-size elimination `oracles.ref_linear_solve`, which is the
-reference the layered solve must match.
+its row on the entries before it), with the keys of every block solved on
+that table by one full-size elimination `oracles.ref_linear_solve` of all
+the blocks' rows, which is the reference the layered solve must match.
 """
 
 from __future__ import annotations
@@ -18,15 +18,17 @@ from jetgeom.ck import FirstOrderSystem
 from oracles import _row_sum, ref_linear_solve
 
 
-def picard_system(equations, fixed, derived, initial, node=None) -> FirstOrderSystem:
+def picard_system(equations, fixed, derived, initial, blocks=()) -> FirstOrderSystem:
     rests = _ck_rows(equations, fixed)
+    keys = [key for block_keys, _ in blocks for key in block_keys]
+    rows = [row for _, block_rows in blocks for row in block_rows]
 
     def rhs(values):
         table = {**fixed, **values}
         for target, row in derived.items():
             table[target] = _row_sum(row, table)[0]
-        if node is not None:
-            table.update(ref_linear_solve(node.keys, node.rows, table))
+        if blocks:
+            table.update(ref_linear_solve(keys, rows, table))
         return {key: _signed(sign, _row_sum(row, table)[0]) for key, (sign, row) in rests.items()}
 
     return FirstOrderSystem(tuple(equations), rhs, initial)

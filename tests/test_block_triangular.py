@@ -1,4 +1,4 @@
-"""The block order of the determined-symbol node against a block
+"""The block order of the determined-symbol blocks against a block
 triangularization computed from scratch: a structural matching of the
 algebraic Codazzi gaps to the determined symbols, then Tarjan's strongly
 connected components of the dependency graph it induces (Duff & Reid,
@@ -7,7 +7,7 @@ a matrix", ACM TOMS 1978)."""
 
 import pytest
 
-from jetgeom.builders import _codazzi_gap, _codazzi_spec, _determined_node
+from jetgeom.builders import _codazzi_gap, _codazzi_spec, _determined_blocks
 
 
 def perfect_matching(pattern: list[set], columns) -> list:
@@ -77,7 +77,7 @@ def test_determined_symbol_blocks_are_the_block_triangular_form(n):
         graph[key] |= reads - {key}
     components = strongly_connected_components(graph)
 
-    blocks = [set(keys) for keys, _ in _determined_node(n, 2, spec.determined).blocks]
+    blocks = [set(keys) for keys, _ in _determined_blocks(n, spec.determined)]
     assert sorted(map(sorted, blocks)) == sorted(map(sorted, components))
     position = {key: b for b, keys in enumerate(blocks) for key in keys}
     for key, reads in graph.items():

@@ -9,6 +9,7 @@ import jetgeom.geometry as geometry_module
 from jetgeom import (
     Bilinear,
     Connection,
+    EvaluationError,
     FreeData,
     Jet,
     RejectionError,
@@ -42,8 +43,9 @@ from jetgeom import (
     zero_free_data,
 )
 from jetgeom.builders import (
+    _ck_solve,
     _codazzi_spec,
-    _determined_node,
+    _determined_blocks,
     _same_value,
     verify_read_back,
 )
@@ -637,10 +639,9 @@ def test_determined_solve_matches_sequential_substitution(n):
                     gammas_known[(t, a, b)] = random_poly(
                         rng.randrange(2**32), n, 2, 2, cap
                     )
-    node = _determined_node(n, cap, _codazzi_spec(n).determined)
+    blocks = _determined_blocks(n, _codazzi_spec(n).determined)
     table = {("g", *pair): jet for pair, jet in gtable.items()}
-    for t in range(cap + 1):
-        simultaneous = node.layer({**table, **gammas_known}, t)
+    simultaneous = _ck_solve({}, {**table, **gammas_known}, {}, {}, blocks)
     sequential = _sequential_solve(
         _oracle_rows(n, cap, gtable, gammas_known, det), n, cap
     )
@@ -660,8 +661,9 @@ def test_determined_symbol_system_singular_at_origin_raises():
         for key in builders_module._all_pair_keys(n)
         if key not in set(det)
     }
-    with pytest.raises(SingularJetError):
-        _determined_node(n, CAP, det).layer({**gtable, **free}, 0)
+    with pytest.raises(EvaluationError, match="^right-hand side failed at x1-layer 0: ") as err:
+        _ck_solve({}, {**gtable, **free}, {}, {}, _determined_blocks(n, det))
+    assert isinstance(err.value.__cause__, SingularJetError)
 
 
 # ---------------------------------------------------------------------------

@@ -1212,6 +1212,17 @@ def test_malformed_scenario_choices_exit_1(tmp_path, capsys, payload, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, what", [("run", "scenario"), ("verify", "report")])
+def test_deeply_nested_json_input_exits_1(tmp_path, capsys, command, what):
+    # too deep for the JSON parser: malformed input, not a RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed {what}: JSON nested too deeply to read\n"
+
+
 def unknown_construction(data):
     data["construction"] = "kaehler"
 

@@ -32,14 +32,15 @@ from jetgeom.builders import (
     _Row,
     _all_pair_keys,
     _checked,
+    _ck_solve,
     _codazzi_spec,
-    _determined_node,
+    _determined_blocks,
     parse_slot,
 )
 from jetgeom.ck import solve_first_order
 from jetgeom.cli import _run_direct, _run_round_trip
 from jetgeom.serialize import canonical_dumps, jet_to_json, report_to_json
-from oracles import _row_sum, ref_determined_christoffels, ref_metric_2d_h
+from oracles import _row_sum, ref_determined_christoffels, ref_linear_solve, ref_metric_2d_h
 
 ROW_BUILDS = [
     (tag, n)
@@ -83,16 +84,24 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
         _run_direct(sc)
     else:
         _run_round_trip(sc)
-    [(system, (equations, fixed, derived, *_), table)] = calls
+    [(system, args, table)] = calls
+    equations, fixed, derived, _, blocks = (*args, ())[:5]
     picard = solve_first_order(system).values
     for key in equations:
         assert table[key].same_payload(picard[key]), key
     # each derived entry, valid order included, is its row's sum on the
-    # Picard solution (the torsion-free G^k_kk are valid to D - 1)
+    # Picard solution (the torsion-free G^k_kk are valid to D - 1), and the
+    # block keys are the full-size elimination of the blocks' rows on it
     full = {**fixed, **picard}
     for target, row in derived.items():
         full[target] = _row_sum(row, full)[0]
         assert table[target].same_payload(full[target]), target
+    keys = [key for block_keys, _ in blocks for key in block_keys]
+    rows = [row for _, block_rows in blocks for row in block_rows]
+    assert bool(keys) == (tag in ("statistical", "trace-free-statistical-2d", "metric-2d"))
+    for key, jet in ref_linear_solve(keys, rows, full).items():
+        assert table[key].same_payload(jet), key
+    assert set(table) == set(full) | set(keys)
 
 
 @pytest.mark.parametrize("mode", ["direct", "round_trip"])
@@ -114,15 +123,17 @@ def test_ck_solve_keys_every_entry_by_its_slot(monkeypatch, tag, n, mode):
     else:
         _run_round_trip(sc)
     [(_, args, _)] = calls
-    equations, fixed, derived, initial, node = (*args, None)[:5]
+    equations, fixed, derived, initial, blocks = (*args, ())[:5]
     cen = census(tag, n)
     assert set(initial) == set(equations) == {parse_slot(s) for s in cen.initial_slice_slots}
     assert all(parse_slot(s) in fixed for s in cen.free_function_slots if s != "phi")
     determined = {parse_slot(s) for s in cen.determined}
+    keys = [key for block_keys, _ in blocks for key in block_keys]
     if tag == "statistical":
-        assert set(node.keys) == determined
+        assert sorted(keys) == sorted(determined)
     else:
         assert determined == set(derived) - {("div", l) for l in range(1, n + 1)}
+        assert not keys
 
 
 def inline_metric_2d_data(cap: int, seed: int) -> dict:
@@ -189,20 +200,19 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
         for key in _all_pair_keys(n)
         if key not in set(determined)
     }
-    layers = _determined_node(n, cap, determined)
-    for t in range(cap + 1):
-        node = layers.layer({**gtable, **free}, t)
+    solved = _ck_solve({}, {**gtable, **free}, {}, {}, _determined_blocks(n, determined))
     full = ref_determined_christoffels(n, cap, gtable, free, determined)
-    assert set(node) == set(determined)
+    assert set(solved) == set(gtable) | set(free) | set(determined)
     for key in determined:
-        assert node[key].same_payload(full[key]), key
+        assert solved[key].same_payload(full[key]), key
 
 
 def test_a_node_run_again_solves_afresh():
-    # a second solve on one node must not read the first solve's layers
+    # a second solve over the same blocks must not read the first solve's
+    # layers, and no solve changes the blocks
     n, cap = 3, 4
     determined = _codazzi_spec(n).determined
-    node = _determined_node(n, cap, determined)
+    blocks = _determined_blocks(n, determined)
     tables = []
     for seed in (1, 2):
         g0 = random_normalized_metric(seed, n, cap, 2, 2)
@@ -213,12 +223,12 @@ def test_a_node_run_again_solves_afresh():
         tables.append(table)
     runs = []
     for table in (*tables, tables[0]):
-        for t in range(cap + 1):
-            solved = node.layer(table, t)
-        runs.append(solved)
+        solved = _ck_solve({}, table, {}, {}, blocks)
+        runs.append({key: solved[key] for key in determined})
     assert runs[0] != runs[1]
     for key in determined:
         assert runs[2][key].same_payload(runs[0][key]), key
+    assert blocks == _determined_blocks(n, determined)
 
 
 @pytest.mark.parametrize("n, blocks", [(3, 3), (4, 7)])
@@ -241,14 +251,14 @@ def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n, bl
 def test_determined_symbol_blocks_out_of_order_are_rejected(monkeypatch):
     # a gap of the first block that reads a symbol of the second: the
     # layer-0 matrix is not block lower triangular in the swapped order
-    real = builders_module._LinearNode
+    real = builders_module._determined_blocks
 
-    def swapped(blocks, n, cap):
-        blocks = list(blocks)
+    def swapped(n, determined_keys):
+        blocks = real(n, determined_keys)
         blocks[0], blocks[1] = blocks[1], blocks[0]
-        return real(blocks, n, cap)
+        return blocks
 
-    monkeypatch.setattr(builders_module, "_LinearNode", swapped)
+    monkeypatch.setattr(builders_module, "_determined_blocks", swapped)
     monkeypatch.setattr(builders_module, "_row_layer", unreachable)
     with pytest.raises(AssertionError, match=r"holds \(4, 1, 3\) of a later block$"):
         build_statistical_nd(4, random_free_data(census("statistical", 4), 5, 2, 2, 3))
@@ -358,17 +368,18 @@ def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):
 
 
 def test_failure_inside_a_layer_names_the_layer(monkeypatch):
-    # the determined-symbol node runs once per layer: the third is layer 2
-    real = builders_module._LinearNode.layer
+    # the determined-symbol rows, formed to degree D, are evaluated at every
+    # layer: the first of them at layer 2 fails
+    real = builders_module._row_layer
     calls = []
 
-    def third_fails(node, table, t):
+    def fails_at_layer_2(row, table, d1, n, cap, t, order=None):
         calls.append(t)
-        if len(calls) == 3:
+        if t == 2 and order is None:
             raise SingularJetError("jet matrix not invertible at the origin")
-        return real(node, table, t)
+        return real(row, table, d1, n, cap, t, order)
 
-    monkeypatch.setattr(builders_module._LinearNode, "layer", third_fails)
+    monkeypatch.setattr(builders_module, "_row_layer", fails_at_layer_2)
     fd = random_free_data(census("statistical", 3), 5, 2, 2, 4)
     with pytest.raises(EvaluationError) as err:
         build_statistical_nd(3, fd)
@@ -376,6 +387,7 @@ def test_failure_inside_a_layer_names_the_layer(monkeypatch):
         "right-hand side failed at x1-layer 2: jet matrix not invertible at the origin"
     )
     assert isinstance(err.value.__cause__, SingularJetError)
+    assert max(calls) == 2
 
 
 # one small pinned scenario per construction for the tests of the solve's
@@ -391,9 +403,9 @@ SMALL = {
 }
 
 
-def solved_table(monkeypatch, tag, mode) -> dict:
-    """The table the one `_ck_solve` of the construction's small scenario
-    returns, seed 3."""
+def solved_table(monkeypatch, tag, mode, workspace=None) -> dict:
+    """The table the one `_ck_solve` of the construction's scenario in
+    workspace (n, D) returns, seed 3; by default its small scenario."""
     tables = []
     real = builders_module._ck_solve
 
@@ -402,7 +414,7 @@ def solved_table(monkeypatch, tag, mode) -> dict:
         return tables[-1]
 
     monkeypatch.setattr(builders_module, "_ck_solve", spy)
-    n, cap = SMALL[tag]
+    n, cap = workspace or SMALL[tag]
     sc = {"construction": tag, "n": n, "D": cap, "seed": 3}
     if mode == "direct":
         sc.update(prescribed=RANDOM_PRESCRIBED[tag], free_data="random")
@@ -448,7 +460,9 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
 # the (rb, rc) pairs `_mul_layer` visits on spans with a nonzero first
 # factor, in the solve of each small scenario (direct mode, seed 3). A
 # ceiling may only move down. Rests formed to degree D took 6057, 6402,
-# 10626, 7473, 599, 524 and 1124.
+# 10626, 7473, 599, 524 and 1124. statistical-n4 is statistical at (4, 3),
+# the smallest workspace whose determined-symbol blocks have off-diagonal
+# entries, which each later block's rows read from the solve's table.
 SOLVE_PAIR_CEILINGS = {
     "general": 2265,
     "trace-free-torsion": 2408,
@@ -457,11 +471,15 @@ SOLVE_PAIR_CEILINGS = {
     "statistical-2d": 343,
     "trace-free-statistical-2d": 310,
     "metric-2d": 1043,
+    "statistical-n4": 11686,
 }
+# the scenarios of the ceilings that are not a construction's small one
+PAIR_SCENARIOS = {"statistical-n4": ("statistical", (4, 3))}
 
 
-@pytest.mark.parametrize("tag", SMALL)
-def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, tag):
+@pytest.mark.parametrize("name", SOLVE_PAIR_CEILINGS)
+def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, name):
+    tag, workspace = PAIR_SCENARIOS.get(name, (name, None))
     real, visits = builders_module._mul_layer, []
 
     def counted(spans, a, b, scale, out):
@@ -469,5 +487,5 @@ def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, tag):
         return real(spans, a, b, scale, out)
 
     monkeypatch.setattr(builders_module, "_mul_layer", counted)
-    solved_table(monkeypatch, tag, "direct")
-    assert 0 < sum(visits) <= SOLVE_PAIR_CEILINGS[tag]
+    solved_table(monkeypatch, tag, "direct", workspace)
+    assert 0 < sum(visits) <= SOLVE_PAIR_CEILINGS[name]

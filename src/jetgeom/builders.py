@@ -123,7 +123,9 @@ from .geometry import (
     split,
     torsion_trace,
 )
-from .jets import Jet, SliceJet, _mul_layer, as_fraction, partial_valid_order, random_poly
+from .jets import (
+    Jet, SliceJet, _mul_layer, as_fraction, partial_valid_order, product_sum, random_poly
+)
 
 HALF = Fraction(1, 2)
 
@@ -511,7 +513,9 @@ def _metric_normalized_at_zero(report: BuildReport, order: int) -> bool:
 
 def _volume_determinant(report: BuildReport, order: int) -> bool:
     g, volume = report.outputs["metric"], report.outputs["volume"]
-    gap = g.comp(1, 1) * g.comp(2, 2) - g.comp(1, 2) * g.comp(1, 2) - volume * volume
+    gap = product_sum(
+        ((1, g.comp(1, 1), g.comp(2, 2)), (-1, g.comp(1, 2), g.comp(1, 2)), (-1, volume, volume))
+    )
     return gap.is_zero_up_to(order)
 
 
@@ -1008,7 +1012,9 @@ def _ck_solve(
                     out, den = _row_layer(row, table, d1, n, cap, t)
                     gaps.append(zero._with_nums([out[r] for r in layers[t]], den, order))
                 for key, inverse_row in zip(keys, inverse):
-                    step = -_sum_jets(e.truncate(order) * gap for e, gap in zip(inverse_row, gaps))
+                    step = product_sum(
+                        (-1, e.truncate(order), gap) for e, gap in zip(inverse_row, gaps)
+                    )
                     table[key] = values[key] = _write_layer(
                         values[key], layers[t], step.nums, step.den, solved_order
                     )

@@ -77,11 +77,16 @@ def _integer(value, name: str) -> int:
 
 
 def _bounds(sc: dict, section: str, cap: int) -> tuple[int, int]:
-    """Degree and coefficient bound of the random draws, from the "random"
-    (direct mode) or "round_trip" section."""
+    """Degree (0..D) and coefficient bound (>= 0) of the random draws, from
+    the "random" (direct mode) or "round_trip" section."""
     cfg = _object(sc.get(section, {}), section)
-    defaults = {"degree": min(3, cap - 1), "coeff_bound": 2}
-    return tuple(_integer(cfg.get(k, v), f"{section}.{k}") for k, v in defaults.items())
+    degree = _integer(cfg.get("degree", min(3, cap - 1)), f"{section}.degree")
+    bound = _integer(cfg.get("coeff_bound", 2), f"{section}.coeff_bound")
+    if not 0 <= degree <= cap:
+        raise ScenarioError(f"{section}.degree must be in 0..D = {cap}, not {degree}")
+    if bound < 0:
+        raise ScenarioError(f"{section}.coeff_bound must be >= 0, not {bound}")
+    return degree, bound
 
 
 def _shape(sc: dict) -> tuple[int, int, int]:

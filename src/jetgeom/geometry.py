@@ -19,7 +19,7 @@ from .errors import (
     RejectionError,
     SingularJetError,
 )
-from .jets import Jet, ZERO
+from .jets import Jet, ZERO, product_sum
 
 HALF = Fraction(1, 2)
 
@@ -304,7 +304,8 @@ def lambda_term(conn: Connection) -> Bilinear:
     L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl], so
     ricci = ricci_derivative_part - lambda_term. On a symmetric table both
     sums are symmetric in (i, j), so L_ij is formed for i <= j only; a
-    general table is not, and gets every (i, j)."""
+    general table is not, and gets every (i, j). Each L_ij is one
+    `jets.product_sum` of its n^2 + n terms."""
     n = conn.n
     rng = range(1, n + 1)
     g = conn.gamma
@@ -312,9 +313,9 @@ def lambda_term(conn: Connection) -> Bilinear:
     out = {}
     for i in rng:
         for j in range(i, n + 1) if conn.symmetric else rng:
-            quad2 = _sum_jets(g[(l, k, j)] * g[(k, i, l)] for k in rng for l in rng)
-            quad1 = _sum_jets(g[(l, i, j)] * div.comp(l) for l in rng)
-            out[(i, j)] = quad2 - quad1
+            quad2 = [(1, g[(l, k, j)], g[(k, i, l)]) for k in rng for l in rng]
+            quad1 = [(-1, g[(l, i, j)], div.comp(l)) for l in rng]
+            out[(i, j)] = product_sum(quad2 + quad1)
     if conn.symmetric:
         out.update({(j, i): out[(i, j)] for i, j in list(out)})
     return Bilinear(n, out)
@@ -432,8 +433,9 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
     """(nabla g)_ijk = (g_jk)_i - A_ijk - A_ikj with A_ijk = sum_l G^l_ij g_lk.
 
     nabla g is symmetric in (j, k), so only j <= k is formed; on a symmetric
-    table A_ijk = A_jik is formed only for i <= j. At n = 4 that is 160 jet
-    products on a symmetric table and 256 on a general one.
+    table A_ijk = A_jik is formed only for i <= j. Each A_ijk is one
+    `jets.product_sum` of n products: at n = 4 that is 160 products on a
+    symmetric table and 256 on a general one.
 
     With an order k (0..D), the partials are taken at the cap D and truncated
     to k, and every product is formed at cap k: the result lives in workspace
@@ -452,7 +454,7 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
                 if conn.symmetric and j < i:
                     a[(i, j, k)] = a[(j, i, k)]
                 else:
-                    a[(i, j, k)] = _sum_jets(gamma[(l, i, j)] * comps[(l, k)] for l in rng)
+                    a[(i, j, k)] = product_sum((1, gamma[(l, i, j)], comps[(l, k)]) for l in rng)
     dg = _truncated(
         {(i, j, k): g.comp(j, k).partial(i) for i in rng for j in rng for k in range(j, n + 1)},
         order,
@@ -531,7 +533,9 @@ def levi_civita(g: Metric, order: int | None = None) -> Connection:
 
     With an order k (0..D), the partials are taken at the cap D and truncated
     to k, and the inverse and every product are formed at cap k: the result
-    lives in workspace (n, k) and is the full one truncated to k."""
+    lives in workspace (n, k) and is the full one truncated to k. The bracket
+    is formed once per (k, i, j), and each symbol's contraction is one
+    `jets.product_sum`."""
     n = g.n
     rng = range(1, n + 1)
     inv = metric_inverse(g, order)
@@ -540,13 +544,11 @@ def levi_civita(g: Metric, order: int | None = None) -> Connection:
     )
     lower = {}
     for i in rng:
-        for j in rng:
-            if i > j:
-                continue
+        for j in range(i, n + 1):
+            bracket = [dg[(k, i, j)] + dg[(j, k, i)] - dg[(j, i, k)] for k in rng]
             for s in rng:
-                lower[(s, i, j)] = _sum_jets(
-                    inv[(s, k)] * (dg[(k, i, j)] + dg[(j, k, i)] - dg[(j, i, k)])
-                    for k in rng
+                lower[(s, i, j)] = product_sum(
+                    (1, inv[(s, k)], b) for k, b in zip(rng, bracket)
                 ).scale(HALF)
     return Connection.from_symmetric(n, lower)
 

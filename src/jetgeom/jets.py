@@ -14,6 +14,12 @@ zero jet has den == 1), and every operation runs on these integers. The API
 speaks fractions.Fraction: the constructor, `coeffs`, `terms`, `coefficient`
 and `constant_term` take or return Fractions. There is no floating point
 anywhere. Jets are immutable values: every operation returns a fresh jet.
+
+Products run through one pair loop, `_mul_layer`. A sum of products
+c * a * b (`product_sum`) adds every product into one list of numerators over
+one denominator, the lcm of the terms' a.den * b.den, and reduces the sum
+once; `Jet.__mul__` is its one-term case. A reduced jet is unique, so the sum
+is the same jet as the sum of the reduced products.
 """
 
 from __future__ import annotations
@@ -62,23 +68,12 @@ def _reduced(nums: list, den: int) -> tuple[tuple[int, ...], int]:
     return tuple([c // g for c in nums]), den // g
 
 
-def _mul_nums(rows, a, b) -> list:
-    """Truncated product of two numerator tuples through the pair rows."""
-    out = [0] * len(a)
-    for ca, row in zip(a, rows):
-        if ca:
-            for rb, rc in row:
-                cb = b[rb]
-                if cb:
-                    out[rc] += ca * cb
-    return out
-
-
 def _mul_layer(spans, a, b, scale: int, out: list):
-    """Add scale times one x1-layer of the truncated product of two numerator
-    tuples into out, through the (ra, pairs) spans of the pairs that land on
-    the layer (`multiindex.product_layers`); the spans of a lower cap form the
-    layer only to that degree."""
+    """Add scale times the truncated product of two numerator tuples, through
+    the (ra, pairs) spans, into out: one x1-layer of the product for the
+    spans of that layer (`multiindex.product_layers`; those of a lower cap
+    form the layer only to that degree), the whole product for the rows of
+    the table, enumerate(`multiindex.product_rows`)."""
     for ra, pairs in spans:
         ca = a[ra]
         if ca:
@@ -363,9 +358,7 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return self.scale(other)
-        self._require_same_shape(other)
-        out = _mul_nums(mi.product_rows(self.n, self.max_degree), self.nums, other.nums)
-        return self._with_nums(out, self.den * other.den, min(self.valid_order, other.valid_order))
+        return product_sum(((1, self, other),))
 
     def __rmul__(self, other) -> "Jet":
         return self.scale(other)
@@ -456,6 +449,29 @@ class Jet:
         if not 0 <= valid_order <= self.max_degree:
             raise ValueError(f"valid_order {valid_order} outside 0..{self.max_degree}")
         return Jet._from_nums(self.n, self.max_degree, self.nums, self.den, valid_order)
+
+
+def product_sum(terms) -> Jet:
+    """The sum of c * a * b over the (c, a, b) terms, c an integer and a, b
+    jets of one workspace, valid to the least valid order of the factors.
+    With L the lcm of the terms' a.den * b.den, each term adds
+    c * (L // (a.den * b.den)) * a.nums * b.nums into one list of numerators
+    over L, and the sum is reduced once. Every factor's workspace is checked
+    against the first's before any work, raising what `Jet.__mul__` raises."""
+    terms = tuple(terms)
+    if not terms:
+        raise ValueError("empty product sum")
+    first = terms[0][1]
+    for _, a, b in terms:
+        first._require_same_shape(a)
+        first._require_same_shape(b)
+    den = lcm(*(a.den * b.den for _, a, b in terms))
+    rows = mi.product_rows(first.n, first.max_degree)
+    out = [0] * len(first.nums)
+    for c, a, b in terms:
+        _mul_layer(enumerate(rows), a.nums, b.nums, c * (den // (a.den * b.den)), out)
+    valid = min(min(a.valid_order, b.valid_order) for _, a, b in terms)
+    return first._with_nums(out, den, valid)
 
 
 class SliceJet:

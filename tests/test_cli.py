@@ -481,6 +481,41 @@ def test_scenario_integer_fields_exit_1(tmp_path, capsys, payload, field, shown)
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("mode, section", [("direct", "random"), ("round_trip", "round_trip")])
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("degree", -2, "in 0..D = 3"),
+        ("degree", -1, "in 0..D = 3"),
+        ("degree", 4, "in 0..D = 3"),
+        ("coeff_bound", -1, ">= 0"),
+    ],
+)
+def test_random_draw_bounds_out_of_range_exit_1(
+    tmp_path, capsys, mode, section, field, value, rule
+):
+    # a negative degree drew all-zero data and built; a negative coeff_bound
+    # died in randrange
+    scenario = {"construction": "general", "n": 3, "D": 3, "seed": 1, "mode": mode}
+    scenario.update({section: {field: value}}, output=str(tmp_path / "report.json"))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"malformed scenario: {section}.{field} must be {rule}, not {value}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode, section", [("direct", "random"), ("round_trip", "round_trip")])
+@pytest.mark.parametrize("bounds", [{"degree": 0}, {"degree": 3}, {"coeff_bound": 0}])
+def test_random_draw_bounds_at_the_edges_build(tmp_path, capsys, mode, section, bounds):
+    scenario = {"construction": "general", "n": 3, "D": 3, "seed": 1, "mode": mode}
+    scenario.update({section: bounds}, output=str(tmp_path / "report.json"))
+    code = main(["run", str(write_scenario(tmp_path, "sc.json", scenario))])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("mode", ["direct", "round_trip"])
 def test_scenario_degree_cap_below_2_exits_1(tmp_path, capsys, mode):
     scenario = {"construction": "general", "n": 2, "D": 1, "seed": 1, "mode": mode}

@@ -98,6 +98,10 @@ POLICY = or_junk(st.sampled_from(["zero", "one", "random"]) | INLINE_JET)
 SLOTS = st.dictionaries(
     st.sampled_from(["phi", "1;1,1", "2;1,2", "g;1,1", "g;1,2", "g;2,2"]), POLICY, max_size=2
 )
+# the random draws' bounds, valid and not, of the "random" and "round_trip" sections
+BOUNDS = st.fixed_dictionaries(
+    {}, optional={key: or_junk(st.integers(-1, 3)) for key in ("degree", "coeff_bound")}
+)
 SCENARIOS = st.fixed_dictionaries(
     {
         "construction": or_junk(st.sampled_from(TAGS)),
@@ -118,11 +122,8 @@ SCENARIOS = st.fixed_dictionaries(
                 max_size=3,
             )
         ),
-        "random": or_junk(
-            st.fixed_dictionaries(
-                {}, optional={key: or_junk(st.integers(0, 2)) for key in ("degree", "coeff_bound")}
-            )
-        ),
+        "random": or_junk(BOUNDS),
+        "round_trip": or_junk(BOUNDS),
     },
 )
 
@@ -165,6 +166,16 @@ BELOW_D_MINUS_ONE_R = {"n": 2, "D": 3, "valid_order": 1, "coeffs": {"1 0": "1/2"
     }
 )
 @example(scenario={"construction": "statistical", "n": 12, "D": 4, "mode": "round_trip"})
+@example(
+    scenario={
+        "construction": "general",
+        "n": 3,
+        "D": 3,
+        "mode": "round_trip",
+        "round_trip": {"degree": -2},
+    }
+)
+@example(scenario={"construction": "general", "n": 2, "D": 2, "random": {"coeff_bound": -1}})
 @given(scenario=or_junk(SCENARIOS))
 def test_run_on_generated_scenarios_keeps_the_exit_contract(tmp_path_factory, scenario):
     folder = tmp_path_factory.mktemp("run")

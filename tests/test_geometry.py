@@ -36,6 +36,7 @@ from jetgeom import (
     torsion_trace,
     two_form_closed,
 )
+from jetgeom import geometry as geometry_module
 from jetgeom.geometry import _gauss_jordan
 from oracles import (
     _ricci_11_diagonal_2d,
@@ -353,17 +354,26 @@ def test_nabla_g_matches_the_full_form(n, symmetric):
 
 @pytest.mark.parametrize("symmetric, products", [(True, 160), (False, 256)])
 def test_nabla_g_products_at_n4(monkeypatch, symmetric, products):
-    # the full form needs 2 n^4 = 512
+    # the full form needs 2 n^4 = 512; each A_ijk is one product sum of n
+    # terms, and no product goes through Jet.__mul__
     conn, g = nabla_g_inputs(symmetric, 4, 3)
-    real, calls = Jet.__mul__, []
+    real, sums, muls = geometry_module.product_sum, [], []
 
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
+    def counting(terms):
+        terms = tuple(terms)
+        sums.append(len(terms))
+        return real(terms)
 
-    monkeypatch.setattr(Jet, "__mul__", counting)
+    def forbidden(a, b):
+        muls.append(1)
+        return NotImplemented
+
+    monkeypatch.setattr(geometry_module, "product_sum", counting)
+    monkeypatch.setattr(Jet, "__mul__", forbidden)
     nabla_g(conn, g)
-    assert len(calls) == products
+    assert sum(sums) == products
+    assert sums == [4] * (products // 4)
+    assert muls == []
 
 
 def test_is_codazzi_identity_pair():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from jetgeom import DimensionMismatchError, Jet
 from jetgeom import multiindex as mi
 from jetgeom.builders import _Row, _row_layer
-from jetgeom.jets import _mul_layer, _mul_nums
+from jetgeom import jets as jets_module
+from jetgeom.jets import _mul_layer, product_sum
 from oracles import (
     ref_add,
     ref_antiderivative_x1,
@@ -207,14 +208,112 @@ def test_x1_layers_list_each_layer_as_a_slice(n, cap):
 
 @pytest.mark.parametrize("n, cap", [(0, 3), (1, 5), (2, 6), (3, 4), (4, 3)])
 def test_layer_products_add_up_to_the_product(n, cap):
-    size, exps, rows = mi.size(n, cap), mi.exponents(n, cap), mi.product_rows(n, cap)
+    size, exps = mi.size(n, cap), mi.exponents(n, cap)
     a = [(7 * r) % 5 - 2 for r in range(size)]
     b = [(3 * r) % 7 - 3 for r in range(size)]
-    whole = _mul_nums(rows, a, b)
+    x, y = Jet._from_nums(n, cap, tuple(a), 1, cap), Jet._from_nums(n, cap, tuple(b), 1, cap)
+    product = x * y
+    assert_same(product, ref_mul(x, y))
+    assert product.den == 1
+    whole = product.nums
     for t, spans in enumerate(mi.product_layers(n, cap)):
         out = [0] * size
         _mul_layer(spans, a, b, -3, out)
         assert out == [-3 * c if sum(exps[r][:1]) == t else 0 for r, c in enumerate(whole)]
+
+
+# ---------------------------------------------------------------------------
+# product sums: one reduction of sum c * a * b against the Fraction kernel
+
+
+def ref_product_sum(terms) -> Jet:
+    """The sum of c * a * b by `ref_mul`, `ref_scale` and `ref_add`, one
+    reduced jet per product and per partial sum."""
+    total = None
+    for c, a, b in terms:
+        term = ref_scale(ref_mul(a, b), Fraction(c))
+        total = term if total is None else ref_add(total, term)
+    return total
+
+
+@SETTINGS
+@given(st.data())
+def test_product_sum_matches_fraction_kernel(data):
+    n, cap = data.draw(workspaces(max_size=126, least_n=0))
+    terms = [
+        (
+            data.draw(st.sampled_from([1, -1, 3, -3])),
+            data.draw(jets_in(n, cap)),
+            data.draw(jets_in(n, cap)),
+        )
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    assert_same(product_sum(terms), ref_product_sum(terms))
+
+
+@pytest.mark.parametrize("n, cap", [(0, 2), (1, 5), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_product_sum_over_denominators_that_differ_between_terms(n, cap, count):
+    # the factors of term i have denominators 2^i and 3 * 5^i, so L // (a.den
+    # * b.den) differs from term to term; valid orders differ too
+    rng = random.Random(10 * n + cap + 100 * count)
+
+    def jet(den):
+        coeffs = [Fraction(rng.randint(-9, 9), den) for _ in range(mi.size(n, cap))]
+        coeffs[0] = Fraction(1, den)  # so den is the jet's denominator
+        return Jet(n, cap, coeffs, rng.randint(0, cap))
+
+    for _ in range(4):
+        terms = [
+            (rng.choice([1, -1, 3, -3]), jet(2**i), jet(3 * 5**i)) for i in range(1, count + 1)
+        ]
+        assert len({a.den * b.den for _, a, b in terms}) == count
+        assert_same(product_sum(terms), ref_product_sum(terms))
+        # a sum in which the first product cancels: the denominator reduces
+        c, a, b = terms[0]
+        cancelled = terms + [(-c, b, a)]
+        assert_same(product_sum(cancelled), ref_product_sum(cancelled))
+
+
+def test_product_sum_reduces_the_sum_once():
+    # 1/6 + 1/6 + 1/3 is 4 over L = 6: only the sum reduces, to 2/3
+    n, cap = 2, 3
+    half, third = Jet.constant(Fraction(1, 2), n, cap), Jet.constant(Fraction(1, 3), n, cap)
+    two_thirds = Jet.constant(Fraction(2, 3), n, cap)
+    got = product_sum([(1, half, third), (1, half, third), (1, two_thirds, half)])
+    assert_same(got, Jet.constant(Fraction(2, 3), n, cap))
+    assert got.den == 3
+    zero = product_sum([(1, half, third), (-1, third, half)])
+    assert zero.den == 1 and not any(zero.nums)
+
+
+def test_an_empty_product_sum_raises_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jets_module, "_mul_layer", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="empty product sum"):
+        product_sum([])
+    with pytest.raises(ValueError, match="empty product sum"):
+        product_sum(iter(()))
+    assert calls == []
+
+
+@pytest.mark.parametrize("position", ["first", "second"])
+def test_a_factor_of_another_workspace_raises_before_any_work(monkeypatch, position):
+    # the odd factor sits in the last term, so every term is checked first;
+    # the error is Jet.__mul__'s
+    a, b = Jet.one(2, 3), Jet.variable(1, 2, 3)
+    odd = Jet.one(2, 4)
+    last = (1, odd, b) if position == "first" else (1, a, odd)
+    with pytest.raises(DimensionMismatchError) as mul_error:
+        last[1] * last[2]
+    calls = []
+    monkeypatch.setattr(jets_module, "_mul_layer", lambda *args: calls.append(args))
+    with pytest.raises(DimensionMismatchError) as sum_error:
+        product_sum([(1, a, b), (3, b, a), last])
+    assert calls == []
+    assert type(sum_error.value) is type(mul_error.value)
+    with pytest.raises(DimensionMismatchError, match=r"\(2,3\) vs \(2,4\)"):
+        product_sum([(1, a, odd)])
 
 
 @pytest.mark.parametrize(

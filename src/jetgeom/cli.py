@@ -323,10 +323,14 @@ def cmd_run(args) -> int:
     # verify the written bytes, not the object they were written from: they
     # must read back as an admissible report that matches the checked build
     # value for value, which then passes the same checks, so none runs again
+    # a failure says why on stderr, in one line
     try:
         ok = verify_read_back(report, serialize.report_from_json(json.loads(out.read_text())))
-    except Exception:
-        ok = False
+        why = "read-back differs from the build"
+    except Exception as err:
+        ok, why = False, f"read-back raised {type(err).__name__}: {err}"
+    if not ok:
+        print(" ".join(why.split()), file=sys.stderr)
     print(json.dumps({"status": "ok" if ok else "verification-failed", "report": str(out)}))
     return 0 if ok else 2
 

@@ -8,20 +8,33 @@ bytes and reports round-trip bit-exactly.
 Both directions work on a jet's integers: the writer reduces each numerator
 over the jet's denominator with one gcd, which gives the text
 `fractions.Fraction` gives, and takes its keys from one cached tuple per
-workspace (`_keys`). The reader makes one pass over the entries: it looks
-each key up in the table of that tuple and reads a coefficient of the form
-`-?[0-9]+(/[0-9]+)?` with a nonzero denominator as two integers, and reads
-any other key with `int` on each part and any other coefficient with
-`Fraction`, but for whitespace next to `/`, which `Fraction` accepts from
-Python 3.12 on only and the reader rejects on every version. So the accepted
-inputs, their values and the errors are those of the `int` and `Fraction`
-parse of Python 3.10 and 3.11, and a written jet is read without `Fraction`.
+workspace (`_keys`). The reader first tries the form the writer gives
+(`_read_written`): every key in the table of that tuple and every
+coefficient a string `-?[0-9]+/[0-9]+` with a nonzero denominator. It joins
+the coefficients, matches them with one `fullmatch`, reads every part with
+`int`, takes one lcm of the denominators and reduces once; a jet in lowest
+terms is unique, so this is the jet an entry-by-entry read gives. Any other
+input goes to the entry loop (`_read_entries`), which reads each key with
+the table or else `int` on each part, and each coefficient with `Fraction`,
+but for whitespace next to `/`, which `Fraction` accepts from Python 3.12 on
+only and the reader rejects on every version. So the accepted inputs, their
+values and the errors, with their order and messages, are those of the
+`int` and `Fraction` parse of Python 3.10 and 3.11, and a written jet is
+read without `Fraction`.
+
+A symmetric table holds each off-diagonal jet twice. The writer encodes each
+jet object of a table once (entries that hold one jet share one dict, which
+`canonical_dumps` writes as before), and the table readers give entry
+(.., i, j) the jet already read for its mirror (.., j, i) when its payload
+reads the same as the payload that jet was read from (`_reads_alike`).
 
 The header fields are read as the JSON types they are written as, by one
 helper (`_header`): the `n` and `D` of a report or a jet, a slice's
 `ambient_n`, a table's `n` and a check's `zero_to_order` must be JSON
 integers, and a connection's `symmetric` and a check's `passed` JSON
-booleans, so `2.0` or `true` in place of `2` is malformed.
+booleans, so `2.0` or `true` in place of `2` is malformed. A report's
+`checks` must be a JSON list of objects, and a value's `type` tag one of
+`_TYPED`.
 """
 
 from __future__ import annotations
@@ -36,10 +49,10 @@ from . import multiindex as mi
 from .builders import BuildReport, Check, FreeData
 from .errors import DimensionMismatchError
 from .geometry import Bilinear, Connection, Metric
-from .jets import Jet, SliceJet
+from .jets import Jet, SliceJet, _reduced
 
-# a coefficient the reader takes as two integers without Fraction
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the coefficients of a written jet, joined by commas
+_WRITTEN = re.compile(r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*")
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +83,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _list(value, what: str) -> list:
+    """A section of the JSON that must be a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _header(value, cls: type, what: str):
     """A header field that must be a JSON integer (cls int; a boolean is not
     one) or a JSON boolean (cls bool)."""
@@ -79,18 +99,78 @@ def _header(value, cls: type, what: str):
     return value
 
 
+def _read_written(coeffs: dict, keys: dict[str, int]) -> tuple[tuple, int] | None:
+    """The numerators and denominator, in lowest terms, of coefficients in
+    the form the writer gives them, keyed as in keys; None for any other
+    input."""
+    ranks = [keys.get(key) for key in coeffs]
+    if None in ranks:
+        return None
+    if not ranks:
+        return (0,) * len(keys), 1
+    try:
+        text = ",".join(coeffs.values())
+    except TypeError:  # a coefficient that is not a string
+        return None
+    if _WRITTEN.fullmatch(text) is None:
+        return None
+    try:
+        parts = list(map(int, text.replace("/", ",").split(",")))
+    except ValueError:  # a numeral over the interpreter's digit limit
+        return None
+    dens = parts[1::2]
+    # a comma inside a coefficient, or a zero denominator
+    if len(dens) != len(ranks) or 0 in dens:
+        return None
+    den = lcm(*dens)
+    nums = [0] * len(keys)
+    for r, p, q in zip(ranks, parts[0::2], dens):
+        nums[r] = p * (den // q)
+    return _reduced(nums, den)
+
+
+def _read_entries(coeffs: dict, n: int, cap: int, keys: dict[str, int]) -> tuple[tuple, int]:
+    """The numerators and denominator, in lowest terms, of any coefficients,
+    read entry by entry in order: the key from keys, or else with `int` on
+    each part; the coefficient with `Fraction`, whitespace next to `/` being
+    rejected first. A monomial written twice takes its last value. After
+    the entries, a negative n or D raises the index table's error, then a
+    monomial outside the workspace DimensionMismatchError."""
+    fractions, outside = {}, []
+    for key, value in coeffs.items():
+        r = keys.get(key)
+        if r is None:
+            exps = tuple(int(part) for part in key.split())
+            r = mi.rank_of(n, cap).get(exps) if n >= 0 and cap >= 0 else None
+            if r is None:
+                outside.append(exps)
+        if not isinstance(value, str):
+            raise ValueError(f"coefficient {value!r} is not a string")
+        # Fraction reads "1 / 2" from Python 3.12 on only
+        if re.search(r"\s/|/\s", value):
+            raise ValueError(f"coefficient {value!r} has whitespace next to '/'")
+        c = Fraction(value)
+        fractions[r] = (c.numerator, c.denominator)
+    ranks = mi.rank_of(n, cap)
+    if outside:
+        raise DimensionMismatchError(
+            f"monomial {outside[0]} does not fit workspace n={n}, cap={cap}"
+        )
+    den = lcm(*(q for _, q in fractions.values()))
+    nums = [0] * len(ranks)
+    for r, (p, q) in fractions.items():
+        nums[r] = p * (den // q)
+    return tuple(nums), den
+
+
 def jet_from_json(data: dict) -> Jet:
     """The jet of a JSON object: integers n and D within
     `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
-    built, and every coefficient a string. Each entry is read in order: its
-    key from the table of the workspace's keys, or else with `int` on each
-    part; its coefficient as two integers when it has the form
-    `-?[0-9]+(/[0-9]+)?` with a nonzero denominator, or else with
-    `Fraction`, whitespace next to `/` being rejected first. A monomial
-    written twice takes its last value. After the entries, a negative n or D
-    raises the index table's error, then a monomial outside the workspace
-    DimensionMismatchError. valid_order is an integer in 0..D or null, which
-    means D."""
+    built, and every coefficient a string. A jet in the form the writer
+    gives is read in one pass (`_read_written`), any other entry by entry
+    (`_read_entries`), with the errors of that read in its order. valid_order
+    is an integer in 0..D or null, which means D; it is checked after the
+    coefficients."""
     n, cap = _header(data["n"], int, "jet n"), _header(data["D"], int, "jet D")
     valid_order = data["valid_order"]
     if valid_order is not None and type(valid_order) is not int:
@@ -101,48 +181,13 @@ def jet_from_json(data: dict) -> Jet:
             f"{mi.MAX_PRODUCT_PAIRS} product pairs"
         )
     coeffs = _object(data["coeffs"], "jet coeffs")
-    workspace = n >= 0 and cap >= 0
-    keys = _key_ranks(n, cap) if workspace else {}
-    fractions, outside = {}, []
-    for key, value in coeffs.items():
-        r = keys.get(key)
-        if r is None:
-            exps = tuple(int(v) for v in key.split())
-            r = mi.rank_of(n, cap).get(exps) if workspace else None
-            if r is None:
-                outside.append(exps)
-        if not isinstance(value, str):
-            raise ValueError(f"coefficient {value!r} is not a string")
-        m = _RATIONAL.fullmatch(value)
-        q = 0
-        if m:
-            num, den = m.groups()
-            try:
-                p, q = int(num), 1 if den is None else int(den)
-            except ValueError:  # a numeral over the interpreter's digit limit
-                pass
-        if q:
-            g = gcd(p, q)
-            fractions[r] = (p // g, q // g)
-        else:
-            # Fraction reads "1 / 2" from Python 3.12 on only
-            if re.search(r"\s/|/\s", value):
-                raise ValueError(f"coefficient {value!r} has whitespace next to '/'")
-            c = Fraction(value)
-            fractions[r] = (c.numerator, c.denominator)
-    ranks = mi.rank_of(n, cap)
-    if outside:
-        raise DimensionMismatchError(
-            f"monomial {outside[0]} does not fit workspace n={n}, cap={cap}"
-        )
-    den = lcm(*(q for _, q in fractions.values()))
-    nums = [0] * len(ranks)
-    for r, (p, q) in fractions.items():
-        nums[r] = p * (den // q)
+    keys = _key_ranks(n, cap) if n >= 0 and cap >= 0 else {}
+    written = _read_written(coeffs, keys) if keys else None
+    nums, den = written or _read_entries(coeffs, n, cap, keys)
     v = cap if valid_order is None else valid_order
     if not 0 <= v <= cap:
         raise ValueError(f"valid_order {v} outside 0..{cap}")
-    return Jet._from_nums(n, cap, tuple(nums), den, v)
+    return Jet._from_nums(n, cap, nums, den, v)
 
 
 def slice_to_json(sl: SliceJet) -> dict:
@@ -157,43 +202,87 @@ def slice_from_json(data: dict) -> SliceJet:
     return sl
 
 
+def _table_to_json(entries) -> dict:
+    """The JSON of each (key, jet) entry, each jet object encoded once: the
+    entries that hold one jet share one dict."""
+    encoded, out = {}, {}
+    for key, jet in entries:
+        data = encoded.get(id(jet))
+        if data is None:
+            data = encoded[id(jet)] = jet_to_json(jet)
+        out[key] = data
+    return out
+
+
+def _reads_alike(payload, source: dict) -> bool:
+    """Whether payload reads as the jet read from source: equal JSON, with
+    n, D and valid_order of the same JSON types (2.0 == 2 in Python) and the
+    coefficient keys in the same order (a monomial spelled twice takes its
+    last value)."""
+    return (
+        payload == source
+        and all(type(payload[f]) is type(source[f]) for f in ("n", "D", "valid_order"))
+        and list(payload["coeffs"]) == list(source["coeffs"])
+    )
+
+
+def _table_from_json(entries: dict, index) -> dict:
+    """The jet of each entry, keyed by index(key), a tuple whose last two
+    places are the lower indices. An entry whose mirror (those two swapped)
+    was read from a payload that its own reads alike takes the mirror's
+    jet; any other is read with `jet_from_json`. An index spelled twice
+    takes its last entry."""
+    table, sources = {}, {}
+    for key, payload in entries.items():
+        idx = index(key)
+        mirror = (*idx[:-2], idx[-1], idx[-2])
+        source = sources.get(mirror)
+        if source is not None and _reads_alike(payload, source):
+            table[idx] = table[mirror]
+        else:
+            table[idx] = jet_from_json(payload)
+        sources[idx] = payload
+    return table
+
+
+def _gamma_index(key: str) -> tuple[int, int, int]:
+    head, lower = key.split(";")
+    i, j = (int(v) for v in lower.split(","))
+    return int(head), i, j
+
+
+def _pair_index(key: str) -> tuple[int, int]:
+    i, j = (int(v) for v in key.split(","))
+    return i, j
+
+
 def connection_to_json(conn: Connection) -> dict:
     return {
         "n": conn.n,
         "symmetric": conn.symmetric,
-        "gamma": {
-            f"{k};{i},{j}": jet_to_json(jet)
-            for (k, i, j), jet in sorted(conn.gamma.items())
-        },
+        "gamma": _table_to_json(
+            (f"{k};{i},{j}", jet) for (k, i, j), jet in sorted(conn.gamma.items())
+        ),
     }
 
 
 def connection_from_json(data: dict) -> Connection:
     n = _header(data["n"], int, "table n")
     symmetric = _header(data["symmetric"], bool, "symmetric")
-    gamma = {}
-    for key, payload in _object(data["gamma"], "connection gamma").items():
-        head, lower = key.split(";")
-        i, j = (int(v) for v in lower.split(","))
-        gamma[(int(head), i, j)] = jet_from_json(payload)
+    gamma = _table_from_json(_object(data["gamma"], "connection gamma"), _gamma_index)
     return Connection(n, gamma, symmetric=symmetric)
 
 
 def bilinear_to_json(b: Bilinear) -> dict:
     return {
         "n": b.n,
-        "comps": {
-            f"{i},{j}": jet_to_json(jet) for (i, j), jet in sorted(b.comps.items())
-        },
+        "comps": _table_to_json((f"{i},{j}", jet) for (i, j), jet in sorted(b.comps.items())),
     }
 
 
 def _comps_from_json(data: dict) -> tuple[int, dict]:
-    n, comps = _header(data["n"], int, "table n"), {}
-    for key, payload in _object(data["comps"], "tensor comps").items():
-        i, j = (int(v) for v in key.split(","))
-        comps[(i, j)] = jet_from_json(payload)
-    return n, comps
+    n = _header(data["n"], int, "table n")
+    return n, _table_from_json(_object(data["comps"], "tensor comps"), _pair_index)
 
 
 def bilinear_from_json(data: dict) -> Bilinear:
@@ -254,7 +343,10 @@ def typed_to_json(value) -> dict:
 
 
 def typed_from_json(data: dict):
-    return _TYPED[data["type"]][2](data["value"])
+    tag = data["type"]
+    if not isinstance(tag, str) or tag not in _TYPED:
+        raise ValueError(f"unknown type tag {tag!r}; known tags: {', '.join(_TYPED)}")
+    return _TYPED[tag][2](data["value"])
 
 
 def report_to_json(report: BuildReport) -> dict:
@@ -274,6 +366,15 @@ def report_to_json(report: BuildReport) -> dict:
     }
 
 
+def _check_from_json(data) -> Check:
+    data = _object(data, "check")
+    return Check(
+        data["name"],
+        _header(data["zero_to_order"], int, "check zero_to_order"),
+        _header(data["passed"], bool, "check passed"),
+    )
+
+
 def report_from_json(data: dict) -> BuildReport:
     return BuildReport(
         construction=data["construction"],
@@ -286,14 +387,7 @@ def report_from_json(data: dict) -> BuildReport:
         if data.get("free_data") is None
         else free_data_from_json(data["free_data"]),
         outputs={k: typed_from_json(v) for k, v in _object(data["outputs"], "outputs").items()},
-        checks=[
-            Check(
-                c["name"],
-                _header(c["zero_to_order"], int, "check zero_to_order"),
-                _header(c["passed"], bool, "check passed"),
-            )
-            for c in data["checks"]
-        ],
+        checks=[_check_from_json(c) for c in _list(data["checks"], "checks")],
     )
 
 

@@ -191,9 +191,12 @@ def read_back_scenario(output, construction="general") -> dict:
 
 def assert_verification_failed(tmp_path, capsys, output, construction="general"):
     scenario = write_scenario(tmp_path, "sc.json", read_back_scenario(output, construction))
-    code, out = run_cli(capsys, "run", str(scenario))
+    code = main(["run", str(scenario)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(out) == {"status": "verification-failed", "report": str(output)}
+    assert json.loads(captured.out) == {"status": "verification-failed", "report": str(output)}
+    # the reason, in one line on stderr
+    assert captured.err.startswith("read-back ") and captured.err.count("\n") == 1
 
 
 def tamper_with(monkeypatch, edit):
@@ -226,6 +229,40 @@ def test_run_written_report_missing_a_free_data_slot_fails_verification(
 
     monkeypatch.setattr(serialize, "free_data_to_json", drop_slot)
     assert_verification_failed(tmp_path, capsys, tmp_path / "report.json")
+
+
+def run_read_back(tmp_path, capsys, name: str):
+    """(exit code, stdout, stderr, report bytes) of a general run."""
+    output = tmp_path / f"{name}.json"
+    scenario = write_scenario(tmp_path, f"{name}_sc.json", read_back_scenario(output))
+    code = main(["run", str(scenario)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, output.read_bytes()
+
+
+def test_run_says_why_a_read_back_raised(tmp_path, capsys, monkeypatch):
+    code, out, err, written = run_read_back(tmp_path, capsys, "plain")
+    assert (code, err) == (0, "")
+
+    def fails(data):
+        raise RuntimeError("no reader\nhere")
+
+    monkeypatch.setattr(serialize, "report_from_json", fails)
+    code, out, err, bytes_ = run_read_back(tmp_path, capsys, "raised")
+    assert code == 2 and bytes_ == written
+    report = str(tmp_path / "raised.json")
+    assert json.loads(out) == {"status": "verification-failed", "report": report}
+    assert err == "read-back raised RuntimeError: no reader here\n"
+
+
+def test_run_says_when_a_read_back_differs_from_the_build(tmp_path, capsys, monkeypatch):
+    code, out, err, written = run_read_back(tmp_path, capsys, "plain")
+    monkeypatch.setattr(cli, "verify_read_back", lambda built, read: False)
+    code, out, err, bytes_ = run_read_back(tmp_path, capsys, "differs")
+    assert code == 2 and bytes_ == written
+    report = str(tmp_path / "differs.json")
+    assert json.loads(out) == {"status": "verification-failed", "report": report}
+    assert err == "read-back differs from the build\n"
 
 
 def stored_jets(node):
@@ -1271,6 +1308,14 @@ def unknown_type_tag(data):
     data["outputs"]["connection"]["type"] = "tensor"
 
 
+def checks_an_object(data):
+    data["checks"] = {"a": 1}
+
+
+def check_a_string(data):
+    data["checks"] = ["a"]
+
+
 def float_valid_order(data):
     data["outputs"]["connection"]["value"]["gamma"]["1;1,1"]["valid_order"] = 3.0
 
@@ -1281,6 +1326,12 @@ def float_valid_order(data):
         (unknown_construction, "unknown construction 'kaehler'"),
         (asymmetric_symmetric_table, "table marked symmetric"),
         (unknown_type_tag, "'tensor'"),
+        (
+            unknown_type_tag,
+            "unknown type tag 'tensor'; known tags: jet, slice, connection, metric, bilinear",
+        ),
+        (checks_an_object, "checks must be a list, not dict"),
+        (check_a_string, "check must be an object, not str"),
         (float_valid_order, "valid_order must be an integer or null, not 3.0"),
     ],
 )

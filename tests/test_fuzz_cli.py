@@ -1,7 +1,8 @@
 """Property test of the CLI boundary: on generated scenario JSON and on
 mutated report JSON, `main` returns 0, 1 or 2 with the documented output and
 never lets an exception escape. A `run` whose writer mutates the report
-exits 2, or exits 0 and leaves a report that `verify` accepts.
+exits 2, or exits 0 and leaves a report that `verify` accepts; a `run` says
+on stderr, in one line, why its read-back failed, and is silent otherwise.
 
 The reports are built in-process from small scenarios. A mutation drops a
 node of the report tree, replaces it, or inserts a key into an object; the
@@ -69,6 +70,16 @@ def call(*argv) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_read_back_reason(code: int, err: str):
+    """A `run` is silent on stderr unless its read-back failed (exit 2 with
+    verification-failed), and then says why in one line."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("read-back ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def assert_malformed(out: str, err: str, prefix: str):
@@ -189,8 +200,8 @@ def test_run_on_generated_scenarios_keeps_the_exit_contract(tmp_path_factory, sc
     if code == 1:
         assert_malformed(out, err, "malformed scenario: ")
         return
-    assert err == ""
     status = json.loads(out)
+    assert_read_back_reason(2 if status["status"] == "verification-failed" else 0, err)
     if code == 0:
         assert status == {"status": "ok", "report": str(output)}
     elif status["status"] == "rejected":
@@ -320,6 +331,10 @@ MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
 @example(case=("torsion-free", ("replace", ("checks", 0, "zero_to_order"), 1.0)))
 @example(case=("torsion-free", ("replace", ("checks", 1, "passed"), "no")))
 @example(case=("torsion-free", ("replace", ("checks", 1, "passed"), False)))
+# a value's type tag, and the checks as a list of objects
+@example(case=("general", ("replace", ("outputs", "connection", "type"), "foo")))
+@example(case=("torsion-free", ("replace", ("checks",), {"a": 1})))
+@example(case=("torsion-free", ("replace", ("checks", 0), "a")))
 @given(case=MUTATED_REPORTS)
 def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, case):
     name, mutation = case
@@ -361,8 +376,9 @@ def test_run_on_mutated_written_reports_fails_or_leaves_a_verified_one(tmp_path_
         patch.setattr(serialize, "report_to_json", written)
         code, out, err = call("run", str(scenario))
     status = "ok" if code == 0 else "verification-failed"
-    assert code in (0, 2) and err == ""
+    assert code in (0, 2)
     assert out == json.dumps({"status": status, "report": str(output)}) + "\n"
+    assert_read_back_reason(code, err)
     if code == 0:
         assert call("verify", str(output)) == (0, VERIFIED, "")
 

@@ -1,5 +1,6 @@
 """Serialization: bit-exact round-trips for jets, tensors, and reports."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from jetgeom import (
     verify,
     zero_free_data,
 )
+from jetgeom import serialize
+from jetgeom.builders import FreeData, verify_read_back
+from jetgeom.cli import _run_direct
+from jetgeom.errors import DimensionMismatchError
+from jetgeom.geometry import Bilinear, Connection
 from jetgeom.serialize import (
+    bilinear_from_json,
     canonical_dumps,
     connection_from_json,
     connection_to_json,
@@ -237,6 +244,9 @@ JETS = st.fixed_dictionaries(
     }
 )
 
+# a jet in the form the writer gives, at n = 2, D = 3
+WRITTEN = {"n": 2, "D": 3, "valid_order": 3, "coeffs": {"1 0": "1/2", "0 1": "2/1"}}
+
 
 @settings(
     max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
@@ -248,6 +258,15 @@ JETS = st.fixed_dictionaries(
 @example(data={"n": 2, "D": 3, "valid_order": 9, "coeffs": {"4 0": "1", "0 1": "1/0"}})
 @example(data={"n": -1, "D": 3, "valid_order": 0, "coeffs": {"1": "1/0"}})
 @example(data={"n": 2, "D": 3, "valid_order": 3, "coeffs": {"0 1": "-" + "7" * 5000}})
+# every key and coefficient in the written form but one thing, or none
+@example(data=dict(WRITTEN, coeffs={"1 0": "2/4", "0 1": "-0/3", "0 0": "5/1"}))
+@example(data=dict(WRITTEN, coeffs={"1 0": "1/2", "0 1": "1/0", "0 0": "3/1"}))
+@example(data=dict(WRITTEN, coeffs={"1 0": "1/2", "0 1": "7" * 5000 + "/3"}))
+@example(data=dict(WRITTEN, coeffs={"1 0": "1/2", "01 0": "1/3", "0 1": "2/1"}))
+@example(data=dict(WRITTEN, valid_order=4))
+@example(data=dict(WRITTEN, valid_order=-1))
+@example(data=dict(WRITTEN, coeffs={"1 0": "1/2,1/3", "0 1": "2/1"}))
+@example(data=dict(WRITTEN, valid_order=4, coeffs={}))
 @given(data=JETS)
 def test_reader_reads_as_the_fraction_parse(data):
     got, want = outcome(jet_from_json, data), outcome(ref_jet_from_json, data)
@@ -257,13 +276,180 @@ def test_reader_reads_as_the_fraction_parse(data):
         assert got == want
 
 
-def test_reader_takes_the_integer_path_on_written_jets(monkeypatch):
-    import jetgeom.serialize as serialize
+def no_entry_loop_and_no_fraction(monkeypatch):
+    """Make the entry loop and `Fraction` raise inside the reader."""
+
+    def no_entry_loop(*args):
+        raise AssertionError("a written jet is read in one pass")
 
     def no_fraction(*args):
         raise AssertionError("a written jet is read without Fraction")
 
+    monkeypatch.setattr(serialize, "_read_entries", no_entry_loop)
     monkeypatch.setattr(serialize, "Fraction", no_fraction)
+
+
+def test_reader_takes_the_integer_path_on_written_jets(monkeypatch):
+    no_entry_loop_and_no_fraction(monkeypatch)
     for seed in range(6):
         jet = random_poly(seed, 3, 4, 9, 4).scale(Fraction(seed - 3, 7))
         assert jet_from_json(jet_to_json(jet)).same_payload(jet)
+    for jet in (Jet.zero(3, 4), Jet.constant(Fraction(-6, 4), 0, 2)):
+        assert jet_from_json(jet_to_json(jet)).same_payload(jet)
+
+
+# construction -> n of its smallest run
+RUN_SHAPES = {
+    "general": 2, "trace-free-torsion": 3, "torsion-free": 2, "metric-2d": 2,
+    "statistical": 3, "statistical-2d": 2, "trace-free-statistical-2d": 2,
+}
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("construction", sorted(RUN_SHAPES))
+def test_written_reports_are_read_in_one_pass_per_jet(monkeypatch, construction, cap):
+    scenario = {
+        "construction": construction, "n": RUN_SHAPES[construction], "D": cap,
+        "seed": 1, "free_data": "random",
+    }
+    report = _run_direct(scenario)
+    text = canonical_dumps(report_to_json(report))
+    no_entry_loop_and_no_fraction(monkeypatch)
+    read = report_from_json(json.loads(text))
+    assert verify_read_back(report, read)
+    assert canonical_dumps(report_to_json(read)) == text
+
+
+# ---------------------------------------------------------------------------
+# mirror entries: read once when their payloads read alike, written once
+
+
+def payload(seed: int) -> dict:
+    return jet_to_json(random_poly(seed, 2, 3, 5, 3))
+
+
+def ref_table(entries: dict, index) -> dict:
+    """Every entry read on its own with `ref_jet_from_json`, the last of two
+    spellings of an index winning."""
+    return {index(key): ref_jet_from_json(p) for key, p in entries.items()}
+
+
+def gamma_index(key: str) -> tuple:
+    head, lower = key.split(";")
+    return (int(head), *(int(v) for v in lower.split(",")))
+
+
+def gamma_payloads(first: int = 10) -> dict:
+    return {
+        f"{k};{i},{j}": payload(first + 4 * k + 2 * i + j)
+        for k in (1, 2) for i in (1, 2) for j in (1, 2)
+    }
+
+
+def assert_reads_as_entry_by_entry(table: dict, entries: dict, index):
+    want = ref_table(entries, index)
+    assert set(table) == set(want)
+    for idx, jet in want.items():
+        assert table[idx].same_payload(jet), idx
+
+
+def test_a_mirror_takes_the_jet_of_the_payload_it_was_read_from():
+    a, b = payload(1), payload(2)
+    # "01;1,2" is the index (1, 1, 2) too, and it is read last: (1, 1, 2) is
+    # b, and (1, 2, 1) is a, though a equals the payload under "1;1,2"
+    entries = {"1;1,2": a, "01;1,2": b, "1;2,1": json.loads(json.dumps(a))}
+    entries.update({key: p for key, p in gamma_payloads().items() if key not in entries})
+    conn = connection_from_json({"n": 2, "symmetric": False, "gamma": entries})
+    assert_reads_as_entry_by_entry(conn.gamma, entries, gamma_index)
+    assert conn.gamma[(1, 2, 1)].same_payload(ref_jet_from_json(a))
+    assert not conn.gamma[(1, 1, 2)].same_payload(conn.gamma[(1, 2, 1)])
+
+
+def bump_one_coefficient(data: dict) -> dict:
+    """A copy of a jet payload with its first coefficient plus one."""
+    data = json.loads(json.dumps(data))
+    key = min(data["coeffs"])
+    data["coeffs"][key] = str(Fraction(data["coeffs"][key]) + 1)
+    return data
+
+
+def test_general_mirror_payloads_that_differ_read_two_jets():
+    a = payload(3)
+    entries = dict(gamma_payloads(), **{"2;1,2": a, "2;2,1": bump_one_coefficient(a)})
+    conn = connection_from_json({"n": 2, "symmetric": False, "gamma": entries})
+    assert_reads_as_entry_by_entry(conn.gamma, entries, gamma_index)
+    assert not conn.gamma[(2, 1, 2)].same_payload(conn.gamma[(2, 2, 1)])
+    comps = {"1,1": payload(4), "1,2": a, "2,1": bump_one_coefficient(a), "2,2": payload(5)}
+    b = bilinear_from_json({"n": 2, "comps": comps})
+    assert_reads_as_entry_by_entry(b.comps, comps, lambda key: tuple(map(int, key.split(","))))
+    assert not b.comps[(1, 2)].same_payload(b.comps[(2, 1)])
+
+
+def test_mirror_payloads_equal_in_python_but_not_in_json_are_read_each():
+    a = payload(6)
+    # 2.0 == 2 in Python, but a jet's D must be a JSON integer
+    entries = dict(gamma_payloads(), **{"1;1,2": a, "1;2,1": dict(a, D=3.0)})
+    with pytest.raises(ValueError, match="jet D must be an integer, not 3.0"):
+        connection_from_json({"n": 2, "symmetric": False, "gamma": entries})
+    # equal dicts, but the monomial spelled twice takes the value written last
+    twice = {"n": 2, "D": 3, "valid_order": 3, "coeffs": {"1 0": "1/2", "+1 0": "1/3"}}
+    swapped = dict(twice, coeffs={"+1 0": "1/3", "1 0": "1/2"})
+    assert twice == swapped
+    entries = dict(gamma_payloads(), **{"1;1,2": twice, "1;2,1": swapped})
+    conn = connection_from_json({"n": 2, "symmetric": False, "gamma": entries})
+    assert_reads_as_entry_by_entry(conn.gamma, entries, gamma_index)
+    assert conn.gamma[(1, 1, 2)].coefficient((1, 0)) == Fraction(1, 3)
+    assert conn.gamma[(1, 2, 1)].coefficient((1, 0)) == Fraction(1, 2)
+
+
+def test_a_symmetric_table_tampered_on_one_side_is_rejected():
+    g = random_normalized_metric(7, 2, 3, 3, 2)
+    data = json.loads(canonical_dumps(connection_to_json(levi_civita(g))))
+    data["gamma"]["1;2,1"] = bump_one_coefficient(data["gamma"]["1;2,1"])
+    with pytest.raises(DimensionMismatchError, match="table marked symmetric but"):
+        connection_from_json(data)
+    data = json.loads(canonical_dumps(metric_to_json(g)))
+    data["comps"]["2,1"] = bump_one_coefficient(data["comps"]["2,1"])
+    with pytest.raises(DimensionMismatchError, match="metric table is not symmetric"):
+        metric_from_json(data)
+
+
+def test_mirror_entries_of_a_written_table_are_read_as_one_jet():
+    g = random_normalized_metric(7, 3, 3, 3, 2)
+    conn = connection_from_json(json.loads(canonical_dumps(connection_to_json(levi_civita(g)))))
+    assert all(conn.gamma[(k, i, j)] is conn.gamma[(k, j, i)] for k, i, j in conn.gamma)
+    metric = metric_from_json(json.loads(canonical_dumps(metric_to_json(g))))
+    assert all(metric.comps[(i, j)] is metric.comps[(j, i)] for i, j in metric.comps)
+
+
+def jets_of(value) -> list:
+    """The jet objects a report value holds, one per entry."""
+    if isinstance(value, Connection):
+        return list(value.gamma.values())
+    if isinstance(value, Bilinear):
+        return list(value.comps.values())
+    if isinstance(value, FreeData):
+        gauge = [] if value.gauge_function is None else [value.gauge_function]
+        slices = [sl.jet for sl in value.initial_slices.values()]
+        return list(value.free_functions.values()) + slices + gauge
+    return [value.jet if isinstance(value, SliceJet) else value]
+
+
+def test_report_writer_encodes_each_jet_of_a_table_once(monkeypatch):
+    report = _run_direct({"construction": "statistical", "n": 3, "D": 3, "seed": 1})
+    tables = [*report.prescribed.values(), *report.outputs.values()]
+    # a jet object once per table; each free-data jet, slice and jet value once
+    distinct = sum(len({id(j) for j in jets_of(v)}) for v in tables)
+    distinct += len(jets_of(report.free_data))
+    conn = report.outputs["connection"]
+    assert len({id(j) for j in conn.gamma.values()}) < len(conn.gamma)
+    real, encoded = serialize.jet_to_json, []
+    monkeypatch.setattr(serialize, "jet_to_json", lambda jet: encoded.append(jet) or real(jet))
+    text = canonical_dumps(report_to_json(report))
+    assert len(encoded) == distinct
+    # every entry encoded on its own by the Fraction writer: the same bytes
+    monkeypatch.setattr(serialize, "jet_to_json", ref_jet_to_json)
+    monkeypatch.setattr(
+        serialize, "_table_to_json", lambda entries: {k: ref_jet_to_json(j) for k, j in entries}
+    )
+    assert canonical_dumps(report_to_json(report)) == text

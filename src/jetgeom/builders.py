@@ -124,7 +124,8 @@ from .geometry import (
     torsion_trace,
 )
 from .jets import (
-    Jet, SliceJet, _mul_layer, as_fraction, partial_valid_order, product_sum, random_poly
+    Jet, SliceJet, _mul_layer, _reduced, as_fraction, partial_valid_order, product_sum,
+    random_poly,
 )
 
 HALF = Fraction(1, 2)
@@ -868,13 +869,20 @@ def _row_layer(
 
 
 def _write_layer(jet: Jet, ranks, nums: list, den: int, valid_order: int) -> Jet:
-    """jet with the numerators nums over den written at the ranks."""
+    """jet, zero at the ranks, with the numerators nums over den written
+    there. Only the layer is reduced: it is written over L, the lcm of its
+    reduced denominator and jet's, and jet is rescaled only when L grows.
+    The sum is then in lowest terms with no gcd over the jet: its two parts
+    are reduced and disjoint, and for each p^k that exactly divides L, the
+    part whose denominator holds p^k keeps a numerator prime to p, which the
+    factor L / (that denominator), prime to p, leaves prime to p."""
+    nums, den = _reduced(nums, den)
     common = lcm(jet.den, den)
-    out = [v * (common // jet.den) for v in jet.nums]
+    out = list(jet.nums) if common == jet.den else [v * (common // jet.den) for v in jet.nums]
     k = common // den
     for r, v in zip(ranks, nums):
         out[r] = k * v
-    return jet._with_nums(out, common, valid_order)
+    return Jet._from_nums(jet.n, jet.max_degree, tuple(out), common, valid_order)
 
 
 def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
@@ -894,6 +902,37 @@ def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
             for _, x, y in row.products
         ]
     return min(orders, default=cap)
+
+
+def _degrees(rests: Mapping, derived: Mapping, blocks, outputs, cap: int) -> dict:
+    """The degree of each derived entry and block key by `_ck_solve`'s rule
+    (0 for no reader). An entry's readers come after it, so the rests, at
+    D - 1, read first, then the blocks and the derived entries in reverse."""
+    need: dict = {}
+
+    def read(rows, k):
+        for row in rows:
+            atoms = [(key, k) for _, key in row.linear]
+            atoms += [(key, k + (ax > 1)) for _, key, ax in row.derivatives]
+            atoms += [(key, k) for _, x, y in row.products for key in (x, y)]
+            for key, d in atoms:
+                need[key] = max(need.get(key, 0), d)
+
+    def degree(keys) -> int:
+        if not outputs.isdisjoint(keys):
+            return cap
+        return min(max(need.get(key, 0) for key in keys), cap)
+
+    read([row for _, row in rests.values()], cap - 1)
+    degrees = {}
+    for keys, rows in reversed(blocks):
+        k = degree(keys)
+        degrees.update(dict.fromkeys(keys, k))
+        read(rows, k)
+    for target in reversed(derived):
+        k = degrees[target] = degree([target])
+        read([derived[target]], k)
+    return degrees
 
 
 def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> list:
@@ -923,6 +962,7 @@ def _ck_solve(
     fixed: Mapping,
     derived: Mapping,
     initial: Mapping,
+    outputs,
     blocks=(),
 ) -> dict:
     """Solve the first-order CK system with one equation row per unknown key,
@@ -931,9 +971,11 @@ def _ck_solve(
     the fixed keys, as (u)_1 = -s * (rest of the row) on one table: the fixed
     entries, the unknowns, each derived entry as the sum of its row on the
     entries before it, and the block keys. A derived row too takes
-    x1-derivatives only of the fixed keys. Return that table of the solution,
-    written to order D (the builders have required the initial slices valid
-    to D); (n, D) is the workspace of the fixed entries and the unknowns.
+    x1-derivatives only of the fixed keys. Return that table of the solution:
+    the unknowns to order D (the builders have required the initial slices
+    valid to D), every other entry to its degree; (n, D) is the workspace of
+    the fixed entries and the unknowns. outputs are the keys the caller
+    reads back.
 
     The blocks are (keys, rows) pairs, as many rows as keys, of algebraic
     rows that take no x1-derivative and hold the block keys only as the
@@ -943,10 +985,19 @@ def _ck_solve(
     block order. Layer t of M key_j is M0 (key_j layer t) plus products of
     layers < t of key_j.
 
+    Each entry is formed only to the degree its readers need (`_degrees`).
+    Layer t + 1 of an unknown has one degree less room than layer t, so each
+    rest is formed to D - 1. An output gets D; any other derived entry or
+    block key gets the largest degree a reader needs: the reader's own, one
+    more where it differentiates along an axis >= 2, at most D; the keys of
+    one block share one degree. An entry formed to degree k is written at
+    layers 0..k only, to degree k, and is valid to min(k, the valid order of
+    its rows), taken once at layer 0: every entry's valid order is fixed
+    after its layer-0 write.
+
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written with
-    `_row_layer` at the valid order of the full-size sum of its row
-    (`_valid_order`). Then, block by block in order, layer t of the block's
+    `_row_layer`. Then, block by block in order, layer t of the block's
     rows is evaluated by `_row_layer` on the table holding layer t of the
     earlier blocks' keys and not yet that of its own, and layer t of its keys
     is -B^-1 times it, a forward substitution; each diagonal block B of M0 is
@@ -954,13 +1005,13 @@ def _ck_solve(
     the `_valid_order` of the rows, the keys counting as exact, as an
     elimination of the full-size system gives it. Layer t of each rest then
     needs only layers <= t of the table, and layer t + 1 of the unknown is
-    -s * (that layer) / (t + 1). Layer t + 1 has one degree less room than
-    layer t, so each rest is formed only to degree D - 1; the derived entries
-    and the block keys are outputs or are read by derivative atoms, so they
-    are formed to D. After layers 1..D this is the unique truncated
-    solution, the one that D + 1 Picard rounds of `ck.solve_first_order`
-    reach, every derived entry is the full-size sum of its row on it, and
-    the block keys are the full-size elimination of their rows on it."""
+    -s * (that layer) / (t + 1). Each write reduces only the layer it writes
+    (`_write_layer`): every position it writes is zero before, and a sum of
+    reduced parts over the lcm of their denominators is reduced. After
+    layers 1..D this is the unique truncated solution, the one that D + 1
+    Picard rounds of `ck.solve_first_order` reach, every derived entry is the
+    full-size sum of its row on it and the block keys are the full-size
+    elimination of their rows on it, each truncated to its degree."""
     rests = _ck_rows(equations, fixed)
     for target, row in derived.items():
         consumed = _x1_consumed(row.derivatives, fixed)
@@ -990,33 +1041,43 @@ def _ck_solve(
     values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
     x1_rows = [row for _, row in rests.values()] + list(derived.values())
     d1 = {key: fixed[key].partial(1) for row in x1_rows for _, key, ax in row.derivatives if ax == 1}
+    degrees = _degrees(rests, derived, blocks, frozenset(outputs), cap)
+    valid: dict = {}
     layers = mi.x1_layers(n, cap)
     for t in range(cap + 1):
         try:
             table = {**fixed, **values}
             for target, row in derived.items():
-                out, den = _row_layer(row, table, d1, n, cap, t)
-                valid = _valid_order([row], table, cap)
+                k = degrees[target]
+                if t > k:
+                    continue
+                if t == 0:
+                    valid[target] = min(_valid_order([row], table, cap), k)
+                out, den = _row_layer(row, table, d1, n, cap, t, k)
+                ranks = mi.x1_layers(n, k)[t]
                 table[target] = values[target] = _write_layer(
-                    values[target], layers[t], [out[r] for r in layers[t]], den, valid
+                    values[target], ranks, [out[r] for r in ranks], den, valid[target]
                 )
             if t == 0:
                 inverses = _block_inverses(blocks, table, n, cap)
                 linear = [row for _, rows in blocks for row in rows]
                 solved_order = _valid_order(linear, table, cap, frozenset(solved))
-            order = cap - t
-            zero = Jet.zero(n - 1, order)
             for (keys, rows), inverse in zip(blocks, inverses):
+                k = degrees[keys[0]]
+                if t > k:
+                    continue
+                order, ranks = k - t, mi.x1_layers(n, k)[t]
+                zero = Jet.zero(n - 1, order)
                 gaps = []
                 for row in rows:
-                    out, den = _row_layer(row, table, d1, n, cap, t)
-                    gaps.append(zero._with_nums([out[r] for r in layers[t]], den, order))
+                    out, den = _row_layer(row, table, d1, n, cap, t, k)
+                    gaps.append(zero._with_nums([out[r] for r in ranks], den, order))
                 for key, inverse_row in zip(keys, inverse):
                     step = product_sum(
                         (-1, e.truncate(order), gap) for e, gap in zip(inverse_row, gaps)
                     )
                     table[key] = values[key] = _write_layer(
-                        values[key], layers[t], step.nums, step.den, solved_order
+                        values[key], ranks, step.nums, step.den, min(solved_order, k)
                     )
             if t == cap:
                 return table
@@ -1145,8 +1206,10 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
     for l in range(1, n + 1):
         derived[("div", l)] = _Row(tuple((1, canon(k, k, l)) for k in range(1, n + 1)))
-    table = _ck_solve(_ricci_rows(spec, n), known, derived, _keyed(fd.initial_slices))
-    gamma = {key: table[canon(*key)] for key in _all_gamma_keys(n)}
+    keys = {key: canon(*key) for key in _all_gamma_keys(n)}
+    rows, initial = _ricci_rows(spec, n), _keyed(fd.initial_slices)
+    table = _ck_solve(rows, known, derived, initial, set(keys.values()))
+    gamma = {key: table[c] for key, c in keys.items()}
     report.outputs = {"connection": Connection(n, gamma, symmetric=spec.symmetric)}
     return _checked(report)
 
@@ -1248,7 +1311,7 @@ def build_metric_2d_prescribed_ricci(
         ),
     }
     blocks = [(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))])]
-    table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, blocks)
+    table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, {"h"}, blocks)
     h = table["h"]
     metric = Metric(
         2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
@@ -1380,7 +1443,7 @@ def solve_determined_christoffels(
     benchmark's tracing looks it up by name for its `builders.det_solve`
     span."""
     blocks = _determined_blocks(n, determined_keys)
-    table = _ck_solve({}, {**gtable, **free_gammas}, {}, {}, blocks)
+    table = _ck_solve({}, {**gtable, **free_gammas}, {}, {}, set(determined_keys), blocks)
     return {key: table[key] for key in determined_keys}
 
 
@@ -1396,7 +1459,9 @@ def _codazzi_metric(
     or a block key, which the solve writes at every x1-layer."""
     unknowns = _codazzi_spec(n).unknowns
     rows = {key: _codazzi_gap(1, key[2], key[1], n, symmetric) for key in unknowns}
-    table = _ck_solve(rows, fixed, {}, initial, blocks)
+    # the block keys are outputs too: g11, or the symbols of the connection
+    outputs = {("g", *pair) for pair in _pairs(n)} | {key for keys, _ in blocks for key in keys}
+    table = _ck_solve(rows, fixed, {}, initial, outputs, blocks)
     return Metric(n, {pair: table[("g", *pair)] for pair in _pairs(n)}), table
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import serialize
@@ -366,7 +367,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, so every call of `main` reads its arguments alike."""
     parser = argparse.ArgumentParser(
         prog="jetgeom",
         description="Construct and verify jet-level geometric structures",
@@ -388,9 +392,12 @@ def main(argv=None) -> int:
     p_verify.add_argument("report")
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 after printing a usage error; 2 is the rejection
         # code here, and a usage error is malformed input

@@ -31,10 +31,12 @@ reads the same as the payload that jet was read from (`_reads_alike`).
 The header fields are read as the JSON types they are written as, by one
 helper (`_header`): the `n` and `D` of a report or a jet, a slice's
 `ambient_n`, a table's `n` and a check's `zero_to_order` must be JSON
-integers, and a connection's `symmetric` and a check's `passed` JSON
-booleans, so `2.0` or `true` in place of `2` is malformed. A report's
-`checks` must be a JSON list of objects, and a value's `type` tag one of
-`_TYPED`.
+integers, a connection's `symmetric` and a check's `passed` JSON booleans,
+and a report's `construction` and a check's `name` JSON strings, so `2.0` or
+`true` in place of `2` is malformed. A report's `checks` must be a JSON list
+of objects, and a value's `type` tag one of `_TYPED`. A missing key is
+malformed input that names its section and the key (`_get`): `gamma entry
+'1;1,2' has no key 'coeffs'`.
 """
 
 from __future__ import annotations
@@ -92,11 +94,20 @@ def _list(value, what: str) -> list:
 
 def _header(value, cls: type, what: str):
     """A header field that must be a JSON integer (cls int; a boolean is not
-    one) or a JSON boolean (cls bool)."""
+    one), a JSON boolean (cls bool) or a JSON string (cls str)."""
     if type(value) is not cls:
-        kind = "an integer" if cls is int else "a boolean"
+        kind = {int: "an integer", bool: "a boolean", str: "a string"}[cls]
         raise ValueError(f"{what} must be {kind}, not {value!r}")
     return value
+
+
+def _get(data, key: str, what: str):
+    """data[key], where data is the section named what; a missing key is
+    malformed input that names the section and the key."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{what} has no key {key!r}") from None
 
 
 def _read_written(coeffs: dict, keys: dict[str, int]) -> tuple[tuple, int] | None:
@@ -163,16 +174,17 @@ def _read_entries(coeffs: dict, n: int, cap: int, keys: dict[str, int]) -> tuple
     return tuple(nums), den
 
 
-def jet_from_json(data: dict) -> Jet:
-    """The jet of a JSON object: integers n and D within
-    `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
+def jet_from_json(data: dict, what: str = "jet") -> Jet:
+    """The jet of a JSON object, the section named what: integers n and D
+    within `multiindex.MAX_PRODUCT_PAIRS`, checked before any index table is
     built, and every coefficient a string. A jet in the form the writer
     gives is read in one pass (`_read_written`), any other entry by entry
     (`_read_entries`), with the errors of that read in its order. valid_order
     is an integer in 0..D or null, which means D; it is checked after the
     coefficients."""
-    n, cap = _header(data["n"], int, "jet n"), _header(data["D"], int, "jet D")
-    valid_order = data["valid_order"]
+    n = _header(_get(data, "n", what), int, "jet n")
+    cap = _header(_get(data, "D", what), int, "jet D")
+    valid_order = _get(data, "valid_order", what)
     if valid_order is not None and type(valid_order) is not int:
         raise ValueError(f"jet valid_order must be an integer or null, not {valid_order!r}")
     if mi.exceeds_pair_bound(n, cap):
@@ -180,7 +192,7 @@ def jet_from_json(data: dict) -> Jet:
             f"jet workspace n = {n}, D = {cap} needs more than "
             f"{mi.MAX_PRODUCT_PAIRS} product pairs"
         )
-    coeffs = _object(data["coeffs"], "jet coeffs")
+    coeffs = _object(_get(data, "coeffs", what), "jet coeffs")
     keys = _key_ranks(n, cap) if n >= 0 and cap >= 0 else {}
     written = _read_written(coeffs, keys) if keys else None
     nums, den = written or _read_entries(coeffs, n, cap, keys)
@@ -194,9 +206,9 @@ def slice_to_json(sl: SliceJet) -> dict:
     return {"ambient_n": sl.ambient_n, "jet": jet_to_json(sl.jet)}
 
 
-def slice_from_json(data: dict) -> SliceJet:
-    ambient_n = _header(data["ambient_n"], int, "slice ambient_n")
-    sl = SliceJet(jet_from_json(data["jet"]))
+def slice_from_json(data: dict, what: str = "slice") -> SliceJet:
+    ambient_n = _header(_get(data, "ambient_n", what), int, "slice ambient_n")
+    sl = SliceJet(jet_from_json(_get(data, "jet", what), f"{what} jet"))
     if sl.ambient_n != ambient_n:
         raise ValueError("slice ambient dimension mismatch")
     return sl
@@ -226,12 +238,12 @@ def _reads_alike(payload, source: dict) -> bool:
     )
 
 
-def _table_from_json(entries: dict, index) -> dict:
-    """The jet of each entry, keyed by index(key), a tuple whose last two
-    places are the lower indices. An entry whose mirror (those two swapped)
-    was read from a payload that its own reads alike takes the mirror's
-    jet; any other is read with `jet_from_json`. An index spelled twice
-    takes its last entry."""
+def _table_from_json(entries: dict, index, what: str) -> dict:
+    """The jet of each entry of the table named what, keyed by index(key), a
+    tuple whose last two places are the lower indices. An entry whose mirror
+    (those two swapped) was read from a payload that its own reads alike
+    takes the mirror's jet; any other is read with `jet_from_json`. An index
+    spelled twice takes its last entry."""
     table, sources = {}, {}
     for key, payload in entries.items():
         idx = index(key)
@@ -240,7 +252,7 @@ def _table_from_json(entries: dict, index) -> dict:
         if source is not None and _reads_alike(payload, source):
             table[idx] = table[mirror]
         else:
-            table[idx] = jet_from_json(payload)
+            table[idx] = jet_from_json(payload, f"{what} entry {key!r}")
         sources[idx] = payload
     return table
 
@@ -266,10 +278,11 @@ def connection_to_json(conn: Connection) -> dict:
     }
 
 
-def connection_from_json(data: dict) -> Connection:
-    n = _header(data["n"], int, "table n")
-    symmetric = _header(data["symmetric"], bool, "symmetric")
-    gamma = _table_from_json(_object(data["gamma"], "connection gamma"), _gamma_index)
+def connection_from_json(data: dict, what: str = "connection") -> Connection:
+    n = _header(_get(data, "n", what), int, "table n")
+    symmetric = _header(_get(data, "symmetric", what), bool, "symmetric")
+    gamma = _object(_get(data, "gamma", what), "connection gamma")
+    gamma = _table_from_json(gamma, _gamma_index, "gamma")
     return Connection(n, gamma, symmetric=symmetric)
 
 
@@ -280,21 +293,22 @@ def bilinear_to_json(b: Bilinear) -> dict:
     }
 
 
-def _comps_from_json(data: dict) -> tuple[int, dict]:
-    n = _header(data["n"], int, "table n")
-    return n, _table_from_json(_object(data["comps"], "tensor comps"), _pair_index)
+def _comps_from_json(data: dict, what: str) -> tuple[int, dict]:
+    n = _header(_get(data, "n", what), int, "table n")
+    comps = _object(_get(data, "comps", what), "tensor comps")
+    return n, _table_from_json(comps, _pair_index, "comps")
 
 
-def bilinear_from_json(data: dict) -> Bilinear:
-    return Bilinear(*_comps_from_json(data))
+def bilinear_from_json(data: dict, what: str = "bilinear") -> Bilinear:
+    return Bilinear(*_comps_from_json(data, what))
 
 
 def metric_to_json(m: Metric) -> dict:
     return bilinear_to_json(m)
 
 
-def metric_from_json(data: dict) -> Metric:
-    return Metric(*_comps_from_json(data))
+def metric_from_json(data: dict, what: str = "metric") -> Metric:
+    return Metric(*_comps_from_json(data, what))
 
 
 def free_data_to_json(fd: FreeData) -> dict:
@@ -313,14 +327,14 @@ def free_data_to_json(fd: FreeData) -> dict:
 
 def free_data_from_json(data: dict) -> FreeData:
     data = _object(data, "free_data")
-    free = _object(data["free_functions"], "free_functions")
-    slices = _object(data["initial_slices"], "initial_slices")
+    free = _object(_get(data, "free_functions", "free_data"), "free_functions")
+    slices = _object(_get(data, "initial_slices", "free_data"), "initial_slices")
     return FreeData(
-        {slot: jet_from_json(p) for slot, p in free.items()},
-        {slot: slice_from_json(p) for slot, p in slices.items()},
+        {slot: jet_from_json(p, f"free_functions slot {slot!r}") for slot, p in free.items()},
+        {slot: slice_from_json(p, f"initial_slices slot {slot!r}") for slot, p in slices.items()},
         None
         if data.get("gauge_function") is None
-        else jet_from_json(data["gauge_function"]),
+        else jet_from_json(data["gauge_function"], "gauge_function"),
     )
 
 
@@ -342,11 +356,11 @@ def typed_to_json(value) -> dict:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def typed_from_json(data: dict):
-    tag = data["type"]
+def typed_from_json(data: dict, what: str):
+    tag = _get(data, "type", what)
     if not isinstance(tag, str) or tag not in _TYPED:
         raise ValueError(f"unknown type tag {tag!r}; known tags: {', '.join(_TYPED)}")
-    return _TYPED[tag][2](data["value"])
+    return _TYPED[tag][2](_get(data, "value", what), what)
 
 
 def report_to_json(report: BuildReport) -> dict:
@@ -366,28 +380,35 @@ def report_to_json(report: BuildReport) -> dict:
     }
 
 
-def _check_from_json(data) -> Check:
+def _check_from_json(data, what: str) -> Check:
     data = _object(data, "check")
     return Check(
-        data["name"],
-        _header(data["zero_to_order"], int, "check zero_to_order"),
-        _header(data["passed"], bool, "check passed"),
+        _header(_get(data, "name", what), str, "check name"),
+        _header(_get(data, "zero_to_order", what), int, "check zero_to_order"),
+        _header(_get(data, "passed", what), bool, "check passed"),
     )
+
+
+def _values_from_json(data: dict, section: str) -> dict:
+    """The typed values of a report section, each read as {section} {name!r}."""
+    values = _object(_get(data, section, "report"), section)
+    return {k: typed_from_json(v, f"{section} {k!r}") for k, v in values.items()}
 
 
 def report_from_json(data: dict) -> BuildReport:
     return BuildReport(
-        construction=data["construction"],
-        n=_header(data["n"], int, "report n"),
-        max_degree=_header(data["D"], int, "report D"),
-        prescribed={
-            k: typed_from_json(v) for k, v in _object(data["prescribed"], "prescribed").items()
-        },
+        construction=_header(_get(data, "construction", "report"), str, "report construction"),
+        n=_header(_get(data, "n", "report"), int, "report n"),
+        max_degree=_header(_get(data, "D", "report"), int, "report D"),
+        prescribed=_values_from_json(data, "prescribed"),
         free_data=None
         if data.get("free_data") is None
         else free_data_from_json(data["free_data"]),
-        outputs={k: typed_from_json(v) for k, v in _object(data["outputs"], "outputs").items()},
-        checks=[_check_from_json(c) for c in _list(data["checks"], "checks")],
+        outputs=_values_from_json(data, "outputs"),
+        checks=[
+            _check_from_json(c, f"checks entry {i}")
+            for i, c in enumerate(_list(_get(data, "checks", "report"), "checks"))
+        ],
     )
 
 

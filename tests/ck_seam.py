@@ -1,24 +1,29 @@
 """The seam between the first-order builders and their CK solve.
 
-`builders._ck_solve(equations, fixed, derived, initial, blocks)` solves one
-x1-layer at a time. `picard_system` rebuilds the same rows as the system of
+`builders._ck_solve(equations, fixed, derived, initial, outputs, blocks)`
+solves one x1-layer at a time, each entry formed to the degree its readers
+need. `picard_system` rebuilds the same rows as the system of
 `ck.solve_first_order`, each unknown labelled by its table key: a full-size
 right-hand side evaluated with `oracles._row_sum` on the table of the fixed
 entries, the unknowns' values and the derived entries (each the `_row_sum` of
 its row on the entries before it), with the keys of every block solved on
 that table by one full-size elimination `oracles.ref_linear_solve` of all
-the blocks' rows, which is the reference the layered solve must match.
+the blocks' rows, which is the reference the layered solve must match. The
+reference forms every entry to D and ignores outputs; `to_degree` cuts one
+of its entries to the degree the solve forms that entry to.
 """
 
 from __future__ import annotations
 
 import jetgeom.builders as builders_module
+from jetgeom import Jet
+from jetgeom import multiindex as mi
 from jetgeom.builders import _ck_rows, _signed
 from jetgeom.ck import FirstOrderSystem
 from oracles import _row_sum, ref_linear_solve
 
 
-def picard_system(equations, fixed, derived, initial, blocks=()) -> FirstOrderSystem:
+def picard_system(equations, fixed, derived, initial, outputs, blocks=()) -> FirstOrderSystem:
     rests = _ck_rows(equations, fixed)
     keys = [key for block_keys, _ in blocks for key in block_keys]
     rows = [row for _, block_rows in blocks for row in block_rows]
@@ -32,6 +37,14 @@ def picard_system(equations, fixed, derived, initial, blocks=()) -> FirstOrderSy
         return {key: _signed(sign, _row_sum(row, table)[0]) for key, (sign, row) in rests.items()}
 
     return FirstOrderSystem(tuple(equations), rhs, initial)
+
+
+def to_degree(jet: Jet, k: int) -> Jet:
+    """jet with its coefficients above degree k dropped, valid to
+    min(its valid order, k), in its own workspace."""
+    kept = mi.size(jet.n, k)
+    nums = list(jet.nums[:kept]) + [0] * (len(jet.nums) - kept)
+    return jet._with_nums(nums, jet.den, min(jet.valid_order, k))
 
 
 def capture_ck_solves(monkeypatch) -> list:

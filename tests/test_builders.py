@@ -641,7 +641,7 @@ def test_determined_solve_matches_sequential_substitution(n):
                     )
     blocks = _determined_blocks(n, _codazzi_spec(n).determined)
     table = {("g", *pair): jet for pair, jet in gtable.items()}
-    simultaneous = _ck_solve({}, {**table, **gammas_known}, {}, {}, blocks)
+    simultaneous = _ck_solve({}, {**table, **gammas_known}, {}, {}, det, blocks)
     sequential = _sequential_solve(
         _oracle_rows(n, cap, gtable, gammas_known, det), n, cap
     )
@@ -662,7 +662,7 @@ def test_determined_symbol_system_singular_at_origin_raises():
         if key not in set(det)
     }
     with pytest.raises(EvaluationError, match="^right-hand side failed at x1-layer 0: ") as err:
-        _ck_solve({}, {**gtable, **free}, {}, {}, _determined_blocks(n, det))
+        _ck_solve({}, {**gtable, **free}, {}, {}, set(det), _determined_blocks(n, det))
     assert isinstance(err.value.__cause__, SingularJetError)
 
 

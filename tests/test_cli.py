@@ -774,6 +774,29 @@ def test_usage_errors_exit_1(capsys, argv, message):
     assert captured.err.startswith("usage: jetgeom") and message in captured.err
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once per process: a usage error and then a valid
+    # verify give the outputs of two calls that each build it afresh
+    built_report(tmp_path, METRIC_2D)
+    report = str(tmp_path / "built.json")
+    capsys.readouterr()
+
+    def outputs(fresh: bool) -> list:
+        got = []
+        for argv in (["verify", report, "--order", "x"], ["verify", report]):
+            if fresh:
+                cli._parser.cache_clear()
+            got.append((main(argv), *capsys.readouterr()))
+        return got
+
+    shared = outputs(False)
+    assert cli._parser() is cli._parser()
+    assert shared == outputs(True)
+    (code, out, err), last = shared
+    assert (code, out) == (1, "") and "invalid int value: 'x'" in err
+    assert last == (0, json.dumps({"verified": True}) + "\n", "")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])

@@ -9,9 +9,11 @@ node of the report tree, replaces it, or inserts a key into an object; the
 values are lists, objects, floats, integers (huge ones at the "n" and "D"
 keys), strings, booleans and null. A coefficient that is not a string is
 malformed, and so is an "n", "D", "ambient_n" or check "zero_to_order" that
-is not a JSON integer or a "symmetric" or check "passed" that is not a JSON
-boolean; such a mutation must exit 1. A report that stores a failed check
-never verifies.
+is not a JSON integer, a "symmetric" or check "passed" that is not a JSON
+boolean, or a "construction" or check "name" that is not a JSON string; such
+a mutation must exit 1. A dropped key that a reader reads exits 1 with a
+message that names the key and its section. A report that stores a failed
+check never verifies.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ def node_at(tree, path):
 # header field -> the one JSON type its value may have
 HEADERS = {
     "n": int, "D": int, "ambient_n": int, "zero_to_order": int,
-    "symmetric": bool, "passed": bool,
+    "symmetric": bool, "passed": bool, "construction": str, "name": str,
 }
 
 
@@ -335,6 +337,12 @@ MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
 @example(case=("general", ("replace", ("outputs", "connection", "type"), "foo")))
 @example(case=("torsion-free", ("replace", ("checks",), {"a": 1})))
 @example(case=("torsion-free", ("replace", ("checks", 0), "a")))
+# a missing key, and a construction or check name that is not a string
+@example(case=("general", ("drop", GAMMA_COEFFS, None)))
+@example(case=("torsion-free", ("drop", ("checks", 1, "name"), None)))
+@example(case=("general", ("drop", ("outputs",), None)))
+@example(case=("torsion-free", ("replace", ("construction",), ["x"])))
+@example(case=("torsion-free", ("replace", ("checks", 1, "name"), 5)))
 @given(case=MUTATED_REPORTS)
 def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, case):
     name, mutation = case
@@ -421,6 +429,7 @@ def test_verify_reads_unusual_coefficient_text_as_fraction_does(tmp_path, key, v
             "slice ambient_n must be an integer, not 2.0",
         ),
         ("metric-2d", ("prescribed", "r", "value", "n"), 2.0, "table n must be an integer, not 2.0"),
+        ("general", ("construction",), ["x"], "report construction must be a string, not ['x']"),
         (
             "general",
             ("outputs", "connection", "value", "symmetric"),
@@ -451,8 +460,12 @@ def test_verify_reads_headers_as_json_integers_and_booleans(tmp_path, name, path
         (("checks", 1, "passed"), "no", "check passed must be a boolean, not 'no'"),
         (("checks", 1, "passed"), 1, "check passed must be a boolean, not 1"),
         (("checks", 1, "passed"), False, None),
+        (("checks", 1, "name"), 5, "check name must be a string, not 5"),
     ],
-    ids=["order-float", "order-boolean", "passed-string", "passed-integer", "passed-false"],
+    ids=[
+        "order-float", "order-boolean", "passed-string", "passed-integer", "passed-false",
+        "name-integer",
+    ],
 )
 def test_verify_reads_check_entries_typed_and_fails_a_stored_failure(
     tmp_path, path, value, expected
@@ -464,3 +477,29 @@ def test_verify_reads_check_entries_typed_and_fails_a_stored_failure(
         assert call("verify", str(file)) == (2, REJECTED, "")
     else:
         assert call("verify", str(file)) == (1, "", f"malformed report: {expected}\n")
+
+
+@pytest.mark.parametrize(
+    "name, path, message",
+    [
+        ("general", GAMMA_COEFFS, "gamma entry '1;1,1' has no key 'coeffs'"),
+        ("torsion-free", ("checks", 1, "name"), "checks entry 1 has no key 'name'"),
+        ("general", ("outputs",), "report has no key 'outputs'"),
+        ("metric-2d", ("prescribed", "phi", "value", "jet"), "prescribed 'phi' has no key 'jet'"),
+        (
+            "metric-2d",
+            ("outputs", "metric", "value", "comps", "1,1", "valid_order"),
+            "comps entry '1,1' has no key 'valid_order'",
+        ),
+        (
+            "statistical",
+            ("free_data", "initial_slices", "g;1,2", "jet", "n"),
+            "initial_slices slot 'g;1,2' jet has no key 'n'",
+        ),
+    ],
+)
+def test_verify_names_the_section_of_a_missing_key(tmp_path, name, path, message):
+    tree, _ = mutate(json.loads(report(name)), ("drop", path, None))
+    file = tmp_path / "report.json"
+    file.write_text(json.dumps(tree))
+    assert call("verify", str(file)) == (1, "", f"malformed report: {message}\n")

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import jetgeom.builders as builders_module
 import jetgeom.jets as jets_module
-from ck_seam import capture_ck_solves
+from ck_seam import capture_ck_solves, to_degree
 from jetgeom import (
     EvaluationError,
     Jet,
@@ -33,8 +35,10 @@ from jetgeom.builders import (
     _Row,
     _all_pair_keys,
     _checked,
+    _ck_rows,
     _ck_solve,
     _codazzi_spec,
+    _degrees,
     _determined_blocks,
     _run_checks,
     parse_slot,
@@ -87,23 +91,29 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
     else:
         _run_round_trip(sc)
     [(system, args, table)] = calls
-    equations, fixed, derived, _, blocks = (*args, ())[:5]
+    equations, fixed, derived, _, outputs, blocks = (*args, ())[:6]
     picard = solve_first_order(system).values
     for key in equations:
         assert table[key].same_payload(picard[key]), key
     # each derived entry, valid order included, is its row's sum on the
     # Picard solution (the torsion-free G^k_kk are valid to D - 1), and the
-    # block keys are the full-size elimination of the blocks' rows on it
+    # block keys are the full-size elimination of the blocks' rows on it:
+    # an output as it is, any other entry cut to its degree
     full = {**fixed, **picard}
     for target, row in derived.items():
         full[target] = _row_sum(row, full)[0]
-        assert table[target].same_payload(full[target]), target
     keys = [key for block_keys, _ in blocks for key in block_keys]
     rows = [row for _, block_rows in blocks for row in block_rows]
     assert bool(keys) == (tag in ("statistical", "trace-free-statistical-2d", "metric-2d"))
-    for key, jet in ref_linear_solve(keys, rows, full).items():
-        assert table[key].same_payload(jet), key
-    assert set(table) == set(full) | set(keys)
+    full.update(ref_linear_solve(keys, rows, full))
+    degrees = _degrees(_ck_rows(equations, fixed), derived, blocks, frozenset(outputs), cap)
+    assert set(degrees) == set(derived) | set(keys)
+    for key, k in degrees.items():
+        if key in outputs:
+            assert k == cap and table[key].same_payload(full[key]), key
+        else:
+            assert table[key].same_payload(to_degree(full[key], k)), key
+    assert set(table) == set(full)
 
 
 @pytest.mark.parametrize("mode", ["direct", "round_trip"])
@@ -125,7 +135,7 @@ def test_ck_solve_keys_every_entry_by_its_slot(monkeypatch, tag, n, mode):
     else:
         _run_round_trip(sc)
     [(_, args, _)] = calls
-    equations, fixed, derived, initial, blocks = (*args, ())[:5]
+    equations, fixed, derived, initial, _, blocks = (*args, ())[:6]
     cen = census(tag, n)
     assert set(initial) == set(equations) == {parse_slot(s) for s in cen.initial_slice_slots}
     assert all(parse_slot(s) in fixed for s in cen.free_function_slots if s != "phi")
@@ -202,7 +212,8 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
         for key in _all_pair_keys(n)
         if key not in set(determined)
     }
-    solved = _ck_solve({}, {**gtable, **free}, {}, {}, _determined_blocks(n, determined))
+    blocks = _determined_blocks(n, determined)
+    solved = _ck_solve({}, {**gtable, **free}, {}, {}, set(determined), blocks)
     full = ref_determined_christoffels(n, cap, gtable, free, determined)
     assert set(solved) == set(gtable) | set(free) | set(determined)
     for key in determined:
@@ -225,7 +236,7 @@ def test_a_node_run_again_solves_afresh():
         tables.append(table)
     runs = []
     for table in (*tables, tables[0]):
-        solved = _ck_solve({}, table, {}, {}, blocks)
+        solved = _ck_solve({}, table, {}, {}, set(determined), blocks)
         runs.append({key: solved[key] for key in determined})
     assert runs[0] != runs[1]
     for key in determined:
@@ -348,7 +359,7 @@ def test_x1_derivative_in_a_derived_row_is_rejected(monkeypatch):
     derived = {"du": _Row(derivatives=((1, "u", 1),))}
     initial = {"u": SliceJet(Jet.one(1, 3))}
     with pytest.raises(AssertionError) as err:
-        builders_module._ck_solve(equations, {}, derived, initial)
+        builders_module._ck_solve(equations, {}, derived, initial, {"u"})
     assert str(err.value) == "the derived row of du consumes the x1-derivatives of ['u']"
 
 
@@ -374,10 +385,12 @@ def test_failure_inside_a_layer_names_the_layer(monkeypatch):
     # layer: the first of them at layer 2 fails
     real = builders_module._row_layer
     calls = []
+    blocks = _determined_blocks(3, _codazzi_spec(3).determined)
+    block_rows = [row for _, rows in blocks for row in rows]
 
     def fails_at_layer_2(row, table, d1, n, cap, t, order=None):
         calls.append(t)
-        if t == 2 and order is None:
+        if t == 2 and row in block_rows:
             raise SingularJetError("jet matrix not invertible at the origin")
         return real(row, table, d1, n, cap, t, order)
 
@@ -390,6 +403,77 @@ def test_failure_inside_a_layer_names_the_layer(monkeypatch):
     )
     assert isinstance(err.value.__cause__, SingularJetError)
     assert max(calls) == 2
+
+
+# entry denominators and layer denominators: powers of 2 and 3 that share
+# factors with one another and divide one another
+DENS = (1, 2, 3, 4, 6, 9, 12, 36)
+
+
+@st.composite
+def layer_writes(draw):
+    """(entry, ranks, nums, den, valid order): an entry of Fractions over
+    DENS, zero at the ranks of layer t to degree k, and a layer of integer
+    numerators over a denominator of DENS, as `_ck_solve` writes them."""
+    n, cap = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    t = draw(st.integers(0, cap))
+    ranks = mi.x1_layers(n, draw(st.integers(t, cap)))[t]
+    fraction = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENS))
+    coeffs = [Fraction(0) if r in ranks else draw(fraction) for r in range(mi.size(n, cap))]
+    nums = draw(st.lists(st.integers(-40, 40), min_size=len(ranks), max_size=len(ranks)))
+    den, valid = draw(st.sampled_from(DENS)), draw(st.integers(0, cap))
+    return Jet(n, cap, coeffs, cap), ranks, nums, den, valid
+
+
+ENTRY = Jet.from_terms(2, 2, {(0, 0): Fraction(1, 4), (0, 1): Fraction(-5, 6)})
+LAYER_1 = mi.x1_layers(2, 2)[1]  # where ENTRY is zero
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+# ENTRY's denominator is 12: an all-zero layer, negative numerators not in
+# lowest terms, and layer denominators sharing a factor with 12 (8, 9),
+# dividing it (3, 6), a multiple of it (36) and 12 itself
+@example(case=(ENTRY, LAYER_1, [0, 0], 6, 2))
+@example(case=(ENTRY, LAYER_1, [-4, -6], 8, 1))
+@example(case=(ENTRY, LAYER_1, [-1, 5], 9, 2))
+@example(case=(ENTRY, LAYER_1, [2, -1], 3, 2))
+@example(case=(ENTRY, LAYER_1, [-3, 1], 36, 0))
+@example(case=(ENTRY, LAYER_1, [-1, 1], 12, 2))
+@given(case=layer_writes())
+def test_write_layer_is_the_sum_of_fractions(case):
+    # reducing only the layer gives the one reduced jet, the one Fraction gives
+    jet, ranks, nums, den, valid = case
+    coeffs = list(jet.coeffs)
+    for r, v in zip(ranks, nums):
+        coeffs[r] = Fraction(v, den)
+    written = builders_module._write_layer(jet, ranks, nums, den, valid)
+    assert written.same_payload(Jet(jet.n, jet.max_degree, coeffs, valid))
+
+
+def test_entries_are_formed_to_the_degree_their_readers_need(monkeypatch):
+    # metric-2d reads back only h; the p rest reads s, E and 1/h, and the
+    # products of B1, B2 and E read the first derivatives of w and v, but s
+    # takes (w)_22, so (w)_2 and w stay at D, and (v)_2 puts v at D
+    cap = 6
+    calls = capture_ck_solves(monkeypatch)
+    _run_direct({
+        "construction": "metric-2d", "n": 2, "D": cap, "seed": 3,
+        "prescribed": RANDOM_PRESCRIBED["metric-2d"],
+    })
+    for tag in ("general", "torsion-free"):
+        sc = {"construction": tag, "n": 3, "D": cap, "seed": 3, "prescribed": {"r": "random"}}
+        _run_direct(sc | {"free_data": "random"})
+    got = []
+    for _, (equations, fixed, derived, _, outputs, *blocks), _ in calls:
+        blocks = blocks[0] if blocks else ()
+        got.append(_degrees(_ck_rows(equations, fixed), derived, blocks, frozenset(outputs), cap))
+    lower = ("s", "B1", "B2", "E", "(w)_1", "(v)_1", "(v)_2", "1/h")
+    assert got[0] == {**dict.fromkeys(lower, cap - 1), "w": cap, "(w)_2": cap, "v": cap}
+    divergences = {("div", l): cap - 1 for l in (1, 2, 3)}
+    assert got[1] == divergences
+    assert got[2] == {**divergences, **{(k, k, k): cap for k in (1, 2, 3)}}
 
 
 # one small pinned scenario per construction for the tests of the solve's
@@ -405,15 +489,16 @@ SMALL = {
 }
 
 
-def solved_table(monkeypatch, tag, mode, workspace=None) -> dict:
-    """The table the one `_ck_solve` of the construction's scenario in
-    workspace (n, D) returns, seed 3; by default its small scenario."""
-    tables = []
+def solved_table(monkeypatch, tag, mode, workspace=None) -> tuple[tuple, dict]:
+    """The arguments of the one `_ck_solve` of the construction's scenario
+    in workspace (n, D), seed 3, and the table it returns; by default its
+    small scenario."""
+    calls = []
     real = builders_module._ck_solve
 
     def spy(*args):
-        tables.append(real(*args))
-        return tables[-1]
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(builders_module, "_ck_solve", spy)
     n, cap = workspace or SMALL[tag]
@@ -423,8 +508,8 @@ def solved_table(monkeypatch, tag, mode, workspace=None) -> dict:
         _run_direct(sc)
     else:
         _run_round_trip(sc)
-    [table] = tables
-    return table
+    [call] = calls
+    return call
 
 
 @pytest.mark.parametrize(
@@ -437,32 +522,50 @@ def solved_table(monkeypatch, tag, mode, workspace=None) -> dict:
 )
 def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
     # the rests are formed to degree D - 1 because layer t + 1 of an unknown
-    # takes only their coefficients below D: junk written at the degree-D
-    # ranks of every rest layer must leave the solved table as it is
-    want = solved_table(monkeypatch, tag, mode)
-    real, junk = builders_module._row_layer, []
+    # takes only their coefficients below D, and every other entry only to
+    # the degree its readers need: junk written at the degree-D ranks of
+    # every rest layer, and in every entry above its degree, must leave the
+    # unknowns and the outputs as they are
+    (equations, *_, outputs, _), want = solved_table(monkeypatch, tag, mode)
+    real_row, real_write = builders_module._row_layer, builders_module._write_layer
+    rest_junk, entry_junk = [], []
 
     def rest_with_junk(row, table, d1, n, cap, t, order=None):
-        out, den = real(row, table, d1, n, cap, t, order)
+        out, den = real_row(row, table, d1, n, cap, t, order)
         if order == cap - 1:
             top = mi.x1_layers(n, cap)[t][len(mi.x1_layers(n, order)[t]):]
             for r in top:
                 out[r] = 7**r + 1
-            junk.extend(top)
+            rest_junk.extend(top)
         return out, den
 
+    def write_with_junk(jet, ranks, nums, den, valid_order):
+        # layer t written to degree k: junk above k in layer t, and at the
+        # last write, t = k, in every later layer
+        exps = mi.exponents(jet.n, jet.max_degree)
+        t, k = exps[ranks[0]][0], sum(exps[ranks[-1]])
+        top = [r for r, e in enumerate(exps) if sum(e) > k and (e[0] == t or e[0] > t == k)]
+        entry_junk.extend(top)
+        return real_write(jet, [*ranks, *top], [*nums, *(7**r + 1 for r in top)], den, valid_order)
+
     monkeypatch.setattr(builders_module, "_row_layer", rest_with_junk)
-    got = solved_table(monkeypatch, tag, mode)
-    assert junk
+    monkeypatch.setattr(builders_module, "_write_layer", write_with_junk)
+    _, got = solved_table(monkeypatch, tag, mode)
+    assert rest_junk
+    # the Ricci builds' ("div", l) and metric-2d's derived entries and 1/h
+    # are formed below D; every other entry is an unknown or an output
+    below_d = ("general", "trace-free-torsion", "torsion-free", "metric-2d")
+    assert bool(entry_junk) == (tag in below_d)
     assert set(got) == set(want)
-    for key in want:
+    for key in {*equations, *outputs}:
         assert got[key].same_payload(want[key]), key
 
 
 # the (rb, rc) pairs `_mul_layer` visits on spans with a nonzero first
 # factor, in the solve of each small scenario (direct mode, seed 3). A
 # ceiling may only move down. Rests formed to degree D took 6057, 6402,
-# 10626, 7473, 599, 524 and 1124. statistical-n4 is statistical at (4, 3),
+# 10626, 7473, 599, 524 and 1124; metric-2d took 1043 with every derived
+# entry and 1/h formed to D. statistical-n4 is statistical at (4, 3),
 # the smallest workspace whose determined-symbol blocks have off-diagonal
 # entries, which each later block's rows read from the solve's table.
 SOLVE_PAIR_CEILINGS = {
@@ -472,7 +575,7 @@ SOLVE_PAIR_CEILINGS = {
     "statistical": 4724,
     "statistical-2d": 343,
     "trace-free-statistical-2d": 310,
-    "metric-2d": 1043,
+    "metric-2d": 644,
     "statistical-n4": 11686,
 }
 # the scenarios of the ceilings that are not a construction's small one

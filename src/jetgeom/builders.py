@@ -97,7 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import multiindex as mi
 from .errors import (
@@ -112,7 +112,6 @@ from .geometry import (
     Metric,
     OneForm,
     _gauss_jordan,
-    _sum_jets,
     divergence_form,
     is_codazzi,
     levi_civita,
@@ -470,26 +469,22 @@ class BuildReport:
 # build's pass the same checks (`verify_read_back`)
 
 
-def _residuals(report: BuildReport, res: Bilinear, order: int) -> Iterator[Jet]:
-    """The jets res_ij - r_ij of the report's prescribed r, res having been
-    formed at cap order from outputs in the report's workspace, where an
-    admitted r lives too (`_admit`)."""
-    r = report.prescribed["r"]
-    for i in range(1, res.n + 1):
-        for j in range(1, res.n + 1):
-            yield res.comp(i, j) - r.comp(i, j).truncate(order)
+def _equals_r(report: BuildReport, res: Bilinear, order: int) -> bool:
+    """Whether res, formed at cap order from outputs in the report's
+    workspace, where an admitted r lives too (`_admit`), equals the
+    prescribed r on the coefficients of degree <= order (`Jet.eq_up_to`)."""
+    r = report.prescribed["r"].comps
+    return all(jet.eq_up_to(r[key], order) for key, jet in res.comps.items())
 
 
 def _ricci_residual(report: BuildReport, order: int) -> bool:
-    res = ricci(report.outputs["connection"], order)
-    return all(gap.is_zero_up_to(order) for gap in _residuals(report, res, order))
+    return _equals_r(report, ricci(report.outputs["connection"], order), order)
 
 
 def _metric_ricci_residual(report: BuildReport, order: int) -> bool:
     # the derivative part of Ric to degree k needs the symbols to degree k + 1
     conn = levi_civita(report.outputs["metric"], min(order + 1, report.max_degree))
-    res = ricci(conn, order)
-    return all(gap.is_zero_up_to(order) for gap in _residuals(report, res, order))
+    return _equals_r(report, ricci(conn, order), order)
 
 
 def _torsion_trace_zero(report: BuildReport, order: int) -> bool:
@@ -798,10 +793,6 @@ def _atoms(counter: dict) -> tuple:
     return tuple((c, *key) for key, c in counter.items() if c)
 
 
-def _signed(c: int, jet: Jet) -> Jet:
-    return jet if c == 1 else -jet if c == -1 else jet.scale(c)
-
-
 def _x1_consumed(derivatives, fixed: Mapping) -> list:
     """The entries whose x1-derivatives the derivative atoms take though
     they are not fixed before the solve."""
@@ -944,13 +935,12 @@ def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> list:
     for keys, rows in blocks:
         matrix = []
         for i, row in enumerate(rows):
-            coeffs: dict = {}
+            terms: dict = {key: [] for key in keys}
             for c, x, y in row.products:
                 if x in keys:
-                    entry = _signed(c, table[y].restrict_x1().jet)
-                    coeffs[x] = coeffs[x] + entry if x in coeffs else entry
+                    terms[x].append((c, table[y].restrict_x1().jet))
             matrix.append(
-                [coeffs.get(key, zero) for key in keys]
+                [product_sum(linear=t) if t else zero for t in terms.values()]
                 + [Jet.constant(int(i == j), n - 1, cap) for j in range(len(keys))]
             )
         inverses.append([row[len(keys):] for row in _gauss_jordan(matrix)])
@@ -1564,7 +1554,7 @@ def random_trace_free_connection(
     CK-unknown slots are random, the trace-equation slots are solved."""
     gamma = dict(random_connection(seed, n, cap, degree, bound).gamma)
     for target, terms in _ricci_spec("trace-free-torsion", n).substitutions.items():
-        gamma[target] = _sum_jets(_signed(c, gamma[key]) for c, key in terms)
+        gamma[target] = product_sum(linear=[(c, gamma[key]) for c, key in terms])
     return Connection(n, gamma)
 
 

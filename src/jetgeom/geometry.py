@@ -5,6 +5,14 @@ the radial-homotopy primitives behind the Poincare lemma.
 Index conventions are 1-based throughout, matching coordinates x1..xn.
 All closedness/primitive statements are raw coefficient identities, so no
 exterior-derivative normalization convention enters anywhere.
+
+Every component of a tensor built from sums (the divergence form, the torsion
+trace, the Ricci tensor and its parts, nabla g, the Levi-Civita brackets and
+contractions) is one `jets.product_sum` of its product, linear and derivative
+terms: one integer accumulation over one denominator, reduced once, with no
+intermediate jet. With an order k the sums are formed to degree k only, and
+no truncated copy of an input is made; `metric_inverse` still truncates its
+inputs for its elimination.
 """
 
 from __future__ import annotations
@@ -22,15 +30,6 @@ from .errors import (
 from .jets import Jet, ZERO, product_sum
 
 HALF = Fraction(1, 2)
-
-
-def _sum_jets(jets: Iterable[Jet]) -> Jet:
-    total = None
-    for j in jets:
-        total = j if total is None else total + j
-    if total is None:
-        raise ValueError("empty jet sum")
-    return total
 
 
 def _common_shape(jets: Iterable[Jet]) -> tuple[int, int]:
@@ -251,74 +250,73 @@ class Metric(Bilinear):
 
 def divergence_form(conn: Connection) -> OneForm:
     """The 1-form D_j = sum_k gamma[k;k,j] (divergence of the coordinate fields)."""
+    rng, g = range(1, conn.n + 1), conn.gamma
+    return OneForm(conn.n, {j: product_sum(linear=[(1, g[(k, k, j)]) for k in rng]) for j in rng})
+
+
+def _ricci_terms(conn: Connection, div: Mapping, i: int, j: int) -> tuple[list, list]:
+    """The quadratic and the derivative terms of Ric_ij, as `jets.product_sum`
+    takes them: the n^2 + n products of -L_ij = sum_l G^l_ij D_l -
+    sum_{k,l} G^l_kj G^k_il, with D_l = sum_k G^k_kl, which are symmetric in
+    (i, j) on a symmetric table, and sum_k (G^k_ij)_k - (D_j)_i."""
     rng = range(1, conn.n + 1)
-    return OneForm(
-        conn.n, {j: _sum_jets(conn.gamma[(k, k, j)] for k in rng) for j in rng}
-    )
-
-
-def _truncated(table: Mapping, order: int | None) -> Mapping:
-    """The table with every jet truncated to order (`Jet.truncate`); None
-    gives the table itself."""
-    if order is None:
-        return table
-    return {key: jet.truncate(order) for key, jet in table.items()}
+    g = conn.gamma
+    quad = [(-1, g[(l, k, j)], g[(k, i, l)]) for k in rng for l in rng]
+    quad += [(1, g[(l, i, j)], div[l]) for l in rng]
+    return quad, [(1, g[(k, i, j)], k) for k in rng] + [(-1, div[j], i)]
 
 
 def ricci(conn: Connection, order: int | None = None) -> Bilinear:
-    """Ricci tensor of a connection from its Christoffel symbols, as
-    ricci_derivative_part - lambda_term:
+    """Ricci tensor of a connection from its Christoffel symbols,
 
         Ric_ij = sum_k [(G^k_ij)_k - (G^k_kj)_i]
-                 + sum_{k,l} [G^l_ij G^k_kl - G^l_kj G^k_il]
+                 + sum_{k,l} [G^l_ij G^k_kl - G^l_kj G^k_il],
 
-    With an order k (0..D), the partials are taken at the cap D and truncated
-    to k, and every product is formed at cap k: the result lives in workspace
-    (n, k) and is the full one truncated to k."""
-    deriv = _truncated(ricci_derivative_part(conn).comps, order)
-    if order is not None:
-        conn = Connection(conn.n, _truncated(conn.gamma, order), conn.symmetric)
-    lam = lambda_term(conn).comps
-    return Bilinear(conn.n, {key: deriv[key] - lam[key] for key in deriv})
+    each component one `jets.product_sum` of the derivative terms
+    (`ricci_derivative_part`) and the quadratic terms (minus `lambda_term`).
+    On a symmetric table the quadratic terms of (i, j) and (j, i) agree, so
+    for i != j they are summed once, and that sum is a linear term of both.
+
+    With an order k (0..D), every component is formed to degree k only, in
+    workspace (n, k): the result is the full one truncated to k."""
+    rng, div = range(1, conn.n + 1), divergence_form(conn).comps
+    out, shared = {}, {}
+    for i in rng:
+        for j in rng:
+            products, derivatives = _ricci_terms(conn, div, i, j)
+            linear = ()
+            if conn.symmetric and i != j:
+                pair = (min(i, j), max(i, j))
+                if pair not in shared:
+                    shared[pair] = [(1, product_sum(products, cap=order))]
+                products, linear = (), shared[pair]
+            out[(i, j)] = product_sum(products, linear, derivatives, cap=order)
+    return Bilinear(conn.n, out)
 
 
 def ricci_derivative_part(conn: Connection) -> Bilinear:
     """Only the derivative terms sum_k [(G^k_ij)_k - (G^k_kj)_i]."""
-    n = conn.n
-    rng = range(1, n + 1)
-    g = conn.gamma
-    div = divergence_form(conn)
-    return Bilinear(
-        n,
-        {
-            (i, j): _sum_jets(g[(k, i, j)].partial(k) for k in rng)
-            - div.comp(j).partial(i)
-            for i in rng
-            for j in rng
-        },
-    )
+    rng, div = range(1, conn.n + 1), divergence_form(conn).comps
+    terms = {(i, j): _ricci_terms(conn, div, i, j)[1] for i in rng for j in rng}
+    return Bilinear(conn.n, {key: product_sum(derivatives=t) for key, t in terms.items()})
 
 
 def lambda_term(conn: Connection) -> Bilinear:
     """Quadratic Christoffel contraction
     L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl], so
-    ricci = ricci_derivative_part - lambda_term. On a symmetric table both
-    sums are symmetric in (i, j), so L_ij is formed for i <= j only; a
-    general table is not, and gets every (i, j). Each L_ij is one
-    `jets.product_sum` of its n^2 + n terms."""
-    n = conn.n
-    rng = range(1, n + 1)
-    g = conn.gamma
-    div = divergence_form(conn)
+    ricci = ricci_derivative_part - lambda_term. On a symmetric table L_ij is
+    formed for i <= j only. Each L_ij is one `jets.product_sum` of the
+    negated quadratic terms of `ricci`."""
+    rng, div = range(1, conn.n + 1), divergence_form(conn).comps
     out = {}
     for i in rng:
-        for j in range(i, n + 1) if conn.symmetric else rng:
-            quad2 = [(1, g[(l, k, j)], g[(k, i, l)]) for k in rng for l in rng]
-            quad1 = [(-1, g[(l, i, j)], div.comp(l)) for l in rng]
-            out[(i, j)] = product_sum(quad2 + quad1)
-    if conn.symmetric:
-        out.update({(j, i): out[(i, j)] for i, j in list(out)})
-    return Bilinear(n, out)
+        for j in rng:
+            if conn.symmetric and j < i:
+                out[(i, j)] = out[(j, i)]
+            else:
+                quad = _ricci_terms(conn, div, i, j)[0]
+                out[(i, j)] = product_sum((-c, a, b) for c, a, b in quad)
+    return Bilinear(conn.n, out)
 
 
 def torsion(conn: Connection) -> dict[tuple[int, int, int], Jet]:
@@ -334,14 +332,9 @@ def torsion(conn: Connection) -> dict[tuple[int, int, int], Jet]:
 
 def torsion_trace(conn: Connection) -> OneForm:
     """tau_j = sum_i (G^i_ij - G^i_ji)."""
-    rng = range(1, conn.n + 1)
-    return OneForm(
-        conn.n,
-        {
-            j: _sum_jets(conn.gamma[(i, i, j)] - conn.gamma[(i, j, i)] for i in rng)
-            for j in rng
-        },
-    )
+    rng, g = range(1, conn.n + 1), conn.gamma
+    terms = {j: [(1, g[(i, i, j)]) for i in rng] + [(-1, g[(i, j, i)]) for i in rng] for j in rng}
+    return OneForm(conn.n, {j: product_sum(linear=t) for j, t in terms.items()})
 
 
 def split(b: Bilinear) -> tuple[Bilinear, TwoForm]:
@@ -371,10 +364,8 @@ def two_form_closed(a: TwoForm, order: int) -> bool:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                cyc = (
-                    a.comp(i, j).partial(k)
-                    + a.comp(j, k).partial(i)
-                    + a.comp(k, i).partial(j)
+                cyc = product_sum(
+                    derivatives=[(1, a.comp(i, j), k), (1, a.comp(j, k), i), (-1, a.comp(i, k), j)]
                 )
                 if not cyc.is_zero_up_to(order):
                     return False
@@ -403,14 +394,9 @@ def primitive_of_two_form(a: TwoForm) -> OneForm:
     working = max(a.min_valid() - 1, 0)
     if not two_form_closed(a, working):
         raise NotClosedError(f"2-form is not closed up to degree {working}")
-    comps = {}
-    for i in range(1, n + 1):
-        total = Jet.zero(n, cap, valid_order=min(a.min_valid() + 1, cap))
-        for j in range(1, n + 1):
-            if j != i:
-                total = total + _radial_homotopy(a.comp(i, j), j, 2, 2)
-        comps[i] = total
-    return OneForm(n, comps)
+    rng, zero = range(1, n + 1), Jet.zero(n, cap, valid_order=min(a.min_valid() + 1, cap))
+    terms = {i: [(1, _radial_homotopy(a.comp(i, j), j, 2, 2)) for j in rng if j != i] for i in rng}
+    return OneForm(n, {i: product_sum(linear=[(1, zero), *t]) for i, t in terms.items()})
 
 
 def potential_of_one_form(d: OneForm) -> Jet:
@@ -420,13 +406,11 @@ def potential_of_one_form(d: OneForm) -> Jet:
     working = max(d.min_valid() - 1, 0)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            gap = d.comp(i).partial(j) - d.comp(j).partial(i)
+            gap = product_sum(derivatives=[(1, d.comp(i), j), (-1, d.comp(j), i)])
             if not gap.is_zero_up_to(working):
                 raise NotClosedError(f"1-form is not closed up to degree {working}")
-    total = Jet.zero(n, cap, valid_order=min(d.min_valid() + 1, cap))
-    for k in range(1, n + 1):
-        total = total + _radial_homotopy(d.comp(k), k, 1, 1)
-    return total
+    # each primitive is valid to min(d_k valid + 1, cap), so the sum to min(d valid + 1, cap)
+    return product_sum(linear=[(1, _radial_homotopy(d.comp(k), k, 1, 1)) for k in range(1, n + 1)])
 
 
 def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
@@ -434,19 +418,19 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
 
     nabla g is symmetric in (j, k), so only j <= k is formed; on a symmetric
     table A_ijk = A_jik is formed only for i <= j. Each A_ijk is one
-    `jets.product_sum` of n products: at n = 4 that is 160 products on a
-    symmetric table and 256 on a general one.
+    `jets.product_sum` of n products (at n = 4 that is 160 products on a
+    symmetric table and 256 on a general one), and each component one more,
+    of the derivative and the two A terms.
 
-    With an order k (0..D), the partials are taken at the cap D and truncated
-    to k, and every product is formed at cap k: the result lives in workspace
-    (n, k) and is the full one truncated to k. Christoffel symbols and metric
-    in different workspaces fail as the first untruncated product would."""
+    With an order k (0..D), every sum is formed to degree k only, in
+    workspace (n, k): the result is the full one truncated to k. Christoffel
+    symbols and metric in different workspaces fail as the first untruncated
+    product would."""
     n = conn.n
     rng = range(1, n + 1)
     gamma, comps = conn.gamma, g.comps
     if order is not None and n:
         gamma[(1, 1, 1)]._require_same_shape(comps[(1, 1)])
-    gamma, comps = _truncated(gamma, order), _truncated(comps, order)
     a = {}
     for i in rng:
         for j in rng:
@@ -454,39 +438,47 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
                 if conn.symmetric and j < i:
                     a[(i, j, k)] = a[(j, i, k)]
                 else:
-                    a[(i, j, k)] = product_sum((1, gamma[(l, i, j)], comps[(l, k)]) for l in rng)
-    dg = _truncated(
-        {(i, j, k): g.comp(j, k).partial(i) for i in rng for j in rng for k in range(j, n + 1)},
-        order,
-    )
+                    a[(i, j, k)] = product_sum(
+                        [(1, gamma[(l, i, j)], comps[(l, k)]) for l in rng], cap=order
+                    )
     out = {}
     for i in rng:
         for j in rng:
             for k in range(j, n + 1):
-                out[(i, j, k)] = out[(i, k, j)] = dg[(i, j, k)] - a[(i, j, k)] - a[(i, k, j)]
+                out[(i, j, k)] = out[(i, k, j)] = product_sum(
+                    linear=[(-1, a[(i, j, k)]), (-1, a[(i, k, j)])],
+                    derivatives=[(1, comps[(j, k)], i)],
+                    cap=order,
+                )
     return CubicForm(n, out)
 
 
 def is_codazzi(conn: Connection, g: Metric, order: int) -> bool:
     """Total symmetry of nabla g, tested on the reduced index set
-    {(i, j, k): i < j, i <= k} which is equivalent to all permutations.
-    nabla g is formed in the workspace of order (`nabla_g`)."""
-    ng = nabla_g(conn, g, order)
+    {(i, j, k): i < j, i <= k} which is equivalent to all permutations, by
+    comparing (nabla g)_ijk with (nabla g)_jik on the coefficients of degree
+    <= order. nabla g is formed in the workspace of order (`nabla_g`)."""
+    ng = nabla_g(conn, g, order).comps
     n = conn.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(i, n + 1):
-                gap = ng.comp(i, j, k) - ng.comp(j, i, k)
-                if not gap.is_zero_up_to(order):
-                    return False
-    return True
+    return all(
+        ng[(i, j, k)].eq_up_to(ng[(j, i, k)], order)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for k in range(i, n + 1)
+    )
 
 
 def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
     """Gauss-Jordan elimination, in place, of a square jet matrix augmented by
     extra columns: the pivot of each column is the first remaining row whose
     entry has a nonzero constant term. On return the augmented columns hold
-    the solution."""
+    the solution.
+
+    A product whose result is known is not formed: the pivot times its
+    reciprocal is one and a zero entry times it is zero; in an elimination a
+    zero entry of the pivot row leaves the entry as it is, and the pivot
+    row's one leaves zero. Each known result has the valid order that the
+    product and the difference would give, the least over their operands."""
     size = len(rows)
     for col in range(size):
         pivot = next(
@@ -495,13 +487,27 @@ def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
         if pivot is None:
             raise SingularJetError("jet matrix not invertible at the origin")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].reciprocal()
-        rows[col] = [entry * inv for entry in rows[col]]
+        head = rows[col][col]
+        n, cap, v = head.n, head.max_degree, head.valid_order  # inv is valid to v too
+        inv = head.reciprocal()
+        rows[col] = top = [
+            Jet.constant(1, n, cap).with_valid_order(v) if c == col
+            else Jet.zero(n, cap, min(entry.valid_order, v)) if entry.is_zero()
+            else entry * inv
+            for c, entry in enumerate(rows[col])
+        ]
+        zeros = [entry.is_zero() for entry in top]
         for r in range(size):
             if r != col:
                 factor = rows[r][col]
                 if not factor.is_zero():
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+                    fv = factor.valid_order
+                    rows[r] = [
+                        Jet.zero(n, cap, min(fv, v)) if c == col
+                        else a.with_valid_order(min(a.valid_order, fv, b.valid_order)) if zeros[c]
+                        else a - factor * b
+                        for c, (a, b) in enumerate(zip(rows[r], top))
+                    ]
     return rows
 
 
@@ -511,9 +517,9 @@ def metric_inverse(g: Metric, order: int | None = None) -> dict[tuple[int, int],
     on the components truncated to k, at cap k: the result is the full
     inverse truncated to k."""
     n, cap = g.shape
-    comps = _truncated(g.comps, order)
+    comps = g.comps
     if order is not None:
-        cap = order
+        comps, cap = {key: jet.truncate(order) for key, jet in comps.items()}, order
     rows = _gauss_jordan(
         [
             [comps[(i, j)] for j in range(1, n + 1)]
@@ -531,24 +537,28 @@ def levi_civita(g: Metric, order: int | None = None) -> Connection:
 
         G^s_ij = 1/2 sum_k g^{sk} ((g_ki)_j + (g_jk)_i - (g_ji)_k)
 
-    With an order k (0..D), the partials are taken at the cap D and truncated
-    to k, and the inverse and every product are formed at cap k: the result
-    lives in workspace (n, k) and is the full one truncated to k. The bracket
-    is formed once per (k, i, j), and each symbol's contraction is one
-    `jets.product_sum`."""
+    Each bracket is one `jets.product_sum` of three derivative terms, formed
+    once per (k, i, j), and each symbol's contraction one more. With an order
+    k (0..D), the inverse, the brackets and the contractions are formed to
+    degree k only, in workspace (n, k): the result is the full one truncated
+    to k."""
     n = g.n
     rng = range(1, n + 1)
     inv = metric_inverse(g, order)
-    dg = _truncated(
-        {(a, b, c): g.comp(a, b).partial(c) for a in rng for b in rng for c in rng}, order
-    )
+    c = g.comps
     lower = {}
     for i in rng:
         for j in range(i, n + 1):
-            bracket = [dg[(k, i, j)] + dg[(j, k, i)] - dg[(j, i, k)] for k in rng]
+            bracket = [
+                product_sum(
+                    derivatives=[(1, c[(k, i)], j), (1, c[(j, k)], i), (-1, c[(j, i)], k)],
+                    cap=order,
+                )
+                for k in rng
+            ]
             for s in rng:
                 lower[(s, i, j)] = product_sum(
-                    (1, inv[(s, k)], b) for k, b in zip(rng, bracket)
+                    [(1, inv[(s, k)], b) for k, b in zip(rng, bracket)]
                 ).scale(HALF)
     return Connection.from_symmetric(n, lower)
 

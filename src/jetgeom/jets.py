@@ -15,11 +15,13 @@ speaks fractions.Fraction: the constructor, `coeffs`, `terms`, `coefficient`
 and `constant_term` take or return Fractions. There is no floating point
 anywhere. Jets are immutable values: every operation returns a fresh jet.
 
-Products run through one pair loop, `_mul_layer`. A sum of products
-c * a * b (`product_sum`) adds every product into one list of numerators over
-one denominator, the lcm of the terms' a.den * b.den, and reduces the sum
-once; `Jet.__mul__` is its one-term case. A reduced jet is unique, so the sum
-is the same jet as the sum of the reduced products.
+Products run through one pair loop, `_mul_layer`. One accumulation,
+`product_sum`, forms a sum of products c * a * b, linear terms c * a and
+derivative terms c * d/dx^axis a to an optional cap k: it adds every term's
+coefficients of degree <= k into one list of numerators over one
+denominator, the lcm of the terms' denominators, and reduces the sum once;
+`Jet.__mul__` is its one-product case. A reduced jet is unique, so the sum
+is the same jet as the composed sum of reduced terms, truncated to k.
 """
 
 from __future__ import annotations
@@ -247,8 +249,11 @@ class Jet:
         return self.nums == other.nums and self.den == other.den
 
     def eq_up_to(self, other: "Jet", order: int) -> bool:
-        """Compare stored coefficients of total degree <= order."""
-        self._require_same_shape(other)
+        """Compare stored coefficients of total degree <= order, of a jet of
+        this workspace or of one in n variables whose cap, like this one's, is
+        at least order (the ranks of degree <= order are then the same)."""
+        if self.n != other.n or order > min(self.max_degree, other.max_degree):
+            self._require_same_shape(other)
         m = self._prefix(order)
         a, b = self.nums[:m], other.nums[:m]
         da, db = self.den, other.den
@@ -325,14 +330,8 @@ class Jet:
         return Jet._from_nums(self.n, self.max_degree, nums, den, valid_order)
 
     def _combine(self, other, sign: int) -> "Jet":
-        """self + sign * other over the common denominator."""
-        other = self._coerce(other)
-        self._require_same_shape(other)
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        ma, mb = db // g, sign * (da // g)
-        out = [x * ma + y * mb for x, y in zip(self.nums, other.nums)]
-        return self._with_nums(out, da * ma, min(self.valid_order, other.valid_order))
+        """self + sign * other, one `product_sum` of two linear terms."""
+        return product_sum(linear=((1, self), (sign, self._coerce(other))))
 
     def __add__(self, other) -> "Jet":
         return self._combine(other, 1)
@@ -346,9 +345,7 @@ class Jet:
         return self._coerce(other) - self
 
     def __neg__(self) -> "Jet":
-        return Jet._from_nums(
-            self.n, self.max_degree, tuple([-c for c in self.nums]), self.den, self.valid_order
-        )
+        return product_sum(linear=((-1, self),))
 
     def scale(self, value) -> "Jet":
         c = as_fraction(value)
@@ -365,15 +362,7 @@ class Jet:
 
     def partial(self, axis: int) -> "Jet":
         """Formal d/dx^axis (1-based); valid order drops by one."""
-        if not 1 <= axis <= self.n:
-            raise DimensionMismatchError(f"axis {axis} outside 1..{self.n}")
-        nums = self.nums
-        out = [0] * len(nums)
-        for src, dst, factor in mi.partial_map(self.n, self.max_degree, axis - 1):
-            c = nums[src]
-            if c:
-                out[dst] = c * factor
-        return self._with_nums(out, self.den, partial_valid_order(self.valid_order))
+        return product_sum(derivatives=((1, self, axis),))
 
     def antiderivative_x1(self) -> "Jet":
         """The unique x1-primitive with zero x1-free part."""
@@ -451,27 +440,60 @@ class Jet:
         return Jet._from_nums(self.n, self.max_degree, self.nums, self.den, valid_order)
 
 
-def product_sum(terms) -> Jet:
-    """The sum of c * a * b over the (c, a, b) terms, c an integer and a, b
-    jets of one workspace, valid to the least valid order of the factors.
-    With L the lcm of the terms' a.den * b.den, each term adds
-    c * (L // (a.den * b.den)) * a.nums * b.nums into one list of numerators
-    over L, and the sum is reduced once. Every factor's workspace is checked
-    against the first's before any work, raising what `Jet.__mul__` raises."""
-    terms = tuple(terms)
-    if not terms:
+def product_sum(products=(), linear=(), derivatives=(), cap: int | None = None) -> Jet:
+    """The sum of the products c * a * b, the linear terms c * a and the
+    derivative terms c * d/dx^axis a, given as (c, a, b), (c, a) and
+    (c, a, axis) with c an integer and axis 1-based, formed to degree cap
+    in workspace (n, cap).
+
+    Without a cap every operand lives in one workspace (n, D) and cap is D.
+    A cap k (0..D) needs every operand in n variables and of a cap D >= k: the
+    sum reads only their coefficients of degree <= k, or <= min(k + 1, D) for
+    a derivative (`multiindex.partial_map`), so it is the composed sum
+    truncated to k. It is valid to the least valid order over the terms, at
+    most k: a product's lesser factor valid order, a linear term's own, a
+    derivative's `partial_valid_order`.
+
+    With L the lcm of the terms' denominators (a.den * b.den, or a.den), each
+    term adds its numerators times c * (L // its denominator) into one list
+    over L, and the sum is reduced once. Every operand is checked before any
+    work, a product's factors raising what `Jet.__mul__` raises."""
+    products, linear, derivatives = tuple(products), tuple(linear), tuple(derivatives)
+    factors = [x for _, a, b in products for x in (a, b)]
+    singles = [t[1] for t in linear + derivatives]
+    if not factors and not singles:
         raise ValueError("empty product sum")
-    first = terms[0][1]
-    for _, a, b in terms:
-        first._require_same_shape(a)
-        first._require_same_shape(b)
-    den = lcm(*(a.den * b.den for _, a, b in terms))
-    rows = mi.product_rows(first.n, first.max_degree)
-    out = [0] * len(first.nums)
-    for c, a, b in terms:
-        _mul_layer(enumerate(rows), a.nums, b.nums, c * (den // (a.den * b.den)), out)
-    valid = min(min(a.valid_order, b.valid_order) for _, a, b in terms)
-    return first._with_nums(out, den, valid)
+    first = (factors or singles)[0]
+    n, top, whole = first.n, first.max_degree, cap is None
+    cap = top if whole else cap
+    for a in factors + singles:
+        if a.n != n or whole and a.max_degree != top:
+            first._require_same_shape(a)
+        if not 0 <= cap <= a.max_degree:
+            raise ValueError(f"cap {cap} outside 0..{a.max_degree}")
+    valid = min([cap] + [a.valid_order for a in factors + singles[: len(linear)]])
+    for _, a, axis in derivatives:
+        if not 1 <= axis <= n:
+            raise DimensionMismatchError(f"axis {axis} outside 1..{n}")
+        valid = min(valid, partial_valid_order(a.valid_order))
+    dens = [a.den * b.den for _, a, b in products] + [a.den for a in singles]
+    den = lcm(*dens)
+    out = [0] * mi.size(n, cap)
+    if products:
+        rows = mi.product_rows(n, cap)
+    for (c, a, b), d in zip(products, dens):
+        _mul_layer(enumerate(rows), a.nums, b.nums, c * (den // d), out)
+    for c, a in linear:
+        scale = c * (den // a.den)
+        out = [x + scale * y for x, y in zip(out, a.nums)]
+    for c, a, axis in derivatives:
+        nums, scale = a.nums, c * (den // a.den)
+        for src, dst, factor in mi.partial_map(n, min(cap + 1, a.max_degree), axis - 1):
+            y = nums[src]
+            if y:
+                out[dst] += scale * factor * y
+    nums, den = _reduced(out, den)
+    return Jet._from_nums(n, cap, nums, den, valid)
 
 
 class SliceJet:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import jetgeom.builders as builders_module
 from jetgeom import Jet
 from jetgeom import multiindex as mi
-from jetgeom.builders import _ck_rows, _signed
+from jetgeom.builders import _ck_rows
 from jetgeom.ck import FirstOrderSystem
-from oracles import _row_sum, ref_linear_solve
+from oracles import _row_sum, _signed, ref_linear_solve
 
 
 def picard_system(equations, fixed, derived, initial, outputs, blocks=()) -> FirstOrderSystem:

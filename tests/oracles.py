@@ -5,8 +5,9 @@ convolution is a naive double loop over term dictionaries, the CK oracles run
 the classical coefficient-extraction recursion instead of the Picard fixpoint,
 and the sequential elimination follows the ordered-substitution procedure.
 `ref_linear_solve` solves the determined symbols by one full-size jet
-elimination per evaluation, on the builders' own gap rows: it checks the
-layered solve of those rows, not the rows. `_row_sum` evaluates a
+elimination per evaluation (`ref_gauss_jordan`, which forms every product
+that `geometry._gauss_jordan` knows without forming it), on the builders'
+own gap rows: it checks the layered solve of those rows, not the rows. `_row_sum` evaluates a
 `builders._Row` in full, where the builders evaluate it one x1-layer at a
 time. `ref_nabla_g` forms all n^3 components of nabla g with 2 n^4
 products, and `ref_ricci` every (i, j) of the Ricci tensor, term by term.
@@ -32,12 +33,48 @@ from math import factorial
 
 from jetgeom import Connection, Jet, Metric
 from jetgeom import multiindex as mi
-from jetgeom.builders import _codazzi_gap, _codazzi_spec, _signed
+from jetgeom.builders import _codazzi_gap, _codazzi_spec
 from jetgeom.ck import SecondOrderSystem, solve_second_order
-from jetgeom.errors import DimensionMismatchError
-from jetgeom.geometry import CubicForm, _gauss_jordan, _sum_jets
+from jetgeom.errors import DimensionMismatchError, SingularJetError
+from jetgeom.geometry import CubicForm
 
 HALF = Fraction(1, 2)
+
+
+def _sum_jets(jets) -> Jet:
+    """The sum of the jets, one `Jet.__add__` at a time."""
+    total = None
+    for j in jets:
+        total = j if total is None else total + j
+    if total is None:
+        raise ValueError("empty jet sum")
+    return total
+
+
+def _signed(c: int, jet: Jet) -> Jet:
+    return jet if c == 1 else -jet if c == -1 else jet.scale(c)
+
+
+def ref_gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
+    """Gauss-Jordan elimination, in place, of a square jet matrix augmented by
+    extra columns, with every product formed: the pivot of each column is the
+    first remaining row whose entry has a nonzero constant term, its row is
+    multiplied by the pivot's reciprocal, and each other row with a nonzero
+    entry in the column loses that entry times the pivot row."""
+    size = len(rows)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col].nums[0]), None)
+        if pivot is None:
+            raise SingularJetError("jet matrix not invertible at the origin")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].reciprocal()
+        rows[col] = [entry * inv for entry in rows[col]]
+        for r in range(size):
+            if r != col:
+                factor = rows[r][col]
+                if not factor.is_zero():
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return rows
 
 
 def term_dict(jet: Jet) -> dict[tuple[int, ...], Fraction]:
@@ -227,7 +264,7 @@ def ref_linear_solve(keys, rows, table) -> dict:
     for row in rows:
         rest, coeffs = _row_sum(row, table, pulled)
         matrix.append([coeffs.get(key, zero) for key in keys] + [-rest])
-    return {key: row[-1] for key, row in zip(keys, _gauss_jordan(matrix))}
+    return {key: row[-1] for key, row in zip(keys, ref_gauss_jordan(matrix))}
 
 
 def ref_determined_christoffels(n, cap, gtable, free_gammas, determined_keys) -> dict:

@@ -836,19 +836,22 @@ def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
 @pytest.mark.parametrize("tag", ["general", "torsion-free"])
 def test_ricci_residual_check_is_independent_of_the_equations(monkeypatch, tag):
     # a wrong quadratic Ricci term in the check must fail the build: the
-    # equations do not share the check's formula
-    real = geometry_module.lambda_term
+    # equations do not share the check's formula. `ricci` and `lambda_term`
+    # read the quadratic terms from one list per component
+    real = geometry_module._ricci_terms
+    calls = []
 
-    def doubled(conn):
-        lam = real(conn)
-        return Bilinear(lam.n, {key: jet.scale(2) for key, jet in lam.comps.items()})
+    def doubled(conn, div, i, j):
+        calls.append((i, j))
+        quad, derivatives = real(conn, div, i, j)
+        return [(2 * c, a, b) for c, a, b in quad], derivatives
 
-    monkeypatch.setattr(geometry_module, "lambda_term", doubled)
-    monkeypatch.setattr(builders_module, "lambda_term", doubled, raising=False)
+    monkeypatch.setattr(geometry_module, "_ricci_terms", doubled)
     r = random_prescribed_tensor(tag, 95, 2, CAP, 3, 2)
     fd = random_free_data(census(tag, 2), 96, 3, 2, CAP)
-    with pytest.raises(RuntimeError, match="internal verification failed"):
+    with pytest.raises(RuntimeError, match=r"internal verification failed .*'ricci-residual'"):
         build_prescribed_ricci(tag, r, fd)
+    assert calls
 
 
 def test_free_data_workspace_validated():

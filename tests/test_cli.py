@@ -12,7 +12,7 @@ import pytest
 
 from jetgeom import cli, serialize
 from jetgeom import multiindex as mi
-from jetgeom.builders import MAX_NODE_PAIRS, BuildReport, Check, _codazzi_spec, verify
+from jetgeom.builders import _CHECKS, MAX_NODE_PAIRS, BuildReport, Check, _codazzi_spec, verify
 from jetgeom.cli import main
 from jetgeom.serialize import (
     canonical_dumps,
@@ -736,6 +736,68 @@ def test_verify_metric_tagged_bilinear_exits_1(tmp_path, capsys, scenario):
     assert captured.out == ""
     assert captured.err.startswith("malformed report: outputs 'metric' ")
     assert "Bilinear, not a Metric" in captured.err
+
+
+# each residual check: a report that runs it, and a jet the check compares
+# (an output, or its target r), as a JSON path. Adding 1/7 to the jet's x1^d
+# coefficient puts it over a denominator that 7 divides, which the compared
+# jet's does not; the change must fail the check and make `verify` exit 2 at
+# the degrees d listed first, and leave `verify` at exit 0 at those listed
+# second, above what the check reads (the check's order for the target; for
+# the determined symbols of statistical and the given connection of
+# statistical-2d, whose products the Codazzi check forms to its order only)
+GENERAL = {"construction": "general", "n": 2, "D": 4, "seed": 3, "free_data": "random"}
+TRACE_FREE = {"construction": "trace-free-torsion", "n": 3, "D": 3, "seed": 3, "free_data": "random"}
+STATISTICAL_N3 = {"construction": "statistical", "n": 3, "D": 3, "seed": 1, "free_data": "random"}
+STATISTICAL_2D = {"construction": "statistical-2d", "n": 2, "D": 4, "seed": 1}
+TRACE_FREE_2D = {"construction": "trace-free-statistical-2d", "n": 2, "D": 4, "seed": 1}
+RESIDUAL_TAMPERS = [
+    ("ricci-residual", GENERAL, ("outputs", "connection", "gamma", "1;2,2"), [1, 2, 3], []),
+    ("ricci-residual", GENERAL, ("prescribed", "r", "comps", "1,2"), [0, 1, 2, 3], [4]),
+    ("torsion-trace-zero", TRACE_FREE, ("outputs", "connection", "gamma", "2;1,2"), [1, 2, 3], []),
+    ("metric-ricci-residual", METRIC_2D, ("outputs", "metric", "comps", "1,1"), [1, 2, 3], []),
+    ("metric-ricci-residual", METRIC_2D, ("prescribed", "r", "comps", "1,1"), [0, 1, 2, 3], [4, 5]),
+    ("codazzi", STATISTICAL_N3, ("outputs", "connection", "gamma", "3;2,2"), [1, 2], [3]),
+    ("codazzi", STATISTICAL_2D, ("prescribed", "connection", "gamma", "2;1,1"), [0, 1, 2, 3], [4]),
+    ("volume-determinant", TRACE_FREE_2D, ("outputs", "volume"), [1, 2, 3, 4], []),
+]
+
+
+def add_a_seventh(data: dict, path: tuple, degree: int) -> dict:
+    """A copy of a report with 1/7 added to the x1^degree coefficient of the
+    jet at path (section, name, then the table and key of a table entry)."""
+    data = json.loads(json.dumps(data))
+    section, name, *entry = path
+    jet = data[section][name]["value"]
+    for key in entry:
+        jet = jet[key]
+    monomial = " ".join(map(str, (degree,) + (0,) * (data["n"] - 1)))
+    value = Fraction(jet["coeffs"].get(monomial, "0")) + Fraction(1, 7)
+    jet["coeffs"][monomial] = f"{value.numerator}/{value.denominator}"
+    assert value.denominator % 7 == 0
+    return data
+
+
+@pytest.mark.parametrize(
+    "check, scenario, path, failing, passing",
+    RESIDUAL_TAMPERS,
+    ids=[f"{check}-{path[-1]}" for check, _, path, _, _ in RESIDUAL_TAMPERS],
+)
+def test_verify_reads_each_residual_check_to_its_order(
+    tmp_path, capsys, check, scenario, path, failing, passing
+):
+    data = built_report(tmp_path, scenario)
+    order = next(c["zero_to_order"] for c in data["checks"] if c["name"] == check)
+    assert max(failing) <= order < min(passing, default=order + 1)
+    for degree in failing + passing:
+        tampered = add_a_seventh(data, path, degree)
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        code, out = run_cli(capsys, "verify", str(bad))
+        want = (2, False) if degree in failing else (0, True)
+        assert (code, json.loads(out)) == (want[0], {"verified": want[1]}), degree
+        assert _CHECKS[check](report_from_json(tampered), order) == (degree not in failing)
 
 
 def retag_prescribed_slice(data):

@@ -1,6 +1,7 @@
 """Tensor calculus: Ricci, torsion, splits, Poincare primitives, Levi-Civita,
 sectional curvature, cubic forms, parallel volume."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,11 +38,13 @@ from jetgeom import (
     two_form_closed,
 )
 from jetgeom import geometry as geometry_module
+from jetgeom import multiindex as mi
 from jetgeom.geometry import _gauss_jordan
 from oracles import (
     _ricci_11_diagonal_2d,
     levi_civita_diagonal_2d,
     log_one_plus_x1_jet,
+    ref_gauss_jordan,
     ref_nabla_g,
     sqrt_one_plus_x1_jet,
 )
@@ -353,16 +356,19 @@ def test_nabla_g_matches_the_full_form(n, symmetric):
 
 
 @pytest.mark.parametrize("symmetric, products", [(True, 160), (False, 256)])
-def test_nabla_g_products_at_n4(monkeypatch, symmetric, products):
+@pytest.mark.parametrize("order", [None, 2])
+def test_nabla_g_products_at_n4(monkeypatch, symmetric, products, order):
     # the full form needs 2 n^4 = 512; each A_ijk is one product sum of n
-    # terms, and no product goes through Jet.__mul__
+    # products, each of the n^2 (n + 1) / 2 = 40 components j <= k one more
+    # of its derivative and its two A terms, and no product goes through
+    # Jet.__mul__
     conn, g = nabla_g_inputs(symmetric, 4, 3)
     real, sums, muls = geometry_module.product_sum, [], []
 
-    def counting(terms):
-        terms = tuple(terms)
-        sums.append(len(terms))
-        return real(terms)
+    def counting(products=(), linear=(), derivatives=(), cap=None):
+        products, linear, derivatives = tuple(products), tuple(linear), tuple(derivatives)
+        sums.append((len(products), len(linear), len(derivatives), cap))
+        return real(products, linear, derivatives, cap)
 
     def forbidden(a, b):
         muls.append(1)
@@ -370,9 +376,9 @@ def test_nabla_g_products_at_n4(monkeypatch, symmetric, products):
 
     monkeypatch.setattr(geometry_module, "product_sum", counting)
     monkeypatch.setattr(Jet, "__mul__", forbidden)
-    nabla_g(conn, g)
-    assert sum(sums) == products
-    assert sums == [4] * (products // 4)
+    nabla_g(conn, g, order)
+    assert sum(p for p, _, _, _ in sums) == products
+    assert sums == [(4, 0, 0, order)] * (products // 4) + [(0, 2, 1, order)] * 40
     assert muls == []
 
 
@@ -443,6 +449,70 @@ def test_metric_inverse_multiplies_to_identity():
                 total = term if total is None else total + term
             want = Jet.constant(1 if i == j else 0, 3, CAP)
             assert (total - want).is_zero_up_to(CAP)
+
+
+def random_jet_matrix(rng: random.Random) -> list[list[Jet]]:
+    """A square jet matrix augmented by the identity and one more column, with
+    zero entries, denominators, valid orders below the cap and, now and then,
+    a zero constant term on the diagonal (a row swap)."""
+    size, n, cap = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 4)
+
+    def entry():
+        valid = rng.randint(0, cap)
+        if rng.random() < 0.35:
+            return Jet.zero(n, cap, valid)
+        dens = [rng.choice([1, 2, 3, 5]) for _ in range(mi.size(n, cap))]
+        return Jet(n, cap, [Fraction(rng.randint(-4, 4), den) for den in dens], valid)
+
+    rows = []
+    for i in range(size):
+        row = [entry() for _ in range(size)]
+        if rng.random() < 0.3:
+            row[i] = row[i] - Jet.constant(row[i].constant_term, n, cap)
+        ident = [Jet.constant(int(i == j), n, cap) for j in range(size)]
+        rows.append(row + ident + [entry()])
+    return rows
+
+
+def test_elimination_without_known_products_gives_the_reference_jets():
+    # the pivot times its reciprocal, zero entries times it, and the products
+    # with the pivot row's zeros and its one are known: same jets, valid
+    # orders included, as the elimination that forms every product
+    rng, solved, swapped = random.Random(18), 0, 0
+    for _ in range(300):
+        rows = random_jet_matrix(rng)
+        want = [list(row) for row in rows]
+        try:
+            want = ref_gauss_jordan(want)
+        except SingularJetError:
+            with pytest.raises(SingularJetError):
+                _gauss_jordan(rows)
+            continue
+        swapped += any(not rows[i][i].nums[0] for i in range(len(rows)))
+        got = _gauss_jordan(rows)
+        assert all(a.same_payload(b) for x, y in zip(got, want) for a, b in zip(x, y))
+        solved += 1
+    assert solved > 100 and swapped > 20
+
+
+def test_elimination_of_a_diagonal_matrix_forms_one_product_per_row(monkeypatch):
+    # each row: its pivot's reciprocal times its identity entry; every other
+    # product is known, and a zero factor leaves the other rows as they are
+    muls, real = [], Jet.__mul__
+
+    def counting(a, b):
+        muls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    diagonal = [one_plus_x1(3, CAP), Jet.constant(3, 3, CAP), one_plus_x1(3, CAP).scale(2)]
+    zero = Jet.zero(3, CAP)
+    pairs = [(i, j) for i in (1, 2, 3) for j in range(i, 4)]
+    g = Metric(3, {(i, j): diagonal[i - 1] if i == j else zero for i, j in pairs})
+    inv = metric_inverse(g)
+    assert len(muls) == 3
+    for i in (1, 2, 3):
+        assert inv[(i, i)].same_payload(diagonal[i - 1].reciprocal())
 
 
 def test_jet_elimination_rejects_matrix_singular_at_origin():

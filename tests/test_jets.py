@@ -57,6 +57,21 @@ def test_valid_order_min_rule():
     assert (a * b).valid_order == 2
 
 
+def test_eq_up_to_reads_a_jet_of_another_cap_to_an_order_both_hold():
+    # the ranks of degree <= order agree in (2, 2) and (2, 4); the numerators
+    # are compared cross-multiplied over different denominators
+    long = j2({(0, 0): Fraction(1, 2), (1, 0): Fraction(2, 3), (0, 3): Fraction(5, 7)})
+    short = Jet.from_terms(2, 2, {(0, 0): Fraction(3, 6), (1, 0): Fraction(4, 6)})
+    assert long.den != short.den
+    assert long.eq_up_to(short, 2) and short.eq_up_to(long, 2)
+    off = Jet.from_terms(2, 2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(5, 7)})
+    assert long.eq_up_to(off, 0) and not long.eq_up_to(off, 1)
+    with pytest.raises(DimensionMismatchError, match=r"\(2,4\) vs \(2,2\)"):
+        long.eq_up_to(short, 3)
+    with pytest.raises(DimensionMismatchError):
+        Jet.zero(3, 4).eq_up_to(Jet.zero(2, 4), 1)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         j2({}) + Jet.zero(3, 4)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jetgeom import DimensionMismatchError, Jet
@@ -294,6 +294,111 @@ def test_an_empty_product_sum_raises_before_any_work(monkeypatch):
         product_sum([])
     with pytest.raises(ValueError, match="empty product sum"):
         product_sum(iter(()))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the one accumulation: products, linear and derivative terms to a cap k
+
+
+def ref_truncated(jet: Jet, k: int) -> Jet:
+    """The Fraction coefficients of degree <= k as a jet of cap k."""
+    return Jet(jet.n, k, jet.coeffs[: mi.size(jet.n, k)], min(jet.valid_order, k))
+
+
+def ref_accumulation(products, linear, derivatives, k: int) -> Jet:
+    """The sum of c * a * b, c * a and c * d/dx^axis a by `ref_mul`,
+    `ref_partial`, `ref_scale` and `ref_add`, each term composed in its
+    operands' workspace (a product in the lesser of its factors' caps) and
+    truncated to k."""
+    terms = []
+    for c, a, b in products:
+        m = min(a.max_degree, b.max_degree)
+        terms.append((c, ref_mul(ref_truncated(a, m), ref_truncated(b, m))))
+    terms += [(c, a) for c, a in linear]
+    terms += [(c, ref_partial(a, axis)) for c, a, axis in derivatives]
+    total = None
+    for c, jet in terms:
+        term = ref_scale(ref_truncated(jet, k), Fraction(c))
+        total = term if total is None else ref_add(total, term)
+    return total
+
+
+@st.composite
+def accumulations(draw):
+    """(products, linear, derivatives, k): up to three terms of each kind,
+    at least one term, on jets in n variables whose caps are D or drawn from
+    k..D, with denominators and valid orders below the cap."""
+    n, cap = draw(workspaces(max_size=84))
+    k = draw(st.integers(0, cap))
+    coefficient = st.sampled_from([1, -1, 2, -3])
+
+    def operand():
+        return draw(jets_in(n, draw(st.sampled_from([cap, cap, draw(st.integers(k, cap))]))))
+
+    def count():
+        return range(draw(st.integers(0, 3)))
+
+    products = [(draw(coefficient), operand(), operand()) for _ in count()]
+    linear = [(draw(coefficient), operand()) for _ in count()]
+    derivatives = [(draw(coefficient), operand(), draw(st.integers(1, n))) for _ in count()]
+    if not products + linear + derivatives:
+        linear.append((1, operand()))
+    return products, linear, derivatives, k
+
+
+def _example_jet(n: int, cap: int, seed: int, den: int, valid: int) -> Jet:
+    rng = random.Random(seed)
+    coeffs = [Fraction(rng.randint(-9, 9), den) for _ in range(mi.size(n, cap))]
+    return Jet(n, cap, coeffs, valid)
+
+
+_A, _B, _C = (_example_jet(2, 3, seed, den, 2) for seed, den in ((1, 6), (2, 35), (3, 4)))
+# the products, the derivatives and the linear terms cancel: the zero jet, den 1
+_CANCELLING = ([(1, _A, _B), (-1, _B, _A)], [(3, _C), (-3, _C)], [(2, _A, 1), (-2, _A, 1)], 2)
+# a derivative at k = D reads the coefficients of degree D and leaves degree D zero
+_DERIVATIVE_AT_D = ([], [(1, _C)], [(1, _A, 2), (-1, _B, 1)], 3)
+_CAP_0 = ([(1, _A, _C)], [(2, _B)], [(1, _C, 1)], 0)
+
+
+@SETTINGS
+@given(case=accumulations())
+@example(case=_CANCELLING)
+@example(case=_DERIVATIVE_AT_D)
+@example(case=_CAP_0)
+def test_accumulation_matches_the_composed_fraction_kernel(case):
+    products, linear, derivatives, k = case
+    got = product_sum(products, linear, derivatives, cap=k)
+    assert_same(got, ref_accumulation(products, linear, derivatives, k))
+    operands = [a for _, a, *_ in products + linear + derivatives]
+    operands += [b for _, _, b in products]
+    if {a.max_degree for a in operands} == {k}:
+        # no cap: the operands' own, which they share
+        assert_same(product_sum(products, linear, derivatives), got)
+
+
+_ONE = Jet.one(2, 3)
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        ({"linear": [(1, _ONE), (1, Jet.one(3, 3))]}, DimensionMismatchError, r"\(2,3\) vs \(3,3\)"),
+        ({"linear": [(1, _ONE), (1, Jet.one(2, 1))], "cap": 2}, ValueError, "cap 2 outside 0..1"),
+        ({"derivatives": [(1, _ONE, 3)], "cap": 2}, DimensionMismatchError, "axis 3 outside 1..2"),
+        ({"derivatives": [(1, _ONE, 1)], "cap": 4}, ValueError, "cap 4 outside 0..3"),
+        ({"products": [(1, _ONE, Jet.one(2, 4))]}, DimensionMismatchError, r"\(2,3\) vs \(2,4\)"),
+    ],
+    ids=["other-n", "cap-above-an-operand", "bad-axis", "cap-above-d", "no-cap-two-caps"],
+)
+def test_an_accumulation_with_a_bad_operand_raises_before_any_work(
+    monkeypatch, terms, error, message
+):
+    calls = []
+    monkeypatch.setattr(jets_module, "_mul_layer", lambda *args: calls.append(args))
+    monkeypatch.setattr(mi, "partial_map", lambda *args: calls.append(args))
+    with pytest.raises(error, match=message):
+        product_sum(**terms)
     assert calls == []
 
 

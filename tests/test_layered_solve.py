@@ -600,7 +600,9 @@ def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, name):
 # factor while `_run_checks` re-checks the report of each small scenario
 # (direct mode, seed 3), counted as the solve's are: the checks' products
 # run through `jets.product_sum`, which perfbench's `Jet.__mul__` counts do
-# not see. A ceiling may only move down.
+# not see. A ceiling may only move down. metric-2d took 510 while the
+# metric inverse of `levi_civita` formed the products whose results the
+# elimination knows.
 CHECK_PAIR_CEILINGS = {
     "general": 2396,
     "trace-free-torsion": 2448,
@@ -608,7 +610,7 @@ CHECK_PAIR_CEILINGS = {
     "statistical": 3792,
     "statistical-2d": 440,
     "trace-free-statistical-2d": 519,
-    "metric-2d": 510,
+    "metric-2d": 446,
 }
 
 

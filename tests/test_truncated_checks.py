@@ -1,8 +1,10 @@
 """The checks in the workspace of their order: `Jet.truncate`, and `ricci`,
 `nabla_g`, `levi_civita` and `metric_inverse` with an order k, each equal to
-the full-workspace result truncated to k, down to the residual and Codazzi gap
-jets the checks test; `ricci` also equal to the written-out oracle
-`ref_ricci` truncated to k, on symmetric and general tables."""
+the full-workspace result truncated to k, down to the Codazzi gap jets; `ricci`
+also equal to the written-out oracle `ref_ricci` truncated to k, on symmetric
+and general tables. The Ricci checks at an order k, which compare each
+component with the prescribed r without forming a residual jet, pass exactly
+when the full residual jets vanish to degree k."""
 
 from fractions import Fraction
 
@@ -12,6 +14,8 @@ from jetgeom import (
     Bilinear,
     Jet,
     Metric,
+    divergence_form,
+    lambda_term,
     levi_civita,
     metric_inverse,
     nabla_g,
@@ -20,10 +24,12 @@ from jetgeom import (
     random_poly,
     random_symmetric_connection,
     ricci,
+    ricci_derivative_part,
+    torsion_trace,
 )
-from jetgeom.builders import BuildReport, _residuals
+from jetgeom.builders import BuildReport, _metric_ricci_residual, _ricci_residual
 from jetgeom.errors import DimensionMismatchError
-from oracles import ref_mul, ref_ricci
+from oracles import ref_add, ref_mul, ref_partial, ref_ricci, ref_sub
 
 # (n, D) workspaces of the equivalence tests
 SHAPES = [(2, 5), (3, 4)]
@@ -117,6 +123,40 @@ def test_ricci_at_an_order_is_the_full_ricci_truncated(kind, n, cap):
         assert all(same_truncated(part.comps[key], ref[key], k) for key in ref)
 
 
+def ref_sum(jets) -> Jet:
+    jets = list(jets)
+    total = jets[0]
+    for jet in jets[1:]:
+        total = ref_add(total, jet)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["general", "torsion-free"])
+@pytest.mark.parametrize("n, cap", SHAPES)
+def test_the_parts_of_ricci_are_the_composed_fraction_sums(kind, n, cap):
+    # each component one accumulation: the same payload as the sum of the
+    # Fraction kernel's terms, one reduced jet per term and partial sum
+    conn = connection(kind, n, cap)
+    g, rng = conn.gamma, range(1, n + 1)
+    div = {j: ref_sum(g[(k, k, j)] for k in rng) for j in rng}
+    tau = {j: ref_sum(ref_sub(g[(i, i, j)], g[(i, j, i)]) for i in rng) for j in rng}
+    parts = divergence_form(conn), torsion_trace(conn), ricci_derivative_part(conn)
+    lam, full = lambda_term(conn), ricci(conn)
+    for j in rng:
+        assert parts[0].comp(j).same_payload(div[j]) and parts[1].comp(j).same_payload(tau[j])
+        for i in rng:
+            deriv = ref_sub(
+                ref_sum(ref_partial(g[(k, i, j)], k) for k in rng), ref_partial(div[j], i)
+            )
+            quad = ref_sub(
+                ref_sum(ref_mul(g[(l, k, j)], g[(k, i, l)]) for k in rng for l in rng),
+                ref_sum(ref_mul(g[(l, i, j)], div[l]) for l in rng),
+            )
+            assert parts[2].comp(i, j).same_payload(deriv)
+            assert lam.comp(i, j).same_payload(quad)
+            assert full.comp(i, j).same_payload(ref_sub(deriv, quad))
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("n, cap", SHAPES)
 def test_nabla_g_at_an_order_is_the_full_form_truncated(symmetric, n, cap):
@@ -174,23 +214,52 @@ def random_r(n: int, cap: int) -> Bilinear:
     )
 
 
+def shifted(r: Bilinear, degree: int) -> Bilinear:
+    """r with 1/7 added to the x1^degree coefficient of its (1, n) entry."""
+    n, cap = r.shape
+    jet = r.comp(1, n)
+    terms = dict(jet.terms())
+    exps = (degree,) + (0,) * (n - 1)
+    terms[exps] = terms.get(exps, 0) + Fraction(1, 7)
+    return Bilinear(n, r.comps | {(1, n): Jet.from_terms(n, cap, terms, jet.valid_order)})
+
+
+def vanishes_to(full: dict, r: Bilinear, k: int) -> bool:
+    """Whether every full residual jet full_ij - r_ij vanishes to degree k."""
+    return all((jet - r.comps[key]).is_zero_up_to(k) for key, jet in full.items())
+
+
 @pytest.mark.parametrize("n, cap", SHAPES)
-def test_ricci_residual_jets_at_an_order_are_the_full_ones_truncated(n, cap):
+def test_ricci_residual_at_an_order_is_the_full_residual_truncated(n, cap):
     conn, r = connection("general", n, cap), random_r(n, cap)
+    full = ref_ricci(conn)
     report = residual_report(n, cap, r, {"connection": conn})
-    full = list(_residuals(report, ricci(conn), cap))
-    assert any(not gap.is_zero() for gap in full)
-    for k in range(cap + 1):
-        part = list(_residuals(report, ricci(conn, k), k))
-        assert all(same_truncated(a, b, k) for a, b in zip(part, full))
+    assert not any(vanishes_to(full, r, k) or _ricci_residual(report, k) for k in range(cap + 1))
+    # r equal to Ric, and then off by 1/7 at one coefficient of each degree:
+    # the check fails exactly from that degree on
+    exact = Bilinear(n, full)
+    for d in range(cap + 1):
+        r = shifted(exact, d)
+        report = residual_report(n, cap, r, {"connection": conn})
+        for k in range(cap + 1):
+            assert vanishes_to(full, r, k) == (k < d)
+            assert _ricci_residual(report, k) == (k < d)
 
 
 @pytest.mark.parametrize("cap", [3, 4, 5])
-def test_metric_ricci_residual_jets_need_the_symbols_one_order_up(cap):
-    g, r = metric(2, cap), random_r(2, cap)
-    report = residual_report(2, cap, r, {"metric": g})
-    full = list(_residuals(report, ricci(levi_civita(g)), cap))
+def test_metric_ricci_residual_needs_the_symbols_one_order_up(cap):
+    g = metric(2, cap)
+    full = ricci(levi_civita(g))
     for k in range(cap + 1):
-        part = list(_residuals(report, ricci(levi_civita(g, min(k + 1, cap)), k), k))
-        assert all(same_truncated(a, b, k) for a, b in zip(part, full))
-
+        part = ricci(levi_civita(g, min(k + 1, cap)), k)
+        assert all(same_truncated(part.comps[key], full.comps[key], k) for key in full.comps)
+        if 0 < k < cap:
+            # the symbols to degree k only miss the derivatives at degree k
+            low = ricci(levi_civita(g, k), k)
+            assert any(not low.comps[key].eq_up_to(full.comps[key], k) for key in full.comps)
+    for d in range(cap + 1):
+        r = shifted(full, d)
+        report = residual_report(2, cap, r, {"metric": g})
+        for k in range(cap + 1):
+            assert vanishes_to(full.comps, r, k) == (k < d)
+            assert _metric_ricci_residual(report, k) == (k < d)

@@ -314,7 +314,7 @@ def cmd_run(args) -> int:
             raise ScenarioError(f"bad mode {mode!r}")
         report = _run_round_trip(sc) if mode == "round_trip" else _run_direct(sc)
         out = Path(sc.get("output", "report.json"))
-        out.write_text(serialize.canonical_dumps(serialize.report_to_json(report)))
+        out.write_text(serialize.report_text(report))
     except RejectionError as err:
         print(json.dumps({"status": "rejected", "reason": err.reason}))
         return 2

@@ -475,10 +475,12 @@ def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
     the solution.
 
     A product whose result is known is not formed: the pivot times its
-    reciprocal is one and a zero entry times it is zero; in an elimination a
-    zero entry of the pivot row leaves the entry as it is, and the pivot
-    row's one leaves zero. Each known result has the valid order that the
-    product and the difference would give, the least over their operands."""
+    reciprocal is one, a zero entry times it is zero and an entry that is
+    exactly one (the augmented identity's) times it is the reciprocal; in an
+    elimination a zero entry of the pivot row leaves the entry as it is, and
+    the pivot row's one leaves zero. Each known result has the valid order
+    that the product and the difference would give, the least over their
+    operands."""
     size = len(rows)
     for col in range(size):
         pivot = next(
@@ -489,10 +491,11 @@ def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
         rows[col], rows[pivot] = rows[pivot], rows[col]
         head = rows[col][col]
         n, cap, v = head.n, head.max_degree, head.valid_order  # inv is valid to v too
-        inv = head.reciprocal()
+        inv, one = head.reciprocal(), Jet.constant(1, n, cap)
         rows[col] = top = [
-            Jet.constant(1, n, cap).with_valid_order(v) if c == col
+            one.with_valid_order(v) if c == col
             else Jet.zero(n, cap, min(entry.valid_order, v)) if entry.is_zero()
+            else inv.with_valid_order(min(entry.valid_order, v)) if entry.same_coeffs(one)
             else entry * inv
             for c, entry in enumerate(rows[col])
         ]

@@ -553,15 +553,26 @@ def random_poly(
     seed: int, n: int, degree_bound: int, coeff_bound: int, max_degree: int
 ) -> Jet:
     """Deterministic random polynomial: integer coefficients in
-    [-coeff_bound, coeff_bound] on every monomial of degree <= degree_bound."""
+    [-coeff_bound, coeff_bound] on every monomial of degree <= degree_bound.
+
+    The coefficients are drawn in rank order over that graded prefix, each as
+    `random.Random(seed).randint` draws it: with width w = 2 coeff_bound + 1
+    and k its bit length, `getrandbits(k)` until the value is below w, minus
+    coeff_bound. So the draws are those of a `randint` loop, and a negative
+    coeff_bound (w <= 0) raises ValueError when a coefficient is drawn."""
     if degree_bound > max_degree:
         raise ValueError("degree_bound exceeds the workspace cap")
-    rng = random.Random(seed)
-    degs = mi.degree_of(n, max_degree)
     nums = [0] * mi.size(n, max_degree)
-    for r in range(len(nums)):
-        if degs[r] <= degree_bound:
-            nums[r] = rng.randint(-coeff_bound, coeff_bound)
+    drawn = bisect_right(mi.degree_of(n, max_degree), degree_bound)
+    width = 2 * coeff_bound + 1
+    if drawn and width <= 0:
+        raise ValueError(f"empty coefficient range [{-coeff_bound}, {coeff_bound}]")
+    getrandbits, k = random.Random(seed).getrandbits, width.bit_length()
+    for r in range(drawn):
+        c = getrandbits(k)
+        while c >= width:
+            c = getrandbits(k)
+        nums[r] = c - coeff_bound
     return Jet._from_nums(n, max_degree, tuple(nums), 1, max_degree)
 
 

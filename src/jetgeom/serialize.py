@@ -1,32 +1,41 @@
 """JSON encoding of jets, tensors, free data and build reports.
 
 Coefficients are reduced rational strings "num/den"; exponent keys are
-space-separated integers; zero coefficients are omitted. Dumps are canonical
-(sorted keys, fixed separators), so identical objects serialize to identical
-bytes and reports round-trip bit-exactly.
+space-separated integers; zero coefficients are omitted. Reports are written
+in canonical form, the text `canonical_dumps` gives (sorted keys, fixed
+separators), so identical objects serialize to identical bytes and reports
+round-trip bit-exactly.
 
-Both directions work on a jet's integers: the writer reduces each numerator
-over the jet's denominator with one gcd, which gives the text
-`fractions.Fraction` gives, and takes its keys from one cached tuple per
-workspace (`_keys`). The reader first tries the form the writer gives
-(`_read_written`): every key in the table of that tuple and every
-coefficient a string `-?[0-9]+/[0-9]+` with a nonzero denominator. It joins
-the coefficients, matches them with one `fullmatch`, reads every part with
-`int`, takes one lcm of the denominators and reduces once; a jet in lowest
-terms is unique, so this is the jet an entry-by-entry read gives. Any other
-input goes to the entry loop (`_read_entries`), which reads each key with
-the table or else `int` on each part, and each coefficient with `Fraction`,
-but for whitespace next to `/`, which `Fraction` accepts from Python 3.12 on
-only and the reader rejects on every version. So the accepted inputs, their
+The writer, `report_text`, emits that text in one pass straight from each
+jet's integers, with no tree of dicts and no sort of it. Per workspace it
+caches the ranks in the order of the sorted keys, each with its `"key":"`
+prefix (`_sorted_keys`); a nonzero coefficient then costs one gcd of
+numerator and denominator (none when the denominator is 1) and one
+f-string, which gives the text `fractions.Fraction` gives. Table keys and
+value names are sorted as strings, so "10,1" precedes "2,1". The dict
+encoders (`jet_to_json` to `report_to_json`) are `json.loads` of that text.
+
+The reader first tries the form the writer gives (`_read_written`): every
+key in the table of the workspace's keys (`_keys`) and every coefficient a
+string `-?[0-9]+/[0-9]+` with a nonzero denominator. It joins the
+coefficients, matches them with one `fullmatch`, reads all their integers
+with one C-level JSON decode, takes one lcm of the denominators and reduces
+once; a jet in lowest terms is unique, so this is the jet an entry-by-entry
+read gives. A numeral JSON does not read (a leading zero, as in `007/1`) or
+one over the interpreter's digit limit, and any other input, goes to the
+entry loop (`_read_entries`), which reads each key with the table or else
+`int` on each part, and each coefficient with `Fraction`, but for
+whitespace next to `/`, which `Fraction` accepts from Python 3.12 on only
+and the reader rejects on every version. So the accepted inputs, their
 values and the errors, with their order and messages, are those of the
 `int` and `Fraction` parse of Python 3.10 and 3.11, and a written jet is
 read without `Fraction`.
 
 A symmetric table holds each off-diagonal jet twice. The writer encodes each
-jet object of a table once (entries that hold one jet share one dict, which
-`canonical_dumps` writes as before), and the table readers give entry
-(.., i, j) the jet already read for its mirror (.., j, i) when its payload
-reads the same as the payload that jet was read from (`_reads_alike`).
+jet object of a table once (entries that hold one jet share its text), and
+the table readers give entry (.., i, j) the jet already read for its mirror
+(.., j, i) when its payload reads the same as the payload that jet was read
+from (`_reads_alike`).
 
 The header fields are read as the JSON types they are written as, by one
 helper (`_header`): the `n` and `D` of a report or a jet, a slice's
@@ -55,6 +64,8 @@ from .jets import Jet, SliceJet, _reduced
 
 # the coefficients of a written jet, joined by commas
 _WRITTEN = re.compile(r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*")
+# (value, end) of the JSON text at the start of a string
+_decode = json.JSONDecoder().raw_decode
 
 
 @lru_cache(maxsize=None)
@@ -68,14 +79,36 @@ def _key_ranks(n: int, cap: int) -> dict[str, int]:
     return {key: r for r, key in enumerate(_keys(n, cap))}
 
 
+@lru_cache(maxsize=None)
+def _sorted_keys(n: int, cap: int) -> tuple[tuple[int, str], ...]:
+    """(rank, '"key":"') of every monomial of workspace (n, cap), in the
+    order of the sorted keys."""
+    keys = _keys(n, cap)
+    return tuple((r, f'"{keys[r]}":"') for r in sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _jet_text(jet: Jet) -> str:
+    """The canonical text of a jet, its nonzero coefficients in the order of
+    the sorted keys, each reduced with one gcd."""
+    nums, den = jet.nums, jet.den
+    order = _sorted_keys(jet.n, jet.max_degree)
+    if den == 1:
+        coeffs = [f'{key}{c}/1"' for r, key in order if (c := nums[r])]
+    else:
+        coeffs = []
+        for r, key in order:
+            c = nums[r]
+            if c:
+                g = gcd(c, den)
+                coeffs.append(f'{key}{c // g}/{den // g}"')
+    return (
+        f'{{"D":{jet.max_degree},"coeffs":{{{",".join(coeffs)}}},'
+        f'"n":{jet.n},"valid_order":{jet.valid_order}}}'
+    )
+
+
 def jet_to_json(jet: Jet) -> dict:
-    den = jet.den
-    coeffs = {}
-    for key, c in zip(_keys(jet.n, jet.max_degree), jet.nums):
-        if c:
-            g = gcd(c, den)
-            coeffs[key] = f"{c // g}/{den // g}"
-    return {"n": jet.n, "D": jet.max_degree, "valid_order": jet.valid_order, "coeffs": coeffs}
+    return json.loads(_jet_text(jet))
 
 
 def _object(value, what: str) -> dict:
@@ -114,7 +147,7 @@ def _read_written(coeffs: dict, keys: dict[str, int]) -> tuple[tuple, int] | Non
     """The numerators and denominator, in lowest terms, of coefficients in
     the form the writer gives them, keyed as in keys; None for any other
     input."""
-    ranks = [keys.get(key) for key in coeffs]
+    ranks = list(map(keys.get, coeffs))
     if None in ranks:
         return None
     if not ranks:
@@ -126,8 +159,8 @@ def _read_written(coeffs: dict, keys: dict[str, int]) -> tuple[tuple, int] | Non
     if _WRITTEN.fullmatch(text) is None:
         return None
     try:
-        parts = list(map(int, text.replace("/", ",").split(",")))
-    except ValueError:  # a numeral over the interpreter's digit limit
+        parts = _decode("[" + text.replace("/", ",") + "]")[0]
+    except ValueError:  # a leading zero, or a numeral over the digit limit
         return None
     dens = parts[1::2]
     # a comma inside a coefficient, or a zero denominator
@@ -202,8 +235,12 @@ def jet_from_json(data: dict, what: str = "jet") -> Jet:
     return Jet._from_nums(n, cap, nums, den, v)
 
 
+def _slice_text(sl: SliceJet) -> str:
+    return f'{{"ambient_n":{sl.ambient_n},"jet":{_jet_text(sl.jet)}}}'
+
+
 def slice_to_json(sl: SliceJet) -> dict:
-    return {"ambient_n": sl.ambient_n, "jet": jet_to_json(sl.jet)}
+    return json.loads(_slice_text(sl))
 
 
 def slice_from_json(data: dict, what: str = "slice") -> SliceJet:
@@ -214,16 +251,23 @@ def slice_from_json(data: dict, what: str = "slice") -> SliceJet:
     return sl
 
 
-def _table_to_json(entries) -> dict:
-    """The JSON of each (key, jet) entry, each jet object encoded once: the
-    entries that hold one jet share one dict."""
-    encoded, out = {}, {}
-    for key, jet in entries:
-        data = encoded.get(id(jet))
-        if data is None:
-            data = encoded[id(jet)] = jet_to_json(jet)
-        out[key] = data
-    return out
+def _table_text(table: dict) -> str:
+    """The object of a table {key: jet}, its keys sorted as strings, each
+    jet object encoded once: the entries that hold one jet share its text."""
+    encoded, out = {}, []
+    for key in sorted(table):
+        jet = table[key]
+        text = encoded.get(id(jet))
+        if text is None:
+            text = encoded[id(jet)] = _jet_text(jet)
+        out.append(f'"{key}":{text}')
+    return "{" + ",".join(out) + "}"
+
+
+def _named_text(values: dict, encode) -> str:
+    """The object of values {name: value}, its names sorted, each value
+    encoded by encode."""
+    return "{" + ",".join(f"{json.dumps(k)}:{encode(values[k])}" for k in sorted(values)) + "}"
 
 
 def _reads_alike(payload, source: dict) -> bool:
@@ -268,14 +312,14 @@ def _pair_index(key: str) -> tuple[int, int]:
     return i, j
 
 
+def _connection_text(conn: Connection) -> str:
+    gamma = _table_text({f"{k};{i},{j}": jet for (k, i, j), jet in conn.gamma.items()})
+    symmetric = json.dumps(conn.symmetric)
+    return f'{{"gamma":{gamma},"n":{json.dumps(conn.n)},"symmetric":{symmetric}}}'
+
+
 def connection_to_json(conn: Connection) -> dict:
-    return {
-        "n": conn.n,
-        "symmetric": conn.symmetric,
-        "gamma": _table_to_json(
-            (f"{k};{i},{j}", jet) for (k, i, j), jet in sorted(conn.gamma.items())
-        ),
-    }
+    return json.loads(_connection_text(conn))
 
 
 def connection_from_json(data: dict, what: str = "connection") -> Connection:
@@ -286,11 +330,13 @@ def connection_from_json(data: dict, what: str = "connection") -> Connection:
     return Connection(n, gamma, symmetric=symmetric)
 
 
+def _bilinear_text(b: Bilinear) -> str:
+    comps = _table_text({f"{i},{j}": jet for (i, j), jet in b.comps.items()})
+    return f'{{"comps":{comps},"n":{json.dumps(b.n)}}}'
+
+
 def bilinear_to_json(b: Bilinear) -> dict:
-    return {
-        "n": b.n,
-        "comps": _table_to_json((f"{i},{j}", jet) for (i, j), jet in sorted(b.comps.items())),
-    }
+    return json.loads(_bilinear_text(b))
 
 
 def _comps_from_json(data: dict, what: str) -> tuple[int, dict]:
@@ -311,18 +357,17 @@ def metric_from_json(data: dict, what: str = "metric") -> Metric:
     return Metric(*_comps_from_json(data, what))
 
 
+def _free_data_text(fd: FreeData) -> str:
+    gauge = "null" if fd.gauge_function is None else _jet_text(fd.gauge_function)
+    return (
+        f'{{"free_functions":{_named_text(fd.free_functions, _jet_text)},'
+        f'"gauge_function":{gauge},'
+        f'"initial_slices":{_named_text(fd.initial_slices, _slice_text)}}}'
+    )
+
+
 def free_data_to_json(fd: FreeData) -> dict:
-    return {
-        "free_functions": {
-            slot: jet_to_json(jet) for slot, jet in sorted(fd.free_functions.items())
-        },
-        "initial_slices": {
-            slot: slice_to_json(sl) for slot, sl in sorted(fd.initial_slices.items())
-        },
-        "gauge_function": None
-        if fd.gauge_function is None
-        else jet_to_json(fd.gauge_function),
-    }
+    return json.loads(_free_data_text(fd))
 
 
 def free_data_from_json(data: dict) -> FreeData:
@@ -341,19 +386,23 @@ def free_data_from_json(data: dict) -> FreeData:
 # type tag -> (class, encoder, decoder); a value takes the tag of the first
 # class it is an instance of, so a subclass (Metric) precedes its base
 _TYPED = {
-    "jet": (Jet, jet_to_json, jet_from_json),
-    "slice": (SliceJet, slice_to_json, slice_from_json),
-    "connection": (Connection, connection_to_json, connection_from_json),
-    "metric": (Metric, metric_to_json, metric_from_json),
-    "bilinear": (Bilinear, bilinear_to_json, bilinear_from_json),
+    "jet": (Jet, _jet_text, jet_from_json),
+    "slice": (SliceJet, _slice_text, slice_from_json),
+    "connection": (Connection, _connection_text, connection_from_json),
+    "metric": (Metric, _bilinear_text, metric_from_json),
+    "bilinear": (Bilinear, _bilinear_text, bilinear_from_json),
 }
 
 
-def typed_to_json(value) -> dict:
+def _typed_text(value) -> str:
     for tag, (cls, encode, _) in _TYPED.items():
         if isinstance(value, cls):
-            return {"type": tag, "value": encode(value)}
+            return f'{{"type":"{tag}","value":{encode(value)}}}'
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def typed_to_json(value) -> dict:
+    return json.loads(_typed_text(value))
 
 
 def typed_from_json(data: dict, what: str):
@@ -363,21 +412,24 @@ def typed_from_json(data: dict, what: str):
     return _TYPED[tag][2](_get(data, "value", what), what)
 
 
+def report_text(report: BuildReport) -> str:
+    """The canonical text of a report, `canonical_dumps` of its JSON."""
+    dumps = json.dumps
+    checks = ",".join(
+        f'{{"name":{dumps(c.name)},"passed":{dumps(c.passed)},"zero_to_order":{dumps(c.order)}}}'
+        for c in report.checks
+    )
+    fd = "null" if report.free_data is None else _free_data_text(report.free_data)
+    return (
+        f'{{"D":{dumps(report.max_degree)},"checks":[{checks}],'
+        f'"construction":{dumps(report.construction)},"free_data":{fd},'
+        f'"n":{dumps(report.n)},"outputs":{_named_text(report.outputs, _typed_text)},'
+        f'"prescribed":{_named_text(report.prescribed, _typed_text)}}}\n'
+    )
+
+
 def report_to_json(report: BuildReport) -> dict:
-    return {
-        "construction": report.construction,
-        "n": report.n,
-        "D": report.max_degree,
-        "prescribed": {k: typed_to_json(v) for k, v in sorted(report.prescribed.items())},
-        "free_data": None
-        if report.free_data is None
-        else free_data_to_json(report.free_data),
-        "outputs": {k: typed_to_json(v) for k, v in sorted(report.outputs.items())},
-        "checks": [
-            {"name": c.name, "zero_to_order": c.order, "passed": c.passed}
-            for c in report.checks
-        ],
-    }
+    return json.loads(report_text(report))
 
 
 def _check_from_json(data, what: str) -> Check:

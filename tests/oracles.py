@@ -22,16 +22,18 @@ coefficient, the product through the product_rank dictionary, Newton
 reciprocal, Horner exp) is the reference for the integer kernel of
 jetgeom.jets, and the Fraction jet serialization (`int` on each key part,
 `Fraction` on each coefficient) for the integer writer and reader of
-jetgeom.serialize.
+jetgeom.serialize; the report's JSON tree (`ref_report_to_json`), one jet
+at a time, for the one-pass text writer `serialize.report_text`.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from math import factorial
 
-from jetgeom import Connection, Jet, Metric
+from jetgeom import Connection, Jet, Metric, SliceJet
 from jetgeom import multiindex as mi
 from jetgeom.builders import _codazzi_gap, _codazzi_spec
 from jetgeom.ck import SecondOrderSystem, solve_second_order
@@ -423,6 +425,64 @@ def ref_jet_to_json(jet: Jet) -> dict:
             " ".join(str(e) for e in exps): f"{c.numerator}/{c.denominator}"
             for exps, c in jet.terms()
         },
+    }
+
+
+def ref_random_poly(
+    seed: int, n: int, degree_bound: int, coeff_bound: int, max_degree: int
+) -> Jet:
+    """One `random.Random(seed).randint(-coeff_bound, coeff_bound)` per
+    monomial of degree <= degree_bound, in rank order."""
+    rng = random.Random(seed)
+    degs = mi.degree_of(n, max_degree)
+    coeffs = [
+        rng.randint(-coeff_bound, coeff_bound) if degs[r] <= degree_bound else 0
+        for r in range(mi.size(n, max_degree))
+    ]
+    return Jet(n, max_degree, coeffs, max_degree)
+
+
+def ref_typed_to_json(value) -> dict:
+    """A report value as {"type": tag, "value": its JSON}, every jet of it
+    by `ref_jet_to_json`, mirror entries each on their own."""
+    if isinstance(value, Jet):
+        return {"type": "jet", "value": ref_jet_to_json(value)}
+    if isinstance(value, SliceJet):
+        return {"type": "slice", "value": ref_slice_to_json(value)}
+    if isinstance(value, Connection):
+        gamma = {f"{k};{i},{j}": ref_jet_to_json(jet) for (k, i, j), jet in value.gamma.items()}
+        payload = {"n": value.n, "symmetric": value.symmetric, "gamma": gamma}
+        return {"type": "connection", "value": payload}
+    comps = {f"{i},{j}": ref_jet_to_json(jet) for (i, j), jet in value.comps.items()}
+    tag = "metric" if isinstance(value, Metric) else "bilinear"
+    return {"type": tag, "value": {"n": value.n, "comps": comps}}
+
+
+def ref_slice_to_json(sl: SliceJet) -> dict:
+    return {"ambient_n": sl.ambient_n, "jet": ref_jet_to_json(sl.jet)}
+
+
+def ref_report_to_json(report) -> dict:
+    """The JSON tree of a build report, the reference of
+    `serialize.report_text` through `canonical_dumps`, which sorts its keys."""
+    fd = report.free_data
+    return {
+        "construction": report.construction,
+        "n": report.n,
+        "D": report.max_degree,
+        "prescribed": {k: ref_typed_to_json(v) for k, v in report.prescribed.items()},
+        "free_data": None if fd is None else {
+            "free_functions": {k: ref_jet_to_json(j) for k, j in fd.free_functions.items()},
+            "initial_slices": {k: ref_slice_to_json(s) for k, s in fd.initial_slices.items()},
+            "gauge_function": None
+            if fd.gauge_function is None
+            else ref_jet_to_json(fd.gauge_function),
+        },
+        "outputs": {k: ref_typed_to_json(v) for k, v in report.outputs.items()},
+        "checks": [
+            {"name": c.name, "zero_to_order": c.order, "passed": c.passed}
+            for c in report.checks
+        ],
     }
 
 

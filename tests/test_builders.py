@@ -257,6 +257,24 @@ def test_torsion_free_round_trip():
         assert connections_match(report.outputs["connection"], conn0, CAP)
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("tag", ["torsion-free", "trace-free-torsion"])
+def test_cross_regime_build_is_rebuilt_by_general(tag, cap, seed):
+    # a torsion-free or trace-free-torsion build also solves the general
+    # system with its own Ricci tensor. Built at cap D + 1 and truncated to
+    # D, every symbol is valid to D (torsion-free's Gamma^k_kk only to the
+    # build's cap - 1) and its Ricci tensor to D - 1, as the general solve
+    # reads it; its general-census data then rebuild it to order D
+    r = random_prescribed_tensor(tag, seed, 3, cap + 1, 3, 2)
+    fd = random_free_data(census(tag, 3), seed + 10, 3, 2, cap + 1)
+    built = build_prescribed_ricci(tag, r, fd).outputs["connection"]
+    gamma = {key: jet.truncate(cap) for key, jet in built.gamma.items()}
+    conn = Connection(3, gamma, symmetric=built.symmetric)
+    rebuilt = build_prescribed_ricci_general(*connection_round_trip_data("general", conn))
+    assert connections_match(rebuilt.outputs["connection"], conn, cap)
+
+
 def test_torsion_free_output_symmetric_and_verified():
     r = random_prescribed_tensor("torsion-free", 23, 3, CAP, 3, 2)
     fd = random_free_data(census("torsion-free", 3), 24, 3, 2, CAP)

@@ -201,14 +201,14 @@ def assert_verification_failed(tmp_path, capsys, output, construction="general")
 
 def tamper_with(monkeypatch, edit):
     """Make `run` write the report JSON as `edit` changes it."""
-    real = serialize.report_to_json
+    real = serialize.report_text
 
     def tampered(report):
-        data = real(report)
+        data = json.loads(real(report))
         edit(data)
-        return data
+        return canonical_dumps(data)
 
-    monkeypatch.setattr(serialize, "report_to_json", tampered)
+    monkeypatch.setattr(serialize, "report_text", tampered)
 
 
 def test_run_written_bytes_that_are_no_json_fail_verification(tmp_path, capsys):
@@ -220,14 +220,11 @@ def test_run_written_report_missing_a_free_data_slot_fails_verification(
     tmp_path, capsys, monkeypatch
 ):
     # the read-back report breaks an admission rule (slot-mismatch)
-    real = serialize.free_data_to_json
+    def drop_slot(data):
+        free = data["free_data"]["free_functions"]
+        del free[min(free)]
 
-    def drop_slot(fd):
-        data = real(fd)
-        del data["free_functions"][min(data["free_functions"])]
-        return data
-
-    monkeypatch.setattr(serialize, "free_data_to_json", drop_slot)
+    tamper_with(monkeypatch, drop_slot)
     assert_verification_failed(tmp_path, capsys, tmp_path / "report.json")
 
 

@@ -380,8 +380,9 @@ def test_run_on_mutated_written_reports_fails_or_leaves_a_verified_one(tmp_path_
         json.dumps(dict(SMALL_SCENARIOS[name], seed=1, free_data="random", output=str(output)))
     )
     with pytest.MonkeyPatch.context() as patch:
-        written = lambda built: mutate(report_to_json(built), mutation)[0]
-        patch.setattr(serialize, "report_to_json", written)
+        real = serialize.report_text
+        written = lambda built: canonical_dumps(mutate(json.loads(real(built)), mutation)[0])
+        patch.setattr(serialize, "report_text", written)
         code, out, err = call("run", str(scenario))
     status = "ok" if code == 0 else "verification-failed"
     assert code in (0, 2)

@@ -495,9 +495,10 @@ def test_elimination_without_known_products_gives_the_reference_jets():
     assert solved > 100 and swapped > 20
 
 
-def test_elimination_of_a_diagonal_matrix_forms_one_product_per_row(monkeypatch):
-    # each row: its pivot's reciprocal times its identity entry; every other
-    # product is known, and a zero factor leaves the other rows as they are
+def test_elimination_of_a_diagonal_matrix_forms_no_product(monkeypatch):
+    # each row: its pivot's reciprocal times its identity entry is the
+    # reciprocal; every other product is known, and a zero factor leaves the
+    # other rows as they are
     muls, real = [], Jet.__mul__
 
     def counting(a, b):
@@ -510,9 +511,52 @@ def test_elimination_of_a_diagonal_matrix_forms_one_product_per_row(monkeypatch)
     pairs = [(i, j) for i in (1, 2, 3) for j in range(i, 4)]
     g = Metric(3, {(i, j): diagonal[i - 1] if i == j else zero for i, j in pairs})
     inv = metric_inverse(g)
-    assert len(muls) == 3
+    assert len(muls) == 0
     for i in (1, 2, 3):
         assert inv[(i, i)].same_payload(diagonal[i - 1].reciprocal())
+
+
+def test_elimination_takes_an_identity_one_moved_by_a_row_swap_as_the_reciprocal(monkeypatch):
+    # the constant terms sit on a permutation that is not the identity, so
+    # rows are swapped and the augmented identity's ones leave the diagonal;
+    # each is still taken as its pivot's reciprocal, at the lesser valid
+    # order: the reference jets, and no product with an exactly-one factor
+    rng, real, one_factors, swapped = random.Random(26), Jet.__mul__, [], 0
+
+    def counting(a, b):
+        one = Jet.one(a.n, a.max_degree)
+        one_factors.append(a.same_coeffs(one) or b.same_coeffs(one))
+        return real(a, b)
+
+    for _ in range(60):
+        size, n, cap = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 4)
+        perm = list(range(size))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+
+        def entry(constant):
+            tail = [
+                Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                for _ in range(mi.size(n, cap) - 1)
+            ]
+            return Jet(n, cap, [Fraction(constant)] + tail, rng.randint(0, cap))
+
+        def ident(i, j):
+            return Jet.constant(int(i == j), n, cap).with_valid_order(rng.randint(0, cap))
+
+        constants = [2, -3, Fraction(5, 2)]
+        rows = [
+            [entry(rng.choice(constants) if perm[i] == j else 0) for j in range(size)]
+            + [ident(i, j) for j in range(size)]
+            for i in range(size)
+        ]
+        want = ref_gauss_jordan([list(row) for row in rows])
+        swapped += perm[0] != 0
+        monkeypatch.setattr(Jet, "__mul__", counting)
+        got = _gauss_jordan(rows)
+        monkeypatch.setattr(Jet, "__mul__", real)
+        assert all(a.same_payload(b) for x, y in zip(got, want) for a, b in zip(x, y))
+    assert one_factors and not any(one_factors) and swapped > 20
 
 
 def test_jet_elimination_rejects_matrix_singular_at_origin():

@@ -13,7 +13,7 @@ from jetgeom import (
     SliceJet,
     random_poly,
 )
-from oracles import add_oracle, conv_oracle, jet_matches_terms, term_dict
+from oracles import add_oracle, conv_oracle, jet_matches_terms, ref_random_poly, term_dict
 
 
 def j2(terms, cap=4, valid=None):
@@ -308,3 +308,27 @@ def test_serialization_key_example():
     # a jet's terms iterator surfaces exactly the stored nonzero terms
     a = j2({(1, 0): Fraction(1, 3)})
     assert dict(a.terms()) == {(1, 0): Fraction(1, 3)}
+
+
+def test_random_poly_draws_as_the_randint_loop():
+    # the same stream: n = 0..4, every degree bound 0..D, bounds 0..5, many seeds
+    for n in range(5):
+        cap = 4 if n < 3 else 2
+        for degree in range(cap + 1):
+            for bound in range(6):
+                for seed in range(0, 2**32, 2**32 // 20 + 1):
+                    want = ref_random_poly(seed, n, degree, bound, cap)
+                    assert random_poly(seed, n, degree, bound, cap).same_payload(want)
+
+
+@pytest.mark.parametrize("n, cap", [(0, 0), (1, 3), (3, 2)])
+def test_random_poly_edges(n, cap):
+    # a negative degree bound draws nothing, whatever the coefficient bound
+    for bound in (-3, -1, 0, 2):
+        assert random_poly(1, n, -1, bound, cap).is_zero()
+    # a negative coefficient bound raises whenever a coefficient is drawn
+    for bound in (-1, -2, -7):
+        with pytest.raises(ValueError):
+            random_poly(1, n, 0, bound, cap)
+        with pytest.raises(ValueError):
+            ref_random_poly(1, n, 0, bound, cap)

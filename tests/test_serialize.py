@@ -23,10 +23,10 @@ from jetgeom import (
     zero_free_data,
 )
 from jetgeom import serialize
-from jetgeom.builders import FreeData, verify_read_back
+from jetgeom.builders import BuildReport, Check, FreeData, verify_read_back
 from jetgeom.cli import _run_direct
 from jetgeom.errors import DimensionMismatchError
-from jetgeom.geometry import Bilinear, Connection
+from jetgeom.geometry import Bilinear, Connection, Metric
 from jetgeom.serialize import (
     bilinear_from_json,
     canonical_dumps,
@@ -37,11 +37,12 @@ from jetgeom.serialize import (
     metric_from_json,
     metric_to_json,
     report_from_json,
+    report_text,
     report_to_json,
     slice_from_json,
     slice_to_json,
 )
-from oracles import ref_jet_from_json, ref_jet_to_json
+from oracles import ref_jet_from_json, ref_jet_to_json, ref_report_to_json
 
 
 def test_jet_round_trip_bit_exact():
@@ -263,17 +264,30 @@ WRITTEN = {"n": 2, "D": 3, "valid_order": 3, "coeffs": {"1 0": "1/2", "0 1": "2/
 @example(data=dict(WRITTEN, coeffs={"1 0": "1/2", "0 1": "1/0", "0 0": "3/1"}))
 @example(data=dict(WRITTEN, coeffs={"1 0": "1/2", "0 1": "7" * 5000 + "/3"}))
 @example(data=dict(WRITTEN, coeffs={"1 0": "1/2", "01 0": "1/3", "0 1": "2/1"}))
+@example(data=dict(WRITTEN, coeffs={"1 0": "007/2", "0 1": "2/01", "0 0": "-00/1"}))
 @example(data=dict(WRITTEN, valid_order=4))
 @example(data=dict(WRITTEN, valid_order=-1))
 @example(data=dict(WRITTEN, coeffs={"1 0": "1/2,1/3", "0 1": "2/1"}))
 @example(data=dict(WRITTEN, valid_order=4, coeffs={}))
 @given(data=JETS)
 def test_reader_reads_as_the_fraction_parse(data):
+    assert_reads_as_the_fraction_parse(data)
+
+
+def assert_reads_as_the_fraction_parse(data):
     got, want = outcome(jet_from_json, data), outcome(ref_jet_from_json, data)
     if isinstance(want, Jet):
         assert isinstance(got, Jet) and got.same_payload(want)
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("text", ["007/2", "-01/3", "1/02", "-00/1", "7" * 5000 + "/3"])
+def test_numerals_the_json_decode_rejects_take_the_entry_loop(text):
+    # a leading zero, or a numeral over the digit limit: today's value or error
+    data = dict(WRITTEN, coeffs={"1 0": text, "0 1": "1/2"})
+    assert serialize._read_written(data["coeffs"], serialize._key_ranks(2, 3)) is None
+    assert_reads_as_the_fraction_parse(data)
 
 
 def no_entry_loop_and_no_fraction(monkeypatch):
@@ -443,13 +457,125 @@ def test_report_writer_encodes_each_jet_of_a_table_once(monkeypatch):
     distinct += len(jets_of(report.free_data))
     conn = report.outputs["connection"]
     assert len({id(j) for j in conn.gamma.values()}) < len(conn.gamma)
-    real, encoded = serialize.jet_to_json, []
-    monkeypatch.setattr(serialize, "jet_to_json", lambda jet: encoded.append(jet) or real(jet))
-    text = canonical_dumps(report_to_json(report))
+    real, encoded = serialize._jet_text, []
+    monkeypatch.setattr(serialize, "_jet_text", lambda jet: encoded.append(jet) or real(jet))
+    text = report_text(report)
     assert len(encoded) == distinct
     # every entry encoded on its own by the Fraction writer: the same bytes
-    monkeypatch.setattr(serialize, "jet_to_json", ref_jet_to_json)
-    monkeypatch.setattr(
-        serialize, "_table_to_json", lambda entries: {k: ref_jet_to_json(j) for k, j in entries}
+    assert canonical_dumps(ref_report_to_json(report)) == text
+
+
+# ---------------------------------------------------------------------------
+# the one-pass report writer against the JSON tree of the reference writer
+
+# workspaces (n, D): a constant, exponents >= 10, and a few small ones
+WORKSPACES = st.sampled_from([(0, 0), (0, 2), (1, 12), (2, 3), (2, 10), (3, 2)])
+DENOMINATORS = st.sampled_from([1, 1, 1, 2, 3, 6, 7, 10**20 + 39])
+
+
+@st.composite
+def text_jets(draw, n: int, cap: int) -> Jet:
+    """A jet of workspace (n, cap) with up to five nonzero coefficients,
+    negative and fractional ones among them, at any valid order."""
+    size = len(serialize._keys(n, cap))
+    numerators = st.integers(-(10**25), 10**25)
+    terms = draw(st.dictionaries(st.integers(0, size - 1), numerators, max_size=5))
+    den = draw(DENOMINATORS)
+    coeffs = [Fraction(terms.get(r, 0), den) for r in range(size)]
+    return Jet(n, cap, coeffs, draw(st.integers(0, cap)))
+
+
+@st.composite
+def mirrored(draw, keys, mirror, n: int, cap: int) -> dict:
+    """A table on keys whose entry at mirror(key) is, by draw, the jet of key
+    itself, an equal but distinct jet object, or a jet of its own."""
+    table = {}
+    for key in keys:
+        other = table.get(mirror(key))
+        how = draw(st.sampled_from(["shared", "copy", "own"]))
+        if other is None or how == "own":
+            table[key] = draw(text_jets(n, cap))
+        elif how == "shared":
+            table[key] = other
+        else:
+            table[key] = Jet._from_nums(n, cap, other.nums, other.den, other.valid_order)
+    return table
+
+
+@st.composite
+def report_values(draw, n: int, cap: int):
+    """A jet, a slice, a connection (symmetric or not), a metric or a
+    bilinear table, the last with table n = 10 at times."""
+    kind = draw(st.sampled_from(["jet", "slice", "connection", "metric", "bilinear", "wide"]))
+    if kind == "jet":
+        return draw(text_jets(n, cap))
+    if kind == "slice":
+        return SliceJet(draw(text_jets(n, cap)))
+    if kind == "connection":
+        size = draw(st.integers(1, 2))
+        indices = range(1, size + 1)
+        keys = [(k, i, j) for k in indices for i in indices for j in indices]
+        gamma = draw(mirrored(keys, lambda key: (key[0], key[2], key[1]), n, cap))
+        return Connection(size, gamma, symmetric=Connection(size, gamma).is_symmetric_table())
+    if kind == "wide":  # keys "10,1" and "2,1"; mirror entries share a jet
+        pool = draw(st.lists(text_jets(0, 0), min_size=1, max_size=3))
+        return Bilinear(10, {(i, j): pool[i * j % len(pool)] for i in TEN for j in TEN})
+    size = draw(st.integers(1, 3))
+    keys = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
+    comps = draw(mirrored(keys, lambda key: key[::-1], n, cap))
+    if kind == "metric":
+        # constant terms over 10^25 on the diagonal: an invertible matrix
+        for i in range(1, size + 1):
+            comps[(i, i)] = Jet.constant(10**27 * i, n, cap)
+        symmetric = {(i, j): comps[(min(i, j), max(i, j))] for i, j in comps}
+        return Metric(size, symmetric)
+    return Bilinear(size, comps)
+
+
+TEN = range(1, 11)
+NAMES = st.sampled_from(["r", "metric", "connection", "g11", "init12", "phi", "b", "\u00e9", 'q"'])
+SLOTS = st.sampled_from(["Gamma^1_11", "g;1,2", "gamma;2,1", "phi", "\u00e9", "a\\b"])
+
+
+@st.composite
+def reports(draw) -> BuildReport:
+    n, cap = draw(WORKSPACES)
+    free_data = None
+    if draw(st.booleans()):
+        free_data = FreeData(
+            draw(st.dictionaries(SLOTS, text_jets(n, cap), max_size=3)),
+            draw(st.dictionaries(SLOTS, text_jets(n, cap).map(SliceJet), max_size=3)),
+            draw(st.none() | text_jets(n, cap)),
+        )
+    checks = st.builds(Check, st.sampled_from(["codazzi", "ricci-residual", "x\u00e9"]),
+                       st.integers(0, 12), st.booleans())
+    return BuildReport(
+        draw(st.sampled_from(["general", "statistical", "metric-2d"])),
+        draw(st.integers(0, 12)),
+        draw(st.integers(0, 12)),
+        draw(st.dictionaries(NAMES, report_values(n, cap), max_size=3)),
+        free_data,
+        draw(st.dictionaries(NAMES, report_values(n, cap), max_size=3)),
+        draw(st.lists(checks, max_size=3)),
     )
-    assert canonical_dumps(report_to_json(report)) == text
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+# table n = 10 ("10,1" before "2,1") and exponent 10 (before 2), every entry nonzero
+@example(
+    report=BuildReport(
+        "general", 10, 12,
+        {"jet": Jet(1, 12, range(1, 14), 12)},
+        None,
+        {"b": Bilinear(10, {(i, j): Jet.constant(i - j or 1, 0, 0) for i in TEN for j in TEN})},
+        [],
+    )
+)
+@given(report=reports())
+def test_report_text_is_the_canonical_dump_of_the_reference_tree(report):
+    text = report_text(report)
+    assert text == canonical_dumps(ref_report_to_json(report))
+    assert text == canonical_dumps(report_to_json(report))
+

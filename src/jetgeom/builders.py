@@ -12,8 +12,9 @@ fold), and `gamma_slot(*key)` gives the slot back.
 
 Every construction writes its equations in one row form, `_Row`: linear,
 derivative and product atoms over one table of jets, evaluated one x1-layer
-at a time by `_row_layer` (the tests hold the full-size evaluator, the
-reference of every layer it writes). `_ck_solve` takes
+at a time by the package's one accumulation, `jets._accumulate`, on the
+row's atoms (`_terms`); the tests hold the full-size evaluator, the
+reference of every layer it writes. `_ck_solve` takes
 data only: one row per first-order CK unknown, fixed entries, derived
 entries (rows over the entries before them), the initial slices under the
 unknowns' own keys and ordered blocks of keys solved from algebraic rows
@@ -123,7 +124,7 @@ from .geometry import (
     torsion_trace,
 )
 from .jets import (
-    Jet, SliceJet, _mul_layer, _reduced, as_fraction, partial_valid_order, product_sum,
+    Jet, SliceJet, _accumulate, _reduced, as_fraction, partial_valid_order, product_sum,
     random_poly,
 )
 
@@ -817,46 +818,14 @@ def _ck_rows(equations: Mapping, fixed: Mapping) -> dict:
     return rests
 
 
-def _row_layer(
-    row: _Row, table: Mapping, d1: Mapping, n: int, cap: int, t: int, order: int | None = None
-):
-    """x1-layer t of the row's sum on the table, formed to total degree order
-    (default cap), as full-size numerators (zero off the layer and above that
-    degree) over one denominator. Linear atoms and derivatives along axes >= 2
-    read layer t, an x1-derivative atom reads the jet d1[key], and a product
-    reads layers <= t of its factors. The denominator comes from the atoms'
-    jets alone, so it does not depend on order."""
-    order = cap if order is None else order
-    linear = [(c, table[key]) for c, key in row.linear]
-    linear += [(c, d1[key]) for c, key, ax in row.derivatives if ax == 1]
-    derivatives = [(c, table[key], ax) for c, key, ax in row.derivatives if ax != 1]
-    products = [(c, table[x], table[y]) for c, x, y in row.products]
-    den = lcm(
-        *(jet.den for _, jet in linear),
-        *(jet.den for _, jet, _ in derivatives),
-        *(x.den * y.den for _, x, y in products),
+def _terms(row: _Row, table: Mapping) -> tuple:
+    """The row's products, linear and derivative atoms on the table, as the
+    terms of `jets._accumulate`."""
+    return (
+        [(c, table[x], table[y]) for c, x, y in row.products],
+        [(c, table[key]) for c, key in row.linear],
+        [(c, table[key], ax) for c, key, ax in row.derivatives],
     )
-    ranks = mi.x1_layers(n, order)[t]
-    out = [0] * mi.size(n, cap)
-    for c, jet in linear:
-        m, nums = c * (den // jet.den), jet.nums
-        for r in ranks:
-            if nums[r]:
-                out[r] += m * nums[r]
-    # d/dx_ax keeps the layer: its (x2, ..., xn) part moves as a slice, one
-    # degree down, so it reads the layer to degree order + 1
-    sources = mi.x1_layers(n, min(order + 1, cap))[t]
-    for c, jet, ax in derivatives:
-        m, nums = c * (den // jet.den), jet.nums
-        for src, dst, factor in mi.partial_map(n - 1, cap, ax - 2):
-            if src >= len(sources):
-                break
-            if nums[sources[src]]:
-                out[sources[dst]] += m * factor * nums[sources[src]]
-    spans = mi.product_layers(n, order)[t]
-    for c, x, y in products:
-        _mul_layer(spans, x.nums, y.nums, c * (den // (x.den * y.den)), out)
-    return out, den
 
 
 def _write_layer(jet: Jet, ranks, nums: list, den: int, valid_order: int) -> Jet:
@@ -880,8 +849,7 @@ def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
     """The least valid order of the rows' atoms on the table, by the rules of
     `Jet` (a sum or product takes the least valid order of its terms, a
     derivative `jets.partial_valid_order`), the keys in exact counting as
-    exact: for one row and no exact keys, the valid order of the full-size sum
-    of its atoms (D for no atoms)."""
+    exact: the shared valid order of the block keys (D for no atoms)."""
     orders = []
     for row in rows:
         orders += [table[key].valid_order for _, key in row.linear]
@@ -981,19 +949,23 @@ def _ck_solve(
     block key gets the largest degree a reader needs: the reader's own, one
     more where it differentiates along an axis >= 2, at most D; the keys of
     one block share one degree. An entry formed to degree k is written at
-    layers 0..k only, to degree k, and is valid to min(k, the valid order of
-    its rows), taken once at layer 0: every entry's valid order is fixed
-    after its layer-0 write.
+    layers 0..k only, to degree k. A derived entry is valid to the valid
+    order that `jets._accumulate` gives its layer 0, min(k, the valid order
+    of its row's atoms): every entry's valid order is fixed after its
+    layer-0 write.
 
     The solution is built one x1-layer at a time: with the unknowns known
-    through layer t, layer t of each derived entry is written with
-    `_row_layer`. Then, block by block in order, layer t of the block's
-    rows is evaluated by `_row_layer` on the table holding layer t of the
-    earlier blocks' keys and not yet that of its own, and layer t of its keys
-    is -B^-1 times it, a forward substitution; each diagonal block B of M0 is
-    inverted once, at layer 0 (`_block_inverses`), and every block key gets
-    the `_valid_order` of the rows, the keys counting as exact, as an
-    elimination of the full-size system gives it. Layer t of each rest then
+    through layer t, layer t of each derived entry is written from
+    `jets._accumulate` on its row, which reads layers <= t of a product's
+    factors, layer t of a linear atom or of a derivative along an axis >= 2,
+    and layer t + 1 of a fixed key under an x1-derivative. Then, block by
+    block in order, layer t of the block's rows is evaluated the same way on
+    the table holding layer t of the earlier blocks' keys and not yet that of
+    its own, and layer t of its keys is -B^-1 times it, a forward
+    substitution; each diagonal block B of M0 is inverted once, at layer 0
+    (`_block_inverses`), and every block key gets the `_valid_order` of the
+    rows, the keys counting as exact, as an elimination of the full-size
+    system gives it. Layer t of each rest then
     needs only layers <= t of the table, and layer t + 1 of the unknown is
     -s * (that layer) / (t + 1). Each write reduces only the layer it writes
     (`_write_layer`): every position it writes is zero before, and a sum of
@@ -1029,8 +1001,6 @@ def _ck_solve(
         raise DimensionMismatchError(f"table entries in workspaces {sorted(shapes)}")
     [(n, cap)] = shapes
     values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
-    x1_rows = [row for _, row in rests.values()] + list(derived.values())
-    d1 = {key: fixed[key].partial(1) for row in x1_rows for _, key, ax in row.derivatives if ax == 1}
     degrees = _degrees(rests, derived, blocks, frozenset(outputs), cap)
     valid: dict = {}
     layers = mi.x1_layers(n, cap)
@@ -1041,12 +1011,11 @@ def _ck_solve(
                 k = degrees[target]
                 if t > k:
                     continue
+                nums, den, v = _accumulate(n, *_terms(row, table), k, t)
                 if t == 0:
-                    valid[target] = min(_valid_order([row], table, cap), k)
-                out, den = _row_layer(row, table, d1, n, cap, t, k)
-                ranks = mi.x1_layers(n, k)[t]
+                    valid[target] = v
                 table[target] = values[target] = _write_layer(
-                    values[target], ranks, [out[r] for r in ranks], den, valid[target]
+                    values[target], mi.x1_layers(n, k)[t], nums, den, valid[target]
                 )
             if t == 0:
                 inverses = _block_inverses(blocks, table, n, cap)
@@ -1060,8 +1029,8 @@ def _ck_solve(
                 zero = Jet.zero(n - 1, order)
                 gaps = []
                 for row in rows:
-                    out, den = _row_layer(row, table, d1, n, cap, t, k)
-                    gaps.append(zero._with_nums([out[r] for r in ranks], den, order))
+                    nums, den, _ = _accumulate(n, *_terms(row, table), k, t)
+                    gaps.append(zero._with_nums(nums, den, order))
                 for key, inverse_row in zip(keys, inverse):
                     step = product_sum(
                         (-1, e.truncate(order), gap) for e, gap in zip(inverse_row, gaps)
@@ -1072,20 +1041,16 @@ def _ck_solve(
             if t == cap:
                 return table
             sums = {
-                key: _row_layer(row, table, d1, n, cap, t, cap - 1)
+                key: _accumulate(n, *_terms(row, table), cap - 1, t)
                 for key, (_, row) in rests.items()
             }
         except Exception as err:
             raise EvaluationError(f"right-hand side failed at x1-layer {t}: {err}") from err
         for key, (sign, _) in rests.items():
-            # layer t + 1 = sign * out / (den * (t + 1))
-            out, den = sums[key]
+            # layer t + 1 = sign * (layer t to degree D - 1) / (den * (t + 1))
+            nums, den, _ = sums[key]
             values[key] = _write_layer(
-                values[key],
-                layers[t + 1],
-                [sign * out[r] for r in mi.x1_layers(n, cap - 1)[t]],
-                den * (t + 1),
-                cap,
+                values[key], layers[t + 1], [sign * v for v in nums], den * (t + 1), cap
             )
 
 

@@ -16,12 +16,16 @@ and `constant_term` take or return Fractions. There is no floating point
 anywhere. Jets are immutable values: every operation returns a fresh jet.
 
 Products run through one pair loop, `_mul_layer`. One accumulation,
-`product_sum`, forms a sum of products c * a * b, linear terms c * a and
-derivative terms c * d/dx^axis a to an optional cap k: it adds every term's
-coefficients of degree <= k into one list of numerators over one
-denominator, the lcm of the terms' denominators, and reduces the sum once;
-`Jet.__mul__` is its one-product case. A reduced jet is unique, so the sum
-is the same jet as the composed sum of reduced terms, truncated to k.
+`_accumulate`, forms a sum of products c * a * b, linear terms c * a and
+derivative terms c * d/dx^axis a to a cap k, for the whole jet or for one
+x1-layer of it: it adds every term's coefficients of degree <= k into one
+list of numerators over one denominator, the lcm of the terms'
+denominators, and gives the sum's valid order. The layer only picks the
+index maps its loops read. `product_sum` reduces the whole jet once, and
+`Jet.__mul__`, `+`, `-` and `partial` are its small cases; the
+Cauchy-Kowalevski solve of `builders` reads one layer at a time. A reduced
+jet is unique, so the sum is the same jet as the composed sum of reduced
+terms, truncated to k.
 """
 
 from __future__ import annotations
@@ -444,7 +448,7 @@ def product_sum(products=(), linear=(), derivatives=(), cap: int | None = None) 
     """The sum of the products c * a * b, the linear terms c * a and the
     derivative terms c * d/dx^axis a, given as (c, a, b), (c, a) and
     (c, a, axis) with c an integer and axis 1-based, formed to degree cap
-    in workspace (n, cap).
+    in workspace (n, cap): `_accumulate`'s whole jet, reduced once.
 
     Without a cap every operand lives in one workspace (n, D) and cap is D.
     A cap k (0..D) needs every operand in n variables and of a cap D >= k: the
@@ -452,11 +456,7 @@ def product_sum(products=(), linear=(), derivatives=(), cap: int | None = None) 
     a derivative (`multiindex.partial_map`), so it is the composed sum
     truncated to k. It is valid to the least valid order over the terms, at
     most k: a product's lesser factor valid order, a linear term's own, a
-    derivative's `partial_valid_order`.
-
-    With L the lcm of the terms' denominators (a.den * b.den, or a.den), each
-    term adds its numerators times c * (L // its denominator) into one list
-    over L, and the sum is reduced once. Every operand is checked before any
+    derivative's `partial_valid_order`. Every operand is checked before any
     work, a product's factors raising what `Jet.__mul__` raises."""
     products, linear, derivatives = tuple(products), tuple(linear), tuple(derivatives)
     factors = [x for _, a, b in products for x in (a, b)]
@@ -471,29 +471,62 @@ def product_sum(products=(), linear=(), derivatives=(), cap: int | None = None) 
             first._require_same_shape(a)
         if not 0 <= cap <= a.max_degree:
             raise ValueError(f"cap {cap} outside 0..{a.max_degree}")
-    valid = min([cap] + [a.valid_order for a in factors + singles[: len(linear)]])
     for _, a, axis in derivatives:
         if not 1 <= axis <= n:
             raise DimensionMismatchError(f"axis {axis} outside 1..{n}")
-        valid = min(valid, partial_valid_order(a.valid_order))
-    dens = [a.den * b.den for _, a, b in products] + [a.den for a in singles]
+    nums, den, valid = _accumulate(n, products, linear, derivatives, cap)
+    nums, den = _reduced(nums, den)
+    return Jet._from_nums(n, cap, nums, den, valid)
+
+
+def _accumulate(n: int, products, linear, derivatives, cap: int, layer: int | None = None):
+    """(numerators, denominator L, valid order) of the sum of `product_sum`'s
+    terms on unchecked operands in n variables, of caps >= cap, formed to
+    degree cap: the whole jet of workspace (n, cap) in rank order, or, for a
+    layer t, only its x1-layer t, in the order of `multiindex.x1_layers(n,
+    cap)[t]`. An empty sum is zero, valid to cap.
+
+    The layer only picks the maps that one set of loops reads: a product
+    reads the pair spans of `product_rows`, or those of `product_layers` that
+    land on layer t (layers <= t of its factors); a linear term every rank,
+    or those of layer t; a derivative the moves of `partial_map(n, min(cap +
+    1, its cap), axis - 1)`, or those of `partial_layers` that land on layer
+    t (from layer t + 1 for an x1-derivative). Each term adds its numerators
+    times c * (L // its denominator) into one list over L, the lcm of the
+    terms' denominators (a.den * b.den, or a.den), whatever the layer and the
+    cap. The valid order is `product_sum`'s, whatever the layer."""
+    dens = [a.den * b.den for _, a, b in products] + [t[1].den for t in (*linear, *derivatives)]
     den = lcm(*dens)
+    valid = min(
+        [cap]
+        + [min(a.valid_order, b.valid_order) for _, a, b in products]
+        + [a.valid_order for _, a in linear]
+        + [partial_valid_order(a.valid_order) for _, a, _ in derivatives]
+    )
     out = [0] * mi.size(n, cap)
-    if products:
-        rows = mi.product_rows(n, cap)
+    if layer is None:
+        ranks, spans = range(len(out)), products and tuple(enumerate(mi.product_rows(n, cap)))
+    else:
+        ranks, spans = mi.x1_layers(n, cap)[layer], mi.product_layers(n, cap)[layer]
     for (c, a, b), d in zip(products, dens):
-        _mul_layer(enumerate(rows), a.nums, b.nums, c * (den // d), out)
+        _mul_layer(spans, a.nums, b.nums, c * (den // d), out)
     for c, a in linear:
-        scale = c * (den // a.den)
-        out = [x + scale * y for x, y in zip(out, a.nums)]
-    for c, a, axis in derivatives:
         nums, scale = a.nums, c * (den // a.den)
-        for src, dst, factor in mi.partial_map(n, min(cap + 1, a.max_degree), axis - 1):
+        for r in ranks:
+            y = nums[r]
+            if y:
+                out[r] += scale * y
+    for c, a, axis in derivatives:
+        nums, scale, top = a.nums, c * (den // a.den), min(cap + 1, a.max_degree)
+        if layer is None:
+            moves = mi.partial_map(n, top, axis - 1)
+        else:
+            moves = mi.partial_layers(n, top, axis - 1)[layer]
+        for src, dst, factor in moves:
             y = nums[src]
             if y:
                 out[dst] += scale * factor * y
-    nums, den = _reduced(out, den)
-    return Jet._from_nums(n, cap, nums, den, valid)
+    return (out if layer is None else [out[r] for r in ranks]), den, valid
 
 
 class SliceJet:

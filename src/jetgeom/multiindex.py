@@ -150,6 +150,18 @@ def partial_map(n: int, cap: int, axis0: int) -> tuple[tuple[int, int, int], ...
 
 
 @lru_cache(maxsize=None)
+def partial_layers(n: int, cap: int, axis0: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Layer t lists the moves of `partial_map(n, cap, axis0)` whose
+    destination rank has x1-exponent t, in the map's order: their sources lie
+    on layer t + 1 for the x1-derivative (axis0 = 0), on layer t otherwise."""
+    x1 = _x1_exponents(n, cap)
+    layers: list[list] = [[] for _ in range(cap + 1)]
+    for move in partial_map(n, cap, axis0):
+        layers[x1[move[1]]].append(move)
+    return tuple(tuple(moves) for moves in layers)
+
+
+@lru_cache(maxsize=None)
 def antiderivative_x1_map(n: int, cap: int) -> tuple[tuple[int, int, int], ...]:
     """(src_rank, dst_rank, new x1 exponent) triples; top-degree sources drop."""
     ranks = rank_of(n, cap)

@@ -841,7 +841,7 @@ def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
         raise AssertionError("layer evaluation reached")
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
-    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     g11, init12, init22 = identity_2d_inputs(CAP)
     with pytest.raises(AssertionError) as err:
         build_statistical_2d(random_connection(43, 2, CAP, 3, 2), g11, init12, init22)

@@ -5,9 +5,11 @@ and the same stored coefficients, truncation garbage above the valid order
 included, since reports serialize it.
 """
 
+import ast
 import random
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,9 +17,8 @@ from hypothesis import strategies as st
 
 from jetgeom import DimensionMismatchError, Jet
 from jetgeom import multiindex as mi
-from jetgeom.builders import _Row, _row_layer
 from jetgeom import jets as jets_module
-from jetgeom.jets import _mul_layer, product_sum
+from jetgeom.jets import _accumulate, _mul_layer, product_sum
 from oracles import (
     ref_add,
     ref_antiderivative_x1,
@@ -426,7 +427,8 @@ def test_a_factor_of_another_workspace_raises_before_any_work(monkeypatch, posit
 )
 def test_row_layer_to_degree_d_minus_1_is_the_full_layer_below_d(n, cap):
     # a rest's layer formed to cap - 1: every coefficient of degree < cap as
-    # the full layer's, zero at degree cap, the same denominator
+    # the full layer's, no position at degree cap, the same denominator; the
+    # full layer is the whole sum's layer
     rng = random.Random(100 * n + cap)
     keys = "abcde"
 
@@ -436,27 +438,77 @@ def test_row_layer_to_degree_d_minus_1_is_the_full_layer_below_d(n, cap):
         ]
         return Jet(n, cap, coeffs, rng.randint(0, cap))
 
-    degs, tops = mi.degree_of(n, cap), 0
+    tops = 0
     for _ in range(6):
         table = {key: jet() for key in keys}
-        row = _Row(
-            tuple((rng.randint(-3, 3), rng.choice(keys)) for _ in range(2)),
-            tuple((rng.randint(-3, 3), rng.choice(keys), rng.randint(1, n)) for _ in range(3)),
-            tuple((rng.randint(-3, 3), rng.choice(keys), rng.choice(keys)) for _ in range(3)),
-        )
-        d1 = {key: table[key].partial(1) for _, key, ax in row.derivatives if ax == 1}
+        # drawn in the order of a row's atoms: linear, derivative, product
+        linear = [(rng.randint(-3, 3), table[rng.choice(keys)]) for _ in range(2)]
+        derivatives = [
+            (rng.randint(-3, 3), table[rng.choice(keys)], rng.randint(1, n)) for _ in range(3)
+        ]
+        products = [
+            (rng.randint(-3, 3), table[rng.choice(keys)], table[rng.choice(keys)]) for _ in range(3)
+        ]
+        terms = (products, linear, derivatives)
+        whole, whole_den, whole_valid = _accumulate(n, *terms, cap)
         for t in range(cap):
-            full, den = _row_layer(row, table, d1, n, cap, t)
-            assert _row_layer(row, table, d1, n, cap, t, cap) == (full, den)
-            lower, lower_den = _row_layer(row, table, d1, n, cap, t, cap - 1)
+            full, den, valid = _accumulate(n, *terms, cap, t)
+            assert (full, den, valid) == (
+                [whole[r] for r in mi.x1_layers(n, cap)[t]], whole_den, whole_valid
+            )
+            lower, lower_den, lower_valid = _accumulate(n, *terms, cap - 1, t)
             assert lower_den == den
-            below = [r for r, d in enumerate(degs) if d < cap]
-            assert [lower[r] for r in below] == [full[r] for r in below]
-            assert not any(v for v, d in zip(lower, degs) if d == cap)
-            tops += sum(1 for v, d in zip(full, degs) if d == cap and v)
+            assert lower_valid == min(valid, cap - 1)
+            # the positions of degree < cap lead layer t, in the same order
+            below = [r for r in mi.x1_layers(n, cap)[t] if mi.degree_of(n, cap)[r] < cap]
+            assert len(lower) == len(below) == len(mi.x1_layers(n, cap - 1)[t])
+            assert lower == full[: len(lower)]
+            tops += sum(1 for v in full[len(lower):] if v)
     # the full layers do hold coefficients at degree cap, but at n = 1,
     # where layer t < cap is the one monomial x1^t
     assert bool(tops) == (n > 1)
+
+
+@SETTINGS
+@given(case=accumulations())
+@example(case=_CANCELLING)
+@example(case=_DERIVATIVE_AT_D)
+@example(case=_CAP_0)
+def test_each_layer_of_the_accumulation_is_the_whole_sum_on_that_layer(case):
+    # at every layer t <= k, layer t of the sum formed to k holds the same
+    # rationals as `product_sum(..., cap=k)` on layer t, over the whole sum's
+    # unreduced denominator, with its valid order; x1-derivatives read layer
+    # t + 1 of their operands
+    products, linear, derivatives, k = case
+    want = product_sum(products, linear, derivatives, cap=k)
+    n = want.n
+    _, whole_den, _ = _accumulate(n, products, linear, derivatives, k)
+    for t, ranks in enumerate(mi.x1_layers(n, k)):
+        nums, den, valid = _accumulate(n, products, linear, derivatives, k, t)
+        assert (den, valid) == (whole_den, want.valid_order)
+        assert [Fraction(v, den) for v in nums] == [want.coeffs[r] for r in ranks]
+
+
+# the index maps of the one accumulation: no other module of the package
+# may read them, so no second accumulation grows outside `jets`
+ACCUMULATION_MAPS = {"_mul_layer", "product_rows", "product_layers", "partial_layers", "partial_map"}
+
+
+def test_only_jets_and_multiindex_read_the_accumulation_maps():
+    package = Path(jets_module.__file__).parent
+    readers = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                {node.id} if isinstance(node, ast.Name)
+                else {node.attr} if isinstance(node, ast.Attribute)
+                else {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                else set()
+            )
+            for name in names & ACCUMULATION_MAPS:
+                readers.setdefault(name, set()).add(path.name)
+    assert set(readers) == ACCUMULATION_MAPS
+    assert set().union(*readers.values()) == {"jets.py", "multiindex.py"}
 
 
 def test_fraction_api_and_lowest_terms():

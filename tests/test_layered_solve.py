@@ -272,7 +272,7 @@ def test_determined_symbol_blocks_out_of_order_are_rejected(monkeypatch):
         return blocks
 
     monkeypatch.setattr(builders_module, "_determined_blocks", swapped)
-    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     with pytest.raises(AssertionError, match=r"holds \(4, 1, 3\) of a later block$"):
         build_statistical_nd(4, random_free_data(census("statistical", 4), 5, 2, 2, 3))
 
@@ -318,7 +318,7 @@ def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
         return rows
 
     monkeypatch.setattr(builders_module, "_ricci_rows", leaky)
-    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     r = random_prescribed_tensor("general", 3, 2, 3, 2, 2)
     with pytest.raises(AssertionError) as err:
         build_prescribed_ricci_general(r, zero_free_data(census("general", 2), 3))
@@ -340,7 +340,7 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
         return row
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
-    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     g0 = random_normalized_metric(5, 2, 3, 2, 2)
     with pytest.raises(AssertionError) as err:
         build_trace_free_statistical_2d(
@@ -354,7 +354,7 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
 
 def test_x1_derivative_in_a_derived_row_is_rejected(monkeypatch):
     # layer t of a derived entry that read (u)_1 would need layer t + 1 of u
-    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     equations = {"u": _Row(linear=((1, "du"),), derivatives=((-1, "u", 1),))}
     derived = {"du": _Row(derivatives=((1, "u", 1),))}
     initial = {"u": SliceJet(Jet.one(1, 3))}
@@ -375,26 +375,44 @@ def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):
         return row
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
-    monkeypatch.setattr(builders_module, "_row_layer", unreachable)
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     with pytest.raises(AssertionError, match="takes an x1-derivative"):
         build_statistical_nd(3, random_free_data(census("statistical", 3), 5, 2, 2, 3))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "initial", [SliceJet(Jet.one(1, 3)), SliceJet(random_poly(4, 2, 3, 3, 3))], ids=["one", "poly"]
+)
+def test_an_unknown_whose_row_is_only_its_x1_derivative_keeps_its_slice(initial, sign):
+    # (u)_1 = 0: the rest and the derived row are empty sums, zero at every
+    # layer and valid to their degree, and no empty sum raises
+    equations = {"u": _Row(derivatives=((sign, "u", 1),))}
+    table = _ck_solve(equations, {}, {"z": _Row()}, {"u": initial}, {"u", "z"})
+    assert table["u"].same_payload(initial.promote())
+    assert table["z"].same_payload(Jet.zero(initial.ambient_n, 3))
 
 
 def test_failure_inside_a_layer_names_the_layer(monkeypatch):
     # the determined-symbol rows, formed to degree D, are evaluated at every
     # layer: the first of them at layer 2 fails
-    real = builders_module._row_layer
-    calls = []
+    real_terms, real = builders_module._terms, builders_module._accumulate
+    rows, calls = [], []
     blocks = _determined_blocks(3, _codazzi_spec(3).determined)
     block_rows = [row for _, rows in blocks for row in rows]
 
-    def fails_at_layer_2(row, table, d1, n, cap, t, order=None):
-        calls.append(t)
-        if t == 2 and row in block_rows:
-            raise SingularJetError("jet matrix not invertible at the origin")
-        return real(row, table, d1, n, cap, t, order)
+    def terms(row, table):
+        rows.append(row)
+        return real_terms(row, table)
 
-    monkeypatch.setattr(builders_module, "_row_layer", fails_at_layer_2)
+    def fails_at_layer_2(n, products, linear, derivatives, cap, layer=None):
+        calls.append(layer)
+        if layer == 2 and rows[-1] in block_rows:
+            raise SingularJetError("jet matrix not invertible at the origin")
+        return real(n, products, linear, derivatives, cap, layer)
+
+    monkeypatch.setattr(builders_module, "_terms", terms)
+    monkeypatch.setattr(builders_module, "_accumulate", fails_at_layer_2)
     fd = random_free_data(census("statistical", 3), 5, 2, 2, 4)
     with pytest.raises(EvaluationError) as err:
         build_statistical_nd(3, fd)
@@ -403,6 +421,8 @@ def test_failure_inside_a_layer_names_the_layer(monkeypatch):
     )
     assert isinstance(err.value.__cause__, SingularJetError)
     assert max(calls) == 2
+    # every layer evaluation of the solve is of one row on the table
+    assert len(calls) == len(rows)
 
 
 # entry denominators and layer denominators: powers of 2 and 3 that share
@@ -522,22 +542,31 @@ def solved_table(monkeypatch, tag, mode, workspace=None) -> tuple[tuple, dict]:
 )
 def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
     # the rests are formed to degree D - 1 because layer t + 1 of an unknown
-    # takes only their coefficients below D, and every other entry only to
-    # the degree its readers need: junk written at the degree-D ranks of
-    # every rest layer, and in every entry above its degree, must leave the
-    # unknowns and the outputs as they are
-    (equations, *_, outputs, _), want = solved_table(monkeypatch, tag, mode)
-    real_row, real_write = builders_module._row_layer, builders_module._write_layer
-    rest_junk, entry_junk = [], []
+    # takes only their coefficients below D: every rest layer is asked for
+    # to degree D - 1, never D, and is the full layer below D. Every other
+    # entry is formed only to the degree its readers need: junk written in
+    # every entry above its degree must leave the unknowns and the outputs as
+    # they are
+    (equations, fixed, *_, outputs, _), want = solved_table(monkeypatch, tag, mode)
+    rests = [row for _, row in _ck_rows(equations, fixed).values()]
+    cap = next(iter(want.values())).max_degree
+    real_terms, real, real_write = (
+        builders_module._terms, builders_module._accumulate, builders_module._write_layer
+    )
+    rows, rest_layers, entry_junk = [], [], []
 
-    def rest_with_junk(row, table, d1, n, cap, t, order=None):
-        out, den = real_row(row, table, d1, n, cap, t, order)
-        if order == cap - 1:
-            top = mi.x1_layers(n, cap)[t][len(mi.x1_layers(n, order)[t]):]
-            for r in top:
-                out[r] = 7**r + 1
-            rest_junk.extend(top)
-        return out, den
+    def terms(row, table):
+        rows.append(row)
+        return real_terms(row, table)
+
+    def rest_to_d_minus_1(n, products, linear, derivatives, k, layer=None):
+        nums, den, valid = real(n, products, linear, derivatives, k, layer)
+        if rows[-1] in rests:
+            assert k == cap - 1
+            full, full_den, _ = real(n, products, linear, derivatives, cap, layer)
+            assert (nums, den) == (full[: len(nums)], full_den)
+            rest_layers.append(layer)
+        return nums, den, valid
 
     def write_with_junk(jet, ranks, nums, den, valid_order):
         # layer t written to degree k: junk above k in layer t, and at the
@@ -548,10 +577,12 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
         entry_junk.extend(top)
         return real_write(jet, [*ranks, *top], [*nums, *(7**r + 1 for r in top)], den, valid_order)
 
-    monkeypatch.setattr(builders_module, "_row_layer", rest_with_junk)
+    monkeypatch.setattr(builders_module, "_terms", terms)
+    monkeypatch.setattr(builders_module, "_accumulate", rest_to_d_minus_1)
     monkeypatch.setattr(builders_module, "_write_layer", write_with_junk)
     _, got = solved_table(monkeypatch, tag, mode)
-    assert rest_junk
+    # one rest per unknown at every layer below D
+    assert sorted(rest_layers) == sorted(t for t in range(cap) for _ in rests)
     # the Ricci builds' ("div", l) and metric-2d's derived entries and 1/h
     # are formed below D; every other entry is an unknown or an output
     below_d = ("general", "trace-free-torsion", "torsion-free", "metric-2d")
@@ -562,7 +593,7 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
 
 
 # the (rb, rc) pairs `_mul_layer` visits on spans with a nonzero first
-# factor, in the solve of each small scenario (direct mode, seed 3). A
+# factor, in the layer evaluations of the solve of each small scenario (direct mode, seed 3). A
 # ceiling may only move down. Rests formed to degree D took 6057, 6402,
 # 10626, 7473, 599, 524 and 1124; metric-2d took 1043 with every derived
 # entry and 1/h formed to D. statistical-n4 is statistical at (4, 3),
@@ -584,14 +615,25 @@ PAIR_SCENARIOS = {"statistical-n4": ("statistical", (4, 3))}
 
 @pytest.mark.parametrize("name", SOLVE_PAIR_CEILINGS)
 def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, name):
+    # only the pairs of the solve's layer evaluations: the block inverses'
+    # and the block steps' whole-jet products are not counted
     tag, workspace = PAIR_SCENARIOS.get(name, (name, None))
-    real, visits = builders_module._mul_layer, []
+    real_layer, real, visits, inside = builders_module._accumulate, jets_module._mul_layer, [], []
+
+    def layer(*args):
+        inside.append(args)
+        try:
+            return real_layer(*args)
+        finally:
+            inside.pop()
 
     def counted(spans, a, b, scale, out):
-        visits.append(sum(len(pairs) for ra, pairs in spans if a[ra]))
+        if inside:
+            visits.append(sum(len(pairs) for ra, pairs in spans if a[ra]))
         return real(spans, a, b, scale, out)
 
-    monkeypatch.setattr(builders_module, "_mul_layer", counted)
+    monkeypatch.setattr(builders_module, "_accumulate", layer)
+    monkeypatch.setattr(jets_module, "_mul_layer", counted)
     solved_table(monkeypatch, tag, "direct", workspace)
     assert 0 < sum(visits) <= SOLVE_PAIR_CEILINGS[name]
 

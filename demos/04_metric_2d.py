@@ -1,9 +1,22 @@
-"""2D metrics with prescribed Ricci tensor via a conformal second-order solve.
+"""2D metrics with prescribed Ricci tensor via one scalar equation for a
+conformal factor.
 
-For a diagonal nondegenerate prescription r the ansatz g = h r reduces the
-curvature identity to one second-order CK equation for the conformal factor
-h; the solution is parametrized by two free functions of one variable
-(h and its x1-derivative on the initial line).
+For a diagonal nondegenerate prescription r = diag(E, G), the ansatz g = h r
+turns Ric_g = r into h K_g = 1 (in 2D Ric_g = K_g g), that is the one scalar
+equation
+
+    h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2,
+
+quadratic in h. Multiplied by E it reads
+(h)_11 = (1/h) (p^2 + a (h)_2^2) + b h - a (h)_22 + e p + f (h)_2 with
+p = (h)_1, and fixed entries in closed form: a = E/G,
+e = (E_1/E - G_1/G)/2, f = (a G_2 - E_2)/(2G) and b = 2 K_r E - 2E, with
+K_r from Brioschi's formula. The builder solves it as the first-order CK
+system (h)_1 = p, (p)_1 = (h)_11. Ric_11 - r11 of g is E (h K_g - 1), so
+this (h)_11 is the one Ric_11 = r11 gives, and h is the unique truncated
+solution: bit for bit the h of a solve of Ric_11 = r11. The solution is
+parametrized by two free functions of one variable (h and its x1-derivative
+on the initial line).
 """
 
 from math import factorial

@@ -32,7 +32,7 @@ solved as the first-order system of h and p = (h)_1.
 Each construction is stated once, in its record (`_Construction`, in
 `_CONSTRUCTIONS`): its dimension rule, the name and type of every prescribed
 and output value of its reports, the checks they must pass, and its input
-rules. Since every unknown is written to order D, an input must be valid to
+rules. Since every output is written to order D, an input must be valid to
 the order the solve reads it to, and the metric entries it gives must hold
 delta_ij at the origin. `census`, the CLI, the builders and `verify` read the
 record.
@@ -845,6 +845,13 @@ def _write_layer(jet: Jet, ranks, nums: list, den: int, valid_order: int) -> Jet
     return Jet._from_nums(jet.n, jet.max_degree, tuple(out), common, valid_order)
 
 
+def _padded(jet: Jet, cap: int) -> Jet:
+    """jet, of a cap k <= cap, in workspace (n, cap): zero above degree k,
+    valid to its own valid order (at most k)."""
+    nums = jet.nums + (0,) * (mi.size(jet.n, cap) - len(jet.nums))
+    return Jet._from_nums(jet.n, cap, nums, jet.den, jet.valid_order)
+
+
 def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
     """The least valid order of the rows' atoms on the table, by the rules of
     `Jet` (a sum or product takes the least valid order of its terms, a
@@ -864,9 +871,12 @@ def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
 
 
 def _degrees(rests: Mapping, derived: Mapping, blocks, outputs, cap: int) -> dict:
-    """The degree of each derived entry and block key by `_ck_solve`'s rule
-    (0 for no reader). An entry's readers come after it, so the rests, at
-    D - 1, read first, then the blocks and the derived entries in reverse."""
+    """The degree of each unknown, derived entry and block key by
+    `_ck_solve`'s rule (0 for no reader). An entry's readers come after it,
+    so the rests read first, each to its unknown's degree - 1, then the
+    blocks and the derived entries in reverse. An unknown's rest reads the
+    unknowns, so their degrees are found by repeating the pass from 0 (D for
+    an output) until none moves: the least degrees that all readers allow."""
     need: dict = {}
 
     def read(rows, k):
@@ -882,16 +892,21 @@ def _degrees(rests: Mapping, derived: Mapping, blocks, outputs, cap: int) -> dic
             return cap
         return min(max(need.get(key, 0) for key in keys), cap)
 
-    read([row for _, row in rests.values()], cap - 1)
-    degrees = {}
-    for keys, rows in reversed(blocks):
-        k = degree(keys)
-        degrees.update(dict.fromkeys(keys, k))
-        read(rows, k)
-    for target in reversed(derived):
-        k = degrees[target] = degree([target])
-        read([derived[target]], k)
-    return degrees
+    degrees = {key: cap if key in outputs else 0 for key in rests}
+    while True:
+        need.clear()
+        for key, (_, row) in rests.items():
+            read([row], degrees[key] - 1)
+        for keys, rows in reversed(blocks):
+            degrees.update(dict.fromkeys(keys, degree(keys)))
+            read(rows, degrees[keys[0]])
+        for target in reversed(derived):
+            degrees[target] = degree([target])
+            read([derived[target]], degrees[target])
+        moved = {key: degree([key]) for key in rests}
+        if moved.items() <= degrees.items():
+            return degrees
+        degrees.update(moved)
 
 
 def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> list:
@@ -930,7 +945,7 @@ def _ck_solve(
     entries, the unknowns, each derived entry as the sum of its row on the
     entries before it, and the block keys. A derived row too takes
     x1-derivatives only of the fixed keys. Return that table of the solution:
-    the unknowns to order D (the builders have required the initial slices
+    the outputs to order D (the builders have required the initial slices
     valid to D), every other entry to its degree; (n, D) is the workspace of
     the fixed entries and the unknowns. outputs are the keys the caller
     reads back.
@@ -944,15 +959,16 @@ def _ck_solve(
     layers < t of key_j.
 
     Each entry is formed only to the degree its readers need (`_degrees`).
-    Layer t + 1 of an unknown has one degree less room than layer t, so each
-    rest is formed to D - 1. An output gets D; any other derived entry or
-    block key gets the largest degree a reader needs: the reader's own, one
-    more where it differentiates along an axis >= 2, at most D; the keys of
-    one block share one degree. An entry formed to degree k is written at
-    layers 0..k only, to degree k. A derived entry is valid to the valid
-    order that `jets._accumulate` gives its layer 0, min(k, the valid order
-    of its row's atoms): every entry's valid order is fixed after its
-    layer-0 write.
+    An output gets D; any other unknown, derived entry or block key gets the
+    largest degree a reader needs: the reader's own, one more where it
+    differentiates along an axis >= 2, at most D; the keys of one block share
+    one degree. Layer t + 1 of an unknown of degree k has one degree less
+    room than layer t, so its rest is formed to k - 1, and an unknown's
+    initial slice is cut to k. An entry formed to degree k is written at
+    layers 0..k only, to degree k, and an unknown is valid to k. A derived
+    entry is valid to the valid order that `jets._accumulate` gives its
+    layer 0, min(k, the valid order of its row's atoms): every entry's valid
+    order is fixed after its layer-0 write.
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written from
@@ -973,7 +989,7 @@ def _ck_solve(
     layers 1..D this is the unique truncated solution, the one that D + 1
     Picard rounds of `ck.solve_first_order` reach, every derived entry is the
     full-size sum of its row on it and the block keys are the full-size
-    elimination of their rows on it, each truncated to its degree."""
+    elimination of their rows on it, each entry truncated to its degree."""
     rests = _ck_rows(equations, fixed)
     for target, row in derived.items():
         consumed = _x1_consumed(row.derivatives, fixed)
@@ -1000,10 +1016,10 @@ def _ck_solve(
     if len(shapes) != 1:
         raise DimensionMismatchError(f"table entries in workspaces {sorted(shapes)}")
     [(n, cap)] = shapes
-    values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
     degrees = _degrees(rests, derived, blocks, frozenset(outputs), cap)
+    values = {key: _padded(jet.truncate(degrees[key]), cap) for key, jet in values.items()}
+    values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
     valid: dict = {}
-    layers = mi.x1_layers(n, cap)
     for t in range(cap + 1):
         try:
             table = {**fixed, **values}
@@ -1041,16 +1057,17 @@ def _ck_solve(
             if t == cap:
                 return table
             sums = {
-                key: _accumulate(n, *_terms(row, table), cap - 1, t)
+                key: _accumulate(n, *_terms(row, table), degrees[key] - 1, t)
                 for key, (_, row) in rests.items()
+                if t < degrees[key]
             }
         except Exception as err:
             raise EvaluationError(f"right-hand side failed at x1-layer {t}: {err}") from err
-        for key, (sign, _) in rests.items():
-            # layer t + 1 = sign * (layer t to degree D - 1) / (den * (t + 1))
-            nums, den, _ = sums[key]
+        for key, (nums, den, _) in sums.items():
+            # layer t + 1 = sign * (layer t to degree k - 1) / (den * (t + 1))
+            sign, k = rests[key][0], degrees[key]
             values[key] = _write_layer(
-                values[key], layers[t + 1], [sign * v for v in nums], den * (t + 1), cap
+                values[key], mi.x1_layers(n, k)[t + 1], [sign * v for v in nums], den * (t + 1), k
             )
 
 
@@ -1186,40 +1203,51 @@ def build_prescribed_ricci_torsion_free(r: Bilinear, fd: FreeData) -> BuildRepor
 
 
 # ---------------------------------------------------------------------------
-# 2D metric with prescribed Ricci tensor (a second-order equation, solved as
-# a first-order system)
+# 2D metric with prescribed Ricci tensor (one scalar second-order equation,
+# solved as a first-order system)
 
 
 def build_metric_2d_prescribed_ricci(
     r: Bilinear, phi: SliceJet, psi: SliceJet
 ) -> BuildReport:
     """2D metric g = h r with Ricci tensor equal to the prescribed diagonal
-    nondegenerate r. With w = h r11 and v = h r22, Ric_11 of diag(w, v) is
+    nondegenerate r = diag(E, G). In 2D Ric_g = K_g g, so Ric_g = r exactly
+    when h K_g = 1, and with h = e^(2u), K_g = e^(-2u) (K_r - Delta_r u), that
+    is the one scalar equation
 
-        -1/(2v) [(w)_22 + (v)_11] + 1/(4v^2) [(v)_2 (w)_2 + ((v)_1)^2]
-            + 1/(4wv) [(w)_1 (v)_1 + ((w)_2)^2],
+        h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2
 
-    and the h_11 r22 term of (v)_11 gives (h)_11 the coefficient -1/(2h).
-    Multiplied through by 2h, Ric_11 = r11 becomes (h)_11 = F with
+    (Kazdan-Warner), quadratic in h. Multiplied by E it reads (h)_11 = F with
 
-        F = -1/r22 [(w)_22 + 2 p (r22)_1 + h (r22)_11]
-            + (1/h) [1/(2 r22^2) B1 + 1/(2 r11 r22) B2] - 2 r11 h,
-        B1 = (v)_2 (w)_2 + ((v)_1)^2,   B2 = (w)_1 (v)_1 + ((w)_2)^2,
+        F = (1/h) S + b h - a (h)_22 + e p + f (h)_2,
+        S = p^2 + a Q,   Q = ((h)_2)^2,   p = (h)_1,
 
-    where p = (h)_1, (w)_1 = p r11 + h (r11)_1 and (v)_1 = p r22 + h (r22)_1.
+    and the fixed entries a = E/G, e = E r^ij Gamma(r)^1_ij and
+    f = E r^ij Gamma(r)^2_ij, b = 2 K_r E - 2 E, in closed form for an
+    orthogonal r (subscripts are partial derivatives):
+
+        e = (E_1/E - G_1/G) / 2,   f = (a G_2 - E_2) / (2 G),
+        K_r E = [-(E_22 + G_11)/2 + (E_2^2 + E_1 G_1)/(4E)
+                 + (E_2 G_2 + G_1^2)/(4G)] / G   (Brioschi's formula).
+
+    They are formed by `product_sum` from r, its partials and the two
+    reciprocals, the sparse factor of r first, to D - 2, the degree of p's
+    rest, their one reader; no `geometry` tensor routine is called, so the
+    metric-ricci-residual check stays independent of the equation.
     `_ck_solve` solves the first-order system (h)_1 = p, (p)_1 = F from the
-    slices phi and psi. The reciprocals of r are fixed before the solve, and
-    1/h is the key of a one-key block on h (1/h) - 1 = 0, so the solve takes
-    no full-size reciprocal. h is the unique truncated solution, the one that
-    `ck.solve_second_order` gives."""
+    slices phi and psi, with 1/h the key of a one-key block on h (1/h) - 1 = 0,
+    so the solve takes no full-size reciprocal. Ric_11 - r11 of diag(h E, h G)
+    is E (h K_g - 1), so F is the (h)_11 that Ric_11 = r11 gives, as a rational
+    function of h and its other derivatives: h is the unique truncated
+    solution, the one that `ck.solve_second_order` gives, bit for bit."""
     _record("metric-2d", r.n)
     _, cap = r.shape
-    r11, r22, r12 = r.comp(1, 1), r.comp(2, 2), r.comp(1, 2)
-    if not (r12.is_zero() and r.comp(2, 1).is_zero()):
+    E, G = r.comp(1, 1), r.comp(2, 2)
+    if not (r.comp(1, 2).is_zero() and r.comp(2, 1).is_zero()):
         raise RejectionError(
             "prescribed-tensor-not-diagonal", "r must be diagonal in these coordinates"
         )
-    if r11.constant_term == 0 or r22.constant_term == 0:
+    if E.constant_term == 0 or G.constant_term == 0:
         raise RejectionError(
             "degenerate-prescribed-tensor", "r must be nondegenerate at the origin"
         )
@@ -1229,48 +1257,37 @@ def build_metric_2d_prescribed_ricci(
         )
     report = BuildReport("metric-2d", 2, cap, {"r": r, "phi": phi, "psi": psi}, None, None, [])
     _admit(report)
-    i22 = r22.reciprocal()
-    fixed = {
-        "1": Jet.one(2, cap),
-        "r11": r11,
-        "r22": r22,
-        "(r11)_1": r11.partial(1),
-        "(r22)_1": r22.partial(1),
-        "(r22)_11": r22.partial(1).partial(1),
-        "1/r22": i22,
-        "1/(2 r22^2)": (i22 * i22).scale(HALF),
-        "1/(2 r11 r22)": (r11.reciprocal() * i22).scale(HALF),
+    k = max(cap - 2, 0)
+    form = partial(product_sum, cap=k)
+    E1, E2, G1, G2 = E.partial(1), E.partial(2), G.partial(1), G.partial(2)
+    iE, iG = E.truncate(k).reciprocal(), G.truncate(k).reciprocal()
+    a = form(((1, E, iG),))
+    # 4 K_r E G, from E_2^2 + E_1 G_1 and E_2 G_2 + G_1^2, and 2 G f
+    n1, n2 = form(((1, E2, E2), (1, E1, G1))), form(((1, E2, G2), (1, G1, G1)))
+    kg = form(((1, n1, iE), (1, n2, iG)), derivatives=((-2, E2, 2), (-2, G1, 1)))
+    fg = form(((1, G2, a),), linear=((-1, E2),))
+    halves = {
+        "b": form(((1, kg, iG),), linear=((-4, E),)),
+        "e": form(((1, E1, iE), (-1, G1, iG))),
+        "f": form(((1, fg, iG),)),
     }
+    fixed = {key: _padded(jet.scale(HALF), cap) for key, jet in halves.items()}
+    fixed.update({"1": Jet.one(2, cap), "a": _padded(a, cap)})
     derived = {
-        "w": _Row(products=((1, "h", "r11"),)),
-        "v": _Row(products=((1, "h", "r22"),)),
-        "(w)_2": _Row(derivatives=((1, "w", 2),)),
-        "(v)_2": _Row(derivatives=((1, "v", 2),)),
-        "(w)_1": _Row(products=((1, "p", "r11"), (1, "h", "(r11)_1"))),
-        "(v)_1": _Row(products=((1, "p", "r22"), (1, "h", "(r22)_1"))),
-        # (w)_22 + (v)_11 - (h)_11 r22
-        "s": _Row(
-            derivatives=((1, "(w)_2", 2),),
-            products=((2, "p", "(r22)_1"), (1, "h", "(r22)_11")),
-        ),
-        "B1": _Row(products=((1, "(v)_2", "(w)_2"), (1, "(v)_1", "(v)_1"))),
-        "B2": _Row(products=((1, "(w)_1", "(v)_1"), (1, "(w)_2", "(w)_2"))),
-        # the quadratic terms of F but for the factor 1/h
-        "E": _Row(products=((1, "1/(2 r22^2)", "B1"), (1, "1/(2 r11 r22)", "B2"))),
+        "(h)_2": _Row(derivatives=((1, "h", 2),)),
+        "(h)_22": _Row(derivatives=((1, "(h)_2", 2),)),
+        "Q": _Row(products=((1, "(h)_2", "(h)_2"),)),
+        "S": _Row(products=((1, "p", "p"), (1, "a", "Q"))),
     }
     equations = {
         "h": _Row(linear=((1, "p"),), derivatives=((-1, "h", 1),)),
-        "p": _Row(
-            derivatives=((-1, "p", 1),),
-            products=((-1, "1/r22", "s"), (1, "1/h", "E"), (-2, "r11", "h")),
-        ),
+        "p": _Row(derivatives=((-1, "p", 1),), products=(
+            (1, "1/h", "S"), (1, "b", "h"), (-1, "a", "(h)_22"), (1, "e", "p"), (1, "f", "(h)_2")
+        )),
     }
     blocks = [(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))])]
-    table = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, {"h"}, blocks)
-    h = table["h"]
-    metric = Metric(
-        2, {(1, 1): h * r11, (1, 2): Jet.zero(2, cap), (2, 2): h * r22}
-    )
+    h = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, {"h"}, blocks)["h"]
+    metric = Metric(2, {(1, 1): E * h, (1, 2): Jet.zero(2, cap), (2, 2): G * h})
     report.outputs = {"metric": metric, "conformal_factor": h}
     return _checked(report)
 

@@ -12,6 +12,7 @@ from jetgeom import (
     EvaluationError,
     FreeData,
     Jet,
+    Metric,
     RejectionError,
     SingularJetError,
     SliceJet,
@@ -27,6 +28,7 @@ from jetgeom import (
     connection_round_trip_data,
     is_codazzi,
     levi_civita,
+    metric_inverse,
     metric_slot,
     random_connection,
     random_free_data,
@@ -37,6 +39,7 @@ from jetgeom import (
     random_symmetric_connection,
     random_trace_free_connection,
     ricci,
+    sectional_curvature_2d,
     statistical_nd_round_trip_data,
     torsion_trace,
     verify,
@@ -381,6 +384,96 @@ def test_metric_2d_random_residual():
         for i in (1, 2)
         for j in (1, 2)
     )
+
+
+def diagonal_metric(r: Bilinear) -> Metric:
+    return Metric(2, {(1, 1): r.comp(1, 1), (1, 2): r.comp(1, 2), (2, 2): r.comp(2, 2)})
+
+
+EQUATION_CASES = [(seed, cap) for seed in (1, 2, 3) for cap in range(3, 9)]
+
+
+@pytest.mark.parametrize("seed, cap", EQUATION_CASES)
+def test_metric_2d_fixed_entries_are_the_curvature_and_contracted_symbols(monkeypatch, seed, cap):
+    # b = 2 (K_r - 1) r11 with K_r the Gauss curvature of r, and a, e, f the
+    # coefficients r11 r^22 and r11 r^ij Gamma(r)^k_ij of (h)_22 and (h)_k in
+    # r11 Delta_r h, all from `geometry`, to the order p's rest reads them to
+    calls = capture_ck_solves(monkeypatch)
+    r, phi, psi = random_diagonal_prescribed(seed, cap)
+    build_metric_2d_prescribed_ricci(r, phi, psi)
+    [(_, (_, fixed, *_), _)] = calls
+    g = diagonal_metric(r)
+    r11, inv, gamma = r.comp(1, 1), metric_inverse(g), levi_civita(g).gamma
+    contracted = {
+        k: r11 * sum((inv[(i, j)] * gamma[(k, i, j)] for i in (1, 2) for j in (1, 2)), start=0)
+        for k in (1, 2)
+    }
+    curvature = sectional_curvature_2d(g)
+    want = {
+        "a": r11 * inv[(2, 2)],
+        "b": ((curvature - 1) * r11).scale(2),
+        "e": contracted[1],
+        "f": contracted[2],
+    }
+    for key, jet in want.items():
+        assert fixed[key].eq_up_to(jet, cap - 2), key
+
+
+def scalar_equation_holds(h: Jet, r: Bilinear, order: int) -> bool:
+    """h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2 to the order, with
+    Delta_r h = r^ij (h_ij - Gamma(r)^k_ij h_k) and |dh|^2_r = r^ij h_i h_j."""
+    g = diagonal_metric(r)
+    inv, gamma = metric_inverse(g), levi_civita(g).gamma
+    dh = {k: h.partial(k) for k in (1, 2)}
+    pairs = [(i, j) for i in (1, 2) for j in (1, 2)]
+    laplacian = sum(
+        (
+            inv[(i, j)] * (dh[i].partial(j) - gamma[(1, i, j)] * dh[1] - gamma[(2, i, j)] * dh[2])
+            for i, j in pairs
+        ),
+        start=0,
+    )
+    gradient = sum((inv[(i, j)] * dh[i] * dh[j] for i, j in pairs), start=0)
+    rhs = ((sectional_curvature_2d(g) - 1) * h * h).scale(2)
+    return (h * laplacian - gradient).eq_up_to(rhs, order)
+
+
+@pytest.mark.parametrize("seed, cap", EQUATION_CASES)
+def test_metric_2d_conformal_factor_solves_the_scalar_equation(seed, cap):
+    r, phi, psi = random_diagonal_prescribed(seed, cap)
+    h = build_metric_2d_prescribed_ricci(r, phi, psi).outputs["conformal_factor"]
+    assert scalar_equation_holds(h, r, cap - 2)
+    moved = h + Jet.from_terms(2, cap, {(1, 2): 1})
+    assert not scalar_equation_holds(moved, r, cap - 2)
+
+
+def test_metric_2d_build_forms_its_equation_without_the_checks_tensor_routines(monkeypatch):
+    # the metric-ricci-residual check takes Ric(h r) from `geometry`; the
+    # equation calls none of these routines, so the check shares nothing with
+    # it. They are called, but only inside the checks.
+    calls, inside = [], []
+    real_checked = builders_module._checked
+
+    def checked(report):
+        inside.append(True)
+        return real_checked(report)
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append((name, bool(inside)))
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    names = ("levi_civita", "ricci", "metric_inverse", "sectional_curvature_2d")
+    for module in (geometry_module, builders_module):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(builders_module, "_checked", checked)
+    build_metric_2d_prescribed_ricci(*random_diagonal_prescribed(2, 6))
+    assert ("ricci", True) in calls
+    assert [name for name, in_checks in calls if not in_checks] == []
 
 
 # ---------------------------------------------------------------------------

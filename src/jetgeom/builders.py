@@ -62,8 +62,10 @@ algebraically determined symbol is a signed sum of other symbols and of the
 prescribed divergence functions. `_ricci_rows` generates the row
 Ric_ab - r_ab = 0 of every equation mechanically from the Ricci formula: the
 derivative terms with the determined symbols substituted and cancelled, and
-the quadratic terms as products over the canonical keys and the divergence
-entries ("div", l). `build_prescribed_ricci` passes the determined symbols
+the quadratic terms as the n^2 products over the canonical keys and the
+divergence entries ("div", a, l) = sum_{k != a} G^k_kl of each equation's
+Ricci component (a, b): the k = a products of the two quadratic sums cancel
+and are not formed. `build_prescribed_ricci` passes the determined symbols
 and the divergence entries as derived rows and solves; the three named
 builders call it.
 
@@ -1122,9 +1124,13 @@ def _ricci_spec(construction: str, n: int) -> _RicciSpec:
 def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
     """The row Ric_ab - r_ab = 0 of each equation, keyed by its unknown: the
     derivative terms of `geometry.ricci` with the determined symbols
-    substituted and cancelled, and its quadratic terms as products over the
-    canonical keys and the divergence entries ("div", l) = sum_k G^k_kl,
-    (x, y) and (y, x) folded into one atom."""
+    substituted and cancelled, and its quadratic terms as the n^2 products
+    of sum_l G^l_ab E^a_l - sum_{k != a} sum_l G^l_kb G^k_al over the
+    canonical keys and the divergence entries ("div", a, l) = E^a_l =
+    sum_{k != a} G^k_kl, (x, y) and (y, x) folded into one atom. The k = a
+    terms of sum_l G^l_ab D_l - sum_{k,l} G^l_kb G^k_al, with D_l =
+    sum_k G^k_kl, are the same product and cancel, so they are not formed
+    (`tests/oracles.py` keeps the uncancelled form)."""
     rng, canon = range(1, n + 1), partial(_canon, spec.symmetric)
     rows = {}
     for (a, b), unknown in spec.equations:
@@ -1138,10 +1144,11 @@ def _ricci_rows(spec: _RicciSpec, n: int) -> dict[tuple[int, int, int], _Row]:
                 _bump(expanded, (atom, ax), c * sign)
         products: dict = {}
         for l in rng:
-            _bump(products, (canon(l, a, b), ("div", l)), 1)
+            _bump(products, (canon(l, a, b), ("div", a, l)), 1)
             for k in rng:
-                x, y = canon(l, k, b), canon(k, a, l)
-                _bump(products, (min(x, y), max(x, y)), -1)
+                if k != a:
+                    x, y = canon(l, k, b), canon(k, a, l)
+                    _bump(products, (min(x, y), max(x, y)), -1)
         rows[unknown] = _Row(((-1, ("r", a, b)),), _atoms(expanded), _atoms(products))
     return rows
 
@@ -1152,7 +1159,12 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     torsion-free regime accepts r iff its antisymmetric part is closed, and a
     primitive plus the gauge gradient fixes the divergence functions. The
     determined symbols are substituted, and the CK system isolating one
-    x1-derivative per Ricci equation is solved."""
+    x1-derivative per Ricci equation is solved. Its rows (`_ricci_rows`)
+    form the n^2 quadratic products of Ric_ab over the derived entries
+    ("div", a, l) = E^a_l = sum_{k != a} G^k_kl, one for each first Ricci
+    index a of an equation and each l, since the k = a terms of sum_l
+    G^l_ab D_l - sum_{k,l} G^l_kb G^k_al cancel (`tests/oracles.py` keeps
+    the uncancelled form)."""
     n = r.n
     _, cap = r.shape
     _record(construction, n)
@@ -1173,11 +1185,13 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
         phi = fd.gauge_function if fd.gauge_function is not None else Jet.zero(n, cap)
         for k in range(1, n + 1):
             known[("d", k)] = alpha0.comp(k) + phi.partial(k)
-    # the determined symbols, then the divergence entries of the products
-    canon = partial(_canon, spec.symmetric)
+    # the determined symbols, then the divergence entries E^a_l of the
+    # products, one per first Ricci index a of an equation
+    canon, rng = partial(_canon, spec.symmetric), range(1, n + 1)
     derived = {target: _Row(terms) for target, terms in spec.substitutions.items()}
-    for l in range(1, n + 1):
-        derived[("div", l)] = _Row(tuple((1, canon(k, k, l)) for k in range(1, n + 1)))
+    for a in sorted({a for (a, _), _ in spec.equations}):
+        for l in rng:
+            derived[("div", a, l)] = _Row(tuple((1, canon(k, k, l)) for k in rng if k != a))
     keys = {key: canon(*key) for key in _all_gamma_keys(n)}
     rows, initial = _ricci_rows(spec, n), _keyed(fd.initial_slices)
     table = _ck_solve(rows, known, derived, initial, set(keys.values()))

@@ -20,14 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import multiindex as mi
 from .errors import (
     DimensionMismatchError,
     NotClosedError,
     RejectionError,
     SingularJetError,
 )
-from .jets import Jet, ZERO, product_sum
+from .jets import Jet, _radial_homotopy, product_sum
 
 HALF = Fraction(1, 2)
 
@@ -254,16 +253,55 @@ def divergence_form(conn: Connection) -> OneForm:
     return OneForm(conn.n, {j: product_sum(linear=[(1, g[(k, k, j)]) for k in rng]) for j in rng})
 
 
+def _divergences(conn: Connection, order: int | None = None) -> dict:
+    """The divergence entries of `ricci`: D_l = sum_k G^k_kl under the key l
+    and E^i_l = D_l - G^i_il = sum_{k != i} G^k_kl under (i, l), each E one
+    linear `jets.product_sum` of D_l and -G^i_il to degree order: it takes
+    D_l's valid order, which counts G^i_il, so the products over it keep the
+    valid orders of the uncancelled form."""
+    rng, g = range(1, conn.n + 1), conn.gamma
+    div = divergence_form(conn).comps
+    return div | {
+        (i, l): product_sum(linear=[(1, div[l]), (-1, g[(i, i, l)])], cap=order)
+        for i in rng
+        for l in rng
+    }
+
+
+def _ricci_derivatives(conn: Connection, div: Mapping, i: int, j: int) -> list:
+    """The derivative terms sum_k (G^k_ij)_k - (D_j)_i of Ric_ij."""
+    g = conn.gamma
+    return [(1, g[(k, i, j)], k) for k in range(1, conn.n + 1)] + [(-1, div[j], i)]
+
+
 def _ricci_terms(conn: Connection, div: Mapping, i: int, j: int) -> tuple[list, list]:
     """The quadratic and the derivative terms of Ric_ij, as `jets.product_sum`
-    takes them: the n^2 + n products of -L_ij = sum_l G^l_ij D_l -
-    sum_{k,l} G^l_kj G^k_il, with D_l = sum_k G^k_kl, which are symmetric in
-    (i, j) on a symmetric table, and sum_k (G^k_ij)_k - (D_j)_i."""
-    rng = range(1, conn.n + 1)
-    g = conn.gamma
-    quad = [(-1, g[(l, k, j)], g[(k, i, l)]) for k in rng for l in rng]
-    quad += [(1, g[(l, i, j)], div[l]) for l in rng]
-    return quad, [(1, g[(k, i, j)], k) for k in rng] + [(-1, div[j], i)]
+    takes them, div holding `_divergences`. The quadratic terms are the n^2
+    products of
+
+        -L_ij = sum_l G^l_ij E^i_l - sum_{k != i} sum_l G^l_kj G^k_il:
+
+    in sum_l G^l_ij D_l - sum_{k,l} G^l_kj G^k_il, the k = i terms of the two
+    sums are the same product G^l_ij G^i_il and cancel, so E^i_l = D_l -
+    G^i_il takes the place of D_l and no k = i product is formed
+    (`tests/oracles.py` keeps the n^2 + n products of the uncancelled form).
+    The products of the same two jets are formed once, with their
+    coefficients summed: on a symmetric table whose mirror entries are one
+    jet, as `Connection.from_symmetric`, the builders and the report reader
+    give them, the products of (k, l) and (l, k) for i = j, with coefficient
+    -2. Mirror entries that are two jets, even of the same coefficients, are
+    not folded, so the valid order is the one their products give. The -L_ij
+    are symmetric in (i, j) on a symmetric table."""
+    rng, g = range(1, conn.n + 1), conn.gamma
+    folded: dict = {}
+    for k in rng:
+        for l in rng:
+            if k != i:
+                a, b = g[(l, k, j)], g[(k, i, l)]
+                folded.setdefault(frozenset((id(a), id(b))), [0, a, b])[0] -= 1
+    quad = [(1, g[(l, i, j)], div[(i, l)]) for l in rng]
+    quad += [tuple(term) for term in folded.values()]
+    return quad, _ricci_derivatives(conn, div, i, j)
 
 
 def ricci(conn: Connection, order: int | None = None) -> Bilinear:
@@ -274,12 +312,16 @@ def ricci(conn: Connection, order: int | None = None) -> Bilinear:
 
     each component one `jets.product_sum` of the derivative terms
     (`ricci_derivative_part`) and the quadratic terms (minus `lambda_term`).
-    On a symmetric table the quadratic terms of (i, j) and (j, i) agree, so
-    for i != j they are summed once, and that sum is a linear term of both.
+    The k = i terms of the two quadratic sums cancel, so the quadratic terms
+    are the n^2 products of `_ricci_terms`, over the symbols and the entries
+    E^i_l = sum_k G^k_kl - G^i_il, not n^2 + n (`tests/oracles.py` keeps the
+    uncancelled form). On a symmetric table the quadratic terms of (i, j) and
+    (j, i) agree, so for i != j they are summed once, and that sum is a
+    linear term of both.
 
     With an order k (0..D), every component is formed to degree k only, in
     workspace (n, k): the result is the full one truncated to k."""
-    rng, div = range(1, conn.n + 1), divergence_form(conn).comps
+    rng, div = range(1, conn.n + 1), _divergences(conn, order)
     out, shared = {}, {}
     for i in rng:
         for j in rng:
@@ -297,17 +339,19 @@ def ricci(conn: Connection, order: int | None = None) -> Bilinear:
 def ricci_derivative_part(conn: Connection) -> Bilinear:
     """Only the derivative terms sum_k [(G^k_ij)_k - (G^k_kj)_i]."""
     rng, div = range(1, conn.n + 1), divergence_form(conn).comps
-    terms = {(i, j): _ricci_terms(conn, div, i, j)[1] for i in rng for j in rng}
+    terms = {(i, j): _ricci_derivatives(conn, div, i, j) for i in rng for j in rng}
     return Bilinear(conn.n, {key: product_sum(derivatives=t) for key, t in terms.items()})
 
 
 def lambda_term(conn: Connection) -> Bilinear:
     """Quadratic Christoffel contraction
     L_ij = sum_{k,l} [G^l_kj G^k_il - G^l_ij G^k_kl], so
-    ricci = ricci_derivative_part - lambda_term. On a symmetric table L_ij is
-    formed for i <= j only. Each L_ij is one `jets.product_sum` of the
-    negated quadratic terms of `ricci`."""
-    rng, div = range(1, conn.n + 1), divergence_form(conn).comps
+    ricci = ricci_derivative_part - lambda_term. The k = i terms of the two
+    sums cancel, so each L_ij is one `jets.product_sum` of the n^2 negated
+    quadratic terms of `ricci` (`_ricci_terms`, over the E^i_l), not of
+    n^2 + n products (`tests/oracles.py` keeps the uncancelled form). On a
+    symmetric table L_ij is formed for i <= j only."""
+    rng, div = range(1, conn.n + 1), _divergences(conn)
     out = {}
     for i in rng:
         for j in rng:
@@ -370,21 +414,6 @@ def two_form_closed(a: TwoForm, order: int) -> bool:
                 if not cyc.is_zero_up_to(order):
                     return False
     return True
-
-
-def _radial_homotopy(jet: Jet, axis: int, denom_shift: int, numer: int = 1) -> Jet:
-    """Push every degree-m monomial up by x^axis with weight numer/(m+denom_shift)."""
-    n, cap = jet.n, jet.max_degree
-    ranks = mi.rank_of(n, cap)
-    out = [ZERO] * mi.size(n, cap)
-    for e, c in jet.terms():
-        m = sum(e)
-        if m + 1 > cap:
-            continue
-        target = list(e)
-        target[axis - 1] += 1
-        out[ranks[tuple(target)]] += c * Fraction(numer, m + denom_shift)
-    return Jet(n, cap, out, min(jet.valid_order + 1, cap))
 
 
 def primitive_of_two_form(a: TwoForm) -> OneForm:

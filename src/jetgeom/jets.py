@@ -529,6 +529,26 @@ def _accumulate(n: int, products, linear, derivatives, cap: int, layer: int | No
     return (out if layer is None else [out[r] for r in ranks]), den, valid
 
 
+def _radial_homotopy(jet: Jet, axis: int, denom_shift: int, numer: int = 1) -> Jet:
+    """Push every degree-m monomial up by x^axis with weight numer/(m+denom_shift):
+    the radial homotopy of `geometry.primitive_of_two_form` and
+    `geometry.potential_of_one_form`, valid to min(valid order + 1, cap).
+
+    One pass over the numerators along the moves of `multiindex.partial_map`,
+    read from destination (degree m) to source (degree m + 1): each adds
+    c * numer * (L // (m + denom_shift)) over the one denominator den * L,
+    with L = lcm(denom_shift .. cap - 1 + denom_shift), reduced once
+    (`tests/oracles.py` keeps the Fraction version)."""
+    n, cap = jet.n, jet.max_degree
+    big = lcm(*range(denom_shift, cap + denom_shift))
+    degrees, nums, out = mi.degree_of(n, cap), jet.nums, [0] * len(jet.nums)
+    for src, dst, _ in mi.partial_map(n, cap, axis - 1):
+        c = nums[dst]
+        if c:
+            out[src] = c * numer * (big // (degrees[dst] + denom_shift))
+    return jet._with_nums(out, jet.den * big, min(jet.valid_order + 1, cap))
+
+
 class SliceJet:
     """Initial-data function of (x2, ..., xn): an (n-1)-variable jet that
     remembers it is destined for promotion into n variables."""

@@ -11,6 +11,9 @@ own gap rows: it checks the layered solve of those rows, not the rows. `_row_sum
 `builders._Row` in full, where the builders evaluate it one x1-layer at a
 time. `ref_nabla_g` forms all n^3 components of nabla g with 2 n^4
 products, and `ref_ricci` every (i, j) of the Ricci tensor, term by term.
+`ref_ricci_terms` keeps the n^2 + n quadratic products of each Ricci
+component whose k = i terms cancel, which `geometry` no longer forms, and
+`ref_uncancelled_ricci` sums them as `geometry` summed them before.
 `ref_metric_2d_h` solves the metric-2d equation as one
 second-order system by Picard rounds, with the closed-form Ric_11 of a
 diagonal 2D metric (`_ricci_11_diagonal_2d`, also the reference of
@@ -19,11 +22,12 @@ evaluation.
 The closed-form Christoffel symbols of a diagonal 2D metric check the general
 Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
 coefficient, the product through the product_rank dictionary, Newton
-reciprocal, Horner exp) is the reference for the integer kernel of
-jetgeom.jets, and the Fraction jet serialization (`int` on each key part,
-`Fraction` on each coefficient) for the integer writer and reader of
-jetgeom.serialize; the report's JSON tree (`ref_report_to_json`), one jet
-at a time, for the one-pass text writer `serialize.report_text`.
+reciprocal, Horner exp, the radial homotopy) is the reference for the
+integer kernel of jetgeom.jets, and the Fraction jet serialization (`int`
+on each key part, `Fraction` on each coefficient) for the integer writer
+and reader of jetgeom.serialize; the report's JSON tree
+(`ref_report_to_json`), one jet at a time, for the one-pass text writer
+`serialize.report_text`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from jetgeom.builders import _codazzi_gap, _codazzi_spec
 from jetgeom.ck import SecondOrderSystem, solve_second_order
 from jetgeom.errors import DimensionMismatchError, SingularJetError
 from jetgeom.geometry import CubicForm
+from jetgeom.jets import product_sum
 
 HALF = Fraction(1, 2)
 
@@ -239,6 +244,37 @@ def ref_ricci(conn: Connection) -> dict:
     return out
 
 
+def ref_ricci_terms(conn: Connection, div, i: int, j: int) -> tuple[list, list]:
+    """The uncancelled quadratic and derivative terms of Ric_ij, as
+    `jets.product_sum` takes them: the n^2 + n products of -L_ij = sum_l
+    G^l_ij D_l - sum_{k,l} G^l_kj G^k_il, with div[l] = D_l = sum_k G^k_kl,
+    the k = i products of the two sums included, and sum_k (G^k_ij)_k -
+    (D_j)_i."""
+    rng = range(1, conn.n + 1)
+    g = conn.gamma
+    quad = [(-1, g[(l, k, j)], g[(k, i, l)]) for k in rng for l in rng]
+    quad += [(1, g[(l, i, j)], div[l]) for l in rng]
+    return quad, [(1, g[(k, i, j)], k) for k in rng] + [(-1, div[j], i)]
+
+
+def ref_uncancelled_ricci(conn: Connection, order=None) -> tuple[dict, dict, dict]:
+    """The derivative part, L and Ric of every (i, j), each one
+    `jets.product_sum` of the terms of `ref_ricci_terms` with no symmetry
+    shortcut: Ric formed to degree order, the other two in full. It checks
+    the cancellation of the k = i products in `geometry`, not the
+    accumulation."""
+    rng, g = range(1, conn.n + 1), conn.gamma
+    div = {l: product_sum(linear=[(1, g[(k, k, l)]) for k in rng]) for l in rng}
+    deriv, lam, ric = {}, {}, {}
+    for i in rng:
+        for j in rng:
+            quad, derivatives = ref_ricci_terms(conn, div, i, j)
+            deriv[(i, j)] = product_sum(derivatives=derivatives)
+            lam[(i, j)] = product_sum((-c, a, b) for c, a, b in quad)
+            ric[(i, j)] = product_sum(quad, derivatives=derivatives, cap=order)
+    return deriv, lam, ric
+
+
 def _row_sum(row, table, pulled=frozenset()):
     """The full-size sum of a `builders._Row`'s atoms on the table, leaving
     out the products whose first key is in pulled; and for each pulled key,
@@ -384,6 +420,22 @@ def ref_antiderivative_x1(a: Jet) -> Jet:
     for src, dst, divisor in mi.antiderivative_x1_map(a.n, a.max_degree):
         out[dst] = coeffs[src] / divisor
     return _like(a, out, min(a.valid_order + 1, a.max_degree))
+
+
+def ref_radial_homotopy(jet: Jet, axis: int, denom_shift: int, numer: int = 1) -> Jet:
+    """Push every degree-m monomial up by x^axis with weight numer/(m+denom_shift),
+    one Fraction per coefficient."""
+    n, cap = jet.n, jet.max_degree
+    ranks = mi.rank_of(n, cap)
+    out = [Fraction(0)] * mi.size(n, cap)
+    for e, c in jet.terms():
+        m = sum(e)
+        if m + 1 > cap:
+            continue
+        target = list(e)
+        target[axis - 1] += 1
+        out[ranks[tuple(target)]] += c * Fraction(numer, m + denom_shift)
+    return Jet(n, cap, out, min(jet.valid_order + 1, cap))
 
 
 def ref_reciprocal(a: Jet) -> Jet:

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from jetgeom import DimensionMismatchError, Jet
 from jetgeom import multiindex as mi
 from jetgeom import jets as jets_module
-from jetgeom.jets import _accumulate, _mul_layer, product_sum
+from jetgeom.jets import _accumulate, _mul_layer, _radial_homotopy, product_sum
 from oracles import (
     ref_add,
     ref_antiderivative_x1,
     ref_exp,
     ref_mul,
     ref_partial,
+    ref_radial_homotopy,
     ref_reciprocal,
     ref_scale,
     ref_sub,
@@ -117,6 +118,17 @@ def test_partial_and_antiderivative_match_fraction_kernel(pair, data):
     axis = data.draw(st.integers(1, a.n))
     assert_same(a.partial(axis), ref_partial(a, axis))
     assert_same(a.antiderivative_x1(), ref_antiderivative_x1(a))
+
+
+@SETTINGS
+@given(jet_pairs(), st.data())
+def test_radial_homotopy_matches_the_fraction_weights(pair, data):
+    # both weight rules: 2/(m + 2) of the torsion-free primitive and 1/(m + 1)
+    # of the parallel-volume potential, every axis, valid order included
+    a, _ = pair
+    axis = data.draw(st.integers(1, a.n))
+    shift = data.draw(st.sampled_from([1, 2]))
+    assert_same(_radial_homotopy(a, axis, shift, shift), ref_radial_homotopy(a, axis, shift, shift))
 
 
 def test_antiderivative_of_a_0_variable_jet_is_rejected():

@@ -145,7 +145,8 @@ def test_ck_solve_keys_every_entry_by_its_slot(monkeypatch, tag, n, mode):
     if tag == "statistical":
         assert sorted(keys) == sorted(determined)
     else:
-        assert determined == set(derived) - {("div", l) for l in range(1, n + 1)}
+        rng = range(1, n + 1)
+        assert determined == set(derived) - {("div", a, l) for a in rng for l in rng}
         assert not keys
 
 
@@ -308,13 +309,14 @@ def unreachable(*args):
 
 
 def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
-    # ("div", 1) = sum_k G^k_k1 is derived from the unknowns at every layer
+    # ("div", 1, 1) = sum_{k != 1} G^k_k1 is derived from the unknowns at
+    # every layer
     real = builders_module._ricci_rows
 
     def leaky(spec, n):
         rows = real(spec, n)
         rows[(2, 2, 1)] = dataclasses.replace(
-            rows[(2, 2, 1)], derivatives=rows[(2, 2, 1)].derivatives + ((1, ("div", 1), 1),)
+            rows[(2, 2, 1)], derivatives=rows[(2, 2, 1)].derivatives + ((1, ("div", 1, 1), 1),)
         )
         return rows
 
@@ -325,7 +327,7 @@ def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
         build_prescribed_ricci_general(r, zero_free_data(census("general", 2), 3))
     assert str(err.value) == (
         "the row of (2, 2, 1) holds its x1-derivative with coefficients [-1] and "
-        "consumes the x1-derivatives of [('div', 1)]"
+        "consumes the x1-derivatives of [('div', 1, 1)]"
     )
 
 
@@ -497,7 +499,7 @@ def test_entries_are_formed_to_the_degree_their_readers_need(monkeypatch):
         got.append(degrees)
     lower = ("(h)_22", "Q", "S", "1/h")
     assert got[0] == {**dict.fromkeys(lower, cap - 2), "(h)_2": cap - 1}
-    divergences = {("div", l): cap - 1 for l in (1, 2, 3)}
+    divergences = {("div", a, l): cap - 1 for a in (1, 2, 3) for l in (1, 2, 3)}
     assert got[1] == divergences
     assert got[2] == {**divergences, **{(k, k, k): cap for k in (1, 2, 3)}}
 
@@ -608,13 +610,15 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
 # ceiling may only move down. Rests formed to degree D took 6057, 6402,
 # 10626, 7473, 599, 524 and 1124; metric-2d took 1043 with every derived
 # entry and 1/h formed to D, and 644 on the hand-expanded Ric_11 before it
-# took the scalar equation. statistical-n4 is statistical at (4, 3),
-# the smallest workspace whose determined-symbol blocks have off-diagonal
-# entries, which each later block's rows read from the solve's table.
+# took the scalar equation. The Ricci builds took 2265, 2408 and 4481 while
+# their rows formed the k = a products that cancel. statistical-n4 is
+# statistical at (4, 3), the smallest workspace whose determined-symbol
+# blocks have off-diagonal entries, which each later block's rows read from
+# the solve's table.
 SOLVE_PAIR_CEILINGS = {
-    "general": 2265,
-    "trace-free-torsion": 2408,
-    "torsion-free": 4481,
+    "general": 1675,
+    "trace-free-torsion": 1813,
+    "torsion-free": 3642,
     "statistical": 4724,
     "statistical-2d": 343,
     "trace-free-statistical-2d": 310,
@@ -695,15 +699,17 @@ def test_metric_2d_work_outside_the_solve_stays_under_its_ceiling(monkeypatch):
 # run through `jets.product_sum`, which perfbench's `Jet.__mul__` counts do
 # not see. A ceiling may only move down. metric-2d took 510 while the
 # metric inverse of `levi_civita` formed the products whose results the
-# elimination knows.
+# elimination knows. While `ricci` formed the k = i products that cancel,
+# general, trace-free-torsion, torsion-free and metric-2d took 2396, 2448,
+# 5147 and 426.
 CHECK_PAIR_CEILINGS = {
-    "general": 2396,
-    "trace-free-torsion": 2448,
-    "torsion-free": 5147,
+    "general": 1797,
+    "trace-free-torsion": 1836,
+    "torsion-free": 3636,
     "statistical": 3792,
     "statistical-2d": 440,
     "trace-free-statistical-2d": 519,
-    "metric-2d": 446,
+    "metric-2d": 348,
 }
 
 
@@ -723,3 +729,47 @@ def test_check_kernel_work_stays_under_its_ceiling(monkeypatch, tag):
     checks = _run_checks(report)
     assert all(check.passed for check in checks)
     assert 0 < sum(visits) <= CHECK_PAIR_CEILINGS[tag]
+
+
+# the pairs, counted as the solve's are, of one `run` of each Ricci
+# construction at the shape of perfbench's ricci-n3 workload (n = 3, D = 6,
+# random degree 3, coefficient bound 2, seed 1): inside `_ck_solve`, and
+# inside the checks (`_checked`). perfbench's op-count ceilings count only
+# `Jet.__mul__`, which no Ricci run calls. A ceiling may only move down.
+# While the rows and `ricci` formed the k = i products that cancel, the
+# solve took 95067 and the checks 96618.
+RICCI_N3_PAIR_CEILINGS = {"solve": 73206, "checks": 71214}
+
+
+def test_ricci_n3_kernel_work_stays_under_its_ceiling(monkeypatch):
+    real_solve, real_checked, real = (
+        builders_module._ck_solve, builders_module._checked, jets_module._mul_layer
+    )
+    inside, visits = [], dict.fromkeys(RICCI_N3_PAIR_CEILINGS, 0)
+
+    def within(name, fn):
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def counted(spans, a, b, scale, out):
+        spans = tuple(spans)
+        if inside:
+            visits[inside[-1]] += sum(len(pairs) for ra, pairs in spans if a[ra])
+        return real(spans, a, b, scale, out)
+
+    monkeypatch.setattr(builders_module, "_ck_solve", within("solve", real_solve))
+    monkeypatch.setattr(builders_module, "_checked", within("checks", real_checked))
+    monkeypatch.setattr(jets_module, "_mul_layer", counted)
+    for tag in ("general", "trace-free-torsion", "torsion-free"):
+        _run_direct({
+            "construction": tag, "n": 3, "D": 6, "seed": 1, "prescribed": {"r": "random"},
+            "free_data": "random", "random": {"degree": 3, "coeff_bound": 2},
+        })
+    for name, ceiling in RICCI_N3_PAIR_CEILINGS.items():
+        assert 0 < visits[name] <= ceiling, (name, visits[name])

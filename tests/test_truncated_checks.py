@@ -2,9 +2,10 @@
 `nabla_g`, `levi_civita` and `metric_inverse` with an order k, each equal to
 the full-workspace result truncated to k, down to the Codazzi gap jets; `ricci`
 also equal to the written-out oracle `ref_ricci` truncated to k, on symmetric
-and general tables. The Ricci checks at an order k, which compare each
-component with the prescribed r without forming a residual jet, pass exactly
-when the full residual jets vanish to degree k."""
+and general tables, and to the uncancelled quadratic form that
+`ref_uncancelled_ricci` keeps. The Ricci checks at an order k, which compare
+each component with the prescribed r without forming a residual jet, pass
+exactly when the full residual jets vanish to degree k."""
 
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 
 from jetgeom import (
     Bilinear,
+    Connection,
     Jet,
     Metric,
     divergence_form,
@@ -23,13 +25,14 @@ from jetgeom import (
     random_normalized_metric,
     random_poly,
     random_symmetric_connection,
+    random_trace_free_connection,
     ricci,
     ricci_derivative_part,
     torsion_trace,
 )
 from jetgeom.builders import BuildReport, _metric_ricci_residual, _ricci_residual
 from jetgeom.errors import DimensionMismatchError
-from oracles import ref_add, ref_mul, ref_partial, ref_ricci, ref_sub
+from oracles import ref_add, ref_mul, ref_partial, ref_ricci, ref_sub, ref_uncancelled_ricci
 
 # (n, D) workspaces of the equivalence tests
 SHAPES = [(2, 5), (3, 4)]
@@ -155,6 +158,57 @@ def test_the_parts_of_ricci_are_the_composed_fraction_sums(kind, n, cap):
             assert parts[2].comp(i, j).same_payload(deriv)
             assert lam.comp(i, j).same_payload(quad)
             assert full.comp(i, j).same_payload(ref_sub(deriv, quad))
+
+
+def guard_connection(kind: str, n: int, cap: int, low: bool) -> Connection:
+    """A general, symmetric or trace-free table over 3, with G^1_11 valid to
+    cap - 2 when low and every other symbol to cap. A symmetric table holds
+    one jet for both mirror entries, as the builders and the report reader
+    give it; "mirrors apart" holds two, with G^n_21 valid to cap - 1."""
+    make = {
+        "general": random_connection,
+        "symmetric": random_symmetric_connection,
+        "mirrors apart": random_symmetric_connection,
+        "trace-free": random_trace_free_connection,
+    }[kind]
+    conn = make(13 * n + cap, n, cap, cap, 3)
+    gamma = {key: jet.scale(Fraction(2, 3)) for key, jet in conn.gamma.items()}
+    if low:
+        gamma[(1, 1, 1)] = gamma[(1, 1, 1)].with_valid_order(cap - 2)
+    if kind == "symmetric":
+        return Connection.from_symmetric(n, gamma)
+    if kind == "mirrors apart" and n > 1:
+        gamma[(n, 2, 1)] = gamma[(n, 2, 1)].with_valid_order(cap - 1)
+    return Connection(n, gamma, conn.symmetric)
+
+
+@pytest.mark.parametrize("low", [False, True])
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (kind, n)
+        for kind in ("general", "symmetric", "mirrors apart", "trace-free")
+        for n in range(1 + (kind == "trace-free"), 5)
+    ],
+)
+def test_cancelled_ricci_gives_the_uncancelled_payloads(kind, n, low):
+    # the k = i products of the two quadratic sums cancel, so `ricci` and
+    # `lambda_term` form n^2 products over E^i_l = D_l - G^i_il: the same
+    # numerators, denominator and valid order as the n^2 + n products of
+    # the uncancelled form, at every order. Products fold only when they are
+    # of the same two jets; with mirror entries apart, only the diagonal
+    # components are compared, since `ricci` and `lambda_term` give (j, i)
+    # the sum formed for (i, j) on every symmetric table
+    cap = 3
+    conn = guard_connection(kind, n, cap, low)
+    rng = range(1, n + 1)
+    keys = [(i, i) for i in rng] if kind == "mirrors apart" else [(i, j) for i in rng for j in rng]
+    deriv, lam, _ = ref_uncancelled_ricci(conn)
+    for got, want in ((ricci_derivative_part(conn), deriv), (lambda_term(conn), lam)):
+        assert all(got.comps[key].same_payload(want[key]) for key in keys)
+    for order in (None, *range(cap + 1)):
+        got, want = ricci(conn, order).comps, ref_uncancelled_ricci(conn, order)[2]
+        assert all(got[key].same_payload(want[key]) for key in keys), order
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

@@ -76,16 +76,18 @@ atoms (symbol key, metric key); on a symmetric table the keys fold, so the
 torsion terms cancel when the row is built. Each metric unknown g_ab takes
 its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_codazzi_spec` lists form the jet-linear system for the determined symbols.
-`_ck_solve` solves it in its own x1-layer loop from the blocks of
-`_determined_blocks`, one per lower index pair, in an order that makes the
-layer-0 coefficient matrix, of (n - 1)-variable jets, block lower
-triangular (the rule is in `_codazzi_spec`'s docstring). Each diagonal
-block, of at most n - 2 rows, is inverted once, and layer t of the symbols
-is written block by block by forward substitution: minus the block's
-inverse times layer t of its gaps, evaluated on a table that holds layer t
-of the symbols of earlier blocks and not yet that of its own. No build runs
-a full-size jet elimination; `solve_determined_christoffels` runs the same
-solve over given tables. `_codazzi_metric` holds the one assembly; the
+`_ck_solve` solves it from the blocks of `_determined_blocks`, one per
+lower index pair, in an order that makes the layer-0 coefficient matrix, of
+(n - 1)-variable jets, block lower triangular (the rule is in
+`_codazzi_spec`'s docstring). Each diagonal block, of at most n - 2 rows, is
+inverted once, at layer 0, and the solve writes the blocks as derived rows:
+the gap of each row, then each symbol as minus the block's inverse times
+the gaps. So layer t of the symbols is a forward substitution, block by
+block: minus the block's inverse times layer t of its gaps, evaluated on a
+table that holds layer t of the symbols of earlier blocks and not yet that
+of its own. No build runs a full-size jet elimination;
+`solve_determined_christoffels` runs the same solve over given tables.
+`_codazzi_metric` holds the one assembly; the
 builders differ only in the fixed entries (the Christoffel table, and g11
 where it is given), the blocks and the initial slices.
 trace-free-statistical-2d fixes nu^2 in place of g11 and solves
@@ -126,7 +128,7 @@ from .geometry import (
     torsion_trace,
 )
 from .jets import (
-    Jet, SliceJet, _accumulate, _reduced, as_fraction, partial_valid_order, product_sum,
+    Jet, SliceJet, _accumulate, _reduced, as_fraction, product_sum,
     random_poly,
 )
 
@@ -854,70 +856,75 @@ def _padded(jet: Jet, cap: int) -> Jet:
     return Jet._from_nums(jet.n, cap, nums, jet.den, jet.valid_order)
 
 
-def _valid_order(rows, table: Mapping, cap: int, exact=frozenset()) -> int:
-    """The least valid order of the rows' atoms on the table, by the rules of
-    `Jet` (a sum or product takes the least valid order of its terms, a
-    derivative `jets.partial_valid_order`), the keys in exact counting as
-    exact: the shared valid order of the block keys (D for no atoms)."""
-    orders = []
-    for row in rows:
-        orders += [table[key].valid_order for _, key in row.linear]
-        orders += [
-            partial_valid_order(table[key].valid_order) for _, key, _ in row.derivatives
-        ]
-        orders += [
-            min(table[y].valid_order, cap if x in exact else table[x].valid_order)
-            for _, x, y in row.products
-        ]
-    return min(orders, default=cap)
-
-
-def _degrees(rests: Mapping, derived: Mapping, blocks, outputs, cap: int) -> dict:
-    """The degree of each unknown, derived entry and block key by
-    `_ck_solve`'s rule (0 for no reader). An entry's readers come after it,
-    so the rests read first, each to its unknown's degree - 1, then the
-    blocks and the derived entries in reverse. An unknown's rest reads the
-    unknowns, so their degrees are found by repeating the pass from 0 (D for
-    an output) until none moves: the least degrees that all readers allow."""
+def _degrees(rests: Mapping, derived: Mapping, outputs, cap: int) -> dict:
+    """The degree of each unknown and derived entry by `_ck_solve`'s rule (0
+    for no reader): D for an output, else the largest degree its readers
+    need, at most D. An entry's readers mostly come after it, so each pass
+    reads the rests first, each to its unknown's degree - 1, then the derived
+    entries in reverse, each to its degree so far. An unknown's rest reads
+    the unknowns and a block's gaps read the block's keys, which come after
+    them, so the pass is repeated, the needs kept, from 0 (D for an output)
+    until no degree moves: the least degrees that all readers allow."""
     need: dict = {}
 
-    def read(rows, k):
-        for row in rows:
-            atoms = [(key, k) for _, key in row.linear]
-            atoms += [(key, k + (ax > 1)) for _, key, ax in row.derivatives]
-            atoms += [(key, k) for _, x, y in row.products for key in (x, y)]
-            for key, d in atoms:
-                need[key] = max(need.get(key, 0), d)
+    def read(row, k):
+        atoms = [(key, k) for _, key in row.linear]
+        atoms += [(key, k + (ax > 1)) for _, key, ax in row.derivatives]
+        atoms += [(key, k) for _, x, y in row.products for key in (x, y)]
+        for key, d in atoms:
+            need[key] = max(need.get(key, 0), d)
 
-    def degree(keys) -> int:
-        if not outputs.isdisjoint(keys):
-            return cap
-        return min(max(need.get(key, 0) for key in keys), cap)
+    def degree(key) -> int:
+        return cap if key in outputs else min(need.get(key, 0), cap)
 
-    degrees = {key: cap if key in outputs else 0 for key in rests}
+    degrees = {key: degree(key) for key in rests}
     while True:
-        need.clear()
         for key, (_, row) in rests.items():
-            read([row], degrees[key] - 1)
-        for keys, rows in reversed(blocks):
-            degrees.update(dict.fromkeys(keys, degree(keys)))
-            read(rows, degrees[keys[0]])
+            read(row, degrees[key] - 1)
         for target in reversed(derived):
-            degrees[target] = degree([target])
-            read([derived[target]], degrees[target])
-        moved = {key: degree([key]) for key in rests}
-        if moved.items() <= degrees.items():
+            degrees[target] = degree(target)
+            read(derived[target], degrees[target])
+        moved = {key: degree(key) for key in degrees}
+        if moved == degrees:
             return degrees
-        degrees.update(moved)
+        degrees = moved
 
 
-def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> list:
-    """B^-1 of each diagonal block B of M0, layer 0 of the blocks' matrix on
-    the table (see `_ck_solve`), by `geometry._gauss_jordan` augmented by the
-    identity."""
+class _Inner(tuple):
+    """The key of an entry `_ck_solve` makes for itself: (b, i) for the gap
+    of row i of block b, (b, i, j) for entry (i, j) of the inverse of that
+    block's layer-0 matrix. Its type takes part in equality, so as a table
+    key it equals no caller's key."""
+
+    def __eq__(self, other):
+        return type(other) is _Inner and tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def _block_rows(blocks) -> dict:
+    """The blocks as derived rows, block by block: the gap of each row of a
+    block, which is the row itself, then each key i of the block as
+    -sum_j inv_ij gap_j, inv_ij the fixed entries of `_block_inverses`."""
+    derived: dict = {}
+    for b, (keys, rows) in enumerate(blocks):
+        gaps = [_Inner((b, i)) for i in range(len(rows))]
+        derived.update(zip(gaps, rows))
+        for i, key in enumerate(keys):
+            products = tuple((-1, _Inner((b, i, j)), gap) for j, gap in enumerate(gaps))
+            derived[key] = _Row(products=products)
+    return derived
+
+
+def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> dict:
+    """Entry (i, j) of B^-1, for each diagonal block B of M0, layer 0 of the
+    blocks' matrix on the table (see `_ck_solve`), by `geometry._gauss_jordan`
+    augmented by the identity: an x1-independent jet of workspace (n, cap)
+    under the key _Inner((b, i, j)) of block b. The whole cost of the blocks
+    beyond their layer evaluations is this one call."""
     zero = Jet.zero(n - 1, cap)
-    inverses = []
-    for keys, rows in blocks:
+    inverses = {}
+    for b, (keys, rows) in enumerate(blocks):
         matrix = []
         for i, row in enumerate(rows):
             terms: dict = {key: [] for key in keys}
@@ -928,7 +935,9 @@ def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> list:
                 [product_sum(linear=t) if t else zero for t in terms.values()]
                 + [Jet.constant(int(i == j), n - 1, cap) for j in range(len(keys))]
             )
-        inverses.append([row[len(keys):] for row in _gauss_jordan(matrix)])
+        for i, row in enumerate(_gauss_jordan(matrix)):
+            for j, entry in enumerate(row[len(keys):]):
+                inverses[_Inner((b, i, j))] = SliceJet(entry).promote()
     return inverses
 
 
@@ -954,44 +963,48 @@ def _ck_solve(
 
     The blocks are (keys, rows) pairs, as many rows as keys, of algebraic
     rows that take no x1-derivative and hold the block keys only as the
-    first factor of product atoms: row i reads sum_j M_ij key_j + rest_i = 0.
-    A row reads keys of its own block and of earlier blocks only, so layer 0
-    of M, M0, a matrix of (n - 1)-variable jets, is block lower triangular in
-    block order. Layer t of M key_j is M0 (key_j layer t) plus products of
-    layers < t of key_j.
+    first factor of product atoms, whose second factor is a fixed key or an
+    unknown: row i reads sum_j M_ij key_j + rest_i = 0. A row reads keys of
+    its own block and of earlier blocks only, so layer 0 of M, M0, a matrix
+    of (n - 1)-variable jets, is block lower triangular in block order.
+    Layer t of M key_j is M0 (key_j layer t) plus products of layers < t of
+    key_j. The blocks become derived entries after the caller's
+    (`_block_rows`): the gap of each row, which is the row, then each key i
+    as -sum_j inv_ij gap_j, with inv_ij the entries of B^-1 for the block's
+    diagonal block B of M0, formed once at layer 0, before any derived
+    layer, as fixed x1-independent jets (`_block_inverses`). Layer t of a gap
+    is written while layer t of its block's keys is still zero, and an
+    x1-independent factor contributes only its layer 0, so layer t of the
+    keys is -B^-1 times layer t of the gaps: a forward substitution, block by
+    block. The gaps and the inverse entries are not returned.
 
     Each entry is formed only to the degree its readers need (`_degrees`).
-    An output gets D; any other unknown, derived entry or block key gets the
-    largest degree a reader needs: the reader's own, one more where it
-    differentiates along an axis >= 2, at most D; the keys of one block share
-    one degree. Layer t + 1 of an unknown of degree k has one degree less
-    room than layer t, so its rest is formed to k - 1, and an unknown's
-    initial slice is cut to k. An entry formed to degree k is written at
-    layers 0..k only, to degree k, and an unknown is valid to k. A derived
-    entry is valid to the valid order that `jets._accumulate` gives its
-    layer 0, min(k, the valid order of its row's atoms): every entry's valid
-    order is fixed after its layer-0 write.
+    An output gets D; any other unknown or derived entry gets the largest
+    degree a reader needs: the reader's own, one more where it
+    differentiates along an axis >= 2, at most D. Layer t + 1 of an unknown
+    of degree k has one degree less room than layer t, so its rest is formed
+    to k - 1, and an unknown's initial slice is cut to k. An entry formed to
+    degree k is written at layers 0..k only, to degree k, and an unknown is
+    valid to k. A derived entry is valid to the valid order that
+    `jets._accumulate` gives its layer 0, min(k, the valid order of its
+    row's atoms), a gap counting its block's keys, still zero, as exact:
+    every entry's valid order is fixed after its layer-0 write, and a block
+    key's is the one an elimination of the full-size system gives it.
 
     The solution is built one x1-layer at a time: with the unknowns known
     through layer t, layer t of each derived entry is written from
     `jets._accumulate` on its row, which reads layers <= t of a product's
     factors, layer t of a linear atom or of a derivative along an axis >= 2,
-    and layer t + 1 of a fixed key under an x1-derivative. Then, block by
-    block in order, layer t of the block's rows is evaluated the same way on
-    the table holding layer t of the earlier blocks' keys and not yet that of
-    its own, and layer t of its keys is -B^-1 times it, a forward
-    substitution; each diagonal block B of M0 is inverted once, at layer 0
-    (`_block_inverses`), and every block key gets the `_valid_order` of the
-    rows, the keys counting as exact, as an elimination of the full-size
-    system gives it. Layer t of each rest then
-    needs only layers <= t of the table, and layer t + 1 of the unknown is
-    -s * (that layer) / (t + 1). Each write reduces only the layer it writes
-    (`_write_layer`): every position it writes is zero before, and a sum of
-    reduced parts over the lcm of their denominators is reduced. After
-    layers 1..D this is the unique truncated solution, the one that D + 1
-    Picard rounds of `ck.solve_first_order` reach, every derived entry is the
-    full-size sum of its row on it and the block keys are the full-size
-    elimination of their rows on it, each entry truncated to its degree."""
+    and layer t + 1 of a fixed key under an x1-derivative. Layer t of each
+    rest then needs only layers <= t of the table, and layer t + 1 of the
+    unknown is -s * (that layer) / (t + 1). Each write reduces only the
+    layer it writes (`_write_layer`): every position it writes is zero
+    before, and a sum of reduced parts over the lcm of their denominators is
+    reduced. After layers 1..D this is the unique truncated solution, the
+    one that D + 1 Picard rounds of `ck.solve_first_order` reach, every
+    derived entry of the caller is the full-size sum of its row on it and
+    the block keys are the full-size elimination of their rows on it, each
+    entry truncated to its degree."""
     rests = _ck_rows(equations, fixed)
     for target, row in derived.items():
         consumed = _x1_consumed(row.derivatives, fixed)
@@ -1010,20 +1023,27 @@ def _ck_solve(
                 raise AssertionError(
                     f"{row} is not linear in {solved} or takes an x1-derivative"
                 )
+            # the inverses are formed before any derived layer is written
+            early = [y for _, _, y in row.products if y in derived]
+            if early:
+                raise AssertionError(f"{row} holds the derived entry {early[0]} as a factor")
             ahead = [x for _, x, _ in row.products if x in later]
             if ahead:
                 raise AssertionError(f"{row} holds {ahead[0]} of a later block")
+    derived = {**derived, **_block_rows(blocks)}
     values = {key: initial[key].promote() for key in equations}
     shapes = {(jet.n, jet.max_degree) for jet in (*fixed.values(), *values.values())}
     if len(shapes) != 1:
         raise DimensionMismatchError(f"table entries in workspaces {sorted(shapes)}")
     [(n, cap)] = shapes
-    degrees = _degrees(rests, derived, blocks, frozenset(outputs), cap)
+    degrees = _degrees(rests, derived, frozenset(outputs), cap)
     values = {key: _padded(jet.truncate(degrees[key]), cap) for key, jet in values.items()}
-    values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
+    values.update((key, Jet.zero(n, cap)) for key in derived)
     valid: dict = {}
     for t in range(cap + 1):
         try:
+            if t == 0:
+                values.update(_block_inverses(blocks, {**fixed, **values}, n, cap))
             table = {**fixed, **values}
             for target, row in derived.items():
                 k = degrees[target]
@@ -1035,29 +1055,8 @@ def _ck_solve(
                 table[target] = values[target] = _write_layer(
                     values[target], mi.x1_layers(n, k)[t], nums, den, valid[target]
                 )
-            if t == 0:
-                inverses = _block_inverses(blocks, table, n, cap)
-                linear = [row for _, rows in blocks for row in rows]
-                solved_order = _valid_order(linear, table, cap, frozenset(solved))
-            for (keys, rows), inverse in zip(blocks, inverses):
-                k = degrees[keys[0]]
-                if t > k:
-                    continue
-                order, ranks = k - t, mi.x1_layers(n, k)[t]
-                zero = Jet.zero(n - 1, order)
-                gaps = []
-                for row in rows:
-                    nums, den, _ = _accumulate(n, *_terms(row, table), k, t)
-                    gaps.append(zero._with_nums(nums, den, order))
-                for key, inverse_row in zip(keys, inverse):
-                    step = product_sum(
-                        (-1, e.truncate(order), gap) for e, gap in zip(inverse_row, gaps)
-                    )
-                    table[key] = values[key] = _write_layer(
-                        values[key], ranks, step.nums, step.den, min(solved_order, k)
-                    )
             if t == cap:
-                return table
+                return {key: jet for key, jet in table.items() if not isinstance(key, _Inner)}
             sums = {
                 key: _accumulate(n, *_terms(row, table), degrees[key] - 1, t)
                 for key, (_, row) in rests.items()

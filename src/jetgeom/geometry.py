@@ -304,6 +304,13 @@ def _ricci_terms(conn: Connection, div: Mapping, i: int, j: int) -> tuple[list, 
     return quad, _ricci_derivatives(conn, div, i, j)
 
 
+def _one_jet_mirrors(conn: Connection) -> bool:
+    """Whether the table is symmetric with each mirror pair one jet, as
+    `Connection.from_symmetric`, the builders and the report reader give it."""
+    g = conn.gamma
+    return conn.symmetric and all(jet is g[(k, j, i)] for (k, i, j), jet in g.items())
+
+
 def ricci(conn: Connection, order: int | None = None) -> Bilinear:
     """Ricci tensor of a connection from its Christoffel symbols,
 
@@ -315,19 +322,21 @@ def ricci(conn: Connection, order: int | None = None) -> Bilinear:
     The k = i terms of the two quadratic sums cancel, so the quadratic terms
     are the n^2 products of `_ricci_terms`, over the symbols and the entries
     E^i_l = sum_k G^k_kl - G^i_il, not n^2 + n (`tests/oracles.py` keeps the
-    uncancelled form). On a symmetric table the quadratic terms of (i, j) and
-    (j, i) agree, so for i != j they are summed once, and that sum is a
-    linear term of both.
+    uncancelled form). On a symmetric table whose mirror entries are one jet
+    (`_one_jet_mirrors`) the quadratic terms of (i, j) and (j, i) agree, so
+    for i != j they are summed once, and that sum is a linear term of both;
+    mirror entries that are two jets may differ in valid order, and each
+    component takes its own.
 
     With an order k (0..D), every component is formed to degree k only, in
     workspace (n, k): the result is the full one truncated to k."""
     rng, div = range(1, conn.n + 1), _divergences(conn, order)
-    out, shared = {}, {}
+    out, shared, mirrored = {}, {}, _one_jet_mirrors(conn)
     for i in rng:
         for j in rng:
             products, derivatives = _ricci_terms(conn, div, i, j)
             linear = ()
-            if conn.symmetric and i != j:
+            if mirrored and i != j:
                 pair = (min(i, j), max(i, j))
                 if pair not in shared:
                     shared[pair] = [(1, product_sum(products, cap=order))]
@@ -350,12 +359,13 @@ def lambda_term(conn: Connection) -> Bilinear:
     sums cancel, so each L_ij is one `jets.product_sum` of the n^2 negated
     quadratic terms of `ricci` (`_ricci_terms`, over the E^i_l), not of
     n^2 + n products (`tests/oracles.py` keeps the uncancelled form). On a
-    symmetric table L_ij is formed for i <= j only."""
+    symmetric table whose mirror entries are one jet (`_one_jet_mirrors`)
+    L_ij is formed for i <= j only."""
     rng, div = range(1, conn.n + 1), _divergences(conn)
-    out = {}
+    out, mirrored = {}, _one_jet_mirrors(conn)
     for i in rng:
         for j in rng:
-            if conn.symmetric and j < i:
+            if mirrored and j < i:
                 out[(i, j)] = out[(j, i)]
             else:
                 quad = _ricci_terms(conn, div, i, j)[0]

@@ -2,21 +2,26 @@
 conformal factor.
 
 For a diagonal nondegenerate prescription r = diag(E, G), the ansatz g = h r
-turns Ric_g = r into h K_g = 1 (in 2D Ric_g = K_g g), that is the one scalar
-equation
+turns Ric_g = r into h K_g = 1 (in 2D Ric_g = K_g g). With h = c e^(2u),
+c = h(0), the Kazdan-Warner identity K_g = (K_r - Delta_r u) / h makes that
+the one scalar equation
 
-    h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2,
+    Delta_r u = K_r - 1,
 
-quadratic in h. Multiplied by E it reads
-(h)_11 = (1/h) (p^2 + a (h)_2^2) + b h - a (h)_22 + e p + f (h)_2 with
-p = (h)_1, and fixed entries in closed form: a = E/G,
-e = (E_1/E - G_1/G)/2, f = (a G_2 - E_2)/(2G) and b = 2 K_r E - 2E, with
-K_r from Brioschi's formula. The builder solves it as the first-order CK
-system (h)_1 = p, (p)_1 = (h)_11. Ric_11 - r11 of g is E (h K_g - 1), so
-this (h)_11 is the one Ric_11 = r11 gives, and h is the unique truncated
-solution: bit for bit the h of a solve of Ric_11 = r11. The solution is
-parametrized by two free functions of one variable (h and its x1-derivative
-on the initial line).
+linear in u. Multiplied by E it reads
+(u)_11 = b - a (u)_22 + e (u)_1 + f (u)_2, with fixed entries in closed form
+from the logarithmic derivatives u_i = E_i/E and v_i = G_i/G: a = E/G,
+e = (u1 - v1)/2, f = a (v2 - u2)/2 and b = E (K_r - 1), with K_r from
+Brioschi's formula. The builder solves it on the log-derivatives
+p = (h)_1 / (2h) = (u)_1 and w = (h)_2 / (2h) = (u)_2 as the first-order CK
+system (h)_1 = 2 p h, (p)_1 = b - a (w)_2 + e p + f w, (w)_1 = (p)_2, from
+the slices phi, psi / (2 phi) and (phi)_2 / (2 phi): a polynomial map with no
+reciprocal. For any coefficients, h = c e^(2u) solves
+h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2 exactly when u solves the linear
+equation, so h is the unique truncated solution of that equation with
+h = phi, (h)_1 = psi on the initial line: bit for bit the h of a solve of
+Ric_11 = r11. The solution is parametrized by two free functions of one
+variable (h and its x1-derivative on the initial line).
 """
 
 from math import factorial

@@ -26,8 +26,10 @@ Cauchy-Kowalevski theorem does: layer t of a derived entry, a block key or
 a row needs only layers <= t of the unknowns, so layers 1..D cost about one pass
 over the product pairs where the D + 1 Picard rounds of
 `ck.solve_first_order` (the public solver, and the reference) cost D + 1
-full passes. No build uses `ck`: the second-order metric-2d equation is
-solved as the first-order system of h and p = (h)_1.
+full passes. No build uses `ck`: the second-order metric-2d equation,
+Delta_r u = K_r - 1, linear in u = log(h / h(0)) / 2, is solved as the
+first-order system of h and the log-derivatives p = (h)_1 / (2h) and
+w = (h)_2 / (2h).
 
 Each construction is stated once, in its record (`_Construction`, in
 `_CONSTRUCTIONS`): its dimension rule, the name and type of every prescribed
@@ -1217,7 +1219,7 @@ def build_prescribed_ricci_torsion_free(r: Bilinear, fd: FreeData) -> BuildRepor
 
 # ---------------------------------------------------------------------------
 # 2D metric with prescribed Ricci tensor (one scalar second-order equation,
-# solved as a first-order system)
+# linear in u = log(h / h(0)) / 2, solved as a first-order system)
 
 
 def build_metric_2d_prescribed_ricci(
@@ -1225,34 +1227,42 @@ def build_metric_2d_prescribed_ricci(
 ) -> BuildReport:
     """2D metric g = h r with Ricci tensor equal to the prescribed diagonal
     nondegenerate r = diag(E, G). In 2D Ric_g = K_g g, so Ric_g = r exactly
-    when h K_g = 1, and with h = e^(2u), K_g = e^(-2u) (K_r - Delta_r u), that
-    is the one scalar equation
+    when h K_g = 1, and with h = c e^(2u), c = h(0) = phi(0) != 0,
+    K_g = (K_r - Delta_r u) / h (Kazdan-Warner), that is the one scalar
+    equation
 
-        h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2
+        Delta_r u = K_r - 1,
 
-    (Kazdan-Warner), quadratic in h. Multiplied by E it reads (h)_11 = F with
+    linear in u. Multiplied by E it reads
 
-        F = (1/h) S + b h - a (h)_22 + e p + f (h)_2,
-        S = p^2 + a Q,   Q = ((h)_2)^2,   p = (h)_1,
+        (u)_11 = b - a (u)_22 + e (u)_1 + f (u)_2,
 
-    and the fixed entries a = E/G, e = E r^ij Gamma(r)^1_ij and
-    f = E r^ij Gamma(r)^2_ij, b = 2 K_r E - 2 E, in closed form for an
-    orthogonal r (subscripts are partial derivatives):
+    with the fixed entries a = E/G, b = E (K_r - 1), e = E r^ij Gamma(r)^1_ij
+    and f = E r^ij Gamma(r)^2_ij, in closed form for an orthogonal r from the
+    logarithmic derivatives u_i = E_i/E and v_i = G_i/G (subscripts are
+    partial derivatives):
 
-        e = (E_1/E - G_1/G) / 2,   f = (a G_2 - E_2) / (2 G),
-        K_r E = [-(E_22 + G_11)/2 + (E_2^2 + E_1 G_1)/(4E)
-                 + (E_2 G_2 + G_1^2)/(4G)] / G   (Brioschi's formula).
+        e = (u1 - v1) / 2,   f = a (v2 - u2) / 2,
+        4 K_r E G = -2 (E_22 + G_11) + E_2 (u2 + v2) + G_1 (u1 + v1)
+                                                  (Brioschi's formula).
 
     They are formed by `product_sum` from r, its partials and the two
-    reciprocals, the sparse factor of r first, to D - 2, the degree of p's
-    rest, their one reader; no `geometry` tensor routine is called, so the
-    metric-ricci-residual check stays independent of the equation.
-    `_ck_solve` solves the first-order system (h)_1 = p, (p)_1 = F from the
-    slices phi and psi, with 1/h the key of a one-key block on h (1/h) - 1 = 0,
-    so the solve takes no full-size reciprocal. Ric_11 - r11 of diag(h E, h G)
-    is E (h K_g - 1), so F is the (h)_11 that Ric_11 = r11 gives, as a rational
-    function of h and its other derivatives: h is the unique truncated
-    solution, the one that `ck.solve_second_order` gives, bit for bit."""
+    reciprocals to D - 2, the degree of p's rest, their one reader; no
+    `geometry` tensor routine is called, so the metric-ricci-residual check
+    stays independent of the equation. `_ck_solve` solves the first-order
+    system of h and the log-derivatives p = (h)_1 / (2h) = (u)_1 and
+    w = (h)_2 / (2h) = (u)_2,
+
+        (h)_1 = 2 p h,   (p)_1 = b - a (w)_2 + e p + f w,   (w)_1 = (p)_2,
+
+    from the slices phi, psi / (2 phi) and (phi)_2 / (2 phi), the last two
+    one-variable jets formed to D - 1, the degree of p and w. Its one
+    nonlinear term is p h, and it takes no reciprocal. For any coefficients,
+    h = c e^(2u) solves the second-order equation
+    h Delta_r h - |dh|^2_r = 2 (K_r - 1) h^2 exactly when u solves the linear
+    one, and the slices are those of h = phi, (h)_1 = psi, so h is the unique
+    truncated solution, the one that `ck.solve_second_order` gives on that
+    equation, bit for bit."""
     _record("metric-2d", r.n)
     _, cap = r.shape
     E, G = r.comp(1, 1), r.comp(2, 2)
@@ -1275,31 +1285,31 @@ def build_metric_2d_prescribed_ricci(
     E1, E2, G1, G2 = E.partial(1), E.partial(2), G.partial(1), G.partial(2)
     iE, iG = E.truncate(k).reciprocal(), G.truncate(k).reciprocal()
     a = form(((1, E, iG),))
-    # 4 K_r E G, from E_2^2 + E_1 G_1 and E_2 G_2 + G_1^2, and 2 G f
-    n1, n2 = form(((1, E2, E2), (1, E1, G1))), form(((1, E2, G2), (1, G1, G1)))
-    kg = form(((1, n1, iE), (1, n2, iG)), derivatives=((-2, E2, 2), (-2, G1, 1)))
-    fg = form(((1, G2, a),), linear=((-1, E2),))
-    halves = {
-        "b": form(((1, kg, iG),), linear=((-4, E),)),
-        "e": form(((1, E1, iE), (-1, G1, iG))),
-        "f": form(((1, fg, iG),)),
+    u1, u2, v1, v2 = (form(((1, x, y),)) for x, y in ((E1, iE), (E2, iE), (G1, iG), (G2, iG)))
+    # 4 K_r E G
+    kg = form(((1, E2, u2 + v2), (1, G1, u1 + v1)), derivatives=((-2, E2, 2), (-2, G1, 1)))
+    fixed = {
+        "a": a,
+        "b": form(((1, kg, iG),), linear=((-4, E),)).scale(Fraction(1, 4)),
+        "e": (u1 - v1).scale(HALF),
+        "f": form(((1, a, v2 - u2),)).scale(HALF),
     }
-    fixed = {key: _padded(jet.scale(HALF), cap) for key, jet in halves.items()}
-    fixed.update({"1": Jet.one(2, cap), "a": _padded(a, cap)})
-    derived = {
-        "(h)_2": _Row(derivatives=((1, "h", 2),)),
-        "(h)_22": _Row(derivatives=((1, "(h)_2", 2),)),
-        "Q": _Row(products=((1, "(h)_2", "(h)_2"),)),
-        "S": _Row(products=((1, "p", "p"), (1, "a", "Q"))),
+    fixed = {key: _padded(jet, cap) for key, jet in fixed.items()}
+    top = max(cap - 1, 0)
+    iphi = phi.jet.truncate(top).reciprocal()
+    initial = {"h": phi} | {
+        key: SliceJet(_padded(product_sum(((1, x, iphi),), cap=top).scale(HALF), cap))
+        for key, x in (("p", psi.jet), ("w", phi.jet.partial(1)))
     }
     equations = {
-        "h": _Row(linear=((1, "p"),), derivatives=((-1, "h", 1),)),
-        "p": _Row(derivatives=((-1, "p", 1),), products=(
-            (1, "1/h", "S"), (1, "b", "h"), (-1, "a", "(h)_22"), (1, "e", "p"), (1, "f", "(h)_2")
-        )),
+        "h": _Row(derivatives=((-1, "h", 1),), products=((2, "p", "h"),)),
+        "p": _Row(
+            ((1, "b"),), ((-1, "p", 1),), ((-1, "a", "(w)_2"), (1, "e", "p"), (1, "f", "w"))
+        ),
+        "w": _Row(derivatives=((-1, "w", 1), (1, "p", 2))),
     }
-    blocks = [(["1/h"], [_Row(((-1, "1"),), (), ((1, "1/h", "h"),))])]
-    h = _ck_solve(equations, fixed, derived, {"h": phi, "p": psi}, {"h"}, blocks)["h"]
+    derived = {"(w)_2": _Row(derivatives=((1, "w", 2),))}
+    h = _ck_solve(equations, fixed, derived, initial, {"h"})["h"]
     metric = Metric(2, {(1, 1): E * h, (1, 2): Jet.zero(2, cap), (2, 2): G * h})
     report.outputs = {"metric": metric, "conformal_factor": h}
     return _checked(report)

@@ -456,8 +456,10 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
     """(nabla g)_ijk = (g_jk)_i - A_ijk - A_ikj with A_ijk = sum_l G^l_ij g_lk.
 
     nabla g is symmetric in (j, k), so only j <= k is formed; on a symmetric
-    table A_ijk = A_jik is formed only for i <= j. Each A_ijk is one
-    `jets.product_sum` of n products (at n = 4 that is 160 products on a
+    table whose mirror entries are one jet (`_one_jet_mirrors`)
+    A_ijk = A_jik is formed only for i <= j (mirror entries that are two jets
+    may differ in valid order, and each A_ijk then takes its own). Each A_ijk
+    is one `jets.product_sum` of n products (at n = 4 that is 160 products on a
     symmetric table and 256 on a general one), and each component one more,
     of the derivative and the two A terms.
 
@@ -470,11 +472,11 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
     gamma, comps = conn.gamma, g.comps
     if order is not None and n:
         gamma[(1, 1, 1)]._require_same_shape(comps[(1, 1)])
-    a = {}
+    a, mirrored = {}, _one_jet_mirrors(conn)
     for i in rng:
         for j in rng:
             for k in rng:
-                if conn.symmetric and j < i:
+                if mirrored and j < i:
                     a[(i, j, k)] = a[(j, i, k)]
                 else:
                     a[(i, j, k)] = product_sum(

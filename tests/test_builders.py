@@ -1,6 +1,7 @@
 """Theorem-level builders: fixtures, resolutions, round-trips, rejections."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -54,8 +55,8 @@ from jetgeom.builders import (
 )
 from jetgeom.cli import _run_direct
 from jetgeom.serialize import report_from_json, report_to_json
-from ck_seam import capture_ck_solves
-from oracles import exp_series_jet
+from ck_seam import capture_ck_solves, to_degree
+from oracles import exp_series_jet, ref_mul, ref_partial, ref_reciprocal, ref_scale
 
 CAP = 4
 
@@ -395,9 +396,9 @@ EQUATION_CASES = [(seed, cap) for seed in (1, 2, 3) for cap in range(3, 9)]
 
 @pytest.mark.parametrize("seed, cap", EQUATION_CASES)
 def test_metric_2d_fixed_entries_are_the_curvature_and_contracted_symbols(monkeypatch, seed, cap):
-    # b = 2 (K_r - 1) r11 with K_r the Gauss curvature of r, and a, e, f the
-    # coefficients r11 r^22 and r11 r^ij Gamma(r)^k_ij of (h)_22 and (h)_k in
-    # r11 Delta_r h, all from `geometry`, to the order p's rest reads them to
+    # b = (K_r - 1) r11 with K_r the Gauss curvature of r, and a, e, f the
+    # coefficients r11 r^22 and r11 r^ij Gamma(r)^k_ij of (u)_22 and (u)_k in
+    # r11 Delta_r u, all from `geometry`, to the order p's rest reads them to
     calls = capture_ck_solves(monkeypatch)
     r, phi, psi = random_diagonal_prescribed(seed, cap)
     build_metric_2d_prescribed_ricci(r, phi, psi)
@@ -411,12 +412,27 @@ def test_metric_2d_fixed_entries_are_the_curvature_and_contracted_symbols(monkey
     curvature = sectional_curvature_2d(g)
     want = {
         "a": r11 * inv[(2, 2)],
-        "b": ((curvature - 1) * r11).scale(2),
+        "b": (curvature - 1) * r11,
         "e": contracted[1],
         "f": contracted[2],
     }
     for key, jet in want.items():
         assert fixed[key].eq_up_to(jet, cap - 2), key
+
+
+@pytest.mark.parametrize("seed, cap", EQUATION_CASES)
+def test_metric_2d_unknowns_are_the_log_derivatives_of_h(monkeypatch, seed, cap):
+    # the solve is given no block, and its unknowns p and w, formed to
+    # D - 1, are (h)_1 / (2h) and (h)_2 / (2h) of the h it returns
+    calls = capture_ck_solves(monkeypatch)
+    build_metric_2d_prescribed_ricci(*random_diagonal_prescribed(seed, cap))
+    [(_, args, table)] = calls
+    assert not (*args, ())[5]
+    h = table["h"]
+    inverse = ref_reciprocal(h)
+    for key, axis in (("p", 1), ("w", 2)):
+        want = ref_scale(ref_mul(ref_partial(h, axis), inverse), Fraction(1, 2))
+        assert table[key].same_payload(to_degree(want, cap - 1)), key
 
 
 def scalar_equation_holds(h: Jet, r: Bilinear, order: int) -> bool:

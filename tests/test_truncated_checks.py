@@ -32,7 +32,15 @@ from jetgeom import (
 )
 from jetgeom.builders import BuildReport, _metric_ricci_residual, _ricci_residual
 from jetgeom.errors import DimensionMismatchError
-from oracles import ref_add, ref_mul, ref_partial, ref_ricci, ref_sub, ref_uncancelled_ricci
+from oracles import (
+    ref_add,
+    ref_mul,
+    ref_nabla_g,
+    ref_partial,
+    ref_ricci,
+    ref_sub,
+    ref_uncancelled_ricci,
+)
 
 # (n, D) workspaces of the equivalence tests
 SHAPES = [(2, 5), (3, 4)]
@@ -229,6 +237,21 @@ def test_nabla_g_at_an_order_is_the_full_form_truncated(symmetric, n, cap):
         ]
         assert all(same_truncated(a, b, k) for a, b in gaps)
         assert any(not b.is_zero_up_to(k) for _, b in gaps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nabla_g_on_mirror_entries_apart_gives_the_oracle_payloads(n):
+    # a symmetric table whose G^k_ji, i < j, are G^k_ij re-tagged to lower
+    # valid orders: A_ijk = A_jik holds in coefficients, not in valid order,
+    # so every component takes the valid order `ref_nabla_g` gives it
+    cap = 5
+    gamma = dict(random_symmetric_connection(5 * n, n, cap, cap, 3).gamma)
+    for k, i, j in list(gamma):
+        if i < j:
+            gamma[(k, j, i)] = gamma[(k, i, j)].with_valid_order((k + i + j) % cap)
+    conn, g = Connection(n, gamma, True), metric(n, cap)
+    got, want = nabla_g(conn, g).comps, ref_nabla_g(conn, g).comps
+    assert all(got[key].same_payload(want[key]) for key in want)
 
 
 @pytest.mark.parametrize("n, cap", SHAPES)

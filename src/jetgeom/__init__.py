@@ -56,6 +56,7 @@ from .geometry import (
     TwoForm,
     divergence_form,
     is_codazzi,
+    is_ricci,
     lambda_term,
     levi_civita,
     metric_inverse,

@@ -119,15 +119,16 @@ from .geometry import (
     Metric,
     OneForm,
     _gauss_jordan,
+    _torsion_trace_components,
     divergence_form,
     is_codazzi,
+    is_ricci,
     levi_civita,
     parallel_volume_2d,
     potential_of_one_form,
     primitive_of_two_form,
     ricci,
     split,
-    torsion_trace,
 )
 from .jets import (
     Jet, SliceJet, _accumulate, _reduced, as_fraction, product_sum,
@@ -476,27 +477,20 @@ class BuildReport:
 # build's pass the same checks (`verify_read_back`)
 
 
-def _equals_r(report: BuildReport, res: Bilinear, order: int) -> bool:
-    """Whether res, formed at cap order from outputs in the report's
-    workspace, where an admitted r lives too (`_admit`), equals the
-    prescribed r on the coefficients of degree <= order (`Jet.eq_up_to`)."""
-    r = report.prescribed["r"].comps
-    return all(jet.eq_up_to(r[key], order) for key, jet in res.comps.items())
-
-
 def _ricci_residual(report: BuildReport, order: int) -> bool:
-    return _equals_r(report, ricci(report.outputs["connection"], order), order)
+    # an admitted r lives in the report's workspace (`_admit`)
+    return is_ricci(report.outputs["connection"], report.prescribed["r"], order)
 
 
 def _metric_ricci_residual(report: BuildReport, order: int) -> bool:
     # the derivative part of Ric to degree k needs the symbols to degree k + 1
     conn = levi_civita(report.outputs["metric"], min(order + 1, report.max_degree))
-    return _equals_r(report, ricci(conn, order), order)
+    return is_ricci(conn, report.prescribed["r"], order)
 
 
 def _torsion_trace_zero(report: BuildReport, order: int) -> bool:
-    tau = torsion_trace(report.outputs["connection"])
-    return all(tau.comp(j).is_zero_up_to(order) for j in range(1, tau.n + 1))
+    tau = _torsion_trace_components(report.outputs["connection"])
+    return all(jet.is_zero_up_to(order) for _, jet in tau)
 
 
 def _connection_symmetric(report: BuildReport, order: int) -> bool:
@@ -683,17 +677,20 @@ def _free_functions(report: BuildReport, order: int) -> bool:
     )
 
 
+# cheapest first: `verify` runs a report's required checks in this order
+# and stops at the first that fails
 _CHECKS = {
-    "ricci-residual": _ricci_residual,
-    "metric-ricci-residual": _metric_ricci_residual,
-    "torsion-trace-zero": _torsion_trace_zero,
-    "connection-symmetric": _connection_symmetric,
-    "codazzi": _codazzi,
     "metric-normalized-at-zero": _metric_normalized_at_zero,
-    "volume-determinant": _volume_determinant,
+    "connection-symmetric": _connection_symmetric,
     "initial-slices": _initial_slices,
     "free-functions": _free_functions,
+    "torsion-trace-zero": _torsion_trace_zero,
+    "volume-determinant": _volume_determinant,
+    "codazzi": _codazzi,
+    "ricci-residual": _ricci_residual,
+    "metric-ricci-residual": _metric_ricci_residual,
 }
+
 
 def _required_checks(report: BuildReport) -> list[tuple[str, int]]:
     plan, cap = _CONSTRUCTIONS[report.construction].checks, report.max_degree
@@ -701,8 +698,9 @@ def _required_checks(report: BuildReport) -> list[tuple[str, int]]:
 
 
 def _run_checks(report: BuildReport, order: int | None = None) -> list[Check]:
-    """Run the required checks at their recorded orders, or all at an order
-    override; the structural checks do not read the order."""
+    """Run every required check, in the order the construction record lists
+    them, at its recorded order, or all at an order override; the
+    structural checks do not read the order."""
     return [
         Check(name, recorded, _CHECKS[name](report, recorded if order is None else order))
         for name, recorded in _required_checks(report)
@@ -727,16 +725,24 @@ def verify(report: BuildReport, order: int | None = None) -> bool:
     a report whose recorded (name, order, passed) list differs from the
     required one, each check passed, does not verify. An order override
     (0..D) applies to the residual checks; structural checks keep their
-    recorded meaning. Raises what `_admit` raises for a report that no build
-    could have started or produced, and ValueError for an order outside
-    0..D."""
+    recorded meaning. The structural checks run first, cheapest first in
+    `_CHECKS`'s order, and `verify` stops at the first check that fails; a
+    residual check stops at the first component that differs (`is_ricci`,
+    `is_codazzi`). The verdict is the one that running every check gives.
+    Raises what `_admit` raises for a report that no build could have
+    started or produced, and ValueError for an order outside 0..D."""
     _admit(report)
     if order is not None and not 0 <= order <= report.max_degree:
         raise ValueError(f"order {order} outside 0..{report.max_degree}")
-    required = [(name, recorded, True) for name, recorded in _required_checks(report)]
-    if [(c.name, c.order, c.passed) for c in report.checks] != required:
+    required = _required_checks(report)
+    if [(c.name, c.order, c.passed) for c in report.checks] != [(*c, True) for c in required]:
         return False
-    return all(c.passed for c in _run_checks(report, order))
+    orders = dict(required)
+    return all(
+        check(report, orders[name] if order is None else order)
+        for name, check in _CHECKS.items()
+        if name in orders
+    )
 
 
 def _same_value(a, b) -> bool:

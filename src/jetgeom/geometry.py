@@ -311,6 +311,24 @@ def _one_jet_mirrors(conn: Connection) -> bool:
     return conn.symmetric and all(jet is g[(k, j, i)] for (k, i, j), jet in g.items())
 
 
+def _ricci_components(conn: Connection, order: int | None = None):
+    """Each ((i, j), Ric_ij) of `ricci`, in loop order (i, then j), formed
+    when the generator reaches it: `ricci` collects them and `is_ricci`
+    compares each as it comes."""
+    rng, div = range(1, conn.n + 1), _divergences(conn, order)
+    shared, mirrored = {}, _one_jet_mirrors(conn)
+    for i in rng:
+        for j in rng:
+            products, derivatives = _ricci_terms(conn, div, i, j)
+            linear = ()
+            if mirrored and i != j:
+                pair = (min(i, j), max(i, j))
+                if pair not in shared:
+                    shared[pair] = [(1, product_sum(products, cap=order))]
+                products, linear = (), shared[pair]
+            yield (i, j), product_sum(products, linear, derivatives, cap=order)
+
+
 def ricci(conn: Connection, order: int | None = None) -> Bilinear:
     """Ricci tensor of a connection from its Christoffel symbols,
 
@@ -330,19 +348,17 @@ def ricci(conn: Connection, order: int | None = None) -> Bilinear:
 
     With an order k (0..D), every component is formed to degree k only, in
     workspace (n, k): the result is the full one truncated to k."""
-    rng, div = range(1, conn.n + 1), _divergences(conn, order)
-    out, shared, mirrored = {}, {}, _one_jet_mirrors(conn)
-    for i in rng:
-        for j in rng:
-            products, derivatives = _ricci_terms(conn, div, i, j)
-            linear = ()
-            if mirrored and i != j:
-                pair = (min(i, j), max(i, j))
-                if pair not in shared:
-                    shared[pair] = [(1, product_sum(products, cap=order))]
-                products, linear = (), shared[pair]
-            out[(i, j)] = product_sum(products, linear, derivatives, cap=order)
-    return Bilinear(conn.n, out)
+    return Bilinear(conn.n, dict(_ricci_components(conn, order)))
+
+
+def is_ricci(conn: Connection, r: Bilinear, order: int) -> bool:
+    """Whether Ric(conn) equals r on the coefficients of degree <= order
+    (`Jet.eq_up_to`), r a table of n variables and a cap of at least order.
+    Each component of `ricci(conn, order)` is compared as soon as it is
+    formed, in `ricci`'s loop order, and the first that differs ends the
+    test: no later component is formed. The verdict is the one that
+    comparing every component of the whole tensor gives."""
+    return all(jet.eq_up_to(r.comps[key], order) for key, jet in _ricci_components(conn, order))
 
 
 def ricci_derivative_part(conn: Connection) -> Bilinear:
@@ -384,11 +400,17 @@ def torsion(conn: Connection) -> dict[tuple[int, int, int], Jet]:
     }
 
 
+def _torsion_trace_components(conn: Connection):
+    """Each (j, tau_j) of `torsion_trace`, formed when the generator reaches it."""
+    rng, g = range(1, conn.n + 1), conn.gamma
+    for j in rng:
+        terms = [(1, g[(i, i, j)]) for i in rng] + [(-1, g[(i, j, i)]) for i in rng]
+        yield j, product_sum(linear=terms)
+
+
 def torsion_trace(conn: Connection) -> OneForm:
     """tau_j = sum_i (G^i_ij - G^i_ji)."""
-    rng, g = range(1, conn.n + 1), conn.gamma
-    terms = {j: [(1, g[(i, i, j)]) for i in rng] + [(-1, g[(i, j, i)]) for i in rng] for j in rng}
-    return OneForm(conn.n, {j: product_sum(linear=t) for j, t in terms.items()})
+    return OneForm(conn.n, dict(_torsion_trace_components(conn)))
 
 
 def split(b: Bilinear) -> tuple[Bilinear, TwoForm]:
@@ -452,6 +474,42 @@ def potential_of_one_form(d: OneForm) -> Jet:
     return product_sum(linear=[(1, _radial_homotopy(d.comp(k), k, 1, 1)) for k in range(1, n + 1)])
 
 
+def _nabla_g_parts(conn: Connection, g: Metric, order: int | None = None):
+    """The functions (i, j, k) -> A_ijk and (i, j, k) -> (nabla g)_ijk of
+    `nabla_g`: each is formed when first asked for and kept, a component
+    under one key for (i, j, k) and (i, k, j), and A_ijk under one key for
+    A_jik on a table whose mirror entries are one jet. Christoffel symbols
+    and metric in different workspaces fail here, before any sum, when an
+    order is given."""
+    n = conn.n
+    rng = range(1, n + 1)
+    gamma, comps = conn.gamma, g.comps
+    if order is not None and n:
+        gamma[(1, 1, 1)]._require_same_shape(comps[(1, 1)])
+    a, out, mirrored = {}, {}, _one_jet_mirrors(conn)
+
+    def a_term(i, j, k):
+        if mirrored and j < i:
+            i, j = j, i
+        if (i, j, k) not in a:
+            a[(i, j, k)] = product_sum(
+                [(1, gamma[(l, i, j)], comps[(l, k)]) for l in rng], cap=order
+            )
+        return a[(i, j, k)]
+
+    def comp(i, j, k):
+        j, k = min(j, k), max(j, k)
+        if (i, j, k) not in out:
+            out[(i, j, k)] = product_sum(
+                linear=[(-1, a_term(i, j, k)), (-1, a_term(i, k, j))],
+                derivatives=[(1, comps[(j, k)], i)],
+                cap=order,
+            )
+        return out[(i, j, k)]
+
+    return a_term, comp
+
+
 def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
     """(nabla g)_ijk = (g_jk)_i - A_ijk - A_ikj with A_ijk = sum_l G^l_ij g_lk.
 
@@ -461,48 +519,31 @@ def nabla_g(conn: Connection, g: Metric, order: int | None = None) -> CubicForm:
     may differ in valid order, and each A_ijk then takes its own). Each A_ijk
     is one `jets.product_sum` of n products (at n = 4 that is 160 products on a
     symmetric table and 256 on a general one), and each component one more,
-    of the derivative and the two A terms.
+    of the derivative and the two A terms (`_nabla_g_parts`); every A_ijk
+    is formed before the first component.
 
     With an order k (0..D), every sum is formed to degree k only, in
     workspace (n, k): the result is the full one truncated to k. Christoffel
     symbols and metric in different workspaces fail as the first untruncated
     product would."""
-    n = conn.n
-    rng = range(1, n + 1)
-    gamma, comps = conn.gamma, g.comps
-    if order is not None and n:
-        gamma[(1, 1, 1)]._require_same_shape(comps[(1, 1)])
-    a, mirrored = {}, _one_jet_mirrors(conn)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if mirrored and j < i:
-                    a[(i, j, k)] = a[(j, i, k)]
-                else:
-                    a[(i, j, k)] = product_sum(
-                        [(1, gamma[(l, i, j)], comps[(l, k)]) for l in rng], cap=order
-                    )
-    out = {}
-    for i in rng:
-        for j in rng:
-            for k in range(j, n + 1):
-                out[(i, j, k)] = out[(i, k, j)] = product_sum(
-                    linear=[(-1, a[(i, j, k)]), (-1, a[(i, k, j)])],
-                    derivatives=[(1, comps[(j, k)], i)],
-                    cap=order,
-                )
-    return CubicForm(n, out)
+    rng, (a_term, comp) = range(1, conn.n + 1), _nabla_g_parts(conn, g, order)
+    keys = [(i, j, k) for i in rng for j in rng for k in rng]
+    for key in keys:
+        a_term(*key)
+    return CubicForm(conn.n, {key: comp(*key) for key in keys})
 
 
 def is_codazzi(conn: Connection, g: Metric, order: int) -> bool:
     """Total symmetry of nabla g, tested on the reduced index set
     {(i, j, k): i < j, i <= k} which is equivalent to all permutations, by
     comparing (nabla g)_ijk with (nabla g)_jik on the coefficients of degree
-    <= order. nabla g is formed in the workspace of order (`nabla_g`)."""
-    ng = nabla_g(conn, g, order).comps
-    n = conn.n
+    <= order. nabla g is formed in the workspace of order, each component
+    and each A_ijk only when a comparison first needs it
+    (`_nabla_g_parts`): the first pair that differs ends the test, with the
+    verdict that comparing the whole tensor gives."""
+    n, (_, comp) = conn.n, _nabla_g_parts(conn, g, order)
     return all(
-        ng[(i, j, k)].eq_up_to(ng[(j, i, k)], order)
+        comp(i, j, k).eq_up_to(comp(j, i, k), order)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         for k in range(i, n + 1)

@@ -1,7 +1,9 @@
 """Theorem-level builders: fixtures, resolutions, round-trips, rejections."""
 
+import copy
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -47,9 +49,12 @@ from jetgeom import (
     zero_free_data,
 )
 from jetgeom.builders import (
+    _CHECKS,
+    _CONSTRUCTIONS,
     _ck_solve,
     _codazzi_spec,
     _determined_blocks,
+    _run_checks,
     _same_value,
     verify_read_back,
 )
@@ -464,9 +469,10 @@ def test_metric_2d_conformal_factor_solves_the_scalar_equation(seed, cap):
 
 
 def test_metric_2d_build_forms_its_equation_without_the_checks_tensor_routines(monkeypatch):
-    # the metric-ricci-residual check takes Ric(h r) from `geometry`; the
-    # equation calls none of these routines, so the check shares nothing with
-    # it. They are called, but only inside the checks.
+    # the metric-ricci-residual check compares Ric(h r) with r by
+    # `geometry.is_ricci`; the equation calls none of these routines, so the
+    # check shares nothing with it. They are called, but only inside the
+    # checks.
     calls, inside = [], []
     real_checked = builders_module._checked
 
@@ -481,14 +487,14 @@ def test_metric_2d_build_forms_its_equation_without_the_checks_tensor_routines(m
 
         return wrapped
 
-    names = ("levi_civita", "ricci", "metric_inverse", "sectional_curvature_2d")
+    names = ("levi_civita", "ricci", "is_ricci", "metric_inverse", "sectional_curvature_2d")
     for module in (geometry_module, builders_module):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(builders_module, "_checked", checked)
     build_metric_2d_prescribed_ricci(*random_diagonal_prescribed(2, 6))
-    assert ("ricci", True) in calls
+    assert ("is_ricci", True) in calls
     assert [name for name, in_checks in calls if not in_checks] == []
 
 
@@ -888,6 +894,119 @@ def test_verify_at_every_order_keeps_its_outcomes(construction):
     # the checks run in the workspace of their order; each outcome is the one
     # the full-workspace checks give
     assert verify_outcomes(construction) == VERIFY_OUTCOMES[construction]
+
+
+# the early stop of `verify` against the full evaluation it replaces: every
+# construction's small fresh reports (D = 3, seeds 1 and 2, at its least n)
+# tampered one coefficient at a time, by 1/7 (which keeps a metric's
+# constant-term matrix invertible). The tampers: the constant, x1, x2 and
+# x1^D coefficient of each output entry, and the x1 coefficient (a slice's
+# first variable) of each prescribed and free-data entry; the two mirror
+# entries of a symmetric table are one entry. Then a one-sided x2^D bump of
+# a symmetric output connection's "1;2,1" with the flag cleared, which only
+# connection-symmetric sees, and, on a flat statistical-2d build, a bump of
+# the output g11's constant, which only metric-normalized-at-zero sees.
+
+
+def _entries(typed: dict):
+    """(key, coefficient maps, variables) of each entry of a report value."""
+    value, kind = typed["value"], typed["type"]
+    if kind == "slice":
+        yield "", [value["jet"]["coeffs"]], value["jet"]["n"]
+        return
+    if kind == "jet":
+        yield "", [value["coeffs"]], value["n"]
+        return
+    table = value["gamma"] if kind == "connection" else value["comps"]
+    symmetric = kind == "metric" or kind == "connection" and value["symmetric"]
+    for key in sorted(table):
+        head, _, lower = key.rpartition(";")
+        mirror = f"{head};" * bool(head) + ",".join(reversed(lower.split(",")))
+        keys = {key, mirror} if symmetric else {key}
+        if min(keys) == key:
+            yield key, [table[k]["coeffs"] for k in keys], value["n"]
+
+
+def _monomial(*exponents, n):
+    return " ".join(map(str, exponents + (0,) * (n - len(exponents))))
+
+
+def _tamper_sites(data: dict):
+    """(label, coefficient maps, monomial) of each one-coefficient tamper."""
+    fd = data["free_data"] or {}
+    inputs = [("prescribed", name, typed) for name, typed in data["prescribed"].items()]
+    inputs += [("free", slot, {"type": "jet", "value": jet})
+               for slot, jet in fd.get("free_functions", {}).items()]
+    inputs += [("slice", slot, {"type": "slice", "value": sl})
+               for slot, sl in fd.get("initial_slices", {}).items()]
+    if fd.get("gauge_function"):
+        inputs.append(("free", "phi", {"type": "jet", "value": fd["gauge_function"]}))
+    for name, typed in data["outputs"].items():
+        for key, coeffs, n in _entries(typed):
+            for label, exps in (("1", ()), ("x1", (1,)), ("x2", (0, 1)), ("x1^D", (data["D"],))):
+                yield f"output {name} {key} {label}", coeffs, _monomial(*exps, n=n)
+    for part, name, typed in inputs:
+        for key, coeffs, n in _entries(typed):
+            yield f"{part} {name} {key} x1", coeffs, _monomial(1, n=n)
+
+
+def _bumped(coeffs: dict, monomial: str):
+    value = Fraction(coeffs.get(monomial, "0")) + Fraction(1, 7)
+    coeffs[monomial] = f"{value.numerator}/{value.denominator}"
+
+
+def _tampered_copies(data: dict):
+    for index, (label, _, monomial) in enumerate(_tamper_sites(data)):
+        tampered = copy.deepcopy(data)
+        for coeffs in list(_tamper_sites(tampered))[index][1]:
+            _bumped(coeffs, monomial)
+        yield label, tampered
+    conn = data["outputs"].get("connection", {}).get("value")
+    if conn and conn["symmetric"]:
+        tampered = copy.deepcopy(data)
+        one_sided = tampered["outputs"]["connection"]["value"]
+        one_sided["symmetric"] = False
+        _bumped(one_sided["gamma"]["1;2,1"]["coeffs"], _monomial(0, data["D"], n=data["n"]))
+        yield "output connection 1;2,1 one-sided x2^D", tampered
+
+
+@lru_cache(maxsize=None)
+def early_stop_sweep(construction: str) -> tuple:
+    """(label, failing checks at the recorded orders) of each tampered copy,
+    after asserting that `verify` gives the verdict of every check at the
+    recorded orders and at order 0."""
+    rec, reports = _CONSTRUCTIONS[construction], []
+    for seed in (1, 2):
+        sc = {"construction": construction, "n": rec.n_min, "D": 3, "seed": seed}
+        reports.append(_run_direct(sc | ({"free_data": "random"} if rec.free_data else {})))
+    if construction == "statistical-2d":
+        flat = Connection.zero(2, 3, symmetric=False)
+        reports.append(build_statistical_2d(flat, *identity_2d_inputs(3)))
+    out = []
+    for report in reports:
+        for label, tampered in _tampered_copies(report_to_json(report)):
+            read = report_from_json(tampered)
+            for order in (None, 0):
+                checks = _run_checks(read, order)
+                assert verify(read, order) == all(c.passed for c in checks), (label, order)
+            out.append((label, {c.name for c in _run_checks(read) if not c.passed}))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("construction", sorted(_CONSTRUCTIONS))
+def test_verify_stopping_early_agrees_with_every_check(construction):
+    sweep = early_stop_sweep(construction)
+    assert any(failing for _, failing in sweep)
+
+
+def test_the_early_stop_sweep_has_a_tamper_only_each_check_catches():
+    sole = {
+        next(iter(failing))
+        for construction in _CONSTRUCTIONS
+        for _, failing in early_stop_sweep(construction)
+        if len(failing) == 1
+    }
+    assert sole == set(_CHECKS)
 
 
 # ---------------------------------------------------------------------------

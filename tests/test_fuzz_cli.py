@@ -306,6 +306,7 @@ def stores_a_failed_check(tree) -> bool:
 OUTPUT_GAMMA = ("outputs", "connection", "value", "gamma", "1;1,1")
 # its stored coefficients are "0 0": "2/1", "0 1": "-1/1", "1 0": "-2/1"
 GAMMA_COEFFS = OUTPUT_GAMMA + ("coeffs",)
+OUTPUT_METRIC_22 = ("outputs", "metric", "value", "comps", "2,2", "coeffs")
 MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
     lambda name: st.tuples(st.just(name), mutations(name))
 )
@@ -343,6 +344,22 @@ MUTATED_REPORTS = st.sampled_from(sorted(SMALL_SCENARIOS)).flatmap(
 @example(case=("general", ("drop", ("outputs",), None)))
 @example(case=("torsion-free", ("replace", ("construction",), ["x"])))
 @example(case=("torsion-free", ("replace", ("checks", 1, "name"), 5)))
+# one entry's x1 and x2 coefficients both bumped by 1, so two or three
+# checks fail at once: `verify` stops at the first, with the verdict and exit
+# code of running them all. ricci-residual and free-functions:
+@example(case=("general", ("replace", GAMMA_COEFFS, {"0 0": "2/1", "1 0": "-1/1"})))
+# ricci-residual and initial-slices:
+@example(case=("general", ("replace", OUTPUT_GAMMA[:-1] + ("1;2,1", "coeffs"), {
+    "0 1": "1/1", "1 1": "-5/1", "2 0": "1/2"})))
+@example(case=("torsion-free", ("replace", OUTPUT_GAMMA[:-1] + ("1;2,2", "coeffs"), {
+    "1 0": "4/1", "1 1": "-2/1", "2 0": "-9/2"})))
+# codazzi and initial-slices:
+@example(case=("statistical", ("replace", OUTPUT_METRIC_22, {
+    "0 0 0": "1/1", "0 1 0": "2/1", "1 0 0": "4/1", "1 0 1": "1/1", "1 1 0": "4/1",
+    "2 0 0": "1/2"})))
+# codazzi, volume-determinant and initial-slices:
+@example(case=("trace-free-statistical-2d", ("replace", OUTPUT_METRIC_22, {
+    "0 0": "1/1", "0 1": "1/1", "2 0": "6/1"})))
 @given(case=MUTATED_REPORTS)
 def test_verify_on_mutated_reports_keeps_the_exit_contract(tmp_path_factory, case):
     name, mutation = case

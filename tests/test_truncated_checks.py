@@ -5,7 +5,9 @@ also equal to the written-out oracle `ref_ricci` truncated to k, on symmetric
 and general tables, and to the uncancelled quadratic form that
 `ref_uncancelled_ricci` keeps. The Ricci checks at an order k, which compare
 each component with the prescribed r without forming a residual jet, pass
-exactly when the full residual jets vanish to degree k."""
+exactly when the full residual jets vanish to degree k. `is_ricci` and
+`is_codazzi`, which stop at the first component that differs, give the
+verdict of comparing every component of the whole tensor."""
 
 from fractions import Fraction
 
@@ -17,6 +19,8 @@ from jetgeom import (
     Jet,
     Metric,
     divergence_form,
+    is_codazzi,
+    is_ricci,
     lambda_term,
     levi_civita,
     metric_inverse,
@@ -340,3 +344,93 @@ def test_metric_ricci_residual_needs_the_symbols_one_order_up(cap):
         for k in range(cap + 1):
             assert vanishes_to(full.comps, r, k) == (k < d)
             assert _metric_ricci_residual(report, k) == (k < d)
+
+
+# ---------------------------------------------------------------------------
+# the lazy residual checks: `is_ricci` and `is_codazzi` compare each
+# component as it is formed and stop at the first that differs; the verdict
+# is the comparison of every component of the whole tensor
+
+
+def bumped(jet: Jet, degree: int) -> Jet:
+    """jet with 1/7 added to its x1^degree coefficient."""
+    terms = dict(jet.terms())
+    exps = (degree,) + (0,) * (jet.n - 1)
+    terms[exps] = terms.get(exps, 0) + Fraction(1, 7)
+    return Jet.from_terms(jet.n, jet.max_degree, terms, jet.valid_order)
+
+
+def eager_ricci(conn: Connection, r: Bilinear, k: int) -> bool:
+    return all(jet.eq_up_to(r.comps[key], k) for key, jet in ricci(conn, k).comps.items())
+
+
+def eager_codazzi(conn: Connection, g: Metric, k: int) -> bool:
+    ng, n = nabla_g(conn, g, k).comps, conn.n
+    return all(
+        ng[(i, j, l)].eq_up_to(ng[(j, i, l)], k)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for l in range(i, n + 1)
+    )
+
+
+TABLE_KINDS = ("general", "symmetric", "mirrors apart")
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in TABLE_KINDS for n in (2, 3, 4)])
+def test_is_ricci_agrees_with_every_component_compared(kind, n):
+    # r is Ric itself, then off by 1/7 at one component, at every position in
+    # loop order, at degree k (seen at order k) and k + 1 (not seen)
+    cap = 3
+    conn = guard_connection(kind, n, cap, False)
+    exact = ricci(conn)
+    keys = list(exact.comps)
+    for k in range(cap):
+        assert is_ricci(conn, exact, k) and eager_ricci(conn, exact, k)
+        for key in keys:
+            for d in (k, k + 1):
+                r = Bilinear(n, exact.comps | {key: bumped(exact.comps[key], d)})
+                assert is_ricci(conn, r, k) == eager_ricci(conn, r, k) == (d > k), (key, k, d)
+
+
+def codazzi_pair(kind: str, n: int, cap: int) -> tuple[Connection, Metric]:
+    """The Levi-Civita connection of a metric, where nabla g = 0, as a
+    general table (its jets, flag cleared), a symmetric one (one jet per
+    mirror pair) or one with mirrors apart (G^k_ji, i < j, re-tagged to a
+    lower valid order)."""
+    g = metric(n, cap)
+    gamma = dict(levi_civita(g).gamma)
+    if kind == "mirrors apart":
+        for k, i, j in list(gamma):
+            if i < j:
+                gamma[(k, j, i)] = gamma[(k, i, j)].with_valid_order(cap - 1)
+    return Connection(n, gamma, kind != "general"), g
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in TABLE_KINDS for n in (2, 3, 4)])
+def test_is_codazzi_agrees_with_every_component_compared(kind, n):
+    # a Codazzi pair, then one symbol or one metric entry off by 1/7 at x1^k,
+    # the first, middle and last entry of the table in loop order (both
+    # mirror entries of a symmetric table)
+    cap = 3
+    conn, g = codazzi_pair(kind, n, cap)
+    symbols, entries = list(conn.gamma), [(i, j) for i, j in g.comps if i <= j]
+    seen = set()
+    for k in range(cap):
+        assert is_codazzi(conn, g, k) and eager_codazzi(conn, g, k)
+        for pick in (0, len(symbols) // 2, -1):
+            s, i, j = symbols[pick]
+            mirrors = {(s, i, j), (s, j, i)} if conn.symmetric else {(s, i, j)}
+            gamma = conn.gamma | {key: bumped(conn.gamma[key], k) for key in mirrors}
+            if kind == "symmetric":
+                gamma[(s, j, i)] = gamma[(s, i, j)]
+            moved = Connection(n, gamma, conn.symmetric)
+            seen.add(is_codazzi(moved, g, k))
+            assert is_codazzi(moved, g, k) == eager_codazzi(moved, g, k), (symbols[pick], k)
+        for pick in (0, len(entries) // 2, -1):
+            i, j = entries[pick]
+            moved = Metric(n, {key: jet for key, jet in g.comps.items() if key[0] <= key[1]}
+                           | {(i, j): bumped(g.comps[(i, j)], k)})
+            seen.add(is_codazzi(conn, moved, k))
+            assert is_codazzi(conn, moved, k) == eager_codazzi(conn, moved, k), (entries[pick], k)
+    assert seen == {True, False}

@@ -81,20 +81,21 @@ its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_ck_solve` solves it from the blocks of `_determined_blocks`, one per
 lower index pair, in an order that makes the layer-0 coefficient matrix, of
 (n - 1)-variable jets, block lower triangular (the rule is in
-`_codazzi_spec`'s docstring). Each diagonal block, of at most n - 2 rows, is
-inverted once, at layer 0, and the solve writes the blocks as derived rows:
-the gap of each row, then each symbol as minus the block's inverse times
-the gaps. So layer t of the symbols is a forward substitution, block by
-block: minus the block's inverse times layer t of its gaps, evaluated on a
-table that holds layer t of the symbols of earlier blocks and not yet that
-of its own. No build runs a full-size jet elimination;
-`solve_determined_christoffels` runs the same solve over given tables.
+`_codazzi_spec`'s docstring). Of each diagonal block, of at most n - 2
+rows, only the constant matrix is inverted, over Q, once, at layer 0. Layer
+t of the symbols is then a forward substitution, block by block: the
+block's rows evaluated at layer t on a table that holds layer t of the
+symbols of earlier blocks and not yet that of its own, and the block's
+symbols solved from them degree by degree in the n - 1 variables against
+the constant matrix. No build inverts a jet matrix or runs a full-size jet
+elimination; `solve_determined_christoffels` runs the same solve over given
+tables.
 `_codazzi_metric` holds the one assembly; the
 builders differ only in the fixed entries (the Christoffel table, and g11
 where it is given), the blocks and the initial slices.
 trace-free-statistical-2d fixes nu^2 in place of g11 and solves
 g11 g22 - g12^2 - nu^2 = 0, which is linear in g11, as a one-key block, so
-no first-order build takes a full-size reciprocal.
+no first-order build takes a reciprocal in its solve.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ from .geometry import (
     Connection,
     Metric,
     OneForm,
-    _gauss_jordan,
     _torsion_trace_components,
     divergence_form,
     is_codazzi,
@@ -131,8 +131,8 @@ from .geometry import (
     split,
 )
 from .jets import (
-    Jet, SliceJet, _accumulate, _reduced, as_fraction, product_sum,
-    random_poly,
+    Jet, SliceJet, _accumulate, _linear_factor, _reduced, _solve_linear_by_degree,
+    as_fraction, product_sum, random_poly,
 )
 
 HALF = Fraction(1, 2)
@@ -864,15 +864,17 @@ def _padded(jet: Jet, cap: int) -> Jet:
     return Jet._from_nums(jet.n, cap, nums, jet.den, jet.valid_order)
 
 
-def _degrees(rests: Mapping, derived: Mapping, outputs, cap: int) -> dict:
-    """The degree of each unknown and derived entry by `_ck_solve`'s rule (0
-    for no reader): D for an output, else the largest degree its readers
-    need, at most D. An entry's readers mostly come after it, so each pass
-    reads the rests first, each to its unknown's degree - 1, then the derived
-    entries in reverse, each to its degree so far. An unknown's rest reads
-    the unknowns and a block's gaps read the block's keys, which come after
-    them, so the pass is repeated, the needs kept, from 0 (D for an output)
-    until no degree moves: the least degrees that all readers allow."""
+def _degrees(rests: Mapping, derived: Mapping, outputs, cap: int, blocks=()) -> dict:
+    """The degree of each unknown, derived entry and block key by
+    `_ck_solve`'s rule (0 for no reader): D for an output, else the largest
+    degree its readers need, at most D, and every key of a block the largest
+    degree of any of them. An entry's readers mostly come after it, so each
+    pass reads the rests first, each to its unknown's degree - 1, then the
+    blocks and the derived entries in reverse, a block's rows to its degree
+    and a derived row to its entry's degree so far. An unknown's rest reads
+    the unknowns, which come after them, so the pass is repeated, the needs
+    kept, from 0 (D for an output) until no degree moves: the least degrees
+    that all readers allow."""
     need: dict = {}
 
     def read(row, k):
@@ -889,6 +891,13 @@ def _degrees(rests: Mapping, derived: Mapping, outputs, cap: int) -> dict:
     while True:
         for key, (_, row) in rests.items():
             read(row, degrees[key] - 1)
+        for keys, rows in reversed(blocks):
+            k = max(map(degree, keys))
+            for key in keys:
+                need[key] = max(need.get(key, 0), k)
+                degrees[key] = k
+            for row in rows:
+                read(row, k)
         for target in reversed(derived):
             degrees[target] = degree(target)
             read(derived[target], degrees[target])
@@ -896,57 +905,6 @@ def _degrees(rests: Mapping, derived: Mapping, outputs, cap: int) -> dict:
         if moved == degrees:
             return degrees
         degrees = moved
-
-
-class _Inner(tuple):
-    """The key of an entry `_ck_solve` makes for itself: (b, i) for the gap
-    of row i of block b, (b, i, j) for entry (i, j) of the inverse of that
-    block's layer-0 matrix. Its type takes part in equality, so as a table
-    key it equals no caller's key."""
-
-    def __eq__(self, other):
-        return type(other) is _Inner and tuple.__eq__(self, other)
-
-    __hash__ = tuple.__hash__
-
-
-def _block_rows(blocks) -> dict:
-    """The blocks as derived rows, block by block: the gap of each row of a
-    block, which is the row itself, then each key i of the block as
-    -sum_j inv_ij gap_j, inv_ij the fixed entries of `_block_inverses`."""
-    derived: dict = {}
-    for b, (keys, rows) in enumerate(blocks):
-        gaps = [_Inner((b, i)) for i in range(len(rows))]
-        derived.update(zip(gaps, rows))
-        for i, key in enumerate(keys):
-            products = tuple((-1, _Inner((b, i, j)), gap) for j, gap in enumerate(gaps))
-            derived[key] = _Row(products=products)
-    return derived
-
-
-def _block_inverses(blocks, table: Mapping, n: int, cap: int) -> dict:
-    """Entry (i, j) of B^-1, for each diagonal block B of M0, layer 0 of the
-    blocks' matrix on the table (see `_ck_solve`), by `geometry._gauss_jordan`
-    augmented by the identity: an x1-independent jet of workspace (n, cap)
-    under the key _Inner((b, i, j)) of block b. The whole cost of the blocks
-    beyond their layer evaluations is this one call."""
-    zero = Jet.zero(n - 1, cap)
-    inverses = {}
-    for b, (keys, rows) in enumerate(blocks):
-        matrix = []
-        for i, row in enumerate(rows):
-            terms: dict = {key: [] for key in keys}
-            for c, x, y in row.products:
-                if x in keys:
-                    terms[x].append((c, table[y].restrict_x1().jet))
-            matrix.append(
-                [product_sum(linear=t) if t else zero for t in terms.values()]
-                + [Jet.constant(int(i == j), n - 1, cap) for j in range(len(keys))]
-            )
-        for i, row in enumerate(_gauss_jordan(matrix)):
-            for j, entry in enumerate(row[len(keys):]):
-                inverses[_Inner((b, i, j))] = SliceJet(entry).promote()
-    return inverses
 
 
 def _ck_solve(
@@ -963,56 +921,60 @@ def _ck_solve(
     the fixed keys, as (u)_1 = -s * (rest of the row) on one table: the fixed
     entries, the unknowns, each derived entry as the sum of its row on the
     entries before it, and the block keys. A derived row too takes
-    x1-derivatives only of the fixed keys. Return that table of the solution:
-    the outputs to order D (the builders have required the initial slices
-    valid to D), every other entry to its degree; (n, D) is the workspace of
-    the fixed entries and the unknowns. outputs are the keys the caller
-    reads back.
+    x1-derivatives only of the fixed keys. Return that table of the solution,
+    the caller's keys only: the outputs to order D (the builders have
+    required the initial slices valid to D), every other entry to its degree;
+    (n, D) is the workspace of the fixed entries and the unknowns. outputs
+    are the keys the caller reads back.
 
     The blocks are (keys, rows) pairs, as many rows as keys, of algebraic
     rows that take no x1-derivative and hold the block keys only as the
     first factor of product atoms, whose second factor is a fixed key or an
     unknown: row i reads sum_j M_ij key_j + rest_i = 0. A row reads keys of
-    its own block and of earlier blocks only, so layer 0 of M, M0, a matrix
-    of (n - 1)-variable jets, is block lower triangular in block order.
-    Layer t of M key_j is M0 (key_j layer t) plus products of layers < t of
-    key_j. The blocks become derived entries after the caller's
-    (`_block_rows`): the gap of each row, which is the row, then each key i
-    as -sum_j inv_ij gap_j, with inv_ij the entries of B^-1 for the block's
-    diagonal block B of M0, formed once at layer 0, before any derived
-    layer, as fixed x1-independent jets (`_block_inverses`). Layer t of a gap
-    is written while layer t of its block's keys is still zero, and an
-    x1-independent factor contributes only its layer 0, so layer t of the
-    keys is -B^-1 times layer t of the gaps: a forward substitution, block by
-    block. The gaps and the inverse entries are not returned.
+    its own block and of earlier blocks only, so layer 0 of M, a matrix of
+    (n - 1)-variable jets, is block lower triangular in block order. At
+    layer 0, before any derived layer is written, the solve forms the
+    diagonal block B of each block from the coefficient rows of its keys
+    and inverts only B's constant matrix, over Q (`jets._linear_factor`).
+    Layer t of M key_j is B (key_j layer t) plus products of layers < t of
+    key_j, and the other blocks' keys and the rests are known through layer
+    t. So the block rows' layer t, evaluated after the caller's derived
+    entries while the keys' own layer t is still zero, is the Y of
+    B X + Y = 0, and X, solved degree by degree in the n - 1 variables
+    against the constant matrix (`jets._solve_linear_by_degree`), is layer
+    t of the keys: a forward substitution, block by block, with no jet
+    inverse.
 
     Each entry is formed only to the degree its readers need (`_degrees`).
     An output gets D; any other unknown or derived entry gets the largest
     degree a reader needs: the reader's own, one more where it
-    differentiates along an axis >= 2, at most D. Layer t + 1 of an unknown
-    of degree k has one degree less room than layer t, so its rest is formed
-    to k - 1, and an unknown's initial slice is cut to k. An entry formed to
-    degree k is written at layers 0..k only, to degree k, and an unknown is
-    valid to k. A derived entry is valid to the valid order that
-    `jets._accumulate` gives its layer 0, min(k, the valid order of its
-    row's atoms), a gap counting its block's keys, still zero, as exact:
-    every entry's valid order is fixed after its layer-0 write, and a block
-    key's is the one an elimination of the full-size system gives it.
+    differentiates along an axis >= 2, at most D; the keys of a block share
+    the largest degree of any of them. Layer t + 1 of an unknown of degree
+    k has one degree less room than layer t, so its rest is formed to k - 1,
+    and an unknown's initial slice is cut to k. An entry formed to degree k
+    is written at layers 0..k only, to degree k, and an unknown is valid to
+    k. A derived entry is valid to the valid order that `jets._accumulate`
+    gives its layer 0, min(k, the valid order of its row's atoms), and a
+    block key to the least valid order it gives the block's rows at layer
+    0, their keys, still zero, counted as exact; B's entries are atoms of
+    those rows. Every entry's valid order is fixed after its layer-0 write,
+    and a block key's is the one an elimination of the full-size system
+    gives it.
 
     The solution is built one x1-layer at a time: with the unknowns known
-    through layer t, layer t of each derived entry is written from
-    `jets._accumulate` on its row, which reads layers <= t of a product's
-    factors, layer t of a linear atom or of a derivative along an axis >= 2,
-    and layer t + 1 of a fixed key under an x1-derivative. Layer t of each
-    rest then needs only layers <= t of the table, and layer t + 1 of the
-    unknown is -s * (that layer) / (t + 1). Each write reduces only the
-    layer it writes (`_write_layer`): every position it writes is zero
-    before, and a sum of reduced parts over the lcm of their denominators is
-    reduced. After layers 1..D this is the unique truncated solution, the
-    one that D + 1 Picard rounds of `ck.solve_first_order` reach, every
-    derived entry of the caller is the full-size sum of its row on it and
-    the block keys are the full-size elimination of their rows on it, each
-    entry truncated to its degree."""
+    through layer t, layer t of each derived entry and then of each block's
+    keys is written from `jets._accumulate` on its rows, which reads layers
+    <= t of a product's factors, layer t of a linear atom or of a derivative
+    along an axis >= 2, and layer t + 1 of a fixed key under an
+    x1-derivative. Layer t of each rest then needs only layers <= t of the
+    table, and layer t + 1 of the unknown is -s * (that layer) / (t + 1).
+    Each write reduces only the layer it writes (`_write_layer`): every
+    position it writes is zero before, and a sum of reduced parts over the
+    lcm of their denominators is reduced. After layers 1..D this is the
+    unique truncated solution, the one that D + 1 Picard rounds of
+    `ck.solve_first_order` reach, every derived entry of the caller is the
+    full-size sum of its row on it and the block keys are the full-size
+    elimination of their rows on it, each entry truncated to its degree."""
     rests = _ck_rows(equations, fixed)
     for target, row in derived.items():
         consumed = _x1_consumed(row.derivatives, fixed)
@@ -1022,6 +984,7 @@ def _ck_solve(
             )
     solved = tuple(key for keys, _ in blocks for key in keys)
     later = set(solved)
+    coefficients = []
     for keys, rows in blocks:
         later.difference_update(keys)
         for row in rows:
@@ -1031,28 +994,39 @@ def _ck_solve(
                 raise AssertionError(
                     f"{row} is not linear in {solved} or takes an x1-derivative"
                 )
-            # the inverses are formed before any derived layer is written
+            # the layer-0 matrix is formed before any derived layer is written
             early = [y for _, _, y in row.products if y in derived]
             if early:
                 raise AssertionError(f"{row} holds the derived entry {early[0]} as a factor")
             ahead = [x for _, x, _ in row.products if x in later]
             if ahead:
                 raise AssertionError(f"{row} holds {ahead[0]} of a later block")
-    derived = {**derived, **_block_rows(blocks)}
+        # entry (i, j): the coefficient row of key j in row i
+        coefficients.append([
+            [_Row(tuple((c, y) for c, x, y in row.products if x == key)) for key in keys]
+            for row in rows
+        ])
     values = {key: initial[key].promote() for key in equations}
     shapes = {(jet.n, jet.max_degree) for jet in (*fixed.values(), *values.values())}
     if len(shapes) != 1:
         raise DimensionMismatchError(f"table entries in workspaces {sorted(shapes)}")
     [(n, cap)] = shapes
-    degrees = _degrees(rests, derived, frozenset(outputs), cap)
+    degrees = _degrees(rests, derived, frozenset(outputs), cap, blocks)
     values = {key: _padded(jet.truncate(degrees[key]), cap) for key, jet in values.items()}
-    values.update((key, Jet.zero(n, cap)) for key in derived)
+    values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
     valid: dict = {}
     for t in range(cap + 1):
         try:
-            if t == 0:
-                values.update(_block_inverses(blocks, {**fixed, **values}, n, cap))
             table = {**fixed, **values}
+            if t == 0:
+                factors = []
+                for (keys, _), matrix in zip(blocks, coefficients):
+                    k = degrees[keys[0]]
+                    entries = [
+                        [_accumulate(n, *_terms(c, table), k, 0)[:2] for c in row]
+                        for row in matrix
+                    ]
+                    factors.append(_linear_factor(entries, n - 1, k))
             for target, row in derived.items():
                 k = degrees[target]
                 if t > k:
@@ -1063,8 +1037,20 @@ def _ck_solve(
                 table[target] = values[target] = _write_layer(
                     values[target], mi.x1_layers(n, k)[t], nums, den, valid[target]
                 )
+            for (keys, rows), factor in zip(blocks, factors):
+                k = degrees[keys[0]]
+                if t > k:
+                    continue
+                layers = [_accumulate(n, *_terms(row, table), k, t) for row in rows]
+                if t == 0:
+                    valid.update(dict.fromkeys(keys, min(v for *_, v in layers)))
+                solution, den = _solve_linear_by_degree(factor, [y[:2] for y in layers], k - t)
+                for key, nums in zip(keys, solution):
+                    table[key] = values[key] = _write_layer(
+                        values[key], mi.x1_layers(n, k)[t], nums, den, valid[key]
+                    )
             if t == cap:
-                return {key: jet for key, jet in table.items() if not isinstance(key, _Inner)}
+                return table
             sums = {
                 key: _accumulate(n, *_terms(row, table), degrees[key] - 1, t)
                 for key, (_, row) in rests.items()
@@ -1517,7 +1503,8 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     """Statistical structure in dimension n >= 3: the metric components solve
     the CK rows of the Codazzi gap while the solve writes, at every x1-layer,
     that layer of the determined Christoffel symbols from the blocks of the
-    algebraic gaps."""
+    algebraic gaps, each block solved degree by degree against the inverse
+    of its constant matrix, with no jet inverse."""
     _record("statistical", n)
     g11 = fd.free_functions.get(metric_slot(1, 1))
     if g11 is None:

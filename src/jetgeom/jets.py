@@ -25,7 +25,10 @@ index maps its loops read. `product_sum` reduces the whole jet once, and
 `Jet.__mul__`, `+`, `-` and `partial` are its small cases; the
 Cauchy-Kowalevski solve of `builders` reads one layer at a time. A reduced
 jet is unique, so the sum is the same jet as the composed sum of reduced
-terms, truncated to k.
+terms, truncated to k. The solve's algebraic blocks, square jet-linear
+systems B X + Y = 0, are solved degree by degree against the inverse of
+B's constant matrix over Q (`_linear_factor`, `_solve_linear_by_degree`),
+their products through `_mul_layer` too.
 """
 
 from __future__ import annotations
@@ -107,6 +110,79 @@ def _solve_by_degree(rows, g: list, f0: int, divisors: list) -> list:
                 if gs:
                     f[rc] += gs * fr
     return f
+
+
+@lru_cache(maxsize=None)
+def _degree_spans(n: int, cap: int) -> tuple[tuple[tuple, tuple], ...]:
+    """For each degree g of workspace (n, cap): the (r, r) pairs of its ranks
+    r, and the (s, pairs) spans of `product_rows` with s of degree >= 1 and
+    pairs the (r, rc) of those ranks, which land on degrees above g."""
+    rows, degrees = mi.product_rows(n, cap), mi.degree_of(n, cap)
+    out = []
+    for g in range(cap + 1):
+        ranks = range(bisect_right(degrees, g - 1), bisect_right(degrees, g))
+        spans = [(s, tuple(p for p in rows[s] if degrees[p[0]] == g)) for s in range(1, len(rows))]
+        out.append((tuple((r, r) for r in ranks), tuple(span for span in spans if span[1])))
+    return tuple(out)
+
+
+def _linear_factor(matrix: list, n: int, cap: int) -> tuple:
+    """The square matrix B of jets in workspace (n, cap), each entry given as
+    (numerators, denominator), prepared once for every later
+    `_solve_linear_by_degree`: B = N / d over one denominator d; -A / q, the
+    inverse over Q of the constant matrix N(0), by Gauss-Jordan over
+    Fractions (the pivot of each column the first remaining row with a
+    nonzero entry), with A integer and q > 0 the least common denominator of
+    its entries (the adjugate over the determinant, reduced); and each entry
+    of N with its constant term dropped, None where N is constant. Raises
+    SingularJetError when N(0) is singular."""
+    d, m = lcm(*(den for row in matrix for _, den in row)), len(matrix)
+    scaled = [[[v * (d // den) for v in nums] for nums, den in row] for row in matrix]
+    rows = [
+        [Fraction(entry[0]) for entry in row] + [Fraction(int(i == j)) for j in range(m)]
+        for i, row in enumerate(scaled)
+    ]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            raise SingularJetError("jet matrix not invertible at the origin")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col] = [x / rows[col][col] for x in rows[col]]
+        rows = [r if r is top else [a - r[col] * b for a, b in zip(r, top)] for r in rows]
+    q = lcm(*(x.denominator for row in rows for x in row[m:]))
+    inverse = [[-x.numerator * (q // x.denominator) for x in row[m:]] for row in rows]
+    nonconstant = [[[0, *entry[1:]] if any(entry[1:]) else None for entry in row] for row in scaled]
+    return n, inverse, q, d, nonconstant
+
+
+def _solve_linear_by_degree(factor, rhs: list, cap: int) -> tuple[list, int]:
+    """(numerators per unknown, one denominator) of the X with B X + Y = 0 to
+    degree cap <= the factor's cap, Y given as one (numerators, denominator)
+    per row in workspace (n, cap), B of the `_linear_factor` factor. In the
+    ranks' graded order, X_r = -C^-1 (Y_r + sum_{s != 0} B_s X_{r - s}) with
+    C = B_0 (Brent & Kung 1978), on integers: with B = N / d, N_0^-1 = A / q
+    and Y = U / e over one e, Z_r = X_r e q^(cap + 1) is
+    -A (d q^(cap + 1) U_r + sum_s N_s Z_{r-s}) / q, an exact division. The
+    sums are accumulated degree by degree: the finished ranks of degree g are
+    pushed through their product spans onto higher degrees, and every
+    product runs through `_mul_layer`."""
+    n, neg_inverse, q, d, matrix = factor
+    e, top = lcm(*(den for _, den in rhs)), q ** (cap + 1)
+    acc = [[d * top * (e // den) * v for v in nums] for nums, den in rhs]
+    z = [[0] * len(row) for row in acc]
+    for diagonal, spans in _degree_spans(n, cap):
+        for zi, row in zip(z, neg_inverse):
+            for a, acc_j in zip(row, acc):
+                if a:
+                    _mul_layer(((0, diagonal),), (a,), acc_j, 1, zi)
+            if q != 1:
+                for r, _ in diagonal:
+                    zi[r] //= q
+        for acc_i, row in zip(acc, matrix):
+            for entry, zj in zip(row, z):
+                if entry is not None:
+                    _mul_layer(spans, entry, zj, 1, acc_i)
+    return z, e * top
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,12 @@ diagonal 2D metric (`_ricci_11_diagonal_2d`, also the reference of
 `geometry.sectional_curvature_2d`) and full-size reciprocals at every
 evaluation.
 The closed-form Christoffel symbols of a diagonal 2D metric check the general
-Levi-Civita elimination. The Fraction jet kernel (one Fraction per stored
-coefficient, the product through the product_rank dictionary, Newton
+Levi-Civita elimination. `RefChart` is a polynomial change of coordinates
+y = phi(x) on the Fraction kernel: composition with phi, the Jacobian J and
+its inverse by a Neumann series, and the pullbacks of a bilinear form and
+of a connection, which the covariance tests hold `geometry` to. The
+Fraction jet kernel (one Fraction per stored coefficient, the product
+through the product_rank dictionary, Newton
 reciprocal, Horner exp, the radial homotopy) is the reference for the
 integer kernel of jetgeom.jets, and the Fraction jet serialization (`int`
 on each key part, `Fraction` on each coefficient) for the integer writer
@@ -461,6 +465,148 @@ def ref_exp(a: Jet) -> Jet:
         acc = [c / k for c in _mul_raw(n, cap, coeffs, tuple(acc))]
         acc[0] += 1
     return _like(a, acc, a.valid_order)
+
+
+# ---------------------------------------------------------------------------
+# polynomial changes of coordinates on the Fraction kernel
+
+
+def _ref_sum(jets) -> Jet:
+    """The sum of the jets, one Fraction sum per coefficient."""
+    jets = list(jets)
+    coeffs = [sum(column) for column in zip(*(jet.coeffs for jet in jets))]
+    return _like(jets[0], coeffs, min(jet.valid_order for jet in jets))
+
+
+def ref_composition(phi: list[Jet]):
+    """The map f -> f o phi on jets of phi's workspace, for the polynomial
+    map y = phi(x) of components phi[0..n-1] with phi(0) = 0: sum_e f_e phi^e,
+    each monomial phi^e formed once by `ref_mul`. phi has no constant term,
+    so a coefficient of f of degree m reaches only degrees >= m, and f o phi
+    is valid to f's valid order."""
+    n, cap = phi[0].n, phi[0].max_degree
+    if any(p.nums[0] for p in phi):
+        raise ValueError("phi(0) != 0")
+    exps, ranks = mi.exponents(n, cap), mi.rank_of(n, cap)
+    monomials = [Jet.one(n, cap)]
+    for e in exps[1:]:
+        p = next(k for k, x in enumerate(e) if x)
+        lower = e[:p] + (e[p] - 1,) + e[p + 1:]
+        monomials.append(ref_mul(phi[p], monomials[ranks[lower]]))
+    monomials = [monomial.coeffs for monomial in monomials]
+
+    def compose(f: Jet) -> Jet:
+        out = [Fraction(0)] * len(exps)
+        for c, monomial in zip(f.coeffs, monomials):
+            if c:
+                for r, x in enumerate(monomial):
+                    if x:
+                        out[r] += c * x
+        return Jet(n, cap, out, f.valid_order)
+
+    return compose
+
+
+def _fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan."""
+    m = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(matrix)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(m):
+            if r != col:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[m:] for row in rows]
+
+
+def ref_jacobian(phi: list[Jet]) -> tuple[list[list[Jet]], list[list[Jet]]]:
+    """(J, J^-1) of the polynomial map phi: J[p][a] = d phi^p / dx^(a+1),
+    exact (phi is a polynomial stored whole), and its inverse by the
+    Neumann series sum_k (-K)^k J(0)^-1 with K = J(0)^-1 (J - J(0)), which
+    ends at degree D since K has no constant term."""
+    n, cap = phi[0].n, phi[0].max_degree
+    jac = [[ref_partial(p, a).with_valid_order(cap) for a in range(1, n + 1)] for p in phi]
+    c0 = _fraction_inverse([[entry.coeffs[0] for entry in row] for row in jac])
+    const = [[Jet.constant(x, n, cap) for x in row] for row in c0]
+
+    def matmul(a, b):
+        return [
+            [_ref_sum(ref_mul(a[i][k], b[k][j]) for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+
+    shifted = [
+        [ref_sub(entry, Jet.constant(entry.coeffs[0], n, cap)) for entry in row] for row in jac
+    ]
+    minus_k = [[ref_scale(entry, Fraction(-1)) for entry in row] for row in matmul(const, shifted)]
+    term, inverse = const, const
+    for _ in range(cap):
+        term = matmul(minus_k, term)
+        inverse = [[ref_add(a, b) for a, b in zip(x, y)] for x, y in zip(inverse, term)]
+    return jac, inverse
+
+
+class RefChart:
+    """The polynomial change of coordinates y = phi(x), phi(0) = 0 and J(0)
+    invertible, and the pullbacks by it, on the Fraction kernel:
+    `ref_composition` and `ref_jacobian`, each formed once."""
+
+    def __init__(self, phi: list[Jet]):
+        self.n, self.cap = len(phi), phi[0].max_degree
+        self.compose = ref_composition(phi)
+        self.jac, self.inverse = ref_jacobian(phi)
+
+    def _contracted(self, composed: dict) -> dict:
+        """sum_{p,q} J^p_a J^q_b composed[(*head, p, q)] at every (*head, a,
+        b), the sum over p first, J the first factor of each product."""
+        rng, jac = range(1, self.n + 1), self.jac
+        heads = {key[:-2] for key in composed}
+        half = {
+            (*h, a, q): _ref_sum(ref_mul(jac[p - 1][a - 1], composed[(*h, p, q)]) for p in rng)
+            for h in heads
+            for a in rng
+            for q in rng
+        }
+        return {
+            (*h, a, b): _ref_sum(ref_mul(jac[q - 1][b - 1], half[(*h, a, q)]) for q in rng)
+            for h in heads
+            for a in rng
+            for b in rng
+        }
+
+    def bilinear(self, comps: dict) -> dict:
+        """(B o phi)(J., J.): B'_ab = sum_{p,q} J^p_a J^q_b (B_pq o phi)."""
+        return self._contracted({key: self.compose(jet) for key, jet in comps.items()})
+
+    def connection(self, conn: Connection) -> Connection:
+        """phi*nabla in the x coordinates, with G^k_ij the coefficient of d_k
+        in nabla_(d_i) d_j as `geometry.ricci` reads it: nabla'_(d_a) d_b =
+        nabla_(J d_a) (J d_b), so
+
+            G'^c_ab = (J^-1)^c_r [d_a d_b phi^r + sum_{p,q} J^p_a J^q_b (G^r_pq o phi)],
+
+        valid to the least valid order of the table (J, J^-1 and d^2 phi are
+        exact). A symmetric table gives a symmetric one, one jet per mirror
+        pair as `Connection.from_symmetric` gives it."""
+        rng = range(1, self.n + 1)
+        tensor = self._contracted({key: self.compose(jet) for key, jet in conn.gamma.items()})
+        inner = {
+            (r, a, b): ref_add(
+                ref_partial(self.jac[r - 1][a - 1], b).with_valid_order(self.cap), jet
+            )
+            for (r, a, b), jet in tensor.items()
+        }
+        gamma = {
+            (c, a, b): _ref_sum(ref_mul(self.inverse[c - 1][r - 1], inner[(r, a, b)]) for r in rng)
+            for c in rng
+            for a in rng
+            for b in rng
+        }
+        if conn.symmetric:
+            return Connection.from_symmetric(self.n, gamma)
+        return Connection(self.n, gamma)
 
 
 # ---------------------------------------------------------------------------

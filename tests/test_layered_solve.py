@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import jetgeom.builders as builders_module
+import jetgeom.geometry as geometry_module
 import jetgeom.jets as jets_module
 from ck_seam import capture_ck_solves, to_degree
 from jetgeom import (
@@ -34,7 +35,6 @@ from jetgeom.builders import (
     BuildReport,
     _Row,
     _all_pair_keys,
-    _block_rows,
     _checked,
     _ck_rows,
     _ck_solve,
@@ -94,8 +94,7 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
     [(system, args, table)] = calls
     equations, fixed, derived, _, outputs, blocks = (*args, ())[:6]
     picard = solve_first_order(system).values
-    inner = _block_rows(blocks)
-    degrees = _degrees(_ck_rows(equations, fixed), {**derived, **inner}, frozenset(outputs), cap)
+    degrees = _degrees(_ck_rows(equations, fixed), derived, frozenset(outputs), cap, blocks)
     # an unknown that is not an output (metric-2d's p and w) is cut to its degree
     for key in equations:
         assert table[key].same_payload(to_degree(picard[key], degrees[key])), key
@@ -110,17 +109,11 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
     rows = [row for _, block_rows in blocks for row in block_rows]
     assert bool(keys) == (tag in ("statistical", "trace-free-statistical-2d"))
     full.update(ref_linear_solve(keys, rows, full))
-    # the solve's own gap entries, one per block row, share the degree of
-    # their block's keys and are not returned
-    gaps = {key: row for key, row in inner.items() if key not in set(keys)}
-    assert list(gaps.values()) == rows
-    assert set(degrees) == set(equations) | set(derived) | set(keys) | set(gaps)
-    for b, (block_keys, _) in enumerate(blocks):
-        shared = {degrees[key] for key in block_keys} | {degrees[g] for g in gaps if g[0] == b}
-        assert len(shared) == 1, block_keys
-    for key in gaps:
-        assert key not in table
-        del degrees[key]
+    # every key of a block shares one degree, and the solve returns only the
+    # caller's keys
+    assert set(degrees) == set(equations) | set(derived) | set(keys)
+    for block_keys, _ in blocks:
+        assert len({degrees[key] for key in block_keys}) == 1, block_keys
     for key, k in degrees.items():
         if key in outputs:
             assert k == cap and table[key].same_payload(full[key]), key
@@ -234,14 +227,16 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
         assert solved[key].same_payload(full[key]), key
 
 
-def random_block_system(seed: int) -> tuple[dict, list]:
+def random_block_system(seed: int, size: int = 2) -> tuple[dict, list]:
     """A fixed table in workspace (n, D), n = 2..3 and D = 1..4, each entry
-    valid to a random order, and 1-3 blocks of one or two keys. Row i of a
+    valid to a random order, and 1-3 blocks of 1..size keys. Row i of a
     block holds key i times an entry of constant term 5 or -5 and every
     other key of its block times an entry of constant term in [-1, 1], so
-    the layer-0 matrix is invertible; its rest is linear, derivative (along
-    x2) and product atoms of the fixed entries, and a later block's row may
-    read a key of an earlier block as a product factor."""
+    the layer-0 matrix is invertible and its constant matrix, diagonally
+    dominant, has a determinant other than +-1; its rest is linear,
+    derivative (along x2) and product atoms of the fixed entries, and a
+    later block's row may read a key of an earlier block as a product
+    factor."""
     rng = random.Random(seed)
     n, cap = rng.randint(2, 3), rng.randint(1, 4)
 
@@ -252,7 +247,7 @@ def random_block_system(seed: int) -> tuple[dict, list]:
 
     fixed, blocks, earlier = {}, [], []
     for b in range(rng.randint(1, 3)):
-        keys = [("x", b, i) for i in range(rng.randint(1, 2))]
+        keys = [("x", b, i) for i in range(rng.randint(1, size))]
         rows = []
         for i, key in enumerate(keys):
             products = []
@@ -272,31 +267,93 @@ def random_block_system(seed: int) -> tuple[dict, list]:
     return fixed, blocks
 
 
-@pytest.mark.parametrize("seed", range(200))
+def constant_matrix(block, fixed) -> list[list[Fraction]]:
+    """The constant matrix of a block of `random_block_system`."""
+    keys, rows = block
+    matrix = [[Fraction(0)] * len(keys) for _ in rows]
+    for i, row in enumerate(rows):
+        for c, x, y in row.products:
+            if x in keys:
+                matrix[i][keys.index(x)] += c * fixed[y].constant_term
+    return matrix
+
+
+def determinant(matrix) -> Fraction:
+    """By cofactor expansion along the first row."""
+    if not matrix:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * a * determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j, a in enumerate(matrix[0])
+    )
+
+
+# seeds 0..199 draw blocks of one or two keys, 200..239 of up to three. The
+# pinned seed (n = 3, D = 4) draws blocks of 2, 3 and 2 keys, and its fixed
+# entries are scaled by 2/3 (the key coefficients) and 1/2 (the rest), so the
+# matrix entries, the rows and the constant matrix's inverse all have
+# denominators
+BLOCK_SEEDS = [(seed, 2) for seed in range(200)] + [(seed, 3) for seed in range(200, 240)]
+PINNED_BLOCK_SEED = 236
+
+
+@pytest.mark.parametrize("seed", [seed for seed, _ in BLOCK_SEEDS])
 def test_block_keys_are_the_full_elimination_valid_order_included(seed):
-    # every block key is a derived row with the valid order `jets._accumulate`
-    # gives it, the one the full-size elimination of all the blocks' rows
-    # gives it, though the rows' atoms are valid to different orders. Only
-    # some keys are read back, and every key of a block that holds one of
-    # them is read by its block's gaps to D: the others are cut to their
-    # degree, which later blocks' reads may raise. The decoys are caller keys equal, as tuples, to the solve's own keys
-    # of the first gap and inverse entry, and come back as they went in
-    fixed, blocks = random_block_system(seed)
+    # every block key has the valid order the full-size elimination of all
+    # the blocks' rows gives it, though the rows' atoms are valid to
+    # different orders. Only some keys are read back: every key of a block
+    # shares the block's one degree, D where the block holds an output, and
+    # the others are cut to it, which later blocks' reads may raise
+    size = dict(BLOCK_SEEDS)[seed]
+    fixed, blocks = random_block_system(seed, size)
+    if seed == PINNED_BLOCK_SEED:
+        scales = {"m": Fraction(2, 3)}
+        fixed = {key: jet.scale(scales.get(key[0], Fraction(1, 2))) for key, jet in fixed.items()}
     keys = [key for block_keys, _ in blocks for key in block_keys]
     rows = [row for _, block_rows in blocks for row in block_rows]
     outputs = set(random.Random(seed).sample(keys, random.Random(-seed).randint(1, len(keys))))
-    decoys = {(0, 0): fixed[("f", 0, 0)], (0, 0, 0): fixed[("h", 0, 0)]}
-    solved = _ck_solve({}, {**fixed, **decoys}, {}, {}, outputs, blocks)
+    solved = _ck_solve({}, fixed, {}, {}, outputs, blocks)
     full = ref_linear_solve(keys, rows, fixed)
-    assert set(solved) == set(fixed) | set(decoys) | set(keys)
-    assert all(solved[key] is jet for key, jet in decoys.items())
+    assert set(solved) == set(fixed) | set(keys)
+    assert all(solved[key] is jet for key, jet in fixed.items())
     cap = next(iter(fixed.values())).max_degree
-    degrees = _degrees({}, _block_rows(blocks), outputs, cap)
-    for block_keys, _ in blocks:
-        if outputs.intersection(block_keys):
-            assert {degrees[key] for key in block_keys} == {cap}
+    degrees = _degrees({}, {}, outputs, cap, blocks)
+    assert set(degrees) == set(keys)
+    for block in blocks:
+        shared = {degrees[key] for key in block[0]}
+        assert len(shared) == 1
+        if outputs.intersection(block[0]):
+            assert shared == {cap}
+        assert abs(determinant(constant_matrix(block, fixed))) > 1
+    if seed == PINNED_BLOCK_SEED:
+        dets = [determinant(constant_matrix(block, fixed)) for block in blocks]
+        assert dets == [Fraction(-104, 9), Fraction(112, 3), Fraction(-32, 3)]
     for key in keys:
         assert solved[key].same_payload(to_degree(full[key], degrees[key])), key
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_a_singular_constant_matrix_fails_at_layer_0(size):
+    # a block whose constant matrix is singular though its entries are not
+    # zero jets (x2 alone, or a rank-one constant matrix with an x2 on the
+    # diagonal) fails at layer 0 with the message of a jet elimination
+    n, cap = 3, 3
+    x2, one = Jet.variable(2, n, cap), Jet.one(n, cap)
+    fixed = {"a": one + x2, "b": one, "m": x2, "f": random_poly(5, n, 2, 2, cap)}
+    if size == 1:
+        blocks = [(["x"], [_Row(((1, "f"),), (), ((1, "x", "m"),))])]
+    else:
+        rows = [
+            _Row(((1, "f"),), (), ((1, "x", "a"), (1, "y", "b"))),
+            _Row(((-1, "f"),), (), ((2, "x", "b"), (2, "y", "b"))),
+        ]
+        blocks = [(["x", "y"], rows)]
+    with pytest.raises(EvaluationError) as err:
+        _ck_solve({}, fixed, {}, {}, {"x"}, blocks)
+    assert str(err.value) == (
+        "right-hand side failed at x1-layer 0: jet matrix not invertible at the origin"
+    )
+    assert isinstance(err.value.__cause__, SingularJetError)
 
 
 def test_a_node_run_again_solves_afresh():
@@ -323,21 +380,56 @@ def test_a_node_run_again_solves_afresh():
     assert blocks == _determined_blocks(n, determined)
 
 
+def spy_on_the_node(monkeypatch) -> tuple[list, list, list]:
+    """Record, for each build that follows, every `jets._linear_factor` call
+    of the solve as ((n, cap) of its matrix, its size), the (n, cap) of every
+    `Jet.reciprocal` taken inside `_ck_solve` and of every one taken
+    anywhere, and fail on any `geometry._gauss_jordan` inside `_ck_solve`."""
+    factors, inside, anywhere, depth = [], [], [], []
+    real_solve, real_factor, real_reciprocal = (
+        builders_module._ck_solve, builders_module._linear_factor, Jet.reciprocal
+    )
+    real_gauss_jordan = geometry_module._gauss_jordan
+
+    def solve(*args):
+        depth.append(1)
+        try:
+            return real_solve(*args)
+        finally:
+            depth.pop()
+
+    def factor(matrix, n, cap):
+        factors.append(((n, cap), len(matrix)))
+        return real_factor(matrix, n, cap)
+
+    def reciprocal(jet):
+        anywhere.append((jet.n, jet.max_degree))
+        if depth:
+            inside.append((jet.n, jet.max_degree))
+        return real_reciprocal(jet)
+
+    def gauss_jordan(rows):
+        assert not depth, "a jet elimination inside the solve"
+        return real_gauss_jordan(rows)
+
+    monkeypatch.setattr(builders_module, "_ck_solve", solve)
+    monkeypatch.setattr(builders_module, "_linear_factor", factor)
+    monkeypatch.setattr(Jet, "reciprocal", reciprocal)
+    monkeypatch.setattr(geometry_module, "_gauss_jordan", gauss_jordan)
+    return factors, inside, anywhere
+
+
 @pytest.mark.parametrize("n, blocks", [(3, 3), (4, 7)])
 def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n, blocks):
-    # one elimination per diagonal block of the layer-0 matrix, none of them
-    # over n - 2 rows
-    real, calls = builders_module._gauss_jordan, []
-
-    def spy(rows):
-        calls.append(({(jet.n, jet.max_degree) for row in rows for jet in row}, len(rows)))
-        return real(rows)
-
-    monkeypatch.setattr(builders_module, "_gauss_jordan", spy)
+    # one inverse of a constant matrix per diagonal block of the layer-0
+    # matrix, none of them over n - 2 keys, and no jet reciprocal or jet
+    # elimination inside the solve
+    factors, inside, _ = spy_on_the_node(monkeypatch)
     build_statistical_nd(n, random_free_data(census("statistical", n), 5, 2, 2, 4))
-    assert len(calls) == blocks
-    for shapes, size in calls:
-        assert shapes == {(n - 1, 4)} and size <= n - 2
+    assert len(factors) == blocks
+    for shape, size in factors:
+        assert shape == (n - 1, 4) and size <= n - 2
+    assert inside == []
 
 
 def test_determined_symbol_blocks_out_of_order_are_rejected(monkeypatch):
@@ -359,26 +451,17 @@ def test_determined_symbol_blocks_out_of_order_are_rejected(monkeypatch):
 @pytest.mark.parametrize("cap", [4, 6])
 def test_trace_free_statistical_2d_builds_without_full_size_reciprocals(monkeypatch, cap):
     # g11 g22 - g12^2 = nu^2 is solved for g11 by a one-key node: one
-    # inverse of a 1-variable jet per build, not D + 1 reciprocals of g22
+    # inverse of a constant per build, no jet reciprocal inside the solve
+    # and no reciprocal of a 2-variable jet anywhere, where D + 1 full-size
+    # reciprocals of g22 would be
     g0 = random_normalized_metric(5, 2, cap, 3, 2)
     conn = levi_civita(g0)
-    eliminated, inverted = [], []
-    real_gauss_jordan, real_reciprocal = builders_module._gauss_jordan, Jet.reciprocal
-
-    def gauss_jordan(rows):
-        eliminated.append({(jet.n, jet.max_degree) for row in rows for jet in row})
-        return real_gauss_jordan(rows)
-
-    def reciprocal(jet):
-        inverted.append((jet.n, jet.max_degree))
-        return real_reciprocal(jet)
-
-    monkeypatch.setattr(builders_module, "_gauss_jordan", gauss_jordan)
-    monkeypatch.setattr(Jet, "reciprocal", reciprocal)
+    factors, inside, anywhere = spy_on_the_node(monkeypatch)
     init12, init22 = g0.comp(1, 2).restrict_x1(), g0.comp(2, 2).restrict_x1()
     build_trace_free_statistical_2d(conn, init12, init22)
-    assert eliminated == [{(1, cap)}]
-    assert (2, cap) not in inverted
+    assert factors == [((1, cap), 1)]
+    assert inside == []
+    assert (2, cap) not in anywhere
 
 
 def unreachable(*args):
@@ -579,8 +662,8 @@ def test_entries_are_formed_to_the_degree_their_readers_need(monkeypatch):
         _run_direct(sc | {"free_data": "random"})
     got = []
     for _, (equations, fixed, derived, _, outputs, *blocks), _ in calls:
-        derived = {**derived, **_block_rows(blocks[0] if blocks else ())}
-        degrees = _degrees(_ck_rows(equations, fixed), derived, frozenset(outputs), cap)
+        blocks = blocks[0] if blocks else ()
+        degrees = _degrees(_ck_rows(equations, fixed), derived, frozenset(outputs), cap, blocks)
         # every unknown of the Ricci builds is an output, formed to D
         assert {key: degrees.pop(key) for key in equations} == (
             {"h": cap, "p": cap - 1, "w": cap - 1}
@@ -650,7 +733,9 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
     equations, fixed, derived, _, outputs, blocks = (*args, ())[:6]
     cap = next(iter(want.values())).max_degree
     ck_rows = _ck_rows(equations, fixed)
-    degrees = _degrees(ck_rows, {**derived, **_block_rows(blocks)}, frozenset(outputs), cap)
+    degrees = _degrees(ck_rows, derived, frozenset(outputs), cap, blocks)
+    for block_keys, _ in blocks:
+        assert len({degrees[key] for key in block_keys}) == 1, block_keys
     rests = [row for _, row in ck_rows.values()]
     rest_caps = [degrees[key] - 1 for key in ck_rows]
     real_terms, real, real_write = (
@@ -706,19 +791,25 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
 # products that cancel. statistical-n4 is
 # statistical at (4, 3), the smallest workspace whose determined-symbol
 # blocks have off-diagonal entries, which each later block's rows read from
-# the solve's table. The block keys are layer evaluations too, of their rows
-# -sum_j inv_ij gap_j: statistical, trace-free-statistical-2d, metric-2d and
-# statistical-n4 counted 4724, 310, 123 and 11686 while the block steps ran
-# outside them, the same work as the ceilings now count.
+# the solve's table. The block keys are solved by degree against their
+# constant matrix (`jets._solve_linear_by_degree`), whose products are
+# counted too: one pair per rank and nonzero entry of the constant inverse,
+# and the pushes of each finished degree through the nonzero ranks of the
+# block's matrix. While each key was a layer evaluation of its row
+# -sum_j inv_ij gap_j over the entries of a jet inverse, statistical,
+# trace-free-statistical-2d and statistical-n4 counted 5102, 345 and 13590;
+# before that, while the block steps ran outside the layer evaluations,
+# statistical, trace-free-statistical-2d, metric-2d and statistical-n4
+# counted 4724, 310, 123 and 11686.
 SOLVE_PAIR_CEILINGS = {
     "general": 1675,
     "trace-free-torsion": 1813,
     "torsion-free": 3642,
-    "statistical": 5102,
+    "statistical": 5069,
     "statistical-2d": 343,
-    "trace-free-statistical-2d": 345,
+    "trace-free-statistical-2d": 344,
     "metric-2d": 80,
-    "statistical-n4": 13590,
+    "statistical-n4": 13221,
 }
 # the scenarios of the ceilings that are not a construction's small one
 PAIR_SCENARIOS = {"statistical-n4": ("statistical", (4, 3))}
@@ -726,18 +817,24 @@ PAIR_SCENARIOS = {"statistical-n4": ("statistical", (4, 3))}
 
 @pytest.mark.parametrize("name", SOLVE_PAIR_CEILINGS)
 def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, name):
-    # only the pairs of the solve's layer evaluations, every block key's
-    # forward substitution among them: the block inverses' whole-jet
-    # products are not counted
+    # the pairs of the solve's layer evaluations and of its block solves by
+    # degree: the products of each block's constant inverse and the
+    # pushes of each finished degree through the block's matrix
     tag, workspace = PAIR_SCENARIOS.get(name, (name, None))
     real_layer, real, visits, inside = builders_module._accumulate, jets_module._mul_layer, [], []
+    real_solve = builders_module._solve_linear_by_degree
 
-    def layer(*args):
-        inside.append(args)
-        try:
-            return real_layer(*args)
-        finally:
-            inside.pop()
+    def within(fn):
+        def wrapped(*args):
+            inside.append(args)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    layer, layer_solve = within(real_layer), within(real_solve)
 
     def counted(spans, a, b, scale, out):
         if inside:
@@ -745,6 +842,7 @@ def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, name):
         return real(spans, a, b, scale, out)
 
     monkeypatch.setattr(builders_module, "_accumulate", layer)
+    monkeypatch.setattr(builders_module, "_solve_linear_by_degree", layer_solve)
     monkeypatch.setattr(jets_module, "_mul_layer", counted)
     solved_table(monkeypatch, tag, "direct", workspace)
     assert 0 < sum(visits) <= SOLVE_PAIR_CEILINGS[name]

@@ -11,8 +11,10 @@ trace, the Ricci tensor and its parts, nabla g, the Levi-Civita brackets and
 contractions) is one `jets.product_sum` of its product, linear and derivative
 terms: one integer accumulation over one denominator, reduced once, with no
 intermediate jet. With an order k the sums are formed to degree k only, and
-no truncated copy of an input is made; `metric_inverse` still truncates its
-inputs for its elimination.
+no truncated copy of an input is made. `metric_inverse` is no elimination
+over jets: it inverts the constant-term matrix over Q and solves for each
+column of the inverse degree by degree (`jets._linear_factor`,
+`jets._solve_linear_by_degree`), reading the components to degree k.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .errors import (
     RejectionError,
     SingularJetError,
 )
-from .jets import Jet, _radial_homotopy, product_sum
+from .jets import (
+    Jet, _linear_factor, _radial_homotopy, _reduced, _solve_linear_by_degree, product_sum,
+)
 
 HALF = Fraction(1, 2)
 
@@ -214,13 +218,13 @@ class Metric(Bilinear):
         super().__init__(n, full)
         if not self.is_symmetric_table():
             raise DimensionMismatchError("metric table is not symmetric")
-        # the constant terms as degree-0 jets: invertible iff the elimination runs
+        # the constant terms in workspace (n, 0): invertible iff they factor
         const = [
-            [Jet.constant(self.comps[(i, j)].constant_term, n, 0) for j in range(1, n + 1)]
+            [(self.comps[(i, j)].nums[:1], self.comps[(i, j)].den) for j in range(1, n + 1)]
             for i in range(1, n + 1)
         ]
         try:
-            _gauss_jordan(const)
+            _linear_factor(const, n, 0)
         except SingularJetError:
             raise SingularJetError("metric constant-term matrix is singular") from None
         self.normalized_at_zero = all(
@@ -550,71 +554,29 @@ def is_codazzi(conn: Connection, g: Metric, order: int) -> bool:
     )
 
 
-def _gauss_jordan(rows: list[list[Jet]]) -> list[list[Jet]]:
-    """Gauss-Jordan elimination, in place, of a square jet matrix augmented by
-    extra columns: the pivot of each column is the first remaining row whose
-    entry has a nonzero constant term. On return the augmented columns hold
-    the solution.
-
-    A product whose result is known is not formed: the pivot times its
-    reciprocal is one, a zero entry times it is zero and an entry that is
-    exactly one (the augmented identity's) times it is the reciprocal; in an
-    elimination a zero entry of the pivot row leaves the entry as it is, and
-    the pivot row's one leaves zero. Each known result has the valid order
-    that the product and the difference would give, the least over their
-    operands."""
-    size = len(rows)
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if rows[r][col].nums[0]), None
-        )
-        if pivot is None:
-            raise SingularJetError("jet matrix not invertible at the origin")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        n, cap, v = head.n, head.max_degree, head.valid_order  # inv is valid to v too
-        inv, one = head.reciprocal(), Jet.constant(1, n, cap)
-        rows[col] = top = [
-            one.with_valid_order(v) if c == col
-            else Jet.zero(n, cap, min(entry.valid_order, v)) if entry.is_zero()
-            else inv.with_valid_order(min(entry.valid_order, v)) if entry.same_coeffs(one)
-            else entry * inv
-            for c, entry in enumerate(rows[col])
-        ]
-        zeros = [entry.is_zero() for entry in top]
-        for r in range(size):
-            if r != col:
-                factor = rows[r][col]
-                if not factor.is_zero():
-                    fv = factor.valid_order
-                    rows[r] = [
-                        Jet.zero(n, cap, min(fv, v)) if c == col
-                        else a.with_valid_order(min(a.valid_order, fv, b.valid_order)) if zeros[c]
-                        else a - factor * b
-                        for c, (a, b) in enumerate(zip(rows[r], top))
-                    ]
-    return rows
-
-
 def metric_inverse(g: Metric, order: int | None = None) -> dict[tuple[int, int], Jet]:
-    """Componentwise inverse matrix of jets, by Gaussian elimination with
-    pivoting on constant terms. With an order k (0..D), the elimination runs
-    on the components truncated to k, at cap k: the result is the full
-    inverse truncated to k."""
+    """Componentwise inverse matrix of jets, solved degree by degree against
+    the inverse of the constant-term matrix over Q: one
+    `jets._linear_factor` of the components and one
+    `jets._solve_linear_by_degree` per identity column (Brent & Kung 1978),
+    with no jet reciprocal and no jet elimination. Every entry is valid to
+    the least valid order of the components. With an order k (0..D), the
+    solve reads the components to degree k only, at cap k: the result is
+    the full inverse truncated to k."""
     n, cap = g.shape
-    comps = g.comps
-    if order is not None:
-        comps, cap = {key: jet.truncate(order) for key, jet in comps.items()}, order
-    rows = _gauss_jordan(
-        [
-            [comps[(i, j)] for j in range(1, n + 1)]
-            + [Jet.constant(1 if j == i else 0, n, cap) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
-    return {
-        (i + 1, j + 1): rows[i][n + j] for i in range(n) for j in range(n)
-    }
+    cap = cap if order is None else order
+    rng = range(1, n + 1)
+    rows = [[g.comps[(i, j)].truncate(cap) for j in rng] for i in rng]
+    valid, size = min(jet.valid_order for row in rows for jet in row), len(rows[0][0].nums)
+    factor = _linear_factor([[(jet.nums, jet.den) for jet in row] for row in rows], n, cap)
+    inverse = {}
+    for j in rng:
+        # B X + Y = 0 with Y = -e_j: X is column j of the inverse
+        minus_e = [([-int(i == j)] + [0] * (size - 1), 1) for i in rng]
+        column, den = _solve_linear_by_degree(factor, minus_e, cap)
+        for i, nums in zip(rng, column):
+            inverse[(i, j)] = Jet._from_nums(n, cap, *_reduced(nums, den), valid)
+    return inverse
 
 
 def levi_civita(g: Metric, order: int | None = None) -> Connection:

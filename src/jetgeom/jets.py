@@ -25,10 +25,12 @@ index maps its loops read. `product_sum` reduces the whole jet once, and
 `Jet.__mul__`, `+`, `-` and `partial` are its small cases; the
 Cauchy-Kowalevski solve of `builders` reads one layer at a time. A reduced
 jet is unique, so the sum is the same jet as the composed sum of reduced
-terms, truncated to k. The solve's algebraic blocks, square jet-linear
-systems B X + Y = 0, are solved degree by degree against the inverse of
-B's constant matrix over Q (`_linear_factor`, `_solve_linear_by_degree`),
-their products through `_mul_layer` too.
+terms, truncated to k. Square jet-linear systems B X + Y = 0 are solved
+degree by degree against the inverse of B's constant matrix over Q
+(`_linear_factor`, `_solve_linear_by_degree`), their products through
+`_mul_layer` too: the solve's algebraic blocks and, one identity column at
+a time, `geometry.metric_inverse`. It is the package's one jet-linear
+solve.
 """
 
 from __future__ import annotations
@@ -147,8 +149,13 @@ def _linear_factor(matrix: list, n: int, cap: int) -> tuple:
         if pivot is None:
             raise SingularJetError("jet matrix not invertible at the origin")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col] = [x / rows[col][col] for x in rows[col]]
-        rows = [r if r is top else [a - r[col] * b for a, b in zip(r, top)] for r in rows]
+        top, head = rows[col], rows[col][col]
+        if head != 1:
+            top = rows[col] = [x / head for x in top]
+        rows = [
+            r if r is top or not r[col] else [a - r[col] * b for a, b in zip(r, top)]
+            for r in rows
+        ]
     q = lcm(*(x.denominator for row in rows for x in row[m:]))
     inverse = [[-x.numerator * (q // x.denominator) for x in row[m:]] for row in rows]
     nonconstant = [[[0, *entry[1:]] if any(entry[1:]) else None for entry in row] for row in scaled]
@@ -171,16 +178,19 @@ def _solve_linear_by_degree(factor, rhs: list, cap: int) -> tuple[list, int]:
     acc = [[d * top * (e // den) * v for v in nums] for nums, den in rhs]
     z = [[0] * len(row) for row in acc]
     for diagonal, spans in _degree_spans(n, cap):
+        ranks = slice(diagonal[0][0], diagonal[-1][0] + 1)
+        live = [any(acc_j[ranks]) for acc_j in acc]
         for zi, row in zip(z, neg_inverse):
-            for a, acc_j in zip(row, acc):
-                if a:
+            for a, acc_j, on in zip(row, acc, live):
+                if a and on:
                     _mul_layer(((0, diagonal),), (a,), acc_j, 1, zi)
             if q != 1:
                 for r, _ in diagonal:
                     zi[r] //= q
+        live = [any(zj[ranks]) for zj in z]
         for acc_i, row in zip(acc, matrix):
-            for entry, zj in zip(row, z):
-                if entry is not None:
+            for entry, zj, on in zip(row, z, live):
+                if entry is not None and on:
                     _mul_layer(spans, entry, zj, 1, acc_i)
     return z, e * top
 

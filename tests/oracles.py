@@ -5,9 +5,11 @@ convolution is a naive double loop over term dictionaries, the CK oracles run
 the classical coefficient-extraction recursion instead of the Picard fixpoint,
 and the sequential elimination follows the ordered-substitution procedure.
 `ref_linear_solve` solves the determined symbols by one full-size jet
-elimination per evaluation (`ref_gauss_jordan`, which forms every product
-that `geometry._gauss_jordan` knows without forming it), on the builders'
-own gap rows: it checks the layered solve of those rows, not the rows. `_row_sum` evaluates a
+elimination per evaluation (`ref_gauss_jordan`, with a jet reciprocal per
+pivot and every product formed), on the builders' own gap rows: it checks
+the layered solve of those rows, not the rows. `ref_gauss_jordan` is also
+the reference of `geometry.metric_inverse`, which solves by degree against
+the constant matrix and runs no jet elimination. `_row_sum` evaluates a
 `builders._Row` in full, where the builders evaluate it one x1-layer at a
 time. `ref_nabla_g` forms all n^3 components of nabla g with 2 n^4
 products, and `ref_ricci` every (i, j) of the Ricci tensor, term by term.
@@ -20,7 +22,7 @@ diagonal 2D metric (`_ricci_11_diagonal_2d`, also the reference of
 `geometry.sectional_curvature_2d`) and full-size reciprocals at every
 evaluation.
 The closed-form Christoffel symbols of a diagonal 2D metric check the general
-Levi-Civita elimination. `RefChart` is a polynomial change of coordinates
+Levi-Civita connection. `RefChart` is a polynomial change of coordinates
 y = phi(x) on the Fraction kernel: composition with phi, the Jacobian J and
 its inverse by a Neumann series, and the pullbacks of a bilinear form and
 of a connection, which the covariance tests hold `geometry` to. The

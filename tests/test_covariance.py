@@ -1,7 +1,9 @@
 """Coordinate covariance as an oracle for the checks' tensor functions: under
 a polynomial change of coordinates y = phi(x), the Ricci tensor of the
-pulled-back connection is the pulled-back Ricci tensor. No formula copy can
-share this property with `geometry`, and a nonlinear phi is needed: under a
+pulled-back connection is the pulled-back Ricci tensor, and the Levi-Civita
+connection of the pulled-back metric is the pulled-back Levi-Civita
+connection, which holds the metric inverse too. No formula copy can share
+this property with `geometry`, and a nonlinear phi is needed: under a
 linear one the symbols transform as a tensor, so every contraction of them
 is covariant."""
 
@@ -10,7 +12,10 @@ import pytest
 
 from jetgeom import (
     Jet,
+    Metric,
+    levi_civita,
     random_connection,
+    random_normalized_metric,
     random_symmetric_connection,
     random_trace_free_connection,
     ricci,
@@ -72,3 +77,21 @@ def test_ricci_of_the_pulled_back_connection_is_the_pulled_back_ricci(n, table, 
     for key, jet in want.items():
         assert jet.valid_order == pulled.comp(*key).valid_order == cap - 1, key
         assert pulled.comp(*key).eq_up_to(jet, cap - 1), key
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["J0=I", "J0!=I"])
+@pytest.mark.parametrize("n", WORKSPACES)
+def test_levi_civita_of_the_pulled_back_metric_is_the_pulled_back_connection(n, identity):
+    # LC(phi* g) = phi* LC(g), both sides valid to D - 1; with J(0) != I the
+    # pulled-back metric's constant matrix J(0)^T J(0) is not the identity
+    cap = WORKSPACES[n]
+    seed = 10 * n + identity
+    g = random_normalized_metric(seed, n, cap, cap, 2)
+    chart = RefChart(random_change(seed, n, cap, identity))
+    metric = Metric(n, chart.bilinear(g.comps))
+    assert metric.normalized_at_zero == identity
+    pulled = levi_civita(metric)
+    want = chart.connection(levi_civita(g))
+    for key, jet in want.gamma.items():
+        assert jet.valid_order == pulled.gamma[key].valid_order == cap - 1, key
+        assert pulled.gamma[key].eq_up_to(jet, cap - 1), key

@@ -39,7 +39,6 @@ from jetgeom import (
 )
 from jetgeom import geometry as geometry_module
 from jetgeom import multiindex as mi
-from jetgeom.geometry import _gauss_jordan
 from oracles import (
     _ricci_11_diagonal_2d,
     levi_civita_diagonal_2d,
@@ -451,48 +450,69 @@ def test_metric_inverse_multiplies_to_identity():
             assert (total - want).is_zero_up_to(CAP)
 
 
-def random_jet_matrix(rng: random.Random) -> list[list[Jet]]:
-    """A square jet matrix augmented by the identity and one more column, with
-    zero entries, denominators, valid orders below the cap and, now and then,
-    a zero constant term on the diagonal (a row swap)."""
-    size, n, cap = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 4)
+def random_metric(rng: random.Random) -> Metric | None:
+    """A metric of n = 1..4 variables and cap 0..5 with rational entries, zero
+    entries, now and then a zero constant term on the diagonal (a row swap)
+    and, in about a third of the draws, valid orders below the cap that
+    differ between components; None when its constant-term matrix is
+    singular."""
+    n, cap = rng.randint(1, 4), rng.randint(0, 5)
+    mixed = rng.random() < 0.35
 
-    def entry():
-        valid = rng.randint(0, cap)
-        if rng.random() < 0.35:
-            return Jet.zero(n, cap, valid)
-        dens = [rng.choice([1, 2, 3, 5]) for _ in range(mi.size(n, cap))]
-        return Jet(n, cap, [Fraction(rng.randint(-4, 4), den) for den in dens], valid)
-
-    rows = []
-    for i in range(size):
-        row = [entry() for _ in range(size)]
+    def entry(constant):
+        valid = rng.randint(0, cap) if mixed else cap
         if rng.random() < 0.3:
-            row[i] = row[i] - Jet.constant(row[i].constant_term, n, cap)
-        ident = [Jet.constant(int(i == j), n, cap) for j in range(size)]
-        rows.append(row + ident + [entry()])
-    return rows
+            return Jet.constant(constant, n, cap).with_valid_order(valid)
+        tail = [
+            Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+            for _ in range(mi.size(n, cap) - 1)
+        ]
+        return Jet(n, cap, [Fraction(constant)] + tail, valid)
+
+    diagonal, off = [0, 1, 2, Fraction(-5, 3)], [0, 0, 1, Fraction(1, 2), -2]
+    comps = {
+        (i, j): entry(rng.choice(diagonal if i == j else off))
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    }
+    try:
+        return Metric(n, comps)
+    except SingularJetError:
+        return None
 
 
-def test_elimination_without_known_products_gives_the_reference_jets():
-    # the pivot times its reciprocal, zero entries times it, and the products
-    # with the pivot row's zeros and its one are known: same jets, valid
-    # orders included, as the elimination that forms every product
-    rng, solved, swapped = random.Random(18), 0, 0
-    for _ in range(300):
-        rows = random_jet_matrix(rng)
-        want = [list(row) for row in rows]
-        try:
-            want = ref_gauss_jordan(want)
-        except SingularJetError:
-            with pytest.raises(SingularJetError):
-                _gauss_jordan(rows)
+def test_metric_inverse_gives_the_reference_elimination_jets():
+    # the inverse solved by degree against the constant matrix: the
+    # coefficients of the elimination that forms every product, with or
+    # without an order; the same payloads when the components share one
+    # valid order, and otherwise never a valid order above the reference's
+    rng, seen = random.Random(35), dict.fromkeys(("solved", "swapped", "q > 1", "mixed"), 0)
+    for _ in range(250):
+        g = random_metric(rng)
+        if g is None:
             continue
-        swapped += any(not rows[i][i].nums[0] for i in range(len(rows)))
-        got = _gauss_jordan(rows)
-        assert all(a.same_payload(b) for x, y in zip(got, want) for a, b in zip(x, y))
-        solved += 1
-    assert solved > 100 and swapped > 20
+        n, cap = g.shape
+        order = rng.choice([None, rng.randint(0, cap)])
+        comps = g.comps if order is None else {k: jet.truncate(order) for k, jet in g.comps.items()}
+        k = cap if order is None else order
+        rows = [
+            [comps[(i, j)] for j in range(1, n + 1)]
+            + [Jet.constant(int(i == j), n, k) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+        want = ref_gauss_jordan(rows)
+        got = metric_inverse(g, order)
+        one_order = len({jet.valid_order for jet in comps.values()}) == 1
+        for i in range(n):
+            for j in range(n):
+                a, b = got[(i + 1, j + 1)], want[i][n + j]
+                assert a.same_coeffs(b) and a.max_degree == b.max_degree == k
+                assert a.same_payload(b) if one_order else a.valid_order <= b.valid_order
+        seen["solved"] += 1
+        seen["swapped"] += not g.comp(1, 1).constant_term
+        seen["q > 1"] += any(jet.constant_term.denominator > 1 for jet in got.values())
+        seen["mixed"] += not one_order
+    assert seen["solved"] > 150 and min(seen.values()) > 20, seen
 
 
 def test_elimination_of_a_diagonal_matrix_forms_no_product(monkeypatch):
@@ -514,57 +534,6 @@ def test_elimination_of_a_diagonal_matrix_forms_no_product(monkeypatch):
     assert len(muls) == 0
     for i in (1, 2, 3):
         assert inv[(i, i)].same_payload(diagonal[i - 1].reciprocal())
-
-
-def test_elimination_takes_an_identity_one_moved_by_a_row_swap_as_the_reciprocal(monkeypatch):
-    # the constant terms sit on a permutation that is not the identity, so
-    # rows are swapped and the augmented identity's ones leave the diagonal;
-    # each is still taken as its pivot's reciprocal, at the lesser valid
-    # order: the reference jets, and no product with an exactly-one factor
-    rng, real, one_factors, swapped = random.Random(26), Jet.__mul__, [], 0
-
-    def counting(a, b):
-        one = Jet.one(a.n, a.max_degree)
-        one_factors.append(a.same_coeffs(one) or b.same_coeffs(one))
-        return real(a, b)
-
-    for _ in range(60):
-        size, n, cap = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 4)
-        perm = list(range(size))
-        while perm == sorted(perm):
-            rng.shuffle(perm)
-
-        def entry(constant):
-            tail = [
-                Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-                for _ in range(mi.size(n, cap) - 1)
-            ]
-            return Jet(n, cap, [Fraction(constant)] + tail, rng.randint(0, cap))
-
-        def ident(i, j):
-            return Jet.constant(int(i == j), n, cap).with_valid_order(rng.randint(0, cap))
-
-        constants = [2, -3, Fraction(5, 2)]
-        rows = [
-            [entry(rng.choice(constants) if perm[i] == j else 0) for j in range(size)]
-            + [ident(i, j) for j in range(size)]
-            for i in range(size)
-        ]
-        want = ref_gauss_jordan([list(row) for row in rows])
-        swapped += perm[0] != 0
-        monkeypatch.setattr(Jet, "__mul__", counting)
-        got = _gauss_jordan(rows)
-        monkeypatch.setattr(Jet, "__mul__", real)
-        assert all(a.same_payload(b) for x, y in zip(got, want) for a, b in zip(x, y))
-    assert one_factors and not any(one_factors) and swapped > 20
-
-
-def test_jet_elimination_rejects_matrix_singular_at_origin():
-    # det = x1 - x2 is a nonzero jet, but the constant-term matrix is singular
-    x1, x2 = Jet.variable(1, 2, CAP), Jet.variable(2, 2, CAP)
-    one = Jet.one(2, CAP)
-    with pytest.raises(SingularJetError):
-        _gauss_jordan([[x1, one, one], [x2, one, Jet.zero(2, CAP)]])
 
 
 @pytest.mark.parametrize(

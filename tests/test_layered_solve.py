@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import jetgeom.builders as builders_module
-import jetgeom.geometry as geometry_module
 import jetgeom.jets as jets_module
 from ck_seam import capture_ck_solves, to_degree
 from jetgeom import (
@@ -382,14 +381,13 @@ def test_a_node_run_again_solves_afresh():
 
 def spy_on_the_node(monkeypatch) -> tuple[list, list, list]:
     """Record, for each build that follows, every `jets._linear_factor` call
-    of the solve as ((n, cap) of its matrix, its size), the (n, cap) of every
-    `Jet.reciprocal` taken inside `_ck_solve` and of every one taken
-    anywhere, and fail on any `geometry._gauss_jordan` inside `_ck_solve`."""
+    of the solve as ((n, cap) of its matrix, its size), and the (n, cap) of
+    every `Jet.reciprocal` taken inside `_ck_solve` and of every one taken
+    anywhere."""
     factors, inside, anywhere, depth = [], [], [], []
     real_solve, real_factor, real_reciprocal = (
         builders_module._ck_solve, builders_module._linear_factor, Jet.reciprocal
     )
-    real_gauss_jordan = geometry_module._gauss_jordan
 
     def solve(*args):
         depth.append(1)
@@ -408,14 +406,9 @@ def spy_on_the_node(monkeypatch) -> tuple[list, list, list]:
             inside.append((jet.n, jet.max_degree))
         return real_reciprocal(jet)
 
-    def gauss_jordan(rows):
-        assert not depth, "a jet elimination inside the solve"
-        return real_gauss_jordan(rows)
-
     monkeypatch.setattr(builders_module, "_ck_solve", solve)
     monkeypatch.setattr(builders_module, "_linear_factor", factor)
     monkeypatch.setattr(Jet, "reciprocal", reciprocal)
-    monkeypatch.setattr(geometry_module, "_gauss_jordan", gauss_jordan)
     return factors, inside, anywhere
 
 
@@ -801,15 +794,18 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
 # before that, while the block steps ran outside the layer evaluations,
 # statistical, trace-free-statistical-2d, metric-2d and statistical-n4
 # counted 4724, 310, 123 and 11686.
+# trace-free-statistical-2d and statistical-n4 counted 344 and 13221 while
+# the block solve ran the constant-inverse step on a right-hand row with
+# nothing at the degree, and pushed unknowns with nothing at it.
 SOLVE_PAIR_CEILINGS = {
     "general": 1675,
     "trace-free-torsion": 1813,
     "torsion-free": 3642,
     "statistical": 5069,
     "statistical-2d": 343,
-    "trace-free-statistical-2d": 344,
+    "trace-free-statistical-2d": 339,
     "metric-2d": 80,
-    "statistical-n4": 13221,
+    "statistical-n4": 13207,
 }
 # the scenarios of the ceilings that are not a construction's small one
 PAIR_SCENARIOS = {"statistical-n4": ("statistical", (4, 3))}
@@ -890,13 +886,21 @@ def test_metric_2d_work_outside_the_solve_stays_under_its_ceiling(monkeypatch):
 
 # the (rb, rc) pairs `_mul_layer` visits on spans with a nonzero first
 # factor while `_run_checks` re-checks the report of each small scenario
-# (direct mode, seed 3), counted as the solve's are: the checks' products
-# run through `jets.product_sum`, which perfbench's `Jet.__mul__` counts do
-# not see. A ceiling may only move down. metric-2d took 510 while the
-# metric inverse of `levi_civita` formed the products whose results the
-# elimination knows. While `ricci` formed the k = i products that cancel,
-# general, trace-free-torsion, torsion-free and metric-2d took 2396, 2448,
-# 5147 and 426.
+# (direct mode, seed 3), counted as the solve's are, and the (s, rc) pairs
+# of `jets._solve_by_degree` (`Jet.reciprocal`, `Jet.exp`) with a nonzero
+# series coefficient that it pushes a finished nonzero rank through: the
+# checks' products run through `jets.product_sum`, which perfbench's
+# `Jet.__mul__` counts do not see. A ceiling may only move down. metric-2d
+# took 388 (348 + 40 in the reciprocals) while `metric_inverse` ran a jet
+# Gauss-Jordan with one reciprocal per pivot. Its solve by degree against
+# the constant matrix takes 24 more: 20 in the constant-inverse step, one
+# scalar product per rank and column of the order-3 inverse, and 4 pushes
+# of ranks whose coefficient is zero, which `_mul_layer` visits and the
+# reciprocal skipped. Before that count was widened, metric-2d took 510
+# while the metric inverse of `levi_civita` formed the products whose
+# results the elimination knows. While `ricci` formed the k = i products
+# that cancel, general, trace-free-torsion, torsion-free and metric-2d took
+# 2396, 2448, 5147 and 426.
 CHECK_PAIR_CEILINGS = {
     "general": 1797,
     "trace-free-torsion": 1836,
@@ -904,7 +908,7 @@ CHECK_PAIR_CEILINGS = {
     "statistical": 3792,
     "statistical-2d": 440,
     "trace-free-statistical-2d": 519,
-    "metric-2d": 348,
+    "metric-2d": 412,
 }
 
 
@@ -913,14 +917,20 @@ def test_check_kernel_work_stays_under_its_ceiling(monkeypatch, tag):
     n, cap = SMALL[tag]
     sc = {"construction": tag, "n": n, "D": cap, "seed": 3}
     report = _run_direct(sc | {"prescribed": RANDOM_PRESCRIBED[tag], "free_data": "random"})
-    real, visits = jets_module._mul_layer, []
+    real, real_by_degree, visits = jets_module._mul_layer, jets_module._solve_by_degree, []
 
     def counted(spans, a, b, scale, out):
         spans = tuple(spans)
         visits.append(sum(len(pairs) for ra, pairs in spans if a[ra]))
         return real(spans, a, b, scale, out)
 
+    def by_degree(rows, g, f0, divisors):
+        f = real_by_degree(rows, g, f0, divisors)
+        visits.append(sum(1 for row, fr in zip(rows, f) if fr for s, _ in row if g[s]))
+        return f
+
     monkeypatch.setattr(jets_module, "_mul_layer", counted)
+    monkeypatch.setattr(jets_module, "_solve_by_degree", by_degree)
     checks = _run_checks(report)
     assert all(check.passed for check in checks)
     assert 0 < sum(visits) <= CHECK_PAIR_CEILINGS[tag]

@@ -17,8 +17,8 @@ row's atoms (`_terms`); the tests hold the full-size evaluator, the
 reference of every layer it writes. `_ck_solve` takes
 data only: one row per first-order CK unknown, fixed entries, derived
 entries (rows over the entries before them), the initial slices under the
-unknowns' own keys and ordered blocks of keys solved from algebraic rows
-linear in them. It pops each
+unknowns' own keys and one unsplit pair of keys and algebraic rows linear
+in them. It pops each
 unknown's x1-derivative (coefficient +-1) and asserts that the rests and
 the derived rows take x1-derivatives only of the fixed keys. It then
 builds the solution one x1-layer at a time, as the proof of the
@@ -78,24 +78,25 @@ atoms (symbol key, metric key); on a symmetric table the keys fold, so the
 torsion terms cancel when the row is built. Each metric unknown g_ab takes
 its x1-derivative from gap (1, b, a), and for n >= 3 the gaps that
 `_codazzi_spec` lists form the jet-linear system for the determined symbols.
-`_ck_solve` solves it from the blocks of `_determined_blocks`, one per
-lower index pair, in an order that makes the layer-0 coefficient matrix, of
-(n - 1)-variable jets, block lower triangular (the rule is in
-`_codazzi_spec`'s docstring). Of each diagonal block, of at most n - 2
-rows, only the constant matrix is inverted, over Q, once, at layer 0. Layer
-t of the symbols is then a forward substitution, block by block: the
-block's rows evaluated at layer t on a table that holds layer t of the
-symbols of earlier blocks and not yet that of its own, and the block's
-symbols solved from them degree by degree in the n - 1 variables against
-the constant matrix. No build inverts a jet matrix or runs a full-size jet
-elimination; `solve_determined_christoffels` runs the same solve over given
-tables.
+`_ck_solve` takes the symbols and the gaps unsplit and splits them by
+structure (`jets._block_split`: a matching of gaps to symbols, then the
+strongly connected components of the dependencies, in dependency order),
+which makes the layer-0 coefficient matrix, of (n - 1)-variable jets, block
+lower triangular; for the Codazzi gaps the blocks are the symbols of one
+lower index pair, none of over n - 2. Of each diagonal block only the
+constant matrix is inverted, over Q, once, at layer 0. Layer t of the
+symbols is then a forward substitution, block by block: the block's rows
+evaluated at layer t on a table that holds layer t of the symbols of
+earlier blocks and not yet that of its own, and the block's symbols solved
+from them degree by degree in the n - 1 variables against the constant
+matrix. No build inverts a jet matrix or runs a full-size jet elimination;
+`solve_determined_christoffels` runs the same solve over given tables.
 `_codazzi_metric` holds the one assembly; the
 builders differ only in the fixed entries (the Christoffel table, and g11
-where it is given), the blocks and the initial slices.
+where it is given), the algebraic keys and rows and the initial slices.
 trace-free-statistical-2d fixes nu^2 in place of g11 and solves
-g11 g22 - g12^2 - nu^2 = 0, which is linear in g11, as a one-key block, so
-no first-order build takes a reciprocal in its solve.
+g11 g22 - g12^2 - nu^2 = 0, which is linear in g11, as its one algebraic
+row, so no first-order build takes a reciprocal in its solve.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ from .geometry import (
     split,
 )
 from .jets import (
-    Jet, SliceJet, _accumulate, _linear_factor, _reduced, _solve_linear_by_degree,
-    as_fraction, product_sum, random_poly,
+    Jet, SliceJet, _accumulate, _block_split, _linear_factor, _reduced,
+    _solve_linear_by_degree, as_fraction, product_sum, random_poly,
 )
 
 HALF = Fraction(1, 2)
@@ -306,9 +307,9 @@ MAX_NODE_PAIRS = 500_000
 
 
 def _require_node_bound(construction: str, n: int, cap: int):
-    """Reject a statistical workspace whose node is over MAX_NODE_PAIRS. By
-    the block rule of `_codazzi_spec` the node holds 3 C(n - 1, 2) +
-    2 C(n - 1, 3) keys; counted in closed form, so nothing is built first."""
+    """Reject a statistical workspace whose node is over MAX_NODE_PAIRS. The
+    node holds the 3 C(n - 1, 2) + 2 C(n - 1, 3) determined symbols of
+    `_codazzi_spec`; counted in closed form, so nothing is built first."""
     if construction != "statistical":
         return
     keys = 3 * comb(n - 1, 2) + 2 * comb(n - 1, 3)
@@ -864,6 +865,15 @@ def _padded(jet: Jet, cap: int) -> Jet:
     return Jet._from_nums(jet.n, cap, nums, jet.den, jet.valid_order)
 
 
+def _blocks(keys, rows) -> list:
+    """The (keys, rows) blocks of algebraic rows linear in the keys, in
+    dependency order: `jets._block_split` of the keys each row holds as the
+    first factor of a product atom."""
+    solved = set(keys)
+    reads = [{x for _, x, _ in row.products if x in solved} for row in rows]
+    return [(block, [rows[i] for i in members]) for block, members in _block_split(keys, reads)]
+
+
 def _degrees(rests: Mapping, derived: Mapping, outputs, cap: int, blocks=()) -> dict:
     """The degree of each unknown, derived entry and block key by
     `_ck_solve`'s rule (0 for no reader): D for an output, else the largest
@@ -913,29 +923,32 @@ def _ck_solve(
     derived: Mapping,
     initial: Mapping,
     outputs,
-    blocks=(),
+    algebraic=((), ()),
 ) -> dict:
     """Solve the first-order CK system with one equation row per unknown key,
     from the initial slice under the same key, the row holding the unknown's
     x1-derivative with coefficient s = +-1 and no other x1-derivative but of
     the fixed keys, as (u)_1 = -s * (rest of the row) on one table: the fixed
     entries, the unknowns, each derived entry as the sum of its row on the
-    entries before it, and the block keys. A derived row too takes
+    entries before it, and the algebraic keys. A derived row too takes
     x1-derivatives only of the fixed keys. Return that table of the solution,
     the caller's keys only: the outputs to order D (the builders have
     required the initial slices valid to D), every other entry to its degree;
     (n, D) is the workspace of the fixed entries and the unknowns. outputs
     are the keys the caller reads back.
 
-    The blocks are (keys, rows) pairs, as many rows as keys, of algebraic
-    rows that take no x1-derivative and hold the block keys only as the
-    first factor of product atoms, whose second factor is a fixed key or an
-    unknown: row i reads sum_j M_ij key_j + rest_i = 0. A row reads keys of
-    its own block and of earlier blocks only, so layer 0 of M, a matrix of
-    (n - 1)-variable jets, is block lower triangular in block order. At
-    layer 0, before any derived layer is written, the solve forms the
-    diagonal block B of each block from the coefficient rows of its keys
-    and inverts only B's constant matrix, over Q (`jets._linear_factor`).
+    algebraic is one (keys, rows) pair, as many rows as keys, of algebraic
+    rows that take no x1-derivative and hold the keys only as the first
+    factor of product atoms, whose second factor is a fixed key or an
+    unknown: row i reads sum_j M_ij key_j + rest_i = 0. At layer 0 the solve
+    splits them into blocks by the keys each row holds (`_blocks`), in an
+    order where a block's rows read keys of that block and of earlier
+    blocks only, so layer 0 of M, a matrix of (n - 1)-variable jets, is
+    block lower triangular in block order; rows whose keys admit no
+    perfect matching are singular, and fail there. Then, before any derived
+    layer is written, it forms the diagonal block B of each block from the
+    coefficient rows of its keys and inverts only B's constant matrix, over
+    Q (`jets._linear_factor`).
     Layer t of M key_j is B (key_j layer t) plus products of layers < t of
     key_j, and the other blocks' keys and the rests are known through layer
     t. So the block rows' layer t, evaluated after the caller's derived
@@ -982,51 +995,48 @@ def _ck_solve(
             raise AssertionError(
                 f"the derived row of {target} consumes the x1-derivatives of {consumed}"
             )
-    solved = tuple(key for keys, _ in blocks for key in keys)
-    later = set(solved)
-    coefficients = []
-    for keys, rows in blocks:
-        later.difference_update(keys)
-        for row in rows:
-            reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
-            reads |= {key for _, key, _ in row.derivatives}
-            if reads.intersection(solved) or any(ax == 1 for *_, ax in row.derivatives):
-                raise AssertionError(
-                    f"{row} is not linear in {solved} or takes an x1-derivative"
-                )
-            # the layer-0 matrix is formed before any derived layer is written
-            early = [y for _, _, y in row.products if y in derived]
-            if early:
-                raise AssertionError(f"{row} holds the derived entry {early[0]} as a factor")
-            ahead = [x for _, x, _ in row.products if x in later]
-            if ahead:
-                raise AssertionError(f"{row} holds {ahead[0]} of a later block")
-        # entry (i, j): the coefficient row of key j in row i
-        coefficients.append([
-            [_Row(tuple((c, y) for c, x, y in row.products if x == key)) for key in keys]
-            for row in rows
-        ])
+    solved = algebraic[0]
+    for row in algebraic[1]:
+        reads = {key for _, key in row.linear} | {y for _, _, y in row.products}
+        reads |= {key for _, key, _ in row.derivatives}
+        if reads.intersection(solved) or any(ax == 1 for *_, ax in row.derivatives):
+            raise AssertionError(
+                f"{row} is not linear in {tuple(solved)} or takes an x1-derivative"
+            )
+        # the layer-0 matrix is formed before any derived layer is written
+        early = [y for _, _, y in row.products if y in derived]
+        if early:
+            raise AssertionError(f"{row} holds the derived entry {early[0]} as a factor")
     values = {key: initial[key].promote() for key in equations}
     shapes = {(jet.n, jet.max_degree) for jet in (*fixed.values(), *values.values())}
     if len(shapes) != 1:
         raise DimensionMismatchError(f"table entries in workspaces {sorted(shapes)}")
     [(n, cap)] = shapes
-    degrees = _degrees(rests, derived, frozenset(outputs), cap, blocks)
-    values = {key: _padded(jet.truncate(degrees[key]), cap) for key, jet in values.items()}
-    values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
     valid: dict = {}
     for t in range(cap + 1):
         try:
-            table = {**fixed, **values}
             if t == 0:
+                blocks = _blocks(*algebraic)
+                degrees = _degrees(rests, derived, frozenset(outputs), cap, blocks)
+                values = {
+                    key: _padded(jet.truncate(degrees[key]), cap) for key, jet in values.items()
+                }
+                values.update((key, Jet.zero(n, cap)) for key in (*derived, *solved))
+                table = {**fixed, **values}
                 factors = []
-                for (keys, _), matrix in zip(blocks, coefficients):
+                for keys, rows in blocks:
                     k = degrees[keys[0]]
+                    # entry (i, j): the coefficient row of key j in row i
+                    matrix = [
+                        [_Row(tuple((c, y) for c, x, y in row.products if x == j)) for j in keys]
+                        for row in rows
+                    ]
                     entries = [
-                        [_accumulate(n, *_terms(c, table), k, 0)[:2] for c in row]
-                        for row in matrix
+                        [_accumulate(n, *_terms(c, table), k, 0)[:2] for c in row] for row in matrix
                     ]
                     factors.append(_linear_factor(entries, n - 1, k))
+            else:
+                table = {**fixed, **values}
             for target, row in derived.items():
                 k = degrees[target]
                 if t > k:
@@ -1326,22 +1336,11 @@ class _CodazziSpec:
 
 def _codazzi_spec(n: int) -> _CodazziSpec:
     """The Codazzi system in dimension n, `determined` in the order `census`
-    lists the slots.
-
-    Block rule: the determined symbols of one lower index pair form one
-    block, with the gaps that solve them (`_solved_pair`):
-    - gap (j, k, 1) solves lower (1, k): the n - k symbols with upper t > k;
-    - gap (i, j, i) solves lower (i, i): the n - 2 symbols with upper
-      t >= 2, t != i;
-    - gap (i, j, k) with 2 <= i < k solves lower (i, k): the n - i - 1
-      symbols with upper t > i, t != k.
-    No block holds more than n - 2 symbols. Block order (`_block_order`):
-    the lower pairs (i, k) sorted by (i == k, i != 1, -i, -k), that is
-    (1, n), ..., (1, 2), then (i, k) with 2 <= i < k by i and then k
-    descending, then (n, n), ..., (2, 2). A gap reads symbols of its own
-    block and of earlier blocks only, so layer 0 of the system's matrix is
-    block lower triangular in that order and `_ck_solve` solves it by forward
-    substitution."""
+    lists the slots. The gaps are the algebraic rows, as many as the
+    determined symbols, each listed next to the symbols of the lower index
+    pair it holds: gaps (j, k, 1), (i, j, i) and (i, j, k) with
+    2 <= i < k. `_ck_solve` splits rows and symbols into blocks by
+    structure (`_blocks`)."""
     top = range(2, n + 1)
     unknowns = [("g", i, j) for i, j in _pairs(n)[1:]]  # all but g_11
     # lower (1, k), upper t > k; gap (t, k, 1)
@@ -1389,34 +1388,6 @@ def _codazzi_gap(i: int, j: int, k: int, n: int, symmetric: bool) -> _Row:
     return _Row(derivatives=derivatives, products=_atoms(products))
 
 
-def _solved_pair(gap: tuple[int, int, int]) -> tuple[int, int]:
-    """The lower index pair whose determined symbols the gap solves."""
-    i, j, k = gap
-    return (1, j) if k == 1 else (i, k)
-
-
-def _block_order(pair: tuple[int, int]) -> tuple:
-    """The sort key of a lower pair's block (see `_codazzi_spec`)."""
-    i, k = pair
-    return (i == k, i != 1, -i, -k)
-
-
-def _determined_blocks(n: int, determined_keys) -> list:
-    """The `_ck_solve` blocks of the determined symbols: the algebraic
-    Codazzi gaps of `_codazzi_spec`, linear in the determined symbols, one
-    block per lower index pair (symbol (t, i, k) in the block of (i, k)), in
-    the spec's block order."""
-    gaps = _codazzi_spec(n).gaps
-    pairs = sorted({key[1:] for key in determined_keys}, key=_block_order)
-    return [
-        (
-            [key for key in determined_keys if key[1:] == pair],
-            [_codazzi_gap(*gap, n, True) for gap in gaps if _solved_pair(gap) == pair],
-        )
-        for pair in pairs
-    ]
-
-
 def solve_determined_christoffels(
     n: int,
     gtable: Mapping[tuple, Jet],
@@ -1424,13 +1395,14 @@ def solve_determined_christoffels(
     determined_keys: list,
 ) -> dict:
     """Solve the algebraic Codazzi gaps on the metric table (keys ("g", i, j))
-    for the determined Christoffel symbols (keys (t, i, j)): the blocks of
-    `build_statistical_nd`, solved by one `_ck_solve` with no equations over
+    for the determined Christoffel symbols (keys (t, i, j)): the algebraic
+    rows of `build_statistical_nd`, solved by one `_ck_solve` with no equations over
     the given tables. No build calls it; it stays only because the
     benchmark's tracing looks it up by name for its `builders.det_solve`
     span."""
-    blocks = _determined_blocks(n, determined_keys)
-    table = _ck_solve({}, {**gtable, **free_gammas}, {}, {}, set(determined_keys), blocks)
+    gaps = [_codazzi_gap(*gap, n, True) for gap in _codazzi_spec(n).gaps]
+    algebraic = (determined_keys, gaps)
+    table = _ck_solve({}, {**gtable, **free_gammas}, {}, {}, set(determined_keys), algebraic)
     return {key: table[key] for key in determined_keys}
 
 
@@ -1439,28 +1411,28 @@ def _codazzi_metric(
     symmetric: bool,
     initial: Mapping,
     fixed: Mapping,
-    blocks=(),
+    algebraic=((), ()),
 ) -> tuple[Metric, dict]:
     """The metric whose unknowns solve the CK rows of the Codazzi gap from the
     initial slices, and its table with the Christoffel symbols. g11 is fixed
-    or a block key, which the solve writes at every x1-layer."""
+    or an algebraic key, which the solve writes at every x1-layer."""
     unknowns = _codazzi_spec(n).unknowns
     rows = {key: _codazzi_gap(1, key[2], key[1], n, symmetric) for key in unknowns}
-    # the block keys are outputs too: g11, or the symbols of the connection
-    outputs = {("g", *pair) for pair in _pairs(n)} | {key for keys, _ in blocks for key in keys}
-    table = _ck_solve(rows, fixed, {}, initial, outputs, blocks)
+    # the algebraic keys are outputs too: g11, or the symbols of the connection
+    outputs = {("g", *pair) for pair in _pairs(n)} | set(algebraic[0])
+    table = _ck_solve(rows, fixed, {}, initial, outputs, algebraic)
     return Metric(n, {pair: table[("g", *pair)] for pair in _pairs(n)}), table
 
 
 def _codazzi_metric_2d(
-    conn: Connection, init12: SliceJet, init22: SliceJet, given: Mapping, blocks=()
+    conn: Connection, init12: SliceJet, init22: SliceJet, given: Mapping, algebraic=((), ())
 ) -> Metric:
     """The 2D Codazzi metric of a given connection, with the given entries
-    (g11, or nu^2 for the block of g11) fixed next to its symbols."""
+    (g11, or nu^2 for the algebraic row of g11) fixed next to its symbols."""
     symmetric = conn.is_symmetric_table()
     fixed = {_canon(symmetric, *key): jet for key, jet in conn.gamma.items()}
     initial = {("g", 1, 2): init12, ("g", 2, 2): init22}
-    return _codazzi_metric(2, symmetric, initial, {**fixed, **given}, blocks)[0]
+    return _codazzi_metric(2, symmetric, initial, {**fixed, **given}, algebraic)[0]
 
 
 def build_statistical_2d(
@@ -1493,8 +1465,8 @@ def build_trace_free_statistical_2d(
     _admit(report)
     volume = parallel_volume_2d(conn)  # rejects when Ricci is not symmetric
     det = _Row(((-1, "nu^2"),), (), ((1, ("g", 1, 1), ("g", 2, 2)), (-1, ("g", 1, 2), ("g", 1, 2))))
-    blocks = [([("g", 1, 1)], [det])]
-    metric = _codazzi_metric_2d(conn, init12, init22, {"nu^2": volume * volume}, blocks)
+    given = {"nu^2": volume * volume}
+    metric = _codazzi_metric_2d(conn, init12, init22, given, ([("g", 1, 1)], [det]))
     report.outputs = {"metric": metric, "volume": volume}
     return _checked(report)
 
@@ -1512,9 +1484,10 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     cap = g11.max_degree
     report = BuildReport("statistical", n, cap, {}, fd, None, [])
     _admit(report)
-    blocks = _determined_blocks(n, _codazzi_spec(n).determined)
+    spec = _codazzi_spec(n)
+    gaps = [_codazzi_gap(*gap, n, True) for gap in spec.gaps]
     fixed, initial = _keyed(fd.free_functions), _keyed(fd.initial_slices)
-    metric, table = _codazzi_metric(n, True, initial, fixed, blocks)
+    metric, table = _codazzi_metric(n, True, initial, fixed, (spec.determined, gaps))
     report.outputs = {"connection": Connection.from_symmetric(n, table), "metric": metric}
     return _checked(report)
 

@@ -12,9 +12,11 @@ contractions) is one `jets.product_sum` of its product, linear and derivative
 terms: one integer accumulation over one denominator, reduced once, with no
 intermediate jet. With an order k the sums are formed to degree k only, and
 no truncated copy of an input is made. `metric_inverse` is no elimination
-over jets: it inverts the constant-term matrix over Q and solves for each
-column of the inverse degree by degree (`jets._linear_factor`,
-`jets._solve_linear_by_degree`), reading the components to degree k.
+over jets: it splits the metric's nonzero pattern into blocks
+(`jets._block_split`), inverts each block's constant-term matrix over Q and
+solves for each column of the inverse degree by degree, block by block
+(`jets._linear_factor`, `jets._solve_linear_by_degree`), reading the
+components to degree k.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .errors import (
     SingularJetError,
 )
 from .jets import (
-    Jet, _linear_factor, _radial_homotopy, _reduced, _solve_linear_by_degree, product_sum,
+    Jet, _accumulate, _block_split, _linear_factor, _radial_homotopy, _reduced,
+    _solve_linear_by_degree, product_sum,
 )
 
 HALF = Fraction(1, 2)
@@ -556,26 +559,50 @@ def is_codazzi(conn: Connection, g: Metric, order: int) -> bool:
 
 def metric_inverse(g: Metric, order: int | None = None) -> dict[tuple[int, int], Jet]:
     """Componentwise inverse matrix of jets, solved degree by degree against
-    the inverse of the constant-term matrix over Q: one
-    `jets._linear_factor` of the components and one
-    `jets._solve_linear_by_degree` per identity column (Brent & Kung 1978),
-    with no jet reciprocal and no jet elimination. Every entry is valid to
-    the least valid order of the components. With an order k (0..D), the
-    solve reads the components to degree k only, at cap k: the result is
-    the full inverse truncated to k."""
+    the inverse of the constant-term matrix over Q, with no jet reciprocal
+    and no jet elimination (Brent & Kung 1978). g's nonzero pattern is split
+    into blocks (`jets._block_split`), each factored once
+    (`jets._linear_factor`): a diagonal metric is n 1x1 blocks, a dense one
+    one block. Each column of the inverse is then solved block by block in
+    dependency order (`jets._solve_linear_by_degree`), a block's right-hand
+    side the products of its rows with the earlier blocks' entries of the
+    column, less the identity column; a block whose right-hand side is zero
+    is zero. Every entry is valid to the least valid order of the
+    components. With an order k (0..D), the solve reads the components to
+    degree k only, at cap k: the result is the full inverse truncated to
+    k."""
     n, cap = g.shape
     cap = cap if order is None else order
-    rng = range(1, n + 1)
-    rows = [[g.comps[(i, j)].truncate(cap) for j in rng] for i in rng]
+    rng = range(n)
+    rows = [[g.comps[(i + 1, j + 1)].truncate(cap) for j in rng] for i in rng]
     valid, size = min(jet.valid_order for row in rows for jet in row), len(rows[0][0].nums)
-    factor = _linear_factor([[(jet.nums, jet.den) for jet in row] for row in rows], n, cap)
+    reads = [{j for j in rng if not row[j].is_zero()} for row in rows]
+    blocks = []
+    for keys, members in _block_split(rng, reads):
+        matrix = [[(rows[i][j].nums, rows[i][j].den) for j in keys] for i in members]
+        blocks.append((keys, members, _linear_factor(matrix, n, cap)))
     inverse = {}
     for j in rng:
-        # B X + Y = 0 with Y = -e_j: X is column j of the inverse
-        minus_e = [([-int(i == j)] + [0] * (size - 1), 1) for i in rng]
-        column, den = _solve_linear_by_degree(factor, minus_e, cap)
-        for i, nums in zip(rng, column):
-            inverse[(i, j)] = Jet._from_nums(n, cap, *_reduced(nums, den), valid)
+        # column j, block by block: B X + Y = 0 with Y_i the sum of g_ik X_k
+        # over the keys k of earlier blocks, less 1 where i = j
+        column = {}
+        for keys, members, factor in blocks:
+            rhs = []
+            for i in members:
+                products = [(1, rows[i][k], x) for k, x in column.items() if k in reads[i]]
+                if products:
+                    nums, den, _ = _accumulate(n, products, (), (), cap)
+                else:
+                    nums, den = [0] * size, 1
+                nums[0] -= den * (i == j)
+                rhs.append((nums, den))
+            if not any(any(nums) for nums, _ in rhs):
+                column.update((k, Jet.zero(n, cap, valid)) for k in keys)
+                continue
+            solution, den = _solve_linear_by_degree(factor, rhs, cap)
+            for k, nums in zip(keys, solution):
+                column[k] = Jet._from_nums(n, cap, *_reduced(nums, den), valid)
+        inverse.update(((i + 1, j + 1), column[i]) for i in rng)
     return inverse
 
 

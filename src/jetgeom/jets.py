@@ -25,12 +25,14 @@ index maps its loops read. `product_sum` reduces the whole jet once, and
 `Jet.__mul__`, `+`, `-` and `partial` are its small cases; the
 Cauchy-Kowalevski solve of `builders` reads one layer at a time. A reduced
 jet is unique, so the sum is the same jet as the composed sum of reduced
-terms, truncated to k. Square jet-linear systems B X + Y = 0 are solved
-degree by degree against the inverse of B's constant matrix over Q
-(`_linear_factor`, `_solve_linear_by_degree`), their products through
-`_mul_layer` too: the solve's algebraic blocks and, one identity column at
-a time, `geometry.metric_inverse`. It is the package's one jet-linear
-solve.
+terms, truncated to k. Square jet-linear systems B X + Y = 0 are split
+into blocks by structure, in dependency order (`_block_split`: a perfect
+matching of rows to keys, then Tarjan's strongly connected components), and
+each block is solved degree by degree against the inverse of its constant
+matrix over Q (`_linear_factor`, `_solve_linear_by_degree`), its products
+through `_mul_layer` too: the solve's algebraic rows and, one identity
+column at a time, `geometry.metric_inverse`. It is the package's one
+jet-linear solve, and every system goes through the same split.
 """
 
 from __future__ import annotations
@@ -128,6 +130,78 @@ def _degree_spans(n: int, cap: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(out)
 
 
+def _block_split(keys, reads) -> list[tuple[list, list[int]]]:
+    """The fine blocks of a square system whose row i reads the keys
+    reads[i] (a subset of keys), in dependency order (Duff & Reid 1978):
+    each row is matched to a key by augmenting paths (Kuhn), the key matched
+    to a row depends on the other keys that row reads, and the blocks are
+    the strongly connected components of that graph (Tarjan 1972), each
+    listed after every block it depends on. Returns (block keys in the order
+    of keys, block row indices ascending) pairs, so a block's rows read keys
+    of that block and of earlier blocks only. Raises SingularJetError when
+    no perfect matching exists: the matrix is singular for any values of its
+    entries."""
+    index = {key: c for c, key in enumerate(keys)}
+    cols = [sorted(index[key] for key in read) for read in reads]
+    m = len(keys)
+    owner, matched = [None] * m, [None] * len(cols)  # key -> row, row -> key
+
+    def augment(r: int) -> bool:
+        # breadth first over the rows reachable by alternating paths from r
+        parent, queue = {}, [r]
+        for row in queue:
+            for c in cols[row]:
+                if c in parent:
+                    continue
+                parent[c] = row
+                if owner[c] is None:
+                    while c is not None:
+                        row = parent[c]
+                        owner[c], matched[row], c = row, c, matched[row]
+                    return True
+                queue.append(owner[c])
+        return False
+
+    if len(cols) != m or not all(augment(r) for r in range(m)):
+        raise SingularJetError("jet matrix not invertible at the origin")
+    # Tarjan's components, depth first along the dependencies with an
+    # explicit path, so that no system is bounded by the recursion limit
+    deps = [[d for d in cols[owner[c]] if d != c] for c in range(m)]
+    order, low, stack, on_stack, path, blocks = {}, [0] * m, [], set(), [], []
+
+    def visit(v: int):
+        order[v] = low[v] = len(order)
+        stack.append(v)
+        on_stack.add(v)
+        path.append((v, iter(deps[v])))
+
+    for root in range(m):
+        if root not in order:
+            visit(root)
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if w not in order:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    component.sort()
+                    rows = sorted(owner[c] for c in component)
+                    blocks.append(([keys[c] for c in component], rows))
+    return blocks
+
+
 def _linear_factor(matrix: list, n: int, cap: int) -> tuple:
     """The square matrix B of jets in workspace (n, cap), each entry given as
     (numerators, denominator), prepared once for every later
@@ -175,7 +249,10 @@ def _solve_linear_by_degree(factor, rhs: list, cap: int) -> tuple[list, int]:
     product runs through `_mul_layer`."""
     n, neg_inverse, q, d, matrix = factor
     e, top = lcm(*(den for _, den in rhs)), q ** (cap + 1)
-    acc = [[d * top * (e // den) * v for v in nums] for nums, den in rhs]
+    acc = []
+    for nums, den in rhs:
+        scale = d * top * (e // den)
+        acc.append([scale * v if v else 0 for v in nums])
     z = [[0] * len(row) for row in acc]
     for diagonal, spans in _degree_spans(n, cap):
         ranks = slice(diagonal[0][0], diagonal[-1][0] + 1)

@@ -1,16 +1,17 @@
 """The seam between the first-order builders and their CK solve.
 
-`builders._ck_solve(equations, fixed, derived, initial, outputs, blocks)`
+`builders._ck_solve(equations, fixed, derived, initial, outputs, algebraic)`
 solves one x1-layer at a time, each entry formed to the degree its readers
 need. `picard_system` rebuilds the same rows as the system of
 `ck.solve_first_order`, each unknown labelled by its table key: a full-size
 right-hand side evaluated with `oracles._row_sum` on the table of the fixed
 entries, the unknowns' values and the derived entries (each the `_row_sum` of
-its row on the entries before it), with the keys of every block solved on
-that table by one full-size elimination `oracles.ref_linear_solve` of all
-the blocks' rows, which is the reference the layered solve must match. The
-reference forms every entry to D and ignores outputs; `to_degree` cuts one
-of its entries to the degree the solve forms that entry to.
+its row on the entries before it), with the algebraic keys solved on that
+table by one full-size elimination `oracles.ref_linear_solve` of all the
+algebraic rows, unsplit, which is the reference the layered solve must
+match. The reference forms every entry to D and ignores outputs;
+`to_degree` cuts one of its entries to the degree the solve forms that entry
+to. `determined_system` is the statistical node's unsplit algebraic pair.
 """
 
 from __future__ import annotations
@@ -18,25 +19,34 @@ from __future__ import annotations
 import jetgeom.builders as builders_module
 from jetgeom import Jet
 from jetgeom import multiindex as mi
-from jetgeom.builders import _ck_rows
+from jetgeom.builders import _ck_rows, _codazzi_gap, _codazzi_spec
 from jetgeom.ck import FirstOrderSystem
 from oracles import _row_sum, _signed, ref_linear_solve
 
 
-def picard_system(equations, fixed, derived, initial, outputs, blocks=()) -> FirstOrderSystem:
+def picard_system(
+    equations, fixed, derived, initial, outputs, algebraic=((), ())
+) -> FirstOrderSystem:
     rests = _ck_rows(equations, fixed)
-    keys = [key for block_keys, _ in blocks for key in block_keys]
-    rows = [row for _, block_rows in blocks for row in block_rows]
+    keys, rows = algebraic
 
     def rhs(values):
         table = {**fixed, **values}
         for target, row in derived.items():
             table[target] = _row_sum(row, table)[0]
-        if blocks:
+        if keys:
             table.update(ref_linear_solve(keys, rows, table))
         return {key: _signed(sign, _row_sum(row, table)[0]) for key, (sign, row) in rests.items()}
 
     return FirstOrderSystem(tuple(equations), rhs, initial)
+
+
+def determined_system(n: int) -> tuple:
+    """The determined Christoffel symbols of the statistical build in
+    dimension n and the algebraic Codazzi gaps that solve them, as the
+    unsplit (keys, rows) pair `_ck_solve` takes."""
+    spec = _codazzi_spec(n)
+    return spec.determined, [_codazzi_gap(*gap, n, True) for gap in spec.gaps]
 
 
 def to_degree(jet: Jet, k: int) -> Jet:

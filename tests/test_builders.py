@@ -53,14 +53,13 @@ from jetgeom.builders import (
     _CONSTRUCTIONS,
     _ck_solve,
     _codazzi_spec,
-    _determined_blocks,
     _run_checks,
     _same_value,
     verify_read_back,
 )
 from jetgeom.cli import _run_direct
 from jetgeom.serialize import report_from_json, report_to_json
-from ck_seam import capture_ck_solves, to_degree
+from ck_seam import capture_ck_solves, determined_system, to_degree
 from oracles import exp_series_jet, ref_mul, ref_partial, ref_reciprocal, ref_scale
 
 CAP = 4
@@ -772,9 +771,8 @@ def test_determined_solve_matches_sequential_substitution(n):
                     gammas_known[(t, a, b)] = random_poly(
                         rng.randrange(2**32), n, 2, 2, cap
                     )
-    blocks = _determined_blocks(n, _codazzi_spec(n).determined)
     table = {("g", *pair): jet for pair, jet in gtable.items()}
-    simultaneous = _ck_solve({}, {**table, **gammas_known}, {}, {}, det, blocks)
+    simultaneous = _ck_solve({}, {**table, **gammas_known}, {}, {}, det, determined_system(n))
     sequential = _sequential_solve(
         _oracle_rows(n, cap, gtable, gammas_known, det), n, cap
     )
@@ -795,7 +793,7 @@ def test_determined_symbol_system_singular_at_origin_raises():
         if key not in set(det)
     }
     with pytest.raises(EvaluationError, match="^right-hand side failed at x1-layer 0: ") as err:
-        _ck_solve({}, {**gtable, **free}, {}, {}, set(det), _determined_blocks(n, det))
+        _ck_solve({}, {**gtable, **free}, {}, {}, set(det), determined_system(n))
     assert isinstance(err.value.__cause__, SingularJetError)
 
 

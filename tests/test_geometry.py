@@ -452,12 +452,14 @@ def test_metric_inverse_multiplies_to_identity():
 
 def random_metric(rng: random.Random) -> Metric | None:
     """A metric of n = 1..4 variables and cap 0..5 with rational entries, zero
-    entries, now and then a zero constant term on the diagonal (a row swap)
-    and, in about a third of the draws, valid orders below the cap that
-    differ between components; None when its constant-term matrix is
-    singular."""
+    entries, now and then a zero constant term on the diagonal (a row swap),
+    in about a quarter of the draws block diagonal (every entry between
+    x1..xs and the other variables a zero jet) and, in about a third of the
+    draws, valid orders below the cap that differ between components; None
+    when its constant-term matrix is singular."""
     n, cap = rng.randint(1, 4), rng.randint(0, 5)
     mixed = rng.random() < 0.35
+    split = rng.randint(1, n - 1) if n > 1 and rng.random() < 0.25 else 0
 
     def entry(constant):
         valid = rng.randint(0, cap) if mixed else cap
@@ -475,6 +477,9 @@ def random_metric(rng: random.Random) -> Metric | None:
         for i in range(1, n + 1)
         for j in range(i, n + 1)
     }
+    for i, j in comps:
+        if i <= split < j:
+            comps[(i, j)] = Jet.zero(n, cap).with_valid_order(comps[(i, j)].valid_order)
     try:
         return Metric(n, comps)
     except SingularJetError:
@@ -485,8 +490,11 @@ def test_metric_inverse_gives_the_reference_elimination_jets():
     # the inverse solved by degree against the constant matrix: the
     # coefficients of the elimination that forms every product, with or
     # without an order; the same payloads when the components share one
-    # valid order, and otherwise never a valid order above the reference's
-    rng, seen = random.Random(35), dict.fromkeys(("solved", "swapped", "q > 1", "mixed"), 0)
+    # valid order, and otherwise never a valid order above the reference's.
+    # A block-diagonal metric splits into blocks solved apart, and a zero
+    # diagonal entry into blocks whose rows read an earlier block's entries
+    names = ("solved", "swapped", "q > 1", "mixed", "block-diagonal", "zero diagonal")
+    rng, seen = random.Random(35), dict.fromkeys(names, 0)
     for _ in range(250):
         g = random_metric(rng)
         if g is None:
@@ -512,6 +520,11 @@ def test_metric_inverse_gives_the_reference_elimination_jets():
         seen["swapped"] += not g.comp(1, 1).constant_term
         seen["q > 1"] += any(jet.constant_term.denominator > 1 for jet in got.values())
         seen["mixed"] += not one_order
+        seen["block-diagonal"] += any(
+            all(comps[(i, j)].is_zero() for i in range(1, s + 1) for j in range(s + 1, n + 1))
+            for s in range(1, n)
+        )
+        seen["zero diagonal"] += any(comps[(i, i)].is_zero() for i in range(1, n + 1))
     assert seen["solved"] > 150 and min(seen.values()) > 20, seen
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import jetgeom.builders as builders_module
 import jetgeom.jets as jets_module
-from ck_seam import capture_ck_solves, to_degree
+from ck_seam import capture_ck_solves, determined_system, to_degree
 from jetgeom import (
     EvaluationError,
     Jet,
@@ -34,12 +34,12 @@ from jetgeom.builders import (
     BuildReport,
     _Row,
     _all_pair_keys,
+    _blocks,
     _checked,
     _ck_rows,
     _ck_solve,
     _codazzi_spec,
     _degrees,
-    _determined_blocks,
     _run_checks,
     parse_slot,
 )
@@ -91,7 +91,8 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
     else:
         _run_round_trip(sc)
     [(system, args, table)] = calls
-    equations, fixed, derived, _, outputs, blocks = (*args, ())[:6]
+    equations, fixed, derived, _, outputs, algebraic = (*args, ((), ()))[:6]
+    blocks = _blocks(*algebraic)
     picard = solve_first_order(system).values
     degrees = _degrees(_ck_rows(equations, fixed), derived, frozenset(outputs), cap, blocks)
     # an unknown that is not an output (metric-2d's p and w) is cut to its degree
@@ -99,13 +100,12 @@ def test_layered_solve_matches_picard(monkeypatch, tag, n, cap, mode):
         assert table[key].same_payload(to_degree(picard[key], degrees[key])), key
     # each derived entry, valid order included, is its row's sum on the
     # Picard solution (the torsion-free G^k_kk are valid to D - 1), and the
-    # block keys are the full-size elimination of the blocks' rows on it:
-    # an output as it is, any other entry cut to its degree
+    # algebraic keys are the full-size elimination of all the algebraic rows
+    # on it: an output as it is, any other entry cut to its degree
     full = {**fixed, **picard}
     for target, row in derived.items():
         full[target] = _row_sum(row, full)[0]
-    keys = [key for block_keys, _ in blocks for key in block_keys]
-    rows = [row for _, block_rows in blocks for row in block_rows]
+    keys, rows = algebraic
     assert bool(keys) == (tag in ("statistical", "trace-free-statistical-2d"))
     full.update(ref_linear_solve(keys, rows, full))
     # every key of a block shares one degree, and the solve returns only the
@@ -140,12 +140,11 @@ def test_ck_solve_keys_every_entry_by_its_slot(monkeypatch, tag, n, mode):
     else:
         _run_round_trip(sc)
     [(_, args, _)] = calls
-    equations, fixed, derived, initial, _, blocks = (*args, ())[:6]
+    equations, fixed, derived, initial, _, (keys, _) = (*args, ((), ()))[:6]
     cen = census(tag, n)
     assert set(initial) == set(equations) == {parse_slot(s) for s in cen.initial_slice_slots}
     assert all(parse_slot(s) in fixed for s in cen.free_function_slots if s != "phi")
     determined = {parse_slot(s) for s in cen.determined}
-    keys = [key for block_keys, _ in blocks for key in block_keys]
     if tag == "statistical":
         assert sorted(keys) == sorted(determined)
     else:
@@ -218,8 +217,7 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
         for key in _all_pair_keys(n)
         if key not in set(determined)
     }
-    blocks = _determined_blocks(n, determined)
-    solved = _ck_solve({}, {**gtable, **free}, {}, {}, set(determined), blocks)
+    solved = _ck_solve({}, {**gtable, **free}, {}, {}, set(determined), determined_system(n))
     full = ref_determined_christoffels(n, cap, gtable, free, determined)
     assert set(solved) == set(gtable) | set(free) | set(determined)
     for key in determined:
@@ -228,14 +226,14 @@ def test_determined_symbol_node_matches_the_full_elimination(n, cap):
 
 def random_block_system(seed: int, size: int = 2) -> tuple[dict, list]:
     """A fixed table in workspace (n, D), n = 2..3 and D = 1..4, each entry
-    valid to a random order, and 1-3 blocks of 1..size keys. Row i of a
-    block holds key i times an entry of constant term 5 or -5 and every
+    valid to a random order, and 1-3 blocks of 1..size keys, as drawn. Row i
+    of a block holds key i times an entry of constant term 5 or -5 and every
     other key of its block times an entry of constant term in [-1, 1], so
     the layer-0 matrix is invertible and its constant matrix, diagonally
     dominant, has a determinant other than +-1; its rest is linear,
     derivative (along x2) and product atoms of the fixed entries, and a
     later block's row may read a key of an earlier block as a product
-    factor."""
+    factor. So the drawn blocks are the fine blocks of the rows."""
     rng = random.Random(seed)
     n, cap = rng.randint(2, 3), rng.randint(1, 4)
 
@@ -310,13 +308,20 @@ def test_block_keys_are_the_full_elimination_valid_order_included(seed):
         fixed = {key: jet.scale(scales.get(key[0], Fraction(1, 2))) for key, jet in fixed.items()}
     keys = [key for block_keys, _ in blocks for key in block_keys]
     rows = [row for _, block_rows in blocks for row in block_rows]
+    # the solve splits the rows into the drawn blocks, in an order where
+    # each block reads keys of earlier blocks only
+    split = _blocks(keys, rows)
+    assert sorted(split) == sorted(blocks)
+    for b, (_, block_rows) in enumerate(split):
+        earlier = {key for block_keys, _ in split[: b + 1] for key in block_keys}
+        assert all(x in earlier for row in block_rows for _, x, _ in row.products if x in keys)
     outputs = set(random.Random(seed).sample(keys, random.Random(-seed).randint(1, len(keys))))
-    solved = _ck_solve({}, fixed, {}, {}, outputs, blocks)
+    solved = _ck_solve({}, fixed, {}, {}, outputs, (keys, rows))
     full = ref_linear_solve(keys, rows, fixed)
     assert set(solved) == set(fixed) | set(keys)
     assert all(solved[key] is jet for key, jet in fixed.items())
     cap = next(iter(fixed.values())).max_degree
-    degrees = _degrees({}, {}, outputs, cap, blocks)
+    degrees = _degrees({}, {}, outputs, cap, split)
     assert set(degrees) == set(keys)
     for block in blocks:
         shared = {degrees[key] for key in block[0]}
@@ -340,15 +345,43 @@ def test_a_singular_constant_matrix_fails_at_layer_0(size):
     x2, one = Jet.variable(2, n, cap), Jet.one(n, cap)
     fixed = {"a": one + x2, "b": one, "m": x2, "f": random_poly(5, n, 2, 2, cap)}
     if size == 1:
-        blocks = [(["x"], [_Row(((1, "f"),), (), ((1, "x", "m"),))])]
+        algebraic = (["x"], [_Row(((1, "f"),), (), ((1, "x", "m"),))])
     else:
         rows = [
             _Row(((1, "f"),), (), ((1, "x", "a"), (1, "y", "b"))),
             _Row(((-1, "f"),), (), ((2, "x", "b"), (2, "y", "b"))),
         ]
-        blocks = [(["x", "y"], rows)]
+        algebraic = (["x", "y"], rows)
     with pytest.raises(EvaluationError) as err:
-        _ck_solve({}, fixed, {}, {}, {"x"}, blocks)
+        _ck_solve({}, fixed, {}, {}, {"x"}, algebraic)
+    assert str(err.value) == (
+        "right-hand side failed at x1-layer 0: jet matrix not invertible at the origin"
+    )
+    assert isinstance(err.value.__cause__, SingularJetError)
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        # the second row holds no key
+        (((1, "x", "a"), (1, "y", "b")), ((1, "f", "a"),)),
+        # both rows hold x alone
+        (((1, "x", "a"),), ((2, "x", "b"),)),
+        # more rows than keys
+        (((1, "x", "a"), (1, "y", "b")), ((1, "x", "b"),), ((1, "y", "a"),)),
+    ],
+    ids=["keyless-row", "one-key-twice", "three-rows"],
+)
+def test_a_structurally_singular_system_fails_at_layer_0(monkeypatch, products):
+    # rows whose keys admit no perfect matching are singular whatever their
+    # entries: the split fails before any layer is evaluated, with the
+    # message of a singular constant matrix
+    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
+    n, cap = 3, 3
+    fixed = {"a": Jet.one(n, cap), "b": Jet.variable(2, n, cap), "f": random_poly(5, n, 2, 2, cap)}
+    rows = [_Row(((1, "f"),), (), row) for row in products]
+    with pytest.raises(EvaluationError) as err:
+        _ck_solve({}, fixed, {}, {}, {"x"}, (["x", "y"], rows))
     assert str(err.value) == (
         "right-hand side failed at x1-layer 0: jet matrix not invertible at the origin"
     )
@@ -356,11 +389,11 @@ def test_a_singular_constant_matrix_fails_at_layer_0(size):
 
 
 def test_a_node_run_again_solves_afresh():
-    # a second solve over the same blocks must not read the first solve's
-    # layers, and no solve changes the blocks
+    # a second solve over the same rows must not read the first solve's
+    # layers, and no solve changes the rows or their keys
     n, cap = 3, 4
-    determined = _codazzi_spec(n).determined
-    blocks = _determined_blocks(n, determined)
+    algebraic = determined_system(n)
+    determined = algebraic[0]
     tables = []
     for seed in (1, 2):
         g0 = random_normalized_metric(seed, n, cap, 2, 2)
@@ -371,12 +404,12 @@ def test_a_node_run_again_solves_afresh():
         tables.append(table)
     runs = []
     for table in (*tables, tables[0]):
-        solved = _ck_solve({}, table, {}, {}, set(determined), blocks)
+        solved = _ck_solve({}, table, {}, {}, set(determined), algebraic)
         runs.append({key: solved[key] for key in determined})
     assert runs[0] != runs[1]
     for key in determined:
         assert runs[2][key].same_payload(runs[0][key]), key
-    assert blocks == _determined_blocks(n, determined)
+    assert algebraic == determined_system(n)
 
 
 def spy_on_the_node(monkeypatch) -> tuple[list, list, list]:
@@ -423,22 +456,6 @@ def test_statistical_build_eliminates_only_the_layer_0_matrix(monkeypatch, n, bl
     for shape, size in factors:
         assert shape == (n - 1, 4) and size <= n - 2
     assert inside == []
-
-
-def test_determined_symbol_blocks_out_of_order_are_rejected(monkeypatch):
-    # a gap of the first block that reads a symbol of the second: the
-    # layer-0 matrix is not block lower triangular in the swapped order
-    real = builders_module._determined_blocks
-
-    def swapped(n, determined_keys):
-        blocks = real(n, determined_keys)
-        blocks[0], blocks[1] = blocks[1], blocks[0]
-        return blocks
-
-    monkeypatch.setattr(builders_module, "_determined_blocks", swapped)
-    monkeypatch.setattr(builders_module, "_accumulate", unreachable)
-    with pytest.raises(AssertionError, match=r"holds \(4, 1, 3\) of a later block$"):
-        build_statistical_nd(4, random_free_data(census("statistical", 4), 5, 2, 2, 3))
 
 
 @pytest.mark.parametrize("cap", [4, 6])
@@ -520,14 +537,14 @@ def test_x1_derivative_in_a_derived_row_is_rejected(monkeypatch):
 
 
 def test_derived_factor_of_a_block_row_is_rejected(monkeypatch):
-    # the block inverses are formed at layer 0 before any derived entry is
-    # written, so a block key's coefficient may read fixed keys and
-    # unknowns only
+    # the layer-0 matrix is formed, and its constant matrix inverted, before
+    # any derived layer is written, so a key's coefficient may read fixed
+    # keys and unknowns only
     monkeypatch.setattr(builders_module, "_accumulate", unreachable)
     derived = {"d": _Row(linear=((1, "f"),))}
     row = _Row(linear=((-1, "f"),), products=((1, "x", "d"),))
     with pytest.raises(AssertionError) as err:
-        _ck_solve({}, {"f": Jet.one(2, 2)}, derived, {}, {"x"}, [(["x"], [row])])
+        _ck_solve({}, {"f": Jet.one(2, 2)}, derived, {}, {"x"}, (["x"], [row]))
     assert str(err.value) == f"{row} holds the derived entry d as a factor"
 
 
@@ -566,8 +583,7 @@ def test_failure_inside_a_layer_names_the_layer(monkeypatch):
     # layer: the first of them at layer 2 fails
     real_terms, real = builders_module._terms, builders_module._accumulate
     rows, calls = [], []
-    blocks = _determined_blocks(3, _codazzi_spec(3).determined)
-    block_rows = [row for _, rows in blocks for row in rows]
+    _, block_rows = determined_system(3)
 
     def terms(row, table):
         rows.append(row)
@@ -654,8 +670,8 @@ def test_entries_are_formed_to_the_degree_their_readers_need(monkeypatch):
         sc = {"construction": tag, "n": 3, "D": cap, "seed": 3, "prescribed": {"r": "random"}}
         _run_direct(sc | {"free_data": "random"})
     got = []
-    for _, (equations, fixed, derived, _, outputs, *blocks), _ in calls:
-        blocks = blocks[0] if blocks else ()
+    for _, (equations, fixed, derived, _, outputs, *algebraic), _ in calls:
+        blocks = _blocks(*algebraic[0]) if algebraic else ()
         degrees = _degrees(_ck_rows(equations, fixed), derived, frozenset(outputs), cap, blocks)
         # every unknown of the Ricci builds is an output, formed to D
         assert {key: degrees.pop(key) for key in equations} == (
@@ -723,9 +739,10 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
     # degree must leave the unknowns to their degree and the outputs as they
     # are
     args, want = solved_table(monkeypatch, tag, mode)
-    equations, fixed, derived, _, outputs, blocks = (*args, ())[:6]
+    equations, fixed, derived, _, outputs, algebraic = (*args, ((), ()))[:6]
     cap = next(iter(want.values())).max_degree
     ck_rows = _ck_rows(equations, fixed)
+    blocks = _blocks(*algebraic)
     degrees = _degrees(ck_rows, derived, frozenset(outputs), cap, blocks)
     for block_keys, _ in blocks:
         assert len({degrees[key] for key in block_keys}) == 1, block_keys

@@ -954,7 +954,8 @@ def _ck_solve(
     t. So the block rows' layer t, evaluated after the caller's derived
     entries while the keys' own layer t is still zero, is the Y of
     B X + Y = 0, and X, solved degree by degree in the n - 1 variables
-    against the constant matrix (`jets._solve_linear_by_degree`), is layer
+    against the constant matrix (`jets._solve_linear_by_degree`, on the
+    graded solve `jets._solve_graded`), is layer
     t of the keys: a forward substitution, block by block, with no jet
     inverse.
 

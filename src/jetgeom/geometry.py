@@ -15,8 +15,8 @@ no truncated copy of an input is made. `metric_inverse` is no elimination
 over jets: it splits the metric's nonzero pattern into blocks
 (`jets._block_split`), inverts each block's constant-term matrix over Q and
 solves for each column of the inverse degree by degree, block by block
-(`jets._linear_factor`, `jets._solve_linear_by_degree`), reading the
-components to degree k.
+(`jets._linear_factor`, `jets._solve_linear_by_degree`, on the package's
+one graded solve `jets._solve_graded`), reading the components to degree k.
 """
 
 from __future__ import annotations
@@ -564,7 +564,8 @@ def metric_inverse(g: Metric, order: int | None = None) -> dict[tuple[int, int],
     into blocks (`jets._block_split`), each factored once
     (`jets._linear_factor`): a diagonal metric is n 1x1 blocks, a dense one
     one block. Each column of the inverse is then solved block by block in
-    dependency order (`jets._solve_linear_by_degree`), a block's right-hand
+    dependency order (`jets._solve_linear_by_degree`, on the graded solve
+    `jets._solve_graded` that `Jet.reciprocal` runs too), a block's right-hand
     side the products of its rows with the earlier blocks' entries of the
     column, less the identity column; a block whose right-hand side is zero
     is zero. Every entry is valid to the least valid order of the

@@ -25,14 +25,18 @@ index maps its loops read. `product_sum` reduces the whole jet once, and
 `Jet.__mul__`, `+`, `-` and `partial` are its small cases; the
 Cauchy-Kowalevski solve of `builders` reads one layer at a time. A reduced
 jet is unique, so the sum is the same jet as the composed sum of reduced
-terms, truncated to k. Square jet-linear systems B X + Y = 0 are split
-into blocks by structure, in dependency order (`_block_split`: a perfect
-matching of rows to keys, then Tarjan's strongly connected components), and
-each block is solved degree by degree against the inverse of its constant
-matrix over Q (`_linear_factor`, `_solve_linear_by_degree`), its products
-through `_mul_layer` too: the solve's algebraic rows and, one identity
-column at a time, `geometry.metric_inverse`. It is the package's one
-jet-linear solve, and every system goes through the same split.
+terms, truncated to k. One graded solve, `_solve_graded`, finishes a
+triangular system degree by degree, its products through `_mul_layer` too:
+`Jet.reciprocal` (the 1x1 system of the series with its constant term
+zeroed), `Jet.exp` (the Euler-weighted series, with the divisor k d at
+degree k) and every square jet-linear system B X + Y = 0. Such a system is
+split into blocks by structure, in dependency order (`_block_split`: a
+perfect matching of rows to keys, then Tarjan's strongly connected
+components), and each block is solved against the inverse of its constant
+matrix over Q (`_linear_factor`, `_solve_linear_by_degree`): the solve's
+algebraic rows and, one identity column at a time,
+`geometry.metric_inverse`. It is the package's one jet-linear solve, and
+every system goes through the same split.
 """
 
 from __future__ import annotations
@@ -86,7 +90,8 @@ def _mul_layer(spans, a, b, scale: int, out: list):
     the (ra, pairs) spans, into out: one x1-layer of the product for the
     spans of that layer (`multiindex.product_layers`; those of a lower cap
     form the layer only to that degree), the whole product for the rows of
-    the table, enumerate(`multiindex.product_rows`)."""
+    the table, enumerate(`multiindex.product_rows`), and the products of one
+    degree of b for the spans of that degree (`multiindex.product_degrees`)."""
     for ra, pairs in spans:
         ca = a[ra]
         if ca:
@@ -95,39 +100,6 @@ def _mul_layer(spans, a, b, scale: int, out: list):
                 cb = b[rb]
                 if cb:
                     out[rc] += ca * cb
-
-
-def _solve_by_degree(rows, g: list, f0: int, divisors: list) -> list:
-    """The f with f[0] = f0 and f[r] = (sum of g[s] * f[t] over the pairs
-    (s, t) -> r of the rows) // divisors[r] for r > 0, where g[0] == 0 and every
-    division is exact. One pass over the ranks in graded order: a finished
-    f[r] is pushed through its row, and with g[0] == 0 every push lands on a
-    rank of higher degree, which is not finished yet."""
-    f = [0] * len(g)
-    f[0] = f0
-    for r, row in enumerate(rows):
-        fr = f[r] if not r else f[r] // divisors[r]
-        f[r] = fr
-        if fr:
-            for s, rc in row:
-                gs = g[s]
-                if gs:
-                    f[rc] += gs * fr
-    return f
-
-
-@lru_cache(maxsize=None)
-def _degree_spans(n: int, cap: int) -> tuple[tuple[tuple, tuple], ...]:
-    """For each degree g of workspace (n, cap): the (r, r) pairs of its ranks
-    r, and the (s, pairs) spans of `product_rows` with s of degree >= 1 and
-    pairs the (r, rc) of those ranks, which land on degrees above g."""
-    rows, degrees = mi.product_rows(n, cap), mi.degree_of(n, cap)
-    out = []
-    for g in range(cap + 1):
-        ranks = range(bisect_right(degrees, g - 1), bisect_right(degrees, g))
-        spans = [(s, tuple(p for p in rows[s] if degrees[p[0]] == g)) for s in range(1, len(rows))]
-        out.append((tuple((r, r) for r in ranks), tuple(span for span in spans if span[1])))
-    return tuple(out)
 
 
 def _block_split(keys, reads) -> list[tuple[list, list[int]]]:
@@ -202,15 +174,24 @@ def _block_split(keys, reads) -> list[tuple[list, list[int]]]:
     return blocks
 
 
+def _combination(parts) -> list | None:
+    """The numerators of the sum of c * nums over the (c, nums) parts, all
+    nums of one length; None for no parts."""
+    out = None
+    for c, nums in parts:
+        out = [c * v for v in nums] if out is None else [x + c * v for x, v in zip(out, nums)]
+    return out
+
+
 def _linear_factor(matrix: list, n: int, cap: int) -> tuple:
     """The square matrix B of jets in workspace (n, cap), each entry given as
     (numerators, denominator), prepared once for every later
-    `_solve_linear_by_degree`: B = N / d over one denominator d; -A / q, the
-    inverse over Q of the constant matrix N(0), by Gauss-Jordan over
-    Fractions (the pivot of each column the first remaining row with a
-    nonzero entry), with A integer and q > 0 the least common denominator of
-    its entries (the adjugate over the determinant, reduced); and each entry
-    of N with its constant term dropped, None where N is constant. Raises
+    `_solve_linear_by_degree`: B = N / d over one denominator d; the integer
+    matrix P = -q N(0)^-1, with N(0)^-1 the inverse over Q of the constant
+    matrix, by Gauss-Jordan over Fractions (the pivot of each column the
+    first remaining row with a nonzero entry), and q > 0 the least common
+    denominator of its entries (the adjugate over the determinant, reduced);
+    and M = P (N - N(0)), each entry None where it is zero. Raises
     SingularJetError when N(0) is singular."""
     d, m = lcm(*(den for row in matrix for _, den in row)), len(matrix)
     scaled = [[[v * (d // den) for v in nums] for nums, den in row] for row in matrix]
@@ -232,44 +213,72 @@ def _linear_factor(matrix: list, n: int, cap: int) -> tuple:
         ]
     q = lcm(*(x.denominator for row in rows for x in row[m:]))
     inverse = [[-x.numerator * (q // x.denominator) for x in row[m:]] for row in rows]
-    nonconstant = [[[0, *entry[1:]] if any(entry[1:]) else None for entry in row] for row in scaled]
-    return n, inverse, q, d, nonconstant
+    product = [[None] * m for _ in range(m)]
+    if any(any(entry[1:]) for row in scaled for entry in row):
+        # M = P N less its constant part, which is P N(0) = -q I
+        product = [
+            [_combination((p, nums) for p, nums in zip(prow, column) if p) for column in zip(*scaled)]
+            for prow in inverse
+        ]
+        for i, row in enumerate(product):
+            row[i][0] = 0
+        product = [[entry if any(entry) else None for entry in row] for row in product]
+    return n, inverse, q, d, product
+
+
+def _solve_graded(n: int, divisors: list, matrix: list, acc: list) -> list:
+    """The integer solution Z, one numerator list per unknown in workspace
+    (n, cap) with cap = len(divisors) - 1, of the graded triangular system
+
+        Z_r = (acc_r + sum_{s != 0} M_s Z_{r - s}) / q_g
+
+    for every rank r of degree g, every division exact: q_g = divisors[g],
+    M the square `matrix` of numerator lists with zero constant terms (None
+    for a zero entry) and acc the right-hand numerator lists, which the solve
+    turns into Z in place and returns. It is the package's one graded solve
+    (Brent & Kung 1978): of every jet-linear block
+    (`_solve_linear_by_degree`), of `Jet.reciprocal` and of `Jet.exp`.
+    Degree by degree, it finishes the degree's ranks by one division each,
+    and pushes them through the nonzero ranks s of M onto higher degrees
+    along the degree's spans (`multiindex.product_degrees`). Every product
+    runs through `_mul_layer`, which visits the pairs of a nonzero first
+    factor only, and an unknown with nothing at the degree is not pushed."""
+    cap = len(divisors) - 1
+    degrees = mi.degree_of(n, cap)
+    push = [
+        (acc_i, entry, acc_j)
+        for acc_i, row in zip(acc, matrix)
+        for entry, acc_j in zip(row, acc)
+        if entry is not None
+    ]
+    hi = 0
+    for g, (q, spans) in enumerate(zip(divisors, mi.product_degrees(n, cap))):
+        lo, hi = hi, bisect_right(degrees, g)
+        if q != 1:
+            for zi in acc:
+                for r in range(lo, hi):
+                    zi[r] //= q
+        for acc_i, entry, zj in push:
+            if any(zj[lo:hi]):
+                _mul_layer(spans, entry, zj, 1, acc_i)
+    return acc
 
 
 def _solve_linear_by_degree(factor, rhs: list, cap: int) -> tuple[list, int]:
     """(numerators per unknown, one denominator) of the X with B X + Y = 0 to
     degree cap <= the factor's cap, Y given as one (numerators, denominator)
     per row in workspace (n, cap), B of the `_linear_factor` factor. In the
-    ranks' graded order, X_r = -C^-1 (Y_r + sum_{s != 0} B_s X_{r - s}) with
-    C = B_0 (Brent & Kung 1978), on integers: with B = N / d, N_0^-1 = A / q
-    and Y = U / e over one e, Z_r = X_r e q^(cap + 1) is
-    -A (d q^(cap + 1) U_r + sum_s N_s Z_{r-s}) / q, an exact division. The
-    sums are accumulated degree by degree: the finished ranks of degree g are
-    pushed through their product spans onto higher degrees, and every
-    product runs through `_mul_layer`."""
-    n, neg_inverse, q, d, matrix = factor
+    ranks' graded order X_r = -C^-1 (Y_r + sum_{s != 0} B_s X_{r - s}) with
+    C = B_0, on integers: with B = N / d and Y = U / e over one e,
+    Z = X e q^(cap + 1) has Z_r = P (d q^(cap + 1) U_r + sum_s N_s Z_{r-s}) / q.
+    P is constant, so it is applied once: Z is `_solve_graded`'s with the
+    factor's M = P (N - N(0)), q_g = q at every degree and
+    acc = P d q^(cap + 1) U, each row's scale formed once."""
+    n, inverse, q, d, matrix = factor
     e, top = lcm(*(den for _, den in rhs)), q ** (cap + 1)
-    acc = []
-    for nums, den in rhs:
-        scale = d * top * (e // den)
-        acc.append([scale * v if v else 0 for v in nums])
-    z = [[0] * len(row) for row in acc]
-    for diagonal, spans in _degree_spans(n, cap):
-        ranks = slice(diagonal[0][0], diagonal[-1][0] + 1)
-        live = [any(acc_j[ranks]) for acc_j in acc]
-        for zi, row in zip(z, neg_inverse):
-            for a, acc_j, on in zip(row, acc, live):
-                if a and on:
-                    _mul_layer(((0, diagonal),), (a,), acc_j, 1, zi)
-            if q != 1:
-                for r, _ in diagonal:
-                    zi[r] //= q
-        live = [any(zj[ranks]) for zj in z]
-        for acc_i, row in zip(acc, matrix):
-            for entry, zj, on in zip(row, z, live):
-                if entry is not None and on:
-                    _mul_layer(spans, entry, zj, 1, acc_i)
-    return z, e * top
+    scaled = [(d * top * (e // den), nums) for nums, den in rhs]
+    acc = [_combination((p * c, nums) for p, (c, nums) in zip(prow, scaled) if p) for prow in inverse]
+    return _solve_graded(n, [q] * (cap + 1), matrix, acc), e * top
 
 
 @lru_cache(maxsize=None)
@@ -545,34 +554,36 @@ class Jet:
         return self._with_nums(out, self.den * l, min(self.valid_order + 1, self.max_degree))
 
     def reciprocal(self) -> "Jet":
-        """Multiplicative inverse, by the degree-by-degree division recurrence
-        g0 f_k = -sum_{j>=1} g_j f_{k-j} on homogeneous parts. With
-        g = G / d and D = max_degree, F = f * G0^(D+1) is integral:
-        F_0 = d * G0^D and G0 F_k = -sum_{j>=1} G_j F_{k-j}."""
-        g = list(self.nums)
-        g0 = g[0]
+        """Multiplicative inverse, by the division recurrence
+        g0 f_k = -sum_{j>=1} g_j f_{k-j} on homogeneous parts. With g = G / d
+        and D = max_degree, F = f G0^(D+1) is integral, and it is the 1x1
+        graded solve (`_solve_graded`) with M the series G with its constant
+        term zeroed, q_g = -G0 at every degree and the right-hand side
+        -d G0^(D+1) at rank 0: F_0 = d G0^D and G0 F_k = -sum_{j>=1} G_j F_{k-j}."""
+        g0 = self.nums[0]
         if not g0:
             raise SingularJetError("reciprocal of a jet with zero constant term")
         cap = self.max_degree
-        g[0] = 0
-        f = _solve_by_degree(
-            mi.product_rows(self.n, cap), g, self.den * g0**cap, [-g0] * len(g)
-        )
-        return self._with_nums(f, g0 ** (cap + 1), self.valid_order)
+        top = g0 ** (cap + 1)
+        rhs = [-self.den * top] + [0] * (len(self.nums) - 1)
+        [f] = _solve_graded(self.n, [-g0] * (cap + 1), [[[0, *self.nums[1:]]]], [rhs])
+        return self._with_nums(f, top, self.valid_order)
 
     def exp(self) -> "Jet":
         """exp composed with self; requires zero constant term (exactness).
         The Euler operator E = sum_i x_i d/dx_i gives E f = (E g) f, so on
         homogeneous parts k f_k = sum_{j=1..k} j g_j f_{k-j}. With g = G / d
-        and D = max_degree, F = f * D! * d^D is integral: F_0 = D! d^D and
-        k d F_k = sum_j j G_j F_{k-j}."""
+        and D = max_degree, F = f D! d^D is integral, and it is the 1x1
+        graded solve (`_solve_graded`) with M the Euler-weighted series
+        k G_k, q_0 = 1, q_k = k d and the right-hand side D! d^D at rank 0:
+        F_0 = D! d^D and k d F_k = sum_j j G_j F_{k-j}."""
         if self.nums[0]:
             raise ConstantTermError("exp needs a zero constant term")
         n, cap, d = self.n, self.max_degree, self.den
-        degs = mi.degree_of(n, cap)
-        g = [k * c for k, c in zip(degs, self.nums)]
+        series = [k * c for k, c in zip(mi.degree_of(n, cap), self.nums)]
         top = factorial(cap) * d**cap
-        f = _solve_by_degree(mi.product_rows(n, cap), g, top, [k * d for k in degs])
+        rhs = [top] + [0] * (len(series) - 1)
+        [f] = _solve_graded(n, [1] + [k * d for k in range(1, cap + 1)], [[series]], [rhs])
         return self._with_nums(f, top, self.valid_order)
 
     # ------------------------------------------------------------------

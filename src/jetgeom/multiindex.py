@@ -13,10 +13,10 @@ from itertools import groupby
 
 
 # the largest product-pair table (`product_rows`: C(2n + D, D) pairs of under
-# 100 bytes each, which the spans of `product_layers` share) a scenario or a
-# report may need; a layered solve also builds the smaller tables of (n, D - 1)
-# for its rests. The tests, demos and benchmark use at most 12870 pairs
-# (n = 4, D = 8)
+# 100 bytes each, which the spans of `product_layers` and `product_degrees`
+# share) a scenario or a report may need; a layered solve also builds the
+# smaller tables of (n, D - 1) for its rests. The tests, demos and benchmark
+# use at most 12870 pairs (n = 4, D = 8)
 MAX_PRODUCT_PAIRS = 100_000
 
 
@@ -117,6 +117,24 @@ def product_layers(n: int, cap: int) -> tuple[tuple[tuple[int, tuple], ...], ...
         for s, block in groupby(row, key=lambda pair: x1[pair[0]]):
             layers[x1[ra] + s].append((ra, tuple(block)))
     return tuple(tuple(spans) for spans in layers)
+
+
+@lru_cache(maxsize=None)
+def product_degrees(n: int, cap: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """Degree g lists the (ra, pairs) spans of `product_rows`, ra ascending:
+    pairs is the (rb, rc) pairs of row ra, in the row's order, whose rbs
+    have degree g. Every pair lies in exactly one span, so the degrees
+    partition the one table of pairs; a span holds the table's own pair
+    tuples in a tuple of its own."""
+    degs = degree_of(n, cap)
+    spans: list[list] = [[] for _ in range(cap + 1)]
+    for ra, row in enumerate(product_rows(n, cap)):
+        runs: dict[int, list] = {}
+        for pair in row:
+            runs.setdefault(degs[pair[0]], []).append(pair)
+        for g, pairs in runs.items():
+            spans[g].append((ra, tuple(pairs)))
+    return tuple(tuple(degree) for degree in spans)
 
 
 @lru_cache(maxsize=None)

@@ -166,6 +166,44 @@ def test_largest_workspaces_match_fraction_kernel(n):
     assert_same((a - a.constant_term).exp(), ref_exp(a - a.constant_term))
 
 
+def deep_jet(n: int, cap: int, kind: str, seed: int, constant: Fraction) -> Jet:
+    """A jet of workspace (n, cap) with the given constant term: "sparse"
+    has up to 7 nonzero coefficients of degree 1..3 besides it, as a drawn
+    cubic of metric2d-deep has, "dense" a coefficient at every rank; every
+    coefficient is a fraction whose denominators share factors."""
+    rng = random.Random(f"{n} {cap} {kind} {seed}")
+    size = mi.size(n, cap)
+    ranks = range(1, size)
+    if kind == "sparse":
+        cubic = mi.size(n, 3)  # the ranks of degree <= 3
+        ranks = rng.sample(range(1, cubic), min(7, cubic - 1))
+    coeffs = [Fraction(0)] * size
+    for r in ranks:
+        coeffs[r] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 2, 3, 4, 6, 35]))
+    coeffs[0] = constant
+    return Jet(n, cap, coeffs, cap - 1)
+
+
+# the workspaces of metric2d-deep's reciprocals, (2, 10) and (1, 11), and
+# beyond; the hypothesis workspaces above stop at D = 8
+DEEP_CASES = [
+    (n, cap, kind) for n, cap in ((2, 10), (2, 12), (1, 11), (1, 35)) for kind in ("sparse", "dense")
+]
+
+
+@pytest.mark.parametrize("n, cap, kind", DEEP_CASES)
+def test_deep_reciprocal_matches_newton(n, cap, kind):
+    for seed, constant in enumerate((Fraction(-5, 3), Fraction(7, 2))):
+        a = deep_jet(n, cap, kind, seed, constant)
+        assert_same(a.reciprocal(), ref_reciprocal(a))
+
+
+@pytest.mark.parametrize("n, cap, kind", DEEP_CASES)
+def test_deep_exp_matches_horner(n, cap, kind):
+    a = deep_jet(n, cap, kind, 0, Fraction(0))
+    assert_same(a.exp(), ref_exp(a))
+
+
 @pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])
 def test_pair_rows_hold_every_product_pair(n, cap):
     rows = mi.product_rows(n, cap)
@@ -189,6 +227,20 @@ def test_product_layers_partition_the_pair_rows(n, cap):
     assert sorted(spanned) == sorted((ra, rb) for ra, row in enumerate(rows) for rb, _ in row)
     # each span is a contiguous run of its row, the runs in layer order
     assert [tuple(run) for run in runs] == list(rows)
+
+
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])
+def test_product_degrees_partition_the_pair_rows(n, cap):
+    # the spans of the graded solve: degree g holds, for every row that
+    # reaches it, the row's pairs whose rb has degree g
+    rows, degs = mi.product_rows(n, cap), mi.degree_of(n, cap)
+    runs = [[] for _ in rows]
+    for g, spans in enumerate(mi.product_degrees(n, cap)):
+        assert [ra for ra, _ in spans] == sorted(ra for ra, _ in spans)
+        for ra, pairs in spans:
+            assert pairs and all(degs[rb] == g for rb, _ in pairs)
+            runs[ra].extend(pairs)
+    assert [sorted(run) for run in runs] == [sorted(row) for row in rows]
 
 
 @pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(1, 9)])

@@ -802,27 +802,32 @@ def test_solve_never_reads_a_rest_at_degree_d(monkeypatch, tag, mode):
 # statistical at (4, 3), the smallest workspace whose determined-symbol
 # blocks have off-diagonal entries, which each later block's rows read from
 # the solve's table. The block keys are solved by degree against their
-# constant matrix (`jets._solve_linear_by_degree`), whose products are
-# counted too: one pair per rank and nonzero entry of the constant inverse,
-# and the pushes of each finished degree through the nonzero ranks of the
-# block's matrix. While each key was a layer evaluation of its row
-# -sum_j inv_ij gap_j over the entries of a jet inverse, statistical,
-# trace-free-statistical-2d and statistical-n4 counted 5102, 345 and 13590;
+# constant matrix (`jets._solve_linear_by_degree`, on the graded solve
+# `jets._solve_graded`), whose products are counted too: the pushes of each
+# finished degree through the nonzero ranks of M = P (N - N(0)), the
+# block's matrix less its constant part times the scaled constant inverse
+# P, which `jets._linear_factor` forms once. While each key was a layer
+# evaluation of its row -sum_j inv_ij gap_j over the entries of a jet
+# inverse, statistical, trace-free-statistical-2d and statistical-n4
+# counted 5102, 345 and 13590;
 # before that, while the block steps ran outside the layer evaluations,
 # statistical, trace-free-statistical-2d, metric-2d and statistical-n4
 # counted 4724, 310, 123 and 11686.
 # trace-free-statistical-2d and statistical-n4 counted 344 and 13221 while
 # the block solve ran the constant-inverse step on a right-hand row with
-# nothing at the degree, and pushed unknowns with nothing at it.
+# nothing at the degree, and pushed unknowns with nothing at it. While each
+# degree was finished by the products of P with the right-hand rows, one
+# pair per rank and nonzero entry of P, statistical,
+# trace-free-statistical-2d and statistical-n4 counted 5069, 339 and 13207.
 SOLVE_PAIR_CEILINGS = {
     "general": 1675,
     "trace-free-torsion": 1813,
     "torsion-free": 3642,
-    "statistical": 5069,
+    "statistical": 4964,
     "statistical-2d": 343,
-    "trace-free-statistical-2d": 339,
+    "trace-free-statistical-2d": 326,
     "metric-2d": 80,
-    "statistical-n4": 13207,
+    "statistical-n4": 12823,
 }
 # the scenarios of the ceilings that are not a construction's small one
 PAIR_SCENARIOS = {"statistical-n4": ("statistical", (4, 3))}
@@ -863,9 +868,13 @@ def test_solve_kernel_work_stays_under_its_ceiling(monkeypatch, name):
 
 # the pairs, counted as the solve's are, that the small metric-2d build
 # visits outside `_ck_solve` and the checks: its fixed entries, the initial
-# slices of p and w and g = h r. A ceiling may only move down. It took 296
-# with the fixed entries of the quadratic equation for h.
-METRIC_2D_OUTSIDE_PAIR_CEILING = 269
+# slices of p and w, g = h r and the three reciprocals of the fixed entries
+# and the slices (`jets._solve_graded`). A ceiling may only move down. It
+# took 296 with the fixed entries of the quadratic equation for h. While
+# the reciprocals ran a recurrence of their own, which this count did not
+# see, the rest took 269; that recurrence visited every pair of the row of
+# each finished nonzero rank, 15 + 14 + 10, so 308 in this scope.
+METRIC_2D_OUTSIDE_PAIR_CEILING = 293
 
 
 def test_metric_2d_work_outside_the_solve_stays_under_its_ceiling(monkeypatch):
@@ -901,21 +910,57 @@ def test_metric_2d_work_outside_the_solve_stays_under_its_ceiling(monkeypatch):
     assert 0 < sum(visits) <= METRIC_2D_OUTSIDE_PAIR_CEILING
 
 
+# the pairs, counted as the solve's are, of the reciprocal of a sparse
+# series: r11 of perfbench's metric2d-deep scenario at seed 1, cut to cap 10
+# as its build takes it (n = 2, 8 nonzero coefficients). The graded solve
+# (`jets._solve_graded`) pushes each finished degree through the nonzero
+# ranks of the series only; the recurrence it replaced visited every pair
+# of the row of each finished nonzero rank, 876 of the table's 1001, 269 of
+# them with a nonzero series coefficient. A ceiling may only move down.
+SPARSE_RECIPROCAL_PAIR_CEILING = 298
+
+
+def test_sparse_reciprocal_work_stays_under_its_ceiling(monkeypatch):
+    real_reciprocal, real, taken, visits = Jet.reciprocal, jets_module._mul_layer, [], []
+
+    def spy(jet):
+        taken.append(jet)
+        return real_reciprocal(jet)
+
+    def counted(spans, a, b, scale, out):
+        spans = tuple(spans)
+        visits.append(sum(len(pairs) for ra, pairs in spans if a[ra]))
+        return real(spans, a, b, scale, out)
+
+    monkeypatch.setattr(Jet, "reciprocal", spy)
+    _run_direct({
+        "construction": "metric-2d", "n": 2, "D": 12, "seed": 1,
+        "prescribed": RANDOM_PRESCRIBED["metric-2d"], "random": {"degree": 3, "coeff_bound": 2},
+    })
+    r11 = taken[0]  # the build's first reciprocal, 1 / r11 to degree D - 2
+    assert (r11.n, r11.max_degree, sum(1 for c in r11.nums if c)) == (2, 10, 8)
+    monkeypatch.setattr(jets_module, "_mul_layer", counted)
+    real_reciprocal(r11)
+    assert 0 < sum(visits) <= SPARSE_RECIPROCAL_PAIR_CEILING
+
+
 # the (rb, rc) pairs `_mul_layer` visits on spans with a nonzero first
 # factor while `_run_checks` re-checks the report of each small scenario
-# (direct mode, seed 3), counted as the solve's are, and the (s, rc) pairs
-# of `jets._solve_by_degree` (`Jet.reciprocal`, `Jet.exp`) with a nonzero
-# series coefficient that it pushes a finished nonzero rank through: the
-# checks' products run through `jets.product_sum`, which perfbench's
-# `Jet.__mul__` counts do not see. A ceiling may only move down. metric-2d
-# took 388 (348 + 40 in the reciprocals) while `metric_inverse` ran a jet
+# (direct mode, seed 3), counted as the solve's are, the graded solves of
+# `metric_inverse`, `Jet.reciprocal` and `Jet.exp` (`jets._solve_graded`)
+# included: the checks' products run through `jets.product_sum`, which
+# perfbench's `Jet.__mul__` counts do not see. A ceiling may only move down.
+# metric-2d took 388 (348 + 40 in the reciprocals, counted then as the pairs
+# with a nonzero series coefficient) while `metric_inverse` ran a jet
 # Gauss-Jordan with one reciprocal per pivot. Its solve by degree against
-# the constant matrix takes 24 more: 20 in the constant-inverse step, one
-# scalar product per rank and column of the order-3 inverse, and 4 pushes
-# of ranks whose coefficient is zero, which `_mul_layer` visits and the
-# reciprocal skipped. Before that count was widened, metric-2d took 510
-# while the metric inverse of `levi_civita` formed the products whose
-# results the elimination knows. While `ricci` formed the k = i products
+# the constant matrix took 24 more, 412: 20 in the constant-inverse step,
+# one scalar product per rank and column of the order-3 inverse, and 4
+# pushes of ranks whose coefficient is zero, which `_mul_layer` visits and
+# the reciprocal skipped. The graded solve applies the constant inverse
+# once, to the right-hand side and to the matrix, and finishes each degree
+# by a division, so the 20 are gone; the 4 remain. Before that count was
+# widened, metric-2d took 510 while the metric inverse of `levi_civita`
+# formed the products whose results the elimination knows. While `ricci` formed the k = i products
 # that cancel, general, trace-free-torsion, torsion-free and metric-2d took
 # 2396, 2448, 5147 and 426.
 CHECK_PAIR_CEILINGS = {
@@ -925,7 +970,7 @@ CHECK_PAIR_CEILINGS = {
     "statistical": 3792,
     "statistical-2d": 440,
     "trace-free-statistical-2d": 519,
-    "metric-2d": 412,
+    "metric-2d": 392,
 }
 
 
@@ -934,20 +979,14 @@ def test_check_kernel_work_stays_under_its_ceiling(monkeypatch, tag):
     n, cap = SMALL[tag]
     sc = {"construction": tag, "n": n, "D": cap, "seed": 3}
     report = _run_direct(sc | {"prescribed": RANDOM_PRESCRIBED[tag], "free_data": "random"})
-    real, real_by_degree, visits = jets_module._mul_layer, jets_module._solve_by_degree, []
+    real, visits = jets_module._mul_layer, []
 
     def counted(spans, a, b, scale, out):
         spans = tuple(spans)
         visits.append(sum(len(pairs) for ra, pairs in spans if a[ra]))
         return real(spans, a, b, scale, out)
 
-    def by_degree(rows, g, f0, divisors):
-        f = real_by_degree(rows, g, f0, divisors)
-        visits.append(sum(1 for row, fr in zip(rows, f) if fr for s, _ in row if g[s]))
-        return f
-
     monkeypatch.setattr(jets_module, "_mul_layer", counted)
-    monkeypatch.setattr(jets_module, "_solve_by_degree", by_degree)
     checks = _run_checks(report)
     assert all(check.passed for check in checks)
     assert 0 < sum(visits) <= CHECK_PAIR_CEILINGS[tag]

@@ -1,6 +1,11 @@
 """jetgeom: exact truncated-power-series constructions of linear connections
 and metrics with prescribed Ricci tensor, and of statistical structures, all
-verified by zero-residual checks in rational arithmetic."""
+verified by zero-residual checks in rational arithmetic.
+
+`ck`, the Picard solver, loads on first access to it or to one of its names:
+no build calls it, so `run` and `verify` never import it."""
+
+import importlib
 
 from .builders import (
     BuildReport,
@@ -28,15 +33,6 @@ from .builders import (
     statistical_nd_round_trip_data,
     verify,
     zero_free_data,
-)
-from .ck import (
-    CKSolution,
-    FirstOrderSystem,
-    SecondOrderSystem,
-    residual_first_order,
-    residual_second_order,
-    solve_first_order,
-    solve_second_order,
 )
 from .errors import (
     ConstantTermError,
@@ -75,3 +71,22 @@ from .geometry import (
 from .jets import Jet, SliceJet, random_poly, random_slice
 
 __version__ = "0.1.0"
+
+_CK_NAMES = {
+    "CKSolution",
+    "FirstOrderSystem",
+    "SecondOrderSystem",
+    "residual_first_order",
+    "residual_second_order",
+    "solve_first_order",
+    "solve_second_order",
+}
+
+
+def __getattr__(name):
+    # `from . import ck` here would look `ck` up on this module first and recurse
+    if name != "ck" and name not in _CK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ck = importlib.import_module(".ck", __name__)  # binds `ck` in this namespace
+    globals().update({key: getattr(ck, key) for key in _CK_NAMES})
+    return globals()[name]

@@ -99,14 +99,14 @@ g11 g22 - g12^2 - nu^2 = 0, which is linear in g11, as its one algebraic
 row, so no first-order build takes a reciprocal in its solve.
 """
 
-from __future__ import annotations
-
+# annotations are evaluated here, not kept as strings (`from __future__ import
+# annotations`): `typing.NamedTuple` compiles each string field annotation of
+# the records into a `ForwardRef`, which would double their cost at import
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import multiindex as mi
 from .errors import (
@@ -174,8 +174,7 @@ def _keyed(slots: Mapping) -> dict:
 # constructions: one record each
 
 
-@dataclass(frozen=True)
-class _Construction:
+class _Construction(NamedTuple):
     """Everything about one construction but its equations:
     - the dimension rule n_min <= n <= n_max (None: no bound);
     - the name and type of every prescribed and output value of its
@@ -325,8 +324,7 @@ def _require_node_bound(construction: str, n: int, cap: int):
 # censuses
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Explicit slot lists for one construction: which component functions are
     freely choosable, which initial slices are prescribed, which symbols the
     CK solver produces, and which are determined algebraically."""
@@ -389,8 +387,7 @@ def census(construction: str, n: int) -> Census:
 # free data
 
 
-@dataclass(frozen=True)
-class FreeData:
+class FreeData(NamedTuple):
     """Explicit assignment of the freely choosable functions and initial
     slices a census enumerates; the torsion-free gauge function is carried
     separately under its own field."""
@@ -453,15 +450,13 @@ def random_free_data(
 # reports
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     order: int
     passed: bool
 
 
-@dataclass
-class BuildReport:
+class BuildReport(NamedTuple):
     construction: str
     n: int
     max_degree: int
@@ -711,7 +706,7 @@ def _run_checks(report: BuildReport, order: int | None = None) -> list[Check]:
 def _checked(report: BuildReport) -> BuildReport:
     """Fill the checks of a finished build from the registry; a failed check
     is a defect of the builder, not of its input."""
-    report.checks = _run_checks(report)
+    report = report._replace(checks=_run_checks(report))
     failed = [c.name for c in report.checks if not c.passed]
     if failed:
         raise RuntimeError(
@@ -787,8 +782,7 @@ def verify_read_back(built: BuildReport, read: BuildReport) -> bool:
 # equation rows and the one first-order CK solve
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     """The sum of linear atoms c * table[key], derivative atoms
     c * (table[key])_axis and product atoms c * table[x] * table[y] over one
     table of jets; an equation row states that the sum vanishes."""
@@ -1081,8 +1075,7 @@ def _ck_solve(
 # prescribed Ricci: one spec per torsion regime, one row generator, one builder
 
 
-@dataclass(frozen=True)
-class _RicciSpec:
+class _RicciSpec(NamedTuple):
     """How Ric(conn) = r becomes a CK system. Table keys are `_canon`'s. An
     equation is (the Ricci component (a, b) it uses, the unknown whose
     x1-derivative it isolates); a substitution expresses a determined symbol
@@ -1200,8 +1193,8 @@ def build_prescribed_ricci(construction: str, r: Bilinear, fd: FreeData) -> Buil
     rows, initial = _ricci_rows(spec, n), _keyed(fd.initial_slices)
     table = _ck_solve(rows, known, derived, initial, set(keys.values()))
     gamma = {key: table[c] for key, c in keys.items()}
-    report.outputs = {"connection": Connection(n, gamma, symmetric=spec.symmetric)}
-    return _checked(report)
+    connection = Connection(n, gamma, symmetric=spec.symmetric)
+    return _checked(report._replace(outputs={"connection": connection}))
 
 
 def build_prescribed_ricci_general(r: Bilinear, fd: FreeData) -> BuildReport:
@@ -1314,16 +1307,14 @@ def build_metric_2d_prescribed_ricci(
     derived = {"(w)_2": _Row(derivatives=((1, "w", 2),))}
     h = _ck_solve(equations, fixed, derived, initial, {"h"})["h"]
     metric = Metric(2, {(1, 1): E * h, (1, 2): Jet.zero(2, cap), (2, 2): G * h})
-    report.outputs = {"metric": metric, "conformal_factor": h}
-    return _checked(report)
+    return _checked(report._replace(outputs={"metric": metric, "conformal_factor": h}))
 
 
 # ---------------------------------------------------------------------------
 # statistical structures: one Codazzi gap, one CK assembly and solve
 
 
-@dataclass(frozen=True)
-class _CodazziSpec:
+class _CodazziSpec(NamedTuple):
     """The Codazzi system of a statistical structure in dimension n. Each
     metric unknown ("g", a, b) (a <= b, (a, b) != (1, 1)) takes its
     x1-derivative from gap (1, b, a). The determined symbols (t, i, j) are the
@@ -1446,8 +1437,8 @@ def build_statistical_2d(
     prescribed = {"connection": conn, "g11": g11, "init12": init12, "init22": init22}
     report = BuildReport("statistical-2d", conn.n, cap, prescribed, None, None, [])
     _admit(report)
-    report.outputs = {"metric": _codazzi_metric_2d(conn, init12, init22, {("g", 1, 1): g11})}
-    return _checked(report)
+    metric = _codazzi_metric_2d(conn, init12, init22, {("g", 1, 1): g11})
+    return _checked(report._replace(outputs={"metric": metric}))
 
 
 def build_trace_free_statistical_2d(
@@ -1468,8 +1459,7 @@ def build_trace_free_statistical_2d(
     det = _Row(((-1, "nu^2"),), (), ((1, ("g", 1, 1), ("g", 2, 2)), (-1, ("g", 1, 2), ("g", 1, 2))))
     given = {"nu^2": volume * volume}
     metric = _codazzi_metric_2d(conn, init12, init22, given, ([("g", 1, 1)], [det]))
-    report.outputs = {"metric": metric, "volume": volume}
-    return _checked(report)
+    return _checked(report._replace(outputs={"metric": metric, "volume": volume}))
 
 
 def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
@@ -1489,8 +1479,8 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
     gaps = [_codazzi_gap(*gap, n, True) for gap in spec.gaps]
     fixed, initial = _keyed(fd.free_functions), _keyed(fd.initial_slices)
     metric, table = _codazzi_metric(n, True, initial, fixed, (spec.determined, gaps))
-    report.outputs = {"connection": Connection.from_symmetric(n, table), "metric": metric}
-    return _checked(report)
+    connection = Connection.from_symmetric(n, table)
+    return _checked(report._replace(outputs={"connection": connection, "metric": metric}))
 
 
 # ---------------------------------------------------------------------------

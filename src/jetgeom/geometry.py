@@ -221,6 +221,13 @@ class Metric(Bilinear):
         super().__init__(n, full)
         if not self.is_symmetric_table():
             raise DimensionMismatchError("metric table is not symmetric")
+        self.normalized_at_zero = all(
+            self.comps[(i, j)].constant_term == (1 if i == j else 0)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        )
+        if self.normalized_at_zero:  # the identity is invertible
+            return
         # the constant terms in workspace (n, 0): invertible iff they factor
         const = [
             [(self.comps[(i, j)].nums[:1], self.comps[(i, j)].den) for j in range(1, n + 1)]
@@ -230,11 +237,6 @@ class Metric(Bilinear):
             _linear_factor(const, n, 0)
         except SingularJetError:
             raise SingularJetError("metric constant-term matrix is singular") from None
-        self.normalized_at_zero = all(
-            self.comps[(i, j)].constant_term == (1 if i == j else 0)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        )
 
     @classmethod
     def identity(cls, n: int, max_degree: int) -> "Metric":

@@ -85,18 +85,22 @@ def product_rows(n: int, cap: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     In graded order the rbs of row ra are 0..size(n, cap - deg ra) - 1; a row
     lists them by x1-exponent and then ascending, so the pairs of one row that
     land on one x1-layer are contiguous (`product_layers`). The table holds
-    C(2n + cap, cap) pairs."""
-    exps = exponents(n, cap)
-    ranks = rank_of(n, cap)
-    degs = degree_of(n, cap)
+    C(2n + cap, cap) pairs.
+
+    Exponent tuple e has code sum_i e_i (cap + 1)^i. A product of degree
+    <= cap has every exponent <= cap, so no digit carries: its code is the
+    sum of its factors' codes, and one code -> rank map gives its rank."""
+    degs, x1 = degree_of(n, cap), _x1_exponents(n, cap)
+    codes = [sum(k * (cap + 1) ** i for i, k in enumerate(e)) for e in exponents(n, cap)]
+    rank = {code: r for r, code in enumerate(codes)}
+    # the rbs of each degree bound with their codes, by x1-exponent
+    orders = [
+        [(rb, codes[rb]) for rb in sorted(range(bisect_right(degs, bound)), key=x1.__getitem__)]
+        for bound in range(cap + 1)
+    ]
     return tuple(
-        tuple(
-            (rb, ranks[tuple(x + y for x, y in zip(ea, exps[rb]))])
-            for rb in sorted(
-                range(bisect_right(degs, cap - degs[ra])), key=lambda rb: exps[rb][:1]
-            )
-        )
-        for ra, ea in enumerate(exps)
+        tuple([(rb, rank[ca + cb]) for rb, cb in orders[cap - degs[ra]]])
+        for ra, ca in enumerate(codes)
     )
 
 

@@ -33,13 +33,16 @@ integer kernel of jetgeom.jets, and the Fraction jet serialization (`int`
 on each key part, `Fraction` on each coefficient) for the integer writer
 and reader of jetgeom.serialize; the report's JSON tree
 (`ref_report_to_json`), one jet at a time, for the one-pass text writer
-`serialize.report_text`.
+`serialize.report_text`. `ref_product_rows` builds each pair of the pair
+table by adding exponent tuples and looking the sum up, row by row, for
+`multiindex.product_rows`, which adds integer codes.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
 
@@ -724,3 +727,19 @@ def ref_jet_from_json(data: dict) -> Jet:
     if not 0 <= v <= cap:
         raise ValueError(f"valid_order {v} outside 0..{cap}")
     return Jet(n, cap, coeffs, v)
+
+
+def ref_product_rows(n: int, cap: int) -> tuple:
+    """`multiindex.product_rows` by exponent tuples: row ra lists the rbs of
+    degree <= cap - deg ra by x1-exponent, each with the rank of the summed
+    exponent tuple."""
+    exps, ranks, degs = mi.exponents(n, cap), mi.rank_of(n, cap), mi.degree_of(n, cap)
+    return tuple(
+        tuple(
+            (rb, ranks[tuple(x + y for x, y in zip(ea, exps[rb]))])
+            for rb in sorted(
+                range(bisect_right(degs, cap - degs[ra])), key=lambda rb: exps[rb][:1]
+            )
+        )
+        for ra, ea in enumerate(exps)
+    )

@@ -1,7 +1,6 @@
 """Theorem-level builders: fixtures, resolutions, round-trips, rejections."""
 
 import copy
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -818,8 +817,7 @@ def test_verify_fails_after_perturbation():
     coeffs = list(gamma[key].coeffs)
     coeffs[1] += 1
     gamma[key] = Jet(2, CAP, coeffs, CAP)
-    report.outputs = {"connection": Connection(2, gamma)}
-    assert not verify(report)
+    assert not verify(report._replace(outputs={"connection": Connection(2, gamma)}))
 
 
 def test_verify_at_full_order_on_polynomial_round_trip():
@@ -840,7 +838,7 @@ def test_a_read_back_matches_its_build_in_type_flag_and_valid_order():
     volume = report.outputs["volume"]
     assert not _same_value(volume, volume.with_valid_order(volume.valid_order - 1))
     unmarked = {**report.prescribed, "connection": Connection(2, conn.gamma)}
-    assert not verify_read_back(report, dataclasses.replace(report, prescribed=unmarked))
+    assert not verify_read_back(report, report._replace(prescribed=unmarked))
 
 
 GAMMA_122 = ("connection", "gamma", "1;2,2")
@@ -1060,7 +1058,7 @@ def test_codazzi_row_breaking_the_derivative_contract_is_rejected(
     def leaky(i, j, k, n, symmetric):
         row = real(i, j, k, n, symmetric)
         if (i, j, k) == (1, 2, 1):
-            row = dataclasses.replace(row, derivatives=row.derivatives + (leak,))
+            row = row._replace(derivatives=row.derivatives + (leak,))
         return row
 
     def unreachable(*args):

@@ -25,6 +25,7 @@ from oracles import (
     ref_exp,
     ref_mul,
     ref_partial,
+    ref_product_rows,
     ref_radial_homotopy,
     ref_reciprocal,
     ref_scale,
@@ -211,6 +212,12 @@ def test_pair_rows_hold_every_product_pair(n, cap):
     assert sum(len(row) for row in rows) == comb(2 * n + cap, cap)
     assert sum(len(row) for row in rows) == len(mi.product_rank(n, cap))
     assert {(ra, rb): rc for ra, row in enumerate(rows) for rb, rc in row} == mi.product_rank(n, cap)
+
+
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])
+def test_pair_rows_by_code_addition_match_the_exponent_tuple_rows(n, cap):
+    # the same pairs in the same order within every row
+    assert mi.product_rows(n, cap) == ref_product_rows(n, cap)
 
 
 @pytest.mark.parametrize("n, cap", [(n, cap) for n in range(0, 5) for cap in range(9)])

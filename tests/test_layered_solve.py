@@ -1,7 +1,6 @@
 """The x1-layered CK solve of the builders: bit for bit against the Picard
 reference, its derivative contract, and its errors."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -485,8 +484,8 @@ def test_x1_derivative_of_an_assembled_divergence_is_rejected(monkeypatch):
 
     def leaky(spec, n):
         rows = real(spec, n)
-        rows[(2, 2, 1)] = dataclasses.replace(
-            rows[(2, 2, 1)], derivatives=rows[(2, 2, 1)].derivatives + ((1, ("div", 1, 1), 1),)
+        rows[(2, 2, 1)] = rows[(2, 2, 1)]._replace(
+            derivatives=rows[(2, 2, 1)].derivatives + ((1, ("div", 1, 1), 1),)
         )
         return rows
 
@@ -509,7 +508,7 @@ def test_x1_derivative_of_an_assembled_g11_is_rejected(monkeypatch):
     def leaky(i, j, k, n, symmetric):
         row = real(i, j, k, n, symmetric)
         if (i, j, k) == (1, 2, 1):
-            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, ("g", 1, 1), 1),))
+            row = row._replace(derivatives=row.derivatives + ((1, ("g", 1, 1), 1),))
         return row
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)
@@ -556,7 +555,7 @@ def test_x1_derivative_in_a_determined_symbol_row_is_rejected(monkeypatch):
     def leaky(i, j, k, n, symmetric):
         row = real(i, j, k, n, symmetric)
         if (i, j, k) == (3, 2, 1):
-            row = dataclasses.replace(row, derivatives=row.derivatives + ((1, ("g", 1, 2), 1),))
+            row = row._replace(derivatives=row.derivatives + ((1, ("g", 1, 2), 1),))
         return row
 
     monkeypatch.setattr(builders_module, "_codazzi_gap", leaky)

@@ -4,7 +4,9 @@ and D, plus statistical at n = 4, the smallest n with (i, j, k) algebraic
 Codazzi rows; and of the `jetgeom census` output of every tag, which fixes
 the order of the slot lists; and, per construction, of the outcomes of a
 `run` sweep over both modes, D = 2..6 and two seeds, with inputs that break
-two rules. A refactor of the equation generators, builders or admission
+two rules; and, per construction, of one report with every prescribed value
+and free datum at its default policy and one with each explicit and off it.
+A refactor of the equation generators, builders or admission
 rules must leave every report byte, reason and verify outcome unchanged; an
 intended change updates these hashes."""
 
@@ -15,7 +17,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from jetgeom.builders import random_normalized_metric
 from jetgeom.cli import main
+from jetgeom.geometry import levi_civita
+from jetgeom.serialize import connection_to_json
 
 RICCI_TAGS = ("general", "trace-free-torsion", "torsion-free")
 
@@ -209,3 +214,110 @@ def test_run_sweep_is_pinned(tmp_path, tag):
     for scenario in sweep(tag):
         digest.update(outcome(tmp_path, scenario))
     assert digest.hexdigest() == SWEEP_GOLDEN[tag]
+
+
+# ---------------------------------------------------------------------------
+# the policies of each construction's prescribed values and free data: per
+# construction, one direct `run` with no "prescribed" or "free_data" section,
+# every value at its default, and one with every value explicit and off its
+# default, so a change of a default or of the order of the draws shows
+
+POLICY_N = {**SWEEP_N, "torsion-free": 3}
+POLICY_D = {"statistical-2d": 4, "trace-free-statistical-2d": 4, "metric-2d": 4}
+
+
+def levi_civita_connection(cap: int) -> dict:
+    return connection_to_json(levi_civita(random_normalized_metric(5, 2, cap, 3, 2)))
+
+
+def inline_slice(coeffs: dict, n: int, cap: int) -> dict:
+    jet = {"n": n - 1, "D": cap, "valid_order": None, "coeffs": coeffs}
+    return {"ambient_n": n, "jet": jet}
+
+
+# census construction -> free-data slot overrides, off the "random" default
+POLICY_SLOTS = {
+    "general": {"1;1,1": "zero", "2;1,1": "one", "1;1,2": "jet", "2;2,2": "slice"},
+    "trace-free-torsion": {"1;1,1": "zero", "2;2,2": "one", "3;1,2": "jet", "1;2,2": "slice"},
+    "torsion-free": {
+        "2;1,1": "zero", "3;2,2": "one", "2;1,3": "jet", "1;2,2": "slice", "phi": "random",
+    },
+    "statistical": {
+        "g;1,1": "random", "g;1,2": "zero", "2;2,2": "one", "1;1,2": "jet", "g;2,2": "slice",
+    },
+}
+
+
+def explicit_policies(tag: str, n: int, cap: int) -> dict:
+    jet = {"n": n, "D": cap, "valid_order": None, "coeffs": {" ".join("1" * n): "1/2"}}
+    # constant term 1, as the diagonal metric slots need
+    sl = inline_slice({" ".join("0" * (n - 1)): "1/1", " ".join("1" * (n - 1)): "1/3"}, n, cap)
+    if tag == "metric-2d":
+        r22 = {**jet, "coeffs": {"0 0": "2/1", "1 1": "1/2"}}
+        phi = inline_slice({"0": "3/1", "1": "-1/1"}, n, cap)
+        return {"prescribed": {"r11": "one", "r22": r22, "phi": phi, "psi": "random"}}
+    if tag == "statistical-2d":
+        return {"prescribed": {
+            "connection": levi_civita_connection(cap), "g11": "random", "init12": "one",
+            "init22": sl,
+        }}
+    if tag == "trace-free-statistical-2d":
+        return {"prescribed": {
+            "connection": levi_civita_connection(cap), "init12": "random", "init22": "zero",
+        }}
+    inline = {"jet": jet, "slice": sl}
+    slots = {slot: inline.get(p, p) for slot, p in POLICY_SLOTS[tag].items()}
+    sc = {"free_data": {"default": "random", "slots": slots}}
+    if tag in RICCI_TAGS:
+        # symmetric, so its antisymmetric part is closed
+        r = {"1,1": "random", "1,2": jet, "2,1": jet, "2,2": "one"}
+        sc["prescribed"] = {"r": {"components": r}}
+    return sc
+
+
+# (construction, "default" or "explicit") -> SHA-256 of the report of `run`
+POLICY_GOLDEN = {
+    ("general", "default"):
+        "25e7667827edc84d85726a6a47f3899fcfff2f707b890368db0d7c73b2776865",
+    ("general", "explicit"):
+        "8f22619db267914c0a2450386da1dfc11cf880743b689ae309543a98f2be3471",
+    ("trace-free-torsion", "default"):
+        "8bb7498c46671e68548e0f1a12ea3569389412de1438f09394df38cb25acd730",
+    ("trace-free-torsion", "explicit"):
+        "d6aa8fccd39535d92bbb9684ac9ffe3a31e412bf9cc78d1838c2cb87edcf9283",
+    ("torsion-free", "default"):
+        "068093b61c25235394ad1f80608134c983bd696dfe87be49e6d5afa82d6b828a",
+    ("torsion-free", "explicit"):
+        "923504cdbce7d135c630b32d4fbcddb59d64b9ca16b46a3dd329301b22154eb4",
+    ("statistical", "default"):
+        "494db07c242be8def3408653c5441513914820480bbf69c173896d4cf9af30b2",
+    ("statistical", "explicit"):
+        "08a168ef1637778fbf1d0f142ab10742007c3d5cb39d928dc7e8cc766672d1b5",
+    ("statistical-2d", "default"):
+        "61a5d4f64c7ac1e3eacf195e50a4166fa77607fcf5e28b1f854558a5189ffc96",
+    ("statistical-2d", "explicit"):
+        "abf5aebe6419c53ac850ab1ca233425092287923aa0ff2f0ca47491ba8483b8f",
+    ("trace-free-statistical-2d", "default"):
+        "20c2eeab85408c782275b5c90875517652d367357fc7ce1841803d1b42223232",
+    ("trace-free-statistical-2d", "explicit"):
+        "8a3000db87f385503090e0c207d77d8292898033b4d40fba02c4f20c36283b36",
+    ("metric-2d", "default"):
+        "c78b74a26800ac3c09bad5136ea4f85d52809c5ec8a2d49b508f3e1d75b9cdbb",
+    ("metric-2d", "explicit"):
+        "bc47ee6cc4cc873c088be90ccd292f507f506b58f64f401a0c67f802b51cfac6",
+}
+
+
+def policy_scenario(tag: str, policies: str) -> dict:
+    n, cap = POLICY_N[tag], POLICY_D.get(tag, 3)
+    sc = {"construction": tag, "n": n, "D": cap, "seed": 2}
+    return {**sc, **explicit_policies(tag, n, cap)} if policies == "explicit" else sc
+
+
+@pytest.mark.parametrize("tag, policies", list(POLICY_GOLDEN), ids="-".join)
+def test_policy_reports_are_pinned(tmp_path, capsys, tag, policies):
+    out = tmp_path / "report.json"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**policy_scenario(tag, policies), "output": str(out)}))
+    assert main(["run", str(path)]) == 0, capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POLICY_GOLDEN[(tag, policies)]

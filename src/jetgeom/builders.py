@@ -33,11 +33,13 @@ w = (h)_2 / (2h).
 
 Each construction is stated once, in its record (`_Construction`, in
 `_CONSTRUCTIONS`): its dimension rule, the name and type of every prescribed
-and output value of its reports, the checks they must pass, and its input
-rules. Since every output is written to order D, an input must be valid to
-the order the solve reads it to, and the metric entries it gives must hold
-delta_ij at the origin. `census`, the CLI, the builders and `verify` read the
-record.
+and output value of its reports, the checks they must pass, its input
+rules, its builder, how a direct `run` draws the builder's arguments (per
+argument its scenario key, default policy and draw rule, in draw order) and
+its round-trip data. Since every output is written to order D, an input must
+be valid to the order the solve reads it to, and the metric entries it gives
+must hold delta_ij at the origin. `census`, the CLI, the builders and
+`verify` read the record; the CLI names no construction.
 
 Every seeded table (a random connection, metric or prescribed tensor, and
 random free data) is drawn by `_draws`: one seeded polynomial per key, in
@@ -174,6 +176,19 @@ def _keyed(slots: Mapping) -> dict:
 # constructions: one record each
 
 
+class _RunValue(NamedTuple):
+    """How a direct `run` makes one argument of a builder: the scenario key
+    it is read from (under "prescribed"; the top-level "free_data" for census
+    free data; a tuple of keys for a diagonal tensor; None for the
+    construction and n), its default policy, its draw rule (`cli._RULES`)
+    and the constant term forced on a drawn, "zero" or "one" value."""
+
+    key: str | tuple[str, ...] | None
+    default: object
+    rule: str
+    constant: int | None = None
+
+
 class _Construction(NamedTuple):
     """Everything about one construction but its equations:
     - the dimension rule n_min <= n <= n_max (None: no bound);
@@ -184,7 +199,13 @@ class _Construction(NamedTuple):
     - the input rules of `_admit`: the inputs, named as `_input`
       names them, that must be valid to some order below D, each as (input,
       orders below D, rejection reason), and the inputs whose metric entries
-      must hold delta_ij at the origin."""
+      must hold delta_ij at the origin;
+    - the builder `run` calls, named in this module, and its arguments in
+      direct mode, in draw order;
+    - the round-trip data of `run`'s round_trip mode (None: no such mode):
+      the seeded structure, drawn by a function of (seed, n, D, degree,
+      bound), and the function of (construction, structure) that gives the
+      builder's arguments, both named in this module."""
 
     n_min: int
     n_max: int | None
@@ -192,8 +213,11 @@ class _Construction(NamedTuple):
     outputs: Mapping[str, type]
     checks: tuple[tuple[str, int | None], ...]
     exact: tuple[tuple[str, int, str], ...]
+    build: str
+    run: tuple[_RunValue, ...]
     normal: tuple[str, ...] = ()
     free_data: bool = False
+    round_trip: tuple[str, str] | None = None
 
 
 _TENSOR, _FREE = "prescribed-tensor-not-exact", "free-function-not-exact"
@@ -202,13 +226,23 @@ _RICCI_TYPES = ({"r": Bilinear}, {"connection": Connection})
 # Gamma at degree d takes r at degree d - 1, and the free functions (the
 # gauge function too) and the initial slices at degree d
 _RICCI_INPUTS = (("r", 1, _TENSOR), ("free symbols", 0, _FREE), ("initial slices", 0, _SLICE))
+_CENSUS = _RunValue("free_data", "zero", "census")
+_RICCI_RUN = {
+    "build": "build_prescribed_ricci",
+    "run": (_RunValue(None, None, "construction"), _RunValue("r", "zero", "tensor"), _CENSUS),
+    "free_data": True,
+}
+# the initial slices of the 2D statistical metrics, normalized at the origin
+_INITS = (_RunValue("init12", "zero", "slice", 0), _RunValue("init22", "one", "slice", 1))
+_LEVI_CIVITA = ("random_normalized_metric", "_statistical_2d_round_trip")
 
 _CONSTRUCTIONS = {
     "general": _Construction(
         2, None, *_RICCI_TYPES,
         checks=(("ricci-residual", 1), ("initial-slices", 0), ("free-functions", 0)),
         exact=_RICCI_INPUTS,
-        free_data=True,
+        round_trip=("random_connection", "_ricci_round_trip"),
+        **_RICCI_RUN,
     ),
     "trace-free-torsion": _Construction(
         3, None, *_RICCI_TYPES,
@@ -217,7 +251,8 @@ _CONSTRUCTIONS = {
             ("torsion-trace-zero", 0),
         ),
         exact=_RICCI_INPUTS,
-        free_data=True,
+        round_trip=("random_trace_free_connection", "_ricci_round_trip"),
+        **_RICCI_RUN,
     ),
     "torsion-free": _Construction(
         2, None, *_RICCI_TYPES,
@@ -229,14 +264,22 @@ _CONSTRUCTIONS = {
             ("r", 1, _TENSOR), ("free symbols", 0, _FREE), ("phi", 0, _FREE),
             ("initial slices", 0, _SLICE),
         ),
-        free_data=True,
+        round_trip=("random_symmetric_connection", "_ricci_round_trip"),
+        **_RICCI_RUN,
     ),
-    # h at degree d takes r, and the slices phi of h and psi of (h)_1, at degree d
+    # h at degree d takes r, and the slices phi of h and psi of (h)_1, at
+    # degree d; a random r11, r22 or phi that vanishes at the origin gets
+    # constant term 1, so a random scenario is nondegenerate
     "metric-2d": _Construction(
         2, 2, {"r": Bilinear, "phi": SliceJet, "psi": SliceJet},
         {"metric": Metric, "conformal_factor": Jet},
         checks=(("metric-ricci-residual", 2),),
         exact=(("r", 0, _TENSOR), ("phi", 0, _SLICE), ("psi", 0, _SLICE)),
+        build="build_metric_2d_prescribed_ricci",
+        run=(
+            _RunValue(("r11", "r22"), "random", "diagonal"),
+            _RunValue("phi", "random", "nonvanishing-slice"), _RunValue("psi", "zero", "slice"),
+        ),
     ),
     # the metric at degree d takes the connection at degree d - 1, and g11
     # and the slices at degree d
@@ -248,7 +291,13 @@ _CONSTRUCTIONS = {
             ("connection", 1, _TENSOR), ("g11", 0, _TENSOR),
             ("init12", 0, _SLICE), ("init22", 0, _SLICE),
         ),
+        build="build_statistical_2d",
+        run=(
+            _RunValue("connection", "random", "connection"), _RunValue("g11", "one", "jet", 1),
+            *_INITS,
+        ),
         normal=("g11", "init12", "init22"),
+        round_trip=_LEVI_CIVITA,
     ),
     "trace-free-statistical-2d": _Construction(
         2, 2, {"connection": Connection, "init12": SliceJet, "init22": SliceJet},
@@ -258,7 +307,10 @@ _CONSTRUCTIONS = {
             ("initial-slices", 0),
         ),
         exact=(("connection", 1, _TENSOR), ("init12", 0, _SLICE), ("init22", 0, _SLICE)),
+        build="build_trace_free_statistical_2d",
+        run=(_RunValue("connection", "random-levi-civita", "connection"), *_INITS),
         normal=("init12", "init22"),
+        round_trip=_LEVI_CIVITA,
     ),
     # the metric at degree d takes g11 and the slices at degree d, and the
     # free symbols at degree d - 1
@@ -269,8 +321,11 @@ _CONSTRUCTIONS = {
             ("initial-slices", 0), ("free-functions", 0),
         ),
         exact=(("g;1,1", 0, _FREE), ("free symbols", 1, _FREE), ("initial slices", 0, _SLICE)),
+        build="build_statistical_nd",
+        run=(_RunValue(None, None, "n"), _CENSUS),
         normal=("g;1,1", "initial slices"),
         free_data=True,
+        round_trip=("random_normalized_metric", "_statistical_round_trip"),
     ),
 }
 
@@ -1484,7 +1539,7 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
 
 
 # ---------------------------------------------------------------------------
-# seeded tables and round-trip data (also used by the CLI's round-trip mode)
+# seeded tables, and round-trip data (of the CLI's round_trip mode)
 
 
 def _draw(rng: random.Random, n: int, cap: int, degree: int, bound: int) -> Jet:
@@ -1583,3 +1638,28 @@ def statistical_nd_round_trip_data(g0: Metric) -> tuple[Connection, FreeData]:
     c0 = levi_civita(g0)
     cen = census("statistical", g0.n)
     return c0, _free_data_of(cen, {"connection": c0, "metric": g0}, None)
+
+
+# the round-trip rules of the records: a seeded structure -> the arguments of
+# the record's builder that rebuild it
+
+
+def _ricci_round_trip(construction: str, conn: Connection) -> tuple:
+    return (construction, *connection_round_trip_data(construction, conn))
+
+
+def _statistical_round_trip(construction: str, g0: Metric) -> tuple:
+    return g0.n, statistical_nd_round_trip_data(g0)[1]
+
+
+def _statistical_2d_round_trip(construction: str, g0: Metric) -> tuple:
+    """The prescribed values of a 2D statistical construction that rebuild
+    (g0, levi_civita(g0)): the connection, and g0's entries as g11 and the
+    initial slices, those the record prescribes in its order."""
+    values = {
+        "connection": levi_civita(g0),
+        "g11": g0.comp(1, 1),
+        "init12": g0.comp(1, 2).restrict_x1(),
+        "init22": g0.comp(2, 2).restrict_x1(),
+    }
+    return tuple(values[name] for name in _CONSTRUCTIONS[construction].prescribed)

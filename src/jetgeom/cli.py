@@ -7,58 +7,26 @@ seed yields a byte-identical report file. A closed stdout (`jetgeom census
 general 3 | head -2`) ends the command quietly with exit code 1.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import random
 import sys
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
-from . import serialize
+from . import builders, serialize
 from .builders import (
-    BuildReport,
-    FreeData,
-    _draw,
-    _record,
-    _require_node_bound,
-    _require_workspace_bound,
-    _slot_normal_value,
-    _with_constant,
-    build_metric_2d_prescribed_ricci,
-    build_prescribed_ricci,
-    build_statistical_2d,
-    build_statistical_nd,
-    build_trace_free_statistical_2d,
-    census,
-    connection_round_trip_data,
-    random_connection,
-    random_free_data,
-    random_normalized_metric,
-    random_prescribed_tensor,
-    random_symmetric_connection,
-    random_trace_free_connection,
-    statistical_nd_round_trip_data,
-    verify,
-    verify_read_back,
-    zero_free_data,
+    BuildReport, FreeData, _record, _require_node_bound, _require_workspace_bound,
+    _slot_normal_value, _with_constant, census, verify, verify_read_back,
 )
 from .errors import JetError, RejectionError
-from .geometry import Bilinear, levi_civita
+from .geometry import Bilinear
 from .jets import Jet, SliceJet
 
 
 class ScenarioError(ValueError):
     pass
-
-
-# prescribed-Ricci tag -> seeded connection of the round_trip mode
-_RICCI_CONNECTIONS = {
-    "general": random_connection,
-    "trace-free-torsion": random_trace_free_connection,
-    "torsion-free": random_symmetric_connection,
-}
 
 
 def _object(value, section: str) -> dict:
@@ -105,16 +73,43 @@ def _shape(sc: dict) -> tuple[int, int, int]:
     return n, cap, seed
 
 
-def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:
+class _DrawContext(NamedTuple):
+    """What the draw rules of a direct `run` read: the scenario and its
+    "prescribed" section, the construction, n and D, the seeded generator
+    and the degree and coefficient bound of the random draws."""
+
+    sc: dict
+    pres: dict
+    construction: str
+    n: int
+    cap: int
+    rng: random.Random
+    degree: int
+    bound: int
+
+    def policy(self, value):
+        """The policy of a run value: its key's under "prescribed", or its
+        default."""
+        return self.pres.get(value.key, value.default)
+
+    def seeded(self) -> tuple[int, int, int, int, int]:
+        """A seed from the generator, then n, D, degree and bound: the
+        arguments of a seeded table's draw."""
+        return self.rng.randrange(2**32), self.n, self.cap, self.degree, self.bound
+
+
+def _policy_jet(policy, ctx: _DrawContext, n: int, constant=None) -> Jet:
+    """The jet in n variables that a policy gives: "zero", "one", "random"
+    or an inline jet; all but an inline jet get the forced constant term."""
     if policy == "zero":
-        jet = Jet.zero(n, cap)
+        jet = Jet.zero(n, ctx.cap)
     elif policy == "one":
-        jet = Jet.one(n, cap)
+        jet = Jet.one(n, ctx.cap)
     elif policy == "random":
-        jet = _draw(rng, n, cap, degree, bound)
+        jet = builders._draw(ctx.rng, n, ctx.cap, ctx.degree, ctx.bound)
     elif isinstance(policy, dict):
         jet = serialize.jet_from_json(policy)
-        if (jet.n, jet.max_degree) != (n, cap):
+        if (jet.n, jet.max_degree) != (n, ctx.cap):
             raise ScenarioError("inline jet has the wrong workspace")
         return jet
     else:
@@ -124,30 +119,60 @@ def _policy_jet(policy, n, cap, rng, degree, bound, constant=None) -> Jet:
     return jet
 
 
-def _policy_slice(policy, n, cap, rng, degree, bound, constant=None) -> SliceJet:
+def _policy_slice(policy, ctx: _DrawContext, constant=None) -> SliceJet:
     if isinstance(policy, dict) and "jet" in policy:
         sl = serialize.slice_from_json(policy)
-        if (sl.ambient_n, sl.max_degree) != (n, cap):
+        if (sl.ambient_n, sl.max_degree) != (ctx.n, ctx.cap):
             raise ScenarioError("inline slice has the wrong workspace")
         return sl
-    return SliceJet(_policy_jet(policy, n - 1, cap, rng, degree, bound, constant))
+    return SliceJet(_policy_jet(policy, ctx, ctx.n - 1, constant))
 
 
 def _random_nonvanishing(policy, jet: Jet) -> Jet:
-    """A random draw that vanishes at the origin gets constant term 1, so a
-    random metric-2d scenario is nondegenerate. Explicit data is never
-    rewritten: when it vanishes there, the builder rejects it."""
+    """A random draw that vanishes at the origin gets constant term 1.
+    Explicit data is never rewritten: when it vanishes there, the builder
+    rejects it."""
     if policy == "random" and jet.constant_term == 0:
         return _with_constant(jet, 1)
     return jet
 
 
-def _prescribed_ricci(pres: dict, tag: str, n: int, cap: int, rng, degree, bound) -> Bilinear:
-    policy = pres.get("r", "zero")
+def _nonvanishing_slice(ctx: _DrawContext, value) -> SliceJet:
+    policy = ctx.policy(value)
+    return SliceJet(_random_nonvanishing(policy, _policy_slice(policy, ctx).jet))
+
+
+def _diagonal(ctx: _DrawContext, value) -> Bilinear:
+    """The diagonal tensor whose entries are the jets of the value's keys,
+    each nonvanishing at the origin."""
+    comps = Bilinear.zero(ctx.n, ctx.cap).comps
+    for i, key in enumerate(value.key, 1):
+        policy = ctx.pres.get(key, value.default)
+        comps[(i, i)] = _random_nonvanishing(policy, _policy_jet(policy, ctx, ctx.n))
+    return Bilinear(ctx.n, comps)
+
+
+def _connection(ctx: _DrawContext, value):
+    """An inline connection, or the default's seeded one: "random", or
+    "random-levi-civita", the Levi-Civita connection of a random normalized
+    metric."""
+    policy = ctx.policy(value)
+    if isinstance(policy, dict):
+        return serialize.connection_from_json(policy)
+    if policy != value.default:
+        raise ScenarioError(f"bad connection policy {policy!r}")
+    if policy == "random-levi-civita":
+        return builders.levi_civita(builders.random_normalized_metric(*ctx.seeded()))
+    return builders.random_connection(*ctx.seeded())
+
+
+def _prescribed_tensor(ctx: _DrawContext, value) -> Bilinear:
+    n, cap = ctx.n, ctx.cap
+    policy = ctx.policy(value)
     if policy == "zero":
         return Bilinear.zero(n, cap)
     if policy == "random":
-        return random_prescribed_tensor(tag, rng.randrange(2**32), n, cap, degree, bound)
+        return builders.random_prescribed_tensor(ctx.construction, *ctx.seeded())
     if isinstance(policy, dict) and "components" in policy:
         given = policy["components"]
         if not isinstance(given, dict):
@@ -163,23 +188,23 @@ def _prescribed_ricci(pres: dict, tag: str, n: int, cap: int, rng, degree, bound
             for j in range(1, n + 1):
                 payload = given.get(f"{i},{j}")
                 comps[(i, j)] = (
-                    Jet.zero(n, cap)
-                    if payload is None
-                    else _policy_jet(payload, n, cap, rng, degree, bound)
+                    Jet.zero(n, cap) if payload is None else _policy_jet(payload, ctx, n)
                 )
         return Bilinear(n, comps)
     raise ScenarioError(f"bad prescribed-tensor policy {policy!r}")
 
 
-def _free_data(sc: dict, cen, n: int, cap: int, rng, degree, bound) -> FreeData:
-    spec = sc.get("free_data", "zero")
+def _free_data(ctx: _DrawContext, value) -> FreeData:
+    spec = ctx.sc.get(value.key, value.default)
     if isinstance(spec, str):
         spec = {"default": spec}
-    default = _object(spec, "free_data").get("default", "zero")
+    default = _object(spec, "free_data").get("default", value.default)
+    cen = census(ctx.construction, ctx.n)
     if default == "random":
-        base = random_free_data(cen, rng.randrange(2**32), degree, bound, cap)
+        seed = ctx.rng.randrange(2**32)
+        base = builders.random_free_data(cen, seed, ctx.degree, ctx.bound, ctx.cap)
     elif default == "zero":
-        base = zero_free_data(cen, cap)
+        base = builders.zero_free_data(cen, ctx.cap)
     else:
         raise ScenarioError(f"bad free-data default {default!r}")
     free = dict(base.free_functions)
@@ -187,112 +212,55 @@ def _free_data(sc: dict, cen, n: int, cap: int, rng, degree, bound) -> FreeData:
     gauge = base.gauge_function
     for slot, policy in _object(spec.get("slots") or {}, "free_data.slots").items():
         if slot == "phi":
-            gauge = _policy_jet(policy, n, cap, rng, degree, bound)
+            gauge = _policy_jet(policy, ctx, ctx.n)
         elif slot in free:
-            normal = _slot_normal_value(slot)
-            free[slot] = _policy_jet(policy, n, cap, rng, degree, bound, normal)
+            free[slot] = _policy_jet(policy, ctx, ctx.n, _slot_normal_value(slot))
         elif slot in slices:
-            normal = _slot_normal_value(slot)
-            slices[slot] = _policy_slice(policy, n, cap, rng, degree, bound, normal)
+            slices[slot] = _policy_slice(policy, ctx, _slot_normal_value(slot))
         else:
             raise ScenarioError(f"slot {slot!r} is not in the census")
     return FreeData(free, slices, gauge)
 
 
+# draw rule of a record's run value (`builders._RunValue`) -> the function of
+# (context, value) that makes the builder argument
+_RULES = {
+    "construction": lambda ctx, value: ctx.construction,
+    "n": lambda ctx, value: ctx.n,
+    "jet": lambda ctx, value: _policy_jet(ctx.policy(value), ctx, ctx.n, value.constant),
+    "slice": lambda ctx, value: _policy_slice(ctx.policy(value), ctx, value.constant),
+    "nonvanishing-slice": _nonvanishing_slice,
+    "diagonal": _diagonal,
+    "connection": _connection,
+    "tensor": _prescribed_tensor,
+    "census": _free_data,
+}
+
+
 def _run_direct(sc: dict) -> BuildReport:
+    """The record's builder on its run values, drawn in the record's order."""
     tag = sc["construction"]
     n, cap, seed = _shape(sc)
     rng = random.Random(seed)
     degree, bound = _bounds(sc, "random", cap)
     pres = _object(sc.get("prescribed") or {}, "prescribed")
-
-    if tag in _RICCI_CONNECTIONS:
-        cen = census(tag, n)
-        r = _prescribed_ricci(pres, tag, n, cap, rng, degree, bound)
-        fd = _free_data(sc, cen, n, cap, rng, degree, bound)
-        return build_prescribed_ricci(tag, r, fd)
-
-    if tag == "metric-2d":
-        policy = {key: pres.get(key, "random") for key in ("r11", "r22", "phi")}
-        r11 = _random_nonvanishing(
-            policy["r11"], _policy_jet(policy["r11"], 2, cap, rng, degree, bound)
-        )
-        r22 = _random_nonvanishing(
-            policy["r22"], _policy_jet(policy["r22"], 2, cap, rng, degree, bound)
-        )
-        r = Bilinear(
-            2,
-            {
-                (1, 1): r11,
-                (1, 2): Jet.zero(2, cap),
-                (2, 1): Jet.zero(2, cap),
-                (2, 2): r22,
-            },
-        )
-        phi = _policy_slice(policy["phi"], 2, cap, rng, degree, bound)
-        phi = SliceJet(_random_nonvanishing(policy["phi"], phi.jet))
-        psi = _policy_slice(pres.get("psi", "zero"), 2, cap, rng, degree, bound)
-        return build_metric_2d_prescribed_ricci(r, phi, psi)
-
-    if tag == "statistical":
-        cen = census(tag, n)
-        fd = _free_data(sc, cen, n, cap, rng, degree, bound)
-        return build_statistical_nd(n, fd)
-
-    if tag == "statistical-2d":
-        conn_policy = pres.get("connection", "random")
-        if conn_policy == "random":
-            conn = random_connection(rng.randrange(2**32), 2, cap, degree, bound)
-        else:
-            conn = serialize.connection_from_json(conn_policy)
-        g11 = _policy_jet(pres.get("g11", "one"), 2, cap, rng, degree, bound, constant=1)
-        init12 = _policy_slice(pres.get("init12", "zero"), 2, cap, rng, degree, bound, 0)
-        init22 = _policy_slice(pres.get("init22", "one"), 2, cap, rng, degree, bound, 1)
-        return build_statistical_2d(conn, g11, init12, init22)
-
-    if tag == "trace-free-statistical-2d":
-        conn_policy = pres.get("connection", "random-levi-civita")
-        if conn_policy == "random-levi-civita":
-            conn = levi_civita(
-                random_normalized_metric(rng.randrange(2**32), 2, cap, degree, bound)
-            )
-        else:
-            conn = serialize.connection_from_json(conn_policy)
-        init12 = _policy_slice(pres.get("init12", "zero"), 2, cap, rng, degree, bound, 0)
-        init22 = _policy_slice(pres.get("init22", "one"), 2, cap, rng, degree, bound, 1)
-        return build_trace_free_statistical_2d(conn, init12, init22)
-
-    raise ScenarioError(f"unknown construction {tag!r}")
+    rec = builders._CONSTRUCTIONS.get(tag)
+    if rec is None:
+        raise ScenarioError(f"unknown construction {tag!r}")
+    ctx = _DrawContext(sc, pres, tag, n, cap, rng, degree, bound)
+    return getattr(builders, rec.build)(*[_RULES[value.rule](ctx, value) for value in rec.run])
 
 
 def _run_round_trip(sc: dict) -> BuildReport:
+    """The record's builder on the round-trip data of its seeded structure."""
     tag = sc["construction"]
     n, cap, seed = _shape(sc)
     degree, bound = _bounds(sc, "round_trip", cap)
-
-    if tag in _RICCI_CONNECTIONS:
-        conn = _RICCI_CONNECTIONS[tag](seed, n, cap, degree, bound)
-        r, fd = connection_round_trip_data(tag, conn)
-        return build_prescribed_ricci(tag, r, fd)
-
-    g0 = random_normalized_metric(seed, n, cap, degree, bound)
-    if tag == "statistical":
-        _, fd = statistical_nd_round_trip_data(g0)
-        return build_statistical_nd(n, fd)
-    if tag == "statistical-2d":
-        conn = levi_civita(g0)
-        return build_statistical_2d(
-            conn,
-            g0.comp(1, 1),
-            g0.comp(1, 2).restrict_x1(),
-            g0.comp(2, 2).restrict_x1(),
-        )
-    if tag == "trace-free-statistical-2d":
-        conn = levi_civita(g0)
-        return build_trace_free_statistical_2d(
-            conn, g0.comp(1, 2).restrict_x1(), g0.comp(2, 2).restrict_x1()
-        )
-    raise ScenarioError(f"round_trip mode does not support {tag!r}")
+    rec = builders._CONSTRUCTIONS.get(tag)
+    if rec is None or rec.round_trip is None:
+        raise ScenarioError(f"round_trip mode does not support {tag!r}")
+    draw, read = (getattr(builders, name) for name in rec.round_trip)
+    return getattr(builders, rec.build)(*read(tag, draw(seed, n, cap, degree, bound)))
 
 
 def _read_json(path: str):

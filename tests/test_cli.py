@@ -1,5 +1,6 @@
 """CLI: scenario runs, exit-code contract, census printing, report verify."""
 
+import ast
 import io
 import json
 import sys
@@ -10,9 +11,11 @@ from time import perf_counter
 
 import pytest
 
-from jetgeom import cli, serialize
+from jetgeom import builders, cli, serialize
 from jetgeom import multiindex as mi
-from jetgeom.builders import _CHECKS, MAX_NODE_PAIRS, BuildReport, Check, _codazzi_spec, verify
+from jetgeom.builders import (
+    _CHECKS, _CONSTRUCTIONS, MAX_NODE_PAIRS, BuildReport, Check, _codazzi_spec, verify,
+)
 from jetgeom.cli import main
 from jetgeom.serialize import (
     canonical_dumps,
@@ -894,8 +897,7 @@ def no_draws(*args, **kwargs):
 def test_2d_construction_at_other_n_is_rejected_before_any_draw(
     tmp_path, capsys, monkeypatch, tag, n, mode
 ):
-    for name in ("_draw", "random_connection", "random_normalized_metric"):
-        monkeypatch.setattr(cli, name, no_draws)
+    forbid_draws(monkeypatch)
     out_path = tmp_path / "report.json"
     scenario = {"construction": tag, "n": n, "D": 3, "seed": 1, "mode": mode}
     scenario.update(output=str(out_path))
@@ -905,12 +907,19 @@ def test_2d_construction_at_other_n_is_rejected_before_any_draw(
     assert not out_path.exists()
 
 
+# the draw sites of `run`: every seeded jet of a policy is a `_draw`, and the
+# record loop reaches the seeded tables, the free data and the round-trip
+# structures by these names, as `builders` attributes at call time
+DRAW_SITES = (
+    "_draw", "random_connection", "random_symmetric_connection", "random_trace_free_connection",
+    "random_normalized_metric", "random_free_data", "zero_free_data", "random_prescribed_tensor",
+)
+
+
 def forbid_draws(monkeypatch):
     """Every data draw of `run`, in either mode, raises."""
-    draws = ("_draw", "random_connection", "random_normalized_metric")
-    for name in draws + ("random_free_data", "zero_free_data", "random_prescribed_tensor"):
-        monkeypatch.setattr(cli, name, no_draws)
-    monkeypatch.setattr(cli, "_RICCI_CONNECTIONS", dict.fromkeys(cli._RICCI_CONNECTIONS, no_draws))
+    for name in DRAW_SITES:
+        monkeypatch.setattr(builders, name, no_draws)
 
 
 @pytest.mark.parametrize("mode", ["direct", "round_trip"])
@@ -961,6 +970,26 @@ def test_workspace_over_the_bound_is_rejected_before_any_draw(
     assert code == 2
     assert json.loads(out) == {"status": "rejected", "reason": "workspace-too-large"}
     assert not out_path.exists()
+
+
+def test_cli_names_no_construction():
+    # a construction is its record in `builders._CONSTRUCTIONS`, which `run`
+    # reads for its draws, its builder and its round-trip data: the CLI names
+    # no construction and imports no builder
+    tree = ast.parse(Path(cli.__file__).read_text())
+    strings = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert not strings & set(_CONSTRUCTIONS)
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not [name for name in imported if name.startswith("build_")]
 
 
 def test_census_of_a_large_statistical_n_builds_its_lists_once():
@@ -1352,6 +1381,21 @@ def test_statistical_2d_g11_below_d_is_rejected(tmp_path, capsys, valid_order, b
             {"construction": "kaehler", "mode": "round_trip"},
             "round_trip mode does not support 'kaehler'",
             id="round-trip-construction",
+        ),
+        pytest.param(
+            {"construction": "statistical-2d", "prescribed": {"connection": "purple"}},
+            "bad connection policy 'purple'",
+            id="connection-policy",
+        ),
+        pytest.param(
+            {"construction": "statistical-2d", "prescribed": {"connection": 5}},
+            "bad connection policy 5",
+            id="connection-policy-number",
+        ),
+        pytest.param(
+            {"construction": "trace-free-statistical-2d", "prescribed": {"connection": "random"}},
+            "bad connection policy 'random'",
+            id="connection-policy-other-default",
         ),
     ],
 )

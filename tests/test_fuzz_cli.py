@@ -130,7 +130,9 @@ SCENARIOS = st.fixed_dictionaries(
         ),
         "prescribed": or_junk(
             st.dictionaries(
-                st.sampled_from(["r", "r11", "r22", "phi", "psi", "g11", "init12", "init22"]),
+                st.sampled_from(
+                    ["r", "r11", "r22", "phi", "psi", "connection", "g11", "init12", "init22"]
+                ),
                 POLICY,
                 max_size=3,
             )

@@ -1539,7 +1539,7 @@ def build_statistical_nd(n: int, fd: FreeData) -> BuildReport:
 
 
 # ---------------------------------------------------------------------------
-# seeded tables, and round-trip data (of the CLI's round_trip mode)
+# seeded tables and round-trip data (also used by the CLI's round-trip mode)
 
 
 def _draw(rng: random.Random, n: int, cap: int, degree: int, bound: int) -> Jet:

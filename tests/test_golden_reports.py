@@ -314,7 +314,9 @@ def policy_scenario(tag: str, policies: str) -> dict:
     return {**sc, **explicit_policies(tag, n, cap)} if policies == "explicit" else sc
 
 
-@pytest.mark.parametrize("tag, policies", list(POLICY_GOLDEN), ids="-".join)
+@pytest.mark.parametrize(
+    "tag, policies", list(POLICY_GOLDEN), ids=[f"{t}-{p}" for t, p in POLICY_GOLDEN]
+)
 def test_policy_reports_are_pinned(tmp_path, capsys, tag, policies):
     out = tmp_path / "report.json"
     path = tmp_path / "scenario.json"
